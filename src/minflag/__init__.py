@@ -1,7 +1,7 @@
 """Exact quantum Chevalley calculus on minuscule flag manifolds.
 
 The package builds root systems for all simple types with exact
-rational pairings, enumerates minuscule Weyl orbits as graded coset
+integer coroot pairings, enumerates minuscule Weyl orbits as graded coset
 representatives, constructs the canonical-basis operator
 A(q) = sum_j E-(j) + q E_psi over integer polynomials in q, computes
 quantum multiplication by the Schubert divisor class through three
@@ -48,8 +48,10 @@ from .qchev import (
     SchubertClass,
     chevalley_closed,
     chevalley_fw_oracle,
+    first_mismatch,
     frobenius_check,
     fw_oracle_matrix,
+    fw_oracle_pass,
     grading_check,
     n_alpha,
     quantum_product_matrix,

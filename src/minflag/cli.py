@@ -127,9 +127,21 @@ def _case_checks(orb: Orbit, corrupt: bool) -> list[tuple[str, bool, str]]:
     if corrupt:
         operator = _corrupted(orb, operator)
     closed = qchev.quantum_product_matrix(orb)
-    oracle = qchev.fw_oracle_matrix(orb)
-    triple_ok = operator == closed == oracle
-    rows.append(("main-theorem", triple_ok, "three routes entrywise equal" if triple_ok else "route mismatch"))
+    # One oracle pass feeds both the main-theorem and the survivor rows.
+    # The oracle reports a broken classification by raising
+    # AssertionError, and a target outside the orbit by ValueError.
+    try:
+        oracle, survivors = qchev.fw_oracle_pass(orb)
+    except (AssertionError, ValueError) as exc:
+        oracle_error = f"oracle route failed: {type(exc).__name__}: {exc}"
+        oracle = survivors = None
+    if oracle is None:
+        rows.append(("main-theorem", False, oracle_error))
+    else:
+        mismatch = qchev.first_mismatch(
+            orb, operator, (("closed-form product", closed), ("oracle product", oracle))
+        )
+        rows.append(("main-theorem", mismatch is None, mismatch or "three routes entrywise equal"))
 
     rows.append(("frobenius", qchev.frobenius_check(orb, operator), "A^T G = G A"))
     rows.append(("grading", qchev.grading_check(orb, operator), "deg q = s homogeneity"))
@@ -144,19 +156,15 @@ def _case_checks(orb: Orbit, corrupt: bool) -> list[tuple[str, bool, str]]:
 
     rows.append(("trichotomy", qchev.trichotomy_check(orb), "pairing/length cases"))
 
-    survivors_ok = True
-    detail = ""
-    try:
-        for el in orb.elements:
-            stats = qchev.oracle_survivors(orb, qchev.SchubertClass(el.weight))
+    if survivors is None:
+        survivors_ok, detail = False, oracle_error
+    else:
+        survivors_ok, detail = True, "classification holds"
+        for el, stats in zip(orb.elements, survivors):
             if stats.candidates != orb.dim_complex or stats.quantum > 1:
-                survivors_ok = False
-                detail = f"unexpected survivor counts at {el.weight}"
+                survivors_ok, detail = False, f"unexpected survivor counts at {el.weight}"
                 break
-    except AssertionError as exc:
-        survivors_ok = False
-        detail = str(exc)
-    rows.append(("oracle-survivors", survivors_ok, detail or "classification holds"))
+    rows.append(("oracle-survivors", survivors_ok, detail))
     return rows
 
 
@@ -395,16 +403,20 @@ def cmd_satake(
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 

@@ -23,7 +23,8 @@ cross-checks that detect single-entry corruption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .minrep import Poly, PolyMatrix, quantum_operator
 from .rootsys import RootSystem, RootVec, Weight, pair, reflect
@@ -90,18 +91,22 @@ def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
     base_len = length(orb, mu)
     terms = []
     for alpha in divisor_complement(orb):
-        assert pair(rs, orb.highest_weight, alpha) == 1
         beta = apply_word(rs, el.word, alpha)
         target = mu - rs.root_to_weight(beta)
         jump = length(orb, target) - base_len
-        assert jump == beta.height, "length jump must equal the transported height"
+        if jump != beta.height:
+            raise AssertionError("length jump must equal the transported height")
         if jump == 1:
-            assert beta.is_positive and beta.height == 1, "surviving classical root must be simple"
-            assert pair(rs, mu, beta) == 1
+            if not (beta.is_positive and beta.height == 1):
+                raise AssertionError("surviving classical root must be simple")
+            if pair(rs, mu, beta) != 1:
+                raise AssertionError(f"surviving simple root {beta} must pair to 1 with {mu}")
             terms.append(QProductTerm(SchubertClass(target), 0, 1))
         elif jump == -(s - 1):
-            assert -beta == rs.highest_root, "surviving quantum root must be the negated highest root"
-            assert pair(rs, mu, rs.highest_root) == -1
+            if -beta != rs.highest_root:
+                raise AssertionError("surviving quantum root must be the negated highest root")
+            if pair(rs, mu, rs.highest_root) != -1:
+                raise AssertionError(f"quantum term at {mu} needs highest-coroot pairing -1")
             terms.append(QProductTerm(SchubertClass(target), 1, 1))
     terms.sort(key=lambda t: (t.q_power, orb.index_of[t.target.weight]))
     return terms
@@ -116,29 +121,70 @@ def n_alpha(rs: RootSystem, i: int, alpha: RootVec) -> int:
     lam = rs.fundamental_weight(i)
     if not (rs.is_root(alpha) and alpha.is_positive and pair(rs, lam, alpha) == 1):
         raise ValueError(f"{alpha} is not in the divisor complement of weight {i}")
-    n = rs.rank
-    total = [0] * n
+    return pair(rs, _complement_sum(rs, i), alpha)
+
+
+@lru_cache(maxsize=None)
+def _complement_sum(rs: RootSystem, i: int) -> Weight:
+    """The sum of the positive roots pairing to 1 with lambda_i, as a weight."""
+    lam = rs.fundamental_weight(i)
+    total = [0] * rs.rank
     for gamma in rs.positive_roots:
         if pair(rs, lam, gamma) == 1:
-            for k in range(n):
-                total[k] += gamma.coeffs[k]
-    return pair(rs, rs.root_to_weight(RootVec(tuple(total))), alpha)
+            for k, c in enumerate(gamma.coeffs):
+                total[k] += c
+    return rs.root_to_weight(RootVec(tuple(total)))
 
 
 def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
     """Matrix of the divisor product, columns from the closed form."""
-    return _terms_matrix(orb, chevalley_closed)
+    return _columns_matrix(
+        orb, [chevalley_closed(orb, SchubertClass(el.weight)) for el in orb.elements]
+    )
+
+
+@dataclass
+class OracleSurvivorStats:
+    """Classification counts from one full oracle sweep over an orbit."""
+
+    candidates: int
+    classical: int
+    quantum: int
+    discarded: int
+
+
+def _survivor_stats(n_cand: int, terms: list[QProductTerm]) -> OracleSurvivorStats:
+    classical = sum(1 for t in terms if t.q_power == 0)
+    quantum = sum(1 for t in terms if t.q_power == 1)
+    return OracleSurvivorStats(n_cand, classical, quantum, n_cand - classical - quantum)
+
+
+def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
+    """One oracle run over every class: the matrix and the survivor counts.
+
+    Calls ``chevalley_fw_oracle`` once per class; the k-th survivor
+    count belongs to the k-th orbit element, in canonical order.
+    """
+    n_cand = len(divisor_complement(orb))
+    columns = [chevalley_fw_oracle(orb, SchubertClass(el.weight)) for el in orb.elements]
+    return _columns_matrix(orb, columns), [_survivor_stats(n_cand, terms) for terms in columns]
 
 
 def fw_oracle_matrix(orb: Orbit) -> PolyMatrix:
     """Matrix of the divisor product, columns from the oracle route."""
-    return _terms_matrix(orb, chevalley_fw_oracle)
+    return fw_oracle_pass(orb)[0]
 
 
-def _terms_matrix(orb: Orbit, product) -> PolyMatrix:
+def oracle_survivors(orb: Orbit, u: SchubertClass) -> OracleSurvivorStats:
+    """Candidate bookkeeping for one class: how many roots survive each way."""
+    return _survivor_stats(len(divisor_complement(orb)), chevalley_fw_oracle(orb, u))
+
+
+def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix:
+    """The matrix whose column k holds the terms of the k-th class's product."""
     entries: dict[tuple[int, int], Poly] = {}
-    for src, el in enumerate(orb.elements):
-        for t in product(orb, SchubertClass(el.weight)):
+    for src, terms in enumerate(columns):
+        for t in terms:
             key = (orb.index_of[t.target.weight], src)
             term = Poly.term(t.coefficient, t.q_power)
             entries[key] = entries.get(key, Poly()) + term
@@ -156,23 +202,36 @@ class TheoremReport:
 
 def verify_main_theorem(orb: Orbit) -> TheoremReport:
     """Entrywise equality of the canonical operator and both product routes."""
-    op = quantum_operator(orb)
-    closed = quantum_product_matrix(orb)
-    oracle = fw_oracle_matrix(orb)
-    for name, other in (("closed-form product", closed), ("oracle product", oracle)):
-        if op != other:
-            for i in range(orb.size):
-                for j in range(orb.size):
-                    if op.entry(i, j) != other.entry(i, j):
-                        src = orb.elements[j].weight
-                        tgt = orb.elements[i].weight
-                        return TheoremReport(
-                            False,
-                            orb.size,
-                            f"operator vs {name} at ({tgt}, {src}): "
-                            f"{op.entry(i, j)} != {other.entry(i, j)}",
-                        )
-    return TheoremReport(True, orb.size)
+    mismatch = first_mismatch(
+        orb,
+        quantum_operator(orb),
+        (("closed-form product", quantum_product_matrix(orb)), ("oracle product", fw_oracle_matrix(orb))),
+    )
+    return TheoremReport(mismatch is None, orb.size, mismatch)
+
+
+def first_mismatch(
+    orb: Orbit, operator: PolyMatrix, routes: Sequence[tuple[str, PolyMatrix]]
+) -> Optional[str]:
+    """The first entry where a route differs from the operator, or None.
+
+    Routes are compared in the order given and entries row by row; the
+    witness names the route, the (target, source) weights and both
+    values.
+    """
+    for name, other in routes:
+        if operator == other:
+            continue
+        for i in range(orb.size):
+            for j in range(orb.size):
+                if operator.entry(i, j) != other.entry(i, j):
+                    tgt = orb.elements[i].weight
+                    src = orb.elements[j].weight
+                    return (
+                        f"operator vs {name} at ({tgt}, {src}): "
+                        f"{operator.entry(i, j)} != {other.entry(i, j)}"
+                    )
+    return None
 
 
 def pairing_matrix(orb: Orbit) -> PolyMatrix:
@@ -230,22 +289,3 @@ def trichotomy_check(orb: Orbit) -> bool:
             else:
                 return False
     return True
-
-
-@dataclass
-class OracleSurvivorStats:
-    """Classification counts from one full oracle sweep over an orbit."""
-
-    candidates: int
-    classical: int
-    quantum: int
-    discarded: int
-
-
-def oracle_survivors(orb: Orbit, u: SchubertClass) -> OracleSurvivorStats:
-    """Candidate bookkeeping for one class: how many roots survive each way."""
-    terms = chevalley_fw_oracle(orb, u)
-    n_cand = len(divisor_complement(orb))
-    classical = sum(1 for t in terms if t.q_power == 0)
-    quantum = sum(1 for t in terms if t.q_power == 1)
-    return OracleSurvivorStats(n_cand, classical, quantum, n_cand - classical - quantum)

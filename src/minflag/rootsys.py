@@ -17,14 +17,23 @@ Coordinate conventions, fixed package-wide:
 * Simple-root and fundamental-weight indices are 1-based in the public
   API, matching the usual Dynkin-diagram labels.
 
-All arithmetic is exact.  Fraction enters only where a symmetrizer
-ratio appears, and every coroot pairing is asserted back to an integer.
+All arithmetic is exact, and the hot paths use integers only.
+Fraction enters only while a root system is built, where a symmetrizer
+ratio appears.  At that point every root stores its coroot in the
+simple-coroot basis, c_j d_j / d_alpha, checked to be integral, so a
+coroot pairing is an integer dot product.  The Cartan matrix also
+stores its integer adjugate and determinant: the root coordinates of a
+weight w are (adj . w) / det, one exact integer division per
+coordinate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+from typing import Sequence
+
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 # (min rank, max rank or None) per family
@@ -145,8 +154,10 @@ class RootSystem:
     """Root system of a simple Lie type, fully precomputed and immutable.
 
     Attributes follow the coordinate conventions of the module
-    docstring.  Two instances compare equal iff they have the same
-    LieType; everything else is determined by it.
+    docstring; ``cartan_det`` and ``cartan_adjugate`` are the integer
+    determinant and adjugate of the Cartan matrix.  Two instances
+    compare equal iff they have the same LieType; everything else is
+    determined by it.
     """
 
     def __init__(self, lie_type: LieType):
@@ -177,14 +188,15 @@ class RootSystem:
         self._check_cartan()
 
         self.positive_roots = self._close_positive_roots()
-        self._root_set = frozenset(r.coeffs for r in self.positive_roots) | frozenset(
-            (-r).coeffs for r in self.positive_roots
-        )
         self._half_norm = {}
+        self._coroot = {}
         for r in self.positive_roots:
             dn = self._half_norm_of(r)
+            co = self._coroot_of(r, dn)
             self._half_norm[r.coeffs] = dn
             self._half_norm[(-r).coeffs] = dn
+            self._coroot[r.coeffs] = co
+            self._coroot[(-r).coeffs] = tuple(-c for c in co)
 
         heights = [r.height for r in self.positive_roots]
         top = max(heights)
@@ -199,7 +211,7 @@ class RootSystem:
         self.highest_root_weight = self.root_to_weight(self.highest_root)
         assert all(p >= 0 for p in self.highest_root_weight.pairings)
 
-        self._cartan_inverse = _invert(cartan)
+        self.cartan_det, self.cartan_adjugate = _adjugate(cartan)
         self._minuscule = self._find_minuscule()
         self._involution = self._build_involution()
 
@@ -248,17 +260,23 @@ class RootSystem:
                     total += c[j] * c[k] * d[k] * C[k][j]
         return total / 2
 
-    def _find_minuscule(self) -> tuple[int, ...]:
+    def _coroot_of(self, alpha: RootVec, d_alpha: Fraction) -> tuple[int, ...]:
+        """alpha^vee = sum_j c_j (d_j / d_alpha) alpha_j^vee, integral by theory."""
+        d = self.cartan_data.symmetrizers
         out = []
-        for i in range(1, self.lie_type.rank + 1):
-            d_i = self.cartan_data.symmetrizers[i - 1]
-            top = max(
-                r.coeffs[i - 1] * d_i / self._half_norm[r.coeffs]
-                for r in self.positive_roots
-            )
-            if top == 1:
-                out.append(i)
+        for c, d_j in zip(alpha.coeffs, d):
+            x = c * d_j / d_alpha
+            if x.denominator != 1:
+                raise AssertionError(f"coroot of {alpha} in {self} has a non-integer coefficient {x}")
+            out.append(int(x))
         return tuple(out)
+
+    def _find_minuscule(self) -> tuple[int, ...]:
+        # (lambda_i, alpha^vee) is the i-th coroot coefficient of alpha
+        return tuple(
+            i for i in range(1, self.lie_type.rank + 1)
+            if max(self._coroot[r.coeffs][i - 1] for r in self.positive_roots) == 1
+        )
 
     def _build_involution(self) -> tuple[int, ...]:
         fam, n = self.lie_type.family, self.lie_type.rank
@@ -294,7 +312,7 @@ class RootSystem:
         return Weight(tuple(1 if k == i - 1 else 0 for k in range(n)))
 
     def is_root(self, alpha: RootVec) -> bool:
-        return alpha.coeffs in self._root_set
+        return alpha.coeffs in self._coroot
 
     def half_norm(self, alpha: RootVec) -> Fraction:
         if not self.is_root(alpha):
@@ -303,23 +321,17 @@ class RootSystem:
 
     def root_to_weight(self, alpha: RootVec) -> Weight:
         """The pairing coordinates of a root: cartan . coeffs."""
-        C = self.cartan_data.cartan
         c = alpha.coeffs
-        return Weight(tuple(sum(C[k][j] * c[j] for j in range(len(c))) for k in range(len(c))))
-
-    def to_root_coords(self, w: Weight) -> tuple[Fraction, ...]:
-        """Solve cartan . x = pairings exactly; inverse of root_to_weight."""
-        inv = self._cartan_inverse
-        m = w.pairings
-        n = len(m)
-        return tuple(sum(inv[k][j] * m[j] for j in range(n)) for k in range(n))
+        return Weight(tuple(sum(map(mul, row, c)) for row in self.cartan_data.cartan))
 
     def simple_reflect_root(self, beta: RootVec, j: int) -> RootVec:
         """s_j acting in root coordinates: beta - (beta, alpha_j^vee) alpha_j."""
-        C = self.cartan_data.cartan
-        c = beta.coeffs
-        p = sum(C[j - 1][k] * c[k] for k in range(len(c)))
-        return RootVec(tuple(ck - p if k == j - 1 else ck for k, ck in enumerate(c)))
+        p = sum(map(mul, self.cartan_data.cartan[j - 1], beta.coeffs))
+        if p == 0:
+            return beta
+        out = list(beta.coeffs)
+        out[j - 1] -= p
+        return RootVec(tuple(out))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.lie_type == other.lie_type
@@ -334,20 +346,47 @@ class RootSystem:
         return str(self.lie_type)
 
 
-def _invert(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the Cartan matrix by Gauss-Jordan elimination."""
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by Bareiss fraction-free elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss: this division is always exact
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _adjugate(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det C, adj C) with C . adj C = det C . I, all in integers.
+
+    adj[k][j] is the (j, k) cofactor, so root coordinates of a weight w
+    are (adj . w) / det, each an exact quotient when w is in the root
+    lattice.
+    """
     n = len(cartan)
-    aug = [[Fraction(cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+
+    def minor(row: int, col: int) -> list[list[int]]:
+        return [[cartan[r][c] for c in range(n) if c != col] for r in range(n) if r != row]
+
+    det = _det(cartan)
+    adj = tuple(
+        tuple((-1) ** (j + k) * _det(minor(j, k)) for j in range(n)) for k in range(n)
+    )
+    if det <= 0:
+        raise AssertionError(f"Cartan determinant {det} is not positive")
+    return det, adj
 
 
 @lru_cache(maxsize=None)
@@ -359,20 +398,13 @@ def build(lie_type: LieType) -> RootSystem:
 def pair(rs: RootSystem, mu: Weight, alpha: RootVec) -> int:
     """The coroot pairing (mu, alpha^vee), always an exact integer.
 
-    Computed as sum_j c_j (d_j / d_alpha) m_j from the simple-root
-    coefficients c of alpha and the pairing vector m of mu.
+    The integer dot product of alpha's precomputed coroot coefficients
+    c_j d_j / d_alpha with the pairing vector of mu.
     """
-    if not rs.is_root(alpha):
+    coroot = rs._coroot.get(alpha.coeffs)
+    if coroot is None:
         raise ValueError(f"{alpha} is not a root of {rs}")
-    d = rs.cartan_data.symmetrizers
-    d_alpha = rs._half_norm[alpha.coeffs]
-    total = Fraction(0)
-    for j, c in enumerate(alpha.coeffs):
-        if c:
-            total += c * d[j] * mu.pairings[j]
-    val = total / d_alpha
-    assert val.denominator == 1, "coroot pairing must cancel to an integer"
-    return int(val)
+    return sum(map(mul, coroot, mu.pairings))
 
 
 def reflect(rs: RootSystem, mu: Weight, alpha: RootVec) -> Weight:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .rootsys import RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
@@ -105,19 +106,25 @@ def orbit(rs: RootSystem, i: int, j_order: Optional[tuple[int, ...]] = None) -> 
 def length(orb: Orbit, mu: Weight) -> int:
     """Bruhat length of mu's coset representative, measured independently.
 
-    Solves lambda_i - mu in the simple-root basis through the exact
-    Cartan inverse; the coefficients must come out nonnegative integers
-    and their sum is the length.  This deliberately does not consult
-    the BFS words, so it can act as an oracle against them.
+    Solves lambda_i - mu in the simple-root basis through the integer
+    adjugate and determinant of the Cartan matrix; every coordinate must
+    divide exactly and come out nonnegative, and their sum is the
+    length.  This deliberately does not consult the BFS words or the
+    stored lengths, so it can act as an oracle against them.
     """
     if mu not in orb.index_of:
         raise ValueError(f"{mu} is not in the orbit")
-    diff = orb.highest_weight - mu
-    coords = orb.rs.to_root_coords(diff)
+    rs = orb.rs
+    det = rs.cartan_det
+    diff = [a - b for a, b in zip(orb.highest_weight.pairings, mu.pairings)]
     total = 0
-    for x in coords:
-        assert x.denominator == 1 and x >= 0, "orbit weight differs from the top by a nonnegative root sum"
-        total += int(x)
+    for row in rs.cartan_adjugate:
+        x, r = divmod(sum(map(mul, row, diff)), det)
+        if r or x < 0:
+            raise AssertionError(
+                f"{mu} does not differ from the top weight by a nonnegative root sum"
+            )
+        total += x
     return total
 
 

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+from minflag import qchev
 from minflag.cli import (
     SweepConfig,
     cmd_emit,
@@ -10,8 +14,11 @@ from minflag.cli import (
     main,
     sweep_cases,
 )
-from minflag.rootsys import LieType
+from minflag.rootsys import LieType, build
+from minflag.weylorbit import orbit
 
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SMALL = SweepConfig(max_rank={"A": 2, "B": 2, "C": 2, "D": 3}, include_exceptional=False)
 
@@ -55,6 +62,73 @@ def test_verify_self_test_corrupt_exits_one():
     assert "FAIL" in buf.getvalue()
 
 
+def test_verify_corrupt_main_theorem_row_names_the_witness():
+    buf = io.StringIO()
+    cmd_verify(SMALL, corrupt=True, out=buf)
+    rows = [l for l in buf.getvalue().splitlines() if l.split()[1:3] == ["main-theorem", "FAIL"]]
+    assert rows
+    for row in rows:
+        assert "operator vs closed-form product at (" in row and " != " in row
+
+
+def test_verify_runs_the_oracle_once_per_class(monkeypatch):
+    calls = []
+    real = qchev.chevalley_fw_oracle
+
+    def counting(orb, u):
+        calls.append((orb.rs.lie_type, orb.weight_index, u.weight))
+        return real(orb, u)
+
+    monkeypatch.setattr(qchev, "chevalley_fw_oracle", counting)
+    assert cmd_verify(SMALL, out=io.StringIO()) == 0
+    classes = [
+        (lt, i, el.weight) for lt, i in sweep_cases(SMALL) for el in orbit(build(lt), i).elements
+    ]
+    assert calls == classes
+
+
+def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):
+    def broken(orb, u):
+        raise AssertionError("surviving classical root must be simple")
+
+    monkeypatch.setattr(qchev, "chevalley_fw_oracle", broken)
+    buf = io.StringIO()
+    assert cmd_verify(SMALL, out=buf) == 1
+    failed = {l.split()[1] for l in buf.getvalue().splitlines() if " FAIL " in l}
+    assert failed == {"main-theorem", "oracle-survivors"}
+    assert "oracle route failed: AssertionError: surviving classical root must be simple" in buf.getvalue()
+
+
+_SMALL_ARGS = ["--max-rank-A", "2", "--max-rank-B", "2", "--max-rank-C", "2", "--max-rank-D", "3",
+               "--skip-exceptional"]
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_checks_survive_python_optimize_flag():
+    code = (
+        "from minflag.rootsys import LieType, build\n"
+        "from minflag.weylorbit import Orbit, length, orbit\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "orb = orbit(build(LieType('A', 3)), 2)\n"
+        "flipped = Orbit(orb.rs, 2, tuple(reversed(orb.elements)))\n"
+        "try:\n"
+        "    length(flipped, orb.elements[0].weight)\n"
+        "except AssertionError:\n"
+        "    print('length check raised')\n"
+    )
+    proc = _run_optimized("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "length check raised"
+
+    proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL" in proc.stdout and "Traceback" not in proc.stderr
+
+
 def test_verify_config_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("max-rank-A=3\nmax-rank-B=2\nmax-rank-C=2\nmax-rank-D=3\ninclude-exceptional=false\n")
@@ -66,6 +140,12 @@ def test_verify_bad_config_key(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("max-rank-Z=3\n")
     assert main(["verify", "--config", str(cfg)]) == 2
+
+
+def test_verify_missing_config_file_is_config_error(tmp_path, capsys):
+    assert main(["verify", "--config", str(tmp_path / "missing.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "missing.cfg" in err
 
 
 def test_verify_rank_below_minimum_is_config_error():

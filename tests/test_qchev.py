@@ -6,9 +6,12 @@ from minflag.qchev import (
     SchubertClass,
     chevalley_closed,
     chevalley_fw_oracle,
+    _complement_sum,
     divisor_complement,
+    first_mismatch,
     frobenius_check,
     fw_oracle_matrix,
+    fw_oracle_pass,
     grading_check,
     n_alpha,
     oracle_survivors,
@@ -111,6 +114,16 @@ def test_oracle_survivor_classification_sweepwide():
             assert stats.classical + stats.quantum + stats.discarded == stats.candidates
 
 
+def test_oracle_pass_matches_per_class_routes():
+    for case in [("A", 3, 2), ("D", 5, 5), ("E", 6, 1)]:
+        orb = orbit_of(*case)
+        matrix, survivors = fw_oracle_pass(orb)
+        assert matrix == fw_oracle_matrix(orb) == quantum_product_matrix(orb)
+        assert len(survivors) == orb.size
+        for el, stats in zip(orb.elements, survivors):
+            assert stats == oracle_survivors(orb, SchubertClass(el.weight))
+
+
 # -- coxeter identity -------------------------------------------------------------
 
 
@@ -130,6 +143,16 @@ def test_n_alpha_equals_coxeter_number_everywhere():
         s = orb.rs.coxeter_number
         for alpha in divisor_complement(orb):
             assert n_alpha(orb.rs, orb.weight_index, alpha) == s
+
+
+def test_n_alpha_sums_the_complement_once_per_weight():
+    rs = build(LieType("D", 5))
+    lam = rs.fundamental_weight(5)
+    complement = [a for a in rs.positive_roots if pair(rs, lam, a) == 1]
+    _complement_sum.cache_clear()
+    assert {n_alpha(rs, 5, a) for a in complement} == {rs.coxeter_number}
+    info = _complement_sum.cache_info()
+    assert (info.misses, info.hits) == (1, len(complement) - 1)
 
 
 def test_n_alpha_rejects_parabolic_and_foreign_roots():
@@ -163,11 +186,15 @@ def test_main_theorem_full_sweep():
 
 def test_main_theorem_reports_first_mismatch():
     orb = orbit_of("A", 2, 1)
-    # compare against a corrupted closed-form by checking the report text
-    # of an orbit whose operator we puncture through the public helpers
+    # puncture the operator at (target (-1,1), source (1,0)): the first
+    # differing entry in row order names both weights and both values
     op = quantum_operator(orb).with_entry(1, 0, 0)
     closed = quantum_product_matrix(orb)
     assert op != closed
+    assert first_mismatch(orb, op, [("closed-form product", closed)]) == (
+        "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
+    )
+    assert first_mismatch(orb, quantum_operator(orb), [("closed-form product", closed)]) is None
 
 
 # -- frobenius, grading, trichotomy -------------------------------------------------

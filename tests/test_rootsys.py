@@ -116,6 +116,49 @@ def test_pair_a2_after_two_reflections():
     assert pair(rs, w, rs.simple_root(1)) == 0
 
 
+# The integer kernel against the symmetrizer formula it replaces.
+PAIR_KERNEL_TYPES = (
+    [("A", n) for n in range(1, 5)]
+    + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 6)]
+    + [("D", n) for n in range(3, 7)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _fraction_pair(rs, mu, alpha):
+    """(mu, alpha^vee) = sum_j c_j d_j m_j / d_alpha, in exact rationals."""
+    d = rs.cartan_data.symmetrizers
+    total = sum(
+        (Fraction(c) * d[j] * mu.pairings[j] for j, c in enumerate(alpha.coeffs)), Fraction(0)
+    )
+    val = total / rs.half_norm(alpha)
+    assert val.denominator == 1
+    return int(val)
+
+
+@pytest.mark.parametrize("fam,rank", PAIR_KERNEL_TYPES)
+def test_integer_pair_matches_fraction_formula(fam, rank):
+    rs = build(LieType(fam, rank))
+    weights = [rs.fundamental_weight(i) for i in range(1, rank + 1)] + list(rs.simple_root_weights)
+    roots = list(rs.positive_roots) + [-r for r in rs.positive_roots]
+    for alpha in roots:
+        for mu in weights:
+            got = pair(rs, mu, alpha)
+            assert type(got) is int
+            assert got == _fraction_pair(rs, mu, alpha), (alpha, mu)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_cartan_adjugate_inverts_cartan(fam, rank):
+    rs = build(LieType(fam, rank))
+    C, adj, det = rs.cartan_data.cartan, rs.cartan_adjugate, rs.cartan_det
+    assert det > 0
+    for i in range(rank):
+        for j in range(rank):
+            assert sum(C[i][k] * adj[k][j] for k in range(rank)) == (det if i == j else 0)
+
+
 def test_pair_rejects_non_root():
     rs = build(LieType("A", 2))
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ from helpers import SWEEP, orbit_of, sweep_orbits
 from minflag.cli import expected_orbit_size
 from minflag.rootsys import LieType, RootVec, Weight, build, pair
 from minflag.weylorbit import (
+    Orbit,
+    OrbitElement,
     apply_word,
     apply_word_to_weight,
     crystal_edges,
@@ -62,6 +64,22 @@ def test_length_rejects_foreign_weight():
     orb = orbit_of("A", 2, 1)
     with pytest.raises(ValueError):
         length(orb, Weight((2, 2)))
+
+
+def test_length_rejects_orbit_with_reversed_elements():
+    # with the lowest weight on top, lambda - mu is a negative root sum
+    orb = orbit_of("A", 3, 2)
+    flipped = Orbit(orb.rs, orb.weight_index, tuple(reversed(orb.elements)))
+    with pytest.raises(AssertionError, match="nonnegative root sum"):
+        length(flipped, orb.elements[0].weight)
+
+
+def test_length_ignores_stored_words_and_lengths():
+    orb = orbit_of("D", 4, 1)
+    blank = Orbit(
+        orb.rs, orb.weight_index, [OrbitElement(el.weight, (), 0) for el in orb.elements]
+    )
+    assert [length(blank, el.weight) for el in orb.elements] == [el.length for el in orb.elements]
 
 
 def test_crystal_edges_a1():
