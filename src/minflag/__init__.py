@@ -33,6 +33,7 @@ from .weylorbit import (
     poincare_dual,
 )
 from .minrep import (
+    Check,
     Poly,
     PolyMatrix,
     cartan_action,
@@ -48,15 +49,16 @@ from .qchev import (
     SchubertClass,
     chevalley_closed,
     chevalley_fw_oracle,
+    coxeter_check,
     first_mismatch,
     frobenius_check,
     fw_oracle_matrix,
     fw_oracle_pass,
     grading_check,
     n_alpha,
+    oracle_checks,
     quantum_product_matrix,
     trichotomy_check,
-    verify_main_theorem,
 )
 from .satake import (
     SignDiagonal,

@@ -29,9 +29,9 @@ from math import comb
 from typing import Optional, Sequence, TextIO
 
 from . import minrep, qchev, satake, ttstar
-from .minrep import Poly, PolyMatrix
+from .minrep import Check, Poly, PolyMatrix
 from .rootsys import LieType, Weight, build, minuscule_weights
-from .weylorbit import Orbit, crystal_edges, orbit
+from .weylorbit import Orbit, crystal_edges, orbit, poincare_dual
 
 _MIN_SWEEP_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -99,79 +99,30 @@ def expected_orbit_size(lt: LieType, i: int) -> int:
     raise ValueError(f"no closed-form size for ({lt}, {i})")
 
 
-_EXPECTED_COXETER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n,
-    "C": lambda n: 2 * n,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-}
-
-
 # -- verification sweep --------------------------------------------------------
 
 
-def _case_checks(orb: Orbit, corrupt: bool) -> list[tuple[str, bool, str]]:
-    """All per-case checks as (name, ok, detail) rows."""
-    rs = orb.rs
-    lt = rs.lie_type
-    rows: list[tuple[str, bool, str]] = []
-
-    want = expected_orbit_size(lt, orb.weight_index)
-    rows.append(("orbit-size", orb.size == want, f"{orb.size} vs {want}"))
-
-    rep = minrep.verify_rep_relations(orb)
-    rows.append(("rep-relations", rep.ok, rep.failure or f"{rep.checks} brackets"))
-
+def _case_checks(orb: Orbit, corrupt: bool) -> list[tuple[str, Check]]:
+    """All per-case checks as (name, check) rows, in print order."""
+    want = expected_orbit_size(orb.rs.lie_type, orb.weight_index)
     operator = minrep.quantum_operator(orb)
     if corrupt:
-        operator = _corrupted(orb, operator)
-    closed = qchev.quantum_product_matrix(orb)
-    # One oracle pass feeds both the main-theorem and the survivor rows.
-    # The oracle reports a broken classification by raising
-    # AssertionError, and a target outside the orbit by ValueError.
-    try:
-        oracle, survivors = qchev.fw_oracle_pass(orb)
-    except (AssertionError, ValueError) as exc:
-        oracle_error = f"oracle route failed: {type(exc).__name__}: {exc}"
-        oracle = survivors = None
-    if oracle is None:
-        rows.append(("main-theorem", False, oracle_error))
-    else:
-        mismatch = qchev.first_mismatch(
-            orb, operator, (("closed-form product", closed), ("oracle product", oracle))
-        )
-        rows.append(("main-theorem", mismatch is None, mismatch or "three routes entrywise equal"))
-
-    rows.append(("frobenius", qchev.frobenius_check(orb, operator), "A^T G = G A"))
-    rows.append(("grading", qchev.grading_check(orb, operator), "deg q = s homogeneity"))
-
-    s = rs.coxeter_number
-    expect_s = _EXPECTED_COXETER[lt.family](lt.rank)
-    cox_ok = s == expect_s and all(
-        qchev.n_alpha(rs, orb.weight_index, alpha) == s
-        for alpha in qchev.divisor_complement(orb)
-    )
-    rows.append(("coxeter-identity", cox_ok, f"n_alpha = s = {s}"))
-
-    rows.append(("trichotomy", qchev.trichotomy_check(orb), "pairing/length cases"))
-
-    if survivors is None:
-        survivors_ok, detail = False, oracle_error
-    else:
-        survivors_ok, detail = True, "classification holds"
-        for el, stats in zip(orb.elements, survivors):
-            if stats.candidates != orb.dim_complex or stats.quantum > 1:
-                survivors_ok, detail = False, f"unexpected survivor counts at {el.weight}"
-                break
-    rows.append(("oracle-survivors", survivors_ok, detail))
-    return rows
+        operator = delete_detectable_edge(orb, operator)
+    main_theorem, survivors = qchev.oracle_checks(orb, operator)
+    return [
+        ("orbit-size", Check(orb.size == want, f"{orb.size} vs {want}")),
+        ("rep-relations", minrep.verify_rep_relations(orb)),
+        ("main-theorem", main_theorem),
+        ("frobenius", qchev.frobenius_check(orb, operator)),
+        ("grading", qchev.grading_check(orb, operator)),
+        ("coxeter-identity", qchev.coxeter_check(orb)),
+        ("trichotomy", qchev.trichotomy_check(orb)),
+        ("oracle-survivors", survivors),
+    ]
 
 
-def _corrupted(orb: Orbit, operator: PolyMatrix) -> PolyMatrix:
-    """Delete one detectable edge: the mutation self-test must trip the checks."""
-    from .weylorbit import poincare_dual
-
+def delete_detectable_edge(orb: Orbit, operator: PolyMatrix) -> PolyMatrix:
+    """Delete the first edge whose Poincare-dual partner is another entry, else the first."""
     for (i, j, p) in operator.nonzero():
         di = orb.index_of[poincare_dual(orb, orb.elements[j].weight)]
         dj = orb.index_of[poincare_dual(orb, orb.elements[i].weight)]
@@ -187,12 +138,12 @@ def cmd_verify(config: SweepConfig, corrupt: bool = False, out: TextIO = sys.std
     width = max(len(f"{lt}/w{i}") for lt, i in cases) + 2
     for lt, i in cases:
         orb = orbit(build(lt), i)
-        for name, ok, detail in _case_checks(orb, corrupt):
+        for name, check in _case_checks(orb, corrupt):
             total += 1
-            if not ok:
+            if not check:
                 failures += 1
-            status = "ok" if ok else "FAIL"
-            print(f"{str(lt) + '/w' + str(i):<{width}} {name:<18} {status:<5} {detail}", file=out)
+            status = "ok" if check else "FAIL"
+            print(f"{str(lt) + '/w' + str(i):<{width}} {name:<18} {status:<5} {check.detail}", file=out)
     print(
         f"SUMMARY: {len(cases)} cases, {total} checks, {failures} failures",
         file=out,
@@ -408,6 +359,8 @@ def _load_config_file(path: str) -> dict[str, str]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from exc
     values: dict[str, str] = {}
     for raw in lines:
         line = raw.strip()
@@ -428,7 +381,10 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
                 fam = key[len("max-rank-"):]
                 if fam not in _MIN_SWEEP_RANK:
                     raise ConfigError(f"unknown config key {key!r}")
-                config.max_rank[fam] = int(val)
+                try:
+                    config.max_rank[fam] = int(val)
+                except ValueError as exc:
+                    raise ConfigError(f"{key} must be an integer, got {val!r}") from exc
             elif key == "include-exceptional":
                 if val.lower() not in ("true", "false"):
                     raise ConfigError(f"include-exceptional must be true or false, got {val!r}")
@@ -493,9 +449,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "satake":
             return cmd_satake(args.n, args.k, args.family, args.rank, fmt=args.format)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

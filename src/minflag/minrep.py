@@ -367,22 +367,37 @@ def _orbit_basis(orb: Orbit) -> tuple:
     return tuple(el.weight for el in orb.elements)
 
 
-@dataclass
-class RelationReport:
-    """Outcome of the structural bracket checks on one orbit."""
+@dataclass(frozen=True)
+class Check:
+    """One check's outcome, truthy iff it passed; detail is a summary or the witness."""
 
     ok: bool
-    checks: int
-    failure: Optional[str] = None
+    detail: str
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
-def verify_rep_relations(orb: Orbit) -> RelationReport:
+def entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[str]:
+    """'at (target, source): got != want' for the first differing entry, or None.
+
+    Entries are compared in row order.
+    """
+    if got == want:
+        return None
+    keys = sorted(got._e.keys() | want._e.keys())
+    i, j = next(k for k in keys if got.entry(*k) != want.entry(*k))
+    w = orb.elements
+    return f"at ({w[i].weight}, {w[j].weight}): {got.entry(i, j)} != {want.entry(i, j)}"
+
+
+def verify_rep_relations(orb: Orbit) -> Check:
     """Check the sl2-triple and Serre-type brackets of all generators.
 
     [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
     [E+(j), E_psi] = 0 since psi + alpha_j is never a root.
-    Stops at the first failing relation.
+    Stops at the first failing relation and names its first wrong entry.
     """
     rs = orb.rs
     n = rs.rank
@@ -391,28 +406,22 @@ def verify_rep_relations(orb: Orbit) -> RelationReport:
     high = {j: raising_matrix(orb, j) for j in range(1, n + 1)}
     diag = {j: cartan_action(orb, j) for j in range(1, n + 1)}
     psi_m = psi_raising_matrix(orb)
+    zero = PolyMatrix.zero(orb.size)
 
-    checks = 0
+    def relations():
+        # (how the relation fails, x, y, what [x, y] must equal)
+        for j in range(1, n + 1):
+            yield f"[E+({j}), E-({j})] != H({j})", high[j], low[j], diag[j]
+            for k in range(1, n + 1):
+                a = C[j - 1][k - 1]
+                if k != j:
+                    yield f"[E+({j}), E-({k})] != 0", high[j], low[k], zero
+                yield f"[H({j}), E-({k})] != -a[{j}][{k}] E-({k})", diag[j], low[k], low[k].scaled(-a)
+                yield f"[H({j}), E+({k})] != a[{j}][{k}] E+({k})", diag[j], high[k], high[k].scaled(a)
+            yield f"[E+({j}), E_psi] != 0", high[j], psi_m, zero
 
-    def fail(msg: str) -> RelationReport:
-        return RelationReport(False, checks, msg)
-
-    for j in range(1, n + 1):
-        checks += 1
-        if commutator(high[j], low[j]) != diag[j]:
-            return fail(f"[E+({j}), E-({j})] != H({j})")
-        for k in range(1, n + 1):
-            if k != j:
-                checks += 1
-                if not commutator(high[j], low[k]).is_zero():
-                    return fail(f"[E+({j}), E-({k})] != 0")
-            checks += 2
-            a_jk = C[j - 1][k - 1]
-            if commutator(diag[j], low[k]) != low[k].scaled(-a_jk):
-                return fail(f"[H({j}), E-({k})] != -a[{j}][{k}] E-({k})")
-            if commutator(diag[j], high[k]) != high[k].scaled(a_jk):
-                return fail(f"[H({j}), E+({k})] != a[{j}][{k}] E+({k})")
-        checks += 1
-        if not commutator(high[j], psi_m).is_zero():
-            return fail(f"[E+({j}), E_psi] != 0")
-    return RelationReport(True, checks)
+    for checks, (failure, x, y, want) in enumerate(relations(), 1):
+        witness = entry_witness(orb, commutator(x, y), want)
+        if witness:
+            return Check(False, f"{failure} {witness}")
+    return Check(True, f"{checks} brackets")

@@ -15,10 +15,12 @@ coefficients are 1.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
-``verify_main_theorem`` checks the three routes agree entrywise as
-integer polynomials in q.  Frobenius symmetry with respect to the
-Poincare pairing and q-grading homogeneity give two further
-cross-checks that detect single-entry corruption.
+``oracle_checks`` runs the oracle once over the orbit and checks that
+the three routes agree entrywise as integer polynomials in q, and that
+its survivors classify as the closed form predicts.  Frobenius symmetry
+with respect to the Poincare pairing and q-grading homogeneity give two
+further cross-checks that detect single-entry corruption.  Every check
+returns a ``minrep.Check`` whose detail names the witness of a failure.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .minrep import Poly, PolyMatrix, quantum_operator
+from .minrep import Check, Poly, PolyMatrix, entry_witness, quantum_operator
 from .rootsys import RootSystem, RootVec, Weight, pair, reflect
 from .weylorbit import Orbit, apply_word, length, poincare_dual
 
@@ -47,15 +49,18 @@ class QProductTerm:
     coefficient: int
 
 
-def divisor_complement(orb: Orbit) -> list[RootVec]:
+@lru_cache(maxsize=None)
+def divisor_complement(orb: Orbit) -> tuple[RootVec, ...]:
     """Positive roots outside the parabolic: those pairing to 1 with lambda_i.
 
     Their number equals the complex dimension of the flag manifold.
+    Computed once per orbit.
     """
     rs = orb.rs
     lam = orb.highest_weight
-    out = [alpha for alpha in rs.positive_roots if pair(rs, lam, alpha) == 1]
-    assert len(out) == orb.dim_complex
+    out = tuple(alpha for alpha in rs.positive_roots if pair(rs, lam, alpha) == 1)
+    if len(out) != orb.dim_complex:
+        raise AssertionError(f"{len(out)} complement roots for orbit dimension {orb.dim_complex}")
     return out
 
 
@@ -110,6 +115,28 @@ def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
             terms.append(QProductTerm(SchubertClass(target), 1, 1))
     terms.sort(key=lambda t: (t.q_power, orb.index_of[t.target.weight]))
     return terms
+
+
+_EXPECTED_COXETER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n,
+    "C": lambda n: 2 * n,
+    "D": lambda n: 2 * n - 2,
+    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
+}
+
+
+def coxeter_check(orb: Orbit) -> Check:
+    """s is the tabulated Coxeter number and n_alpha = s on the divisor complement."""
+    rs, lt = orb.rs, orb.rs.lie_type
+    s, expect = rs.coxeter_number, _EXPECTED_COXETER[lt.family](lt.rank)
+    if s != expect:
+        return Check(False, f"s = {s}, but {lt} has Coxeter number {expect}")
+    for alpha in divisor_complement(orb):
+        n = n_alpha(rs, orb.weight_index, alpha)
+        if n != s:
+            return Check(False, f"n_alpha = {n} != s = {s} at alpha = {alpha}")
+    return Check(True, f"n_alpha = s = {s}")
 
 
 def n_alpha(rs: RootSystem, i: int, alpha: RootVec) -> int:
@@ -170,6 +197,30 @@ def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
     return _columns_matrix(orb, columns), [_survivor_stats(n_cand, terms) for terms in columns]
 
 
+def oracle_checks(orb: Orbit, operator: Optional[PolyMatrix] = None) -> tuple[Check, Check]:
+    """(main theorem, oracle survivors) from one oracle pass.
+
+    Main theorem: the operator (A(q) unless given) equals both product
+    routes entrywise.  Survivors: every class sees the whole complement
+    and keeps at most one q-term.  The oracle raises AssertionError on a
+    broken classification and ValueError on a foreign target; either
+    fails both checks.
+    """
+    a = quantum_operator(orb) if operator is None else operator
+    closed = quantum_product_matrix(orb)
+    try:
+        oracle, survivors = fw_oracle_pass(orb)
+    except (AssertionError, ValueError) as exc:
+        failed = Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
+        return failed, failed
+    mismatch = first_mismatch(orb, a, (("closed-form product", closed), ("oracle product", oracle)))
+    main_theorem = Check(mismatch is None, mismatch or "three routes entrywise equal")
+    for el, stats in zip(orb.elements, survivors):
+        if stats.candidates != orb.dim_complex or stats.quantum > 1:
+            return main_theorem, Check(False, f"unexpected survivor counts at {el.weight}: {stats}")
+    return main_theorem, Check(True, "classification holds")
+
+
 def fw_oracle_matrix(orb: Orbit) -> PolyMatrix:
     """Matrix of the divisor product, columns from the oracle route."""
     return fw_oracle_pass(orb)[0]
@@ -191,25 +242,6 @@ def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix
     return PolyMatrix(orb.size, entries, tuple(e.weight for e in orb.elements))
 
 
-@dataclass
-class TheoremReport:
-    """Outcome of the three-route entrywise comparison on one orbit."""
-
-    ok: bool
-    size: int
-    mismatch: Optional[str] = None
-
-
-def verify_main_theorem(orb: Orbit) -> TheoremReport:
-    """Entrywise equality of the canonical operator and both product routes."""
-    mismatch = first_mismatch(
-        orb,
-        quantum_operator(orb),
-        (("closed-form product", quantum_product_matrix(orb)), ("oracle product", fw_oracle_matrix(orb))),
-    )
-    return TheoremReport(mismatch is None, orb.size, mismatch)
-
-
 def first_mismatch(
     orb: Orbit, operator: PolyMatrix, routes: Sequence[tuple[str, PolyMatrix]]
 ) -> Optional[str]:
@@ -220,17 +252,9 @@ def first_mismatch(
     values.
     """
     for name, other in routes:
-        if operator == other:
-            continue
-        for i in range(orb.size):
-            for j in range(orb.size):
-                if operator.entry(i, j) != other.entry(i, j):
-                    tgt = orb.elements[i].weight
-                    src = orb.elements[j].weight
-                    return (
-                        f"operator vs {name} at ({tgt}, {src}): "
-                        f"{operator.entry(i, j)} != {other.entry(i, j)}"
-                    )
+        witness = entry_witness(orb, operator, other)
+        if witness:
+            return f"operator vs {name} {witness}"
     return None
 
 
@@ -242,14 +266,22 @@ def pairing_matrix(orb: Orbit) -> PolyMatrix:
     return PolyMatrix(orb.size, entries, tuple(e.weight for e in orb.elements))
 
 
-def frobenius_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> bool:
-    """A(q)^T G = G A(q) as polynomial matrices, G the Poincare pairing."""
+def frobenius_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:
+    """A(q)^T G = G A(q), G the Poincare pairing.
+
+    Entrywise: A at (mu, nu) equals A at (nu*, mu*), * the Poincare dual.
+    """
     a = quantum_operator(orb) if operator is None else operator
-    g = pairing_matrix(orb)
-    return a.transpose() * g == g * a
+    w = [el.weight for el in orb.elements]
+    dual = [orb.index_of[poincare_dual(orb, mu)] for mu in w]
+    for i, j, p in a.nonzero():
+        if a.entry(dual[j], dual[i]) != p:
+            return Check(False, f"A at ({w[i]}, {w[j]}) is {p} but at its dual entry "
+                                f"({w[dual[j]]}, {w[dual[i]]}) is {a.entry(dual[j], dual[i])}")
+    return Check(True, "A^T G = G A")
 
 
-def grading_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> bool:
+def grading_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:
     """Every entry is homogeneous: length(target) = length(source) + 1 - p*s."""
     a = quantum_operator(orb) if operator is None else operator
     s = orb.rs.coxeter_number
@@ -257,35 +289,39 @@ def grading_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> bool:
     for i, j, p in a.nonzero():
         for exp, _coeff in p.items():
             if lengths[i] != lengths[j] + 1 - exp * s:
-                return False
-    return True
+                w = orb.elements
+                return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
+                                    f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
+    return Check(True, "deg q = s homogeneity")
 
 
-def trichotomy_check(orb: Orbit) -> bool:
+def trichotomy_check(orb: Orbit) -> Check:
     """For every (weight, simple root) exactly one of three situations holds.
 
     Pairing 1 with the length of the lowered weight one higher, pairing
     0 with the weight fixed by the reflection, or pairing -1 with the
     length of the raised weight one lower; lengths measured by the
-    independent oracle.
+    independent oracle.  A failure names the weight, the simple root and
+    what went wrong.
     """
     rs = orb.rs
+
+    def fail(why: str) -> Check:
+        return Check(False, f"at {el.weight}, alpha_{j}: pairing {m}, {why}")
+
     for el in orb.elements:
         base = length(orb, el.weight)
         for j in range(1, rs.rank + 1):
             m = el.weight.pairings[j - 1]
-            alpha_w = rs.simple_root_weights[j - 1]
-            if m == 1:
-                nu = el.weight - alpha_w
-                if nu not in orb.index_of or length(orb, nu) != base + 1:
-                    return False
-            elif m == -1:
-                nu = el.weight + alpha_w
-                if nu not in orb.index_of or length(orb, nu) != base - 1:
-                    return False
+            if m in (1, -1):
+                nu = el.weight - rs.simple_root_weights[j - 1].scaled(m)
+                if nu not in orb.index_of:
+                    return fail(f"but {nu} is not in the orbit")
+                if length(orb, nu) != base + m:
+                    return fail(f"but {nu} has length {length(orb, nu)}, not {base + m}")
             elif m == 0:
                 if reflect(rs, el.weight, rs.simple_root(j)) != el.weight:
-                    return False
+                    return fail("but the reflection moves the weight")
             else:
-                return False
-    return True
+                return fail("outside -1, 0, 1")
+    return Check(True, "pairing/length cases")

@@ -246,19 +246,14 @@ class RootSystem:
         return tuple(roots)
 
     def _half_norm_of(self, alpha: RootVec) -> Fraction:
-        """d_alpha = (alpha, alpha)/2; uses (alpha_j, alpha_k) = d_k a[k][j]."""
-        C = self.cartan_data.cartan
+        """d_alpha = (alpha, alpha)/2 = 1/2 sum_k c_k d_k (C c)_k.
+
+        From (alpha_j, alpha_k) = d_k a[k][j]; (C c)_k is the k-th
+        pairing of alpha, so this takes rank multiplications.
+        """
         d = self.cartan_data.symmetrizers
-        total = Fraction(0)
-        c = alpha.coeffs
-        n = len(c)
-        for j in range(n):
-            if not c[j]:
-                continue
-            for k in range(n):
-                if c[k]:
-                    total += c[j] * c[k] * d[k] * C[k][j]
-        return total / 2
+        cc = self.root_to_weight(alpha).pairings
+        return sum((c * d_k * p for c, d_k, p in zip(alpha.coeffs, d, cc) if c), Fraction(0)) / 2
 
     def _coroot_of(self, alpha: RootVec, d_alpha: Fraction) -> tuple[int, ...]:
         """alpha^vee = sum_j c_j (d_j / d_alpha) alpha_j^vee, integral by theory."""

@@ -146,7 +146,8 @@ def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:
     beta = alpha
     for j in word:
         beta = rs.simple_reflect_root(beta, j)
-    assert rs.is_root(beta)
+    if not rs.is_root(beta):
+        raise AssertionError(f"word {word} takes {alpha} to {beta}, which is not a root of {rs}")
     return beta
 
 

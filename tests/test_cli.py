@@ -1,13 +1,17 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 from minflag import qchev
 from minflag.cli import (
     SweepConfig,
     cmd_emit,
+    delete_detectable_edge,
     cmd_satake,
     cmd_verify,
     expected_orbit_size,
@@ -262,3 +266,66 @@ def test_satake_command_argument_errors():
 
 def test_main_verify_small():
     assert main(["verify", "--max-rank-A", "2", "--max-rank-B", "2", "--max-rank-C", "2", "--max-rank-D", "3", "--skip-exceptional"]) == 0
+
+
+# sha256 of the default `verify` stdout; every passing row's text is frozen here
+DEFAULT_VERIFY_SHA256 = "0fca2fd0635dd8ddac2f02dfa48ead9cad67b01e4e9610144f39afbbb50c8dc9"
+
+
+def test_default_verify_output_is_pinned():
+    buf = io.StringIO()
+    assert cmd_verify(SweepConfig(), out=buf) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DEFAULT_VERIFY_SHA256
+
+
+def test_verify_non_integer_rank_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("max-rank-A=three\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: max-rank-A must be an integer")
+
+
+def test_verify_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes(b"max-rank-A=3\n\xff\xfe\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not UTF-8" in err
+
+
+def test_value_error_inside_a_check_is_not_a_config_error(monkeypatch):
+    def broken(orb, operator=None):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(qchev, "frobenius_check", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["verify", *_SMALL_ARGS])
+
+
+def test_oracle_path_checks_survive_python_optimize_flag():
+    code = (
+        "from minflag.qchev import divisor_complement\n"
+        "from minflag.rootsys import LieType, RootVec, build\n"
+        "from minflag.weylorbit import Orbit, apply_word, orbit\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "orb = orbit(build(LieType('A', 2)), 1)\n"
+        "for call in (lambda: divisor_complement(Orbit(orb.rs, 1, orb.elements[:-1])),\n"
+        "             lambda: apply_word(orb.rs, (1,), RootVec((2, 0)))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+    )
+    proc = _run_optimized("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
+
+
+def test_delete_detectable_edge_breaks_frobenius_symmetry():
+    for lt, i in sweep_cases(SMALL):
+        orb = orbit(build(lt), i)
+        operator = qchev.quantum_operator(orb)
+        deleted = delete_detectable_edge(orb, operator)
+        assert len(deleted.nonzero()) == len(operator.nonzero()) - 1
+        # A1 has only self-dual entries; everywhere else Frobenius must trip
+        assert bool(qchev.frobenius_check(orb, deleted)) == (lt == LieType("A", 1))

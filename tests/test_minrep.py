@@ -1,9 +1,13 @@
 import pytest
+from dataclasses import FrozenInstanceError
+
 from hypothesis import given, settings, strategies as st
 
+import minflag.minrep as minrep
 from helpers import orbit_of, sweep_orbits
 from minflag.minrep import (
     ONE,
+    Check,
     Poly,
     PolyMatrix,
     Q,
@@ -11,6 +15,7 @@ from minflag.minrep import (
     cartan_action,
     char_poly,
     commutator,
+    entry_witness,
     lowering_matrix,
     psi_raising_matrix,
     quantum_operator,
@@ -202,11 +207,36 @@ def test_char_poly_long_chain_series(n):
 @pytest.mark.parametrize("case", [("A", 1, 1), ("E", 6, 1), ("B", 4, 4)])
 def test_rep_relations_explicit_cases(case):
     report = verify_rep_relations(orbit_of(*case))
-    assert report.ok, report.failure
-    assert report.checks > 0
+    assert report.ok, report.detail
+    assert int(report.detail.split()[0]) > 0
 
 
 def test_rep_relations_brackets_spotcheck():
     orb = orbit_of("A", 3, 2)
     for j in (1, 2, 3):
         assert commutator(raising_matrix(orb, j), lowering_matrix(orb, j)) == cartan_action(orb, j)
+
+
+# -- check results -------------------------------------------------------------------
+
+
+def test_check_is_truthy_exactly_when_it_passed():
+    assert Check(True, "fine") and not Check(False, "witness")
+    with pytest.raises(FrozenInstanceError):
+        Check(True, "fine").ok = False
+
+
+def test_rep_relations_broken_bracket_names_the_entry(monkeypatch):
+    real = minrep.cartan_action
+    monkeypatch.setattr(minrep, "cartan_action", lambda orb, j: real(orb, j).scaled(2))
+    check = verify_rep_relations(orbit_of("A", 1, 1))
+    assert not check
+    assert check.detail == "[E+(1), E-(1)] != H(1) at ((1), (1)): 1 != 2"
+
+
+def test_entry_witness_names_the_first_differing_entry():
+    orb = orbit_of("A", 2, 1)
+    a = quantum_operator(orb)
+    assert entry_witness(orb, a, a) is None
+    b = a.with_entry(2, 0, Q).with_entry(2, 1, 0)
+    assert entry_witness(orb, a, b) == "at ((0,-1), (1,0)): 0 != q"

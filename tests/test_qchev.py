@@ -1,5 +1,6 @@
 import pytest
 
+from minflag import qchev
 from helpers import SWEEP, orbit_of, sweep_orbits
 from minflag.minrep import Poly, quantum_operator
 from minflag.qchev import (
@@ -7,6 +8,7 @@ from minflag.qchev import (
     chevalley_closed,
     chevalley_fw_oracle,
     _complement_sum,
+    coxeter_check,
     divisor_complement,
     first_mismatch,
     frobenius_check,
@@ -14,14 +16,14 @@ from minflag.qchev import (
     fw_oracle_pass,
     grading_check,
     n_alpha,
+    oracle_checks,
     oracle_survivors,
     pairing_matrix,
     quantum_product_matrix,
     trichotomy_check,
-    verify_main_theorem,
 )
 from minflag.rootsys import LieType, RootVec, Weight, build, pair
-from minflag.weylorbit import orbit
+from minflag.weylorbit import Orbit, orbit
 
 
 def _terms_as_set(terms, orb):
@@ -174,14 +176,14 @@ def test_quantum_product_matrix_a1():
 
 @pytest.mark.parametrize("case", [("A", 1, 1), ("E", 7, 1), ("B", 5, 5)])
 def test_main_theorem_explicit_cases(case):
-    report = verify_main_theorem(orbit_of(*case))
-    assert report.ok, report.mismatch
+    report = oracle_checks(orbit_of(*case))[0]
+    assert report.ok, report.detail
 
 
 def test_main_theorem_full_sweep():
     for lt, i in SWEEP:
-        report = verify_main_theorem(orbit(build(lt), i))
-        assert report.ok, (lt, i, report.mismatch)
+        report = oracle_checks(orbit(build(lt), i))[0]
+        assert report.ok, (lt, i, report.detail)
 
 
 def test_main_theorem_reports_first_mismatch():
@@ -261,3 +263,117 @@ def test_word_choice_invariance_of_the_oracle_matrix():
     assert fw_oracle_matrix(orbit(rs_d, 4)) == fw_oracle_matrix(
         orbit(rs_d, 4, j_order=(4, 3, 2, 1))
     )
+
+
+# -- check witnesses and the oracle path --------------------------------------------
+
+
+def _truncated(orb):
+    """The orbit with its lowest weight dropped: the stored dimension shrinks."""
+    return Orbit(orb.rs, orb.weight_index, orb.elements[:-1])
+
+
+def test_frobenius_deleted_edge_names_the_entry_and_its_dual():
+    orb = orbit_of("A", 2, 1)
+    check = frobenius_check(orb, quantum_operator(orb).with_entry(1, 0, 0))
+    assert check.detail == "A at ((0,-1), (-1,1)) is 1 but at its dual entry ((-1,1), (1,0)) is 0"
+    assert frobenius_check(orb).detail == "A^T G = G A"
+
+
+def test_grading_moved_q_power_names_the_entry():
+    orb = orbit_of("A", 2, 1)
+    a = quantum_operator(orb)
+    i, j, p = a.nonzero()[0]
+    check = grading_check(orb, a.with_entry(i, j, p * Poly({1: 1})))
+    assert not check
+    # the first entry is the q-term from the lowest class back to the top
+    assert (i, j, p) == (0, 2, Poly({1: 1}))
+    assert check.detail == "q^2 at ((1,0), (0,-1)): length 0 != 2 + 1 - 2*3"
+
+
+def test_trichotomy_tampered_orbit_names_weight_and_root():
+    check = trichotomy_check(_truncated(orbit_of("A", 2, 1)))
+    assert not check
+    assert check.detail == "at (-1,1), alpha_2: pairing 1, but (0,-1) is not in the orbit"
+
+
+def test_coxeter_check_wrong_n_alpha_names_the_root(monkeypatch):
+    orb = orbit_of("A", 2, 1)
+    assert coxeter_check(orb).detail == "n_alpha = s = 3"
+    real = qchev.n_alpha
+    monkeypatch.setattr(
+        qchev, "n_alpha", lambda rs, i, alpha: real(rs, i, alpha) + (alpha == rs.highest_root)
+    )
+    check = coxeter_check(orb)
+    assert not check
+    assert check.detail == "n_alpha = 4 != s = 3 at alpha = (1,1)"
+
+
+def test_oracle_checks_pass_and_corrupted_operator():
+    orb = orbit_of("A", 2, 1)
+    main, survivors = oracle_checks(orb)
+    assert (main, survivors) == (
+        qchev.Check(True, "three routes entrywise equal"),
+        qchev.Check(True, "classification holds"),
+    )
+    main, survivors = oracle_checks(orb, quantum_operator(orb).with_entry(1, 0, 0))
+    assert main.detail == "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
+    assert survivors
+
+
+@pytest.mark.parametrize("exc_type", [AssertionError, ValueError])
+def test_raising_oracle_fails_both_checks(monkeypatch, exc_type):
+    def broken(orb, u):
+        raise exc_type("surviving classical root must be simple")
+
+    monkeypatch.setattr(qchev, "chevalley_fw_oracle", broken)
+    main, survivors = oracle_checks(orbit_of("A", 2, 1))
+    want = f"oracle route failed: {exc_type.__name__}: surviving classical root must be simple"
+    assert not main and not survivors
+    assert main.detail == survivors.detail == want
+
+
+def test_oracle_survivor_check_names_the_class(monkeypatch):
+    orb = orbit_of("A", 2, 1)
+    real = qchev.fw_oracle_pass
+
+    def two_quantum_terms(orb):
+        matrix, stats = real(orb)
+        stats[-1] = qchev.OracleSurvivorStats(stats[-1].candidates, 0, 2, stats[-1].candidates - 2)
+        return matrix, stats
+
+    monkeypatch.setattr(qchev, "fw_oracle_pass", two_quantum_terms)
+    main, survivors = oracle_checks(orb)
+    assert main and not survivors
+    assert survivors.detail == (
+        "unexpected survivor counts at (0,-1): "
+        "OracleSurvivorStats(candidates=2, classical=0, quantum=2, discarded=0)"
+    )
+
+
+def test_divisor_complement_is_computed_once_per_orbit():
+    orb = orbit_of("E", 6, 1)
+    divisor_complement.cache_clear()
+    oracle_checks(orb)
+    coxeter_check(orb)
+    info = divisor_complement.cache_info()
+    # one call per class from the oracle, one for the candidate count, one for the Coxeter row
+    assert (info.misses, info.hits) == (1, orb.size + 1)
+    assert isinstance(divisor_complement(orb), tuple)
+
+
+def test_divisor_complement_count_check_raises():
+    with pytest.raises(AssertionError, match="2 complement roots for orbit dimension 1"):
+        divisor_complement(_truncated(orbit_of("A", 2, 1)))
+
+
+def test_entrywise_frobenius_agrees_with_the_matrix_identity():
+    # every single-entry mutation: the check passes iff A^T G = G A
+    for case in [("A", 3, 2), ("D", 4, 1), ("C", 3, 1)]:
+        orb = orbit_of(*case)
+        a, g = quantum_operator(orb), pairing_matrix(orb)
+        for i in range(orb.size):
+            for j in range(orb.size):
+                m = a.with_entry(i, j, a.entry(i, j) + Poly({1: 1}))
+                assert bool(frobenius_check(orb, m)) == (m.transpose() * g == g * m), (case, i, j)
+

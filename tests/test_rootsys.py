@@ -236,3 +236,26 @@ def test_symmetrizer_values():
     assert build(LieType("G", 2)).cartan_data.symmetrizers == (Fraction(1, 3), Fraction(1))
     assert build(LieType("B", 3)).cartan_data.symmetrizers == (1, 1, Fraction(1, 2))
     assert build(LieType("C", 3)).cartan_data.symmetrizers == (Fraction(1, 2), Fraction(1, 2), 1)
+
+
+HALF_NORM_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", HALF_NORM_TYPES)
+def test_half_norm_matches_the_double_sum(fam, rank):
+    # reference: (alpha, alpha)/2 = 1/2 sum_{j,k} c_j c_k d_k a[k][j]
+    rs = build(LieType(fam, rank))
+    C, d = rs.cartan_data.cartan, rs.cartan_data.symmetrizers
+    for alpha in list(rs.positive_roots) + [-r for r in rs.positive_roots]:
+        c = alpha.coeffs
+        want = sum(
+            (c[j] * c[k] * d[k] * C[k][j] for j in range(rank) for k in range(rank)), Fraction(0)
+        ) / 2
+        assert rs.half_norm(alpha) == want, alpha
+        assert want in (d[j] for j in range(rank)), alpha

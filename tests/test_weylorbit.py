@@ -186,3 +186,9 @@ def test_word_choice_does_not_change_the_orbit():
         assert apply_word_to_weight(rs, a.word, default.highest_weight) == apply_word_to_weight(
             rs, b.word, default.highest_weight
         )
+
+
+def test_apply_word_rejects_a_non_root():
+    rs = build(LieType("A", 2))
+    with pytest.raises(AssertionError, match="not a root"):
+        apply_word(rs, (1,), RootVec((2, 0)))
