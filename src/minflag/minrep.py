@@ -9,12 +9,16 @@ highest root contributes the single q-weighted block of
     A(q) = sum_j E-(j) + q * E_psi.
 
 Matrices live over Poly, integer-coefficient polynomials in one formal
-variable q with arbitrary-precision coefficients; nothing is ever
-specialized numerically.
+variable q with arbitrary-precision coefficients.  The characteristic
+polynomial is the one place q takes integer values: a sparse integer
+Berkowitz kernel runs on A(1), and the q-grading of A(q) lifts its
+coefficients back exactly (other matrices are interpolated exactly from
+integer values of q).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Mapping, Optional, Union
 
 from .rootsys import pair
@@ -200,22 +204,25 @@ class PolyMatrix:
     def _merged_basis(self, other: "PolyMatrix") -> Optional[tuple]:
         return self.basis if self.basis == other.basis else None
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _entrywise(self, other: object, op) -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         e = dict(self._e)
         for k, p in other._e.items():
-            s = e.get(k, ZERO) + p
+            s = op(e.get(k, ZERO), p)
             if s:
                 e[k] = s
             else:
                 e.pop(k, None)
         return PolyMatrix(self.n, e, self._merged_basis(other))
 
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._entrywise(other, add)
+
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scaled(-1)
+        return self._entrywise(other, sub)
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -238,8 +245,15 @@ class PolyMatrix:
         return PolyMatrix(self.n, acc, self._merged_basis(other))
 
     def scaled(self, c: PolyLike) -> "PolyMatrix":
-        p = c if isinstance(c, Poly) else Poly.const(c)
-        return PolyMatrix(self.n, {k: v * p for k, v in self._e.items()}, self.basis)
+        if isinstance(c, Poly):
+            return PolyMatrix(self.n, {k: v * c for k, v in self._e.items()}, self.basis)
+        if not c:
+            return PolyMatrix.zero(self.n, self.basis)
+        return PolyMatrix(
+            self.n,
+            {k: Poly({e: a * c for e, a in v._c.items()}) for k, v in self._e.items()},
+            self.basis,
+        )
 
     def q_scaled(self, c: int) -> "PolyMatrix":
         """Substitute q -> c*q in every entry."""
@@ -265,41 +279,150 @@ def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
-    """Coefficients of det(x I - M), leading first, by the Berkowitz method.
+    """Coefficients of det(x I - M), leading first: c with det(xI - M) = sum c[k] x^(n-k).
 
-    Division-free, so it works verbatim over the polynomial ring;
-    returns n+1 Poly values c with det(xI - M) = sum c[k] x^(n-k).
+    Everything runs through one sparse, division-free integer Berkowitz
+    kernel.  When M is homogeneous with deg x = 1 and deg q = s (A(q) is,
+    with s the Coxeter number), every term of c[k] has q-degree k/s, so
+    the kernel runs once, on M at q = 1, and its a_k lifts to
+    c[k] = a_k q^(k/s), or to 0 when s does not divide k.  Any other M is
+    evaluated at q = 0..D, D the sum over rows of the largest entry
+    degree, and each coefficient is interpolated exactly.
     """
-    return tuple(_berkowitz([list(r) for r in m.rows()]))
+    n = m.n
+    s = _grading_degree(m)
+    if s is not None:
+        a = _berkowitz_int(n, _at(m, 1))
+        out = []
+        for k, ak in enumerate(a):
+            if k % s == 0:
+                out.append(Poly({k // s: ak}))
+            elif ak:
+                raise AssertionError(f"graded with deg q = {s}, yet x^{n - k} has coefficient {ak} at q = 1")
+            else:
+                out.append(ZERO)
+        return tuple(out)
+    row_degree = [0] * n
+    for (i, _j), p in m._e.items():
+        row_degree[i] = max(row_degree[i], p.degree)
+    values = [_berkowitz_int(n, _at(m, x)) for x in range(sum(row_degree) + 1)]
+    return tuple(_interpolate([v[k] for v in values]) for k in range(n + 1))
 
 
-def _berkowitz(rows: list[list[Poly]]) -> list[Poly]:
-    n = len(rows)
-    if n == 0:
-        return [ONE]
-    if n == 1:
-        return [ONE, -rows[0][0]]
-    a = rows[0][0]
-    r_vec = rows[0][1:]
-    c_vec = [rows[k][0] for k in range(1, n)]
-    sub = [row[1:] for row in rows[1:]]
+def _at(m: PolyMatrix, x: int) -> dict[tuple[int, int], int]:
+    """The stored (nonzero) entries of M, evaluated at q = x."""
+    return {k: sum(v * x**e for e, v in p._c.items()) for k, p in m._e.items()}
 
-    items = [ONE, -a]
-    v = r_vec
-    for _ in range(n - 1):
-        items.append(-sum((vi * ci for vi, ci in zip(v, c_vec)), ZERO))
-        v = [sum((vi * sub[k][j] for k, vi in enumerate(v)), ZERO) for j in range(n - 1)]
 
-    prev = _berkowitz(sub)
-    out = []
-    for r in range(n + 1):
-        acc = ZERO
-        for c in range(n):
-            k = r - c
-            if 0 <= k <= n:
-                acc = acc + items[k] * prev[c]
-        out.append(acc)
-    return out
+def _grading_degree(m: PolyMatrix) -> Optional[int]:
+    """The s > 0 that makes M homogeneous with deg x = 1 and deg q = s, or None.
+
+    Homogeneous means every entry is one monomial c q^e and the indices
+    carry integer degrees d with d(i) = d(j) + 1 - s e for every nonzero
+    entry (i, j), the relation ``qchev.grading_check`` checks on A(q)
+    through lengths.  Degrees are spread along a spanning forest as
+    a + b s with s unknown; each entry closing a cycle then fixes s or
+    must agree with it.  Without such a cycle M is nilpotent and any s
+    serves, so 1 is returned.
+    """
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(m.n)]
+    for (i, j), p in m._e.items():
+        if len(p._c) != 1:
+            return None
+        (e,) = p._c
+        adjacent[j].append((i, 1, -e))
+        adjacent[i].append((j, -1, e))
+    degree: list[Optional[tuple[int, int]]] = [None] * m.n
+    s = None
+    for root in range(m.n):
+        if degree[root] is not None:
+            continue
+        degree[root] = (0, 0)
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            a, b = degree[j]
+            for i, da, db in adjacent[j]:
+                want = (a + da, b + db)
+                have = degree[i]
+                if have is None:
+                    degree[i] = want
+                    stack.append(i)
+                elif have != want:
+                    # have[0] + have[1] s = want[0] + want[1] s fixes s
+                    num, den = want[0] - have[0], have[1] - want[1]
+                    if den == 0 or num % den or num // den <= 0 or s not in (None, num // den):
+                        return None
+                    s = num // den
+    return 1 if s is None else s
+
+
+def _berkowitz_int(n: int, entries: Mapping[tuple[int, int], int]) -> list[int]:
+    """Coefficients of det(x I - M), leading first, for an integer matrix M.
+
+    Berkowitz's division-free recursion (Berkowitz 1984) over the
+    leading principal submatrices: with M_(r+1) = [[M_r, c], [R, a]],
+    det(x - M_(r+1)) is the product of the lower-triangular Toeplitz
+    matrix with first column (1, -a, -R c, -R M_r c, ..., -R M_r^(r-1) c)
+    and the coefficients of det(x - M_r).  Vectors and products stay
+    sparse, and the powers stop once M_r^k c vanishes, which makes the
+    nearly triangular A(1) cheap.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
+    for (i, j), v in entries.items():
+        if v:
+            rows[i][j] = v
+            cols[j][i] = v
+    coeffs = [1]
+    for r in range(n):
+        t = [1, -rows[r].get(r, 0)]
+        row = {j: v for j, v in rows[r].items() if j < r}
+        u = {i: v for i, v in cols[r].items() if i < r}
+        for k in range(r):
+            if not u:
+                break
+            t.append(-sum(v * u[j] for j, v in row.items() if j in u))
+            if k < r - 1:
+                nxt: dict[int, int] = {}
+                for j, x in u.items():
+                    for i, v in cols[j].items():
+                        if i < r:
+                            nxt[i] = nxt.get(i, 0) + v * x
+                u = {i: x for i, x in nxt.items() if x}
+        out = [0] * (r + 2)
+        nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
+        for k, tk in enumerate(t):
+            if tk:
+                for i, c in nonzero:
+                    if i + k > r + 1:
+                        break
+                    out[i + k] += tk * c
+        coeffs = out
+    return coeffs
+
+
+def _interpolate(values: list[int]) -> Poly:
+    """The integer polynomial taking values[x] at q = x, by Newton differences.
+
+    Every division must be exact; a remainder means the values did not
+    come from an integer polynomial of degree below len(values).
+    """
+    newton = list(values)
+    for level in range(1, len(newton)):
+        for i in range(len(newton) - 1, level - 1, -1):
+            newton[i], rest = divmod(newton[i] - newton[i - 1], level)
+            if rest:
+                raise AssertionError(f"divided difference of order {level} at q = {i} is not an integer")
+    # Horner on the Newton form sum newton[k] q (q - 1) ... (q - k + 1)
+    coeffs: list[int] = []
+    for x in range(len(newton) - 1, -1, -1):
+        shifted = [0] + coeffs
+        for e, c in enumerate(coeffs):
+            shifted[e] -= x * c
+        shifted[0] += newton[x]
+        coeffs = shifted
+    return Poly(dict(enumerate(coeffs)))
 
 
 # -- canonical-basis generators ----------------------------------------------
@@ -350,7 +473,8 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
     for pos, el in enumerate(orb.elements):
         if pair(rs, el.weight, psi) == -1:
             target = el.weight + psi_w
-            assert target in orb.index_of, "mu + psi must stay in the orbit"
+            if target not in orb.index_of:
+                raise AssertionError(f"{el.weight} + psi = {target} is not in the orbit")
             entries[(orb.index_of[target], pos)] = 1
     return PolyMatrix(orb.size, entries, _orbit_basis(orb))
 

@@ -136,7 +136,8 @@ def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
         for j in range(1, rs.rank + 1):
             if el.weight.pairings[j - 1] == 1:
                 target = el.weight - rs.simple_root_weights[j - 1]
-                assert target in orb.index_of
+                if target not in orb.index_of:
+                    raise AssertionError(f"{el.weight} - alpha_{j} = {target} is not in the orbit")
                 edges.append((el.weight, j, target))
     return edges
 
@@ -172,5 +173,6 @@ def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
         raise ValueError(f"{mu} is not in the orbit")
     perm = diagram_involution(orb.rs)
     dual = Weight(tuple(-mu.pairings[perm[k] - 1] for k in range(orb.rs.rank)))
-    assert dual in orb.index_of
+    if dual not in orb.index_of:
+        raise AssertionError(f"the dual {dual} of {mu} is not in the orbit")
     return dual

@@ -123,10 +123,15 @@ def test_checks_survive_python_optimize_flag():
         "    length(flipped, orb.elements[0].weight)\n"
         "except AssertionError:\n"
         "    print('length check raised')\n"
+        "from minflag.minrep import psi_raising_matrix\n"
+        "try:\n"
+        "    psi_raising_matrix(Orbit(orb.rs, 2, orb.elements[1:]))\n"
+        "except AssertionError:\n"
+        "    print('psi check raised')\n"
     )
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "length check raised"
+    assert proc.stdout.splitlines() == ["length check raised", "psi check raised"]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
     assert proc.returncode == 1, proc.stderr

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
-from helpers import orbit_of, sweep_orbits
+from helpers import orbit_of, reference_char_poly, sweep_orbits
 from minflag.minrep import (
     ONE,
     Check,
@@ -23,7 +23,7 @@ from minflag.minrep import (
     verify_rep_relations,
 )
 from minflag.rootsys import pair
-from minflag.weylorbit import length
+from minflag.weylorbit import Orbit, length
 
 
 def _m(rows):
@@ -32,6 +32,17 @@ def _m(rows):
 
 
 polys = st.dictionaries(st.integers(0, 5), st.integers(-9, 9), max_size=4).map(Poly)
+
+
+@st.composite
+def small_poly_matrices(draw):
+    """n <= 6, entries of degree <= 3 with coefficients in [-3, 3]."""
+    n = draw(st.integers(0, 6))
+    if not n:
+        return PolyMatrix(0)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entry = st.dictionaries(st.integers(0, 3), st.integers(-3, 3), min_size=1, max_size=2).map(Poly)
+    return PolyMatrix(n, draw(st.dictionaries(cell, entry, max_size=n * n)))
 
 
 # -- Poly ----------------------------------------------------------------------
@@ -67,6 +78,24 @@ def test_poly_ring_laws(a, b, c):
     assert a + ZERO == a
     assert a * ONE == a
     assert a - a == ZERO
+
+
+def test_scaled_by_an_integer_matches_a_constant_poly_factor():
+    orb = orbit_of("A", 3, 2)
+    a = quantum_operator(orb) + cartan_action(orb, 2)
+    zero = a.scaled(0)
+    assert zero.is_zero() and zero.basis == a.basis
+    for c in (-1, 3):
+        assert a.scaled(c) == a.scaled(Poly.const(c))
+        assert a.scaled(c).basis == a.basis
+
+
+def test_difference_is_entrywise():
+    orb = orbit_of("A", 3, 2)
+    a = quantum_operator(orb) + cartan_action(orb, 2)
+    assert (a - a).is_zero() and (a - a).basis == a.basis
+    assert a - cartan_action(orb, 2) == quantum_operator(orb)
+    assert _m([[Q, 1]] * 2) - _m([[1, 1], [0, Q]]) == _m([[Q - 1, 0], [Q, 1 - Q]])
 
 
 # -- generator matrices --------------------------------------------------------
@@ -143,6 +172,13 @@ def test_psi_raising_a2_single_edge_lowest_to_highest():
     assert m.nonzero() == [(0, 2, ONE)]
 
 
+def test_psi_raising_rejects_an_orbit_without_its_top():
+    orb = orbit_of("A", 2, 1)
+    topless = Orbit(orb.rs, orb.weight_index, orb.elements[1:])
+    with pytest.raises(AssertionError, match=r"\(0,-1\) \+ psi = \(1,0\) is not in the orbit"):
+        psi_raising_matrix(topless)
+
+
 def test_psi_raising_d4_has_two_edges():
     # brute force over the 8 vector-representation weights: the highest
     # coroot pairs to -1 at lengths 5 and 6, so the quadric gets two
@@ -199,6 +235,96 @@ def test_char_poly_projective_series(n):
 def test_char_poly_long_chain_series(n):
     cp = char_poly(quantum_operator(orbit_of("C", n, 1)))
     assert cp == (ONE,) + (ZERO,) * (2 * n - 1) + (-Q,)
+
+
+# The coefficients of det(x - A(q)) as {power of x: (integer, power of q)}:
+# E6 and E7 written out by hand, A6/w3 and D6/w6 frozen from the Berkowitz
+# method over Poly entries.
+GOLDEN_CHAR_POLYS = {
+    ("E", 6, 1): {27: (1, 0), 15: (-270, 1), 3: (-27, 2)},
+    ("E", 7, 1): {56: (1, 0), 38: (-29496, 1), 20: (401808, 2), 2: (-64, 3)},
+    ("A", 6, 3): {35: (1, 0), 28: (-302, 1), 21: (3828, 2), 14: (-36250, 3), 7: (-7309, 4), 0: (128, 5)},
+    ("D", 6, 6): {32: (1, 0), 22: (-496, 1), 12: (1984, 2), 2: (-64, 3)},
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_CHAR_POLYS)
+def test_char_poly_golden_values(case):
+    cp = char_poly(quantum_operator(orbit_of(*case)))
+    n = len(cp) - 1
+    assert {n - k: (c, e) for k, p in enumerate(cp) for e, c in p.items()} == GOLDEN_CHAR_POLYS[case]
+
+
+def _q_power_moved(a: PolyMatrix) -> PolyMatrix:
+    """A(q) with its first entry, a q-term, multiplied by q."""
+    i, j, p = a.nonzero()[0]
+    assert p == Q
+    return a.with_entry(i, j, p * Q)
+
+
+def test_char_poly_matches_the_reference_on_small_sweep_orbits():
+    checked = 0
+    for orb in sweep_orbits():
+        if orb.size <= 20:
+            a = quantum_operator(orb)
+            assert char_poly(a) == reference_char_poly(a), orb
+            moved = _q_power_moved(a)
+            assert char_poly(moved) == reference_char_poly(moved), orb
+            checked += 1
+    assert checked >= 30
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=small_poly_matrices())
+def test_char_poly_matches_the_reference_on_random_matrices(m):
+    assert char_poly(m) == reference_char_poly(m)
+
+
+def test_grading_degree_is_the_coxeter_number():
+    for orb in sweep_orbits():
+        a = quantum_operator(orb)
+        s = orb.rs.coxeter_number
+        assert minrep._grading_degree(a) == s, orb
+        # With q^2 on the only q-entry every cycle's q-degree doubles, so
+        # deg q = s/2 when that is an integer; with more q-entries, the
+        # cycles through the others still ask for s and no grading fits.
+        single = sum(1 for _i, _j, p in a.nonzero() if p == Q) == 1
+        want = s // 2 if single and s % 2 == 0 else None
+        assert minrep._grading_degree(_q_power_moved(a)) == want, orb
+
+
+def test_grading_degree_rejects_what_no_grading_fits():
+    assert minrep._grading_degree(_m([[2]])) is None  # deg x = 1 on a constant
+    assert minrep._grading_degree(_m([[Q + 1]])) is None  # not a monomial
+    assert minrep._grading_degree(_m([[Q]])) == 1
+    assert minrep._grading_degree(_m([[0, 0], [1, 0]])) == 1  # no cycle: nilpotent
+    assert minrep._grading_degree(PolyMatrix(0)) == 1
+
+
+def test_char_poly_runs_the_integer_kernel_once_when_graded(monkeypatch):
+    calls = []
+    real = minrep._berkowitz_int
+
+    def counted(n, entries):
+        calls.append(n)
+        return real(n, entries)
+
+    monkeypatch.setattr(minrep, "_berkowitz_int", counted)
+    char_poly(quantum_operator(orbit_of("E", 6, 1)))
+    assert calls == [27]
+    # not graded: one kernel call per q = 0..D, D the sum of the row degrees
+    calls.clear()
+    char_poly(_q_power_moved(quantum_operator(orbit_of("A", 2, 1))))
+    assert calls == [3] * 3
+    calls.clear()
+    char_poly(_m([[Q + 1, Q], [1, Q * Q]]))
+    assert calls == [2] * 4
+
+
+def test_char_poly_interpolates_without_a_grading():
+    # (x - q - 1)(x - q^2) - q = x^2 - (q^2 + q + 1) x + q^3 + q^2 - q
+    m = _m([[Q + 1, Q], [1, Q * Q]])
+    assert char_poly(m) == (ONE, Poly({2: -1, 1: -1, 0: -1}), Poly({3: 1, 2: 1, 1: -1}))
 
 
 # -- structural relations ----------------------------------------------------------

@@ -192,3 +192,17 @@ def test_apply_word_rejects_a_non_root():
     rs = build(LieType("A", 2))
     with pytest.raises(AssertionError, match="not a root"):
         apply_word(rs, (1,), RootVec((2, 0)))
+
+
+def test_crystal_edges_rejects_a_truncated_orbit():
+    orb = orbit_of("A", 2, 1)
+    truncated = Orbit(orb.rs, orb.weight_index, orb.elements[:-1])
+    with pytest.raises(AssertionError, match=r"\(-1,1\) - alpha_2 = \(0,-1\) is not in the orbit"):
+        crystal_edges(truncated)
+
+
+def test_poincare_dual_rejects_a_truncated_orbit():
+    orb = orbit_of("A", 2, 1)
+    truncated = Orbit(orb.rs, orb.weight_index, orb.elements[:-1])
+    with pytest.raises(AssertionError, match=r"the dual \(0,-1\) of \(1,0\) is not in the orbit"):
+        poincare_dual(truncated, Weight((1, 0)))
