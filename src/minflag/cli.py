@@ -8,15 +8,19 @@ Subcommands:
   configuration error.
 * ``emit``    writes one artifact (orbit, crystal graph, quantum
   operator, multiplication table, or Toda dictionary bundle) as JSON,
-  or the crystal graph as DOT.  Output is byte-deterministic.
+  or the crystal graph as DOT.  Output is byte-deterministic: every
+  document is ``json.dumps(..., indent=2)`` text, and the dense A(q)
+  array of ``amatrix`` and ``ttstar`` is written from its nonzero
+  entries into that same text (``json_text``).
 * ``satake``  runs the type-A wedge similarity for (n, k), printing the
   discovered sign vector, or the D-family half-wedge dimension check.
 
 JSON schema notes: polynomials are arrays of [exponent, coefficient]
 pairs with the coefficient as a decimal string (arbitrary precision
 survives any JSON reader); weights are integer arrays; rationals are
-strings like "-1" or "1/3"; every top-level object carries family,
-rank, weight_index, s and orbit_size.
+strings like "-1" or "1/3"; a matrix is the dense n x n array of
+polynomials in basis order, zero entries as []; every top-level object
+carries family, rank, weight_index, s and orbit_size.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from math import comb
 from typing import Optional, Sequence, TextIO
 
 from . import minrep, qchev, satake, ttstar
-from .minrep import Check, Poly, PolyMatrix
+from .minrep import Check, PolyMatrix
 from .rootsys import LieType, Weight, build, minuscule_weights
 from .weylorbit import Orbit, crystal_edges, orbit, poincare_dual
 
@@ -160,12 +164,39 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
-def _poly_json(p: Poly) -> list:
-    return [[e, str(c)] for e, c in p.items()]
+_MATRIX_SLOT = "\0matrix"
 
 
-def _matrix_json(m: PolyMatrix) -> list:
-    return [[_poly_json(p) for p in row] for row in m.rows()]
+def json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``, with a PolyMatrix under "matrix" as its dense array.
+
+    The matrix is written from its nonzero entries: every zero entry is
+    the constant text ``[]``, and each nonzero Poly is rendered once as
+    its [exponent, coefficient-string] pairs, nested and indented as
+    ``json.dumps`` would nest the n x n list of those pair lists.  The
+    rest of the document goes through ``json.dumps`` unchanged.
+    """
+    matrix = doc.get("matrix")
+    if not isinstance(matrix, PolyMatrix):
+        return json.dumps(doc, indent=2)
+    # the slot holds a NUL, which no other string of an emitted document has
+    head, tail = json.dumps({**doc, "matrix": _MATRIX_SLOT}, indent=2).split(json.dumps(_MATRIX_SLOT))
+    return head + _matrix_text(matrix, "  ") + tail
+
+
+def _matrix_text(m: PolyMatrix, pad: str) -> str:
+    """The indent=2 JSON text of m's dense rows, for a value whose line is indented by pad."""
+    if not m.n:
+        return "[]"
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    pair_pad, item_pad = cell_pad + "  ", cell_pad + "    "
+    zero = cell_pad + "[]"
+    rows = [[zero] * m.n for _ in range(m.n)]
+    for i, j, p in m.nonzero():
+        pairs = ",\n".join(f'{pair_pad}[\n{item_pad}{e},\n{item_pad}"{c}"\n{pair_pad}]' for e, c in p.items())
+        rows[i][j] = f"{cell_pad}[\n{pairs}\n{cell_pad}]"
+    body = ",\n".join(f"{row_pad}[\n" + ",\n".join(cells) + f"\n{row_pad}]" for cells in rows)
+    return f"[\n{body}\n{pad}]"
 
 
 def _weight_json(w: Weight) -> list[int]:
@@ -195,6 +226,11 @@ def _psi_edges(orb: Orbit) -> list[tuple[Weight, Weight]]:
 
 
 def emit_payload(orb: Orbit, what: str) -> dict:
+    """The document of one emission target; ``json_text`` writes it.
+
+    Every value is plain JSON data except "matrix" (``amatrix`` and
+    ``ttstar``), which is the PolyMatrix A(q) itself.
+    """
     doc = _header(orb)
     if what == "orbit":
         doc["dim_complex"] = orb.dim_complex
@@ -213,7 +249,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
         ]
     elif what == "amatrix":
         doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
-        doc["matrix"] = _matrix_json(minrep.quantum_operator(orb))
+        doc["matrix"] = minrep.quantum_operator(orb)
     elif what == "qtable":
         table = {}
         for el in orb.elements:
@@ -237,7 +273,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
         doc["connection_form"] = form.connection_form
         doc["variable_change"] = form.variable_change
         doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
-        doc["matrix"] = _matrix_json(sol.operator)
+        doc["matrix"] = sol.operator
     else:
         raise ConfigError(f"unknown emission target {what!r}")
     return doc
@@ -272,7 +308,7 @@ def cmd_emit(
             raise ConfigError("dot output is only available for the crystal graph")
         out.write(emit_dot(orb))
     elif fmt == "json":
-        out.write(json.dumps(emit_payload(orb, what), indent=2) + "\n")
+        out.write(json_text(emit_payload(orb, what)) + "\n")
     else:
         raise ConfigError(f"unsupported format {fmt!r}")
     return 0

@@ -480,11 +480,21 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
 
 
 def quantum_operator(orb: Orbit) -> PolyMatrix:
-    """A(q) = sum_j E-(j) + q E_psi in the canonical basis."""
-    total = psi_raising_matrix(orb).scaled(Q)
-    for j in range(1, orb.rs.rank + 1):
-        total = total + lowering_matrix(orb, j)
-    return total
+    """A(q) = sum_j E-(j) + q E_psi in the canonical basis, built in one pass.
+
+    1 at (mu - alpha_j, mu) wherever (mu, alpha_j^vee) = 1, and q at each
+    entry of E_psi; coinciding entries add up.
+    """
+    entries: dict[tuple[int, int], Poly] = {}
+    simple = orb.rs.simple_root_weights
+    for pos, el in enumerate(orb.elements):
+        for alpha_w, m in zip(simple, el.weight.pairings):
+            if m == 1:
+                key = (orb.index_of[el.weight - alpha_w], pos)
+                entries[key] = entries.get(key, ZERO) + ONE
+    for i, j, _p in psi_raising_matrix(orb).nonzero():
+        entries[(i, j)] = entries.get((i, j), ZERO) + Q
+    return PolyMatrix(orb.size, entries, _orbit_basis(orb))
 
 
 def _orbit_basis(orb: Orbit) -> tuple:

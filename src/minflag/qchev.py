@@ -305,20 +305,21 @@ def trichotomy_check(orb: Orbit) -> Check:
     what went wrong.
     """
     rs = orb.rs
+    lengths = [length(orb, el.weight) for el in orb.elements]
 
     def fail(why: str) -> Check:
         return Check(False, f"at {el.weight}, alpha_{j}: pairing {m}, {why}")
 
-    for el in orb.elements:
-        base = length(orb, el.weight)
+    for el, base in zip(orb.elements, lengths):
         for j in range(1, rs.rank + 1):
             m = el.weight.pairings[j - 1]
             if m in (1, -1):
                 nu = el.weight - rs.simple_root_weights[j - 1].scaled(m)
                 if nu not in orb.index_of:
                     return fail(f"but {nu} is not in the orbit")
-                if length(orb, nu) != base + m:
-                    return fail(f"but {nu} has length {length(orb, nu)}, not {base + m}")
+                got = lengths[orb.index_of[nu]]
+                if got != base + m:
+                    return fail(f"but {nu} has length {got}, not {base + m}")
             elif m == 0:
                 if reflect(rs, el.weight, rs.simple_root(j)) != el.weight:
                     return fail("but the reflection moves the weight")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .minrep import PolyMatrix, quantum_operator
 from .rootsys import RootSystem, diagram_involution, minuscule_weights
@@ -99,7 +99,8 @@ def asymptotic_to_alcove(rs: RootSystem, m: AsymptoticData) -> AlcovePoint:
         raise ValueError("asymptotic data outside the admissible set")
     s = rs.coxeter_number
     x = AlcovePoint(tuple((v + 1) / s for v in m.values))
-    assert in_alcove(rs, x)
+    if not in_alcove(rs, x):
+        raise AssertionError(f"admissible {_text(m.values)} maps to {_text(x.coords)}, outside the alcove")
     return x
 
 
@@ -109,7 +110,8 @@ def alcove_to_asymptotic(rs: RootSystem, x: AlcovePoint) -> AsymptoticData:
         raise ValueError("point outside the fundamental alcove")
     s = rs.coxeter_number
     m = AsymptoticData(tuple(s * c - 1 for c in x.coords))
-    assert in_asymptotic_set(rs, m)
+    if not in_asymptotic_set(rs, m):
+        raise AssertionError(f"alcove point {_text(x.coords)} maps to inadmissible {_text(m.values)}")
     return m
 
 
@@ -126,7 +128,9 @@ def dpw_exponents(rs: RootSystem, m: AsymptoticData) -> DpwExponents:
     k0 = (-psi_value(rs, m.values) + 1) / s - 1
     rest = tuple((v + 1) / s - 1 for v in m.values)
     out = DpwExponents((k0,) + rest)
-    assert all(kj >= -1 for kj in out.k)
+    for j, kj in enumerate(out.k):
+        if kj < -1:
+            raise AssertionError(f"exponent k_{j} = {kj} < -1 for {_text(m.values)}")
     return out
 
 
@@ -136,8 +140,20 @@ def sigma_fixed(rs: RootSystem, m: AsymptoticData) -> bool:
     Automatically true for every type whose involution is the identity;
     only A_n, odd D_n and E6 impose a real condition.
     """
+    return _sigma_moved(rs, m) is None
+
+
+def _sigma_moved(rs: RootSystem, m: AsymptoticData) -> Optional[tuple[int, int]]:
+    """The first (j, sigma(j)) whose values differ, sigma the diagram involution, or None."""
     perm = diagram_involution(rs)
-    return all(m.values[perm[j - 1] - 1] == m.values[j - 1] for j in range(1, rs.rank + 1))
+    return next(
+        ((j, perm[j - 1]) for j in range(1, rs.rank + 1) if m.values[perm[j - 1] - 1] != m.values[j - 1]),
+        None,
+    )
+
+
+def _text(values: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 @dataclass
@@ -158,7 +174,13 @@ def distinguished_solution(rs: RootSystem, i: int) -> DistinguishedSolution:
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
     m = minus_h0(rs)
-    assert sigma_fixed(rs, m)
+    moved = _sigma_moved(rs, m)
+    if moved:
+        j, k = moved
+        raise AssertionError(
+            f"-h_0 = {_text(m.values)} is not fixed by the diagram involution: "
+            f"alpha_{j}(m) = {m.values[j - 1]} moves onto alpha_{k}(m) = {m.values[k - 1]}"
+        )
     return DistinguishedSolution(
         rs=rs,
         weight_index=i,

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from minflag.cli import SweepConfig, sweep_cases
-from minflag.minrep import ONE, ZERO, Poly, PolyMatrix
+from minflag.minrep import ONE, Q, ZERO, Poly, PolyMatrix, lowering_matrix, psi_raising_matrix
 from minflag.rootsys import LieType, RootSystem, build
 from minflag.weylorbit import Orbit, orbit
 
@@ -36,6 +36,18 @@ def random_alcove_coords(rs: RootSystem, rng: random.Random) -> tuple[Fraction, 
     bound = sum(qj * aj for qj, aj in zip(q, a))
     den = max(bound, 1) + rng.randint(0, 20)
     return tuple(Fraction(aj, den) for aj in a)
+
+
+def reference_quantum_operator(orb: Orbit) -> PolyMatrix:
+    """A(q) = sum_j E-(j) + q E_psi, summed matrix by matrix.
+
+    The test-only reference the one-pass ``minrep.quantum_operator`` is
+    compared against.
+    """
+    total = psi_raising_matrix(orb).scaled(Q)
+    for j in range(1, orb.rs.rank + 1):
+        total = total + lowering_matrix(orb, j)
+    return total
 
 
 def reference_char_poly(m: PolyMatrix) -> tuple[Poly, ...]:

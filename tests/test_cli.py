@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minflag import qchev
 from minflag.cli import (
@@ -15,9 +16,11 @@ from minflag.cli import (
     cmd_satake,
     cmd_verify,
     expected_orbit_size,
+    json_text,
     main,
     sweep_cases,
 )
+from minflag.minrep import Poly, PolyMatrix
 from minflag.rootsys import LieType, build
 from minflag.weylorbit import orbit
 
@@ -128,10 +131,16 @@ def test_checks_survive_python_optimize_flag():
         "    psi_raising_matrix(Orbit(orb.rs, 2, orb.elements[1:]))\n"
         "except AssertionError:\n"
         "    print('psi check raised')\n"
+        "import minflag.ttstar as t\n"
+        "t.in_asymptotic_set = lambda rs, m: True\n"
+        "try:\n"
+        "    t.dpw_exponents(orb.rs, t.asymptotic_data([-5, 0, 0]))\n"
+        "except AssertionError:\n"
+        "    print('dpw check raised')\n"
     )
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["length check raised", "psi check raised"]
+    assert proc.stdout.splitlines() == ["length check raised", "psi check raised", "dpw check raised"]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
     assert proc.returncode == 1, proc.stderr
@@ -213,6 +222,53 @@ def test_emit_qtable_keys_follow_canonical_order():
 def test_emit_byte_determinism():
     for what, fmt in [("orbit", "json"), ("crystal", "dot"), ("amatrix", "json"), ("qtable", "json"), ("ttstar", "json")]:
         assert _emit("D", 4, 1, what, fmt) == _emit("D", 4, 1, what, fmt)
+
+
+# sha256 of the emitted A(q) documents, the same hashes the benchmark's reference holds
+EMIT_SHA256 = {
+    ("A", 1, 1, "amatrix"): "f237e4f5bfbaaf6d8889b07336288b5984f1ebed53ea6043877bf6f59a42a8a3",
+    ("A", 1, 1, "ttstar"): "22e1864694de3a777abba43c1efa763787fb5cd59fb590d2e2a51d31a62a58e9",
+    ("D", 4, 1, "amatrix"): "d5d02a84ee1c751bb0350740e96b963775afc0ebb33d0965394c5e6c93b92ffa",
+    ("D", 4, 1, "ttstar"): "5006223f6baf2f36802b82548d38b7660af85f95e670a514f97fd94c3df11f04",
+    ("E", 6, 1, "amatrix"): "fb812f547957f90d665798319662d2c4b17ed08bdf324d3c8e4bdedb8a966cf9",
+    ("E", 6, 1, "ttstar"): "1be7a4a3a722458949d494885c40618409cbc99d6629a6af8567c7c1771785dc",
+    ("E", 7, 1, "amatrix"): "e6766ce9f3a4ec4931801fff467ea3396083e5a65b45c42007aad6689875772d",
+    ("E", 7, 1, "ttstar"): "d6cca5cb086ecb23a20c5495971c6a9c06d4af3d8f9cf035c40f1afecb8e9681",
+    ("D", 8, 8, "amatrix"): "5f3a211bd2f6535a280587b86667a6bd50e57f504e4d6da7305db273bfdbcbb5",
+    ("D", 8, 8, "ttstar"): "99e49e34b839a080ec246ced542219d6337487cedc8c2e0a8c60bc51ae400445",
+    ("B", 8, 8, "amatrix"): "b6b3a0e7ee4b4a732ab007a5450b66a273df1c07a5cc64948f992efab5d04050",
+    ("B", 8, 8, "ttstar"): "6b7cf5d5d41b48987b37061606503f136dec7b8c182d5ad95b74d67cfa34b08d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_SHA256), ids="{0[0]}{0[1]}w{0[2]}-{0[3]}".format)
+def test_emitted_operator_bytes_are_pinned(case):
+    family, rank, weight, what = case
+    text = _emit(family, rank, weight, what, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == EMIT_SHA256[case]
+
+
+_coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))
+_entries = st.dictionaries(st.integers(0, 6), _coeffs, max_size=4).map(Poly)
+
+
+@st.composite
+def _poly_matrices(draw):
+    n = draw(st.integers(0, 6))
+    if not n:
+        return PolyMatrix(0)
+    keys = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return PolyMatrix(n, draw(st.dictionaries(keys, _entries, max_size=n * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_poly_matrices(), tail=st.booleans())
+def test_matrix_writer_matches_json_dumps_of_the_dense_form(m, tail):
+    dense = [[[[e, str(c)] for e, c in m.entry(i, j).items()] for j in range(m.n)] for i in range(m.n)]
+    doc = {"family": "A", "basis": [[1, -1]] * m.n, "matrix": m}
+    if tail:
+        doc["after"] = ["matrix", 0]
+    assert json_text(doc) == json.dumps({**doc, "matrix": dense}, indent=2)
 
 
 def test_emit_rejects_non_minuscule_weight():

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
-from helpers import orbit_of, reference_char_poly, sweep_orbits
+from helpers import orbit_of, reference_char_poly, reference_quantum_operator, sweep_orbits
 from minflag.minrep import (
     ONE,
     Check,
@@ -210,6 +210,25 @@ def test_grading_shifts_of_generators():
 
 def test_quantum_operator_a1():
     assert quantum_operator(orbit_of("A", 1, 1)) == _m([[0, Q], [1, 0]])
+
+
+@pytest.mark.parametrize("case", ["sweep", ("D", 8, 8), ("B", 8, 8), ("A", 9, 5)])
+def test_one_pass_quantum_operator_equals_the_summed_generators(case):
+    orbs = list(sweep_orbits()) if case == "sweep" else [orbit_of(*case)]
+    for orb in orbs:
+        a, want = quantum_operator(orb), reference_quantum_operator(orb)
+        assert a == want and a.basis == want.basis
+        assert all(p for _i, _j, p in a.nonzero())
+
+
+def test_quantum_operator_adds_coinciding_entries(monkeypatch):
+    # with E_psi moved onto a lowering edge, that entry must become 1 + q
+    orb = orbit_of("A", 2, 1)
+    i, j, _p = next(e for e in quantum_operator(orb).nonzero() if e[2] == ONE)
+    monkeypatch.setattr(minrep, "psi_raising_matrix", lambda orb: PolyMatrix(orb.size, {(i, j): 1}))
+    a = quantum_operator(orb)
+    assert a.entry(i, j) == ONE + Q
+    assert len(a.nonzero()) == 2  # the other lowering edge and the merged entry
 
 
 # -- characteristic polynomial ---------------------------------------------------

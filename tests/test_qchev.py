@@ -297,6 +297,30 @@ def test_trichotomy_tampered_orbit_names_weight_and_root():
     assert check.detail == "at (-1,1), alpha_2: pairing 1, but (0,-1) is not in the orbit"
 
 
+def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch):
+    calls = []
+    real = qchev.length
+
+    def counting(orb, mu):
+        calls.append(mu)
+        return real(orb, mu)
+
+    monkeypatch.setattr(qchev, "length", counting)
+    for orb in sweep_orbits():
+        calls.clear()
+        assert trichotomy_check(orb)
+        assert sorted(calls) == sorted(el.weight for el in orb.elements)
+
+
+def test_trichotomy_wrong_oracle_length_names_the_lowered_weight(monkeypatch):
+    orb = orbit_of("A", 2, 1)
+    real = qchev.length
+    top = orb.elements[0].weight
+    monkeypatch.setattr(qchev, "length", lambda o, mu: real(o, mu) + (mu == top))
+    check = trichotomy_check(orb)
+    assert check.detail == "at (1,0), alpha_1: pairing 1, but (-1,1) has length 1, not 2"
+
+
 def test_coxeter_check_wrong_n_alpha_names_the_root(monkeypatch):
     orb = orbit_of("A", 2, 1)
     assert coxeter_check(orb).detail == "n_alpha = s = 3"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import SWEEP, orbit_of, random_alcove_coords, rs_of
+import minflag.ttstar as ttstar
 from minflag.minrep import quantum_operator
 from minflag.qchev import quantum_product_matrix
 from minflag.rootsys import build
@@ -203,3 +204,34 @@ def test_dubrovin_form_descriptor():
     d4 = dubrovin_form(orbit_of("D", 4, 1))
     assert d4.coxeter_number == 6
     assert d4.operator == quantum_product_matrix(orbit_of("D", 4, 1))
+
+
+# -- the internal checks raise with their witness (they must survive python -O) --
+
+
+def test_asymptotic_to_alcove_check_names_the_point(monkeypatch):
+    rs = rs_of("A", 2)
+    monkeypatch.setattr(ttstar, "in_alcove", lambda rs, x: False)
+    with pytest.raises(AssertionError, match=r"admissible \(0, 1\) maps to \(1/3, 2/3\), outside the alcove"):
+        asymptotic_to_alcove(rs, asymptotic_data([0, 1]))
+
+
+def test_alcove_to_asymptotic_check_names_the_data(monkeypatch):
+    rs = rs_of("A", 2)
+    monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: False)
+    with pytest.raises(AssertionError, match=r"alcove point \(0, 1/3\) maps to inadmissible \(-1, 0\)"):
+        alcove_to_asymptotic(rs, alcove_point([0, Fraction(1, 3)]))
+
+
+def test_dpw_exponents_check_names_the_exponent(monkeypatch):
+    rs = rs_of("A", 3)
+    monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: True)
+    with pytest.raises(AssertionError, match=r"exponent k_1 = -2 < -1 for \(-5, 0, 0\)"):
+        dpw_exponents(rs, asymptotic_data([-5, 0, 0]))
+
+
+def test_distinguished_solution_check_names_the_moved_value(monkeypatch):
+    rs = rs_of("A", 3)
+    monkeypatch.setattr(ttstar, "minus_h0", lambda rs: asymptotic_data([-1, 0, 0]))
+    with pytest.raises(AssertionError, match=r"alpha_1\(m\) = -1 moves onto alpha_3\(m\) = 0"):
+        distinguished_solution(rs, 1)
