@@ -28,7 +28,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, TextIO
 
@@ -160,10 +159,6 @@ def cmd_verify(config: SweepConfig, corrupt: bool = False, out: TextIO = sys.std
 # -- emission -------------------------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 _MATRIX_SLOT = "\0matrix"
 
 
@@ -265,9 +260,9 @@ def emit_payload(orb: Orbit, what: str) -> dict:
         doc["table"] = table
     elif what == "ttstar":
         sol = ttstar.distinguished_solution(orb.rs, orb.weight_index)
-        doc["m"] = [_frac(v) for v in sol.m.values]
-        doc["alcove"] = [_frac(c) for c in sol.alcove.coords]
-        doc["dpw_k"] = [_frac(k) for k in sol.dpw.k]
+        doc["m"] = [str(v) for v in sol.m.values]
+        doc["alcove"] = [str(c) for c in sol.alcove.coords]
+        doc["dpw_k"] = [str(k) for k in sol.dpw.k]
         doc["sigma_fixed"] = ttstar.sigma_fixed(orb.rs, sol.m)
         form = ttstar.dubrovin_form(orb)
         doc["connection_form"] = form.connection_form

@@ -9,16 +9,18 @@ highest root contributes the single q-weighted block of
     A(q) = sum_j E-(j) + q * E_psi.
 
 Matrices live over Poly, integer-coefficient polynomials in one formal
-variable q with arbitrary-precision coefficients.  The characteristic
-polynomial is the one place q takes integer values: a sparse integer
-Berkowitz kernel runs on A(1), and the q-grading of A(q) lifts its
-coefficients back exactly (other matrices are interpolated exactly from
-integer values of q).
+variable q with arbitrary-precision coefficients.  PolyMatrix is a
+sparse container, not an algebra: nothing here multiplies or adds
+matrices.  Each generator moves every basis vector to at most one
+other, so the bracket relations are checked by composing the
+generators' index maps.  The characteristic polynomial is the one place
+q takes integer values: a sparse integer Berkowitz kernel runs on A(1),
+and the q-grading of A(q) lifts its coefficients back exactly (other
+matrices are interpolated exactly from integer values of q).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Mapping, Optional, Union
 
 from .rootsys import pair
@@ -147,22 +149,15 @@ Q = Poly.term(1, 1)
 
 
 class PolyMatrix:
-    """Square matrix over Poly with sparse storage.
+    """Square matrix over Poly, stored sparsely: a container, not an algebra.
 
-    ``basis`` optionally records the labels of the rows/columns (the
-    orbit's canonical weight order for representation matrices, index
-    sets for wedge matrices); arithmetic keeps it when both operands
-    agree and drops it otherwise.
+    Only its nonzero entries are kept; ``nonzero`` lists them in row
+    order, and ``with_entry`` and ``q_scaled`` return changed copies.
     """
 
-    __slots__ = ("n", "_e", "basis")
+    __slots__ = ("n", "_e")
 
-    def __init__(
-        self,
-        n: int,
-        entries: Optional[Mapping[tuple[int, int], PolyLike]] = None,
-        basis: Optional[tuple] = None,
-    ):
+    def __init__(self, n: int, entries: Optional[Mapping[tuple[int, int], PolyLike]] = None):
         self.n = n
         e: dict[tuple[int, int], Poly] = {}
         if entries:
@@ -173,24 +168,12 @@ class PolyMatrix:
                 if p:
                     e[(i, j)] = p
         self._e = e
-        self.basis = basis
-
-    @classmethod
-    def zero(cls, n: int, basis: Optional[tuple] = None) -> "PolyMatrix":
-        return cls(n, None, basis)
-
-    @classmethod
-    def identity(cls, n: int, basis: Optional[tuple] = None) -> "PolyMatrix":
-        return cls(n, {(i, i): 1 for i in range(n)}, basis)
 
     def entry(self, i: int, j: int) -> Poly:
         return self._e.get((i, j), ZERO)
 
     def nonzero(self) -> list[tuple[int, int, Poly]]:
         return [(i, j, p) for (i, j), p in sorted(self._e.items())]
-
-    def rows(self) -> list[list[Poly]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def with_entry(self, i: int, j: int, value: PolyLike) -> "PolyMatrix":
         e = dict(self._e)
@@ -199,71 +182,11 @@ class PolyMatrix:
             e[(i, j)] = p
         else:
             e.pop((i, j), None)
-        return PolyMatrix(self.n, e, self.basis)
-
-    def _merged_basis(self, other: "PolyMatrix") -> Optional[tuple]:
-        return self.basis if self.basis == other.basis else None
-
-    def _entrywise(self, other: object, op) -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        e = dict(self._e)
-        for k, p in other._e.items():
-            s = op(e.get(k, ZERO), p)
-            if s:
-                e[k] = s
-            else:
-                e.pop(k, None)
-        return PolyMatrix(self.n, e, self._merged_basis(other))
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self._entrywise(other, add)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self._entrywise(other, sub)
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        rows_a: dict[int, list[tuple[int, Poly]]] = {}
-        for (i, k), p in self._e.items():
-            rows_a.setdefault(i, []).append((k, p))
-        cols_b: dict[int, list[tuple[int, Poly]]] = {}
-        for (k, j), p in other._e.items():
-            cols_b.setdefault(k, []).append((j, p))
-        acc: dict[tuple[int, int], Poly] = {}
-        for i, row in rows_a.items():
-            for k, pa in row:
-                for j, pb in cols_b.get(k, ()):
-                    key = (i, j)
-                    cur = acc.get(key)
-                    acc[key] = pa * pb if cur is None else cur + pa * pb
-        return PolyMatrix(self.n, acc, self._merged_basis(other))
-
-    def scaled(self, c: PolyLike) -> "PolyMatrix":
-        if isinstance(c, Poly):
-            return PolyMatrix(self.n, {k: v * c for k, v in self._e.items()}, self.basis)
-        if not c:
-            return PolyMatrix.zero(self.n, self.basis)
-        return PolyMatrix(
-            self.n,
-            {k: Poly({e: a * c for e, a in v._c.items()}) for k, v in self._e.items()},
-            self.basis,
-        )
+        return PolyMatrix(self.n, e)
 
     def q_scaled(self, c: int) -> "PolyMatrix":
         """Substitute q -> c*q in every entry."""
-        return PolyMatrix(self.n, {k: v.q_scaled(c) for k, v in self._e.items()}, self.basis)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.n, {(j, i): p for (i, j), p in self._e.items()}, self.basis)
-
-    def is_zero(self) -> bool:
-        return not self._e
+        return PolyMatrix(self.n, {k: v.q_scaled(c) for k, v in self._e.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -272,10 +195,6 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix(n={self.n}, nnz={len(self._e)})"
-
-
-def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a * b - b * a
 
 
 def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
@@ -437,7 +356,7 @@ def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == 1:
             entries[(orb.index_of[el.weight - alpha_w], pos)] = 1
-    return PolyMatrix(orb.size, entries, _orbit_basis(orb))
+    return PolyMatrix(orb.size, entries)
 
 
 def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
@@ -449,7 +368,7 @@ def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == -1:
             entries[(orb.index_of[el.weight + alpha_w], pos)] = 1
-    return PolyMatrix(orb.size, entries, _orbit_basis(orb))
+    return PolyMatrix(orb.size, entries)
 
 
 def cartan_action(orb: Orbit, j: int) -> PolyMatrix:
@@ -461,7 +380,7 @@ def cartan_action(orb: Orbit, j: int) -> PolyMatrix:
         for pos, el in enumerate(orb.elements)
         if el.weight.pairings[j - 1]
     }
-    return PolyMatrix(orb.size, entries, _orbit_basis(orb))
+    return PolyMatrix(orb.size, entries)
 
 
 def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
@@ -476,7 +395,7 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
             if target not in orb.index_of:
                 raise AssertionError(f"{el.weight} + psi = {target} is not in the orbit")
             entries[(orb.index_of[target], pos)] = 1
-    return PolyMatrix(orb.size, entries, _orbit_basis(orb))
+    return PolyMatrix(orb.size, entries)
 
 
 def quantum_operator(orb: Orbit) -> PolyMatrix:
@@ -494,11 +413,7 @@ def quantum_operator(orb: Orbit) -> PolyMatrix:
                 entries[key] = entries.get(key, ZERO) + ONE
     for i, j, _p in psi_raising_matrix(orb).nonzero():
         entries[(i, j)] = entries.get((i, j), ZERO) + Q
-    return PolyMatrix(orb.size, entries, _orbit_basis(orb))
-
-
-def _orbit_basis(orb: Orbit) -> tuple:
-    return tuple(el.weight for el in orb.elements)
+    return PolyMatrix(orb.size, entries)
 
 
 @dataclass(frozen=True)
@@ -517,12 +432,54 @@ def entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[str
 
     Entries are compared in row order.
     """
+    return _first_difference(orb, got._e, want._e)
+
+
+def _first_difference(
+    orb: Orbit, got: Mapping[tuple[int, int], PolyLike], want: Mapping[tuple[int, int], PolyLike]
+) -> Optional[str]:
+    """``entry_witness`` on two maps of nonzero entries; a missing entry reads 0."""
     if got == want:
         return None
-    keys = sorted(got._e.keys() | want._e.keys())
-    i, j = next(k for k in keys if got.entry(*k) != want.entry(*k))
+    i, j = next(k for k in sorted(got.keys() | want.keys()) if got.get(k, 0) != want.get(k, 0))
     w = orb.elements
-    return f"at ({w[i].weight}, {w[j].weight}): {got.entry(i, j)} != {want.entry(i, j)}"
+    return f"at ({w[i].weight}, {w[j].weight}): {got.get((i, j), 0)} != {want.get((i, j), 0)}"
+
+
+_ColumnMap = dict[int, tuple[int, int]]
+
+
+def _column_map(orb: Orbit, name: str, m: PolyMatrix) -> _ColumnMap:
+    """{source: (target, coefficient)} of a generator with one integer entry per column.
+
+    Raises ValueError naming the generator and the column weight when a
+    column holds a second entry or an entry that is not an integer.
+    """
+    w = orb.elements
+    cols: _ColumnMap = {}
+    for i, j, p in m.nonzero():
+        if p != p.coeff(0):
+            raise ValueError(f"{name} has {p} in column {w[j].weight}, at row {w[i].weight}")
+        if j in cols:
+            raise ValueError(f"{name} has a second entry in column {w[j].weight}, at row {w[i].weight}")
+        cols[j] = (i, p.coeff(0))
+    return cols
+
+
+def _bracket(x: _ColumnMap, y: _ColumnMap) -> dict[tuple[int, int], int]:
+    """The nonzero entries of [X, Y]: column c is X(Y(c)) - Y(X(c))."""
+    out: dict[tuple[int, int], int] = {}
+    for first, second, sign in ((x, y, 1), (y, x, -1)):
+        for c, (t, b) in second.items():
+            if t in first:
+                i, a = first[t]
+                out[(i, c)] = out.get((i, c), 0) + sign * a * b
+    return {k: v for k, v in out.items() if v}
+
+
+def _entries(cols: _ColumnMap, scale: int) -> dict[tuple[int, int], int]:
+    """The nonzero entries of scale * M for M given by its column map."""
+    return {(t, c): scale * v for c, (t, v) in cols.items()} if scale else {}
 
 
 def verify_rep_relations(orb: Orbit) -> Check:
@@ -531,31 +488,44 @@ def verify_rep_relations(orb: Orbit) -> Check:
     [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
     [E+(j), E_psi] = 0 since psi + alpha_j is never a root.
-    Stops at the first failing relation and names its first wrong entry.
+
+    Each generator comes from its builder and moves every basis vector
+    to at most one other, with an integer coefficient, so it is read as
+    an index map source -> (target, coefficient).  Column c of [X, Y]
+    is then at most two terms, X(Y(c)) - Y(X(c)), and no matrix product
+    is formed.  A generator with a second entry or a q-entry in one
+    column fails the check, naming that column.  Otherwise the check
+    stops at the first failing relation and names its first wrong entry
+    in row order.
     """
     rs = orb.rs
     n = rs.rank
     C = rs.cartan_data.cartan
-    low = {j: lowering_matrix(orb, j) for j in range(1, n + 1)}
-    high = {j: raising_matrix(orb, j) for j in range(1, n + 1)}
-    diag = {j: cartan_action(orb, j) for j in range(1, n + 1)}
-    psi_m = psi_raising_matrix(orb)
-    zero = PolyMatrix.zero(orb.size)
+    matrices = {}
+    for j in range(1, n + 1):
+        matrices[f"E-({j})"] = lowering_matrix(orb, j)
+        matrices[f"E+({j})"] = raising_matrix(orb, j)
+        matrices[f"H({j})"] = cartan_action(orb, j)
+    matrices["E_psi"] = psi_raising_matrix(orb)
+    try:
+        g = {name: _column_map(orb, name, m) for name, m in matrices.items()}
+    except ValueError as exc:
+        return Check(False, str(exc))
 
     def relations():
-        # (how the relation fails, x, y, what [x, y] must equal)
+        # (x, y, what [x, y] must equal: its text and its entries)
         for j in range(1, n + 1):
-            yield f"[E+({j}), E-({j})] != H({j})", high[j], low[j], diag[j]
+            yield f"E+({j})", f"E-({j})", f"H({j})", _entries(g[f"H({j})"], 1)
             for k in range(1, n + 1):
                 a = C[j - 1][k - 1]
                 if k != j:
-                    yield f"[E+({j}), E-({k})] != 0", high[j], low[k], zero
-                yield f"[H({j}), E-({k})] != -a[{j}][{k}] E-({k})", diag[j], low[k], low[k].scaled(-a)
-                yield f"[H({j}), E+({k})] != a[{j}][{k}] E+({k})", diag[j], high[k], high[k].scaled(a)
-            yield f"[E+({j}), E_psi] != 0", high[j], psi_m, zero
+                    yield f"E+({j})", f"E-({k})", "0", {}
+                yield f"H({j})", f"E-({k})", f"-a[{j}][{k}] E-({k})", _entries(g[f"E-({k})"], -a)
+                yield f"H({j})", f"E+({k})", f"a[{j}][{k}] E+({k})", _entries(g[f"E+({k})"], a)
+            yield f"E+({j})", "E_psi", "0", {}
 
-    for checks, (failure, x, y, want) in enumerate(relations(), 1):
-        witness = entry_witness(orb, commutator(x, y), want)
+    for checks, (x, y, rhs, want) in enumerate(relations(), 1):
+        witness = _first_difference(orb, _bracket(g[x], g[y]), want)
         if witness:
-            return Check(False, f"{failure} {witness}")
+            return Check(False, f"[{x}, {y}] != {rhs} {witness}")
     return Check(True, f"{checks} brackets")

@@ -239,7 +239,7 @@ def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix
             key = (orb.index_of[t.target.weight], src)
             term = Poly.term(t.coefficient, t.q_power)
             entries[key] = entries.get(key, Poly()) + term
-    return PolyMatrix(orb.size, entries, tuple(e.weight for e in orb.elements))
+    return PolyMatrix(orb.size, entries)
 
 
 def first_mismatch(
@@ -263,7 +263,7 @@ def pairing_matrix(orb: Orbit) -> PolyMatrix:
     entries = {}
     for pos, el in enumerate(orb.elements):
         entries[(pos, orb.index_of[poincare_dual(orb, el.weight)])] = 1
-    return PolyMatrix(orb.size, entries, tuple(e.weight for e in orb.elements))
+    return PolyMatrix(orb.size, entries)
 
 
 def frobenius_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:

@@ -32,11 +32,7 @@ class SignDiagonal:
 
     def conjugate(self, m: PolyMatrix) -> PolyMatrix:
         d = self.signs
-        return PolyMatrix(
-            m.n,
-            {(i, j): p * (d[i] * d[j]) for (i, j, p) in m.nonzero()},
-            m.basis,
-        )
+        return PolyMatrix(m.n, {(i, j): p * (d[i] * d[j]) for (i, j, p) in m.nonzero()})
 
 
 class SignSimilarityError(ValueError):
@@ -91,7 +87,7 @@ def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
                 key = (index[tgt], src_pos)
                 term = p if sign == 1 else p * (-1)
                 entries[key] = entries.get(key, Poly()) + term
-    return PolyMatrix(len(subsets), entries, tuple(subsets))
+    return PolyMatrix(len(subsets), entries)
 
 
 def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
@@ -122,6 +118,18 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
                 "support", f"entries at {(i, j)} do not agree up to sign: {p} vs {q}", entry=(i, j)
             )
 
+    d = _propagate_signs(n, ratio)
+    for (i, j), eps in ratio.items():
+        if d[i] * d[j] != eps:
+            raise AssertionError(f"d[{i}] d[{j}] = {d[i] * d[j]}, but entry {(i, j)} has sign ratio {eps}")
+    return SignDiagonal(d)
+
+
+def _propagate_signs(n: int, ratio: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """Signs d with d[i] d[j] = ratio on every edge met, +1 at the root of each component.
+
+    Raises SignSimilarityError with the loop that cannot be signed.
+    """
     adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for (i, j), eps in ratio.items():
         adjacency[i].append((j, eps))
@@ -149,10 +157,7 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
                         entry=(v, w),
                         cycle=_loop_witness(parent, v, w),
                     )
-    d = tuple(1 if s is None else s for s in signs)
-    for (i, j), eps in ratio.items():
-        assert d[i] * d[j] == eps
-    return SignDiagonal(d)
+    return tuple(1 if s is None else s for s in signs)
 
 
 def _loop_witness(parent: dict[int, int], v: int, w: int) -> tuple[int, ...]:
@@ -190,18 +195,18 @@ def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
     gr = orbit(rs, k)
     w = wedge_matrix(quantum_operator(line), k)
     subsets = wedge_subsets(n + 1, k)
-    assert len(subsets) == gr.size == comb(n + 1, k)
+    if not len(subsets) == gr.size == comb(n + 1, k):
+        raise AssertionError(
+            f"{len(subsets)} {k}-subsets of {n + 1} lines, {gr.size} weights in the A{n}/w{k} orbit, "
+            f"binomial {comb(n + 1, k)}"
+        )
     perm = []
     for s in subsets:
         total = Weight((0,) * n)
         for p in s:
             total = total + line.elements[p].weight
         perm.append(gr.index_of[total])
-    aligned = PolyMatrix(
-        w.n,
-        {(perm[i], perm[j]): p for (i, j, p) in w.nonzero()},
-        tuple(e.weight for e in gr.elements),
-    ).q_scaled((-1) ** (k - 1))
+    aligned = PolyMatrix(w.n, {(perm[i], perm[j]): p for (i, j, p) in w.nonzero()}).q_scaled((-1) ** (k - 1))
     return aligned, quantum_operator(gr)
 
 
@@ -240,7 +245,8 @@ def half_wedge_dims(n: int) -> HalfWedgeReport:
     else:
         m = n // 2
         half_mid = comb(two_n, 2 * m)
-        assert half_mid % 2 == 0
+        if half_mid % 2:
+            raise AssertionError(f"middle binomial C({two_n}, {2 * m}) = {half_mid} is odd")
         wedge_total = sum(comb(two_n, 2 * i) for i in range(m)) + half_mid // 2
     endo_total = (2 ** (n - 1)) ** 2
 

@@ -198,18 +198,13 @@ class DubrovinForm:
 
     lambda is a formal loop symbol in the emitted text and is never
     specialized; the variable change back to the similarity coordinate
-    is recorded alongside.
+    is recorded alongside.  A(q) itself is ``DistinguishedSolution.operator``.
     """
 
-    operator: PolyMatrix
-    coxeter_number: int
     connection_form: str = "(1/lambda) A(q) dq/q"
     variable_change: str = "t = s z^(1/s), q = z"
 
 
 def dubrovin_form(orb: Orbit) -> DubrovinForm:
-    """Connection-form descriptor for one minuscule orbit."""
-    return DubrovinForm(
-        operator=quantum_operator(orb),
-        coxeter_number=orb.rs.coxeter_number,
-    )
+    """Connection-form descriptor for one minuscule orbit; its text is the same for every orbit."""
+    return DubrovinForm()

@@ -95,7 +95,10 @@ def orbit(rs: RootSystem, i: int, j_order: Optional[tuple[int, ...]] = None) -> 
             for j in order:
                 if w.pairings[j - 1] == 1:
                     nu = w - alpha_w[j - 1]
-                    assert nu not in seen, "lowering must increase length"
+                    if nu in seen:
+                        raise AssertionError(
+                            f"lowering {w} by alpha_{j} gives {nu}, already met: lowering must increase length"
+                        )
                     if nu not in nxt:
                         nxt[nu] = current[w] + (j,)
         current = nxt

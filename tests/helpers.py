@@ -4,8 +4,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import minflag.minrep as minrep
 from minflag.cli import SweepConfig, sweep_cases
-from minflag.minrep import ONE, Q, ZERO, Poly, PolyMatrix, lowering_matrix, psi_raising_matrix
+from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
 from minflag.rootsys import LieType, RootSystem, build
 from minflag.weylorbit import Orbit, orbit
 
@@ -38,16 +39,90 @@ def random_alcove_coords(rs: RootSystem, rng: random.Random) -> tuple[Fraction, 
     return tuple(Fraction(aj, den) for aj in a)
 
 
+# -- matrix algebra over nonzero(): PolyMatrix itself is only a container ---------
+
+
+def dense_rows(m: PolyMatrix) -> list[list[Poly]]:
+    return [[m.entry(i, j) for j in range(m.n)] for i in range(m.n)]
+
+
+def transpose(m: PolyMatrix) -> PolyMatrix:
+    return PolyMatrix(m.n, {(j, i): p for i, j, p in m.nonzero()})
+
+
+def identity(n: int) -> PolyMatrix:
+    return PolyMatrix(n, {(i, i): 1 for i in range(n)})
+
+
+def linear_combination(n: int, terms: list[tuple[PolyLike, PolyMatrix]]) -> PolyMatrix:
+    """sum c M over the (c, M) of terms, each M n x n."""
+    acc: dict[tuple[int, int], Poly] = {}
+    for c, m in terms:
+        assert m.n == n
+        for i, j, p in m.nonzero():
+            acc[(i, j)] = acc.get((i, j), ZERO) + p * c
+    return PolyMatrix(n, acc)
+
+
+def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    assert a.n == b.n
+    cols_b: dict[int, list[tuple[int, Poly]]] = {}
+    for k, j, p in b.nonzero():
+        cols_b.setdefault(k, []).append((j, p))
+    acc: dict[tuple[int, int], Poly] = {}
+    for i, k, pa in a.nonzero():
+        for j, pb in cols_b.get(k, ()):
+            acc[(i, j)] = acc.get((i, j), ZERO) + pa * pb
+    return PolyMatrix(a.n, acc)
+
+
+def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    return linear_combination(a.n, [(ONE, matmul(a, b)), (-ONE, matmul(b, a))])
+
+
 def reference_quantum_operator(orb: Orbit) -> PolyMatrix:
     """A(q) = sum_j E-(j) + q E_psi, summed matrix by matrix.
 
     The test-only reference the one-pass ``minrep.quantum_operator`` is
     compared against.
     """
-    total = psi_raising_matrix(orb).scaled(Q)
-    for j in range(1, orb.rs.rank + 1):
-        total = total + lowering_matrix(orb, j)
-    return total
+    terms = [(ONE, minrep.lowering_matrix(orb, j)) for j in range(1, orb.rs.rank + 1)]
+    return linear_combination(orb.size, [(Q, minrep.psi_raising_matrix(orb))] + terms)
+
+
+def reference_rep_relations(orb: Orbit) -> Check:
+    """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
+
+    The test-only reference the index-map check is compared against.  It
+    reads the generators through the ``minrep`` module, so a test that
+    replaces a builder there changes both checks alike.
+    """
+    n = orb.rs.rank
+    C = orb.rs.cartan_data.cartan
+    low = {j: minrep.lowering_matrix(orb, j) for j in range(1, n + 1)}
+    high = {j: minrep.raising_matrix(orb, j) for j in range(1, n + 1)}
+    diag = {j: minrep.cartan_action(orb, j) for j in range(1, n + 1)}
+    psi_m = minrep.psi_raising_matrix(orb)
+    zero = PolyMatrix(orb.size)
+
+    def relations():
+        for j in range(1, n + 1):
+            yield f"[E+({j}), E-({j})] != H({j})", high[j], low[j], diag[j]
+            for k in range(1, n + 1):
+                a = C[j - 1][k - 1]
+                if k != j:
+                    yield f"[E+({j}), E-({k})] != 0", high[j], low[k], zero
+                yield (f"[H({j}), E-({k})] != -a[{j}][{k}] E-({k})", diag[j], low[k],
+                       linear_combination(orb.size, [(-a, low[k])]))
+                yield (f"[H({j}), E+({k})] != a[{j}][{k}] E+({k})", diag[j], high[k],
+                       linear_combination(orb.size, [(a, high[k])]))
+            yield f"[E+({j}), E_psi] != 0", high[j], psi_m, zero
+
+    for checks, (failure, x, y, want) in enumerate(relations(), 1):
+        witness = entry_witness(orb, commutator(x, y), want)
+        if witness:
+            return Check(False, f"{failure} {witness}")
+    return Check(True, f"{checks} brackets")
 
 
 def reference_char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
@@ -56,7 +131,7 @@ def reference_char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
     The test-only reference ``minrep.char_poly`` is compared against:
     slow, but it shares no code with the graded integer kernel.
     """
-    return tuple(_berkowitz([list(r) for r in m.rows()]))
+    return tuple(_berkowitz(dense_rows(m)))
 
 
 def _berkowitz(rows: list[list[Poly]]) -> list[Poly]:

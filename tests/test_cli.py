@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflag import qchev
+from minflag import minrep, qchev
 from minflag.cli import (
     SweepConfig,
     cmd_emit,
@@ -20,7 +20,7 @@ from minflag.cli import (
     main,
     sweep_cases,
 )
-from minflag.minrep import Poly, PolyMatrix
+from minflag.minrep import Q, Poly, PolyMatrix
 from minflag.rootsys import LieType, build
 from minflag.weylorbit import orbit
 
@@ -94,6 +94,31 @@ def test_verify_runs_the_oracle_once_per_class(monkeypatch):
     assert calls == classes
 
 
+def _q_on_first_entry(m: PolyMatrix, orb) -> PolyMatrix:
+    i, k, _p = m.nonzero()[0]
+    return m.with_entry(i, k, Q)
+
+
+def _second_entry_in_first_column(m: PolyMatrix, orb) -> PolyMatrix:
+    i, k, _p = m.nonzero()[0]
+    return m.with_entry((i + 1) % orb.size, k, 1)
+
+
+@pytest.mark.parametrize("builder,change,witness", [
+    ("cartan_action", _q_on_first_entry, "H(1) has q in column ("),
+    ("lowering_matrix", _second_entry_in_first_column, "E-(1) has a second entry in column ("),
+])
+def test_verify_generator_that_is_no_index_map_fails_its_row(monkeypatch, builder, change, witness):
+    real = getattr(minrep, builder)
+    monkeypatch.setattr(minrep, builder, lambda orb, j: change(real(orb, j), orb))
+    buf = io.StringIO()
+    assert cmd_verify(SMALL, out=buf) == 1
+    failed = [l for l in buf.getvalue().splitlines() if " FAIL " in l]
+    assert len(failed) == len(sweep_cases(SMALL))
+    for row in failed:
+        assert row.split()[1] == "rep-relations" and witness in row
+
+
 def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):
     def broken(orb, u):
         raise AssertionError("surviving classical root must be simple")
@@ -137,10 +162,18 @@ def test_checks_survive_python_optimize_flag():
         "    t.dpw_exponents(orb.rs, t.asymptotic_data([-5, 0, 0]))\n"
         "except AssertionError:\n"
         "    print('dpw check raised')\n"
+        "import minflag.satake as s\n"
+        "s.comb = lambda a, b: 3\n"
+        "try:\n"
+        "    s.half_wedge_dims(4)\n"
+        "except AssertionError:\n"
+        "    print('half-wedge check raised')\n"
     )
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["length check raised", "psi check raised", "dpw check raised"]
+    assert proc.stdout.splitlines() == [
+        "length check raised", "psi check raised", "dpw check raised", "half-wedge check raised",
+    ]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
     assert proc.returncode == 1, proc.stderr

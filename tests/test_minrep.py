@@ -4,7 +4,17 @@ from dataclasses import FrozenInstanceError
 from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
-from helpers import orbit_of, reference_char_poly, reference_quantum_operator, sweep_orbits
+from helpers import (
+    commutator,
+    linear_combination,
+    matmul,
+    orbit_of,
+    reference_char_poly,
+    reference_quantum_operator,
+    reference_rep_relations,
+    sweep_orbits,
+    transpose,
+)
 from minflag.minrep import (
     ONE,
     Check,
@@ -14,7 +24,6 @@ from minflag.minrep import (
     ZERO,
     cartan_action,
     char_poly,
-    commutator,
     entry_witness,
     lowering_matrix,
     psi_raising_matrix,
@@ -80,24 +89,6 @@ def test_poly_ring_laws(a, b, c):
     assert a - a == ZERO
 
 
-def test_scaled_by_an_integer_matches_a_constant_poly_factor():
-    orb = orbit_of("A", 3, 2)
-    a = quantum_operator(orb) + cartan_action(orb, 2)
-    zero = a.scaled(0)
-    assert zero.is_zero() and zero.basis == a.basis
-    for c in (-1, 3):
-        assert a.scaled(c) == a.scaled(Poly.const(c))
-        assert a.scaled(c).basis == a.basis
-
-
-def test_difference_is_entrywise():
-    orb = orbit_of("A", 3, 2)
-    a = quantum_operator(orb) + cartan_action(orb, 2)
-    assert (a - a).is_zero() and (a - a).basis == a.basis
-    assert a - cartan_action(orb, 2) == quantum_operator(orb)
-    assert _m([[Q, 1]] * 2) - _m([[1, 1], [0, Q]]) == _m([[Q - 1, 0], [Q, 1 - Q]])
-
-
 # -- generator matrices --------------------------------------------------------
 
 
@@ -107,7 +98,7 @@ def test_lowering_a1():
 
 def test_lowering_sum_is_chain_shift_on_a2():
     orb = orbit_of("A", 2, 1)
-    total = lowering_matrix(orb, 1) + lowering_matrix(orb, 2)
+    total = linear_combination(3, [(1, lowering_matrix(orb, 1)), (1, lowering_matrix(orb, 2))])
     assert total == _m([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
@@ -115,7 +106,7 @@ def test_lowering_matrices_are_nilpotent_of_order_two():
     for orb in sweep_orbits():
         for j in range(1, orb.rs.rank + 1):
             e = lowering_matrix(orb, j)
-            assert (e * e).is_zero()
+            assert matmul(e, e) == PolyMatrix(orb.size)
 
 
 def test_raising_a1():
@@ -125,7 +116,7 @@ def test_raising_a1():
 def test_raising_is_transpose_of_lowering():
     for orb in sweep_orbits():
         for j in range(1, orb.rs.rank + 1):
-            assert raising_matrix(orb, j) == lowering_matrix(orb, j).transpose()
+            assert raising_matrix(orb, j) == transpose(lowering_matrix(orb, j))
 
 
 def test_raising_kills_highest_weight_vector():
@@ -217,7 +208,7 @@ def test_one_pass_quantum_operator_equals_the_summed_generators(case):
     orbs = list(sweep_orbits()) if case == "sweep" else [orbit_of(*case)]
     for orb in orbs:
         a, want = quantum_operator(orb), reference_quantum_operator(orb)
-        assert a == want and a.basis == want.basis
+        assert a == want
         assert all(p for _i, _j, p in a.nonzero())
 
 
@@ -373,10 +364,71 @@ def test_check_is_truthy_exactly_when_it_passed():
 
 def test_rep_relations_broken_bracket_names_the_entry(monkeypatch):
     real = minrep.cartan_action
-    monkeypatch.setattr(minrep, "cartan_action", lambda orb, j: real(orb, j).scaled(2))
+    monkeypatch.setattr(minrep, "cartan_action", lambda orb, j: linear_combination(orb.size, [(2, real(orb, j))]))
     check = verify_rep_relations(orbit_of("A", 1, 1))
     assert not check
     assert check.detail == "[E+(1), E-(1)] != H(1) at ((1), (1)): 1 != 2"
+
+
+GENERATOR_BUILDERS = ("lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix")
+
+
+def _patch_one_generator(monkeypatch, name, j, matrix):
+    """Make the minrep builder ``name`` return ``matrix`` for index j (None for E_psi)."""
+    real = getattr(minrep, name)
+
+    def patched(orb, *index):
+        return matrix if index == ((j,) if j else ()) else real(orb, *index)
+
+    monkeypatch.setattr(minrep, name, patched)
+
+
+def _single_entry_mutations(orb):
+    """(builder, index, mutated generator): each nonzero entry of each generator set to 0, 2 or -1."""
+    for name in GENERATOR_BUILDERS:
+        build_one = getattr(minrep, name)
+        for j in [None] if name == "psi_raising_matrix" else range(1, orb.rs.rank + 1):
+            m = build_one(orb) if j is None else build_one(orb, j)
+            for i, k, p in m.nonzero():
+                for value in (0, 2, -1):
+                    if p != value:
+                        yield name, j, m.with_entry(i, k, value)
+
+
+def test_rep_relations_match_the_product_form_on_the_sweep():
+    for orb in sweep_orbits():
+        check = verify_rep_relations(orb)
+        assert check and check == reference_rep_relations(orb), orb
+
+
+@pytest.mark.parametrize("case", [("A", 3, 2), ("D", 4, 1), ("E", 6, 1), ("B", 3, 3)])
+def test_rep_relations_match_the_product_form_on_every_single_entry_mutation(case):
+    orb = orbit_of(*case)
+    mutations = list(_single_entry_mutations(orb))
+    for name, j, mutated in mutations:
+        with pytest.MonkeyPatch.context() as mp:
+            _patch_one_generator(mp, name, j, mutated)
+            check = verify_rep_relations(orb)
+            assert not check and check == reference_rep_relations(orb), (name, j, mutated.nonzero())
+    assert {name for name, _j, _m in mutations} == set(GENERATOR_BUILDERS)
+
+
+def test_rep_relations_name_a_second_entry_in_a_generator_column(monkeypatch):
+    orb = orbit_of("A", 2, 1)
+    e = lowering_matrix(orb, 1)
+    assert e.nonzero() == [(1, 0, ONE)]
+    _patch_one_generator(monkeypatch, "lowering_matrix", 1, e.with_entry(2, 0, 1))
+    check = verify_rep_relations(orb)
+    assert check == Check(False, "E-(1) has a second entry in column (1,0), at row (0,-1)")
+
+
+def test_rep_relations_name_a_q_entry_in_a_generator(monkeypatch):
+    orb = orbit_of("A", 2, 1)
+    e = psi_raising_matrix(orb)
+    _patch_one_generator(monkeypatch, "psi_raising_matrix", None, e.with_entry(0, 2, Q))
+    assert verify_rep_relations(orb) == Check(False, "E_psi has q in column (0,-1), at row (1,0)")
+    _patch_one_generator(monkeypatch, "psi_raising_matrix", None, e.with_entry(0, 2, ONE + Q))
+    assert verify_rep_relations(orb) == Check(False, "E_psi has q + 1 in column (0,-1), at row (1,0)")
 
 
 def test_entry_witness_names_the_first_differing_entry():

@@ -1,7 +1,7 @@
 import pytest
 
 from minflag import qchev
-from helpers import SWEEP, orbit_of, sweep_orbits
+from helpers import SWEEP, identity, matmul, orbit_of, sweep_orbits, transpose
 from minflag.minrep import Poly, quantum_operator
 from minflag.qchev import (
     SchubertClass,
@@ -206,7 +206,7 @@ def test_frobenius_a1_by_hand():
     orb = orbit_of("A", 1, 1)
     a = quantum_operator(orb)
     g = pairing_matrix(orb)
-    assert a.transpose() * g == g * a
+    assert matmul(transpose(a), g) == matmul(g, a)
     assert frobenius_check(orb)
 
 
@@ -249,7 +249,7 @@ def test_pairing_matrix_is_a_permutation():
         g = pairing_matrix(orb)
         nz = g.nonzero()
         assert len(nz) == orb.size
-        assert g * g == g.__class__.identity(orb.size)
+        assert matmul(g, g) == identity(orb.size)
 
 
 def test_word_choice_invariance_of_the_oracle_matrix():
@@ -399,5 +399,5 @@ def test_entrywise_frobenius_agrees_with_the_matrix_identity():
         for i in range(orb.size):
             for j in range(orb.size):
                 m = a.with_entry(i, j, a.entry(i, j) + Poly({1: 1}))
-                assert bool(frobenius_check(orb, m)) == (m.transpose() * g == g * m), (case, i, j)
+                assert bool(frobenius_check(orb, m)) == (matmul(transpose(m), g) == matmul(g, m)), (case, i, j)
 

@@ -1,8 +1,9 @@
 import pytest
 from math import comb
 
-from helpers import orbit_of
-from minflag.minrep import commutator, lowering_matrix, quantum_operator, raising_matrix
+import minflag.satake as satake
+from helpers import commutator, dense_rows, orbit_of
+from minflag.minrep import lowering_matrix, quantum_operator, raising_matrix
 from minflag.satake import (
     SignDiagonal,
     SignSimilarityError,
@@ -13,12 +14,13 @@ from minflag.satake import (
     wedge_subsets,
     wedge_weight_alignment,
 )
+from minflag.weylorbit import Orbit
 
 
 def test_wedge_degree_one_is_the_matrix_itself():
     m = quantum_operator(orbit_of("A", 3, 1))
     w = wedge_matrix(m, 1)
-    assert w.rows() == m.rows()
+    assert dense_rows(w) == dense_rows(m)
 
 
 def test_wedge_rejects_out_of_range_degree():
@@ -124,3 +126,33 @@ def test_half_wedge_dimension_identities(n, total):
 def test_half_wedge_rejects_small_rank():
     with pytest.raises(ValueError):
         half_wedge_dims(2)
+
+
+# -- the internal checks raise with their witness (they must survive python -O) --
+
+
+def test_sign_similarity_check_names_the_entry_its_signs_miss(monkeypatch):
+    a = lowering_matrix(orbit_of("A", 2, 1), 1)
+    b = a.with_entry(1, 0, -1)
+    assert sign_similarity(a, b).signs == (1, -1, 1)
+    monkeypatch.setattr(satake, "_propagate_signs", lambda n, ratio: (1,) * n)
+    with pytest.raises(AssertionError, match=r"d\[1\] d\[0\] = 1, but entry \(1, 0\) has sign ratio -1"):
+        sign_similarity(a, b)
+
+
+def test_wedge_alignment_check_names_the_three_counts(monkeypatch):
+    real = satake.orbit
+
+    def short_grassmannian(rs, i):
+        orb = real(rs, i)
+        return Orbit(rs, i, orb.elements[:-1]) if i == 2 else orb
+
+    monkeypatch.setattr(satake, "orbit", short_grassmannian)
+    with pytest.raises(AssertionError, match=r"6 2-subsets of 4 lines, 5 weights in the A3/w2 orbit, binomial 6"):
+        wedge_weight_alignment(3, 2)
+
+
+def test_half_wedge_check_names_the_odd_middle_binomial(monkeypatch):
+    monkeypatch.setattr(satake, "comb", lambda a, b: comb(a, b) + 1)
+    with pytest.raises(AssertionError, match=r"middle binomial C\(8, 4\) = 71 is odd"):
+        half_wedge_dims(4)

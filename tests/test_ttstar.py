@@ -10,6 +10,7 @@ from minflag.minrep import quantum_operator
 from minflag.qchev import quantum_product_matrix
 from minflag.rootsys import build
 from minflag.ttstar import (
+    DubrovinForm,
     alcove_point,
     alcove_to_asymptotic,
     asymptotic_data,
@@ -196,14 +197,17 @@ def test_distinguished_solution_rejects_non_minuscule():
         distinguished_solution(rs_of("E", 7), 2)
 
 
+def test_distinguished_solution_operator_is_the_divisor_product():
+    sol = distinguished_solution(rs_of("D", 4), 1)
+    assert sol.coxeter_number == 6
+    assert sol.operator == quantum_operator(orbit_of("D", 4, 1)) == quantum_product_matrix(orbit_of("D", 4, 1))
+
+
 def test_dubrovin_form_descriptor():
     form = dubrovin_form(orbit_of("A", 1, 1))
-    assert form.coxeter_number == 2
-    assert "lambda" in form.connection_form
-    assert form.operator == quantum_operator(orbit_of("A", 1, 1))
-    d4 = dubrovin_form(orbit_of("D", 4, 1))
-    assert d4.coxeter_number == 6
-    assert d4.operator == quantum_product_matrix(orbit_of("D", 4, 1))
+    assert form == DubrovinForm("(1/lambda) A(q) dq/q", "t = s z^(1/s), q = z")
+    assert set(vars(form)) == {"connection_form", "variable_change"}
+    assert dubrovin_form(orbit_of("D", 4, 1)) == form
 
 
 # -- the internal checks raise with their witness (they must survive python -O) --

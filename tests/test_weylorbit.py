@@ -1,3 +1,4 @@
+import copy
 import pytest
 from math import comb
 
@@ -206,3 +207,11 @@ def test_poincare_dual_rejects_a_truncated_orbit():
     truncated = Orbit(orb.rs, orb.weight_index, orb.elements[:-1])
     with pytest.raises(AssertionError, match=r"the dual \(0,-1\) of \(1,0\) is not in the orbit"):
         poincare_dual(truncated, Weight((1, 0)))
+
+
+def test_orbit_bfs_check_names_a_lowering_that_goes_back():
+    # with alpha_1 tampered to the zero weight, lowering by it stays put
+    rs = copy.copy(build(LieType("A", 2)))
+    rs.simple_root_weights = (Weight((0, 0)),) + rs.simple_root_weights[1:]
+    with pytest.raises(AssertionError, match=r"lowering \(1,0\) by alpha_1 gives \(1,0\), already met"):
+        orbit.__wrapped__(rs, 1)
