@@ -7,11 +7,16 @@ is -1.
 
 Route 2, the oracle: the divisor product as a sum over all positive
 roots outside the parabolic, with candidate terms kept or discarded by
-the independent length function alone.  Along the way the oracle
-asserts the structural facts that make the closed form work: every
-surviving classical reflection transports to a simple root, every
-surviving quantum one to the negative of the highest root, and all
-coefficients are 1.
+the independent length function alone.  Each class's coset
+representative, which transports the candidate roots, is found from the
+weights alone: a class is its raised neighbour reflected by one simple
+root.  The oracle reads neither the stored BFS words nor the stored
+lengths, and it keeps the transported roots and the lengths of the
+current orbit in one table.  Along the way the oracle asserts the
+structural facts that make the closed form work: every surviving
+classical reflection transports to a simple root, every surviving
+quantum one to the negative of the highest root, and all coefficients
+are 1.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
@@ -82,23 +87,30 @@ def chevalley_closed(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
 def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
     """Divisor product summed over the whole divisor complement.
 
-    For each candidate root alpha, transport it by the stored reduced
-    word to beta = u(alpha) and form the candidate target
-    u(lambda_i) - beta.  Keep a classical term iff the independent
-    length jumps by +1 and a q-term iff it jumps by -(s-1); everything
-    else is discarded.  Raises AssertionError if a surviving term
-    violates the simple-root / highest-root classification.
+    Each candidate root alpha is transported to beta = u(alpha), u the
+    minimal coset representative of the class, and forms the candidate
+    target u(lambda_i) - beta.  The transport comes from the weights
+    alone (``_oracle_table``), never from the stored BFS words.  Keep a
+    classical term iff the independent length jumps by +1 and a q-term
+    iff it jumps by -(s-1); everything else is discarded.  Raises
+    AssertionError if a surviving term violates the simple-root /
+    highest-root classification, and ValueError if a target is not in
+    the orbit.
     """
     rs = orb.rs
     mu = u.weight
-    el = orb.element(mu)
+    transport, lengths = _oracle_table(orb)
+    if mu not in lengths:
+        orb.element(mu)  # raises ValueError naming the foreign class
     s = rs.coxeter_number
-    base_len = length(orb, mu)
+    base_len = lengths[mu]
     terms = []
-    for alpha in divisor_complement(orb):
-        beta = apply_word(rs, el.word, alpha)
-        target = mu - rs.root_to_weight(beta)
-        jump = length(orb, target) - base_len
+    for beta, beta_weight in transport[mu]:
+        target = mu - beta_weight
+        target_len = lengths.get(target)
+        if target_len is None:
+            raise ValueError(f"{target} is not in the orbit")
+        jump = target_len - base_len
         if jump != beta.height:
             raise AssertionError("length jump must equal the transported height")
         if jump == 1:
@@ -115,6 +127,47 @@ def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
             terms.append(QProductTerm(SchubertClass(target), 1, 1))
     terms.sort(key=lambda t: (t.q_power, orb.index_of[t.target.weight]))
     return terms
+
+
+_Transported = tuple[tuple[RootVec, Weight], ...]
+
+
+@lru_cache(maxsize=1)
+def _oracle_table(orb: Orbit) -> tuple[dict[Weight, _Transported], dict[Weight, int]]:
+    """The oracle's per-orbit memo: transported complements and lengths.
+
+    The top weight transports the divisor complement by the identity.
+    Any other mu has a first simple root alpha_j with pairing -1, and
+    nu = mu + alpha_j has u_mu = s_j u_nu, so mu's transported
+    complement is s_j applied to nu's, entry by entry.  Each entry is
+    an interned (root, root as weight) pair.  ``length`` is read once
+    per element.  Only the most recent orbit's table is kept.
+    """
+    rs = orb.rs
+    top = orb.highest_weight
+    interned: dict[RootVec, tuple[RootVec, Weight]] = {}
+
+    def entry(beta: RootVec) -> tuple[RootVec, Weight]:
+        got = interned.get(beta)
+        if got is None:
+            got = interned[beta] = (beta, rs.root_to_weight(beta))
+        return got
+
+    transport = {top: tuple(entry(alpha) for alpha in divisor_complement(orb))}
+    for el in orb.elements:
+        chain = []
+        mu = el.weight
+        while mu not in transport:
+            j = next((k for k, p in enumerate(mu.pairings, 1) if p == -1), None)
+            if j is None:
+                raise AssertionError(f"{mu} has no raising simple root but is not the top weight {top}")
+            chain.append((mu, j))
+            mu = mu + rs.simple_root_weights[j - 1]
+        for lowered, j in reversed(chain):
+            transport[lowered] = tuple(entry(apply_word(rs, (j,), beta)) for beta, _ in transport[mu])
+            mu = lowered
+    lengths = {el.weight: length(orb, el.weight) for el in orb.elements}
+    return transport, lengths
 
 
 _EXPECTED_COXETER = {

@@ -178,7 +178,8 @@ class RootSystem:
                 elif j in adjacency[k]:
                     # adjacent simple roots have (alpha_j, alpha_k) = -max(d_j, d_k)
                     val = -max(d[j - 1], d[k - 1]) / d[k - 1]
-                    assert val.denominator == 1
+                    if val.denominator != 1:
+                        raise AssertionError(f"Cartan entry a[{k}][{j}] = {val} of {lie_type} is not an integer")
                     row.append(int(val))
                 else:
                     row.append(0)
@@ -200,16 +201,22 @@ class RootSystem:
 
         heights = [r.height for r in self.positive_roots]
         top = max(heights)
-        assert heights.count(top) == 1, "highest root must be unique"
+        if heights.count(top) != 1:
+            raise AssertionError(f"{heights.count(top)} positive roots of {lie_type} have the top height {top}: "
+                                 "the highest root must be unique")
         self.highest_root = max(self.positive_roots, key=lambda r: r.height)
         self.coxeter_number = 1 + self.highest_root.height
-        assert 2 * len(self.positive_roots) == n * self.coxeter_number
+        if 2 * len(self.positive_roots) != n * self.coxeter_number:
+            raise AssertionError(f"{lie_type} has {len(self.positive_roots)} positive roots, but rank {n} "
+                                 f"times Coxeter number {self.coxeter_number} is {n * self.coxeter_number}")
 
         self.simple_root_weights = tuple(
             Weight(tuple(cartan[k][j] for k in range(n))) for j in range(n)
         )
         self.highest_root_weight = self.root_to_weight(self.highest_root)
-        assert all(p >= 0 for p in self.highest_root_weight.pairings)
+        if any(p < 0 for p in self.highest_root_weight.pairings):
+            raise AssertionError(f"the highest root {self.highest_root} of {lie_type} has the "
+                                 f"non-dominant weight {self.highest_root_weight}")
 
         self.cartan_det, self.cartan_adjugate = _adjugate(cartan)
         self._minuscule = self._find_minuscule()
@@ -222,11 +229,17 @@ class RootSystem:
         d = self.cartan_data.symmetrizers
         n = self.lie_type.rank
         for k in range(n):
-            assert C[k][k] == 2
+            if C[k][k] != 2:
+                raise AssertionError(f"Cartan diagonal entry a[{k + 1}][{k + 1}] = {C[k][k]}, not 2")
             for j in range(n):
-                if j != k:
-                    assert C[k][j] in (0, -1, -2, -3)
-                assert d[k] * C[k][j] == d[j] * C[j][k], "Cartan matrix not symmetrizable"
+                if j != k and C[k][j] not in (0, -1, -2, -3):
+                    raise AssertionError(f"Cartan entry a[{k + 1}][{j + 1}] = {C[k][j]} is not 0, -1, -2 or -3")
+                if d[k] * C[k][j] != d[j] * C[j][k]:
+                    raise AssertionError(
+                        f"Cartan matrix not symmetrizable at ({k + 1}, {j + 1}): "
+                        f"d_{k + 1} a[{k + 1}][{j + 1}] = {d[k] * C[k][j]} but "
+                        f"d_{j + 1} a[{j + 1}][{k + 1}] = {d[j] * C[j][k]}"
+                    )
 
     def _close_positive_roots(self) -> tuple[RootVec, ...]:
         """Generate the positive roots by reflection closure from the simple ones."""
@@ -285,7 +298,11 @@ class RootSystem:
         C = self.cartan_data.cartan
         for k in range(n):
             for j in range(n):
-                assert C[perm[k] - 1][perm[j] - 1] == C[k][j], "not a diagram automorphism"
+                if C[perm[k] - 1][perm[j] - 1] != C[k][j]:
+                    raise AssertionError(
+                        f"{tuple(perm)} is not a diagram automorphism of {self.lie_type}: "
+                        f"a[{perm[k]}][{perm[j]}] = {C[perm[k] - 1][perm[j] - 1]} but a[{k + 1}][{j + 1}] = {C[k][j]}"
+                    )
         return tuple(perm)
 
     # -- basic queries ---------------------------------------------------------

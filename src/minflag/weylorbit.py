@@ -11,7 +11,9 @@ lexicographic pairing vector), so that every matrix built downstream is
 reproducible byte for byte.  Each element records a reduced word for
 its coset representative, accumulated along the generating BFS; the
 word is one of possibly many reduced words, but the represented group
-element is unique, which is all the divisor-product oracle needs.
+element is unique.  The words are written out by ``emit`` and serve as
+the reference the tests check the oracle's own transport against; the
+divisor-product oracle and ``length`` read none of them.
 """
 from __future__ import annotations
 

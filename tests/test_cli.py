@@ -22,7 +22,7 @@ from minflag.cli import (
 )
 from minflag.minrep import Q, Poly, PolyMatrix
 from minflag.rootsys import LieType, build
-from minflag.weylorbit import orbit
+from minflag.weylorbit import Orbit, orbit
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -131,6 +131,33 @@ def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):
     assert "oracle route failed: AssertionError: surviving classical root must be simple" in buf.getvalue()
 
 
+def test_verify_oracle_on_a_truncated_orbit_names_the_foreign_target(monkeypatch):
+    # the oracle alone sees each orbit without its length-1 class, so the
+    # top class's surviving target is foreign; the stored dimension is
+    # kept except on A1, whose truncation leaves only the top class
+    real = qchev.chevalley_fw_oracle
+    truncated = {}
+
+    def on_truncated(orb, u):
+        if orb not in truncated:
+            truncated[orb] = Orbit(orb.rs, orb.weight_index, orb.elements[:1] + orb.elements[2:])
+        return real(truncated[orb], u)
+
+    monkeypatch.setattr(qchev, "chevalley_fw_oracle", on_truncated)
+    buf = io.StringIO()
+    assert cmd_verify(SMALL, out=buf) == 1  # a row verdict, not a traceback
+    rows = [line.split(None, 3) for line in buf.getvalue().splitlines()[:-1]]
+    assert {row[1] for row in rows if row[2] == "FAIL"} == {"main-theorem", "oracle-survivors"}
+    for lt, i in sweep_cases(SMALL):
+        orb = orbit(build(lt), i)
+        if orb.size == 2:
+            want = "oracle route failed: AssertionError: 1 complement roots for orbit dimension 0"
+        else:
+            want = f"oracle route failed: ValueError: {orb.elements[1].weight} is not in the orbit"
+        failed = [row for row in rows if row[0] == f"{lt}/w{i}" and row[2] == "FAIL"]
+        assert [(row[1], row[3]) for row in failed] == [("main-theorem", want), ("oracle-survivors", want)]
+
+
 _SMALL_ARGS = ["--max-rank-A", "2", "--max-rank-B", "2", "--max-rank-C", "2", "--max-rank-D", "3",
                "--skip-exceptional"]
 
@@ -168,11 +195,19 @@ def test_checks_survive_python_optimize_flag():
         "    s.half_wedge_dims(4)\n"
         "except AssertionError:\n"
         "    print('half-wedge check raised')\n"
+        "import minflag.rootsys as r\n"
+        "from fractions import Fraction\n"
+        "r._diagram = lambda lt: ([(1, 2)], [Fraction(1), Fraction(2, 3)])\n"
+        "try:\n"
+        "    r.RootSystem(LieType('A', 2))\n"
+        "except AssertionError:\n"
+        "    print('cartan check raised')\n"
     )
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "length check raised", "psi check raised", "dpw check raised", "half-wedge check raised",
+        "cartan check raised",
     ]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
@@ -372,6 +407,19 @@ def test_default_verify_output_is_pinned():
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DEFAULT_VERIFY_SHA256
 
 
+# sha256 of the `verify` stdout on the 69-case sweep
+# --max-rank-A 8 --max-rank-B 7 --max-rank-C 7 --max-rank-D 8
+LARGE_VERIFY_SHA256 = "d167c160b56ae6bef0301ffd75d61a1f9beb5eea60c88a0b33c73c04f58aebd4"
+
+
+def test_large_verify_output_is_pinned():
+    config = SweepConfig(max_rank={"A": 8, "B": 7, "C": 7, "D": 8})
+    assert len(sweep_cases(config)) == 69
+    buf = io.StringIO()
+    assert cmd_verify(config, out=buf) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LARGE_VERIFY_SHA256
+
+
 def test_verify_non_integer_rank_in_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("max-rank-A=three\n")
@@ -402,9 +450,11 @@ def test_oracle_path_checks_survive_python_optimize_flag():
         "from minflag.rootsys import LieType, RootVec, build\n"
         "from minflag.weylorbit import Orbit, apply_word, orbit\n"
         "assert False, 'asserts must be stripped under -O'\n"
+        "from minflag.qchev import _oracle_table\n"
         "orb = orbit(build(LieType('A', 2)), 1)\n"
         "for call in (lambda: divisor_complement(Orbit(orb.rs, 1, orb.elements[:-1])),\n"
-        "             lambda: apply_word(orb.rs, (1,), RootVec((2, 0)))):\n"
+        "             lambda: apply_word(orb.rs, (1,), RootVec((2, 0))),\n"
+        "             lambda: _oracle_table(Orbit(orb.rs, 1, orb.elements[::-1]))):\n"
         "    try:\n"
         "        call()\n"
         "    except AssertionError:\n"
@@ -412,7 +462,7 @@ def test_oracle_path_checks_survive_python_optimize_flag():
     )
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised"]
+    assert proc.stdout.split() == ["raised", "raised", "raised"]
 
 
 def test_delete_detectable_edge_breaks_frobenius_symmetry():

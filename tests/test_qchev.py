@@ -23,7 +23,7 @@ from minflag.qchev import (
     trichotomy_check,
 )
 from minflag.rootsys import LieType, RootVec, Weight, build, pair
-from minflag.weylorbit import Orbit, orbit
+from minflag.weylorbit import Orbit, OrbitElement, apply_word, orbit
 
 
 def _terms_as_set(terms, orb):
@@ -253,8 +253,8 @@ def test_pairing_matrix_is_a_permutation():
 
 
 def test_word_choice_invariance_of_the_oracle_matrix():
-    # the oracle consumes reduced words; two BFS exploration orders give
-    # different words but identical matrices
+    # two BFS exploration orders give different reduced words; the oracle
+    # reads none of them and gives identical matrices
     rs = build(LieType("A", 3))
     m1 = fw_oracle_matrix(orbit(rs, 2))
     m2 = fw_oracle_matrix(orbit(rs, 2, j_order=(3, 2, 1)))
@@ -378,11 +378,12 @@ def test_oracle_survivor_check_names_the_class(monkeypatch):
 def test_divisor_complement_is_computed_once_per_orbit():
     orb = orbit_of("E", 6, 1)
     divisor_complement.cache_clear()
+    qchev._oracle_table.cache_clear()
     oracle_checks(orb)
     coxeter_check(orb)
     info = divisor_complement.cache_info()
-    # one call per class from the oracle, one for the candidate count, one for the Coxeter row
-    assert (info.misses, info.hits) == (1, orb.size + 1)
+    # one call for the candidate count, one for the oracle's transport table, one for the Coxeter row
+    assert (info.misses, info.hits) == (1, 2)
     assert isinstance(divisor_complement(orb), tuple)
 
 
@@ -401,3 +402,91 @@ def test_entrywise_frobenius_agrees_with_the_matrix_identity():
                 m = a.with_entry(i, j, a.entry(i, j) + Poly({1: 1}))
                 assert bool(frobenius_check(orb, m)) == (matmul(transpose(m), g) == matmul(g, m)), (case, i, j)
 
+
+
+# -- the oracle's transport table ---------------------------------------------------
+
+
+def test_oracle_needs_no_stored_words_or_lengths():
+    # every stored word emptied and every stored length set to the orbit
+    # dimension (Orbit.dim_complex reads it from the last element), so no
+    # stored value tells one class from another
+    for orb in sweep_orbits():
+        blank = Orbit(
+            orb.rs, orb.weight_index,
+            [OrbitElement(el.weight, (), orb.dim_complex) for el in orb.elements],
+        )
+        main, survivors = oracle_checks(blank, quantum_operator(orb))
+        assert main.ok and survivors.ok, (orb, main.detail, survivors.detail)
+        assert fw_oracle_matrix(blank) == fw_oracle_matrix(orb)
+
+
+TRANSPORT_EXTRA_CASES = [("D", 8, 8), ("B", 8, 8), ("A", 9, 5), ("E", 7, 1)]
+
+
+def _transport_cases():
+    yield from sweep_orbits()
+    for case in TRANSPORT_EXTRA_CASES:
+        yield orbit_of(*case)
+
+
+def test_transport_table_equals_the_stored_words():
+    for orb in _transport_cases():
+        rs = orb.rs
+        transport, lengths = qchev._oracle_table(orb)
+        complement = divisor_complement(orb)
+        for el in orb.elements:
+            got = transport[el.weight]
+            assert [beta for beta, _ in got] == [apply_word(rs, el.word, a) for a in complement], (orb, el)
+            assert all(w == rs.root_to_weight(beta) for beta, w in got), (orb, el)
+            assert lengths[el.weight] == el.length, (orb, el)
+
+
+def test_transport_table_holds_one_entry_per_root():
+    # the transported roots are interned: every table entry points at one
+    # shared (root, weight) pair per root
+    orb = orbit_of("B", 8, 8)
+    transport, _ = qchev._oracle_table(orb)
+    entries = [e for column in transport.values() for e in column]
+    assert len(entries) == orb.size * orb.dim_complex
+    assert len({id(e) for e in entries}) == len({e[0] for e in entries}) <= 2 * len(orb.rs.positive_roots)
+
+
+def test_transport_table_keeps_only_the_latest_orbit():
+    for orb in (orbit_of("A", 3, 2), orbit_of("D", 5, 5)):
+        fw_oracle_pass(orb)
+    assert qchev._oracle_table.cache_info().currsize == 1
+
+
+def test_oracle_pass_reads_one_length_per_element(monkeypatch):
+    calls = []
+    real = qchev.length
+
+    def counting(orb, mu):
+        calls.append(mu)
+        return real(orb, mu)
+
+    monkeypatch.setattr(qchev, "length", counting)
+    for orb in sweep_orbits():
+        qchev._oracle_table.cache_clear()
+        calls.clear()
+        fw_oracle_pass(orb)
+        assert len(calls) == orb.size
+        assert sorted(calls) == sorted(el.weight for el in orb.elements)
+
+
+def test_oracle_rejects_foreign_class():
+    orb = orbit_of("A", 2, 1)
+    with pytest.raises(ValueError, match=r"\(5,5\) is not a weight of the orbit"):
+        chevalley_fw_oracle(orb, SchubertClass(Weight((5, 5))))
+
+
+def test_oracle_on_a_flipped_orbit_names_the_stranded_dominant_weight():
+    # with the lowest weight on top the complement is empty, so the count
+    # check passes; raising any other weight ends at the true top weight
+    orb = orbit_of("A", 3, 2)
+    flipped = Orbit(orb.rs, orb.weight_index, tuple(reversed(orb.elements)))
+    main, survivors = oracle_checks(flipped, quantum_operator(orb))
+    want = ("oracle route failed: AssertionError: (0,1,0) has no raising simple root "
+            "but is not the top weight (0,-1,0)")
+    assert main.detail == survivors.detail == want

@@ -2,8 +2,11 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from minflag import rootsys
 from minflag.rootsys import (
+    CartanData,
     LieType,
+    RootSystem,
     RootVec,
     Weight,
     build,
@@ -259,3 +262,84 @@ def test_half_norm_matches_the_double_sum(fam, rank):
         ) / 2
         assert rs.half_norm(alpha) == want, alpha
         assert want in (d[j] for j in range(rank)), alpha
+
+
+# -- construction checks raise with their witness -------------------------------
+
+
+def _tampered(lie_type, cartan, symmetrizers):
+    """A bare RootSystem carrying the given Cartan data, for the construction checks."""
+    rs = object.__new__(RootSystem)
+    rs.lie_type = lie_type
+    rs.cartan_data = CartanData(cartan, symmetrizers)
+    return rs
+
+
+def test_non_integer_cartan_entry_names_the_entry(monkeypatch):
+    # with d = (1, 2/3) the entry a[2][1] = -max(1, 2/3) / (2/3) = -3/2
+    monkeypatch.setattr(rootsys, "_diagram", lambda lt: ([(1, 2)], [Fraction(1), Fraction(2, 3)]))
+    with pytest.raises(AssertionError, match=r"^Cartan entry a\[2\]\[1\] = -3/2 of A2 is not an integer$"):
+        RootSystem(LieType("A", 2))
+
+
+def test_cartan_diagonal_must_be_two():
+    rs = _tampered(LieType("A", 2), ((3, -1), (-1, 2)), (Fraction(1), Fraction(1)))
+    with pytest.raises(AssertionError, match=r"^Cartan diagonal entry a\[1\]\[1\] = 3, not 2$"):
+        rs._check_cartan()
+
+
+def test_cartan_off_diagonal_entry_out_of_range():
+    rs = _tampered(LieType("A", 2), ((2, -4), (-1, 2)), (Fraction(1), Fraction(1)))
+    with pytest.raises(AssertionError, match=r"^Cartan entry a\[1\]\[2\] = -4 is not 0, -1, -2 or -3$"):
+        rs._check_cartan()
+
+
+def test_non_symmetrizable_cartan_names_the_pair():
+    rs = _tampered(LieType("A", 2), ((2, -1), (-2, 2)), (Fraction(1), Fraction(1)))
+    with pytest.raises(
+        AssertionError,
+        match=r"^Cartan matrix not symmetrizable at \(1, 2\): d_1 a\[1\]\[2\] = -1 but d_2 a\[2\]\[1\] = -2$",
+    ):
+        rs._check_cartan()
+
+
+def test_involution_that_is_no_automorphism_names_the_entry():
+    # node reversal, the A3 involution, is no symmetry of the B3 diagram
+    b3 = build(LieType("B", 3)).cartan_data
+    rs = _tampered(LieType("A", 3), b3.cartan, b3.symmetrizers)
+    with pytest.raises(
+        AssertionError,
+        match=r"^\(3, 2, 1\) is not a diagram automorphism of A3: a\[3\]\[2\] = -2 but a\[1\]\[2\] = -1$",
+    ):
+        rs._build_involution()
+
+
+def test_second_root_of_top_height_is_rejected(monkeypatch):
+    real = RootSystem._close_positive_roots
+    monkeypatch.setattr(RootSystem, "_close_positive_roots", lambda self: real(self) + real(self)[-1:])
+    with pytest.raises(
+        AssertionError, match="^2 positive roots of A3 have the top height 3: the highest root must be unique$"
+    ):
+        RootSystem(LieType("A", 3))
+
+
+def test_root_count_must_match_rank_times_coxeter_number(monkeypatch):
+    real = RootSystem._close_positive_roots
+    # drop (1,1,0): the top height, and so the Coxeter number, stays 4
+    monkeypatch.setattr(
+        RootSystem, "_close_positive_roots",
+        lambda self: tuple(r for r in real(self) if r.coeffs != (1, 1, 0)),
+    )
+    with pytest.raises(
+        AssertionError, match="^A3 has 5 positive roots, but rank 3 times Coxeter number 4 is 12$"
+    ):
+        RootSystem(LieType("A", 3))
+
+
+def test_non_dominant_highest_root_weight_is_rejected(monkeypatch):
+    real = RootSystem.root_to_weight
+    monkeypatch.setattr(RootSystem, "root_to_weight", lambda self, alpha: -real(self, alpha))
+    with pytest.raises(
+        AssertionError, match=r"^the highest root \(1,1,1\) of A3 has the non-dominant weight \(-1,0,-1\)$"
+    ):
+        RootSystem(LieType("A", 3))
