@@ -46,7 +46,6 @@ from .minrep import (
 )
 from .qchev import (
     QProductTerm,
-    SchubertClass,
     chevalley_closed,
     chevalley_fw_oracle,
     coxeter_check,

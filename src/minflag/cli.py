@@ -248,10 +248,10 @@ def emit_payload(orb: Orbit, what: str) -> dict:
     elif what == "qtable":
         table = {}
         for el in orb.elements:
-            terms = qchev.chevalley_closed(orb, qchev.SchubertClass(el.weight))
+            terms = qchev.chevalley_closed(orb, el.weight)
             table[_weight_key(el.weight)] = [
                 {
-                    "target": _weight_json(t.target.weight),
+                    "target": _weight_json(t.target),
                     "q_power": t.q_power,
                     "coefficient": str(t.coefficient),
                 }
@@ -264,9 +264,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
         doc["alcove"] = [str(c) for c in sol.alcove.coords]
         doc["dpw_k"] = [str(k) for k in sol.dpw.k]
         doc["sigma_fixed"] = ttstar.sigma_fixed(orb.rs, sol.m)
-        form = ttstar.dubrovin_form(orb)
-        doc["connection_form"] = form.connection_form
-        doc["variable_change"] = form.variable_change
+        doc.update(ttstar.dubrovin_form(orb))
         doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
         doc["matrix"] = sol.operator
     else:

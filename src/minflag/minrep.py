@@ -355,7 +355,7 @@ def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     alpha_w = orb.rs.simple_root_weights[j - 1]
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == 1:
-            entries[(orb.index_of[el.weight - alpha_w], pos)] = 1
+            entries[(orb.neighbour(el.weight, "-", j, el.weight - alpha_w), pos)] = 1
     return PolyMatrix(orb.size, entries)
 
 
@@ -367,7 +367,7 @@ def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
     alpha_w = orb.rs.simple_root_weights[j - 1]
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == -1:
-            entries[(orb.index_of[el.weight + alpha_w], pos)] = 1
+            entries[(orb.neighbour(el.weight, "+", j, el.weight + alpha_w), pos)] = 1
     return PolyMatrix(orb.size, entries)
 
 
@@ -391,10 +391,7 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
     entries = {}
     for pos, el in enumerate(orb.elements):
         if pair(rs, el.weight, psi) == -1:
-            target = el.weight + psi_w
-            if target not in orb.index_of:
-                raise AssertionError(f"{el.weight} + psi = {target} is not in the orbit")
-            entries[(orb.index_of[target], pos)] = 1
+            entries[(orb.neighbour(el.weight, "+", "psi", el.weight + psi_w), pos)] = 1
     return PolyMatrix(orb.size, entries)
 
 
@@ -407,9 +404,9 @@ def quantum_operator(orb: Orbit) -> PolyMatrix:
     entries: dict[tuple[int, int], Poly] = {}
     simple = orb.rs.simple_root_weights
     for pos, el in enumerate(orb.elements):
-        for alpha_w, m in zip(simple, el.weight.pairings):
+        for j, (alpha_w, m) in enumerate(zip(simple, el.weight.pairings), 1):
             if m == 1:
-                key = (orb.index_of[el.weight - alpha_w], pos)
+                key = (orb.neighbour(el.weight, "-", j, el.weight - alpha_w), pos)
                 entries[key] = entries.get(key, ZERO) + ONE
     for i, j, _p in psi_raising_matrix(orb).nonzero():
         entries[(i, j)] = entries.get((i, j), ZERO) + Q
@@ -496,7 +493,9 @@ def verify_rep_relations(orb: Orbit) -> Check:
     is formed.  A generator with a second entry or a q-entry in one
     column fails the check, naming that column.  Otherwise the check
     stops at the first failing relation and names its first wrong entry
-    in row order.
+    in row order.  A generator whose target is not in the orbit raises
+    AssertionError from its builder, naming the weight, the root and
+    the target.
     """
     rs = orb.rs
     n = rs.rank

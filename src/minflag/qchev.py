@@ -39,17 +39,10 @@ from .weylorbit import Orbit, apply_word, length, poincare_dual
 
 
 @dataclass(frozen=True)
-class SchubertClass:
-    """A Schubert basis class, indexed by its orbit weight."""
-
-    weight: Weight
-
-
-@dataclass(frozen=True)
 class QProductTerm:
-    """One term of a divisor product: coefficient * q^q_power * target."""
+    """One term of a divisor product: coefficient * q^q_power * the class of target."""
 
-    target: SchubertClass
+    target: Weight
     q_power: int
     coefficient: int
 
@@ -69,27 +62,34 @@ def divisor_complement(orb: Orbit) -> tuple[RootVec, ...]:
     return out
 
 
-def chevalley_closed(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
-    """Closed-form divisor product on sigma_u, classical terms first."""
+def chevalley_closed(orb: Orbit, mu: Weight) -> list[QProductTerm]:
+    """Closed-form divisor product on the class of the weight mu, classical terms first.
+
+    Raises ValueError if mu is not in the orbit, and AssertionError
+    naming mu, the root and the target if a target is not.
+    """
     rs = orb.rs
-    mu = u.weight
     if mu not in orb.index_of:
         raise ValueError(f"{mu} is not a Schubert class of this orbit")
     terms = []
     for j in range(1, rs.rank + 1):
         if mu.pairings[j - 1] == 1:
-            terms.append(QProductTerm(SchubertClass(mu - rs.simple_root_weights[j - 1]), 0, 1))
+            target = mu - rs.simple_root_weights[j - 1]
+            orb.neighbour(mu, "-", j, target)  # raises unless target is in the orbit
+            terms.append(QProductTerm(target, 0, 1))
     if pair(rs, mu, rs.highest_root) == -1:
-        terms.append(QProductTerm(SchubertClass(mu + rs.highest_root_weight), 1, 1))
+        target = mu + rs.highest_root_weight
+        orb.neighbour(mu, "+", "psi", target)  # raises unless target is in the orbit
+        terms.append(QProductTerm(target, 1, 1))
     return terms
 
 
-def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
-    """Divisor product summed over the whole divisor complement.
+def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
+    """Divisor product on the class of mu, summed over the whole divisor complement.
 
     Each candidate root alpha is transported to beta = u(alpha), u the
-    minimal coset representative of the class, and forms the candidate
-    target u(lambda_i) - beta.  The transport comes from the weights
+    minimal coset representative with u(lambda_i) = mu, and forms the
+    candidate target mu - beta.  The transport comes from the weights
     alone (``_oracle_table``), never from the stored BFS words.  Keep a
     classical term iff the independent length jumps by +1 and a q-term
     iff it jumps by -(s-1); everything else is discarded.  Raises
@@ -98,7 +98,6 @@ def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
     the orbit.
     """
     rs = orb.rs
-    mu = u.weight
     transport, lengths = _oracle_table(orb)
     if mu not in lengths:
         orb.element(mu)  # raises ValueError naming the foreign class
@@ -118,14 +117,14 @@ def chevalley_fw_oracle(orb: Orbit, u: SchubertClass) -> list[QProductTerm]:
                 raise AssertionError("surviving classical root must be simple")
             if pair(rs, mu, beta) != 1:
                 raise AssertionError(f"surviving simple root {beta} must pair to 1 with {mu}")
-            terms.append(QProductTerm(SchubertClass(target), 0, 1))
+            terms.append(QProductTerm(target, 0, 1))
         elif jump == -(s - 1):
             if -beta != rs.highest_root:
                 raise AssertionError("surviving quantum root must be the negated highest root")
             if pair(rs, mu, rs.highest_root) != -1:
                 raise AssertionError(f"quantum term at {mu} needs highest-coroot pairing -1")
-            terms.append(QProductTerm(SchubertClass(target), 1, 1))
-    terms.sort(key=lambda t: (t.q_power, orb.index_of[t.target.weight]))
+            terms.append(QProductTerm(target, 1, 1))
+    terms.sort(key=lambda t: (t.q_power, orb.index_of[t.target]))
     return terms
 
 
@@ -218,9 +217,7 @@ def _complement_sum(rs: RootSystem, i: int) -> Weight:
 
 def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
     """Matrix of the divisor product, columns from the closed form."""
-    return _columns_matrix(
-        orb, [chevalley_closed(orb, SchubertClass(el.weight)) for el in orb.elements]
-    )
+    return _columns_matrix(orb, [chevalley_closed(orb, el.weight) for el in orb.elements])
 
 
 @dataclass
@@ -246,7 +243,7 @@ def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
     count belongs to the k-th orbit element, in canonical order.
     """
     n_cand = len(divisor_complement(orb))
-    columns = [chevalley_fw_oracle(orb, SchubertClass(el.weight)) for el in orb.elements]
+    columns = [chevalley_fw_oracle(orb, el.weight) for el in orb.elements]
     return _columns_matrix(orb, columns), [_survivor_stats(n_cand, terms) for terms in columns]
 
 
@@ -279,9 +276,9 @@ def fw_oracle_matrix(orb: Orbit) -> PolyMatrix:
     return fw_oracle_pass(orb)[0]
 
 
-def oracle_survivors(orb: Orbit, u: SchubertClass) -> OracleSurvivorStats:
-    """Candidate bookkeeping for one class: how many roots survive each way."""
-    return _survivor_stats(len(divisor_complement(orb)), chevalley_fw_oracle(orb, u))
+def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
+    """Candidate bookkeeping for the class of mu: how many roots survive each way."""
+    return _survivor_stats(len(divisor_complement(orb)), chevalley_fw_oracle(orb, mu))
 
 
 def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix:
@@ -289,7 +286,7 @@ def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix
     entries: dict[tuple[int, int], Poly] = {}
     for src, terms in enumerate(columns):
         for t in terms:
-            key = (orb.index_of[t.target.weight], src)
+            key = (orb.index_of[t.target], src)
             term = Poly.term(t.coefficient, t.q_power)
             entries[key] = entries.get(key, Poly()) + term
     return PolyMatrix(orb.size, entries)
@@ -309,14 +306,6 @@ def first_mismatch(
         if witness:
             return f"operator vs {name} {witness}"
     return None
-
-
-def pairing_matrix(orb: Orbit) -> PolyMatrix:
-    """The 0/1 Poincare pairing: G[mu][nu] = 1 iff nu is dual to mu."""
-    entries = {}
-    for pos, el in enumerate(orb.elements):
-        entries[(pos, orb.index_of[poincare_dual(orb, el.weight)])] = 1
-    return PolyMatrix(orb.size, entries)
 
 
 def frobenius_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:

@@ -38,15 +38,14 @@ class SignDiagonal:
 class SignSimilarityError(ValueError):
     """Sign-similarity failure, carrying a structured witness.
 
-    kind is "support" (entry magnitudes differ) or "cycle" (no
-    consistent sign assignment; ``cycle`` walks the offending loop).
+    kind is "support" (entry magnitudes differ; the message names the
+    entry) or "cycle" (no consistent sign assignment; ``cycle`` walks
+    the offending loop).
     """
 
-    def __init__(self, kind: str, message: str, entry: Optional[tuple[int, int]] = None,
-                 cycle: Optional[tuple[int, ...]] = None):
+    def __init__(self, kind: str, message: str, cycle: Optional[tuple[int, ...]] = None):
         super().__init__(message)
         self.kind = kind
-        self.entry = entry
         self.cycle = cycle
 
 
@@ -106,7 +105,7 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
     support_b = {(i, j) for (i, j, _p) in b.nonzero()}
     if support_a != support_b:
         entry = min(support_a.symmetric_difference(support_b))
-        raise SignSimilarityError("support", f"supports differ at entry {entry}", entry=entry)
+        raise SignSimilarityError("support", f"supports differ at entry {entry}")
     for (i, j, p) in a.nonzero():
         q = b.entry(i, j)
         if p == q:
@@ -114,9 +113,7 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
         elif p == -q:
             ratio[(i, j)] = -1
         else:
-            raise SignSimilarityError(
-                "support", f"entries at {(i, j)} do not agree up to sign: {p} vs {q}", entry=(i, j)
-            )
+            raise SignSimilarityError("support", f"entries at {(i, j)} do not agree up to sign: {p} vs {q}")
 
     d = _propagate_signs(n, ratio)
     for (i, j), eps in ratio.items():
@@ -154,7 +151,6 @@ def _propagate_signs(n: int, ratio: dict[tuple[int, int], int]) -> tuple[int, ..
                     raise SignSimilarityError(
                         "cycle",
                         f"inconsistent sign around the loop through edge ({v}, {w})",
-                        entry=(v, w),
                         cycle=_loop_witness(parent, v, w),
                     )
     return tuple(1 if s is None else s for s in signs)

@@ -160,13 +160,10 @@ def _text(values: Sequence[Fraction]) -> str:
 class DistinguishedSolution:
     """The full dictionary entry at m = -h_0 for one minuscule weight."""
 
-    rs: RootSystem
-    weight_index: int
     m: AsymptoticData
     alcove: AlcovePoint
     dpw: DpwExponents
     operator: PolyMatrix
-    coxeter_number: int
 
 
 def distinguished_solution(rs: RootSystem, i: int) -> DistinguishedSolution:
@@ -182,29 +179,19 @@ def distinguished_solution(rs: RootSystem, i: int) -> DistinguishedSolution:
             f"alpha_{j}(m) = {m.values[j - 1]} moves onto alpha_{k}(m) = {m.values[k - 1]}"
         )
     return DistinguishedSolution(
-        rs=rs,
-        weight_index=i,
         m=m,
         alcove=asymptotic_to_alcove(rs, m),
         dpw=dpw_exponents(rs, m),
         operator=quantum_operator(orbit(rs, i)),
-        coxeter_number=rs.coxeter_number,
     )
 
 
-@dataclass
-class DubrovinForm:
-    """Descriptor of the flat connection form built from the quantum operator.
+def dubrovin_form(orb: Orbit) -> dict[str, str]:
+    """The flat connection form built from A(q), as two fields of the ``ttstar`` document.
 
     lambda is a formal loop symbol in the emitted text and is never
     specialized; the variable change back to the similarity coordinate
-    is recorded alongside.  A(q) itself is ``DistinguishedSolution.operator``.
+    is recorded alongside.  The text is the same for every orbit, and
+    A(q) itself is ``DistinguishedSolution.operator``.
     """
-
-    connection_form: str = "(1/lambda) A(q) dq/q"
-    variable_change: str = "t = s z^(1/s), q = z"
-
-
-def dubrovin_form(orb: Orbit) -> DubrovinForm:
-    """Connection-form descriptor for one minuscule orbit; its text is the same for every orbit."""
-    return DubrovinForm()
+    return {"connection_form": "(1/lambda) A(q) dq/q", "variable_change": "t = s z^(1/s), q = z"}

@@ -11,16 +11,16 @@ lexicographic pairing vector), so that every matrix built downstream is
 reproducible byte for byte.  Each element records a reduced word for
 its coset representative, accumulated along the generating BFS; the
 word is one of possibly many reduced words, but the represented group
-element is unique.  The words are written out by ``emit`` and serve as
-the reference the tests check the oracle's own transport against; the
-divisor-product oracle and ``length`` read none of them.
+element is unique.  Two things read the words: the ``orbit`` emitter
+writes them out, and the tests check the oracle's own transport against
+them.  The divisor-product oracle and ``length`` read none of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 from .rootsys import RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
 
@@ -58,6 +58,18 @@ class Orbit:
     def highest_weight(self) -> Weight:
         return self.elements[0].weight
 
+    def neighbour(self, mu: Weight, sign: str, root: Union[int, str], nu: Weight) -> int:
+        """The position of nu = mu + root or mu - root, which must be in the orbit.
+
+        root is a simple-root index j or the name "psi".  Raises
+        AssertionError naming mu, the root and nu when nu is missing.
+        """
+        pos = self.index_of.get(nu)
+        if pos is None:
+            name = f"alpha_{root}" if isinstance(root, int) else root
+            raise AssertionError(f"{mu} {sign} {name} = {nu} is not in the orbit")
+        return pos
+
     def element(self, mu: Weight) -> OrbitElement:
         pos = self.index_of.get(mu)
         if pos is None:
@@ -69,20 +81,14 @@ class Orbit:
 
 
 @lru_cache(maxsize=None)
-def orbit(rs: RootSystem, i: int, j_order: Optional[tuple[int, ...]] = None) -> Orbit:
+def orbit(rs: RootSystem, i: int) -> Orbit:
     """BFS enumeration of the orbit of the i-th fundamental weight.
 
-    ``j_order`` overrides the exploration order of the simple
-    reflections; it changes which reduced word gets recorded for an
-    element but nothing else, and exists so tests can demonstrate that.
+    Each element records the first reduced word the BFS reaches it by,
+    simple reflections tried in index order.
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
-    n = rs.rank
-    order = tuple(range(1, n + 1)) if j_order is None else j_order
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("j_order must be a permutation of the simple-root indices")
-
     alpha_w = rs.simple_root_weights
     current: dict[Weight, tuple[int, ...]] = {rs.fundamental_weight(i): ()}
     seen: set[Weight] = set()
@@ -94,7 +100,7 @@ def orbit(rs: RootSystem, i: int, j_order: Optional[tuple[int, ...]] = None) -> 
         seen.update(current)
         nxt: dict[Weight, tuple[int, ...]] = {}
         for w in sorted(current):
-            for j in order:
+            for j in range(1, rs.rank + 1):
                 if w.pairings[j - 1] == 1:
                     nu = w - alpha_w[j - 1]
                     if nu in seen:
@@ -141,8 +147,7 @@ def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
         for j in range(1, rs.rank + 1):
             if el.weight.pairings[j - 1] == 1:
                 target = el.weight - rs.simple_root_weights[j - 1]
-                if target not in orb.index_of:
-                    raise AssertionError(f"{el.weight} - alpha_{j} = {target} is not in the orbit")
+                orb.neighbour(el.weight, "-", j, target)  # raises unless target is in the orbit
                 edges.append((el.weight, j, target))
     return edges
 
@@ -155,16 +160,6 @@ def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:
     if not rs.is_root(beta):
         raise AssertionError(f"word {word} takes {alpha} to {beta}, which is not a root of {rs}")
     return beta
-
-
-def apply_word_to_weight(rs: RootSystem, word: Sequence[int], mu: Weight) -> Weight:
-    """Same composite reflection as ``apply_word`` acting on a weight."""
-    w = mu
-    for j in word:
-        p = w.pairings[j - 1]
-        if p:
-            w = w - rs.simple_root_weights[j - 1].scaled(p)
-    return w
 
 
 def poincare_dual(orb: Orbit, mu: Weight) -> Weight:

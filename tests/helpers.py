@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import minflag.minrep as minrep
 from minflag.cli import SweepConfig, sweep_cases
 from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
-from minflag.rootsys import LieType, RootSystem, build
-from minflag.weylorbit import Orbit, orbit
+from minflag.rootsys import LieType, RootSystem, Weight, build
+from minflag.weylorbit import Orbit, orbit, poincare_dual
 
 SWEEP = sweep_cases(SweepConfig())
 
@@ -24,6 +25,20 @@ def orbit_of(family: str, rank: int, i: int) -> Orbit:
 def sweep_orbits():
     for lt, i in SWEEP:
         yield orbit(build(lt), i)
+
+
+def apply_word_to_weight(rs: RootSystem, word: Sequence[int], mu: Weight) -> Weight:
+    """The composite reflection of a stored word (outermost last) acting on a weight.
+
+    The test-only reference for the words ``orbit`` records: applied to
+    the top weight, an element's word must give its weight.
+    """
+    w = mu
+    for j in word:
+        p = w.pairings[j - 1]
+        if p:
+            w = w - rs.simple_root_weights[j - 1].scaled(p)
+    return w
 
 
 def random_alcove_coords(rs: RootSystem, rng: random.Random) -> tuple[Fraction, ...]:
@@ -74,6 +89,18 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         for j, pb in cols_b.get(k, ()):
             acc[(i, j)] = acc.get((i, j), ZERO) + pa * pb
     return PolyMatrix(a.n, acc)
+
+
+def pairing_matrix(orb: Orbit) -> PolyMatrix:
+    """The 0/1 Poincare pairing: G[mu][nu] = 1 iff nu is dual to mu.
+
+    The test-only matrix form of what ``qchev.frobenius_check`` checks
+    entrywise.
+    """
+    entries = {}
+    for pos, el in enumerate(orb.elements):
+        entries[(pos, orb.index_of[poincare_dual(orb, el.weight)])] = 1
+    return PolyMatrix(orb.size, entries)
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -14,7 +14,6 @@ from helpers import SWEEP, random_alcove_coords
 from minflag.cli import delete_detectable_edge, expected_orbit_size
 from minflag.minrep import ONE, Q, ZERO, char_poly, quantum_operator, verify_rep_relations
 from minflag.qchev import (
-    SchubertClass,
     divisor_complement,
     frobenius_check,
     fw_oracle_matrix,
@@ -94,7 +93,7 @@ def test_criterion_4_trichotomy_and_survivor_classification():
         if not trichotomy_check(orb):
             violations += 1
         for el in orb.elements:
-            stats = oracle_survivors(orb, SchubertClass(el.weight))
+            stats = oracle_survivors(orb, el.weight)
             if stats.candidates != orb.dim_complex:
                 violations += 1
     _report(4, "trichotomy-and-oracle-classification", violations == 0, "exhaustive, zero violations")

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflag import minrep, qchev
+from minflag import minrep, qchev, satake
 from minflag.cli import (
     SweepConfig,
     cmd_emit,
@@ -82,9 +82,9 @@ def test_verify_runs_the_oracle_once_per_class(monkeypatch):
     calls = []
     real = qchev.chevalley_fw_oracle
 
-    def counting(orb, u):
-        calls.append((orb.rs.lie_type, orb.weight_index, u.weight))
-        return real(orb, u)
+    def counting(orb, mu):
+        calls.append((orb.rs.lie_type, orb.weight_index, mu))
+        return real(orb, mu)
 
     monkeypatch.setattr(qchev, "chevalley_fw_oracle", counting)
     assert cmd_verify(SMALL, out=io.StringIO()) == 0
@@ -120,7 +120,7 @@ def test_verify_generator_that_is_no_index_map_fails_its_row(monkeypatch, builde
 
 
 def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):
-    def broken(orb, u):
+    def broken(orb, mu):
         raise AssertionError("surviving classical root must be simple")
 
     monkeypatch.setattr(qchev, "chevalley_fw_oracle", broken)
@@ -138,10 +138,10 @@ def test_verify_oracle_on_a_truncated_orbit_names_the_foreign_target(monkeypatch
     real = qchev.chevalley_fw_oracle
     truncated = {}
 
-    def on_truncated(orb, u):
+    def on_truncated(orb, mu):
         if orb not in truncated:
             truncated[orb] = Orbit(orb.rs, orb.weight_index, orb.elements[:1] + orb.elements[2:])
-        return real(truncated[orb], u)
+        return real(truncated[orb], mu)
 
     monkeypatch.setattr(qchev, "chevalley_fw_oracle", on_truncated)
     buf = io.StringIO()
@@ -183,6 +183,13 @@ def test_checks_survive_python_optimize_flag():
         "    psi_raising_matrix(Orbit(orb.rs, 2, orb.elements[1:]))\n"
         "except AssertionError:\n"
         "    print('psi check raised')\n"
+        "from minflag.minrep import quantum_operator\n"
+        "from minflag.qchev import quantum_product_matrix\n"
+        "for build in (quantum_operator, quantum_product_matrix):\n"
+        "    try:\n"
+        "        build(Orbit(orb.rs, 2, orb.elements[:-1]))\n"
+        "    except AssertionError:\n"
+        "        print('missing target raised')\n"
         "import minflag.ttstar as t\n"
         "t.in_asymptotic_set = lambda rs, m: True\n"
         "try:\n"
@@ -206,8 +213,8 @@ def test_checks_survive_python_optimize_flag():
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "length check raised", "psi check raised", "dpw check raised", "half-wedge check raised",
-        "cartan check raised",
+        "length check raised", "psi check raised", "missing target raised", "missing target raised",
+        "dpw check raised", "half-wedge check raised", "cartan check raised",
     ]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
@@ -292,7 +299,8 @@ def test_emit_byte_determinism():
         assert _emit("D", 4, 1, what, fmt) == _emit("D", 4, 1, what, fmt)
 
 
-# sha256 of the emitted A(q) documents, the same hashes the benchmark's reference holds
+# sha256 of the emitted A(q) and multiplication-table documents, the same
+# hashes the benchmark's reference holds
 EMIT_SHA256 = {
     ("A", 1, 1, "amatrix"): "f237e4f5bfbaaf6d8889b07336288b5984f1ebed53ea6043877bf6f59a42a8a3",
     ("A", 1, 1, "ttstar"): "22e1864694de3a777abba43c1efa763787fb5cd59fb590d2e2a51d31a62a58e9",
@@ -306,6 +314,12 @@ EMIT_SHA256 = {
     ("D", 8, 8, "ttstar"): "99e49e34b839a080ec246ced542219d6337487cedc8c2e0a8c60bc51ae400445",
     ("B", 8, 8, "amatrix"): "b6b3a0e7ee4b4a732ab007a5450b66a273df1c07a5cc64948f992efab5d04050",
     ("B", 8, 8, "ttstar"): "6b7cf5d5d41b48987b37061606503f136dec7b8c182d5ad95b74d67cfa34b08d",
+    ("A", 1, 1, "qtable"): "0e5bfdd458dba598778a16cb55f727c1dd798c5f55bacf75ffdef1a96ab93c3e",
+    ("D", 4, 1, "qtable"): "ab176cebdb68f0860ef8b23d31d47544ef016f34eb108700410c0b4a5ef07556",
+    ("E", 6, 1, "qtable"): "b09596dd9b8e8be2729c73687c5793e170c9d769f2c4bbbaaf8bcd166b4f1fa2",
+    ("E", 7, 1, "qtable"): "2a6e39cea8f14c03d14cbd5f9c3055ce273569cefea51060858ac78b27daa712",
+    ("D", 8, 8, "qtable"): "79b0581eb943b31feb36af1a56819c8726cd5c5ad9caf4a9e664c821017e9714",
+    ("B", 8, 8, "qtable"): "ddc2683727dcf3b88791ee7404ad81f77d7e7636042766c9f0a32ead59ac7088",
 }
 
 
@@ -387,6 +401,29 @@ def test_satake_command_json_reports():
     assert doc["pass"] is True
 
 
+def test_satake_command_failure_reports_the_cycle(monkeypatch):
+    message = "inconsistent sign around the loop through edge (2, 1)"
+
+    def broken(n, k):
+        raise satake.SignSimilarityError("cycle", message, cycle=(1, 0, 2, 1))
+
+    monkeypatch.setattr(satake, "satake_similarity", broken)
+    buf = io.StringIO()
+    assert cmd_satake(3, 2, out=buf) == 1
+    assert buf.getvalue() == f"FAIL: {message}\n"
+
+    buf = io.StringIO()
+    assert cmd_satake(3, 2, fmt="json", out=buf) == 1
+    assert json.loads(buf.getvalue()) == {
+        "kind": "wedge-similarity",
+        "n": 3, "k": 2,
+        "pass": False,
+        "failure": message,
+        "witness_kind": "cycle",
+        "witness_cycle": [1, 0, 2, 1],
+    }
+
+
 def test_satake_command_argument_errors():
     assert main(["satake", "--n", "3", "--k", "5"]) == 2
     assert main(["satake", "--family", "D", "--rank", "2"]) == 2
@@ -405,6 +442,16 @@ def test_default_verify_output_is_pinned():
     buf = io.StringIO()
     assert cmd_verify(SweepConfig(), out=buf) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DEFAULT_VERIFY_SHA256
+
+
+# sha256 of the `verify --self-test-corrupt` stdout on the default sweep
+CORRUPT_VERIFY_SHA256 = "7e9d39a1813804bd723f587816e2fa30438ce13c2e8945af76e52e443256e0b1"
+
+
+def test_corrupt_verify_output_is_pinned():
+    buf = io.StringIO()
+    assert cmd_verify(SweepConfig(), corrupt=True, out=buf) == 1
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CORRUPT_VERIFY_SHA256
 
 
 # sha256 of the `verify` stdout on the 69-case sweep

@@ -170,6 +170,24 @@ def test_psi_raising_rejects_an_orbit_without_its_top():
         psi_raising_matrix(topless)
 
 
+# A2/w1 is (1,0) -> (-1,1) -> (0,-1); dropping an end element strands the edge into it
+_WITHOUT_BOTTOM = (slice(None, -1), r"\(-1,1\) - alpha_2 = \(0,-1\) is not in the orbit")
+_WITHOUT_TOP = (slice(1, None), r"\(-1,1\) \+ alpha_1 = \(1,0\) is not in the orbit")
+
+
+@pytest.mark.parametrize("build,truncation", [
+    (lambda orb: lowering_matrix(orb, 2), _WITHOUT_BOTTOM),
+    (lambda orb: raising_matrix(orb, 1), _WITHOUT_TOP),
+    (quantum_operator, _WITHOUT_BOTTOM),
+    (verify_rep_relations, _WITHOUT_BOTTOM),
+], ids=["lowering", "raising", "quantum-operator", "rep-relations"])
+def test_truncated_orbit_names_the_missing_target(build, truncation):
+    orb = orbit_of("A", 2, 1)
+    kept, witness = truncation
+    with pytest.raises(AssertionError, match=witness):
+        build(Orbit(orb.rs, orb.weight_index, orb.elements[kept]))
+
+
 def test_psi_raising_d4_has_two_edges():
     # brute force over the 8 vector-representation weights: the highest
     # coroot pairs to -1 at lengths 5 and 6, so the quadric gets two

@@ -10,7 +10,6 @@ from minflag.minrep import quantum_operator
 from minflag.qchev import quantum_product_matrix
 from minflag.rootsys import build
 from minflag.ttstar import (
-    DubrovinForm,
     alcove_point,
     alcove_to_asymptotic,
     asymptotic_data,
@@ -173,13 +172,13 @@ def test_distinguished_solution_a1():
     assert sol.m.values == (Fraction(-1),)
     assert sol.dpw.k == (Fraction(0), Fraction(-1))
     assert sol.operator.entry(1, 0) == 1
-    assert sol.coxeter_number == 2
+    assert sol.alcove.coords == (Fraction(0),)
 
 
 def test_distinguished_solution_e7():
     sol = distinguished_solution(rs_of("E", 7), 1)
     assert sol.operator.n == 56
-    assert sol.coxeter_number == 18
+    assert sol.dpw.k == (Fraction(0),) + (Fraction(-1),) * 7
 
 
 def test_distinguished_solution_shared_across_e6_weights():
@@ -199,15 +198,18 @@ def test_distinguished_solution_rejects_non_minuscule():
 
 def test_distinguished_solution_operator_is_the_divisor_product():
     sol = distinguished_solution(rs_of("D", 4), 1)
-    assert sol.coxeter_number == 6
     assert sol.operator == quantum_operator(orbit_of("D", 4, 1)) == quantum_product_matrix(orbit_of("D", 4, 1))
 
 
 def test_dubrovin_form_descriptor():
     form = dubrovin_form(orbit_of("A", 1, 1))
-    assert form == DubrovinForm("(1/lambda) A(q) dq/q", "t = s z^(1/s), q = z")
-    assert set(vars(form)) == {"connection_form", "variable_change"}
+    assert form == {"connection_form": "(1/lambda) A(q) dq/q", "variable_change": "t = s z^(1/s), q = z"}
     assert dubrovin_form(orbit_of("D", 4, 1)) == form
+
+
+def test_distinguished_solution_holds_only_the_dictionary_entry():
+    sol = distinguished_solution(rs_of("A", 2), 1)
+    assert list(vars(sol)) == ["m", "alcove", "dpw", "operator"]
 
 
 # -- the internal checks raise with their witness (they must survive python -O) --
