@@ -94,8 +94,8 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     classical term iff the independent length jumps by +1 and a q-term
     iff it jumps by -(s-1); everything else is discarded.  Raises
     AssertionError if a surviving term violates the simple-root /
-    highest-root classification, and ValueError if a target is not in
-    the orbit.
+    highest-root classification, and ValueError naming mu, beta and the
+    target if a target is not in the orbit.
     """
     rs = orb.rs
     transport, lengths = _oracle_table(orb)
@@ -108,7 +108,7 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
         target = mu - beta_weight
         target_len = lengths.get(target)
         if target_len is None:
-            raise ValueError(f"{target} is not in the orbit")
+            raise ValueError(f"{mu} - {beta} = {target} is not in the orbit")
         jump = target_len - base_len
         if jump != beta.height:
             raise AssertionError("length jump must equal the transported height")

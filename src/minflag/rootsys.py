@@ -17,14 +17,16 @@ Coordinate conventions, fixed package-wide:
 * Simple-root and fundamental-weight indices are 1-based in the public
   API, matching the usual Dynkin-diagram labels.
 
-All arithmetic is exact, and the hot paths use integers only.
-Fraction enters only while a root system is built, where a symmetrizer
-ratio appears.  At that point every root stores its coroot in the
-simple-coroot basis, c_j d_j / d_alpha, checked to be integral, so a
-coroot pairing is an integer dot product.  The Cartan matrix also
-stores its integer adjugate and determinant: the root coordinates of a
-weight w are (adj . w) / det, one exact integer division per
-coordinate.
+All arithmetic is exact, and construction and the hot paths use
+integers only; Fraction appears only in the symmetrizers d_j, where
+the Cartan entries are read off the diagram, and in ``half_norm``.
+Every root stores its coroot in the simple-coroot basis.  The coroots
+follow the roots through the reflection closure, so they are integral
+by construction, and each is checked to pair to 2 with its root.  A
+coroot pairing is then an integer dot product.  One fraction-free
+elimination gives the integer determinant and adjugate of the Cartan
+matrix: the root coordinates of a weight w are (adj . w) / det, one
+exact integer division per coordinate.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -154,8 +155,10 @@ class RootSystem:
     """Root system of a simple Lie type, fully precomputed and immutable.
 
     Attributes follow the coordinate conventions of the module
-    docstring; ``cartan_det`` and ``cartan_adjugate`` are the integer
-    determinant and adjugate of the Cartan matrix.  Two instances
+    docstring.  The coroots are carried along the reflection closure
+    that generates the positive roots; ``cartan_det`` and
+    ``cartan_adjugate`` are the integer determinant and adjugate of the
+    Cartan matrix, both from one fraction-free elimination.  Two instances
     compare equal iff they have the same LieType; everything else is
     determined by it.
     """
@@ -189,14 +192,12 @@ class RootSystem:
         self._check_cartan()
 
         self.positive_roots = self._close_positive_roots()
-        self._half_norm = {}
-        self._coroot = {}
         for r in self.positive_roots:
-            dn = self._half_norm_of(r)
-            co = self._coroot_of(r, dn)
-            self._half_norm[r.coeffs] = dn
-            self._half_norm[(-r).coeffs] = dn
-            self._coroot[r.coeffs] = co
+            co = self._coroot[r.coeffs]
+            p = sum(c * sum(map(mul, row, r.coeffs)) for c, row in zip(co, cartan))
+            if p != 2:
+                raise AssertionError(f"the root {r} of {lie_type} pairs to {p}, not 2, "
+                                     f"with its coroot ({','.join(map(str, co))})")
             self._coroot[(-r).coeffs] = tuple(-c for c in co)
 
         heights = [r.height for r in self.positive_roots]
@@ -242,42 +243,31 @@ class RootSystem:
                     )
 
     def _close_positive_roots(self) -> tuple[RootVec, ...]:
-        """Generate the positive roots by reflection closure from the simple ones."""
+        """Generate the positive roots by reflection closure from the simple ones.
+
+        Each coroot follows its root, so ``self._coroot`` is filled on the
+        way: when s_j takes beta to gamma it takes beta^vee to gamma^vee =
+        beta^vee - (alpha_j, beta^vee) alpha_j^vee, the pairing read from
+        column j of the Cartan matrix.  Every coroot is integral by
+        construction.
+        """
         n = self.lie_type.rank
+        columns = tuple(zip(*self.cartan_data.cartan))
         simple = [RootVec(tuple(1 if j == k else 0 for j in range(n))) for k in range(n)]
-        found = set(r.coeffs for r in simple)
+        self._coroot = {r.coeffs: r.coeffs for r in simple}
         queue = list(simple)
         while queue:
             beta = queue.pop()
             for j in range(1, n + 1):
                 gamma = self.simple_reflect_root(beta, j)
-                if gamma.is_positive and gamma.coeffs not in found:
-                    found.add(gamma.coeffs)
+                if gamma.is_positive and gamma.coeffs not in self._coroot:
+                    co = list(self._coroot[beta.coeffs])
+                    co[j - 1] -= sum(map(mul, columns[j - 1], co))
+                    self._coroot[gamma.coeffs] = tuple(co)
                     queue.append(gamma)
-        roots = [RootVec(c) for c in found]
+        roots = [RootVec(c) for c in self._coroot]
         roots.sort(key=lambda r: (r.height, r.coeffs))
         return tuple(roots)
-
-    def _half_norm_of(self, alpha: RootVec) -> Fraction:
-        """d_alpha = (alpha, alpha)/2 = 1/2 sum_k c_k d_k (C c)_k.
-
-        From (alpha_j, alpha_k) = d_k a[k][j]; (C c)_k is the k-th
-        pairing of alpha, so this takes rank multiplications.
-        """
-        d = self.cartan_data.symmetrizers
-        cc = self.root_to_weight(alpha).pairings
-        return sum((c * d_k * p for c, d_k, p in zip(alpha.coeffs, d, cc) if c), Fraction(0)) / 2
-
-    def _coroot_of(self, alpha: RootVec, d_alpha: Fraction) -> tuple[int, ...]:
-        """alpha^vee = sum_j c_j (d_j / d_alpha) alpha_j^vee, integral by theory."""
-        d = self.cartan_data.symmetrizers
-        out = []
-        for c, d_j in zip(alpha.coeffs, d):
-            x = c * d_j / d_alpha
-            if x.denominator != 1:
-                raise AssertionError(f"coroot of {alpha} in {self} has a non-integer coefficient {x}")
-            out.append(int(x))
-        return tuple(out)
 
     def _find_minuscule(self) -> tuple[int, ...]:
         # (lambda_i, alpha^vee) is the i-th coroot coefficient of alpha
@@ -327,9 +317,11 @@ class RootSystem:
         return alpha.coeffs in self._coroot
 
     def half_norm(self, alpha: RootVec) -> Fraction:
+        """d_alpha = (alpha, alpha)/2 = c_j d_j / (alpha^vee)_j at any nonzero c_j."""
         if not self.is_root(alpha):
             raise ValueError(f"{alpha} is not a root of {self}")
-        return self._half_norm[alpha.coeffs]
+        j = next(j for j, c in enumerate(alpha.coeffs) if c)
+        return alpha.coeffs[j] * self.cartan_data.symmetrizers[j] / self._coroot[alpha.coeffs][j]
 
     def root_to_weight(self, alpha: RootVec) -> Weight:
         """The pairing coordinates of a root: cartan . coeffs."""
@@ -358,47 +350,39 @@ class RootSystem:
         return str(self.lie_type)
 
 
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: this division is always exact
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def _adjugate(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(det C, adj C) with C . adj C = det C . I, all in integers.
 
-    adj[k][j] is the (j, k) cofactor, so root coordinates of a weight w
-    are (adj . w) / det, each an exact quotient when w is in the root
+    One fraction-free (Bareiss) Gauss-Jordan pass takes [C | I] to
+    [det . I | adj].  After pivot k every diagonal entry so far is the
+    leading (k+1)x(k+1) principal minor, and each division by the
+    previous minor is exact.  No row swaps are needed: every leading
+    principal minor of a finite-type Cartan matrix is positive, so a
+    pivot <= 0 is a fault.  The root coordinates of a weight w are
+    (adj . w) / det, each an exact quotient when w is in the root
     lattice.
     """
     n = len(cartan)
-
-    def minor(row: int, col: int) -> list[list[int]]:
-        return [[cartan[r][c] for c in range(n) if c != col] for r in range(n) if r != row]
-
-    det = _det(cartan)
-    adj = tuple(
-        tuple((-1) ** (j + k) * _det(minor(j, k)) for j in range(n)) for k in range(n)
-    )
-    if det <= 0:
-        raise AssertionError(f"Cartan determinant {det} is not positive")
-    return det, adj
+    a = [list(row) + [1 if j == k else 0 for j in range(n)] for k, row in enumerate(cartan)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise AssertionError(f"the leading {k + 1}x{k + 1} principal minor of the Cartan matrix "
+                                 f"{cartan} is {pivot}, not positive")
+        for row in a:
+            if row is pivot_row:
+                continue
+            f = row[k]
+            for j in range(2 * n):
+                num = pivot * row[j] - f * pivot_row[j]
+                row[j], rem = divmod(num, prev)
+                if rem:
+                    raise AssertionError(f"step {k + 1} of the elimination on the Cartan matrix {cartan} "
+                                         f"divides {num} by {prev} inexactly")
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +395,7 @@ def pair(rs: RootSystem, mu: Weight, alpha: RootVec) -> int:
     """The coroot pairing (mu, alpha^vee), always an exact integer.
 
     The integer dot product of alpha's precomputed coroot coefficients
-    c_j d_j / d_alpha with the pairing vector of mu.
+    with the pairing vector of mu.
     """
     coroot = rs._coroot.get(alpha.coeffs)
     if coroot is None:

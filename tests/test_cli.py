@@ -133,8 +133,9 @@ def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):
 
 def test_verify_oracle_on_a_truncated_orbit_names_the_foreign_target(monkeypatch):
     # the oracle alone sees each orbit without its length-1 class, so the
-    # top class's surviving target is foreign; the stored dimension is
-    # kept except on A1, whose truncation leaves only the top class
+    # top class lambda_i's surviving target lambda_i - alpha_i is foreign;
+    # the stored dimension is kept except on A1, whose truncation leaves
+    # only the top class
     real = qchev.chevalley_fw_oracle
     truncated = {}
 
@@ -153,7 +154,8 @@ def test_verify_oracle_on_a_truncated_orbit_names_the_foreign_target(monkeypatch
         if orb.size == 2:
             want = "oracle route failed: AssertionError: 1 complement roots for orbit dimension 0"
         else:
-            want = f"oracle route failed: ValueError: {orb.elements[1].weight} is not in the orbit"
+            top, alpha = orb.elements[0].weight, orb.rs.simple_root(i)
+            want = f"oracle route failed: ValueError: {top} - {alpha} = {orb.elements[1].weight} is not in the orbit"
         failed = [row for row in rows if row[0] == f"{lt}/w{i}" and row[2] == "FAIL"]
         assert [(row[1], row[3]) for row in failed] == [("main-theorem", want), ("oracle-survivors", want)]
 
@@ -209,12 +211,16 @@ def test_checks_survive_python_optimize_flag():
         "    r.RootSystem(LieType('A', 2))\n"
         "except AssertionError:\n"
         "    print('cartan check raised')\n"
+        "try:\n"
+        "    r._adjugate(((2, -2), (-2, 2)))\n"
+        "except AssertionError:\n"
+        "    print('pivot check raised')\n"
     )
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "length check raised", "psi check raised", "missing target raised", "missing target raised",
-        "dpw check raised", "half-wedge check raised", "cartan check raised",
+        "dpw check raised", "half-wedge check raised", "cartan check raised", "pivot check raised",
     ]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)

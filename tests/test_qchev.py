@@ -476,6 +476,14 @@ def test_oracle_rejects_foreign_class():
         chevalley_fw_oracle(orb, Weight((5, 5)))
 
 
+def test_oracle_on_a_truncated_orbit_names_the_class_root_and_foreign_target():
+    # without (-1,1), the top class's candidate alpha_1 leads out of the orbit
+    orb = orbit_of("A", 2, 1)
+    middleless = Orbit(orb.rs, orb.weight_index, orb.elements[:1] + orb.elements[2:])
+    with pytest.raises(ValueError, match=r"^\(1,0\) - \(1,0\) = \(-1,1\) is not in the orbit$"):
+        chevalley_fw_oracle(middleless, Weight((1, 0)))
+
+
 def test_oracle_on_a_flipped_orbit_names_the_stranded_dominant_weight():
     # with the lowest weight on top the complement is empty, so the count
     # check passes; raising any other weight ends at the true top weight

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -152,7 +154,17 @@ def test_integer_pair_matches_fraction_formula(fam, rank):
             assert got == _fraction_pair(rs, mu, alpha), (alpha, mu)
 
 
-@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+# every type the benchmark builds, up to B10 and D11
+REFERENCE_TYPES = (
+    [("A", n) for n in range(1, 11)]
+    + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(2, 11)]
+    + [("D", n) for n in range(3, 12)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", REFERENCE_TYPES)
 def test_cartan_adjugate_inverts_cartan(fam, rank):
     rs = build(LieType(fam, rank))
     C, adj, det = rs.cartan_data.cartan, rs.cartan_adjugate, rs.cartan_det
@@ -250,18 +262,34 @@ HALF_NORM_TYPES = (
 )
 
 
+def _double_sum_half_norm(rs, alpha):
+    """(alpha, alpha)/2 = 1/2 sum_{j,k} c_j c_k d_k a[k][j], independent of the stored coroots."""
+    C, d, c = rs.cartan_data.cartan, rs.cartan_data.symmetrizers, alpha.coeffs
+    n = rs.rank
+    return sum((c[j] * c[k] * d[k] * C[k][j] for j in range(n) for k in range(n)), Fraction(0)) / 2
+
+
 @pytest.mark.parametrize("fam,rank", HALF_NORM_TYPES)
 def test_half_norm_matches_the_double_sum(fam, rank):
-    # reference: (alpha, alpha)/2 = 1/2 sum_{j,k} c_j c_k d_k a[k][j]
     rs = build(LieType(fam, rank))
-    C, d = rs.cartan_data.cartan, rs.cartan_data.symmetrizers
+    d = rs.cartan_data.symmetrizers
     for alpha in list(rs.positive_roots) + [-r for r in rs.positive_roots]:
-        c = alpha.coeffs
-        want = sum(
-            (c[j] * c[k] * d[k] * C[k][j] for j in range(rank) for k in range(rank)), Fraction(0)
-        ) / 2
+        want = _double_sum_half_norm(rs, alpha)
         assert rs.half_norm(alpha) == want, alpha
         assert want in (d[j] for j in range(rank)), alpha
+
+
+@pytest.mark.parametrize("fam,rank", REFERENCE_TYPES)
+def test_coroots_match_the_rational_formula(fam, rank):
+    # alpha^vee = sum_j c_j (d_j / d_alpha) alpha_j^vee, with d_alpha from
+    # the double sum; (lambda_j, alpha^vee) reads coordinate j of alpha^vee
+    rs = build(LieType(fam, rank))
+    d = rs.cartan_data.symmetrizers
+    weights = [rs.fundamental_weight(j) for j in range(1, rank + 1)]
+    for alpha in list(rs.positive_roots) + [-r for r in rs.positive_roots]:
+        d_alpha = _double_sum_half_norm(rs, alpha)
+        want = [c * d_j / d_alpha for c, d_j in zip(alpha.coeffs, d)]
+        assert [pair(rs, lam, alpha) for lam in weights] == want, alpha
 
 
 # -- construction checks raise with their witness -------------------------------
@@ -312,6 +340,43 @@ def test_involution_that_is_no_automorphism_names_the_entry():
         match=r"^\(3, 2, 1\) is not a diagram automorphism of A3: a\[3\]\[2\] = -2 but a\[1\]\[2\] = -1$",
     ):
         rs._build_involution()
+
+
+def test_coroot_that_does_not_pair_to_two_names_the_root(monkeypatch):
+    real = RootSystem._close_positive_roots
+
+    def corrupted(self):
+        roots = real(self)
+        self._coroot[(1, 1, 0)] = (1, 2, 0)
+        return roots
+
+    monkeypatch.setattr(RootSystem, "_close_positive_roots", corrupted)
+    with pytest.raises(
+        AssertionError, match=r"^the root \(1,1,0\) of A3 pairs to 3, not 2, with its coroot \(1,2,0\)$"
+    ):
+        RootSystem(LieType("A", 3))
+
+
+@pytest.mark.parametrize("cartan,k,minor", [(((0, -1), (-1, 2)), 1, 0), (((2, -2), (-2, 2)), 2, 0),
+                                            (((2, -3), (-3, 2)), 2, -5)])
+def test_non_positive_leading_minor_names_the_minor(cartan, k, minor):
+    with pytest.raises(
+        AssertionError,
+        match=rf"^the leading {k}x{k} principal minor of the Cartan matrix "
+              rf"{re.escape(str(cartan))} is {minor}, not positive$",
+    ):
+        rootsys._adjugate(cartan)
+
+
+def test_inexact_elimination_step_names_the_division():
+    # integer matrices always divide exactly; a non-integral entry need not
+    cartan = ((2, Fraction(1, 2)), (0, 2))
+    with pytest.raises(
+        AssertionError,
+        match=rf"^step 2 of the elimination on the Cartan matrix {re.escape(str(cartan))} "
+              r"divides -1 by 2 inexactly$",
+    ):
+        rootsys._adjugate(cartan)
 
 
 def test_second_root_of_top_height_is_rejected(monkeypatch):
