@@ -8,12 +8,14 @@ Subcommands:
   configuration error.
 * ``emit``    writes one artifact (orbit, crystal graph, quantum
   operator, multiplication table, or Toda dictionary bundle) as JSON,
-  or the crystal graph as DOT.  Output is byte-deterministic: every
-  document is ``json.dumps(..., indent=2)`` text, and the dense A(q)
-  array of ``amatrix`` and ``ttstar`` is written from its nonzero
-  entries into that same text (``json_text``).
+  or the crystal graph as DOT.
 * ``satake``  runs the type-A wedge similarity for (n, k), printing the
   discovered sign vector, or the D-family half-wedge dimension check.
+
+Every JSON document the CLI prints comes from one writer, ``json_text``:
+byte for byte the text ``json.dumps(..., indent=2)`` makes of the
+document, with the dense A(q) array of ``amatrix`` and ``ttstar``
+written straight from the matrix's nonzero entries.
 
 JSON schema notes: polynomials are arrays of [exponent, coefficient]
 pairs with the coefficient as a decimal string (arbitrary precision
@@ -25,9 +27,9 @@ carries family, rank, weight_index, s and orbit_size.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Optional, Sequence, TextIO
 
@@ -49,12 +51,14 @@ class SweepConfig:
     include_exceptional: bool = True
 
     def validate(self) -> None:
-        for fam, lo in _MIN_SWEEP_RANK.items():
-            if self.max_rank.get(fam, lo) < lo:
-                raise ConfigError(f"max rank for {fam} must be at least {lo}")
         for fam in self.max_rank:
             if fam not in _MIN_SWEEP_RANK:
                 raise ConfigError(f"unknown sweep family {fam!r}")
+        for fam, lo in _MIN_SWEEP_RANK.items():
+            if fam not in self.max_rank:
+                raise ConfigError(f"max rank for {fam} is missing")
+            if self.max_rank[fam] < lo:
+                raise ConfigError(f"max rank for {fam} must be at least {lo}")
 
 
 class ConfigError(ValueError):
@@ -159,24 +163,55 @@ def cmd_verify(config: SweepConfig, corrupt: bool = False, out: TextIO = sys.std
 # -- emission -------------------------------------------------------------------
 
 
-_MATRIX_SLOT = "\0matrix"
-
-
 def json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)``, with a PolyMatrix under "matrix" as its dense array.
+    """The ``json.dumps(doc, indent=2)`` text of a plain document.
 
-    The matrix is written from its nonzero entries: every zero entry is
-    the constant text ``[]``, and each nonzero Poly is rendered once as
-    its [exponent, coefficient-string] pairs, nested and indented as
-    ``json.dumps`` would nest the n x n list of those pair lists.  The
-    rest of the document goes through ``json.dumps`` unchanged.
+    Values are dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
+    and ``None``; a PolyMatrix at any depth is written as its dense n x n
+    array of [exponent, coefficient-string] pair lists, zero entries as
+    ``[]`` (``_matrix_text``).  Anything else, a non-``str`` key included,
+    raises ``TypeError``.
     """
-    matrix = doc.get("matrix")
-    if not isinstance(matrix, PolyMatrix):
-        return json.dumps(doc, indent=2)
-    # the slot holds a NUL, which no other string of an emitted document has
-    head, tail = json.dumps({**doc, "matrix": _MATRIX_SLOT}, indent=2).split(json.dumps(_MATRIX_SLOT))
-    return head + _matrix_text(matrix, "  ") + tail
+    return _value_text(doc, "")
+
+
+_JUST_INT = {int}
+
+
+def _value_text(v: object, pad: str) -> str:
+    """The indent=2 JSON text of v, for a value whose line is indented by pad."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    inner = pad + "  "
+    if t is dict:
+        if not v:
+            return "{}"
+        items = []
+        for key, x in v.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner)}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if t is list:
+        if not v:
+            return "[]"
+        if {*map(type, v)} == _JUST_INT:
+            body = f",\n{inner}".join(map(int.__repr__, v))
+            return f"[\n{inner}{body}\n{pad}]"
+        body = ",\n".join(inner + _value_text(x, inner) for x in v)
+        return f"[\n{body}\n{pad}]"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if t is PolyMatrix:
+        return _matrix_text(v, pad)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _matrix_text(m: PolyMatrix, pad: str) -> str:
@@ -327,7 +362,7 @@ def cmd_satake(
             raise ConfigError("family D needs a rank of at least 3")
         rep = satake.half_wedge_dims(rank)
         if fmt == "json":
-            out.write(json.dumps({
+            out.write(json_text({
                 "kind": "half-wedge-dims",
                 "rank": rep.n,
                 "wedge_total": rep.wedge_total,
@@ -335,7 +370,7 @@ def cmd_satake(
                 "quadric_orbit_size": rep.quadric_orbit_size,
                 "spinor_orbit_size": rep.spinor_orbit_size,
                 "pass": rep.ok,
-            }, indent=2) + "\n")
+            }) + "\n")
         else:
             print(
                 f"half-wedge D{rep.n}: wedge_total={rep.wedge_total} "
@@ -353,25 +388,25 @@ def cmd_satake(
         diag = satake.satake_similarity(n, k)
     except satake.SignSimilarityError as exc:
         if fmt == "json":
-            out.write(json.dumps({
+            out.write(json_text({
                 "kind": "wedge-similarity",
                 "n": n, "k": k,
                 "pass": False,
                 "failure": str(exc),
                 "witness_kind": exc.kind,
                 "witness_cycle": list(exc.cycle) if exc.cycle else None,
-            }, indent=2) + "\n")
+            }) + "\n")
         else:
             print(f"FAIL: {exc}", file=out)
         return 1
     if fmt == "json":
-        out.write(json.dumps({
+        out.write(json_text({
             "kind": "wedge-similarity",
             "n": n, "k": k,
             "dimension": len(diag.signs),
             "signs": list(diag.signs),
             "pass": True,
-        }, indent=2) + "\n")
+        }) + "\n")
     else:
         print(f"wedge similarity A{n}, k={k}: dimension {len(diag.signs)}", file=out)
         print("sign vector: " + " ".join("+1" if s > 0 else "-1" for s in diag.signs), file=out)

@@ -407,9 +407,9 @@ def quantum_operator(orb: Orbit) -> PolyMatrix:
         for j, (alpha_w, m) in enumerate(zip(simple, el.weight.pairings), 1):
             if m == 1:
                 key = (orb.neighbour(el.weight, "-", j, el.weight - alpha_w), pos)
-                entries[key] = entries.get(key, ZERO) + ONE
+                entries[key] = entries[key] + ONE if key in entries else ONE
     for i, j, _p in psi_raising_matrix(orb).nonzero():
-        entries[(i, j)] = entries.get((i, j), ZERO) + Q
+        entries[(i, j)] = entries[(i, j)] + Q if (i, j) in entries else Q
     return PolyMatrix(orb.size, entries)
 
 

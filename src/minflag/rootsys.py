@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -95,10 +95,10 @@ class Weight:
     pairings: tuple[int, ...]
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
+        return Weight(tuple(map(add, self.pairings, other.pairings)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.pairings, other.pairings)))
+        return Weight(tuple(map(sub, self.pairings, other.pairings)))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.pairings))

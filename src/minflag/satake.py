@@ -14,6 +14,7 @@ together with the orbit sizes feeding both sides.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -59,34 +60,35 @@ def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
 
     Basis vectors are ascending index tuples in lexicographic order;
     replacing one index and re-sorting contributes the usual
-    transposition sign.
+    transposition sign.  Each entry sums its terms as integer
+    coefficients per exponent, and terms that cancel leave no entry.
     """
     n = m.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge degree k={k} must satisfy 1 <= k <= {n - 1}")
     subsets = wedge_subsets(n, k)
     index = {s: p for p, s in enumerate(subsets)}
-    entries: dict[tuple[int, int], Poly] = {}
-    cols: dict[int, list[tuple[int, Poly]]] = {}
+    acc: dict[tuple[int, int], dict[int, int]] = {}
+    cols: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
     for (r, c, p) in m.nonzero():
-        cols.setdefault(c, []).append((r, p))
+        cols.setdefault(c, []).append((r, p.items()))
     for src_pos, s in enumerate(subsets):
-        members = set(s)
         for t_idx, i in enumerate(s):
-            for r, p in cols.get(i, ()):
+            rest = s[:t_idx] + s[t_idx + 1:]
+            for r, terms in cols.get(i, ()):
                 if r == i:
-                    tgt, sign = s, 1
+                    key, sign = (src_pos, src_pos), 1
                 else:
-                    if r in members:
+                    at = bisect_left(rest, r)
+                    if at < k - 1 and rest[at] == r:
                         continue
-                    rest = s[:t_idx] + s[t_idx + 1:]
-                    tgt = tuple(sorted(rest + (r,)))
+                    key = (index[rest[:at] + (r,) + rest[at:]], src_pos)
                     # sign of moving r into place among the remaining indices
-                    sign = (-1) ** (t_idx + tgt.index(r))
-                key = (index[tgt], src_pos)
-                term = p if sign == 1 else p * (-1)
-                entries[key] = entries.get(key, Poly()) + term
-    return PolyMatrix(len(subsets), entries)
+                    sign = -1 if (t_idx + at) % 2 else 1
+                coeffs = acc.setdefault(key, {})
+                for e, c in terms:
+                    coeffs[e] = coeffs.get(e, 0) + sign * c
+    return PolyMatrix(len(subsets), {key: Poly(coeffs) for key, coeffs in acc.items()})
 
 
 def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
@@ -196,13 +198,10 @@ def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
             f"{len(subsets)} {k}-subsets of {n + 1} lines, {gr.size} weights in the A{n}/w{k} orbit, "
             f"binomial {comb(n + 1, k)}"
         )
-    perm = []
-    for s in subsets:
-        total = Weight((0,) * n)
-        for p in s:
-            total = total + line.elements[p].weight
-        perm.append(gr.index_of[total])
-    aligned = PolyMatrix(w.n, {(perm[i], perm[j]): p for (i, j, p) in w.nonzero()}).q_scaled((-1) ** (k - 1))
+    lines = [el.weight.pairings for el in line.elements]
+    perm = [gr.index_of[Weight(tuple(map(sum, zip(*(lines[p] for p in s)))))] for s in subsets]
+    twist = (-1) ** (k - 1)
+    aligned = PolyMatrix(w.n, {(perm[i], perm[j]): p.q_scaled(twist) for (i, j, p) in w.nonzero()})
     return aligned, quantum_operator(gr)
 
 

@@ -9,6 +9,7 @@ import minflag.minrep as minrep
 from minflag.cli import SweepConfig, sweep_cases
 from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
 from minflag.rootsys import LieType, RootSystem, Weight, build
+from minflag.satake import wedge_subsets
 from minflag.weylorbit import Orbit, orbit, poincare_dual
 
 SWEEP = sweep_cases(SweepConfig())
@@ -150,6 +151,40 @@ def reference_rep_relations(orb: Orbit) -> Check:
         if witness:
             return Check(False, f"{failure} {witness}")
     return Check(True, f"{checks} brackets")
+
+
+def reference_wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
+    """``satake.wedge_matrix`` summed term by term as Poly values.
+
+    The test-only reference the integer accumulation is compared
+    against: every Leibniz term is added as a Poly and the target
+    subset is found by sorting.
+    """
+    n = m.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"wedge degree k={k} must satisfy 1 <= k <= {n - 1}")
+    subsets = wedge_subsets(n, k)
+    index = {s: p for p, s in enumerate(subsets)}
+    entries: dict[tuple[int, int], Poly] = {}
+    cols: dict[int, list[tuple[int, Poly]]] = {}
+    for (r, c, p) in m.nonzero():
+        cols.setdefault(c, []).append((r, p))
+    for src_pos, s in enumerate(subsets):
+        members = set(s)
+        for t_idx, i in enumerate(s):
+            for r, p in cols.get(i, ()):
+                if r == i:
+                    tgt, sign = s, 1
+                else:
+                    if r in members:
+                        continue
+                    rest = s[:t_idx] + s[t_idx + 1:]
+                    tgt = tuple(sorted(rest + (r,)))
+                    sign = (-1) ** (t_idx + tgt.index(r))
+                key = (index[tgt], src_pos)
+                term = p if sign == 1 else p * (-1)
+                entries[key] = entries.get(key, Poly()) + term
+    return PolyMatrix(len(subsets), entries)
 
 
 def reference_char_poly(m: PolyMatrix) -> tuple[Poly, ...]:

@@ -4,17 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minflag import minrep, qchev, satake
 from minflag.cli import (
+    ConfigError,
     SweepConfig,
     cmd_emit,
     delete_detectable_edge,
     cmd_satake,
     cmd_verify,
+    emit_payload,
     expected_orbit_size,
     json_text,
     main,
@@ -23,6 +26,7 @@ from minflag.cli import (
 from minflag.minrep import Q, Poly, PolyMatrix
 from minflag.rootsys import LieType, build
 from minflag.weylorbit import Orbit, orbit
+from helpers import SWEEP
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -251,6 +255,16 @@ def test_verify_rank_below_minimum_is_config_error():
     assert main(["verify", "--max-rank-D", "2"]) == 2
 
 
+def test_sweep_config_without_a_family_is_config_error():
+    config = SweepConfig(max_rank={"A": 3})
+    with pytest.raises(ConfigError, match="max rank for B is missing"):
+        sweep_cases(config)
+    buf = io.StringIO()
+    with pytest.raises(ConfigError, match="max rank for B is missing"):
+        cmd_verify(config, out=buf)
+    assert buf.getvalue() == ""
+
+
 def test_emit_a1_amatrix_schema():
     doc = json.loads(_emit("A", 1, 1, "amatrix", "json"))
     assert doc["family"] == "A" and doc["rank"] == 1 and doc["weight_index"] == 1
@@ -359,6 +373,62 @@ def test_matrix_writer_matches_json_dumps_of_the_dense_form(m, tail):
     assert json_text(doc) == json.dumps({**doc, "matrix": dense}, indent=2)
 
 
+def _densified(v):
+    """v with every PolyMatrix replaced by its dense array of [exponent, coefficient-string] lists."""
+    if isinstance(v, PolyMatrix):
+        return [[[[e, str(c)] for e, c in v.entry(i, j).items()] for j in range(v.n)] for i in range(v.n)]
+    if isinstance(v, dict):
+        return {k: _densified(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_densified(x) for x in v]
+    return v
+
+
+# quotes, backslashes, control and non-ASCII characters on top of arbitrary text
+_awkward = st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001F600')
+_texts = st.text(st.one_of(st.characters(), _awkward), max_size=8)
+_leaves = st.one_of(
+    _texts,
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+    st.booleans(),
+    st.none(),
+    _poly_matrices(),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents)
+def test_writer_matches_json_dumps_of_the_densified_document(doc):
+    assert json_text(doc) == json.dumps(_densified(doc), indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 3), (1, 2), {1: "one"}], ids=["float", "Fraction", "tuple", "int-key"])
+def test_writer_rejects_what_is_not_plain_json(bad):
+    with pytest.raises(TypeError):
+        json_text(bad)
+    with pytest.raises(TypeError):
+        json_text({"basis": [[1, 2], {"deep": [bad]}], "matrix": PolyMatrix(1, {(0, 0): 1})})
+
+
+_JSON_TARGETS = ["orbit", "crystal", "amatrix", "qtable", "ttstar"]
+
+
+@pytest.mark.parametrize("case", SWEEP, ids=[f"{lt}w{i}" for lt, i in SWEEP])
+def test_every_emitted_document_matches_json_dumps(case):
+    lt, i = case
+    orb = orbit(build(lt), i)
+    for what in _JSON_TARGETS:
+        doc = emit_payload(orb, what)
+        assert json_text(doc) == json.dumps(_densified(doc), indent=2), what
+
+
 def test_emit_rejects_non_minuscule_weight():
     assert main(["emit", "--family", "A", "--rank", "3", "--weight", "0", "--what", "orbit"]) == 2
     assert main(["emit", "--family", "E", "--rank", "7", "--weight", "2", "--what", "orbit"]) == 2
@@ -428,6 +498,30 @@ def test_satake_command_failure_reports_the_cycle(monkeypatch):
         "witness_kind": "cycle",
         "witness_cycle": [1, 0, 2, 1],
     }
+
+
+# sha256 of the three `satake --format json` documents: pass (n=3, k=2),
+# half-wedge (D5) and the cycle failure above
+SATAKE_JSON_SHA256 = {
+    "pass": "3b3623919aa54a5d3128fe4818059ebe9b2da379d78ab2b37f9b6e14f059728c",
+    "half-wedge": "202e29aa8ef6b390510c458920d3968074092fafd3e83c11ca12a72fa1842ce5",
+    "failure": "f2784786e8fa7bf6cd180e1261c37c0c599e6e3612d773755029b9fb067344fc",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SATAKE_JSON_SHA256))
+def test_satake_json_documents_are_pinned(monkeypatch, kind):
+    if kind == "failure":
+        def broken(n, k):
+            raise satake.SignSimilarityError(
+                "cycle", "inconsistent sign around the loop through edge (2, 1)", cycle=(1, 0, 2, 1)
+            )
+
+        monkeypatch.setattr(satake, "satake_similarity", broken)
+    args = {"family": "D", "rank": 5} if kind == "half-wedge" else {"n": 3, "k": 2}
+    buf = io.StringIO()
+    assert cmd_satake(**args, fmt="json", out=buf) == (1 if kind == "failure" else 0)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SATAKE_JSON_SHA256[kind]
 
 
 def test_satake_command_argument_errors():

@@ -1,9 +1,11 @@
 import pytest
 from math import comb
 
+from hypothesis import given, settings, strategies as st
+
 import minflag.satake as satake
-from helpers import commutator, dense_rows, orbit_of
-from minflag.minrep import lowering_matrix, quantum_operator, raising_matrix
+from helpers import commutator, dense_rows, orbit_of, reference_wedge_matrix
+from minflag.minrep import Poly, PolyMatrix, lowering_matrix, quantum_operator, raising_matrix
 from minflag.satake import (
     SignDiagonal,
     SignSimilarityError,
@@ -37,6 +39,48 @@ def test_wedge_a3_k2_entries_and_size():
     entries = {str(p) for _i, _j, p in w.nonzero()}
     assert entries <= {"1", "-1", "q", "-q"}
     assert "q" in entries or "-q" in entries
+
+
+# small coefficients, so that diagonal sums often cancel
+_wedge_entries = st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=3).map(Poly)
+
+
+@st.composite
+def _dense_poly_matrices(draw):
+    n = draw(st.integers(2, 6))
+    cells = draw(st.lists(_wedge_entries, min_size=n * n, max_size=n * n))
+    return PolyMatrix(n, {(i, j): cells[i * n + j] for i in range(n) for j in range(n)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=_dense_poly_matrices())
+def test_wedge_matches_the_poly_reference_for_every_degree(m):
+    for k in range(1, m.n):
+        w = wedge_matrix(m, k)
+        assert w == reference_wedge_matrix(m, k)
+        assert all(p for _i, _j, p in w.nonzero())
+
+
+def test_wedge_drops_diagonal_terms_that_cancel():
+    # the diagonal entry of {0, 1} is m00 + m11 = (1 + 2q) + (-1 - 2q) = 0
+    m = PolyMatrix(3, {
+        (0, 0): Poly({0: 1, 1: 2}), (1, 1): Poly({0: -1, 1: -2}), (2, 2): Poly({0: 3, 2: 1}),
+        (1, 0): Poly({1: 5}), (2, 0): Poly({0: 7}),
+    })
+    w = wedge_matrix(m, 2)
+    assert w == reference_wedge_matrix(m, 2)
+    assert (0, 0) not in {(i, j) for i, j, _p in w.nonzero()}
+    assert w.entry(1, 1) == Poly({0: 4, 1: 2, 2: 1})  # m00 + m22, three exponents
+    assert w.entry(2, 2) == Poly({0: 2, 1: -2, 2: 1})  # m11 + m22
+    assert w.entry(2, 1) == Poly({1: 5})  # e0 ^ e2 -> e1 ^ e2 keeps its order
+    assert w.entry(2, 0) == Poly({0: -7})  # e0 ^ e1 -> e2 ^ e1 = -e1 ^ e2
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_wedge_of_the_line_operator_matches_the_poly_reference(n):
+    m = quantum_operator(orbit_of("A", n, 1))
+    for k in range(1, n + 1):
+        assert wedge_matrix(m, k) == reference_wedge_matrix(m, k)
 
 
 def test_sign_similarity_identity_case():
