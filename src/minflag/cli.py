@@ -57,7 +57,10 @@ class SweepConfig:
         for fam, lo in _MIN_SWEEP_RANK.items():
             if fam not in self.max_rank:
                 raise ConfigError(f"max rank for {fam} is missing")
-            if self.max_rank[fam] < lo:
+            rank = self.max_rank[fam]
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise ConfigError(f"max rank for {fam} must be an integer, got {rank!r}")
+            if rank < lo:
                 raise ConfigError(f"max rank for {fam} must be at least {lo}")
 
 

@@ -455,11 +455,12 @@ def _column_map(orb: Orbit, name: str, m: PolyMatrix) -> _ColumnMap:
     w = orb.elements
     cols: _ColumnMap = {}
     for i, j, p in m.nonzero():
-        if p != p.coeff(0):
+        coeff = p._c.get(0)
+        if coeff is None or len(p._c) != 1:
             raise ValueError(f"{name} has {p} in column {w[j].weight}, at row {w[i].weight}")
         if j in cols:
             raise ValueError(f"{name} has a second entry in column {w[j].weight}, at row {w[i].weight}")
-        cols[j] = (i, p.coeff(0))
+        cols[j] = (i, coeff)
     return cols
 
 

@@ -11,8 +11,11 @@ the independent length function alone.  Each class's coset
 representative, which transports the candidate roots, is found from the
 weights alone: a class is its raised neighbour reflected by one simple
 root.  The oracle reads neither the stored BFS words nor the stored
-lengths, and it keeps the transported roots and the lengths of the
-current orbit in one table.  Along the way the oracle asserts the
+lengths.  It keeps one table for the current orbit, by canonical index:
+each class's transported roots as interned (root, pairings, height)
+entries, the lengths, and a map from pairings to index.  A candidate
+target is a pairing tuple looked up in that map, and only survivors
+become terms.  Along the way the oracle asserts the
 structural facts that make the closed form work: every surviving
 classical reflection transports to a simple root, every surviving
 quantum one to the negative of the highest root, and all coefficients
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from operator import add, sub
+from typing import NamedTuple, Optional, Sequence
 
 from .minrep import Check, Poly, PolyMatrix, entry_witness, quantum_operator
 from .rootsys import RootSystem, RootVec, Weight, pair, reflect
@@ -92,81 +96,96 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     candidate target mu - beta.  The transport comes from the weights
     alone (``_oracle_table``), never from the stored BFS words.  Keep a
     classical term iff the independent length jumps by +1 and a q-term
-    iff it jumps by -(s-1); everything else is discarded.  Raises
-    AssertionError if a surviving term violates the simple-root /
-    highest-root classification, and ValueError naming mu, beta and the
-    target if a target is not in the orbit.
+    iff it jumps by -(s-1); everything else is discarded.  Candidates are
+    pairing tuples looked up by canonical index; only survivors become
+    terms.  Raises AssertionError if a surviving term violates the
+    simple-root / highest-root classification, and ValueError naming
+    mu, beta and the target if a target is not in the orbit.
     """
     rs = orb.rs
-    transport, lengths = _oracle_table(orb)
-    if mu not in lengths:
+    rows, lengths, index = _oracle_table(orb)
+    k = index.get(mu.pairings)
+    if k is None:
         orb.element(mu)  # raises ValueError naming the foreign class
-    s = rs.coxeter_number
-    base_len = lengths[mu]
-    terms = []
-    for beta, beta_weight in transport[mu]:
-        target = mu - beta_weight
-        target_len = lengths.get(target)
-        if target_len is None:
-            raise ValueError(f"{mu} - {beta} = {target} is not in the orbit")
-        jump = target_len - base_len
-        if jump != beta.height:
+    quantum_jump = 1 - rs.coxeter_number
+    mp = mu.pairings
+    base_len = lengths[k]
+    kept = []
+    for beta, beta_pairings, height in rows[k]:
+        target = tuple(map(sub, mp, beta_pairings))
+        t = index.get(target)
+        if t is None:
+            raise ValueError(f"{mu} - {beta} = {Weight(target)} is not in the orbit")
+        jump = lengths[t] - base_len
+        if jump != height:
             raise AssertionError("length jump must equal the transported height")
         if jump == 1:
-            if not (beta.is_positive and beta.height == 1):
+            if not (beta.is_positive and height == 1):
                 raise AssertionError("surviving classical root must be simple")
-            if pair(rs, mu, beta) != 1:
+            # beta = alpha_j, whose coroot pairing with mu is mu's j-th entry
+            if mp[beta.coeffs.index(1)] != 1:
                 raise AssertionError(f"surviving simple root {beta} must pair to 1 with {mu}")
-            terms.append(QProductTerm(target, 0, 1))
-        elif jump == -(s - 1):
+            kept.append((0, t))
+        elif jump == quantum_jump:
             if -beta != rs.highest_root:
                 raise AssertionError("surviving quantum root must be the negated highest root")
             if pair(rs, mu, rs.highest_root) != -1:
                 raise AssertionError(f"quantum term at {mu} needs highest-coroot pairing -1")
-            terms.append(QProductTerm(target, 1, 1))
-    terms.sort(key=lambda t: (t.q_power, orb.index_of[t.target]))
-    return terms
+            kept.append((1, t))
+    kept.sort()
+    return [QProductTerm(orb.elements[t].weight, q_power, 1) for q_power, t in kept]
 
 
-_Transported = tuple[tuple[RootVec, Weight], ...]
+# (root, its pairings, its height): one interned entry per transported root
+_Entry = tuple[RootVec, tuple[int, ...], int]
+
+
+class _OracleTable(NamedTuple):
+    rows: list[tuple[_Entry, ...]]  # the transported complement, by canonical index
+    lengths: list[int]  # ``length`` by canonical index
+    index: dict[tuple[int, ...], int]  # pairings -> canonical index
 
 
 @lru_cache(maxsize=1)
-def _oracle_table(orb: Orbit) -> tuple[dict[Weight, _Transported], dict[Weight, int]]:
-    """The oracle's per-orbit memo: transported complements and lengths.
+def _oracle_table(orb: Orbit) -> _OracleTable:
+    """The oracle's per-orbit memo: transported complements, lengths and an index.
 
     The top weight transports the divisor complement by the identity.
     Any other mu has a first simple root alpha_j with pairing -1, and
     nu = mu + alpha_j has u_mu = s_j u_nu, so mu's transported
-    complement is s_j applied to nu's, entry by entry.  Each entry is
-    an interned (root, root as weight) pair.  ``length`` is read once
-    per element.  Only the most recent orbit's table is kept.
+    complement is s_j applied to nu's, entry by entry: one single-letter
+    ``apply_word`` call per (class, root).  Each entry is interned by
+    the root's coefficients.  ``length`` is read once per element, and
+    the index maps each orbit weight's pairings to its position.  Only
+    the most recent orbit's table is kept.
     """
     rs = orb.rs
     top = orb.highest_weight
-    interned: dict[RootVec, tuple[RootVec, Weight]] = {}
+    raise_by = [a.pairings for a in rs.simple_root_weights]
+    interned: dict[tuple[int, ...], _Entry] = {}
 
-    def entry(beta: RootVec) -> tuple[RootVec, Weight]:
-        got = interned.get(beta)
+    def entry(beta: RootVec) -> _Entry:
+        got = interned.get(beta.coeffs)
         if got is None:
-            got = interned[beta] = (beta, rs.root_to_weight(beta))
+            got = interned[beta.coeffs] = (beta, rs.root_to_weight(beta).pairings, beta.height)
         return got
 
-    transport = {top: tuple(entry(alpha) for alpha in divisor_complement(orb))}
+    transport = {top.pairings: tuple(entry(alpha) for alpha in divisor_complement(orb))}
     for el in orb.elements:
         chain = []
-        mu = el.weight
+        mu = el.weight.pairings
         while mu not in transport:
-            j = next((k for k, p in enumerate(mu.pairings, 1) if p == -1), None)
+            j = next((k for k, p in enumerate(mu, 1) if p == -1), None)
             if j is None:
-                raise AssertionError(f"{mu} has no raising simple root but is not the top weight {top}")
+                raise AssertionError(f"{Weight(mu)} has no raising simple root but is not the top weight {top}")
             chain.append((mu, j))
-            mu = mu + rs.simple_root_weights[j - 1]
+            mu = tuple(map(add, mu, raise_by[j - 1]))
         for lowered, j in reversed(chain):
-            transport[lowered] = tuple(entry(apply_word(rs, (j,), beta)) for beta, _ in transport[mu])
+            transport[lowered] = tuple(entry(apply_word(rs, (j,), beta)) for beta, _, _ in transport[mu])
             mu = lowered
-    lengths = {el.weight: length(orb, el.weight) for el in orb.elements}
-    return transport, lengths
+    rows = [transport[el.weight.pairings] for el in orb.elements]
+    lengths = [length(orb, el.weight) for el in orb.elements]
+    return _OracleTable(rows, lengths, {el.weight.pairings: k for k, el in enumerate(orb.elements)})
 
 
 _EXPECTED_COXETER = {
@@ -283,13 +302,12 @@ def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
 
 def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix:
     """The matrix whose column k holds the terms of the k-th class's product."""
-    entries: dict[tuple[int, int], Poly] = {}
+    coeffs: dict[tuple[int, int], dict[int, int]] = {}
     for src, terms in enumerate(columns):
         for t in terms:
-            key = (orb.index_of[t.target], src)
-            term = Poly.term(t.coefficient, t.q_power)
-            entries[key] = entries.get(key, Poly()) + term
-    return PolyMatrix(orb.size, entries)
+            entry = coeffs.setdefault((orb.index_of[t.target], src), {})
+            entry[t.q_power] = entry.get(t.q_power, 0) + t.coefficient
+    return PolyMatrix(orb.size, {key: Poly(c) for key, c in coeffs.items()})
 
 
 def first_mismatch(
@@ -343,27 +361,32 @@ def trichotomy_check(orb: Orbit) -> Check:
     Pairing 1 with the length of the lowered weight one higher, pairing
     0 with the weight fixed by the reflection, or pairing -1 with the
     length of the raised weight one lower; lengths measured by the
-    independent oracle.  A failure names the weight, the simple root and
+    independent oracle.  Neighbours are pairing tuples looked up by
+    canonical index.  A failure names the weight, the simple root and
     what went wrong.
     """
     rs = orb.rs
     lengths = [length(orb, el.weight) for el in orb.elements]
+    index = {el.weight.pairings: k for k, el in enumerate(orb.elements)}
+    alphas = [a.pairings for a in rs.simple_root_weights]
+    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
 
     def fail(why: str) -> Check:
         return Check(False, f"at {el.weight}, alpha_{j}: pairing {m}, {why}")
 
     for el, base in zip(orb.elements, lengths):
+        mp = el.weight.pairings
         for j in range(1, rs.rank + 1):
-            m = el.weight.pairings[j - 1]
+            m = mp[j - 1]
             if m in (1, -1):
-                nu = el.weight - rs.simple_root_weights[j - 1].scaled(m)
-                if nu not in orb.index_of:
-                    return fail(f"but {nu} is not in the orbit")
-                got = lengths[orb.index_of[nu]]
-                if got != base + m:
-                    return fail(f"but {nu} has length {got}, not {base + m}")
+                nu = tuple(map(sub if m == 1 else add, mp, alphas[j - 1]))
+                k = index.get(nu)
+                if k is None:
+                    return fail(f"but {Weight(nu)} is not in the orbit")
+                if lengths[k] != base + m:
+                    return fail(f"but {Weight(nu)} has length {lengths[k]}, not {base + m}")
             elif m == 0:
-                if reflect(rs, el.weight, rs.simple_root(j)) != el.weight:
+                if reflect(rs, el.weight, simple[j - 1]) != el.weight:
                     return fail("but the reflection moves the weight")
             else:
                 return fail("outside -1, 0, 1")

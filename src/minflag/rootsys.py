@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -152,13 +152,14 @@ def _diagram(lie_type: LieType) -> tuple[list[tuple[int, int]], list[Fraction]]:
 
 
 class RootSystem:
-    """Root system of a simple Lie type, fully precomputed and immutable.
+    """Root system of a simple Lie type, precomputed and immutable.
 
     Attributes follow the coordinate conventions of the module
     docstring.  The coroots are carried along the reflection closure
     that generates the positive roots; ``cartan_det`` and
     ``cartan_adjugate`` are the integer determinant and adjugate of the
-    Cartan matrix, both from one fraction-free elimination.  Two instances
+    Cartan matrix, both from one fraction-free elimination.  The one lazy
+    attribute is ``reflection_table``, filled on first use.  Two instances
     compare equal iff they have the same LieType; everything else is
     determined by it.
     """
@@ -336,6 +337,20 @@ class RootSystem:
         out = list(beta.coeffs)
         out[j - 1] -= p
         return RootVec(tuple(out))
+
+    @cached_property
+    def reflection_table(self) -> tuple[dict[tuple[int, ...], RootVec], ...]:
+        """s_j on the roots: entry j - 1 maps the coefficients of every root
+        in +-Delta+ to the interned root s_j(beta).
+
+        Read off ``simple_reflect_root``, one RootVec per root.  Built on
+        first use, never by ``build``: only ``weylorbit.apply_word`` reads it.
+        """
+        roots = {r.coeffs: r for r in self.positive_roots + tuple(-r for r in self.positive_roots)}
+        return tuple(
+            {c: roots[self.simple_reflect_root(beta, j).coeffs] for c, beta in roots.items()}
+            for j in range(1, self.rank + 1)
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.lie_type == other.lie_type

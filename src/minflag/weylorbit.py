@@ -153,10 +153,17 @@ def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:
-    """Apply the reflections of a stored word (outermost last) to a root."""
+    """Apply the reflections of a stored word (outermost last) to a root.
+
+    Each step is a lookup in ``rs.reflection_table``, which returns the
+    interned root; only a non-root falls back to ``simple_reflect_root``.
+    Raises AssertionError naming the word when the result is not a root.
+    """
+    table = rs.reflection_table
     beta = alpha
     for j in word:
-        beta = rs.simple_reflect_root(beta, j)
+        got = table[j - 1].get(beta.coeffs)
+        beta = rs.simple_reflect_root(beta, j) if got is None else got
     if not rs.is_root(beta):
         raise AssertionError(f"word {word} takes {alpha} to {beta}, which is not a root of {rs}")
     return beta

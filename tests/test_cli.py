@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -265,6 +266,13 @@ def test_sweep_config_without_a_family_is_config_error():
     assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize("rank", ["3", 2.5, None, True], ids=["str", "float", "None", "bool"])
+def test_sweep_config_with_a_non_integer_rank_is_config_error(rank):
+    config = SweepConfig(max_rank={"A": rank, "B": 2, "C": 2, "D": 3})
+    with pytest.raises(ConfigError, match=rf"^max rank for A must be an integer, got {re.escape(repr(rank))}$"):
+        sweep_cases(config)
+
+
 def test_emit_a1_amatrix_schema():
     doc = json.loads(_emit("A", 1, 1, "amatrix", "json"))
     assert doc["family"] == "A" and doc["rank"] == 1 and doc["weight_index"] == 1
@@ -363,16 +371,6 @@ def _poly_matrices(draw):
     return PolyMatrix(n, draw(st.dictionaries(keys, _entries, max_size=n * n)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(m=_poly_matrices(), tail=st.booleans())
-def test_matrix_writer_matches_json_dumps_of_the_dense_form(m, tail):
-    dense = [[[[e, str(c)] for e, c in m.entry(i, j).items()] for j in range(m.n)] for i in range(m.n)]
-    doc = {"family": "A", "basis": [[1, -1]] * m.n, "matrix": m}
-    if tail:
-        doc["after"] = ["matrix", 0]
-    assert json_text(doc) == json.dumps({**doc, "matrix": dense}, indent=2)
-
-
 def _densified(v):
     """v with every PolyMatrix replaced by its dense array of [exponent, coefficient-string] lists."""
     if isinstance(v, PolyMatrix):
@@ -403,10 +401,21 @@ _documents = st.recursive(
 )
 
 
+@st.composite
+def _matrix_documents(draw):
+    """An amatrix-shaped document: a top-level "matrix", then maybe a tail after it."""
+    m = draw(_poly_matrices())
+    doc = {"family": "A", "basis": [[1, -1]] * m.n, "matrix": m}
+    if draw(st.booleans()):
+        doc["after"] = ["matrix", 0]
+    return doc
+
+
 @settings(max_examples=150, deadline=None)
-@given(doc=_documents)
-def test_writer_matches_json_dumps_of_the_densified_document(doc):
-    assert json_text(doc) == json.dumps(_densified(doc), indent=2)
+@given(doc=_documents, emitted=_matrix_documents())
+def test_writer_matches_json_dumps_of_the_densified_document(doc, emitted):
+    for d in (doc, emitted):
+        assert json_text(d) == json.dumps(_densified(d), indent=2)
 
 
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 3), (1, 2), {1: "one"}], ids=["float", "Fraction", "tuple", "int-key"])
@@ -542,6 +551,12 @@ def test_default_verify_output_is_pinned():
     buf = io.StringIO()
     assert cmd_verify(SweepConfig(), out=buf) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DEFAULT_VERIFY_SHA256
+
+
+def test_default_verify_output_is_pinned_under_python_optimize_flag():
+    proc = _run_optimized("-m", "minflag.cli", "verify")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEFAULT_VERIFY_SHA256
 
 
 # sha256 of the `verify --self-test-corrupt` stdout on the default sweep

@@ -20,7 +20,7 @@ from minflag.qchev import (
     quantum_product_matrix,
     trichotomy_check,
 )
-from minflag.rootsys import LieType, RootVec, Weight, build, pair
+from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import Orbit, OrbitElement, apply_word, orbit
 
 
@@ -85,6 +85,14 @@ def test_oracle_equals_closed_form_on_gr24():
         )
 
 
+def test_oracle_terms_come_classical_first_in_canonical_order():
+    for orb in sweep_orbits():
+        for el in orb.elements:
+            terms = chevalley_fw_oracle(orb, el.weight)
+            keys = [(t.q_power, orb.index_of[t.target]) for t in terms]
+            assert keys == sorted(set(keys)), (orb, el)
+
+
 def test_oracle_top_class_of_gr24():
     orb = orbit_of("A", 3, 2)
     terms = chevalley_fw_oracle(orb, orb.elements[-1].weight)
@@ -120,6 +128,17 @@ def test_oracle_pass_matches_per_class_routes():
         assert len(survivors) == orb.size
         for el, stats in zip(orb.elements, survivors):
             assert stats == oracle_survivors(orb, el.weight)
+
+
+def test_columns_matrix_sums_repeated_terms_and_drops_cancelled_ones():
+    orb = orbit_of("A", 2, 1)
+    w = [el.weight for el in orb.elements]
+    m = qchev._columns_matrix(orb, [
+        [qchev.QProductTerm(w[1], 0, 1), qchev.QProductTerm(w[1], 1, 2), qchev.QProductTerm(w[1], 0, 1)],
+        [qchev.QProductTerm(w[2], 0, 1), qchev.QProductTerm(w[2], 0, -1)],
+        [],
+    ])
+    assert m.nonzero() == [(1, 0, Poly({0: 2, 1: 2}))]
 
 
 # -- coxeter identity -------------------------------------------------------------
@@ -428,23 +447,28 @@ def _transport_cases():
 def test_transport_table_equals_the_stored_words():
     for orb in _transport_cases():
         rs = orb.rs
-        transport, lengths = qchev._oracle_table(orb)
+        rows, lengths, index = qchev._oracle_table(orb)
         complement = divisor_complement(orb)
-        for el in orb.elements:
-            got = transport[el.weight]
-            assert [beta for beta, _ in got] == [apply_word(rs, el.word, a) for a in complement], (orb, el)
-            assert all(w == rs.root_to_weight(beta) for beta, w in got), (orb, el)
-            assert lengths[el.weight] == el.length, (orb, el)
+        assert index == {el.weight.pairings: k for k, el in enumerate(orb.elements)}, orb
+        assert len(rows) == len(lengths) == orb.size, orb
+        for el, row, got_length in zip(orb.elements, rows, lengths):
+            assert [beta for beta, _, _ in row] == [apply_word(rs, el.word, a) for a in complement], (orb, el)
+            assert all(w == rs.root_to_weight(beta).pairings for beta, w, _ in row), (orb, el)
+            assert all(h == beta.height for beta, _, h in row), (orb, el)
+            assert got_length == el.length, (orb, el)
 
 
 def test_transport_table_holds_one_entry_per_root():
-    # the transported roots are interned: every table entry points at one
-    # shared (root, weight) pair per root
+    # the transported roots are interned by their coefficients: every row
+    # points at one shared (root, pairings, height) entry per root, whose
+    # root is the reflection table's own RootVec
     orb = orbit_of("B", 8, 8)
-    transport, _ = qchev._oracle_table(orb)
-    entries = [e for column in transport.values() for e in column]
+    rows = qchev._oracle_table(orb).rows
+    entries = [e for row in rows for e in row]
     assert len(entries) == orb.size * orb.dim_complex
-    assert len({id(e) for e in entries}) == len({e[0] for e in entries}) <= 2 * len(orb.rs.positive_roots)
+    roots = {e[0].coeffs for e in entries}
+    assert len({id(e) for e in entries}) == len({id(e[0]) for e in entries}) == len(roots)
+    assert len(roots) <= 2 * len(orb.rs.positive_roots)
 
 
 def test_transport_table_keeps_only_the_latest_orbit():
@@ -466,8 +490,61 @@ def test_oracle_pass_reads_one_length_per_element(monkeypatch):
         qchev._oracle_table.cache_clear()
         calls.clear()
         fw_oracle_pass(orb)
-        assert len(calls) == orb.size
-        assert sorted(calls) == sorted(el.weight for el in orb.elements)
+        # one read per element, in canonical order: the table's length list
+        assert calls == [el.weight for el in orb.elements]
+        assert qchev._oracle_table(orb).lengths == [el.length for el in orb.elements]
+
+
+def test_oracle_pass_makes_one_single_letter_apply_word_call_per_transported_root(monkeypatch):
+    # perfbench's qchev.oracle.kept_ratio counts the candidates the
+    # oracle examined as the apply_word calls made directly inside
+    # chevalley_fw_oracle.  It relies on this count: one single-letter call
+    # per (non-top class, complement root), all inside the first
+    # chevalley_fw_oracle call of the orbit, where the table is built.
+    words, inside = [], []
+    real_apply, real_oracle = qchev.apply_word, qchev.chevalley_fw_oracle
+
+    def counting(rs, word, alpha):
+        assert inside, "apply_word called outside chevalley_fw_oracle"
+        words.append(tuple(word))
+        return real_apply(rs, word, alpha)
+
+    def oracle(orb, mu):
+        inside.append(mu)
+        try:
+            return real_oracle(orb, mu)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qchev, "apply_word", counting)
+    monkeypatch.setattr(qchev, "chevalley_fw_oracle", oracle)
+    for orb in _transport_cases():
+        qchev._oracle_table.cache_clear()
+        words.clear()
+        fw_oracle_pass(orb)
+        assert len(words) == (orb.size - 1) * orb.dim_complex, orb
+        assert all(len(w) == 1 for w in words), orb
+
+
+def test_reflection_table_equals_simple_reflect_root():
+    for rs in {orb.rs for orb in _transport_cases()}:
+        table = rs.reflection_table
+        roots = list(rs.positive_roots) + [-r for r in rs.positive_roots]
+        assert len(table) == rs.rank, rs
+        for j in range(1, rs.rank + 1):
+            assert set(table[j - 1]) == {r.coeffs for r in roots}, (rs, j)
+            for beta in roots:
+                assert table[j - 1][beta.coeffs] == rs.simple_reflect_root(beta, j), (rs, j, beta)
+
+
+def test_reflection_table_is_built_on_first_use_not_by_build():
+    rs = RootSystem(LieType("D", 5))
+    assert "reflection_table" not in vars(rs)
+    apply_word(rs, (1,), rs.simple_root(2))
+    assert "reflection_table" in vars(rs)
+    # interned: every value is the one RootVec of its root
+    values = [beta for step in rs.reflection_table for beta in step.values()]
+    assert len({id(beta) for beta in values}) == len({beta.coeffs for beta in values}) == 2 * len(rs.positive_roots)
 
 
 def test_oracle_rejects_foreign_class():

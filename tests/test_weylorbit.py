@@ -178,8 +178,11 @@ def test_canonical_order():
 
 def test_apply_word_rejects_a_non_root():
     rs = build(LieType("A", 2))
-    with pytest.raises(AssertionError, match="not a root"):
+    with pytest.raises(AssertionError, match=r"^word \(1,\) takes \(2,0\) to \(-2,0\), which is not a root of A2$"):
         apply_word(rs, (1,), RootVec((2, 0)))
+    # past the first letter the word keeps reflecting the non-root arithmetically
+    with pytest.raises(AssertionError, match=r"^word \(1, 2\) takes \(2,0\) to \(-2,-2\), which is not a root of A2$"):
+        apply_word(rs, (1, 2), RootVec((2, 0)))
 
 
 def test_crystal_edges_rejects_a_truncated_orbit():
