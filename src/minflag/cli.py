@@ -62,6 +62,8 @@ class SweepConfig:
                 raise ConfigError(f"max rank for {fam} must be an integer, got {rank!r}")
             if rank < lo:
                 raise ConfigError(f"max rank for {fam} must be at least {lo}")
+        if not isinstance(self.include_exceptional, bool):
+            raise ConfigError(f"include_exceptional must be a bool, got {self.include_exceptional!r}")
 
 
 class ConfigError(ValueError):
@@ -134,8 +136,8 @@ def _case_checks(orb: Orbit, corrupt: bool) -> list[tuple[str, Check]]:
 def delete_detectable_edge(orb: Orbit, operator: PolyMatrix) -> PolyMatrix:
     """Delete the first edge whose Poincare-dual partner is another entry, else the first."""
     for (i, j, p) in operator.nonzero():
-        di = orb.index_of[poincare_dual(orb, orb.elements[j].weight)]
-        dj = orb.index_of[poincare_dual(orb, orb.elements[i].weight)]
+        di = orb.index_of[poincare_dual(orb, orb.elements[j].weight).pairings]
+        dj = orb.index_of[poincare_dual(orb, orb.elements[i].weight).pairings]
         if (di, dj) != (i, j):
             return operator.with_entry(i, j, 0)
     return operator.with_entry(*next(iter((i, j) for i, j, _ in operator.nonzero())), 0)

@@ -152,7 +152,7 @@ class PolyMatrix:
     """Square matrix over Poly, stored sparsely: a container, not an algebra.
 
     Only its nonzero entries are kept; ``nonzero`` lists them in row
-    order, and ``with_entry`` and ``q_scaled`` return changed copies.
+    order, and ``with_entry`` returns a changed copy.
     """
 
     __slots__ = ("n", "_e")
@@ -183,10 +183,6 @@ class PolyMatrix:
         else:
             e.pop((i, j), None)
         return PolyMatrix(self.n, e)
-
-    def q_scaled(self, c: int) -> "PolyMatrix":
-        """Substitute q -> c*q in every entry."""
-        return PolyMatrix(self.n, {k: v.q_scaled(c) for k, v in self._e.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -352,10 +348,9 @@ def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     if not 1 <= j <= orb.rs.rank:
         raise ValueError(f"simple root index {j} out of range")
     entries = {}
-    alpha_w = orb.rs.simple_root_weights[j - 1]
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == 1:
-            entries[(orb.neighbour(el.weight, "-", j, el.weight - alpha_w), pos)] = 1
+            entries[(orb.neighbour(el.weight, "-", j), pos)] = 1
     return PolyMatrix(orb.size, entries)
 
 
@@ -364,10 +359,9 @@ def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
     if not 1 <= j <= orb.rs.rank:
         raise ValueError(f"simple root index {j} out of range")
     entries = {}
-    alpha_w = orb.rs.simple_root_weights[j - 1]
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == -1:
-            entries[(orb.neighbour(el.weight, "+", j, el.weight + alpha_w), pos)] = 1
+            entries[(orb.neighbour(el.weight, "+", j), pos)] = 1
     return PolyMatrix(orb.size, entries)
 
 
@@ -387,11 +381,10 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
     """E_psi: entry (mu + psi, mu) = 1 exactly when (mu, psi^vee) = -1."""
     rs = orb.rs
     psi = rs.highest_root
-    psi_w = rs.highest_root_weight
     entries = {}
     for pos, el in enumerate(orb.elements):
         if pair(rs, el.weight, psi) == -1:
-            entries[(orb.neighbour(el.weight, "+", "psi", el.weight + psi_w), pos)] = 1
+            entries[(orb.neighbour(el.weight, "+", "psi"), pos)] = 1
     return PolyMatrix(orb.size, entries)
 
 
@@ -402,11 +395,10 @@ def quantum_operator(orb: Orbit) -> PolyMatrix:
     entry of E_psi; coinciding entries add up.
     """
     entries: dict[tuple[int, int], Poly] = {}
-    simple = orb.rs.simple_root_weights
     for pos, el in enumerate(orb.elements):
-        for j, (alpha_w, m) in enumerate(zip(simple, el.weight.pairings), 1):
+        for j, m in enumerate(el.weight.pairings, 1):
             if m == 1:
-                key = (orb.neighbour(el.weight, "-", j, el.weight - alpha_w), pos)
+                key = (orb.neighbour(el.weight, "-", j), pos)
                 entries[key] = entries[key] + ONE if key in entries else ONE
     for i, j, _p in psi_raising_matrix(orb).nonzero():
         entries[(i, j)] = entries[(i, j)] + Q if (i, j) in entries else Q

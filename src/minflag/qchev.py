@@ -13,13 +13,12 @@ weights alone: a class is its raised neighbour reflected by one simple
 root.  The oracle reads neither the stored BFS words nor the stored
 lengths.  It keeps one table for the current orbit, by canonical index:
 each class's transported roots as interned (root, pairings, height)
-entries, the lengths, and a map from pairings to index.  A candidate
-target is a pairing tuple looked up in that map, and only survivors
-become terms.  Along the way the oracle asserts the
-structural facts that make the closed form work: every surviving
-classical reflection transports to a simple root, every surviving
-quantum one to the negative of the highest root, and all coefficients
-are 1.
+entries, and the lengths.  A candidate target is a pairing tuple looked
+up in ``Orbit.index_of``, and only survivors become terms.  Along the
+way the oracle asserts the structural facts that make the closed form
+work: every surviving classical reflection transports to a simple root,
+every surviving quantum one to the negative of the highest root, and
+all coefficients are 1.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
@@ -73,18 +72,14 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     naming mu, the root and the target if a target is not.
     """
     rs = orb.rs
-    if mu not in orb.index_of:
+    if mu.pairings not in orb.index_of:
         raise ValueError(f"{mu} is not a Schubert class of this orbit")
     terms = []
-    for j in range(1, rs.rank + 1):
-        if mu.pairings[j - 1] == 1:
-            target = mu - rs.simple_root_weights[j - 1]
-            orb.neighbour(mu, "-", j, target)  # raises unless target is in the orbit
-            terms.append(QProductTerm(target, 0, 1))
+    for j, m in enumerate(mu.pairings, 1):
+        if m == 1:
+            terms.append(QProductTerm(orb.elements[orb.neighbour(mu, "-", j)].weight, 0, 1))
     if pair(rs, mu, rs.highest_root) == -1:
-        target = mu + rs.highest_root_weight
-        orb.neighbour(mu, "+", "psi", target)  # raises unless target is in the orbit
-        terms.append(QProductTerm(target, 1, 1))
+        terms.append(QProductTerm(orb.elements[orb.neighbour(mu, "+", "psi")].weight, 1, 1))
     return terms
 
 
@@ -97,13 +92,14 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     alone (``_oracle_table``), never from the stored BFS words.  Keep a
     classical term iff the independent length jumps by +1 and a q-term
     iff it jumps by -(s-1); everything else is discarded.  Candidates are
-    pairing tuples looked up by canonical index; only survivors become
+    pairing tuples looked up in ``Orbit.index_of``; only survivors become
     terms.  Raises AssertionError if a surviving term violates the
     simple-root / highest-root classification, and ValueError naming
     mu, beta and the target if a target is not in the orbit.
     """
     rs = orb.rs
-    rows, lengths, index = _oracle_table(orb)
+    rows, lengths = _oracle_table(orb)
+    index = orb.index_of
     k = index.get(mu.pairings)
     if k is None:
         orb.element(mu)  # raises ValueError naming the foreign class
@@ -143,21 +139,19 @@ _Entry = tuple[RootVec, tuple[int, ...], int]
 class _OracleTable(NamedTuple):
     rows: list[tuple[_Entry, ...]]  # the transported complement, by canonical index
     lengths: list[int]  # ``length`` by canonical index
-    index: dict[tuple[int, ...], int]  # pairings -> canonical index
 
 
 @lru_cache(maxsize=1)
 def _oracle_table(orb: Orbit) -> _OracleTable:
-    """The oracle's per-orbit memo: transported complements, lengths and an index.
+    """The oracle's per-orbit memo: transported complements and lengths, by canonical index.
 
     The top weight transports the divisor complement by the identity.
     Any other mu has a first simple root alpha_j with pairing -1, and
     nu = mu + alpha_j has u_mu = s_j u_nu, so mu's transported
     complement is s_j applied to nu's, entry by entry: one single-letter
     ``apply_word`` call per (class, root).  Each entry is interned by
-    the root's coefficients.  ``length`` is read once per element, and
-    the index maps each orbit weight's pairings to its position.  Only
-    the most recent orbit's table is kept.
+    the root's coefficients, and ``length`` is read once per element.
+    Only the most recent orbit's table is kept.
     """
     rs = orb.rs
     top = orb.highest_weight
@@ -185,7 +179,7 @@ def _oracle_table(orb: Orbit) -> _OracleTable:
             mu = lowered
     rows = [transport[el.weight.pairings] for el in orb.elements]
     lengths = [length(orb, el.weight) for el in orb.elements]
-    return _OracleTable(rows, lengths, {el.weight.pairings: k for k, el in enumerate(orb.elements)})
+    return _OracleTable(rows, lengths)
 
 
 _EXPECTED_COXETER = {
@@ -305,7 +299,7 @@ def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix
     coeffs: dict[tuple[int, int], dict[int, int]] = {}
     for src, terms in enumerate(columns):
         for t in terms:
-            entry = coeffs.setdefault((orb.index_of[t.target], src), {})
+            entry = coeffs.setdefault((orb.index_of[t.target.pairings], src), {})
             entry[t.q_power] = entry.get(t.q_power, 0) + t.coefficient
     return PolyMatrix(orb.size, {key: Poly(c) for key, c in coeffs.items()})
 
@@ -333,7 +327,7 @@ def frobenius_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:
     """
     a = quantum_operator(orb) if operator is None else operator
     w = [el.weight for el in orb.elements]
-    dual = [orb.index_of[poincare_dual(orb, mu)] for mu in w]
+    dual = [orb.index_of[poincare_dual(orb, mu).pairings] for mu in w]
     for i, j, p in a.nonzero():
         if a.entry(dual[j], dual[i]) != p:
             return Check(False, f"A at ({w[i]}, {w[j]}) is {p} but at its dual entry "
@@ -361,13 +355,12 @@ def trichotomy_check(orb: Orbit) -> Check:
     Pairing 1 with the length of the lowered weight one higher, pairing
     0 with the weight fixed by the reflection, or pairing -1 with the
     length of the raised weight one lower; lengths measured by the
-    independent oracle.  Neighbours are pairing tuples looked up by
-    canonical index.  A failure names the weight, the simple root and
+    independent oracle.  Neighbours are pairing tuples looked up in
+    ``Orbit.index_of``.  A failure names the weight, the simple root and
     what went wrong.
     """
     rs = orb.rs
     lengths = [length(orb, el.weight) for el in orb.elements]
-    index = {el.weight.pairings: k for k, el in enumerate(orb.elements)}
     alphas = [a.pairings for a in rs.simple_root_weights]
     simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
 
@@ -380,7 +373,7 @@ def trichotomy_check(orb: Orbit) -> Check:
             m = mp[j - 1]
             if m in (1, -1):
                 nu = tuple(map(sub if m == 1 else add, mp, alphas[j - 1]))
-                k = index.get(nu)
+                k = orb.index_of.get(nu)
                 if k is None:
                     return fail(f"but {Weight(nu)} is not in the orbit")
                 if lengths[k] != base + m:

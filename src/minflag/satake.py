@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .minrep import Poly, PolyMatrix, quantum_operator
-from .rootsys import LieType, Weight, build
+from .rootsys import LieType, build
 from .weylorbit import orbit
 
 
@@ -199,7 +199,7 @@ def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
             f"binomial {comb(n + 1, k)}"
         )
     lines = [el.weight.pairings for el in line.elements]
-    perm = [gr.index_of[Weight(tuple(map(sum, zip(*(lines[p] for p in s)))))] for s in subsets]
+    perm = [gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets]
     twist = (-1) ** (k - 1)
     aligned = PolyMatrix(w.n, {(perm[i], perm[j]): p.q_scaled(twist) for (i, j, p) in w.nonzero()})
     return aligned, quantum_operator(gr)

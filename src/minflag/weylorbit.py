@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .rootsys import RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
@@ -42,15 +42,18 @@ class OrbitElement:
 class Orbit:
     """The W-orbit of a minuscule fundamental weight, canonically ordered.
 
-    Immutable after construction; safe to share and memoized by
-    ``orbit``.
+    ``index_of`` maps each element's pairing tuple to its position: the
+    one weight-to-position map of the package.  ``neighbour(mu, sign,
+    root)`` steps from mu to mu - alpha_j, mu + alpha_j or mu + psi and
+    returns the target's position.  Immutable after construction; safe
+    to share and memoized by ``orbit``.
     """
 
     def __init__(self, rs: RootSystem, weight_index: int, elements: Sequence[OrbitElement]):
         self.rs = rs
         self.weight_index = weight_index
         self.elements = tuple(elements)
-        self.index_of = {el.weight: pos for pos, el in enumerate(self.elements)}
+        self.index_of = {el.weight.pairings: pos for pos, el in enumerate(self.elements)}
         self.dim_complex = self.elements[-1].length
         self.size = len(self.elements)
 
@@ -58,20 +61,23 @@ class Orbit:
     def highest_weight(self) -> Weight:
         return self.elements[0].weight
 
-    def neighbour(self, mu: Weight, sign: str, root: Union[int, str], nu: Weight) -> int:
-        """The position of nu = mu + root or mu - root, which must be in the orbit.
+    def neighbour(self, mu: Weight, sign: str, root: Union[int, str]) -> int:
+        """The position of mu - root or mu + root, which must be in the orbit.
 
-        root is a simple-root index j or the name "psi".  Raises
-        AssertionError naming mu, the root and nu when nu is missing.
+        sign is "-" or "+"; root is a simple-root index j or the name
+        "psi", the highest root.  Raises AssertionError naming mu, the
+        root and the target when the target is missing.
         """
+        step = self.rs.highest_root_weight if root == "psi" else self.rs.simple_root_weights[root - 1]
+        nu = tuple(map(sub if sign == "-" else add, mu.pairings, step.pairings))
         pos = self.index_of.get(nu)
         if pos is None:
             name = f"alpha_{root}" if isinstance(root, int) else root
-            raise AssertionError(f"{mu} {sign} {name} = {nu} is not in the orbit")
+            raise AssertionError(f"{mu} {sign} {name} = {Weight(nu)} is not in the orbit")
         return pos
 
     def element(self, mu: Weight) -> OrbitElement:
-        pos = self.index_of.get(mu)
+        pos = self.index_of.get(mu.pairings)
         if pos is None:
             raise ValueError(f"{mu} is not a weight of the orbit ({self.rs}, w{self.weight_index})")
         return self.elements[pos]
@@ -95,11 +101,11 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     elements: list[OrbitElement] = []
     depth = 0
     while current:
-        for w in sorted(current):
-            elements.append(OrbitElement(w, current[w], depth))
+        level = sorted(current)
+        elements.extend(OrbitElement(w, current[w], depth) for w in level)
         seen.update(current)
         nxt: dict[Weight, tuple[int, ...]] = {}
-        for w in sorted(current):
+        for w in level:
             for j in range(1, rs.rank + 1):
                 if w.pairings[j - 1] == 1:
                     nu = w - alpha_w[j - 1]
@@ -123,7 +129,7 @@ def length(orb: Orbit, mu: Weight) -> int:
     length.  This deliberately does not consult the BFS words or the
     stored lengths, so it can act as an oracle against them.
     """
-    if mu not in orb.index_of:
+    if mu.pairings not in orb.index_of:
         raise ValueError(f"{mu} is not in the orbit")
     rs = orb.rs
     det = rs.cartan_det
@@ -141,14 +147,11 @@ def length(orb: Orbit, mu: Weight) -> int:
 
 def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
     """All lowering edges (mu, j, mu - alpha_j), with (mu, alpha_j^vee) = 1."""
-    rs = orb.rs
     edges = []
     for el in orb.elements:
-        for j in range(1, rs.rank + 1):
-            if el.weight.pairings[j - 1] == 1:
-                target = el.weight - rs.simple_root_weights[j - 1]
-                orb.neighbour(el.weight, "-", j, target)  # raises unless target is in the orbit
-                edges.append((el.weight, j, target))
+        for j, m in enumerate(el.weight.pairings, 1):
+            if m == 1:
+                edges.append((el.weight, j, orb.elements[orb.neighbour(el.weight, "-", j)].weight))
     return edges
 
 
@@ -176,10 +179,10 @@ def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
     of m is k -> -m[theta(k)].  Validated downstream by the length
     complementarity and the Frobenius symmetry of the quantum operator.
     """
-    if mu not in orb.index_of:
+    if mu.pairings not in orb.index_of:
         raise ValueError(f"{mu} is not in the orbit")
     perm = diagram_involution(orb.rs)
     dual = Weight(tuple(-mu.pairings[perm[k] - 1] for k in range(orb.rs.rank)))
-    if dual not in orb.index_of:
+    if dual.pairings not in orb.index_of:
         raise AssertionError(f"the dual {dual} of {mu} is not in the orbit")
     return dual

@@ -100,7 +100,7 @@ def pairing_matrix(orb: Orbit) -> PolyMatrix:
     """
     entries = {}
     for pos, el in enumerate(orb.elements):
-        entries[(pos, orb.index_of[poincare_dual(orb, el.weight)])] = 1
+        entries[(pos, orb.index_of[poincare_dual(orb, el.weight).pairings])] = 1
     return PolyMatrix(orb.size, entries)
 
 

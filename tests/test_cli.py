@@ -266,6 +266,18 @@ def test_sweep_config_without_a_family_is_config_error():
     assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize("flag", ["false", 0, 1, None], ids=["str", "zero", "one", "None"])
+def test_sweep_config_with_a_non_bool_include_exceptional_is_config_error(flag):
+    config = SweepConfig(include_exceptional=flag)
+    want = rf"^include_exceptional must be a bool, got {re.escape(repr(flag))}$"
+    with pytest.raises(ConfigError, match=want):
+        sweep_cases(config)
+    buf = io.StringIO()
+    with pytest.raises(ConfigError, match=want):
+        cmd_verify(config, out=buf)
+    assert buf.getvalue() == ""
+
+
 @pytest.mark.parametrize("rank", ["3", 2.5, None, True], ids=["str", "float", "None", "bool"])
 def test_sweep_config_with_a_non_integer_rank_is_config_error(rank):
     config = SweepConfig(max_rank={"A": rank, "B": 2, "C": 2, "D": 3})

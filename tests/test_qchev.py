@@ -25,7 +25,7 @@ from minflag.weylorbit import Orbit, OrbitElement, apply_word, orbit
 
 
 def _terms_as_set(terms, orb):
-    return {(orb.index_of[t.target], t.q_power, t.coefficient) for t in terms}
+    return {(orb.index_of[t.target.pairings], t.q_power, t.coefficient) for t in terms}
 
 
 # -- closed form -------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_oracle_terms_come_classical_first_in_canonical_order():
     for orb in sweep_orbits():
         for el in orb.elements:
             terms = chevalley_fw_oracle(orb, el.weight)
-            keys = [(t.q_power, orb.index_of[t.target]) for t in terms]
+            keys = [(t.q_power, orb.index_of[t.target.pairings]) for t in terms]
             assert keys == sorted(set(keys)), (orb, el)
 
 
@@ -299,6 +299,20 @@ def test_trichotomy_tampered_orbit_names_weight_and_root():
     assert check.detail == "at (-1,1), alpha_2: pairing 1, but (0,-1) is not in the orbit"
 
 
+def test_trichotomy_pairing_outside_the_three_cases_names_weight_and_root():
+    rs = build(LieType("A", 2))
+    check = trichotomy_check(Orbit(rs, 1, [OrbitElement(Weight((2, -1)), (), 0)]))
+    assert not check
+    assert check.detail == "at (2,-1), alpha_1: pairing 2, outside -1, 0, 1"
+
+
+def test_trichotomy_moving_reflection_names_weight_and_root(monkeypatch):
+    monkeypatch.setattr(qchev, "reflect", lambda rs, mu, alpha: -mu)
+    check = trichotomy_check(orbit_of("A", 3, 2))
+    assert not check
+    assert check.detail == "at (0,1,0), alpha_1: pairing 0, but the reflection moves the weight"
+
+
 def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch):
     calls = []
     real = qchev.length
@@ -447,9 +461,9 @@ def _transport_cases():
 def test_transport_table_equals_the_stored_words():
     for orb in _transport_cases():
         rs = orb.rs
-        rows, lengths, index = qchev._oracle_table(orb)
+        rows, lengths = qchev._oracle_table(orb)
         complement = divisor_complement(orb)
-        assert index == {el.weight.pairings: k for k, el in enumerate(orb.elements)}, orb
+        assert orb.index_of == {el.weight.pairings: k for k, el in enumerate(orb.elements)}, orb
         assert len(rows) == len(lengths) == orb.size, orb
         for el, row, got_length in zip(orb.elements, rows, lengths):
             assert [beta for beta, _, _ in row] == [apply_word(rs, el.word, a) for a in complement], (orb, el)

@@ -41,3 +41,45 @@ def test_only_rootsys_and_ttstar_import_fractions():
             if any(m.split(".")[0] == "fractions" for m in modules):
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"fractions imported outside rootsys and ttstar: {found}"
+
+
+def _keys_by_weight(key: ast.expr) -> bool:
+    """True for a key ``<x>.weight`` or ``<x>.weight.pairings``."""
+    if isinstance(key, ast.Attribute) and key.attr == "pairings":
+        key = key.value
+    return isinstance(key, ast.Attribute) and key.attr == "weight"
+
+
+def _enumerates_elements(gen: ast.comprehension) -> bool:
+    """True for ``for ... in enumerate(<x>.elements)``."""
+    it = gen.iter
+    return (
+        isinstance(it, ast.Call)
+        and isinstance(it.func, ast.Name)
+        and it.func.id == "enumerate"
+        and len(it.args) == 1
+        and isinstance(it.args[0], ast.Attribute)
+        and it.args[0].attr == "elements"
+    )
+
+
+def test_only_weylorbit_maps_orbit_weights_to_positions():
+    # Orbit.index_of is the one weight -> position map: a module that
+    # builds its own from an orbit's elements duplicates it
+    files = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert files
+    found = []
+    for path in files:
+        name = os.path.basename(path)
+        if name == "weylorbit.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.DictComp)
+                and _keys_by_weight(node.key)
+                and any(_enumerates_elements(g) for g in node.generators)
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"weight -> position maps outside Orbit.index_of: {found}"

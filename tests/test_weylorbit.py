@@ -185,6 +185,20 @@ def test_apply_word_rejects_a_non_root():
         apply_word(rs, (1, 2), RootVec((2, 0)))
 
 
+def test_neighbour_steps_by_the_named_root():
+    for orb in sweep_orbits():
+        rs = orb.rs
+        for el in orb.elements:
+            mu = el.weight
+            for j, (alpha_w, m) in enumerate(zip(rs.simple_root_weights, mu.pairings), 1):
+                if m == 1:
+                    assert orb.elements[orb.neighbour(mu, "-", j)].weight == mu - alpha_w, (orb, mu, j)
+                if m == -1:
+                    assert orb.elements[orb.neighbour(mu, "+", j)].weight == mu + alpha_w, (orb, mu, j)
+            if pair(rs, mu, rs.highest_root) == -1:
+                assert orb.elements[orb.neighbour(mu, "+", "psi")].weight == mu + rs.highest_root_weight, (orb, mu)
+
+
 def test_crystal_edges_rejects_a_truncated_orbit():
     orb = orbit_of("A", 2, 1)
     truncated = Orbit(orb.rs, orb.weight_index, orb.elements[:-1])
