@@ -239,7 +239,7 @@ def _weight_json(w: Weight) -> list[int]:
 
 
 def _weight_key(w: Weight) -> str:
-    return ",".join(str(p) for p in w.pairings)
+    return ",".join(map(str, w.pairings))
 
 
 def _header(orb: Orbit) -> dict:

@@ -110,6 +110,15 @@ class Poly:
         """Substitute q -> c*q."""
         return Poly({e: v * c**e for e, v in self._c.items()})
 
+    def sign_against(self, other: "Poly") -> int:
+        """1 if other equals self, -1 if other is exactly -self, else 0."""
+        a, b = self._c, other._c
+        if a == b:
+            return 1
+        if len(a) == len(b) and all(b.get(e) == -v for e, v in a.items()):
+            return -1
+        return 0
+
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -350,7 +359,7 @@ def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     entries = {}
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == 1:
-            entries[(orb.neighbour(el.weight, "-", j), pos)] = 1
+            entries[(orb.neighbour(el.weight, "-", j), pos)] = ONE
     return PolyMatrix(orb.size, entries)
 
 
@@ -361,7 +370,7 @@ def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
     entries = {}
     for pos, el in enumerate(orb.elements):
         if el.weight.pairings[j - 1] == -1:
-            entries[(orb.neighbour(el.weight, "+", j), pos)] = 1
+            entries[(orb.neighbour(el.weight, "+", j), pos)] = ONE
     return PolyMatrix(orb.size, entries)
 
 
@@ -384,7 +393,7 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
     entries = {}
     for pos, el in enumerate(orb.elements):
         if pair(rs, el.weight, psi) == -1:
-            entries[(orb.neighbour(el.weight, "+", "psi"), pos)] = 1
+            entries[(orb.neighbour(el.weight, "+", "psi"), pos)] = ONE
     return PolyMatrix(orb.size, entries)
 
 

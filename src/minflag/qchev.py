@@ -150,18 +150,20 @@ def _oracle_table(orb: Orbit) -> _OracleTable:
     nu = mu + alpha_j has u_mu = s_j u_nu, so mu's transported
     complement is s_j applied to nu's, entry by entry: one single-letter
     ``apply_word`` call per (class, root).  Each entry is interned by
-    the root's coefficients, and ``length`` is read once per element.
+    the root's coefficients, with its pairings from ``rs.root_pairings``,
+    and ``length`` is read once per element.
     Only the most recent orbit's table is kept.
     """
     rs = orb.rs
     top = orb.highest_weight
     raise_by = [a.pairings for a in rs.simple_root_weights]
+    pairings = rs.root_pairings
     interned: dict[tuple[int, ...], _Entry] = {}
 
     def entry(beta: RootVec) -> _Entry:
         got = interned.get(beta.coeffs)
         if got is None:
-            got = interned[beta.coeffs] = (beta, rs.root_to_weight(beta).pairings, beta.height)
+            got = interned[beta.coeffs] = (beta, pairings[beta.coeffs], beta.height)
         return got
 
     transport = {top.pairings: tuple(entry(alpha) for alpha in divisor_complement(orb))}

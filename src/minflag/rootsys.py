@@ -20,9 +20,10 @@ Coordinate conventions, fixed package-wide:
 All arithmetic is exact, and construction and the hot paths use
 integers only; Fraction appears only in the symmetrizers d_j, where
 the Cartan entries are read off the diagram, and in ``half_norm``.
-Every root stores its coroot in the simple-coroot basis.  The coroots
-follow the roots through the reflection closure, so they are integral
-by construction, and each is checked to pair to 2 with its root.  A
+Every root stores its coroot in the simple-coroot basis and its pairing
+tuple C . coeffs.  Both follow the roots through the reflection
+closure, which runs on integer tuples, so the coroots are integral by
+construction, and each is checked to pair to 2 with its root.  A
 coroot pairing is then an integer dot product.  One fraction-free
 elimination gives the integer determinant and adjugate of the Cartan
 matrix: the root coordinates of a weight w are (adj . w) / det, one
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import add, mul, sub
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -155,8 +157,10 @@ class RootSystem:
     """Root system of a simple Lie type, precomputed and immutable.
 
     Attributes follow the coordinate conventions of the module
-    docstring.  The coroots are carried along the reflection closure
-    that generates the positive roots; ``cartan_det`` and
+    docstring.  The coroots and the pairing tuples C . beta are carried
+    along the reflection closure that generates the positive roots, and
+    both are kept for every root of +-Delta+: ``root_pairings`` maps a
+    root's coefficients to its pairings.  ``cartan_det`` and
     ``cartan_adjugate`` are the integer determinant and adjugate of the
     Cartan matrix, both from one fraction-free elimination.  The one lazy
     attribute is ``reflection_table``, filled on first use.  Two instances
@@ -193,13 +197,16 @@ class RootSystem:
         self._check_cartan()
 
         self.positive_roots = self._close_positive_roots()
+        pairings = self.root_pairings
         for r in self.positive_roots:
             co = self._coroot[r.coeffs]
-            p = sum(c * sum(map(mul, row, r.coeffs)) for c, row in zip(co, cartan))
+            p = sum(map(mul, co, pairings[r.coeffs]))
             if p != 2:
                 raise AssertionError(f"the root {r} of {lie_type} pairs to {p}, not 2, "
                                      f"with its coroot ({','.join(map(str, co))})")
-            self._coroot[(-r).coeffs] = tuple(-c for c in co)
+            neg = tuple(-c for c in r.coeffs)
+            self._coroot[neg] = neg if co == r.coeffs else tuple(-c for c in co)
+            pairings[neg] = tuple(-a for a in pairings[r.coeffs])
 
         heights = [r.height for r in self.positive_roots]
         top = max(heights)
@@ -230,13 +237,16 @@ class RootSystem:
         C = self.cartan_data.cartan
         d = self.cartan_data.symmetrizers
         n = self.lie_type.rank
+        # d_j scaled by their common denominator: symmetrizability on integers
+        den = lcm(*(x.denominator for x in d))
+        scaled = [x.numerator * (den // x.denominator) for x in d]
         for k in range(n):
             if C[k][k] != 2:
                 raise AssertionError(f"Cartan diagonal entry a[{k + 1}][{k + 1}] = {C[k][k]}, not 2")
             for j in range(n):
                 if j != k and C[k][j] not in (0, -1, -2, -3):
                     raise AssertionError(f"Cartan entry a[{k + 1}][{j + 1}] = {C[k][j]} is not 0, -1, -2 or -3")
-                if d[k] * C[k][j] != d[j] * C[j][k]:
+                if scaled[k] * C[k][j] != scaled[j] * C[j][k]:
                     raise AssertionError(
                         f"Cartan matrix not symmetrizable at ({k + 1}, {j + 1}): "
                         f"d_{k + 1} a[{k + 1}][{j + 1}] = {d[k] * C[k][j]} but "
@@ -246,29 +256,40 @@ class RootSystem:
     def _close_positive_roots(self) -> tuple[RootVec, ...]:
         """Generate the positive roots by reflection closure from the simple ones.
 
-        Each coroot follows its root, so ``self._coroot`` is filled on the
-        way: when s_j takes beta to gamma it takes beta^vee to gamma^vee =
-        beta^vee - (alpha_j, beta^vee) alpha_j^vee, the pairing read from
-        column j of the Cartan matrix.  Every coroot is integral by
-        construction.
+        The closure runs on coefficient tuples.  Each root carries its
+        pairings C . beta and its coroot: the reflection coefficient
+        p = (beta, alpha_j^vee) is pairing j, and s_j moves only
+        coordinate j, so s_j beta = beta - p alpha_j is positive iff
+        beta_j - p >= 0.  Its pairings are beta's minus p times column j
+        of C, and its coroot is beta^vee - (alpha_j, beta^vee) alpha_j^vee,
+        so every coroot is integral by construction.  ``self._coroot``
+        and ``self.root_pairings`` are filled on the way; the RootVecs
+        are made once, at the end, in (height, coeffs) order.
         """
         n = self.lie_type.rank
         columns = tuple(zip(*self.cartan_data.cartan))
-        simple = [RootVec(tuple(1 if j == k else 0 for j in range(n))) for k in range(n)]
-        self._coroot = {r.coeffs: r.coeffs for r in simple}
+        simple = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
+        coroot = self._coroot = {c: c for c in simple}
+        pairings = self.root_pairings = {c: columns[k] for k, c in enumerate(simple)}
         queue = list(simple)
         while queue:
             beta = queue.pop()
-            for j in range(1, n + 1):
-                gamma = self.simple_reflect_root(beta, j)
-                if gamma.is_positive and gamma.coeffs not in self._coroot:
-                    co = list(self._coroot[beta.coeffs])
-                    co[j - 1] -= sum(map(mul, columns[j - 1], co))
-                    self._coroot[gamma.coeffs] = tuple(co)
-                    queue.append(gamma)
-        roots = [RootVec(c) for c in self._coroot]
-        roots.sort(key=lambda r: (r.height, r.coeffs))
-        return tuple(roots)
+            pb = pairings[beta]
+            for j in range(n):
+                p = pb[j]
+                if p and beta[j] >= p:
+                    gamma = beta[:j] + (beta[j] - p,) + beta[j + 1:]
+                    if gamma not in coroot:
+                        col = columns[j]
+                        co = list(coroot[beta])
+                        co[j] -= sum(map(mul, col, co))
+                        co = tuple(co)
+                        # a coroot equal to its root (every root when simply
+                        # laced) shares the key's tuple
+                        coroot[gamma] = gamma if co == gamma else co
+                        pairings[gamma] = tuple([a - p * c for a, c in zip(pb, col)])
+                        queue.append(gamma)
+        return tuple(RootVec(c) for c in sorted(coroot, key=lambda c: (sum(c), c)))
 
     def _find_minuscule(self) -> tuple[int, ...]:
         # (lambda_i, alpha^vee) is the i-th coroot coefficient of alpha

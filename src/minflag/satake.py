@@ -102,20 +102,19 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
-    ratio: dict[tuple[int, int], int] = {}
-    support_a = {(i, j) for (i, j, _p) in a.nonzero()}
-    support_b = {(i, j) for (i, j, _p) in b.nonzero()}
+    entries_a, entries_b = a.nonzero(), b.nonzero()
+    support_a = {(i, j) for (i, j, _p) in entries_a}
+    support_b = {(i, j) for (i, j, _p) in entries_b}
     if support_a != support_b:
         entry = min(support_a.symmetric_difference(support_b))
         raise SignSimilarityError("support", f"supports differ at entry {entry}")
-    for (i, j, p) in a.nonzero():
-        q = b.entry(i, j)
-        if p == q:
-            ratio[(i, j)] = 1
-        elif p == -q:
-            ratio[(i, j)] = -1
-        else:
+    # equal supports, both in row order: the two lists pair up entry by entry
+    ratio: dict[tuple[int, int], int] = {}
+    for (i, j, p), (_i, _j, q) in zip(entries_a, entries_b):
+        eps = p.sign_against(q)
+        if not eps:
             raise SignSimilarityError("support", f"entries at {(i, j)} do not agree up to sign: {p} vs {q}")
+        ratio[(i, j)] = eps
 
     d = _propagate_signs(n, ratio)
     for (i, j), eps in ratio.items():
@@ -201,7 +200,9 @@ def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
     lines = [el.weight.pairings for el in line.elements]
     perm = [gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets]
     twist = (-1) ** (k - 1)
-    aligned = PolyMatrix(w.n, {(perm[i], perm[j]): p.q_scaled(twist) for (i, j, p) in w.nonzero()})
+    aligned = PolyMatrix(
+        w.n, {(perm[i], perm[j]): p if twist == 1 else p.q_scaled(twist) for (i, j, p) in w.nonzero()}
+    )
     return aligned, quantum_operator(gr)
 
 

@@ -91,27 +91,31 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     """BFS enumeration of the orbit of the i-th fundamental weight.
 
     Each element records the first reduced word the BFS reaches it by,
-    simple reflections tried in index order.
+    simple reflections tried in index order.  The frontier, the seen set
+    and the per-level sort run on pairing tuples, which sort as their
+    Weights do; each element gets one Weight and one OrbitElement, made
+    as its level is recorded.
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
-    alpha_w = rs.simple_root_weights
-    current: dict[Weight, tuple[int, ...]] = {rs.fundamental_weight(i): ()}
-    seen: set[Weight] = set()
+    alpha_w = [a.pairings for a in rs.simple_root_weights]
+    current: dict[tuple[int, ...], tuple[int, ...]] = {rs.fundamental_weight(i).pairings: ()}
+    seen: set[tuple[int, ...]] = set()
     elements: list[OrbitElement] = []
     depth = 0
     while current:
         level = sorted(current)
-        elements.extend(OrbitElement(w, current[w], depth) for w in level)
+        elements.extend(OrbitElement(Weight(w), current[w], depth) for w in level)
         seen.update(current)
-        nxt: dict[Weight, tuple[int, ...]] = {}
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for w in level:
-            for j in range(1, rs.rank + 1):
-                if w.pairings[j - 1] == 1:
-                    nu = w - alpha_w[j - 1]
+            for j, m in enumerate(w, 1):
+                if m == 1:
+                    nu = tuple(map(sub, w, alpha_w[j - 1]))
                     if nu in seen:
                         raise AssertionError(
-                            f"lowering {w} by alpha_{j} gives {nu}, already met: lowering must increase length"
+                            f"lowering {Weight(w)} by alpha_{j} gives {Weight(nu)}, already met: "
+                            "lowering must increase length"
                         )
                     if nu not in nxt:
                         nxt[nu] = current[w] + (j,)

@@ -8,9 +8,9 @@ from typing import Sequence
 import minflag.minrep as minrep
 from minflag.cli import SweepConfig, sweep_cases
 from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
-from minflag.rootsys import LieType, RootSystem, Weight, build
+from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, minuscule_weights
 from minflag.satake import wedge_subsets
-from minflag.weylorbit import Orbit, orbit, poincare_dual
+from minflag.weylorbit import Orbit, OrbitElement, orbit, poincare_dual
 
 SWEEP = sweep_cases(SweepConfig())
 
@@ -40,6 +40,62 @@ def apply_word_to_weight(rs: RootSystem, word: Sequence[int], mu: Weight) -> Wei
         if p:
             w = w - rs.simple_root_weights[j - 1].scaled(p)
     return w
+
+
+def reference_positive_roots(rs: RootSystem) -> tuple[tuple[RootVec, ...], dict[tuple[int, ...], tuple[int, ...]]]:
+    """The positive roots and their coroots by a reflection closure over RootVec objects.
+
+    The test-only reference the tuple closure of ``RootSystem`` is
+    compared against: each step reflects a RootVec through
+    ``simple_reflect_root`` and tests ``is_positive``; the coroot moves
+    as beta^vee - (alpha_j, beta^vee) alpha_j^vee.  Returns the roots in
+    (height, coeffs) order and the coroot of each, keyed by coefficients.
+    """
+    n = rs.rank
+    columns = tuple(zip(*rs.cartan_data.cartan))
+    simple = [rs.simple_root(k) for k in range(1, n + 1)]
+    coroot = {r.coeffs: r.coeffs for r in simple}
+    queue = list(simple)
+    while queue:
+        beta = queue.pop()
+        for j in range(1, n + 1):
+            gamma = rs.simple_reflect_root(beta, j)
+            if gamma.is_positive and gamma.coeffs not in coroot:
+                co = list(coroot[beta.coeffs])
+                co[j - 1] -= sum(c * x for c, x in zip(columns[j - 1], co))
+                coroot[gamma.coeffs] = tuple(co)
+                queue.append(gamma)
+    roots = sorted((RootVec(c) for c in coroot), key=lambda r: (r.height, r.coeffs))
+    return tuple(roots), coroot
+
+
+def reference_orbit_elements(rs: RootSystem, i: int) -> list[OrbitElement]:
+    """The orbit of lambda_i by a BFS over Weight objects, in canonical order.
+
+    The test-only reference the tuple BFS of ``weylorbit.orbit`` is
+    compared against: each level is sorted as Weights, and each lowering
+    subtracts a Weight; an element keeps the first word that reaches it,
+    simple reflections tried in index order.
+    """
+    assert i in minuscule_weights(rs)
+    current: dict[Weight, tuple[int, ...]] = {rs.fundamental_weight(i): ()}
+    seen: set[Weight] = set()
+    elements: list[OrbitElement] = []
+    depth = 0
+    while current:
+        level = sorted(current)
+        elements.extend(OrbitElement(w, current[w], depth) for w in level)
+        seen.update(current)
+        nxt: dict[Weight, tuple[int, ...]] = {}
+        for w in level:
+            for j in range(1, rs.rank + 1):
+                if w.pairings[j - 1] == 1:
+                    nu = w - rs.simple_root_weights[j - 1]
+                    assert nu not in seen, (w, j, nu)
+                    nxt.setdefault(nu, current[w] + (j,))
+        current = nxt
+        depth += 1
+    return elements
 
 
 def random_alcove_coords(rs: RootSystem, rng: random.Random) -> tuple[Fraction, ...]:

@@ -370,6 +370,32 @@ def test_emitted_operator_bytes_are_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == EMIT_SHA256[case]
 
 
+# sha256 of what the orbit BFS writes: its words and order (orbit JSON)
+# and its edges (crystal JSON and DOT); the same hashes the benchmark's
+# reference holds
+BFS_EMIT_SHA256 = {
+    ("E", 7, 1, "orbit", "json"): "8369af6173e82f86aa649dd2b2acffdb01843000b5b6d8463c11bdd04a5b873c",
+    ("E", 7, 1, "crystal", "json"): "cf690c7413a39c2f9d6c712e08fe28d16b084592c9370be9940edda0c9a6b61f",
+    ("E", 7, 1, "crystal", "dot"): "038064ba99bc38fc68afe5977d58dfe11be298ea32d60c883eb96205c16ca1fc",
+    ("D", 8, 8, "orbit", "json"): "580dd285b3abd545e3fb4a3e40667caee0dc1fdf5bfd03e29ab06acd3981dfe9",
+    ("D", 8, 8, "crystal", "json"): "319ab4ae3a1c2b482e92853d3d5af530bafea47d86fef4d27387be9bf463c874",
+    ("D", 8, 8, "crystal", "dot"): "e9303f3101c959e69a18288482f22a67699cb1971aaa8862fd4e8419dcd4f5c2",
+    ("B", 8, 8, "orbit", "json"): "e93eb764a7913ac7d8e459fa20f46862d991ee81b0037bd993a46e7f30bd214f",
+    ("B", 8, 8, "crystal", "json"): "404b5edd2fc43149508d572e4fc01f19db9a2ba3be1a5abb8c9953f768727eb9",
+    ("B", 8, 8, "crystal", "dot"): "1182e06e3c8a1918aef51c208bc884845e3918b8cb3da852785d481b4d2726c3",
+    ("A", 9, 5, "orbit", "json"): "6a7a2335c18ad47038faf31f3f25716a3081e18fbc05df67118be38956340f84",
+    ("A", 9, 5, "crystal", "json"): "054f900af5efd5175a3d273fdf7f5c71ea0626bd1a86382666ed2c9d1cb3402d",
+    ("A", 9, 5, "crystal", "dot"): "833c0283f8f1f8fdf2a7c779074725bbdf6158748e91b2cd4d411c7f176778c5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BFS_EMIT_SHA256), ids="{0[0]}{0[1]}w{0[2]}-{0[3]}.{0[4]}".format)
+def test_emitted_orbit_and_crystal_bytes_are_pinned(case):
+    family, rank, weight, what, fmt = case
+    text = _emit(family, rank, weight, what, fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == BFS_EMIT_SHA256[case]
+
+
 _coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))
 _entries = st.dictionaries(st.integers(0, 6), _coeffs, max_size=4).map(Poly)
 

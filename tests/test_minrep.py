@@ -71,6 +71,28 @@ def test_poly_basics():
     assert Q.q_scaled(-1) == -Q
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=polys, b=polys)
+def test_sign_against_is_the_ratio_of_equal_or_negated_polys(a, b):
+    want = 1 if b == a else -1 if b == -a else 0
+    assert a.sign_against(b) == want
+    assert a.sign_against(a) == 1 and a.sign_against(-a) == (1 if a == ZERO else -1)
+
+
+def test_sign_against_needs_every_term_negated():
+    p = Poly({0: 1, 1: 1})
+    assert p.sign_against(Poly({0: -1, 1: -1})) == -1
+    assert p.sign_against(Poly({0: 1, 1: -1})) == 0
+    assert p.sign_against(Poly({0: -1})) == 0
+    assert p.sign_against(Poly({0: -1, 1: -1, 2: 1})) == 0
+
+
+def test_generator_builders_share_the_constant_one():
+    orb = orbit_of("D", 4, 1)
+    mats = [lowering_matrix(orb, 2), raising_matrix(orb, 2), psi_raising_matrix(orb)]
+    assert all(p is ONE for m in mats for _i, _j, p in m.nonzero())
+
+
 def test_poly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Poly({-1: 1})

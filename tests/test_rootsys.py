@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_positive_roots
 from minflag import rootsys
 from minflag.rootsys import (
     CartanData,
@@ -36,6 +37,30 @@ EXPECTED_NPOS = {
     ("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
     ("F", 4): 24, ("G", 2): 6,
 }
+
+
+# the types the tuple closure is compared against its RootVec reference on
+CLOSURE_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(2, 11)]
+    + [("D", n) for n in range(3, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", CLOSURE_TYPES, ids=[f"{f}{n}" for f, n in CLOSURE_TYPES])
+def test_tuple_closure_matches_the_rootvec_reference(fam, rank):
+    rs = build(LieType(fam, rank))
+    roots, coroots = reference_positive_roots(rs)
+    assert rs.positive_roots == roots
+    for r in roots:
+        assert rs._coroot[r.coeffs] == coroots[r.coeffs], r
+        assert rs._coroot[(-r).coeffs] == tuple(-c for c in coroots[r.coeffs]), r
+    # the carried pairings are kept for every root of +-Delta+
+    assert len(rs.root_pairings) == 2 * len(roots)
+    for r in roots + tuple(-r for r in roots):
+        assert rs.root_pairings[r.coeffs] == rs.root_to_weight(r).pairings, r
 
 
 def test_a1_smallest_case():
@@ -329,6 +354,18 @@ def test_non_symmetrizable_cartan_names_the_pair():
         match=r"^Cartan matrix not symmetrizable at \(1, 2\): d_1 a\[1\]\[2\] = -1 but d_2 a\[2\]\[1\] = -2$",
     ):
         rs._check_cartan()
+
+
+def test_non_symmetrizable_cartan_with_fractional_symmetrizers_names_the_pair():
+    # the B2 matrix with its symmetrizers swapped; the check scales them to integers
+    rs = _tampered(LieType("B", 2), ((2, -1), (-2, 2)), (Fraction(1, 2), Fraction(1)))
+    with pytest.raises(
+        AssertionError,
+        match=r"^Cartan matrix not symmetrizable at \(1, 2\): d_1 a\[1\]\[2\] = -1/2 but d_2 a\[2\]\[1\] = -2$",
+    ):
+        rs._check_cartan()
+    _tampered(LieType("B", 2), ((2, -1), (-2, 2)), (Fraction(1), Fraction(1, 2)))._check_cartan()
+    _tampered(LieType("G", 2), ((2, -3), (-1, 2)), (Fraction(1, 3), Fraction(1)))._check_cartan()
 
 
 def test_involution_that_is_no_automorphism_names_the_entry():

@@ -132,6 +132,38 @@ def test_sign_similarity_support_mismatch():
     assert err.value.kind == "support"
 
 
+def test_sign_similarity_support_witness_names_the_entry():
+    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    with pytest.raises(SignSimilarityError) as err:
+        sign_similarity(aligned, grassmannian.with_entry(0, 0, 1))
+    assert str(err.value) == "supports differ at entry (0, 0)"
+    assert err.value.cycle is None
+
+
+Q1 = Poly({0: 1, 1: 1})  # 1 + q
+
+
+def test_sign_similarity_matches_a_negated_multi_term_entry():
+    a = PolyMatrix(2, {(0, 1): Q1, (1, 1): Q1})
+    b = PolyMatrix(2, {(0, 1): -Q1, (1, 1): Q1})
+    assert sign_similarity(a, b).signs == (1, -1)
+
+
+@pytest.mark.parametrize("p,q,text", [
+    (Q1, Poly({0: 1, 1: -1}), "q + 1 vs -q + 1"),
+    (Q1, Poly({0: -1, 1: 1}), "q + 1 vs q - 1"),
+    (Q1, Poly({0: 1}), "q + 1 vs 1"),
+    (Poly({0: 2}), Poly({0: 1}), "2 vs 1"),
+])
+def test_sign_similarity_entry_witness_names_both_entries(p, q, text):
+    a = PolyMatrix(2, {(0, 0): 1, (0, 1): p})
+    b = PolyMatrix(2, {(0, 0): 1, (0, 1): q})
+    with pytest.raises(SignSimilarityError) as err:
+        sign_similarity(a, b)
+    assert err.value.kind == "support"
+    assert str(err.value) == f"entries at (0, 1) do not agree up to sign: {text}"
+
+
 def test_sign_similarity_dimension_mismatch():
     a = quantum_operator(orbit_of("A", 1, 1))
     b = quantum_operator(orbit_of("A", 2, 1))

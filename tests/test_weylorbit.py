@@ -2,8 +2,8 @@ import copy
 import pytest
 from math import comb
 
-from helpers import SWEEP, apply_word_to_weight, orbit_of, sweep_orbits
-from minflag.cli import expected_orbit_size
+from helpers import SWEEP, apply_word_to_weight, orbit_of, reference_orbit_elements, sweep_orbits
+from minflag.cli import SweepConfig, expected_orbit_size, sweep_cases
 from minflag.rootsys import LieType, RootVec, Weight, build, pair
 from minflag.weylorbit import (
     Orbit,
@@ -14,6 +14,16 @@ from minflag.weylorbit import (
     orbit,
     poincare_dual,
 )
+
+# every minuscule orbit of the rank-10 sweep
+RANK10_SWEEP = sweep_cases(SweepConfig(max_rank={"A": 10, "B": 9, "C": 9, "D": 10}))
+
+
+@pytest.mark.parametrize("lt,i", RANK10_SWEEP, ids=[f"{lt}w{i}" for lt, i in RANK10_SWEEP])
+def test_tuple_bfs_matches_the_weight_reference(lt, i):
+    # weights, words, lengths and order
+    rs = build(lt)
+    assert list(orbit(rs, i).elements) == reference_orbit_elements(rs, i)
 
 
 def test_a1_orbit():
