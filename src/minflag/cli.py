@@ -361,6 +361,8 @@ def cmd_satake(
     if fmt not in ("text", "json"):
         raise ConfigError(f"unsupported format {fmt!r}")
     if family is not None:
+        if n is not None or k is not None:
+            raise ConfigError("--n and --k do not combine with --family")
         if family != "D":
             raise ConfigError("dimension identities are only defined for family D")
         if rank is None or rank < 3:

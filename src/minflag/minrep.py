@@ -1,27 +1,29 @@
 """Canonical-basis matrices of minuscule representations, and A(q).
 
-In the canonical basis attached to a minuscule orbit, every root-vector
-generator acts with coefficients 0 or 1: lowering by a simple root
-follows the crystal edges, raising is its transpose, the Cartan
-elements act diagonally by the coroot pairings, and raising by the
-highest root contributes the single q-weighted block of
+Every weight of a minuscule representation has multiplicity one, so in
+the canonical basis every root-vector generator moves each basis vector
+to at most one other: lowering by a simple root follows the crystal
+edges with coefficient 1, raising is its transpose, the Cartan elements
+act diagonally by the coroot pairings, and raising by the highest root
+contributes the single q-weighted block of
 
     A(q) = sum_j E-(j) + q * E_psi.
 
-Matrices live over Poly, integer-coefficient polynomials in one formal
-variable q with arbitrary-precision coefficients.  PolyMatrix is a
-sparse container, not an algebra: nothing here multiplies or adds
-matrices.  Each generator moves every basis vector to at most one
-other, so the bracket relations are checked by composing the
-generators' index maps.  The characteristic polynomial is the one place
-q takes integer values: a sparse integer Berkowitz kernel runs on A(1),
-and the q-grading of A(q) lifts its coefficients back exactly (other
-matrices are interpolated exactly from integer values of q).
+Each kind of generator is built once per orbit as index maps {source:
+(target, coefficient)}.  A(q) is summed from them and the bracket
+relations compose them; ``lowering_matrix``, ``raising_matrix``,
+``cartan_action`` and ``psi_raising_matrix`` are PolyMatrix views.
+Matrices live over Poly, integer polynomials in one formal variable q.
+PolyMatrix is a sparse container, not an algebra: nothing here
+multiplies or adds matrices.  The characteristic polynomial is the one
+place q takes integer values: a sparse integer Berkowitz kernel runs on
+A(1), and the q-grading of A(q) lifts its coefficients back exactly
+(other matrices are interpolated exactly from integer values of q).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .rootsys import pair
 from .weylorbit import Orbit
@@ -130,6 +132,9 @@ class Poly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # a constant equals its integer (ZERO equals 0), so it hashes as one
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(self.items())
 
     def __str__(self) -> str:
@@ -351,66 +356,83 @@ def _interpolate(values: list[int]) -> Poly:
 
 # -- canonical-basis generators ----------------------------------------------
 
+# a generator as {source: (target, coefficient)}: each basis vector goes to at most one other
+_IndexMap = dict[int, tuple[int, int]]
+
+
+def _lowering_maps(orb: Orbit) -> list[_IndexMap]:
+    """E-(1..l) in one pass: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1."""
+    return _simple_root_maps(orb, "-", 1)
+
+
+def _raising_maps(orb: Orbit) -> list[_IndexMap]:
+    """E+(1..l) in one pass: mu -> (mu + alpha_j, 1) exactly when (mu, alpha_j^vee) = -1."""
+    return _simple_root_maps(orb, "+", -1)
+
+
+def _simple_root_maps(orb: Orbit, sign: str, pairing: int) -> list[_IndexMap]:
+    """Per j: mu -> (mu - alpha_j or mu + alpha_j by sign, 1) wherever (mu, alpha_j^vee) = pairing."""
+    maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
+    for pos, el in enumerate(orb.elements):
+        for j, m in enumerate(el.weight.pairings, 1):
+            if m == pairing:
+                maps[j - 1][pos] = (orb.neighbour(el.weight, sign, j), 1)
+    return maps
+
+
+def _cartan_maps(orb: Orbit) -> list[_IndexMap]:
+    """H(1..l) in one pass: mu -> (mu, (mu, alpha_j^vee)) wherever the pairing is nonzero."""
+    maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
+    for pos, el in enumerate(orb.elements):
+        for j, m in enumerate(el.weight.pairings):
+            if m:
+                maps[j][pos] = (pos, m)
+    return maps
+
+
+def _psi_map(orb: Orbit) -> _IndexMap:
+    """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1."""
+    rs = orb.rs
+    return {pos: (orb.neighbour(el.weight, "+", "psi"), 1)
+            for pos, el in enumerate(orb.elements) if pair(rs, el.weight, rs.highest_root) == -1}
+
+
+def _matrix(orb: Orbit, build: Callable, j: Optional[int] = None) -> PolyMatrix:
+    """Map j of ``build(orb)`` (its one map when j is None) as a PolyMatrix."""
+    if j is not None and not 1 <= j <= orb.rs.rank:
+        raise ValueError(f"simple root index {j} out of range")
+    m = build(orb) if j is None else build(orb)[j - 1]
+    return PolyMatrix(orb.size, {(t, c): v for c, (t, v) in m.items()})
+
 
 def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     """E-(j): entry (target, source) = 1 for each crystal edge labelled j."""
-    if not 1 <= j <= orb.rs.rank:
-        raise ValueError(f"simple root index {j} out of range")
-    entries = {}
-    for pos, el in enumerate(orb.elements):
-        if el.weight.pairings[j - 1] == 1:
-            entries[(orb.neighbour(el.weight, "-", j), pos)] = ONE
-    return PolyMatrix(orb.size, entries)
+    return _matrix(orb, _lowering_maps, j)
 
 
 def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
     """E+(j): entry (mu + alpha_j, mu) = 1 exactly when (mu, alpha_j^vee) = -1."""
-    if not 1 <= j <= orb.rs.rank:
-        raise ValueError(f"simple root index {j} out of range")
-    entries = {}
-    for pos, el in enumerate(orb.elements):
-        if el.weight.pairings[j - 1] == -1:
-            entries[(orb.neighbour(el.weight, "+", j), pos)] = ONE
-    return PolyMatrix(orb.size, entries)
+    return _matrix(orb, _raising_maps, j)
 
 
 def cartan_action(orb: Orbit, j: int) -> PolyMatrix:
     """H(j): diagonal of coroot pairings, entries in {-1, 0, 1}."""
-    if not 1 <= j <= orb.rs.rank:
-        raise ValueError(f"simple root index {j} out of range")
-    entries = {
-        (pos, pos): el.weight.pairings[j - 1]
-        for pos, el in enumerate(orb.elements)
-        if el.weight.pairings[j - 1]
-    }
-    return PolyMatrix(orb.size, entries)
+    return _matrix(orb, _cartan_maps, j)
 
 
 def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
     """E_psi: entry (mu + psi, mu) = 1 exactly when (mu, psi^vee) = -1."""
-    rs = orb.rs
-    psi = rs.highest_root
-    entries = {}
-    for pos, el in enumerate(orb.elements):
-        if pair(rs, el.weight, psi) == -1:
-            entries[(orb.neighbour(el.weight, "+", "psi"), pos)] = ONE
-    return PolyMatrix(orb.size, entries)
+    return _matrix(orb, _psi_map)
 
 
 def quantum_operator(orb: Orbit) -> PolyMatrix:
-    """A(q) = sum_j E-(j) + q E_psi in the canonical basis, built in one pass.
-
-    1 at (mu - alpha_j, mu) wherever (mu, alpha_j^vee) = 1, and q at each
-    entry of E_psi; coinciding entries add up.
-    """
+    """A(q) = sum_j E-(j) + q E_psi, summed from the generators' index maps; coinciding entries add."""
     entries: dict[tuple[int, int], Poly] = {}
-    for pos, el in enumerate(orb.elements):
-        for j, m in enumerate(el.weight.pairings, 1):
-            if m == 1:
-                key = (orb.neighbour(el.weight, "-", j), pos)
-                entries[key] = entries[key] + ONE if key in entries else ONE
-    for i, j, _p in psi_raising_matrix(orb).nonzero():
-        entries[(i, j)] = entries[(i, j)] + Q if (i, j) in entries else Q
+    for term, maps in ((ONE, _lowering_maps(orb)), (Q, [_psi_map(orb)])):
+        for m in maps:
+            for c, (t, v) in m.items():
+                p = term if v == 1 else v * term
+                entries[t, c] = entries[t, c] + p if (t, c) in entries else p
     return PolyMatrix(orb.size, entries)
 
 
@@ -444,28 +466,7 @@ def _first_difference(
     return f"at ({w[i].weight}, {w[j].weight}): {got.get((i, j), 0)} != {want.get((i, j), 0)}"
 
 
-_ColumnMap = dict[int, tuple[int, int]]
-
-
-def _column_map(orb: Orbit, name: str, m: PolyMatrix) -> _ColumnMap:
-    """{source: (target, coefficient)} of a generator with one integer entry per column.
-
-    Raises ValueError naming the generator and the column weight when a
-    column holds a second entry or an entry that is not an integer.
-    """
-    w = orb.elements
-    cols: _ColumnMap = {}
-    for i, j, p in m.nonzero():
-        coeff = p._c.get(0)
-        if coeff is None or len(p._c) != 1:
-            raise ValueError(f"{name} has {p} in column {w[j].weight}, at row {w[i].weight}")
-        if j in cols:
-            raise ValueError(f"{name} has a second entry in column {w[j].weight}, at row {w[i].weight}")
-        cols[j] = (i, coeff)
-    return cols
-
-
-def _bracket(x: _ColumnMap, y: _ColumnMap) -> dict[tuple[int, int], int]:
+def _bracket(x: _IndexMap, y: _IndexMap) -> dict[tuple[int, int], int]:
     """The nonzero entries of [X, Y]: column c is X(Y(c)) - Y(X(c))."""
     out: dict[tuple[int, int], int] = {}
     for first, second, sign in ((x, y, 1), (y, x, -1)):
@@ -476,8 +477,8 @@ def _bracket(x: _ColumnMap, y: _ColumnMap) -> dict[tuple[int, int], int]:
     return {k: v for k, v in out.items() if v}
 
 
-def _entries(cols: _ColumnMap, scale: int) -> dict[tuple[int, int], int]:
-    """The nonzero entries of scale * M for M given by its column map."""
+def _entries(cols: _IndexMap, scale: int) -> dict[tuple[int, int], int]:
+    """The nonzero entries of scale * M for M given by its index map."""
     return {(t, c): scale * v for c, (t, v) in cols.items()} if scale else {}
 
 
@@ -488,30 +489,22 @@ def verify_rep_relations(orb: Orbit) -> Check:
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
     [E+(j), E_psi] = 0 since psi + alpha_j is never a root.
 
-    Each generator comes from its builder and moves every basis vector
-    to at most one other, with an integer coefficient, so it is read as
-    an index map source -> (target, coefficient).  Column c of [X, Y]
-    is then at most two terms, X(Y(c)) - Y(X(c)), and no matrix product
-    is formed.  A generator with a second entry or a q-entry in one
-    column fails the check, naming that column.  Otherwise the check
-    stops at the first failing relation and names its first wrong entry
-    in row order.  A generator whose target is not in the orbit raises
-    AssertionError from its builder, naming the weight, the root and
-    the target.
+    Every generator moves each basis vector to at most one other, so
+    each kind is built once as index maps source -> (target,
+    coefficient), the maps A(q) is summed from.  Column c of [X, Y] is
+    then at most two terms, X(Y(c)) - Y(X(c)), and no matrix is formed.
+    The check stops at the first failing relation and names its first
+    wrong entry in row order.  A generator whose target is not in the
+    orbit raises AssertionError from its map builder, naming the weight,
+    the root and the target.
     """
     rs = orb.rs
     n = rs.rank
     C = rs.cartan_data.cartan
-    matrices = {}
-    for j in range(1, n + 1):
-        matrices[f"E-({j})"] = lowering_matrix(orb, j)
-        matrices[f"E+({j})"] = raising_matrix(orb, j)
-        matrices[f"H({j})"] = cartan_action(orb, j)
-    matrices["E_psi"] = psi_raising_matrix(orb)
-    try:
-        g = {name: _column_map(orb, name, m) for name, m in matrices.items()}
-    except ValueError as exc:
-        return Check(False, str(exc))
+    g = {}
+    for kind, maps in (("E-", _lowering_maps(orb)), ("E+", _raising_maps(orb)), ("H", _cartan_maps(orb))):
+        g.update((f"{kind}({j})", m) for j, m in enumerate(maps, 1))
+    g["E_psi"] = _psi_map(orb)
 
     def relations():
         # (x, y, what [x, y] must equal: its text and its entries)

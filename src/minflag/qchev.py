@@ -17,8 +17,10 @@ entries, and the lengths.  A candidate target is a pairing tuple looked
 up in ``Orbit.index_of``, and only survivors become terms.  Along the
 way the oracle asserts the structural facts that make the closed form
 work: every surviving classical reflection transports to a simple root,
-every surviving quantum one to the negative of the highest root, and
-all coefficients are 1.
+and every surviving quantum one to the negative of the highest root.
+It sets every coefficient to 1 rather than checking it: the coefficient
+is (lambda_i, alpha^vee), which is 1 by the definition of the divisor
+complement.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 

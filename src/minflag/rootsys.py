@@ -364,13 +364,15 @@ class RootSystem:
         """s_j on the roots: entry j - 1 maps the coefficients of every root
         in +-Delta+ to the interned root s_j(beta).
 
-        Read off ``simple_reflect_root``, one RootVec per root.  Built on
-        first use, never by ``build``: only ``weylorbit.apply_word`` reads it.
+        s_j beta = beta - p alpha_j with p = (beta, alpha_j^vee), entry j of
+        ``root_pairings``, so no reflection is computed.  Built on first
+        use, never by ``build``: only ``weylorbit.apply_word`` reads it.
         """
         roots = {r.coeffs: r for r in self.positive_roots + tuple(-r for r in self.positive_roots)}
+        pairings = self.root_pairings
         return tuple(
-            {c: roots[self.simple_reflect_root(beta, j).coeffs] for c, beta in roots.items()}
-            for j in range(1, self.rank + 1)
+            {c: roots[c[:j] + (c[j] - pairings[c][j],) + c[j + 1:]] for c in roots}
+            for j in range(self.rank)
         )
 
     def __eq__(self, other: object) -> bool:

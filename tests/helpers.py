@@ -178,8 +178,9 @@ def reference_rep_relations(orb: Orbit) -> Check:
     """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
 
     The test-only reference the index-map check is compared against.  It
-    reads the generators through the ``minrep`` module, so a test that
-    replaces a builder there changes both checks alike.
+    reads the generators through the public ``minrep`` builders, which
+    view the private map builders, so a test that replaces a map builder
+    there changes both checks alike.
     """
     n = orb.rs.rank
     C = orb.rs.cartan_data.cartan

@@ -24,7 +24,7 @@ from minflag.cli import (
     main,
     sweep_cases,
 )
-from minflag.minrep import Q, Poly, PolyMatrix
+from minflag.minrep import Poly, PolyMatrix
 from minflag.rootsys import LieType, build
 from minflag.weylorbit import Orbit, orbit
 from helpers import SWEEP
@@ -99,29 +99,38 @@ def test_verify_runs_the_oracle_once_per_class(monkeypatch):
     assert calls == classes
 
 
-def _q_on_first_entry(m: PolyMatrix, orb) -> PolyMatrix:
-    i, k, _p = m.nonzero()[0]
-    return m.with_entry(i, k, Q)
+def _first_entry_doubled(m: dict) -> dict:
+    c = min(m)
+    t, v = m[c]
+    return {**m, c: (t, 2 * v)}
 
 
-def _second_entry_in_first_column(m: PolyMatrix, orb) -> PolyMatrix:
-    i, k, _p = m.nonzero()[0]
-    return m.with_entry((i + 1) % orb.size, k, 1)
+def _first_entry_dropped(m: dict) -> dict:
+    return {c: x for c, x in m.items() if c != min(m)}
 
 
-@pytest.mark.parametrize("builder,change,witness", [
-    ("cartan_action", _q_on_first_entry, "H(1) has q in column ("),
-    ("lowering_matrix", _second_entry_in_first_column, "E-(1) has a second entry in column ("),
-])
-def test_verify_generator_that_is_no_index_map_fails_its_row(monkeypatch, builder, change, witness):
+@pytest.mark.parametrize("builder,change", [
+    ("_cartan_maps", _first_entry_doubled),
+    ("_raising_maps", _first_entry_dropped),
+], ids=["H(1)-doubled", "E+(1)-dropped"])
+def test_verify_generator_map_mutation_fails_only_its_row(monkeypatch, builder, change):
+    # neither map enters A(q), so the rep-relations row is the only one to fail
     real = getattr(minrep, builder)
-    monkeypatch.setattr(minrep, builder, lambda orb, j: change(real(orb, j), orb))
+    monkeypatch.setattr(minrep, builder, lambda orb: [change(m) if j == 0 else m for j, m in enumerate(real(orb))])
     buf = io.StringIO()
     assert cmd_verify(SMALL, out=buf) == 1
     failed = [l for l in buf.getvalue().splitlines() if " FAIL " in l]
     assert len(failed) == len(sweep_cases(SMALL))
     for row in failed:
-        assert row.split()[1] == "rep-relations" and witness in row
+        assert row.split()[1] == "rep-relations" and "[E+(1), E-(1)] != H(1) at (" in row
+
+
+def test_verify_calls_no_public_generator_builder(monkeypatch):
+    calls = []
+    for name in ("lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix"):
+        monkeypatch.setattr(minrep, name, lambda *args, name=name: calls.append(name))
+    assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
+    assert calls == []
 
 
 def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):
@@ -573,6 +582,12 @@ def test_satake_json_documents_are_pinned(monkeypatch, kind):
 
 def test_satake_command_argument_errors():
     assert main(["satake", "--n", "3", "--k", "5"]) == 2
+    # --n/--k beside --family would be ignored, so an invalid k > n must not pass unseen
+    assert main(["satake", "--family", "D", "--rank", "3", "--n", "2", "--k", "5"]) == 2
+    assert main(["satake", "--family", "D", "--rank", "4", "--n", "3"]) == 2
+    assert main(["satake", "--family", "D", "--rank", "4", "--k", "2"]) == 2
+    with pytest.raises(ConfigError, match="--n and --k do not combine with --family"):
+        cmd_satake(3, 2, family="D", rank=4, out=io.StringIO())
     assert main(["satake", "--family", "D", "--rank", "2"]) == 2
     assert main(["satake"]) == 2
 

@@ -87,10 +87,11 @@ def test_sign_against_needs_every_term_negated():
     assert p.sign_against(Poly({0: -1, 1: -1, 2: 1})) == 0
 
 
-def test_generator_builders_share_the_constant_one():
-    orb = orbit_of("D", 4, 1)
-    mats = [lowering_matrix(orb, 2), raising_matrix(orb, 2), psi_raising_matrix(orb)]
-    assert all(p is ONE for m in mats for _i, _j, p in m.nonzero())
+def test_equal_polys_and_ints_hash_alike():
+    assert hash(Poly.const(3)) == hash(3) and hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1 and len({ZERO, 0, Poly()}) == 1
+    assert {Poly.const(-7): "x"}[-7] == "x"
+    assert Q != 1 and len({Q, Poly({1: 1}), Poly.term(1, 1)}) == 1
 
 
 def test_poly_rejects_negative_exponents():
@@ -175,6 +176,26 @@ def test_generator_entries_are_zero_or_one():
         assert h_entries <= {-1, 1}
 
 
+@pytest.mark.parametrize("build", [lowering_matrix, raising_matrix, cartan_action])
+def test_generator_builders_reject_an_out_of_range_index(build):
+    orb = orbit_of("A", 2, 1)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match=f"simple root index {j} out of range"):
+            build(orb, j)
+
+
+def test_public_builders_are_views_of_the_index_maps():
+    for orb in sweep_orbits():
+        kinds = [(lowering_matrix, minrep._lowering_maps(orb)), (raising_matrix, minrep._raising_maps(orb)),
+                 (cartan_action, minrep._cartan_maps(orb))]
+        for build, maps in kinds:
+            assert len(maps) == orb.rs.rank
+            for j, m in enumerate(maps, 1):
+                assert build(orb, j) == PolyMatrix(orb.size, {(t, c): v for c, (t, v) in m.items()})
+        psi = minrep._psi_map(orb)
+        assert psi_raising_matrix(orb) == PolyMatrix(orb.size, {(t, c): v for c, (t, v) in psi.items()})
+
+
 def test_psi_raising_a1():
     assert psi_raising_matrix(orbit_of("A", 1, 1)) == _m([[0, 1], [0, 0]])
 
@@ -256,10 +277,28 @@ def test_quantum_operator_adds_coinciding_entries(monkeypatch):
     # with E_psi moved onto a lowering edge, that entry must become 1 + q
     orb = orbit_of("A", 2, 1)
     i, j, _p = next(e for e in quantum_operator(orb).nonzero() if e[2] == ONE)
-    monkeypatch.setattr(minrep, "psi_raising_matrix", lambda orb: PolyMatrix(orb.size, {(i, j): 1}))
+    monkeypatch.setattr(minrep, "_psi_map", lambda orb: {j: (i, 1)})
     a = quantum_operator(orb)
     assert a.entry(i, j) == ONE + Q
     assert len(a.nonzero()) == 2  # the other lowering edge and the merged entry
+
+
+def test_quantum_operator_scales_its_terms_by_the_map_coefficients(monkeypatch):
+    # E-(1) with coefficient -1 on its edge cancels the q-free part of a coinciding E_psi entry
+    orb = orbit_of("A", 2, 1)
+    monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{0: (1, -1)}, {1: (2, 2)}])
+    monkeypatch.setattr(minrep, "_psi_map", lambda orb: {0: (1, -1)})
+    assert quantum_operator(orb) == _m([[0, 0, 0], [-1 - Q, 0, 0], [0, 2, 0]])
+
+
+def test_quantum_operator_reads_the_maps_not_the_public_builders(monkeypatch):
+    calls = []
+    want = {orb: reference_quantum_operator(orb) for orb in sweep_orbits()}
+    for name in ("lowering_matrix", "psi_raising_matrix"):
+        monkeypatch.setattr(minrep, name, lambda *args, name=name: calls.append(name))
+    for orb, a in want.items():
+        assert quantum_operator(orb) == a
+    assert calls == []
 
 
 # -- characteristic polynomial ---------------------------------------------------
@@ -403,36 +442,58 @@ def test_check_is_truthy_exactly_when_it_passed():
 
 
 def test_rep_relations_broken_bracket_names_the_entry(monkeypatch):
-    real = minrep.cartan_action
-    monkeypatch.setattr(minrep, "cartan_action", lambda orb, j: linear_combination(orb.size, [(2, real(orb, j))]))
+    real = minrep._cartan_maps
+    monkeypatch.setattr(minrep, "_cartan_maps",
+                        lambda orb: [{c: (t, 2 * v) for c, (t, v) in m.items()} for m in real(orb)])
     check = verify_rep_relations(orbit_of("A", 1, 1))
     assert not check
     assert check.detail == "[E+(1), E-(1)] != H(1) at ((1), (1)): 1 != 2"
 
 
-GENERATOR_BUILDERS = ("lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix")
+def test_rep_relations_build_no_poly_matrix(monkeypatch):
+    built = []
+    real = PolyMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyMatrix, "__init__", counted)
+    for orb in sweep_orbits():
+        assert verify_rep_relations(orb), orb
+    assert built == []
 
 
-def _patch_one_generator(monkeypatch, name, j, matrix):
-    """Make the minrep builder ``name`` return ``matrix`` for index j (None for E_psi)."""
+GENERATOR_MAPS = ("_lowering_maps", "_raising_maps", "_cartan_maps", "_psi_map")
+
+
+def _patch_one_generator(monkeypatch, name, j, mutated):
+    """Make the minrep map builder ``name`` give ``mutated`` as map j (None for E_psi)."""
     real = getattr(minrep, name)
 
-    def patched(orb, *index):
-        return matrix if index == ((j,) if j else ()) else real(orb, *index)
+    def patched(orb):
+        if j is None:
+            return mutated
+        maps = real(orb)
+        return maps[:j - 1] + [mutated] + maps[j:]
 
     monkeypatch.setattr(minrep, name, patched)
 
 
 def _single_entry_mutations(orb):
-    """(builder, index, mutated generator): each nonzero entry of each generator set to 0, 2 or -1."""
-    for name in GENERATOR_BUILDERS:
-        build_one = getattr(minrep, name)
-        for j in [None] if name == "psi_raising_matrix" else range(1, orb.rs.rank + 1):
-            m = build_one(orb) if j is None else build_one(orb, j)
-            for i, k, p in m.nonzero():
+    """(map builder, index, mutated map): each entry's coefficient set to 2 or -1, or the entry dropped."""
+    for name in GENERATOR_MAPS:
+        built = getattr(minrep, name)(orb)
+        for j, m in [(None, built)] if name == "_psi_map" else enumerate(built, 1):
+            for c, (t, v) in m.items():
                 for value in (0, 2, -1):
-                    if p != value:
-                        yield name, j, m.with_entry(i, k, value)
+                    if v != value:
+                        mutated = dict(m)
+                        if value:
+                            mutated[c] = (t, value)
+                        else:
+                            del mutated[c]
+                        yield name, j, mutated
 
 
 def test_rep_relations_match_the_product_form_on_the_sweep():
@@ -449,26 +510,8 @@ def test_rep_relations_match_the_product_form_on_every_single_entry_mutation(cas
         with pytest.MonkeyPatch.context() as mp:
             _patch_one_generator(mp, name, j, mutated)
             check = verify_rep_relations(orb)
-            assert not check and check == reference_rep_relations(orb), (name, j, mutated.nonzero())
-    assert {name for name, _j, _m in mutations} == set(GENERATOR_BUILDERS)
-
-
-def test_rep_relations_name_a_second_entry_in_a_generator_column(monkeypatch):
-    orb = orbit_of("A", 2, 1)
-    e = lowering_matrix(orb, 1)
-    assert e.nonzero() == [(1, 0, ONE)]
-    _patch_one_generator(monkeypatch, "lowering_matrix", 1, e.with_entry(2, 0, 1))
-    check = verify_rep_relations(orb)
-    assert check == Check(False, "E-(1) has a second entry in column (1,0), at row (0,-1)")
-
-
-def test_rep_relations_name_a_q_entry_in_a_generator(monkeypatch):
-    orb = orbit_of("A", 2, 1)
-    e = psi_raising_matrix(orb)
-    _patch_one_generator(monkeypatch, "psi_raising_matrix", None, e.with_entry(0, 2, Q))
-    assert verify_rep_relations(orb) == Check(False, "E_psi has q in column (0,-1), at row (1,0)")
-    _patch_one_generator(monkeypatch, "psi_raising_matrix", None, e.with_entry(0, 2, ONE + Q))
-    assert verify_rep_relations(orb) == Check(False, "E_psi has q + 1 in column (0,-1), at row (1,0)")
+            assert not check and check == reference_rep_relations(orb), (name, j, mutated)
+    assert {name for name, _j, _m in mutations} == set(GENERATOR_MAPS)
 
 
 def test_entry_witness_names_the_first_differing_entry():

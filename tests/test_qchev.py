@@ -561,6 +561,17 @@ def test_reflection_table_is_built_on_first_use_not_by_build():
     assert len({id(beta) for beta in values}) == len({beta.coeffs for beta in values}) == 2 * len(rs.positive_roots)
 
 
+@pytest.mark.parametrize("lie_type", [LieType("E", 8), LieType("F", 4), LieType("G", 2), LieType("B", 5)], ids=str)
+def test_reflection_table_is_filled_without_simple_reflect_root(monkeypatch, lie_type):
+    # s_j beta = beta - p_j alpha_j is read off root_pairings; no reflection is computed
+    calls = []
+    real = RootSystem.simple_reflect_root
+    monkeypatch.setattr(RootSystem, "simple_reflect_root", lambda self, beta, j: calls.append(j) or real(self, beta, j))
+    rs = RootSystem(lie_type)
+    assert len(rs.reflection_table) == rs.rank
+    assert calls == []
+
+
 def test_oracle_rejects_foreign_class():
     orb = orbit_of("A", 2, 1)
     with pytest.raises(ValueError, match=r"\(5,5\) is not a weight of the orbit"):

@@ -83,3 +83,34 @@ def test_only_weylorbit_maps_orbit_weights_to_positions():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"weight -> position maps outside Orbit.index_of: {found}"
+
+
+
+_GENERATOR_NAMES = {"lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix", "PolyMatrix"}
+
+
+def test_rep_relations_and_a_q_read_the_index_maps():
+    # the bracket row and A(q) read the generators' index maps: naming a public
+    # builder or PolyMatrix for a generator would bring back the matrix round trip
+    path = os.path.join(SRC, "minrep.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    seen, found = set(), []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in ("verify_rep_relations", "quantum_operator"):
+            continue
+        seen.add(fn.name)
+        body = fn.body
+        if fn.name == "quantum_operator":
+            # A(q) itself leaves as one PolyMatrix: the closing ``return PolyMatrix(...)``
+            last = body[-1]
+            assert isinstance(last, ast.Return) and isinstance(last.value, ast.Call), "quantum_operator:last"
+            assert isinstance(last.value.func, ast.Name) and last.value.func.id == "PolyMatrix"
+            body = body[:-1] + list(last.value.args)
+        for stmt in body:
+            for n in ast.walk(stmt):
+                name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+                if name in _GENERATOR_NAMES:
+                    found.append(f"minrep.py:{n.lineno} {fn.name} names {name}")
+    assert seen == {"verify_rep_relations", "quantum_operator"}
+    assert not found, f"generator matrices where the index maps serve: {found}"
