@@ -23,9 +23,10 @@ A(1), and the q-grading of A(q) lifts its coefficients back exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
-from .rootsys import pair
+from .rootsys import coroot
 from .weylorbit import Orbit
 
 PolyLike = Union["Poly", int]
@@ -391,10 +392,10 @@ def _cartan_maps(orb: Orbit) -> list[_IndexMap]:
 
 
 def _psi_map(orb: Orbit) -> _IndexMap:
-    """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1."""
-    rs = orb.rs
+    """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1; psi^vee is read once."""
+    psi = coroot(orb.rs, orb.rs.highest_root)
     return {pos: (orb.neighbour(el.weight, "+", "psi"), 1)
-            for pos, el in enumerate(orb.elements) if pair(rs, el.weight, rs.highest_root) == -1}
+            for pos, el in enumerate(orb.elements) if sum(map(mul, psi, el.weight.pairings)) == -1}
 
 
 def _matrix(orb: Orbit, build: Callable, j: Optional[int] = None) -> PolyMatrix:
@@ -469,17 +470,31 @@ def _first_difference(
 def _bracket(x: _IndexMap, y: _IndexMap) -> dict[tuple[int, int], int]:
     """The nonzero entries of [X, Y]: column c is X(Y(c)) - Y(X(c))."""
     out: dict[tuple[int, int], int] = {}
-    for first, second, sign in ((x, y, 1), (y, x, -1)):
-        for c, (t, b) in second.items():
-            if t in first:
-                i, a = first[t]
-                out[(i, c)] = out.get((i, c), 0) + sign * a * b
+    for c, (t, b) in y.items():
+        hit = x.get(t)
+        if hit is not None:
+            out[hit[0], c] = hit[1] * b
+    for c, (t, b) in x.items():
+        hit = y.get(t)
+        if hit is not None:
+            key = (hit[0], c)
+            out[key] = out.get(key, 0) - hit[1] * b
     return {k: v for k, v in out.items() if v}
 
 
 def _entries(cols: _IndexMap, scale: int) -> dict[tuple[int, int], int]:
-    """The nonzero entries of scale * M for M given by its index map."""
-    return {(t, c): scale * v for c, (t, v) in cols.items()} if scale else {}
+    """The nonzero entries of scale * M for M given by its index map; a stored 0 is dropped."""
+    return {(t, c): scale * v for c, (t, v) in cols.items() if v} if scale else {}
+
+
+# the text of each kind of relation, formatted only when one fails
+_RELATION_TEXT = (
+    "[E+({j}), E-({j})] != H({j})",
+    "[E+({j}), E-({k})] != 0",
+    "[H({j}), E-({k})] != -a[{j}][{k}] E-({k})",
+    "[H({j}), E+({k})] != a[{j}][{k}] E+({k})",
+    "[E+({j}), E_psi] != 0",
+)
 
 
 def verify_rep_relations(orb: Orbit) -> Check:
@@ -493,33 +508,32 @@ def verify_rep_relations(orb: Orbit) -> Check:
     each kind is built once as index maps source -> (target,
     coefficient), the maps A(q) is summed from.  Column c of [X, Y] is
     then at most two terms, X(Y(c)) - Y(X(c)), and no matrix is formed.
-    The check stops at the first failing relation and names its first
-    wrong entry in row order.  A generator whose target is not in the
-    orbit raises AssertionError from its map builder, naming the weight,
-    the root and the target.
+    The relations are walked by (j, k) over the map lists, and a
+    relation's text is formatted only when it fails.  The check stops at
+    the first failing relation and names its first wrong entry in row
+    order.  A generator whose target is not in the orbit raises
+    AssertionError from its map builder, naming the weight, the root and
+    the target.
     """
-    rs = orb.rs
-    n = rs.rank
-    C = rs.cartan_data.cartan
-    g = {}
-    for kind, maps in (("E-", _lowering_maps(orb)), ("E+", _raising_maps(orb)), ("H", _cartan_maps(orb))):
-        g.update((f"{kind}({j})", m) for j, m in enumerate(maps, 1))
-    g["E_psi"] = _psi_map(orb)
+    C = orb.rs.cartan_data.cartan
+    low, high, cartan = _lowering_maps(orb), _raising_maps(orb), _cartan_maps(orb)
+    psi = _psi_map(orb)
+    n = len(C)
 
     def relations():
-        # (x, y, what [x, y] must equal: its text and its entries)
-        for j in range(1, n + 1):
-            yield f"E+({j})", f"E-({j})", f"H({j})", _entries(g[f"H({j})"], 1)
-            for k in range(1, n + 1):
-                a = C[j - 1][k - 1]
+        # (kind, j, k, x, y, the entries [x, y] must have), kind indexing _RELATION_TEXT
+        for j in range(n):
+            yield 0, j, j, high[j], low[j], _entries(cartan[j], 1)
+            for k in range(n):
+                a = C[j][k]
                 if k != j:
-                    yield f"E+({j})", f"E-({k})", "0", {}
-                yield f"H({j})", f"E-({k})", f"-a[{j}][{k}] E-({k})", _entries(g[f"E-({k})"], -a)
-                yield f"H({j})", f"E+({k})", f"a[{j}][{k}] E+({k})", _entries(g[f"E+({k})"], a)
-            yield f"E+({j})", "E_psi", "0", {}
+                    yield 1, j, k, high[j], low[k], {}
+                yield 2, j, k, cartan[j], low[k], _entries(low[k], -a)
+                yield 3, j, k, cartan[j], high[k], _entries(high[k], a)
+            yield 4, j, j, high[j], psi, {}
 
-    for checks, (x, y, rhs, want) in enumerate(relations(), 1):
-        witness = _first_difference(orb, _bracket(g[x], g[y]), want)
+    for checks, (kind, j, k, x, y, want) in enumerate(relations(), 1):
+        witness = _first_difference(orb, _bracket(x, y), want)
         if witness:
-            return Check(False, f"[{x}, {y}] != {rhs} {witness}")
+            return Check(False, f"{_RELATION_TEXT[kind].format(j=j + 1, k=k + 1)} {witness}")
     return Check(True, f"{checks} brackets")

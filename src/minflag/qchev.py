@@ -13,13 +13,16 @@ weights alone: a class is its raised neighbour reflected by one simple
 root.  The oracle reads neither the stored BFS words nor the stored
 lengths.  It keeps one table for the current orbit, by canonical index:
 each class's transported roots as interned (root, pairings, height)
-entries, and the lengths.  A candidate target is a pairing tuple looked
-up in ``Orbit.index_of``, and only survivors become terms.  Along the
-way the oracle asserts the structural facts that make the closed form
-work: every surviving classical reflection transports to a simple root,
-and every surviving quantum one to the negative of the highest root.
-It sets every coefficient to 1 rather than checking it: the coefficient
-is (lambda_i, alpha^vee), which is 1 by the definition of the divisor
+entries, and the lengths.  The lengths come from ``_lengths``, the one
+per-orbit list of ``length`` values, which the grading and trichotomy
+checks read too, so ``length`` runs once per element.  A candidate
+target is a pairing tuple looked up in ``Orbit.index_of``, and only
+survivors become terms.  Along the way the oracle asserts the
+structural facts that make the closed form work: every surviving
+classical reflection transports to a simple root, and every surviving
+quantum one to the negative of the highest root.  It sets every
+coefficient to 1 rather than checking it: the coefficient is
+(lambda_i, alpha^vee), which is 1 by the definition of the divisor
 complement.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
@@ -140,7 +143,7 @@ _Entry = tuple[RootVec, tuple[int, ...], int]
 
 class _OracleTable(NamedTuple):
     rows: list[tuple[_Entry, ...]]  # the transported complement, by canonical index
-    lengths: list[int]  # ``length`` by canonical index
+    lengths: list[int]  # ``_lengths(orb)``: ``length`` by canonical index
 
 
 @lru_cache(maxsize=1)
@@ -152,9 +155,9 @@ def _oracle_table(orb: Orbit) -> _OracleTable:
     nu = mu + alpha_j has u_mu = s_j u_nu, so mu's transported
     complement is s_j applied to nu's, entry by entry: one single-letter
     ``apply_word`` call per (class, root).  Each entry is interned by
-    the root's coefficients, with its pairings from ``rs.root_pairings``,
-    and ``length`` is read once per element.
-    Only the most recent orbit's table is kept.
+    the root's coefficients, with its pairings from ``rs.root_pairings``.
+    The lengths are the ``_lengths`` list.  Only the most recent orbit's
+    table is kept.
     """
     rs = orb.rs
     top = orb.highest_weight
@@ -182,8 +185,20 @@ def _oracle_table(orb: Orbit) -> _OracleTable:
             transport[lowered] = tuple(entry(apply_word(rs, (j,), beta)) for beta, _, _ in transport[mu])
             mu = lowered
     rows = [transport[el.weight.pairings] for el in orb.elements]
-    lengths = [length(orb, el.weight) for el in orb.elements]
-    return _OracleTable(rows, lengths)
+    return _OracleTable(rows, _lengths(orb))
+
+
+@lru_cache(maxsize=1)
+def _lengths(orb: Orbit) -> list[int]:
+    """``length`` of every element, by canonical index: one list per orbit.
+
+    The oracle's table and the grading and trichotomy checks all read
+    this list, so ``length`` runs once per element of the orbit.  It
+    comes from ``length`` alone, never from the stored words or lengths.
+    Only the most recent orbit's list is kept; a test that replaces
+    ``length`` clears it.
+    """
+    return [length(orb, el.weight) for el in orb.elements]
 
 
 _EXPECTED_COXETER = {
@@ -343,7 +358,7 @@ def grading_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:
     """Every entry is homogeneous: length(target) = length(source) + 1 - p*s."""
     a = quantum_operator(orb) if operator is None else operator
     s = orb.rs.coxeter_number
-    lengths = [length(orb, el.weight) for el in orb.elements]
+    lengths = _lengths(orb)
     for i, j, p in a.nonzero():
         for exp, _coeff in p.items():
             if lengths[i] != lengths[j] + 1 - exp * s:
@@ -364,7 +379,7 @@ def trichotomy_check(orb: Orbit) -> Check:
     what went wrong.
     """
     rs = orb.rs
-    lengths = [length(orb, el.weight) for el in orb.elements]
+    lengths = _lengths(orb)
     alphas = [a.pairings for a in rs.simple_root_weights]
     simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
 

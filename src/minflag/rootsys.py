@@ -435,10 +435,15 @@ def pair(rs: RootSystem, mu: Weight, alpha: RootVec) -> int:
     The integer dot product of alpha's precomputed coroot coefficients
     with the pairing vector of mu.
     """
-    coroot = rs._coroot.get(alpha.coeffs)
-    if coroot is None:
+    return sum(map(mul, coroot(rs, alpha), mu.pairings))
+
+
+def coroot(rs: RootSystem, alpha: RootVec) -> tuple[int, ...]:
+    """alpha^vee in simple-coroot coordinates: (mu, alpha^vee) is its dot product with mu's pairings."""
+    co = rs._coroot.get(alpha.coeffs)
+    if co is None:
         raise ValueError(f"{alpha} is not a root of {rs}")
-    return sum(map(mul, coroot, mu.pairings))
+    return co
 
 
 def reflect(rs: RootSystem, mu: Weight, alpha: RootVec) -> Weight:

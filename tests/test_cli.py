@@ -125,12 +125,52 @@ def test_verify_generator_map_mutation_fails_only_its_row(monkeypatch, builder, 
         assert row.split()[1] == "rep-relations" and "[E+(1), E-(1)] != H(1) at (" in row
 
 
+def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(monkeypatch):
+    # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
+    # rep-relations row names the entry, and cmd_verify raises nothing
+    real = minrep._lowering_maps
+
+    def patched(orb):
+        maps = real(orb)
+        if (orb.rs.lie_type, orb.weight_index) == (LieType("A", 3), 2):
+            m = dict(maps[1])
+            first = next(iter(m))
+            m[first] = (m[first][0], 0)
+            maps = maps[:1] + [m] + maps[2:]
+        return maps
+
+    monkeypatch.setattr(minrep, "_lowering_maps", patched)
+    buf = io.StringIO()
+    assert cmd_verify(SweepConfig(max_rank={"A": 3, "B": 2, "C": 2, "D": 3}, include_exceptional=False), out=buf) == 1
+    rows = [l.split(None, 3) for l in buf.getvalue().splitlines() if l.startswith("A3/w2 ")]
+    assert ["A3/w2", "rep-relations", "FAIL", "[E+(2), E-(2)] != H(2) at ((0,1,0), (0,1,0)): 0 != 1"] in rows
+
+
 def test_verify_calls_no_public_generator_builder(monkeypatch):
     calls = []
     for name in ("lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix"):
         monkeypatch.setattr(minrep, name, lambda *args, name=name: calls.append(name))
     assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
     assert calls == []
+
+
+def test_verify_reads_one_length_per_element(monkeypatch):
+    # the oracle, grading and trichotomy rows share one length list per orbit
+    calls = []
+    real = qchev.length
+    monkeypatch.setattr(qchev, "length", lambda orb, mu: calls.append((orb, mu)) or real(orb, mu))
+    qchev._lengths.cache_clear()
+    qchev._oracle_table.cache_clear()
+    try:
+        assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
+    finally:
+        qchev._lengths.cache_clear()
+        qchev._oracle_table.cache_clear()
+    orbits = {orb for orb, _mu in calls}
+    read = {(id(orb), mu.pairings) for orb, mu in calls}
+    assert len(orbits) == len(SWEEP)
+    assert len(calls) == len(read) == 594
+    assert read == {(id(orb), el.weight.pairings) for orb in orbits for el in orb.elements}
 
 
 def test_verify_oracle_failure_fails_both_oracle_rows(monkeypatch):

@@ -481,18 +481,18 @@ def _patch_one_generator(monkeypatch, name, j, mutated):
 
 
 def _single_entry_mutations(orb):
-    """(map builder, index, mutated map): each entry's coefficient set to 2 or -1, or the entry dropped."""
+    """(map builder, index, mutated map): each entry dropped, or its coefficient set to a stored 0, 2 or -1."""
     for name in GENERATOR_MAPS:
         built = getattr(minrep, name)(orb)
         for j, m in [(None, built)] if name == "_psi_map" else enumerate(built, 1):
             for c, (t, v) in m.items():
-                for value in (0, 2, -1):
+                for value in (None, 0, 2, -1):
                     if v != value:
                         mutated = dict(m)
-                        if value:
-                            mutated[c] = (t, value)
-                        else:
+                        if value is None:
                             del mutated[c]
+                        else:
+                            mutated[c] = (t, value)
                         yield name, j, mutated
 
 
@@ -512,6 +512,21 @@ def test_rep_relations_match_the_product_form_on_every_single_entry_mutation(cas
             check = verify_rep_relations(orb)
             assert not check and check == reference_rep_relations(orb), (name, j, mutated)
     assert {name for name, _j, _m in mutations} == set(GENERATOR_MAPS)
+
+
+def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch):
+    # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
+    # check fails as for the dropped entry, with a witness, not a bare error
+    orb = orbit_of("A", 3, 2)
+    first = next(iter(minrep._lowering_maps(orb)[1]))
+    checks = []
+    for change in (lambda m: m.update({first: (m[first][0], 0)}), lambda m: m.pop(first)):
+        m = dict(minrep._lowering_maps(orb)[1])
+        change(m)
+        with pytest.MonkeyPatch.context() as mp:
+            _patch_one_generator(mp, "_lowering_maps", 2, m)
+            checks.append(verify_rep_relations(orb))
+    assert checks[0] == checks[1] == Check(False, "[E+(2), E-(2)] != H(2) at ((0,1,0), (0,1,0)): 0 != 1")
 
 
 def test_entry_witness_names_the_first_differing_entry():

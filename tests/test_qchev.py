@@ -24,6 +24,21 @@ from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import Orbit, OrbitElement, apply_word, orbit
 
 
+@pytest.fixture
+def fresh_lengths():
+    """Empty the per-orbit length memos before and after a test that replaces ``qchev.length``.
+
+    ``_lengths`` and the oracle's table keep the latest orbit's lengths;
+    left filled, they would hand a replaced ``length``'s values to the
+    next test that reads the same orbit.
+    """
+    qchev._lengths.cache_clear()
+    qchev._oracle_table.cache_clear()
+    yield
+    qchev._lengths.cache_clear()
+    qchev._oracle_table.cache_clear()
+
+
 def _terms_as_set(terms, orb):
     return {(orb.index_of[t.target.pairings], t.q_power, t.coefficient) for t in terms}
 
@@ -313,7 +328,7 @@ def test_trichotomy_moving_reflection_names_weight_and_root(monkeypatch):
     assert check.detail == "at (0,1,0), alpha_1: pairing 0, but the reflection moves the weight"
 
 
-def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch):
+def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch, fresh_lengths):
     calls = []
     real = qchev.length
 
@@ -323,12 +338,13 @@ def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch):
 
     monkeypatch.setattr(qchev, "length", counting)
     for orb in sweep_orbits():
+        qchev._lengths.cache_clear()
         calls.clear()
         assert trichotomy_check(orb)
         assert sorted(calls) == sorted(el.weight for el in orb.elements)
 
 
-def test_trichotomy_wrong_oracle_length_names_the_lowered_weight(monkeypatch):
+def test_trichotomy_wrong_oracle_length_names_the_lowered_weight(monkeypatch, fresh_lengths):
     orb = orbit_of("A", 2, 1)
     real = qchev.length
     top = orb.elements[0].weight
@@ -491,7 +507,7 @@ def test_transport_table_keeps_only_the_latest_orbit():
     assert qchev._oracle_table.cache_info().currsize == 1
 
 
-def test_oracle_pass_reads_one_length_per_element(monkeypatch):
+def test_oracle_pass_reads_one_length_per_element(monkeypatch, fresh_lengths):
     calls = []
     real = qchev.length
 
@@ -501,12 +517,26 @@ def test_oracle_pass_reads_one_length_per_element(monkeypatch):
 
     monkeypatch.setattr(qchev, "length", counting)
     for orb in sweep_orbits():
+        qchev._lengths.cache_clear()
         qchev._oracle_table.cache_clear()
         calls.clear()
         fw_oracle_pass(orb)
         # one read per element, in canonical order: the table's length list
         assert calls == [el.weight for el in orb.elements]
         assert qchev._oracle_table(orb).lengths == [el.length for el in orb.elements]
+
+
+def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_lengths):
+    calls = []
+    real = qchev.length
+    monkeypatch.setattr(qchev, "length", lambda orb, mu: calls.append(mu) or real(orb, mu))
+    for orb in (orbit_of("E", 6, 1), orbit_of("D", 5, 5)):
+        calls.clear()
+        main, survivors = oracle_checks(orb)
+        assert main and survivors and grading_check(orb) and trichotomy_check(orb)
+        assert calls == [el.weight for el in orb.elements]
+        assert qchev._oracle_table(orb).lengths is qchev._lengths(orb)
+    assert qchev._lengths.cache_info().currsize == 1
 
 
 def test_oracle_pass_makes_one_single_letter_apply_word_call_per_transported_root(monkeypatch):

@@ -114,3 +114,18 @@ def test_rep_relations_and_a_q_read_the_index_maps():
                     found.append(f"minrep.py:{n.lineno} {fn.name} names {name}")
     assert seen == {"verify_rep_relations", "quantum_operator"}
     assert not found, f"generator matrices where the index maps serve: {found}"
+
+
+def test_only_the_length_memo_calls_length_in_qchev():
+    # the oracle, grading and trichotomy rows read one per-orbit length
+    # list, qchev._lengths; a second caller would measure lengths again
+    path = os.path.join(SRC, "qchev.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    callers = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "length":
+                    callers.append(fn.name)
+    assert callers == ["_lengths"], f"qchev functions calling length: {callers}"
