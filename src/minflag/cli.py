@@ -254,10 +254,9 @@ def _header(orb: Orbit) -> dict:
 
 
 def _psi_edges(orb: Orbit) -> list[tuple[Weight, Weight]]:
-    out = []
-    for (i, j, _p) in minrep.psi_raising_matrix(orb).nonzero():
-        out.append((orb.elements[j].weight, orb.elements[i].weight))
-    return out
+    """The E_psi edges (source, target), in (target, source) order."""
+    w = orb.elements
+    return [(w[c].weight, w[t].weight) for t, c in sorted((t, c) for c, (t, _v) in minrep._psi_map(orb).items())]
 
 
 def emit_payload(orb: Orbit, what: str) -> dict:
@@ -314,13 +313,12 @@ def emit_payload(orb: Orbit, what: str) -> dict:
 
 def emit_dot(orb: Orbit) -> str:
     lines = [f"digraph crystal_{orb.rs.lie_type}_w{orb.weight_index} {{"]
-    for el in orb.elements:
-        key = _weight_key(el.weight)
-        lines.append(f'  "{key}" [label="({key})"];')
+    key = {el.weight.pairings: _weight_key(el.weight) for el in orb.elements}
+    lines += [f'  "{k}" [label="({k})"];' for k in key.values()]
     for a, j, b in crystal_edges(orb):
-        lines.append(f'  "{_weight_key(a)}" -> "{_weight_key(b)}" [label="{j}"];')
+        lines.append(f'  "{key[a.pairings]}" -> "{key[b.pairings]}" [label="{j}"];')
     for a, b in _psi_edges(orb):
-        lines.append(f'  "{_weight_key(a)}" -> "{_weight_key(b)}" [label="psi", style=dashed];')
+        lines.append(f'  "{key[a.pairings]}" -> "{key[b.pairings]}" [label="psi", style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -115,12 +115,7 @@ class Poly:
 
     def sign_against(self, other: "Poly") -> int:
         """1 if other equals self, -1 if other is exactly -self, else 0."""
-        a, b = self._c, other._c
-        if a == b:
-            return 1
-        if len(a) == len(b) and all(b.get(e) == -v for e, v in a.items()):
-            return -1
-        return 0
+        return _sign_ratio(self._c, other._c)
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -156,6 +151,18 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+def _sign_ratio(a: Mapping[int, int], b: Mapping[int, int]) -> int:
+    """Equality up to sign of two polynomials given as {exponent: nonzero coefficient}.
+
+    1 if b equals a, -1 if b is exactly -a, else 0.
+    """
+    if a == b:
+        return 1
+    if len(a) == len(b) and all(b.get(e) == -v for e, v in a.items()):
+        return -1
+    return 0
 
 
 ZERO = Poly()
@@ -237,6 +244,14 @@ def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
         row_degree[i] = max(row_degree[i], p.degree)
     values = [_berkowitz_int(n, _at(m, x)) for x in range(sum(row_degree) + 1)]
     return tuple(_interpolate([v[k] for v in values]) for k in range(n + 1))
+
+
+def _coefficients(m: PolyMatrix) -> dict[tuple[int, int], dict[int, int]]:
+    """The stored (nonzero) entries of M as {(row, col): {exponent: coefficient}}, unsorted.
+
+    The inner dicts are M's own, shared and not copied: read them only.
+    """
+    return {k: p._c for k, p in m._e.items()}
 
 
 def _at(m: PolyMatrix, x: int) -> dict[tuple[int, int], int]:

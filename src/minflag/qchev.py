@@ -42,7 +42,7 @@ from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .minrep import Check, Poly, PolyMatrix, entry_witness, quantum_operator
-from .rootsys import RootSystem, RootVec, Weight, pair, reflect
+from .rootsys import RootSystem, RootVec, Weight, pair
 from .weylorbit import Orbit, apply_word, length, poincare_dual
 
 
@@ -372,16 +372,15 @@ def trichotomy_check(orb: Orbit) -> Check:
     """For every (weight, simple root) exactly one of three situations holds.
 
     Pairing 1 with the length of the lowered weight one higher, pairing
-    0 with the weight fixed by the reflection, or pairing -1 with the
-    length of the raised weight one lower; lengths measured by the
-    independent oracle.  Neighbours are pairing tuples looked up in
-    ``Orbit.index_of``.  A failure names the weight, the simple root and
-    what went wrong.
+    0 (the reflection fixes the weight by definition, so nothing is
+    measured), or pairing -1 with the length of the raised weight one
+    lower; lengths measured by the independent oracle.  Neighbours are
+    pairing tuples looked up in ``Orbit.index_of``.  A failure names the
+    weight, the simple root and what went wrong.
     """
     rs = orb.rs
     lengths = _lengths(orb)
     alphas = [a.pairings for a in rs.simple_root_weights]
-    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
 
     def fail(why: str) -> Check:
         return Check(False, f"at {el.weight}, alpha_{j}: pairing {m}, {why}")
@@ -390,16 +389,14 @@ def trichotomy_check(orb: Orbit) -> Check:
         mp = el.weight.pairings
         for j in range(1, rs.rank + 1):
             m = mp[j - 1]
-            if m in (1, -1):
-                nu = tuple(map(sub if m == 1 else add, mp, alphas[j - 1]))
-                k = orb.index_of.get(nu)
-                if k is None:
-                    return fail(f"but {Weight(nu)} is not in the orbit")
-                if lengths[k] != base + m:
-                    return fail(f"but {Weight(nu)} has length {lengths[k]}, not {base + m}")
-            elif m == 0:
-                if reflect(rs, el.weight, simple[j - 1]) != el.weight:
-                    return fail("but the reflection moves the weight")
-            else:
+            if m == 0:
+                continue  # s_j fixes a weight of pairing 0 by definition: nothing to measure
+            if m not in (1, -1):
                 return fail("outside -1, 0, 1")
+            nu = tuple(map(sub if m == 1 else add, mp, alphas[j - 1]))
+            k = orb.index_of.get(nu)
+            if k is None:
+                return fail(f"but {Weight(nu)} is not in the orbit")
+            if lengths[k] != base + m:
+                return fail(f"but {Weight(nu)} has length {lengths[k]}, not {base + m}")
     return Check(True, "pairing/length cases")

@@ -7,6 +7,14 @@ to the Grassmannian quantum operator by a diagonal sign matrix.
 support graph and then verifies it globally, so a single wrong sign is
 caught with an explicit inconsistent cycle.
 
+Two private kernels do the work on integer entries {(row, col):
+{exponent: coefficient}}: ``_wedge`` accumulates the Leibniz action
+straight into the positions a subset map gives, with the parity twist
+folded into its terms, and ``_match_signs`` compares two matrices up to
+sign.  ``satake_similarity`` runs them end to end, building no matrix
+but the two A(q); ``wedge_matrix``, ``wedge_weight_alignment`` and
+``sign_similarity`` are PolyMatrix views of the same kernels.
+
 Type D: the endomorphism algebra of a spinor-variety quantum cohomology
 matches the even half-wedge of the quadric side at the level of total
 dimensions; ``half_wedge_dims`` checks those binomial identities
@@ -18,11 +26,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import Mapping, Optional
 
-from .minrep import Poly, PolyMatrix, quantum_operator
+from .minrep import Poly, PolyMatrix, _coefficients, _sign_ratio, quantum_operator
 from .rootsys import LieType, build
-from .weylorbit import orbit
+from .weylorbit import Orbit, orbit
 
 
 @dataclass(frozen=True)
@@ -55,39 +63,58 @@ def wedge_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), k))
 
 
+# a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
+_Entries = dict[tuple[int, int], dict[int, int]]
+
+
+def _wedge(m: _Entries, place: Mapping[tuple[int, ...], int], twist: int) -> _Entries:
+    """The derivation (Leibniz) action of m on a wedge power, as entries.
+
+    place maps every ascending k-subset of m's indices to the position
+    of its basis vector in the k-th wedge power.  Replacing one index and re-sorting contributes
+    the usual transposition sign, and every term c q^e of m enters as
+    c twist^e q^e (q -> twist q).  Each entry sums its terms as integer
+    coefficients per exponent, and terms that cancel leave no entry.
+    """
+    cols: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    for (r, c), p in m.items():
+        cols.setdefault(c, []).append((r, [(e, v * twist**e) for e, v in p.items()]))
+    acc: _Entries = {}
+    for s, src in place.items():
+        for t_idx, i in enumerate(s):
+            for r, terms in cols.get(i, ()):
+                if r == i:
+                    key, sign = (src, src), 1
+                elif r in s:
+                    continue
+                else:
+                    rest = s[:t_idx] + s[t_idx + 1:]
+                    at = bisect_left(rest, r)
+                    key = (place[rest[:at] + (r,) + rest[at:]], src)
+                    # sign of moving r into place among the remaining indices
+                    sign = -1 if (t_idx + at) % 2 else 1
+                coeffs = acc.setdefault(key, {})
+                for e, c in terms:
+                    total = coeffs.get(e, 0) + sign * c
+                    if total:
+                        coeffs[e] = total
+                    else:
+                        del coeffs[e]
+    return {key: coeffs for key, coeffs in acc.items() if coeffs}
+
+
 def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
     """Derivation (Leibniz) action of m on the k-th wedge power.
 
     Basis vectors are ascending index tuples in lexicographic order;
     replacing one index and re-sorting contributes the usual
-    transposition sign.  Each entry sums its terms as integer
-    coefficients per exponent, and terms that cancel leave no entry.
+    transposition sign.  Terms that cancel leave no entry.
     """
     n = m.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge degree k={k} must satisfy 1 <= k <= {n - 1}")
     subsets = wedge_subsets(n, k)
-    index = {s: p for p, s in enumerate(subsets)}
-    acc: dict[tuple[int, int], dict[int, int]] = {}
-    cols: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
-    for (r, c, p) in m.nonzero():
-        cols.setdefault(c, []).append((r, p.items()))
-    for src_pos, s in enumerate(subsets):
-        for t_idx, i in enumerate(s):
-            rest = s[:t_idx] + s[t_idx + 1:]
-            for r, terms in cols.get(i, ()):
-                if r == i:
-                    key, sign = (src_pos, src_pos), 1
-                else:
-                    at = bisect_left(rest, r)
-                    if at < k - 1 and rest[at] == r:
-                        continue
-                    key = (index[rest[:at] + (r,) + rest[at:]], src_pos)
-                    # sign of moving r into place among the remaining indices
-                    sign = -1 if (t_idx + at) % 2 else 1
-                coeffs = acc.setdefault(key, {})
-                for e, c in terms:
-                    coeffs[e] = coeffs.get(e, 0) + sign * c
+    acc = _wedge(_coefficients(m), {s: p for p, s in enumerate(subsets)}, 1)
     return PolyMatrix(len(subsets), {key: Poly(coeffs) for key, coeffs in acc.items()})
 
 
@@ -101,26 +128,33 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    n = a.n
-    entries_a, entries_b = a.nonzero(), b.nonzero()
-    support_a = {(i, j) for (i, j, _p) in entries_a}
-    support_b = {(i, j) for (i, j, _p) in entries_b}
-    if support_a != support_b:
-        entry = min(support_a.symmetric_difference(support_b))
+    return SignDiagonal(_match_signs(a.n, _coefficients(a), _coefficients(b)))
+
+
+def _match_signs(n: int, a: _Entries, b: _Entries) -> tuple[int, ...]:
+    """``sign_similarity`` on two n x n matrices given as their nonzero entries.
+
+    Entries are compared in (row, col) order, which fixes the order in
+    which signs propagate and so every witness.  A Poly is built only to
+    name an entry pair that does not agree up to sign.
+    """
+    if a.keys() != b.keys():
+        entry = min(a.keys() ^ b.keys())
         raise SignSimilarityError("support", f"supports differ at entry {entry}")
-    # equal supports, both in row order: the two lists pair up entry by entry
     ratio: dict[tuple[int, int], int] = {}
-    for (i, j, p), (_i, _j, q) in zip(entries_a, entries_b):
-        eps = p.sign_against(q)
+    for key in sorted(a):
+        eps = _sign_ratio(a[key], b[key])
         if not eps:
-            raise SignSimilarityError("support", f"entries at {(i, j)} do not agree up to sign: {p} vs {q}")
-        ratio[(i, j)] = eps
+            raise SignSimilarityError(
+                "support", f"entries at {key} do not agree up to sign: {Poly(a[key])} vs {Poly(b[key])}"
+            )
+        ratio[key] = eps
 
     d = _propagate_signs(n, ratio)
     for (i, j), eps in ratio.items():
         if d[i] * d[j] != eps:
             raise AssertionError(f"d[{i}] d[{j}] = {d[i] * d[j]}, but entry {(i, j)} has sign ratio {eps}")
-    return SignDiagonal(d)
+    return d
 
 
 def _propagate_signs(n: int, ratio: dict[tuple[int, int], int]) -> tuple[int, ...]:
@@ -172,13 +206,34 @@ def _loop_witness(parent: dict[int, int], v: int, w: int) -> tuple[int, ...]:
     return tuple(up + list(reversed(down)) + [v])
 
 
+def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
+    """The Grassmannian orbit of A_n/w_k and the twisted line-operator wedge in its positions.
+
+    A k-subset of lines sits at the orbit position of the sum of its
+    line weights (``Orbit.index_of``), and the parity twist (-1)^(k-1)
+    is folded into the wedge's terms.
+    """
+    rs = build(LieType("A", n))
+    line = orbit(rs, 1)
+    gr = orbit(rs, k)
+    subsets = wedge_subsets(n + 1, k)
+    if not len(subsets) == gr.size == comb(n + 1, k):
+        raise AssertionError(
+            f"{len(subsets)} {k}-subsets of {n + 1} lines, {gr.size} weights in the A{n}/w{k} orbit, "
+            f"binomial {comb(n + 1, k)}"
+        )
+    lines = [el.weight.pairings for el in line.elements]
+    place = {s: gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets}
+    return gr, _wedge(_coefficients(quantum_operator(line)), place, (-1) ** (k - 1))
+
+
 def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
     """The aligned wedge operator and the Grassmannian operator for (A_n, k).
 
     Basis vectors of the wedge power are matched to Grassmannian orbit
     weights by summing the line weights of their members; since all
-    weights are distinct this is a bijection, and the wedge matrix is
-    permuted into the orbit's canonical order before comparison.
+    weights are distinct this is a bijection, and the wedge is
+    accumulated straight into the orbit's canonical order.
 
     The quantum parameters of the two sides correspond through the
     parity twist q -> (-1)^(k-1) q: the wedge of the k lowest line
@@ -187,29 +242,18 @@ def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
     is applied here, leaving only a genuine diagonal sign freedom for
     ``sign_similarity`` to discover.
     """
-    rs = build(LieType("A", n))
-    line = orbit(rs, 1)
-    gr = orbit(rs, k)
-    w = wedge_matrix(quantum_operator(line), k)
-    subsets = wedge_subsets(n + 1, k)
-    if not len(subsets) == gr.size == comb(n + 1, k):
-        raise AssertionError(
-            f"{len(subsets)} {k}-subsets of {n + 1} lines, {gr.size} weights in the A{n}/w{k} orbit, "
-            f"binomial {comb(n + 1, k)}"
-        )
-    lines = [el.weight.pairings for el in line.elements]
-    perm = [gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets]
-    twist = (-1) ** (k - 1)
-    aligned = PolyMatrix(
-        w.n, {(perm[i], perm[j]): p if twist == 1 else p.q_scaled(twist) for (i, j, p) in w.nonzero()}
-    )
-    return aligned, quantum_operator(gr)
+    gr, wedge = _aligned_wedge(n, k)
+    return PolyMatrix(gr.size, {key: Poly(coeffs) for key, coeffs in wedge.items()}), quantum_operator(gr)
 
 
 def satake_similarity(n: int, k: int) -> SignDiagonal:
-    """Full type-A check: wedge the line operator, align, sign-match."""
-    aligned, grassmannian = wedge_weight_alignment(n, k)
-    return sign_similarity(aligned, grassmannian)
+    """Full type-A check: wedge the line operator into Grassmannian positions, sign-match.
+
+    ``sign_similarity(*wedge_weight_alignment(n, k))`` on integer
+    entries: the two A(q) are the only matrices built.
+    """
+    gr, wedge = _aligned_wedge(n, k)
+    return SignDiagonal(_match_signs(gr.size, wedge, _coefficients(quantum_operator(gr))))
 
 
 @dataclass

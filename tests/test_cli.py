@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflag import minrep, qchev, satake
+from minflag import cli, minrep, qchev, satake
 from minflag.cli import (
     ConfigError,
     SweepConfig,
@@ -258,6 +259,11 @@ def test_checks_survive_python_optimize_flag():
         "    s.half_wedge_dims(4)\n"
         "except AssertionError:\n"
         "    print('half-wedge check raised')\n"
+        "s._propagate_signs = lambda n, ratio: (-1,) + (1,) * (n - 1)\n"
+        "try:\n"
+        "    s.satake_similarity(3, 2)\n"
+        "except AssertionError:\n"
+        "    print('satake sign check raised')\n"
         "import minflag.rootsys as r\n"
         "from fractions import Fraction\n"
         "r._diagram = lambda lt: ([(1, 2)], [Fraction(1), Fraction(2, 3)])\n"
@@ -274,7 +280,8 @@ def test_checks_survive_python_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "length check raised", "psi check raised", "missing target raised", "missing target raised",
-        "dpw check raised", "half-wedge check raised", "cartan check raised", "pivot check raised",
+        "dpw check raised", "half-wedge check raised", "satake sign check raised", "cartan check raised",
+        "pivot check raised",
     ]
 
     proc = _run_optimized("-m", "minflag.cli", "verify", "--self-test-corrupt", *_SMALL_ARGS)
@@ -443,6 +450,33 @@ def test_emitted_orbit_and_crystal_bytes_are_pinned(case):
     family, rank, weight, what, fmt = case
     text = _emit(family, rank, weight, what, fmt)
     assert hashlib.sha256(text.encode()).hexdigest() == BFS_EMIT_SHA256[case]
+
+
+def test_crystal_emit_reads_the_psi_map_and_formats_each_key_once(monkeypatch):
+    # the psi edges come from minrep._psi_map, with no PolyMatrix sorted
+    # through nonzero(); DOT formats each weight's key once per element
+    calls = Counter()
+    real_key, real_nonzero = cli._weight_key, PolyMatrix.nonzero
+
+    def key(w):
+        calls["key"] += 1
+        return real_key(w)
+
+    def nonzero(m):
+        calls["nonzero"] += 1
+        return real_nonzero(m)
+
+    monkeypatch.setattr(cli, "_weight_key", key)
+    monkeypatch.setattr(PolyMatrix, "nonzero", nonzero)
+    monkeypatch.setattr(minrep, "psi_raising_matrix", lambda orb: calls.update(["psi_raising_matrix"]))
+    for family, rank, weight in [("E", 7, 1), ("D", 8, 8), ("A", 9, 5)]:
+        orb = orbit(build(LieType(family, rank)), weight)
+        calls.clear()
+        cli.emit_dot(orb)
+        assert calls == {"key": orb.size}
+        calls.clear()
+        emit_payload(orb, "crystal")
+        assert calls == {}
 
 
 _coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))
@@ -618,6 +652,62 @@ def test_satake_json_documents_are_pinned(monkeypatch, kind):
     buf = io.StringIO()
     assert cmd_satake(**args, fmt="json", out=buf) == (1 if kind == "failure" else 0)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SATAKE_JSON_SHA256[kind]
+
+
+# sha256 of json.dumps(list(signs)) for every Satake pair the benchmark
+# checks; the same hashes the benchmark's reference holds
+SATAKE_SIGNS_SHA256 = {
+    (2, 1): "7c82990faec1bff4c63b2c808c53957a4a8846428de5f0f648a2550d7f22a6de",
+    (2, 2): "7c82990faec1bff4c63b2c808c53957a4a8846428de5f0f648a2550d7f22a6de",
+    (3, 1): "7112a20f8224a851d514a98ae70e2c7f46192ad025cd04b6ad42ef9b030b10da",
+    (3, 2): "9ded6c7e637f3673222edc081cebf4aa576a6b10ab9a150351fa7042d3073863",
+    (3, 3): "7112a20f8224a851d514a98ae70e2c7f46192ad025cd04b6ad42ef9b030b10da",
+    (4, 1): "15d67f715f212612b8580a17f63fc55a144b702d599697ba0a27208688740df3",
+    (4, 2): "a212041b1c5b8f4f23496a241bc5c6e65bcee584f8d6e03c47a69c1aa8dfb1bc",
+    (4, 3): "a212041b1c5b8f4f23496a241bc5c6e65bcee584f8d6e03c47a69c1aa8dfb1bc",
+    (4, 4): "15d67f715f212612b8580a17f63fc55a144b702d599697ba0a27208688740df3",
+    (5, 1): "9ded6c7e637f3673222edc081cebf4aa576a6b10ab9a150351fa7042d3073863",
+    (5, 2): "66918302b73bef56be9c45bb50a00c0db75bef111109918adf3c0d9d2f4efa66",
+    (5, 3): "c4d2dce18fe96ce034d9a7ad851d1d0075fba70b4d42aea11e66624a08fbf15d",
+    (5, 4): "66918302b73bef56be9c45bb50a00c0db75bef111109918adf3c0d9d2f4efa66",
+    (5, 5): "9ded6c7e637f3673222edc081cebf4aa576a6b10ab9a150351fa7042d3073863",
+    (6, 1): "006f7ef5e274e100ed6291c9ffe9c1d484b6041daa559c90cb1ba0d1804c6682",
+    (6, 2): "1f710291865027877a609b43cf05efeefebe5db6bd3b807716409aa6e5353f0b",
+    (6, 3): "6eeb74f5f5735e2b51adf61e816e53d560b301acd770db71ddd6d64d70f32e6d",
+    (6, 4): "6eeb74f5f5735e2b51adf61e816e53d560b301acd770db71ddd6d64d70f32e6d",
+    (6, 5): "1f710291865027877a609b43cf05efeefebe5db6bd3b807716409aa6e5353f0b",
+    (6, 6): "006f7ef5e274e100ed6291c9ffe9c1d484b6041daa559c90cb1ba0d1804c6682",
+    (7, 1): "fc67e5cbb4b98b43e009205e284ce0d8454a29a4f6a663c6fcc9724efa926904",
+    (7, 2): "e650fc4580997c84be48e8984fe604f57d0dcf6f11fbf5d3a924b71fa8deb515",
+    (7, 3): "7443caa85695020129166b6abba2eff02c454dbf60b25cdf767e0fbb31c92eb4",
+    (7, 4): "e4bed3a117c8b33f48cb41ab882a758faae4993a1df4a8ea95b6a0fb240ee2b0",
+    (7, 5): "7443caa85695020129166b6abba2eff02c454dbf60b25cdf767e0fbb31c92eb4",
+    (7, 6): "e650fc4580997c84be48e8984fe604f57d0dcf6f11fbf5d3a924b71fa8deb515",
+    (7, 7): "fc67e5cbb4b98b43e009205e284ce0d8454a29a4f6a663c6fcc9724efa926904",
+    (8, 1): "d05eb4fbff95c5ce6af369e8248eb289510e9c060a7a812f42e1bd94f9835cbc",
+    (8, 2): "4c372dc61d5827cc46b7c57964025f498281d3a37cd59574d438ce38f11b3b15",
+    (8, 3): "944bb9c149583832358d6243195d007588cc307ff7487983560c43d0730dc8b9",
+    (8, 4): "43774b7177817043308fbe00a7efb7b12085309e1e9db05f00710231544f3c2b",
+    (8, 5): "43774b7177817043308fbe00a7efb7b12085309e1e9db05f00710231544f3c2b",
+    (8, 6): "944bb9c149583832358d6243195d007588cc307ff7487983560c43d0730dc8b9",
+    (8, 7): "4c372dc61d5827cc46b7c57964025f498281d3a37cd59574d438ce38f11b3b15",
+    (8, 8): "d05eb4fbff95c5ce6af369e8248eb289510e9c060a7a812f42e1bd94f9835cbc",
+    (9, 1): "a212041b1c5b8f4f23496a241bc5c6e65bcee584f8d6e03c47a69c1aa8dfb1bc",
+    (9, 2): "1272315ffacca4e9afcf39c495e74be4becf856b61283d533815ff975286abc7",
+    (9, 3): "e66fa58eb8ac934d760bcca7f44dc3839d80e24269c0fdf4367b57536555ec76",
+    (9, 4): "9b22dcb46aa657c53e06132e20f970c056dddbcef4376a9234d666d9be2d8c8f",
+    (9, 5): "6a96e866564de626600daac8a30b1ed4ce095b59c0f3936753a334b8272e2917",
+    (9, 6): "9b22dcb46aa657c53e06132e20f970c056dddbcef4376a9234d666d9be2d8c8f",
+    (9, 7): "e66fa58eb8ac934d760bcca7f44dc3839d80e24269c0fdf4367b57536555ec76",
+    (9, 8): "1272315ffacca4e9afcf39c495e74be4becf856b61283d533815ff975286abc7",
+    (9, 9): "a212041b1c5b8f4f23496a241bc5c6e65bcee584f8d6e03c47a69c1aa8dfb1bc",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(SATAKE_SIGNS_SHA256), ids="A{0[0]}k{0[1]}".format)
+def test_satake_sign_vectors_are_pinned(pair):
+    signs = satake.satake_similarity(*pair).signs
+    assert hashlib.sha256(json.dumps(list(signs)).encode()).hexdigest() == SATAKE_SIGNS_SHA256[pair]
 
 
 def test_satake_command_argument_errors():

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from minflag import qchev
+from minflag import qchev, rootsys
 from helpers import SWEEP, identity, matmul, orbit_of, pairing_matrix, sweep_orbits, transpose
 from minflag.minrep import Poly, quantum_operator
 from minflag.qchev import (
@@ -321,11 +323,30 @@ def test_trichotomy_pairing_outside_the_three_cases_names_weight_and_root():
     assert check.detail == "at (2,-1), alpha_1: pairing 2, outside -1, 0, 1"
 
 
-def test_trichotomy_moving_reflection_names_weight_and_root(monkeypatch):
-    monkeypatch.setattr(qchev, "reflect", lambda rs, mu, alpha: -mu)
-    check = trichotomy_check(orbit_of("A", 3, 2))
-    assert not check
-    assert check.detail == "at (0,1,0), alpha_1: pairing 0, but the reflection moves the weight"
+def test_trichotomy_calls_reflect_zero_times():
+    # a zero pairing is its own classification: s_j fixes such a weight by
+    # definition, so reflecting it would only recompute the same pairing.
+    # The profile hook counts calls of rootsys.reflect under any binding.
+    code = rootsys.reflect.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    orbs = list(sweep_orbits())
+    sys.setprofile(profile)
+    try:
+        for orb in orbs:
+            assert trichotomy_check(orb)
+        assert calls == []
+        # the hook does see a call of reflect
+        orb = orbs[0]
+        rootsys.reflect(orb.rs, orb.elements[0].weight, orb.rs.simple_root(1))
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 1
+    assert not hasattr(qchev, "reflect")
 
 
 def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch, fresh_lengths):

@@ -1,8 +1,12 @@
-import pytest
+import hashlib
+import json
+from collections import Counter
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import minflag.minrep as minrep
 import minflag.satake as satake
 from helpers import commutator, dense_rows, orbit_of, reference_wedge_matrix
 from minflag.minrep import Poly, PolyMatrix, lowering_matrix, quantum_operator, raising_matrix
@@ -107,6 +111,115 @@ def test_satake_a3_k2():
 def test_satake_pairs(n, k):
     diag = satake_similarity(n, k)
     assert len(diag.signs) == comb(n + 1, k)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_satake_similarity_matches_the_polymatrix_route(n):
+    for k in range(1, n + 1):
+        assert satake_similarity(n, k).signs == sign_similarity(*wedge_weight_alignment(n, k)).signs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_aligned_wedge_matches_the_permuted_and_twisted_poly_reference(n):
+    # the wedge accumulated straight into Grassmannian positions with the
+    # parity twist folded in equals the reference wedge in subset order,
+    # moved to the positions of the summed line weights, with q -> (-1)^(k-1) q
+    line = orbit_of("A", n, 1)
+    lines = [el.weight.pairings for el in line.elements]
+    for k in range(1, n + 1):
+        gr = orbit_of("A", n, k)
+        ref = reference_wedge_matrix(quantum_operator(line), k)
+        perm = [gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in wedge_subsets(n + 1, k)]
+        twist = (-1) ** (k - 1)
+        want = PolyMatrix(ref.n, {(perm[i], perm[j]): p.q_scaled(twist) for i, j, p in ref.nonzero()})
+        aligned, grassmannian = wedge_weight_alignment(n, k)
+        assert aligned == want
+        assert grassmannian == quantum_operator(gr)
+
+
+def _outcome(route):
+    """A route's signs, or the kind, message and cycle of its SignSimilarityError."""
+    try:
+        return "ok", route().signs
+    except SignSimilarityError as exc:
+        return exc.kind, str(exc), exc.cycle
+
+
+# sha256 of the json.dumps of every outcome below, in site order: the
+# signs, or the kind, message and cycle of each failure, as the
+# PolyMatrix route gave them before the integer route existed
+MUTATION_OUTCOMES_SHA256 = {
+    (3, 2): "3bd0144193602f888354d9882cd1b0527ca2cae70c3b2afb875a0217a836da97",
+    (4, 2): "3aa62db6242f2db81f0951d18a09e476b78036e00d3f90639ea5b5a168c545d0",
+    (5, 3): "d5262b7677ebf14b7448d259d951f7ebed8ec0980c7e287b75db36e7f231292b",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(MUTATION_OUTCOMES_SHA256))
+def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_mutation(monkeypatch, n, k):
+    # every entry of the Grassmannian's E-(j) and E_psi maps, negated, stored
+    # as 0 (a support mismatch) or doubled; the line operator stays intact
+    real_low, real_psi = minrep._lowering_maps, minrep._psi_map
+    gr = orbit_of("A", n, k)
+    sites = [(j, c) for j, m in enumerate(real_low(gr)) for c in m] + [(None, c) for c in real_psi(gr)]
+    seen, outcomes = Counter(), []
+    for j, c in sites:
+        for scale in (-1, 0, 2):
+            def changed(m, c=c, scale=scale):
+                t, v = m[c]
+                return {**m, c: (t, scale * v)}
+
+            def low(orb, j=j, changed=changed):
+                maps = real_low(orb)
+                return [changed(m) if orb.weight_index == k and i == j else m for i, m in enumerate(maps)]
+
+            def psi(orb, j=j, changed=changed):
+                m = real_psi(orb)
+                return changed(m) if orb.weight_index == k and j is None else m
+
+            monkeypatch.setattr(minrep, "_lowering_maps", low)
+            monkeypatch.setattr(minrep, "_psi_map", psi)
+            got = _outcome(lambda: satake_similarity(n, k))
+            assert got == _outcome(lambda: sign_similarity(*wedge_weight_alignment(n, k)))
+            outcomes.append(got)
+            seen[got[0] if got[0] != "support" else got[1].split(" at ")[0]] += 1
+    assert seen["cycle"] and seen["supports differ"] and seen["entries"]
+    assert seen["ok"] + seen["cycle"] == len(sites)  # a negated entry is absorbed or closes a bad loop
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == MUTATION_OUTCOMES_SHA256[n, k]
+
+
+def test_satake_similarity_check_names_the_entry_its_signs_miss(monkeypatch):
+    monkeypatch.setattr(satake, "_propagate_signs", lambda n, ratio: (-1,) + (1,) * (n - 1))
+    message = r"d\[0\] d\[4\] = -1, but entry \(0, 4\) has sign ratio 1"
+    with pytest.raises(AssertionError, match=message):
+        satake_similarity(3, 2)
+    with pytest.raises(AssertionError, match=message):
+        sign_similarity(*wedge_weight_alignment(3, 2))
+
+
+def test_satake_similarity_builds_only_the_two_operators(monkeypatch):
+    # the wedge and the sign match run on integer entries: the two A(q) are
+    # the only matrices, no Poly is made, nothing is sorted through nonzero()
+    counts = Counter()
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[f"{cls.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((PolyMatrix, "__init__"), (PolyMatrix, "nonzero"), (Poly, "__init__"), (Poly, "q_scaled")):
+        counted(cls, name)
+    for n, k in [(3, 2), (6, 3), (9, 5)]:
+        counts.clear()
+        satake_similarity(n, k)
+        assert counts == {"PolyMatrix.__init__": 2}
+    counts.clear()
+    wedge_weight_alignment(3, 2)  # the PolyMatrix view builds the aligned wedge too
+    assert counts["PolyMatrix.__init__"] == 3 and counts["Poly.__init__"] > 0
 
 
 def test_sign_similarity_flipped_sign_gives_cycle_witness():
