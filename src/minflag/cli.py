@@ -15,7 +15,8 @@ Subcommands:
 Every JSON document the CLI prints comes from one writer, ``json_text``:
 byte for byte the text ``json.dumps(..., indent=2)`` makes of the
 document, with the dense A(q) array of ``amatrix`` and ``ttstar``
-written straight from the matrix's nonzero entries.
+written straight from the matrix's nonzero entries, each distinct entry
+formatted once.
 
 JSON schema notes: polynomials are arrays of [exponent, coefficient]
 pairs with the coefficient as a decimal string (arbitrary precision
@@ -199,7 +200,9 @@ def _value_text(v: object, pad: str) -> str:
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        body = ",\n".join(items)
+        del items  # dropped before the braces go on, so the text is held at most twice
+        return f"{{\n{body}\n{pad}}}"
     if t is list:
         if not v:
             return "[]"
@@ -220,17 +223,31 @@ def _value_text(v: object, pad: str) -> str:
 
 
 def _matrix_text(m: PolyMatrix, pad: str) -> str:
-    """The indent=2 JSON text of m's dense rows, for a value whose line is indented by pad."""
+    """The indent=2 JSON text of m's dense rows, for a value whose line is indented by pad.
+
+    Each distinct entry is formatted once and its text reused in every
+    cell that holds it (A(q) has two: 1 and q).
+    """
     if not m.n:
         return "[]"
     row_pad, cell_pad = pad + "  ", pad + "    "
     pair_pad, item_pad = cell_pad + "  ", cell_pad + "    "
     zero = cell_pad + "[]"
     rows = [[zero] * m.n for _ in range(m.n)]
+    texts: dict[tuple[tuple[int, int], ...], str] = {}
     for i, j, p in m.nonzero():
-        pairs = ",\n".join(f'{pair_pad}[\n{item_pad}{e},\n{item_pad}"{c}"\n{pair_pad}]' for e, c in p.items())
-        rows[i][j] = f"{cell_pad}[\n{pairs}\n{cell_pad}]"
-    body = ",\n".join(f"{row_pad}[\n" + ",\n".join(cells) + f"\n{row_pad}]" for cells in rows)
+        key = p.items()
+        text = texts.get(key)
+        if text is None:
+            pairs = ",\n".join(f'{pair_pad}[\n{item_pad}{e},\n{item_pad}"{c}"\n{pair_pad}]' for e, c in key)
+            text = texts[key] = f"{cell_pad}[\n{pairs}\n{cell_pad}]"
+        rows[i][j] = text
+    # each row's cells give way to its text as it is made, and the row
+    # texts go before the brackets go on: the text is held at most twice
+    for i, cells in enumerate(rows):
+        rows[i] = f"{row_pad}[\n" + ",\n".join(cells) + f"\n{row_pad}]"
+    body = ",\n".join(rows)
+    del rows
     return f"[\n{body}\n{pad}]"
 
 
@@ -263,7 +280,8 @@ def emit_payload(orb: Orbit, what: str) -> dict:
     """The document of one emission target; ``json_text`` writes it.
 
     Every value is plain JSON data except "matrix" (``amatrix`` and
-    ``ttstar``), which is the PolyMatrix A(q) itself.
+    ``ttstar``), which is the PolyMatrix A(q) itself, the one object
+    ``quantum_operator`` keeps for the orbit: read it, do not change it.
     """
     doc = _header(orb)
     if what == "orbit":

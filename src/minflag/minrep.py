@@ -13,16 +13,20 @@ Each kind of generator is built once per orbit as index maps {source:
 (target, coefficient)}.  A(q) is summed from them and the bracket
 relations compose them; ``lowering_matrix``, ``raising_matrix``,
 ``cartan_action`` and ``psi_raising_matrix`` are PolyMatrix views.
-Matrices live over Poly, integer polynomials in one formal variable q.
-PolyMatrix is a sparse container, not an algebra: nothing here
-multiplies or adds matrices.  The characteristic polynomial is the one
-place q takes integer values: a sparse integer Berkowitz kernel runs on
-A(1), and the q-grading of A(q) lifts its coefficients back exactly
-(other matrices are interpolated exactly from integer values of q).
+A(q) and the E_psi map keep the latest orbit's result, so every caller
+on one orbit reads the same object and none may change it.  Matrices
+live over Poly, integer polynomials in one formal variable q with
+``int`` coefficients.  PolyMatrix is a sparse container with no
+mutators, not an algebra: nothing here multiplies or adds matrices.
+The characteristic polynomial is the one place q takes integer values:
+a sparse integer Berkowitz kernel runs on A(1), and the q-grading of
+A(q) lifts its coefficients back exactly (other matrices are
+interpolated exactly from integer values of q).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
@@ -33,7 +37,11 @@ PolyLike = Union["Poly", int]
 
 
 class Poly:
-    """Sparse polynomial in q: a map from exponent to nonzero integer."""
+    """Sparse polynomial in q: a map from exponent to nonzero integer.
+
+    Every coefficient must be an ``int``; a bool, float or Fraction
+    raises TypeError, so a coefficient always prints as a decimal integer.
+    """
 
     __slots__ = ("_c",)
 
@@ -41,6 +49,8 @@ class Poly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(v) is not int:
+                    raise TypeError(f"coefficients must be int, not {type(v).__name__}")
                 if v:
                     if e < 0:
                         raise ValueError("negative exponents not supported")
@@ -121,7 +131,7 @@ class Poly:
         return bool(self._c)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -174,7 +184,8 @@ class PolyMatrix:
     """Square matrix over Poly, stored sparsely: a container, not an algebra.
 
     Only its nonzero entries are kept; ``nonzero`` lists them in row
-    order, and ``with_entry`` returns a changed copy.
+    order, and ``with_entry`` returns a changed copy.  It has no
+    mutators, so the memoized A(q) is safe to share.
     """
 
     __slots__ = ("n", "_e")
@@ -406,8 +417,13 @@ def _cartan_maps(orb: Orbit) -> list[_IndexMap]:
     return maps
 
 
+@lru_cache(maxsize=1)
 def _psi_map(orb: Orbit) -> _IndexMap:
-    """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1; psi^vee is read once."""
+    """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1; psi^vee is read once.
+
+    Only the latest orbit's map is kept, shared by A(q), the bracket
+    relations and the crystal emitter: callers read it and never change it.
+    """
     psi = coroot(orb.rs, orb.rs.highest_root)
     return {pos: (orb.neighbour(el.weight, "+", "psi"), 1)
             for pos, el in enumerate(orb.elements) if sum(map(mul, psi, el.weight.pairings)) == -1}
@@ -441,8 +457,13 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
     return _matrix(orb, _psi_map)
 
 
+@lru_cache(maxsize=1)
 def quantum_operator(orb: Orbit) -> PolyMatrix:
-    """A(q) = sum_j E-(j) + q E_psi, summed from the generators' index maps; coinciding entries add."""
+    """A(q) = sum_j E-(j) + q E_psi, summed from the generators' index maps; coinciding entries add.
+
+    Only the latest orbit's A(q) is kept: consecutive calls on one orbit
+    return the same PolyMatrix.
+    """
     entries: dict[tuple[int, int], Poly] = {}
     for term, maps in ((ONE, _lowering_maps(orb)), (Q, [_psi_map(orb)])):
         for m in maps:

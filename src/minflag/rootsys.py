@@ -90,9 +90,12 @@ class RootVec:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Weight:
-    """A weight, as integer pairings against the simple coroots."""
+    """A weight, as integer pairings against the simple coroots.
+
+    Slotted: every memoized orbit keeps one per element.
+    """
 
     pairings: tuple[int, ...]
 

@@ -11,9 +11,10 @@ Two private kernels do the work on integer entries {(row, col):
 {exponent: coefficient}}: ``_wedge`` accumulates the Leibniz action
 straight into the positions a subset map gives, with the parity twist
 folded into its terms, and ``_match_signs`` compares two matrices up to
-sign.  ``satake_similarity`` runs them end to end, building no matrix
-but the two A(q); ``wedge_matrix``, ``wedge_weight_alignment`` and
-``sign_similarity`` are PolyMatrix views of the same kernels.
+sign, accepting two equal ones with every sign +1 before any
+propagation.  ``satake_similarity`` runs them end to end, building no
+matrix but the two A(q); ``wedge_matrix``, ``wedge_weight_alignment``
+and ``sign_similarity`` are PolyMatrix views of the same kernels.
 
 Type D: the endomorphism algebra of a spinor-variety quantum cohomology
 matches the even half-wedge of the quadric side at the level of total
@@ -121,10 +122,11 @@ def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
 def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
     """Find d in {+-1}^n with D a D = b, D = diag(d).
 
-    Requires entrywise equality up to sign.  Signs propagate over the
-    support graph from a +1 root in each component, then every support
-    entry is verified; an inconsistent assignment raises with the
-    closed walk that cannot be signed.
+    Requires entrywise equality up to sign.  Equal matrices give every
+    sign +1 at once.  Otherwise signs propagate over the support graph
+    from a +1 root in each component, then every support entry is
+    verified; an inconsistent assignment raises with the closed walk
+    that cannot be signed.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
@@ -134,10 +136,15 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
 def _match_signs(n: int, a: _Entries, b: _Entries) -> tuple[int, ...]:
     """``sign_similarity`` on two n x n matrices given as their nonzero entries.
 
-    Entries are compared in (row, col) order, which fixes the order in
-    which signs propagate and so every witness.  A Poly is built only to
-    name an entry pair that does not agree up to sign.
+    Equal entry dicts are accepted at once with every sign +1, the
+    answer propagation would give: every ratio is +1 and every component
+    is rooted at +1.  Otherwise entries are compared in (row, col) order,
+    which fixes the order in which signs propagate and so every witness.
+    A Poly is built only to name an entry pair that does not agree up to
+    sign.
     """
+    if a == b:
+        return (1,) * n
     if a.keys() != b.keys():
         entry = min(a.keys() ^ b.keys())
         raise SignSimilarityError("support", f"supports differ at entry {entry}")
@@ -250,7 +257,10 @@ def satake_similarity(n: int, k: int) -> SignDiagonal:
     """Full type-A check: wedge the line operator into Grassmannian positions, sign-match.
 
     ``sign_similarity(*wedge_weight_alignment(n, k))`` on integer
-    entries: the two A(q) are the only matrices built.
+    entries: the two A(q) are the only matrices built.  Once the parity
+    twist is folded in, the aligned wedge equals the Grassmannian A(q)
+    for every 1 <= k <= n <= 9 checked, so the equality accept answers
+    without sign propagation.
     """
     gr, wedge = _aligned_wedge(n, k)
     return SignDiagonal(_match_signs(gr.size, wedge, _coefficients(quantum_operator(gr))))

@@ -19,12 +19,14 @@ Three coordinate systems are in exact rational bijection:
 The distinguished point m = -h_0 (every value -1) sits at the alcove
 origin, has exponents k_0 = 0 and k_j = -1, and its connection form is
 (1/lambda) A(q) dq/q with A(q) the canonical quantum operator; lambda
-stays a formal symbol throughout.
+stays a formal symbol throughout.  Its m, alcove point and exponents
+depend on the root system alone and are computed once per root system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .minrep import PolyMatrix, quantum_operator
@@ -167,9 +169,24 @@ class DistinguishedSolution:
 
 
 def distinguished_solution(rs: RootSystem, i: int) -> DistinguishedSolution:
-    """Assemble the m = -h_0 dictionary entry: origin, exponents (0, -1, ..., -1), A(q)."""
+    """Assemble the m = -h_0 dictionary entry: origin, exponents (0, -1, ..., -1), A(q).
+
+    m, the alcove point and the exponents come from the per-root-system
+    memo ``_toda_data``; A(q) is the orbit's shared ``quantum_operator``.
+    """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
+    m, alcove, dpw = _toda_data(rs)
+    return DistinguishedSolution(m=m, alcove=alcove, dpw=dpw, operator=quantum_operator(orbit(rs, i)))
+
+
+@lru_cache(maxsize=None)
+def _toda_data(rs: RootSystem) -> tuple[AsymptoticData, AlcovePoint, DpwExponents]:
+    """-h_0, its alcove point and its exponents, once per root system.
+
+    Raises AssertionError, naming the moved value, when -h_0 is not
+    fixed by the diagram involution.
+    """
     m = minus_h0(rs)
     moved = _sigma_moved(rs, m)
     if moved:
@@ -178,12 +195,7 @@ def distinguished_solution(rs: RootSystem, i: int) -> DistinguishedSolution:
             f"-h_0 = {_text(m.values)} is not fixed by the diagram involution: "
             f"alpha_{j}(m) = {m.values[j - 1]} moves onto alpha_{k}(m) = {m.values[k - 1]}"
         )
-    return DistinguishedSolution(
-        m=m,
-        alcove=asymptotic_to_alcove(rs, m),
-        dpw=dpw_exponents(rs, m),
-        operator=quantum_operator(orbit(rs, i)),
-    )
+    return m, asymptotic_to_alcove(rs, m), dpw_exponents(rs, m)
 
 
 def dubrovin_form(orb: Orbit) -> dict[str, str]:

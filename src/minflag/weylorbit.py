@@ -14,6 +14,8 @@ word is one of possibly many reduced words, but the represented group
 element is unique.  Two things read the words: the ``orbit`` emitter
 writes them out, and the tests check the oracle's own transport against
 them.  The divisor-product oracle and ``length`` read none of them.
+``crystal_edges`` keeps the latest orbit's edge list, which the crystal
+JSON and DOT emitters of one orbit share.
 """
 from __future__ import annotations
 
@@ -25,13 +27,13 @@ from typing import Sequence, Union
 from .rootsys import RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitElement:
     """One weight of the orbit with a reduced word for its coset representative.
 
     word = (j_1, ..., j_r) encodes the element s_{j_r} ... s_{j_1}: the
     reflections apply left to right, outermost last, and r equals the
-    Bruhat length.
+    Bruhat length.  Slotted: every memoized orbit keeps one per element.
     """
 
     weight: Weight
@@ -149,8 +151,13 @@ def length(orb: Orbit, mu: Weight) -> int:
     return total
 
 
+@lru_cache(maxsize=1)
 def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
-    """All lowering edges (mu, j, mu - alpha_j), with (mu, alpha_j^vee) = 1."""
+    """All lowering edges (mu, j, mu - alpha_j), with (mu, alpha_j^vee) = 1.
+
+    Only the latest orbit's list is kept: consecutive calls on one orbit
+    return the same list, which callers must not mutate.
+    """
     edges = []
     for el in orb.elements:
         for j, m in enumerate(el.weight.pairings, 1):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import minflag.minrep as minrep
+from minflag import qchev, ttstar, weylorbit
 from minflag.cli import SweepConfig, sweep_cases
 from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, minuscule_weights
@@ -13,6 +14,17 @@ from minflag.satake import wedge_subsets
 from minflag.weylorbit import Orbit, OrbitElement, orbit, poincare_dual
 
 SWEEP = sweep_cases(SweepConfig())
+
+# every per-orbit and per-root-system memo of the package
+MEMOS = (
+    qchev._oracle_table, qchev._lengths, minrep.quantum_operator, minrep._psi_map,
+    weylorbit.crystal_edges, ttstar._toda_data,
+)
+
+
+def clear_memos() -> None:
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def rs_of(family: str, rank: int) -> RootSystem:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflag import cli, minrep, qchev, satake
+from minflag import cli, minrep, qchev, satake, weylorbit
 from minflag.cli import (
     ConfigError,
     SweepConfig,
@@ -28,7 +28,7 @@ from minflag.cli import (
 from minflag.minrep import Poly, PolyMatrix
 from minflag.rootsys import LieType, build
 from minflag.weylorbit import Orbit, orbit
-from helpers import SWEEP
+from helpers import SWEEP, clear_memos
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -126,7 +126,7 @@ def test_verify_generator_map_mutation_fails_only_its_row(monkeypatch, builder, 
         assert row.split()[1] == "rep-relations" and "[E+(1), E-(1)] != H(1) at (" in row
 
 
-def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(monkeypatch):
+def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(monkeypatch, fresh_memos):
     # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
     # rep-relations row names the entry, and cmd_verify raises nothing
     real = minrep._lowering_maps
@@ -155,18 +155,12 @@ def test_verify_calls_no_public_generator_builder(monkeypatch):
     assert calls == []
 
 
-def test_verify_reads_one_length_per_element(monkeypatch):
+def test_verify_reads_one_length_per_element(monkeypatch, fresh_memos):
     # the oracle, grading and trichotomy rows share one length list per orbit
     calls = []
     real = qchev.length
     monkeypatch.setattr(qchev, "length", lambda orb, mu: calls.append((orb, mu)) or real(orb, mu))
-    qchev._lengths.cache_clear()
-    qchev._oracle_table.cache_clear()
-    try:
-        assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
-    finally:
-        qchev._lengths.cache_clear()
-        qchev._oracle_table.cache_clear()
+    assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
     orbits = {orb for orb, _mu in calls}
     read = {(id(orb), mu.pairings) for orb, mu in calls}
     assert len(orbits) == len(SWEEP)
@@ -259,11 +253,15 @@ def test_checks_survive_python_optimize_flag():
         "    s.half_wedge_dims(4)\n"
         "except AssertionError:\n"
         "    print('half-wedge check raised')\n"
+        "from math import comb\n"
+        "s.comb = comb\n"
+        "aligned, gr = s.wedge_weight_alignment(3, 2)\n"
+        "flipped = s.SignDiagonal((1, 1, 1, 1, 1, -1)).conjugate(gr)\n"
         "s._propagate_signs = lambda n, ratio: (-1,) + (1,) * (n - 1)\n"
         "try:\n"
-        "    s.satake_similarity(3, 2)\n"
-        "except AssertionError:\n"
-        "    print('satake sign check raised')\n"
+        "    s.sign_similarity(aligned, flipped)\n"
+        "except AssertionError as exc:\n"
+        "    print(f'satake sign check raised: {exc}')\n"
         "import minflag.rootsys as r\n"
         "from fractions import Fraction\n"
         "r._diagram = lambda lt: ([(1, 2)], [Fraction(1), Fraction(2, 3)])\n"
@@ -280,7 +278,8 @@ def test_checks_survive_python_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "length check raised", "psi check raised", "missing target raised", "missing target raised",
-        "dpw check raised", "half-wedge check raised", "satake sign check raised", "cartan check raised",
+        "dpw check raised", "half-wedge check raised",
+        "satake sign check raised: d[0] d[4] = -1, but entry (0, 4) has sign ratio 1", "cartan check raised",
         "pivot check raised",
     ]
 
@@ -477,6 +476,52 @@ def test_crystal_emit_reads_the_psi_map_and_formats_each_key_once(monkeypatch):
         calls.clear()
         emit_payload(orb, "crystal")
         assert calls == {}
+
+
+_EMIT_TARGETS = [
+    ("orbit", "json"), ("crystal", "json"), ("crystal", "dot"),
+    ("amatrix", "json"), ("qtable", "json"), ("ttstar", "json"),
+]
+
+
+def test_orbit_memos_keep_only_the_latest_orbit(fresh_memos):
+    memos = (minrep.quantum_operator, minrep._psi_map, weylorbit.crystal_edges)
+    assert [memo.cache_info().maxsize for memo in memos] == [1, 1, 1]
+    for case in [("E", 6, 1), ("D", 5, 5)]:
+        for what, fmt in _EMIT_TARGETS:
+            _emit(*case, what, fmt)
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
+
+
+def test_interleaved_emits_match_fresh_runs(fresh_memos):
+    # orbits A, B, A: the second visit of A finds every orbit memo holding B,
+    # once orbit by orbit and once target by target
+    cases = [("E", 6, 1), ("D", 5, 5), ("E", 6, 1)]
+    by_orbit = [(case, target) for case in cases for target in _EMIT_TARGETS]
+    by_target = [(case, target) for target in _EMIT_TARGETS for case in cases]
+    for order in (by_orbit, by_target):
+        shared = [_emit(*case, *target) for case, target in order]
+        fresh = []
+        for case, target in order:
+            clear_memos()
+            fresh.append(_emit(*case, *target))
+        assert shared == fresh
+
+
+def test_amatrix_then_ttstar_builds_a_q_once(fresh_memos):
+    orb = orbit(build(LieType("E", 7)), 1)
+    amatrix = emit_payload(orb, "amatrix")["matrix"]
+    assert emit_payload(orb, "ttstar")["matrix"] is amatrix
+    info = minrep.quantum_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_crystal_json_then_dot_computes_the_edges_once(fresh_memos):
+    _emit("E", 7, 1, "crystal", "json")
+    _emit("E", 7, 1, "crystal", "dot")
+    for memo in (weylorbit.crystal_edges, minrep._psi_map):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 1), memo
 
 
 _coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))

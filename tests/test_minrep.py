@@ -1,5 +1,6 @@
 import pytest
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,16 @@ def test_equal_polys_and_ints_hash_alike():
 def test_poly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Poly({-1: 1})
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 0.0, Fraction(1, 2)], ids=["True", "False", "2.5", "0.0", "Fraction"])
+def test_poly_rejects_a_coefficient_that_is_not_an_int(bad):
+    # a bool or float would be written as "True" or "2.5", not as a decimal integer
+    for make in (lambda: Poly({0: bad}), lambda: Poly.const(bad), lambda: Poly.term(bad, 1),
+                 lambda: PolyMatrix(1, {(0, 0): bad}), lambda: PolyMatrix(1).with_entry(0, 0, bad)):
+        with pytest.raises(TypeError, match="coefficients must be int"):
+            make()
+    assert ONE != bad  # comparing with a non-int is False, not an error
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,17 +284,17 @@ def test_one_pass_quantum_operator_equals_the_summed_generators(case):
         assert all(p for _i, _j, p in a.nonzero())
 
 
-def test_quantum_operator_adds_coinciding_entries(monkeypatch):
+def test_quantum_operator_adds_coinciding_entries(monkeypatch, fresh_memos):
     # with E_psi moved onto a lowering edge, that entry must become 1 + q
     orb = orbit_of("A", 2, 1)
-    i, j, _p = next(e for e in quantum_operator(orb).nonzero() if e[2] == ONE)
+    i, j, _p = next(e for e in reference_quantum_operator(orb).nonzero() if e[2] == ONE)
     monkeypatch.setattr(minrep, "_psi_map", lambda orb: {j: (i, 1)})
     a = quantum_operator(orb)
     assert a.entry(i, j) == ONE + Q
     assert len(a.nonzero()) == 2  # the other lowering edge and the merged entry
 
 
-def test_quantum_operator_scales_its_terms_by_the_map_coefficients(monkeypatch):
+def test_quantum_operator_scales_its_terms_by_the_map_coefficients(monkeypatch, fresh_memos):
     # E-(1) with coefficient -1 on its edge cancels the q-free part of a coinciding E_psi entry
     orb = orbit_of("A", 2, 1)
     monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{0: (1, -1)}, {1: (2, 2)}])
@@ -291,7 +302,7 @@ def test_quantum_operator_scales_its_terms_by_the_map_coefficients(monkeypatch):
     assert quantum_operator(orb) == _m([[0, 0, 0], [-1 - Q, 0, 0], [0, 2, 0]])
 
 
-def test_quantum_operator_reads_the_maps_not_the_public_builders(monkeypatch):
+def test_quantum_operator_reads_the_maps_not_the_public_builders(monkeypatch, fresh_memos):
     calls = []
     want = {orb: reference_quantum_operator(orb) for orb in sweep_orbits()}
     for name in ("lowering_matrix", "psi_raising_matrix"):
@@ -503,7 +514,7 @@ def test_rep_relations_match_the_product_form_on_the_sweep():
 
 
 @pytest.mark.parametrize("case", [("A", 3, 2), ("D", 4, 1), ("E", 6, 1), ("B", 3, 3)])
-def test_rep_relations_match_the_product_form_on_every_single_entry_mutation(case):
+def test_rep_relations_match_the_product_form_on_every_single_entry_mutation(case, fresh_memos):
     orb = orbit_of(*case)
     mutations = list(_single_entry_mutations(orb))
     for name, j, mutated in mutations:
@@ -514,7 +525,7 @@ def test_rep_relations_match_the_product_form_on_every_single_entry_mutation(cas
     assert {name for name, _j, _m in mutations} == set(GENERATOR_MAPS)
 
 
-def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch):
+def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_memos):
     # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
     # check fails as for the dropped entry, with a witness, not a bare error
     orb = orbit_of("A", 3, 2)

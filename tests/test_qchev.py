@@ -26,21 +26,6 @@ from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import Orbit, OrbitElement, apply_word, orbit
 
 
-@pytest.fixture
-def fresh_lengths():
-    """Empty the per-orbit length memos before and after a test that replaces ``qchev.length``.
-
-    ``_lengths`` and the oracle's table keep the latest orbit's lengths;
-    left filled, they would hand a replaced ``length``'s values to the
-    next test that reads the same orbit.
-    """
-    qchev._lengths.cache_clear()
-    qchev._oracle_table.cache_clear()
-    yield
-    qchev._lengths.cache_clear()
-    qchev._oracle_table.cache_clear()
-
-
 def _terms_as_set(terms, orb):
     return {(orb.index_of[t.target.pairings], t.q_power, t.coefficient) for t in terms}
 
@@ -349,7 +334,7 @@ def test_trichotomy_calls_reflect_zero_times():
     assert not hasattr(qchev, "reflect")
 
 
-def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch, fresh_lengths):
+def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch, fresh_memos):
     calls = []
     real = qchev.length
 
@@ -365,7 +350,7 @@ def test_trichotomy_reads_one_oracle_length_per_element(monkeypatch, fresh_lengt
         assert sorted(calls) == sorted(el.weight for el in orb.elements)
 
 
-def test_trichotomy_wrong_oracle_length_names_the_lowered_weight(monkeypatch, fresh_lengths):
+def test_trichotomy_wrong_oracle_length_names_the_lowered_weight(monkeypatch, fresh_memos):
     orb = orbit_of("A", 2, 1)
     real = qchev.length
     top = orb.elements[0].weight
@@ -528,7 +513,7 @@ def test_transport_table_keeps_only_the_latest_orbit():
     assert qchev._oracle_table.cache_info().currsize == 1
 
 
-def test_oracle_pass_reads_one_length_per_element(monkeypatch, fresh_lengths):
+def test_oracle_pass_reads_one_length_per_element(monkeypatch, fresh_memos):
     calls = []
     real = qchev.length
 
@@ -547,7 +532,7 @@ def test_oracle_pass_reads_one_length_per_element(monkeypatch, fresh_lengths):
         assert qchev._oracle_table(orb).lengths == [el.length for el in orb.elements]
 
 
-def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_lengths):
+def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_memos):
     calls = []
     real = qchev.length
     monkeypatch.setattr(qchev, "length", lambda orb, mu: calls.append(mu) or real(orb, mu))
@@ -560,7 +545,7 @@ def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_
     assert qchev._lengths.cache_info().currsize == 1
 
 
-def test_oracle_pass_makes_one_single_letter_apply_word_call_per_transported_root(monkeypatch):
+def test_oracle_pass_makes_one_single_letter_apply_word_call_per_transported_root(monkeypatch, fresh_memos):
     # perfbench's qchev.oracle.kept_ratio counts the candidates the
     # oracle examined as the apply_word calls made directly inside
     # chevalley_fw_oracle.  It relies on this count: one single-letter call

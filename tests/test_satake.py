@@ -156,7 +156,7 @@ MUTATION_OUTCOMES_SHA256 = {
 
 
 @pytest.mark.parametrize("n,k", sorted(MUTATION_OUTCOMES_SHA256))
-def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_mutation(monkeypatch, n, k):
+def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_mutation(monkeypatch, fresh_memos, n, k):
     # every entry of the Grassmannian's E-(j) and E_psi maps, negated, stored
     # as 0 (a support mismatch) or doubled; the line operator stays intact
     real_low, real_psi = minrep._lowering_maps, minrep._psi_map
@@ -189,15 +189,30 @@ def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_m
 
 
 def test_satake_similarity_check_names_the_entry_its_signs_miss(monkeypatch):
+    # equal sides are accepted before propagation, so the check is reached
+    # through the Grassmannian side conjugated by a sign on basis vector 5
+    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    flipped = SignDiagonal((1, 1, 1, 1, 1, -1)).conjugate(grassmannian)
+    assert sign_similarity(aligned, flipped).signs == (1, 1, 1, 1, 1, -1)
     monkeypatch.setattr(satake, "_propagate_signs", lambda n, ratio: (-1,) + (1,) * (n - 1))
+    assert satake_similarity(3, 2).signs == (1,) * 6
     message = r"d\[0\] d\[4\] = -1, but entry \(0, 4\) has sign ratio 1"
     with pytest.raises(AssertionError, match=message):
-        satake_similarity(3, 2)
-    with pytest.raises(AssertionError, match=message):
-        sign_similarity(*wedge_weight_alignment(3, 2))
+        sign_similarity(aligned, flipped)
 
 
-def test_satake_similarity_builds_only_the_two_operators(monkeypatch):
+def test_satake_pairs_are_equal_after_alignment_and_never_propagate_signs(monkeypatch):
+    # every 1 <= k <= n <= 9: the benchmark's 44 pairs and (1, 1)
+    def no_propagation(n, ratio):
+        raise AssertionError("signs propagated")
+
+    monkeypatch.setattr(satake, "_propagate_signs", no_propagation)
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            assert satake_similarity(n, k).signs == (1,) * comb(n + 1, k), (n, k)
+
+
+def test_satake_similarity_builds_only_the_two_operators(monkeypatch, fresh_memos):
     # the wedge and the sign match run on integer entries: the two A(q) are
     # the only matrices, no Poly is made, nothing is sorted through nonzero()
     counts = Counter()

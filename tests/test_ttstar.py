@@ -8,7 +8,7 @@ from helpers import SWEEP, orbit_of, random_alcove_coords, rs_of
 import minflag.ttstar as ttstar
 from minflag.minrep import quantum_operator
 from minflag.qchev import quantum_product_matrix
-from minflag.rootsys import build
+from minflag.rootsys import build, minuscule_weights
 from minflag.ttstar import (
     alcove_point,
     alcove_to_asymptotic,
@@ -215,29 +215,40 @@ def test_distinguished_solution_holds_only_the_dictionary_entry():
 # -- the internal checks raise with their witness (they must survive python -O) --
 
 
-def test_asymptotic_to_alcove_check_names_the_point(monkeypatch):
+def test_asymptotic_to_alcove_check_names_the_point(monkeypatch, fresh_memos):
     rs = rs_of("A", 2)
     monkeypatch.setattr(ttstar, "in_alcove", lambda rs, x: False)
     with pytest.raises(AssertionError, match=r"admissible \(0, 1\) maps to \(1/3, 2/3\), outside the alcove"):
         asymptotic_to_alcove(rs, asymptotic_data([0, 1]))
 
 
-def test_alcove_to_asymptotic_check_names_the_data(monkeypatch):
+def test_alcove_to_asymptotic_check_names_the_data(monkeypatch, fresh_memos):
     rs = rs_of("A", 2)
     monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: False)
     with pytest.raises(AssertionError, match=r"alcove point \(0, 1/3\) maps to inadmissible \(-1, 0\)"):
         alcove_to_asymptotic(rs, alcove_point([0, Fraction(1, 3)]))
 
 
-def test_dpw_exponents_check_names_the_exponent(monkeypatch):
+def test_dpw_exponents_check_names_the_exponent(monkeypatch, fresh_memos):
     rs = rs_of("A", 3)
     monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: True)
     with pytest.raises(AssertionError, match=r"exponent k_1 = -2 < -1 for \(-5, 0, 0\)"):
         dpw_exponents(rs, asymptotic_data([-5, 0, 0]))
 
 
-def test_distinguished_solution_check_names_the_moved_value(monkeypatch):
+def test_distinguished_solution_check_names_the_moved_value(monkeypatch, fresh_memos):
     rs = rs_of("A", 3)
     monkeypatch.setattr(ttstar, "minus_h0", lambda rs: asymptotic_data([-1, 0, 0]))
     with pytest.raises(AssertionError, match=r"alpha_1\(m\) = -1 moves onto alpha_3\(m\) = 0"):
         distinguished_solution(rs, 1)
+
+
+def test_toda_data_is_computed_once_per_root_system(fresh_memos):
+    # D5 has three minuscule weights and D6 three more: two root systems, two computations
+    for rank in (5, 6):
+        rs = rs_of("D", rank)
+        for i in minuscule_weights(rs):
+            sol = distinguished_solution(rs, i)
+            assert (sol.m, sol.alcove, sol.dpw) == (minus_h0(rs), alcove_point([0] * rank), dpw_exponents(rs, minus_h0(rs)))
+    info = ttstar._toda_data.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
