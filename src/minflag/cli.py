@@ -357,7 +357,7 @@ def cmd_emit(
             raise ConfigError("dot output is only available for the crystal graph")
         out.write(emit_dot(orb))
     elif fmt == "json":
-        out.write(json_text(emit_payload(orb, what)) + "\n")
+        print(json_text(emit_payload(orb, what)), file=out)
     else:
         raise ConfigError(f"unsupported format {fmt!r}")
     return 0
@@ -385,7 +385,7 @@ def cmd_satake(
             raise ConfigError("family D needs a rank of at least 3")
         rep = satake.half_wedge_dims(rank)
         if fmt == "json":
-            out.write(json_text({
+            print(json_text({
                 "kind": "half-wedge-dims",
                 "rank": rep.n,
                 "wedge_total": rep.wedge_total,
@@ -393,7 +393,7 @@ def cmd_satake(
                 "quadric_orbit_size": rep.quadric_orbit_size,
                 "spinor_orbit_size": rep.spinor_orbit_size,
                 "pass": rep.ok,
-            }) + "\n")
+            }), file=out)
         else:
             print(
                 f"half-wedge D{rep.n}: wedge_total={rep.wedge_total} "
@@ -411,25 +411,25 @@ def cmd_satake(
         diag = satake.satake_similarity(n, k)
     except satake.SignSimilarityError as exc:
         if fmt == "json":
-            out.write(json_text({
+            print(json_text({
                 "kind": "wedge-similarity",
                 "n": n, "k": k,
                 "pass": False,
                 "failure": str(exc),
                 "witness_kind": exc.kind,
                 "witness_cycle": list(exc.cycle) if exc.cycle else None,
-            }) + "\n")
+            }), file=out)
         else:
             print(f"FAIL: {exc}", file=out)
         return 1
     if fmt == "json":
-        out.write(json_text({
+        print(json_text({
             "kind": "wedge-similarity",
             "n": n, "k": k,
             "dimension": len(diag.signs),
             "signs": list(diag.signs),
             "pass": True,
-        }) + "\n")
+        }), file=out)
     else:
         print(f"wedge similarity A{n}, k={k}: dimension {len(diag.signs)}", file=out)
         print("sign vector: " + " ".join("+1" if s > 0 else "-1" for s in diag.signs), file=out)
@@ -484,7 +484,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
             config.max_rank[fam] = flag
     if args.skip_exceptional:
         config.include_exceptional = False
-    config.validate()
     return config
 
 

@@ -389,16 +389,17 @@ _IndexMap = dict[int, tuple[int, int]]
 
 def _lowering_maps(orb: Orbit) -> list[_IndexMap]:
     """E-(1..l) in one pass: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1."""
-    return _simple_root_maps(orb, "-", 1)
+    return _simple_root_maps(orb, 1)
 
 
 def _raising_maps(orb: Orbit) -> list[_IndexMap]:
     """E+(1..l) in one pass: mu -> (mu + alpha_j, 1) exactly when (mu, alpha_j^vee) = -1."""
-    return _simple_root_maps(orb, "+", -1)
+    return _simple_root_maps(orb, -1)
 
 
-def _simple_root_maps(orb: Orbit, sign: str, pairing: int) -> list[_IndexMap]:
-    """Per j: mu -> (mu - alpha_j or mu + alpha_j by sign, 1) wherever (mu, alpha_j^vee) = pairing."""
+def _simple_root_maps(orb: Orbit, pairing: int) -> list[_IndexMap]:
+    """Per j: mu -> (mu - pairing * alpha_j, 1) wherever (mu, alpha_j^vee) = pairing: 1 lowers, -1 raises."""
+    sign = "-" if pairing == 1 else "+"
     maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
     for pos, el in enumerate(orb.elements):
         for j, m in enumerate(el.weight.pairings, 1):

@@ -11,13 +11,13 @@ the independent length function alone.  Each class's coset
 representative, which transports the candidate roots, is found from the
 weights alone: a class is its raised neighbour reflected by one simple
 root.  The oracle reads neither the stored BFS words nor the stored
-lengths.  It keeps one table for the current orbit, by canonical index:
+lengths.  It keeps one table for the current orbit, ``_oracle_table``:
 each class's transported roots as interned (root, pairings, height)
-entries, and the lengths.  The lengths come from ``_lengths``, the one
-per-orbit list of ``length`` values, which the grading and trichotomy
-checks read too, so ``length`` runs once per element.  A candidate
-target is a pairing tuple looked up in ``Orbit.index_of``, and only
-survivors become terms.  Along the way the oracle asserts the
+entries, by canonical index.  Its lengths come from ``_lengths``, the
+one per-orbit list of ``length`` values, which the grading and
+trichotomy checks read too, so ``length`` runs once per element.  A
+candidate target is a pairing tuple looked up in ``Orbit.index_of``,
+and only survivors become terms.  Along the way the oracle asserts the
 structural facts that make the closed form work: every surviving
 classical reflection transports to a simple root, and every surviving
 quantum one to the negative of the highest root.  It sets every
@@ -31,17 +31,19 @@ Route 3 lives in minrep: the canonical-basis operator A(q).
 the three routes agree entrywise as integer polynomials in q, and that
 its survivors classify as the closed form predicts.  Frobenius symmetry
 with respect to the Poincare pairing and q-grading homogeneity give two
-further cross-checks that detect single-entry corruption.  Every check
-returns a ``minrep.Check`` whose detail names the witness of a failure.
+further cross-checks that detect single-entry corruption.  These three
+checks are handed the operator they check, A(q) or a corrupted copy of
+it, and never build A(q) themselves.  Every check returns a
+``minrep.Check`` whose detail names the witness of a failure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .minrep import Check, Poly, PolyMatrix, entry_witness, quantum_operator
+from .minrep import Check, Poly, PolyMatrix, entry_witness
 from .rootsys import RootSystem, RootVec, Weight, pair
 from .weylorbit import Orbit, apply_word, length, poincare_dual
 
@@ -94,16 +96,17 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     Each candidate root alpha is transported to beta = u(alpha), u the
     minimal coset representative with u(lambda_i) = mu, and forms the
     candidate target mu - beta.  The transport comes from the weights
-    alone (``_oracle_table``), never from the stored BFS words.  Keep a
-    classical term iff the independent length jumps by +1 and a q-term
-    iff it jumps by -(s-1); everything else is discarded.  Candidates are
-    pairing tuples looked up in ``Orbit.index_of``; only survivors become
-    terms.  Raises AssertionError if a surviving term violates the
-    simple-root / highest-root classification, and ValueError naming
-    mu, beta and the target if a target is not in the orbit.
+    alone (``_oracle_table``), never from the stored BFS words, and the
+    lengths from ``_lengths``.  Keep a classical term iff the independent
+    length jumps by +1 and a q-term iff it jumps by -(s-1); everything
+    else is discarded.  Candidates are pairing tuples looked up in
+    ``Orbit.index_of``; only survivors become terms.  Raises
+    AssertionError if a surviving term violates the simple-root /
+    highest-root classification, and ValueError naming mu, beta and the
+    target if a target is not in the orbit.
     """
     rs = orb.rs
-    rows, lengths = _oracle_table(orb)
+    rows, lengths = _oracle_table(orb), _lengths(orb)
     index = orb.index_of
     k = index.get(mu.pairings)
     if k is None:
@@ -141,14 +144,9 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
 _Entry = tuple[RootVec, tuple[int, ...], int]
 
 
-class _OracleTable(NamedTuple):
-    rows: list[tuple[_Entry, ...]]  # the transported complement, by canonical index
-    lengths: list[int]  # ``_lengths(orb)``: ``length`` by canonical index
-
-
 @lru_cache(maxsize=1)
-def _oracle_table(orb: Orbit) -> _OracleTable:
-    """The oracle's per-orbit memo: transported complements and lengths, by canonical index.
+def _oracle_table(orb: Orbit) -> list[tuple[_Entry, ...]]:
+    """The oracle's per-orbit memo: each class's transported complement, by canonical index.
 
     The top weight transports the divisor complement by the identity.
     Any other mu has a first simple root alpha_j with pairing -1, and
@@ -156,8 +154,7 @@ def _oracle_table(orb: Orbit) -> _OracleTable:
     complement is s_j applied to nu's, entry by entry: one single-letter
     ``apply_word`` call per (class, root).  Each entry is interned by
     the root's coefficients, with its pairings from ``rs.root_pairings``.
-    The lengths are the ``_lengths`` list.  Only the most recent orbit's
-    table is kept.
+    Only the most recent orbit's table is kept.
     """
     rs = orb.rs
     top = orb.highest_weight
@@ -184,19 +181,18 @@ def _oracle_table(orb: Orbit) -> _OracleTable:
         for lowered, j in reversed(chain):
             transport[lowered] = tuple(entry(apply_word(rs, (j,), beta)) for beta, _, _ in transport[mu])
             mu = lowered
-    rows = [transport[el.weight.pairings] for el in orb.elements]
-    return _OracleTable(rows, _lengths(orb))
+    return [transport[el.weight.pairings] for el in orb.elements]
 
 
 @lru_cache(maxsize=1)
 def _lengths(orb: Orbit) -> list[int]:
     """``length`` of every element, by canonical index: one list per orbit.
 
-    The oracle's table and the grading and trichotomy checks all read
-    this list, so ``length`` runs once per element of the orbit.  It
-    comes from ``length`` alone, never from the stored words or lengths.
-    Only the most recent orbit's list is kept; a test that replaces
-    ``length`` clears it.
+    The oracle and the grading and trichotomy checks all read this list,
+    so ``length`` runs once per element of the orbit.  It comes from
+    ``length`` alone, never from the stored words or lengths.  Only the
+    most recent orbit's list is kept; a test that replaces ``length``
+    clears it.
     """
     return [length(orb, el.weight) for el in orb.elements]
 
@@ -279,23 +275,22 @@ def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
     return _columns_matrix(orb, columns), [_survivor_stats(n_cand, terms) for terms in columns]
 
 
-def oracle_checks(orb: Orbit, operator: Optional[PolyMatrix] = None) -> tuple[Check, Check]:
+def oracle_checks(orb: Orbit, operator: PolyMatrix) -> tuple[Check, Check]:
     """(main theorem, oracle survivors) from one oracle pass.
 
-    Main theorem: the operator (A(q) unless given) equals both product
-    routes entrywise.  Survivors: every class sees the whole complement
-    and keeps at most one q-term.  The oracle raises AssertionError on a
+    Main theorem: the operator, A(q) or a corrupted copy, equals both
+    product routes entrywise.  Survivors: every class sees the whole
+    complement and keeps at most one q-term.  The oracle raises AssertionError on a
     broken classification and ValueError on a foreign target; either
     fails both checks.
     """
-    a = quantum_operator(orb) if operator is None else operator
     closed = quantum_product_matrix(orb)
     try:
         oracle, survivors = fw_oracle_pass(orb)
     except (AssertionError, ValueError) as exc:
         failed = Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
         return failed, failed
-    mismatch = first_mismatch(orb, a, (("closed-form product", closed), ("oracle product", oracle)))
+    mismatch = first_mismatch(orb, operator, (("closed-form product", closed), ("oracle product", oracle)))
     main_theorem = Check(mismatch is None, mismatch or "three routes entrywise equal")
     for el, stats in zip(orb.elements, survivors):
         if stats.candidates != orb.dim_complex or stats.quantum > 1:
@@ -339,27 +334,25 @@ def first_mismatch(
     return None
 
 
-def frobenius_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:
-    """A(q)^T G = G A(q), G the Poincare pairing.
+def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
+    """A^T G = G A for the operator A, G the Poincare pairing.
 
     Entrywise: A at (mu, nu) equals A at (nu*, mu*), * the Poincare dual.
     """
-    a = quantum_operator(orb) if operator is None else operator
     w = [el.weight for el in orb.elements]
     dual = [orb.index_of[poincare_dual(orb, mu).pairings] for mu in w]
-    for i, j, p in a.nonzero():
-        if a.entry(dual[j], dual[i]) != p:
+    for i, j, p in operator.nonzero():
+        if operator.entry(dual[j], dual[i]) != p:
             return Check(False, f"A at ({w[i]}, {w[j]}) is {p} but at its dual entry "
-                                f"({w[dual[j]]}, {w[dual[i]]}) is {a.entry(dual[j], dual[i])}")
+                                f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
     return Check(True, "A^T G = G A")
 
 
-def grading_check(orb: Orbit, operator: Optional[PolyMatrix] = None) -> Check:
-    """Every entry is homogeneous: length(target) = length(source) + 1 - p*s."""
-    a = quantum_operator(orb) if operator is None else operator
+def grading_check(orb: Orbit, operator: PolyMatrix) -> Check:
+    """Every entry of the operator is homogeneous: length(target) = length(source) + 1 - p*s."""
     s = orb.rs.coxeter_number
     lengths = _lengths(orb)
-    for i, j, p in a.nonzero():
+    for i, j, p in operator.nonzero():
         for exp, _coeff in p.items():
             if lengths[i] != lengths[j] + 1 - exp * s:
                 w = orb.elements

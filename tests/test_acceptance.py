@@ -145,8 +145,9 @@ def test_criterion_8_quantum_satake():
 def test_criterion_9_invariants_and_mutation_detection():
     for lt, i in SWEEP:
         orb = orbit(build(lt), i)
-        assert frobenius_check(orb), (lt, i)
-        assert grading_check(orb), (lt, i)
+        a = quantum_operator(orb)
+        assert frobenius_check(orb, a), (lt, i)
+        assert grading_check(orb, a), (lt, i)
 
     # deleted edge: pick one whose dual partner entry differs, so the
     # Frobenius symmetry must notice

@@ -826,7 +826,7 @@ def test_verify_non_utf8_config_is_config_error(tmp_path, capsys):
 
 
 def test_value_error_inside_a_check_is_not_a_config_error(monkeypatch):
-    def broken(orb, operator=None):
+    def broken(orb, operator):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(qchev, "frobenius_check", broken)
@@ -858,7 +858,7 @@ def test_oracle_path_checks_survive_python_optimize_flag():
 def test_delete_detectable_edge_breaks_frobenius_symmetry():
     for lt, i in sweep_cases(SMALL):
         orb = orbit(build(lt), i)
-        operator = qchev.quantum_operator(orb)
+        operator = minrep.quantum_operator(orb)
         deleted = delete_detectable_edge(orb, operator)
         assert len(deleted.nonzero()) == len(operator.nonzero()) - 1
         # A1 has only self-dual entries; everywhere else Frobenius must trip

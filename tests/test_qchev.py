@@ -193,13 +193,15 @@ def test_quantum_product_matrix_a1():
 
 @pytest.mark.parametrize("case", [("A", 1, 1), ("E", 7, 1), ("B", 5, 5)])
 def test_main_theorem_explicit_cases(case):
-    report = oracle_checks(orbit_of(*case))[0]
+    orb = orbit_of(*case)
+    report = oracle_checks(orb, quantum_operator(orb))[0]
     assert report.ok, report.detail
 
 
 def test_main_theorem_full_sweep():
     for lt, i in SWEEP:
-        report = oracle_checks(orbit(build(lt), i))[0]
+        orb = orbit(build(lt), i)
+        report = oracle_checks(orb, quantum_operator(orb))[0]
         assert report.ok, (lt, i, report.detail)
 
 
@@ -224,12 +226,12 @@ def test_frobenius_a1_by_hand():
     a = quantum_operator(orb)
     g = pairing_matrix(orb)
     assert matmul(transpose(a), g) == matmul(g, a)
-    assert frobenius_check(orb)
+    assert frobenius_check(orb, a)
 
 
 def test_frobenius_sweep():
     for orb in sweep_orbits():
-        assert frobenius_check(orb)
+        assert frobenius_check(orb, quantum_operator(orb))
 
 
 def test_frobenius_detects_deleted_edge():
@@ -240,12 +242,13 @@ def test_frobenius_detects_deleted_edge():
 
 def test_grading_a1_by_hand():
     # the single q-entry maps length 1 to length 0 = 1 + 1 - 2
-    assert grading_check(orbit_of("A", 1, 1))
+    orb = orbit_of("A", 1, 1)
+    assert grading_check(orb, quantum_operator(orb))
 
 
 def test_grading_sweep():
     for orb in sweep_orbits():
-        assert grading_check(orb)
+        assert grading_check(orb, quantum_operator(orb))
 
 
 def test_grading_detects_wrong_q_power():
@@ -281,7 +284,7 @@ def test_frobenius_deleted_edge_names_the_entry_and_its_dual():
     orb = orbit_of("A", 2, 1)
     check = frobenius_check(orb, quantum_operator(orb).with_entry(1, 0, 0))
     assert check.detail == "A at ((0,-1), (-1,1)) is 1 but at its dual entry ((-1,1), (1,0)) is 0"
-    assert frobenius_check(orb).detail == "A^T G = G A"
+    assert frobenius_check(orb, quantum_operator(orb)).detail == "A^T G = G A"
 
 
 def test_grading_moved_q_power_names_the_entry():
@@ -373,7 +376,7 @@ def test_coxeter_check_wrong_n_alpha_names_the_root(monkeypatch):
 
 def test_oracle_checks_pass_and_corrupted_operator():
     orb = orbit_of("A", 2, 1)
-    main, survivors = oracle_checks(orb)
+    main, survivors = oracle_checks(orb, quantum_operator(orb))
     assert (main, survivors) == (
         qchev.Check(True, "three routes entrywise equal"),
         qchev.Check(True, "classification holds"),
@@ -389,7 +392,8 @@ def test_raising_oracle_fails_both_checks(monkeypatch, exc_type):
         raise exc_type("surviving classical root must be simple")
 
     monkeypatch.setattr(qchev, "chevalley_fw_oracle", broken)
-    main, survivors = oracle_checks(orbit_of("A", 2, 1))
+    orb = orbit_of("A", 2, 1)
+    main, survivors = oracle_checks(orb, quantum_operator(orb))
     want = f"oracle route failed: {exc_type.__name__}: surviving classical root must be simple"
     assert not main and not survivors
     assert main.detail == survivors.detail == want
@@ -405,7 +409,7 @@ def test_oracle_survivor_check_names_the_class(monkeypatch):
         return matrix, stats
 
     monkeypatch.setattr(qchev, "fw_oracle_pass", two_quantum_terms)
-    main, survivors = oracle_checks(orb)
+    main, survivors = oracle_checks(orb, quantum_operator(orb))
     assert main and not survivors
     assert survivors.detail == (
         "unexpected survivor counts at (0,-1): "
@@ -417,7 +421,7 @@ def test_divisor_complement_is_computed_once_per_orbit():
     orb = orbit_of("E", 6, 1)
     divisor_complement.cache_clear()
     qchev._oracle_table.cache_clear()
-    oracle_checks(orb)
+    oracle_checks(orb, quantum_operator(orb))
     coxeter_check(orb)
     info = divisor_complement.cache_info()
     # one call for the candidate count, one for the oracle's transport table, one for the Coxeter row
@@ -483,7 +487,7 @@ def _transport_cases():
 def test_transport_table_equals_the_stored_words():
     for orb in _transport_cases():
         rs = orb.rs
-        rows, lengths = qchev._oracle_table(orb)
+        rows, lengths = qchev._oracle_table(orb), qchev._lengths(orb)
         complement = divisor_complement(orb)
         assert orb.index_of == {el.weight.pairings: k for k, el in enumerate(orb.elements)}, orb
         assert len(rows) == len(lengths) == orb.size, orb
@@ -499,7 +503,7 @@ def test_transport_table_holds_one_entry_per_root():
     # points at one shared (root, pairings, height) entry per root, whose
     # root is the reflection table's own RootVec
     orb = orbit_of("B", 8, 8)
-    rows = qchev._oracle_table(orb).rows
+    rows = qchev._oracle_table(orb)
     entries = [e for row in rows for e in row]
     assert len(entries) == orb.size * orb.dim_complex
     roots = {e[0].coeffs for e in entries}
@@ -527,9 +531,9 @@ def test_oracle_pass_reads_one_length_per_element(monkeypatch, fresh_memos):
         qchev._oracle_table.cache_clear()
         calls.clear()
         fw_oracle_pass(orb)
-        # one read per element, in canonical order: the table's length list
+        # one read per element, in canonical order: the orbit's length list
         assert calls == [el.weight for el in orb.elements]
-        assert qchev._oracle_table(orb).lengths == [el.length for el in orb.elements]
+        assert qchev._lengths(orb) == [el.length for el in orb.elements]
 
 
 def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_memos):
@@ -538,10 +542,10 @@ def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_
     monkeypatch.setattr(qchev, "length", lambda orb, mu: calls.append(mu) or real(orb, mu))
     for orb in (orbit_of("E", 6, 1), orbit_of("D", 5, 5)):
         calls.clear()
-        main, survivors = oracle_checks(orb)
-        assert main and survivors and grading_check(orb) and trichotomy_check(orb)
+        a = quantum_operator(orb)
+        main, survivors = oracle_checks(orb, a)
+        assert main and survivors and grading_check(orb, a) and trichotomy_check(orb)
         assert calls == [el.weight for el in orb.elements]
-        assert qchev._oracle_table(orb).lengths is qchev._lengths(orb)
     assert qchev._lengths.cache_info().currsize == 1
 
 

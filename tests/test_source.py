@@ -1,7 +1,10 @@
 """Source-level guards on the package itself."""
 import ast
 import glob
+import json
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "minflag")
 
@@ -129,3 +132,63 @@ def test_only_the_length_memo_calls_length_in_qchev():
                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "length":
                     callers.append(fn.name)
     assert callers == ["_lengths"], f"qchev functions calling length: {callers}"
+
+
+_IMPORT_EACH_MODULE = """
+import importlib, json, sys
+
+def forget():
+    for key in [k for k in sys.modules if k == "minflag" or k.startswith("minflag.")]:
+        del sys.modules[key]
+
+imported = []
+for name in sys.argv[1:]:
+    forget()
+    importlib.import_module("minflag." + name)
+    imported.append(name)
+forget()
+import minflag
+print(json.dumps({"imported": imported, "root": sorted(n for n in vars(minflag) if not n.startswith("_"))}))
+"""
+
+
+def test_each_module_imports_on_its_own_and_the_root_binds_no_name():
+    # names are imported from their modules: the package root re-exports
+    # nothing, so no module may lean on the root having imported another
+    modules = sorted(os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SRC, "*.py")))
+    modules.remove("__init__")
+    assert modules
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_EACH_MODULE, *modules],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"imported": modules, "root": []}
+
+
+_OPERATOR_CHECKS = ("oracle_checks", "frobenius_check", "grading_check")
+
+
+def test_qchev_checks_are_handed_the_operator_they_check():
+    # a check that could build A(q) itself would read a clean operator
+    # and miss the corruption that ``verify --self-test-corrupt`` hands it
+    path = os.path.join(SRC, "qchev.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"qchev.py:{node.lineno} imports {a.name}" for a in node.names if a.name == "quantum_operator"]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name == "quantum_operator":
+                found.append(f"qchev.py:{node.lineno} names quantum_operator")
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"qchev.py:{node.lineno} {node.name} defaults operator" for a in defaulted if a.arg == "operator"]
+    checks = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in _OPERATOR_CHECKS}
+    assert set(checks) == set(_OPERATOR_CHECKS)
+    assert all("operator" in [a.arg for a in fn.args.args] for fn in checks.values())
+    assert not found, f"qchev checks that can build their own A(q): {found}"
