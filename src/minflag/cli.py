@@ -279,9 +279,11 @@ def _psi_edges(orb: Orbit) -> list[tuple[Weight, Weight]]:
 def emit_payload(orb: Orbit, what: str) -> dict:
     """The document of one emission target; ``json_text`` writes it.
 
-    Every value is plain JSON data except "matrix" (``amatrix`` and
-    ``ttstar``), which is the PolyMatrix A(q) itself, the one object
-    ``quantum_operator`` keeps for the orbit: read it, do not change it.
+    Every value is plain JSON data except "matrix", which both
+    ``amatrix`` and ``ttstar`` read from ``minrep.quantum_operator(orb)``:
+    the PolyMatrix A(q) itself, the one object kept for the orbit; read
+    it, do not change it.  The rest of ``ttstar`` comes from the plain
+    tuples of ``ttstar.distinguished_solution``.
     """
     doc = _header(orb)
     if what == "orbit":
@@ -299,9 +301,6 @@ def emit_payload(orb: Orbit, what: str) -> dict:
             {"source": _weight_json(a), "target": _weight_json(b)}
             for a, b in _psi_edges(orb)
         ]
-    elif what == "amatrix":
-        doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
-        doc["matrix"] = minrep.quantum_operator(orb)
     elif what == "qtable":
         table = {}
         for el in orb.elements:
@@ -315,15 +314,16 @@ def emit_payload(orb: Orbit, what: str) -> dict:
                 for t in terms
             ]
         doc["table"] = table
-    elif what == "ttstar":
-        sol = ttstar.distinguished_solution(orb.rs, orb.weight_index)
-        doc["m"] = [str(v) for v in sol.m.values]
-        doc["alcove"] = [str(c) for c in sol.alcove.coords]
-        doc["dpw_k"] = [str(k) for k in sol.dpw.k]
-        doc["sigma_fixed"] = ttstar.sigma_fixed(orb.rs, sol.m)
-        doc.update(ttstar.dubrovin_form(orb))
+    elif what in ("amatrix", "ttstar"):
+        if what == "ttstar":
+            m, alcove, dpw = ttstar.distinguished_solution(orb.rs, orb.weight_index)
+            doc["m"] = [str(v) for v in m]
+            doc["alcove"] = [str(c) for c in alcove]
+            doc["dpw_k"] = [str(k) for k in dpw]
+            doc["sigma_fixed"] = ttstar.sigma_fixed(orb.rs, m)
+            doc.update(ttstar.dubrovin_form(orb))
         doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
-        doc["matrix"] = sol.operator
+        doc["matrix"] = minrep.quantum_operator(orb)
     else:
         raise ConfigError(f"unknown emission target {what!r}")
     return doc
@@ -384,57 +384,40 @@ def cmd_satake(
         if rank is None or rank < 3:
             raise ConfigError("family D needs a rank of at least 3")
         rep = satake.half_wedge_dims(rank)
-        if fmt == "json":
-            print(json_text({
-                "kind": "half-wedge-dims",
-                "rank": rep.n,
-                "wedge_total": rep.wedge_total,
-                "endo_total": rep.endo_total,
-                "quadric_orbit_size": rep.quadric_orbit_size,
-                "spinor_orbit_size": rep.spinor_orbit_size,
-                "pass": rep.ok,
-            }), file=out)
-        else:
-            print(
-                f"half-wedge D{rep.n}: wedge_total={rep.wedge_total} "
-                f"endo_total={rep.endo_total} quadric_orbit={rep.quadric_orbit_size} "
-                f"spinor_orbit={rep.spinor_orbit_size}",
-                file=out,
-            )
-            print("PASS" if rep.ok else "FAIL", file=out)
-        return 0 if rep.ok else 1
-    if n is None or k is None:
-        raise ConfigError("either --n and --k, or --family D --rank N, are required")
-    if not 1 <= k <= n:
-        raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
-    try:
-        diag = satake.satake_similarity(n, k)
-    except satake.SignSimilarityError as exc:
-        if fmt == "json":
-            print(json_text({
-                "kind": "wedge-similarity",
-                "n": n, "k": k,
-                "pass": False,
-                "failure": str(exc),
-                "witness_kind": exc.kind,
-                "witness_cycle": list(exc.cycle) if exc.cycle else None,
-            }), file=out)
-        else:
-            print(f"FAIL: {exc}", file=out)
-        return 1
-    if fmt == "json":
-        print(json_text({
-            "kind": "wedge-similarity",
-            "n": n, "k": k,
-            "dimension": len(diag.signs),
-            "signs": list(diag.signs),
-            "pass": True,
-        }), file=out)
+        doc = {
+            "kind": "half-wedge-dims",
+            "rank": rep.n,
+            "wedge_total": rep.wedge_total,
+            "endo_total": rep.endo_total,
+            "quadric_orbit_size": rep.quadric_orbit_size,
+            "spinor_orbit_size": rep.spinor_orbit_size,
+            "pass": rep.ok,
+        }
+        text = (
+            f"half-wedge D{rep.n}: wedge_total={rep.wedge_total} endo_total={rep.endo_total} "
+            f"quadric_orbit={rep.quadric_orbit_size} spinor_orbit={rep.spinor_orbit_size}\n"
+            + ("PASS" if rep.ok else "FAIL")
+        )
     else:
-        print(f"wedge similarity A{n}, k={k}: dimension {len(diag.signs)}", file=out)
-        print("sign vector: " + " ".join("+1" if s > 0 else "-1" for s in diag.signs), file=out)
-        print("PASS", file=out)
-    return 0
+        if n is None or k is None:
+            raise ConfigError("either --n and --k, or --family D --rank N, are required")
+        if not 1 <= k <= n:
+            raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
+        doc = {"kind": "wedge-similarity", "n": n, "k": k}
+        try:
+            signs = satake.satake_similarity(n, k).signs
+        except satake.SignSimilarityError as exc:
+            cycle = list(exc.cycle) if exc.cycle else None
+            doc.update({"pass": False, "failure": str(exc), "witness_kind": exc.kind, "witness_cycle": cycle})
+            text = f"FAIL: {exc}"
+        else:
+            doc.update({"dimension": len(signs), "signs": list(signs), "pass": True})
+            text = (
+                f"wedge similarity A{n}, k={k}: dimension {len(signs)}\n"
+                "sign vector: " + " ".join("+1" if s > 0 else "-1" for s in signs) + "\nPASS"
+            )
+    print(json_text(doc) if fmt == "json" else text, file=out)
+    return 0 if doc["pass"] else 1
 
 
 # -- argument parsing --------------------------------------------------------------

@@ -268,11 +268,13 @@ def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
     """One oracle run over every class: the matrix and the survivor counts.
 
     Calls ``chevalley_fw_oracle`` once per class; the k-th survivor
-    count belongs to the k-th orbit element, in canonical order.
+    count belongs to the k-th orbit element, in canonical order, and its
+    candidates are the entries the oracle read from that class's row of
+    ``_oracle_table``.
     """
-    n_cand = len(divisor_complement(orb))
     columns = [chevalley_fw_oracle(orb, el.weight) for el in orb.elements]
-    return _columns_matrix(orb, columns), [_survivor_stats(n_cand, terms) for terms in columns]
+    stats = [_survivor_stats(len(row), terms) for row, terms in zip(_oracle_table(orb), columns)]
+    return _columns_matrix(orb, columns), stats
 
 
 def oracle_checks(orb: Orbit, operator: PolyMatrix) -> tuple[Check, Check]:
@@ -304,8 +306,9 @@ def fw_oracle_matrix(orb: Orbit) -> PolyMatrix:
 
 
 def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
-    """Candidate bookkeeping for the class of mu: how many roots survive each way."""
-    return _survivor_stats(len(divisor_complement(orb)), chevalley_fw_oracle(orb, mu))
+    """Candidate bookkeeping for the class of mu: how many of the roots the oracle read survive each way."""
+    terms = chevalley_fw_oracle(orb, mu)
+    return _survivor_stats(len(_oracle_table(orb)[orb.index_of[mu.pairings]]), terms)
 
 
 def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix:

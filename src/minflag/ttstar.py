@@ -16,172 +16,145 @@ Three coordinate systems are in exact rational bijection:
 * holomorphic exponents (k_0, ..., k_l) via alpha_j(m) = s(k_j + 1) - 1
   and -psi(m) = s(k_0 + 1) - 1, all >= -1.
 
+Each point is a plain tuple: the public functions take a sequence of
+``int`` or ``Fraction`` coordinates and return tuples of ``Fraction``.
+Every input passes one boundary, ``_exact``, which rejects a float, a
+bool or a str coordinate with TypeError and a sequence of the wrong
+length with ValueError.
+
 The distinguished point m = -h_0 (every value -1) sits at the alcove
 origin, has exponents k_0 = 0 and k_j = -1, and its connection form is
 (1/lambda) A(q) dq/q with A(q) the canonical quantum operator; lambda
 stays a formal symbol throughout.  Its m, alcove point and exponents
-depend on the root system alone and are computed once per root system.
+depend on the root system alone and are computed once per root system;
+A(q) is not held here, since the ``ttstar`` document reads it from
+``minrep.quantum_operator`` as the ``amatrix`` document does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .minrep import PolyMatrix, quantum_operator
 from .rootsys import RootSystem, diagram_involution, minuscule_weights
-from .weylorbit import Orbit, orbit
+from .weylorbit import Orbit
 
 Rational = Union[Fraction, int]
+Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
-    """Asymptotic data m, stored as the values (alpha_1(m), ..., alpha_l(m))."""
+def _exact(rs: RootSystem, values: Sequence[Rational], what: str) -> Point:
+    """values as a tuple of Fraction, one per simple root: the one way in.
 
-    values: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class AlcovePoint:
-    """A fundamental-alcove point, stored by its simple-root coordinates."""
-
-    coords: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class DpwExponents:
-    """Holomorphic one-form exponents (k_0, k_1, ..., k_l), k_0 first."""
-
-    k: tuple[Fraction, ...]
+    Each coordinate must be an ``int`` or a ``Fraction``; a float, bool
+    or str raises TypeError naming its type, as a ``Poly`` coefficient
+    does.  A length other than the rank raises ValueError naming what.
+    """
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int and type(v) is not Fraction:
+            raise TypeError(f"{what} coordinates must be int or Fraction, not {type(v).__name__}")
+    if len(values) != rs.rank:
+        raise ValueError(f"{what} has the wrong rank")
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-def asymptotic_data(values: Sequence[Rational]) -> AsymptoticData:
-    return AsymptoticData(tuple(Fraction(v) for v in values))
-
-
-def alcove_point(coords: Sequence[Rational]) -> AlcovePoint:
-    return AlcovePoint(tuple(Fraction(c) for c in coords))
-
-
-def psi_value(rs: RootSystem, values: Sequence[Fraction]) -> Fraction:
+def psi_value(rs: RootSystem, values: Sequence[Rational]) -> Fraction:
     """Evaluate the highest root on a vector given by its simple-root values."""
-    return sum(
-        (q_j * v for q_j, v in zip(rs.highest_root.coeffs, values)), Fraction(0)
-    )
+    return sum((q_j * v for q_j, v in zip(rs.highest_root.coeffs, _exact(rs, values, "vector"))), Fraction(0))
 
 
-def minus_h0(rs: RootSystem) -> AsymptoticData:
+def minus_h0(rs: RootSystem) -> Point:
     """The distinguished asymptotic data: every simple-root value is -1."""
-    return AsymptoticData((Fraction(-1),) * rs.rank)
+    return (Fraction(-1),) * rs.rank
 
 
-def in_asymptotic_set(rs: RootSystem, m: AsymptoticData) -> bool:
+def in_asymptotic_set(rs: RootSystem, m: Sequence[Rational]) -> bool:
     """alpha_j(m) >= -1 for j = 1..l and alpha_0(m) = -psi(m) >= -1."""
-    if len(m.values) != rs.rank:
-        raise ValueError("asymptotic data has the wrong rank")
-    if any(v < -1 for v in m.values):
-        return False
-    return -psi_value(rs, m.values) >= -1
+    m = _exact(rs, m, "asymptotic data")
+    return all(v >= -1 for v in m) and -psi_value(rs, m) >= -1
 
 
-def in_alcove(rs: RootSystem, x: AlcovePoint) -> bool:
+def in_alcove(rs: RootSystem, x: Sequence[Rational]) -> bool:
     """All coordinates nonnegative and the highest-root value at most 1."""
-    if len(x.coords) != rs.rank:
-        raise ValueError("alcove point has the wrong rank")
-    if any(c < 0 for c in x.coords):
-        return False
-    return psi_value(rs, x.coords) <= 1
+    x = _exact(rs, x, "alcove point")
+    return all(c >= 0 for c in x) and psi_value(rs, x) <= 1
 
 
-def asymptotic_to_alcove(rs: RootSystem, m: AsymptoticData) -> AlcovePoint:
+def asymptotic_to_alcove(rs: RootSystem, m: Sequence[Rational]) -> Point:
     """m -> x with x_j = (alpha_j(m) + 1) / s; exact and bijective."""
+    m = _exact(rs, m, "asymptotic data")
     if not in_asymptotic_set(rs, m):
         raise ValueError("asymptotic data outside the admissible set")
     s = rs.coxeter_number
-    x = AlcovePoint(tuple((v + 1) / s for v in m.values))
+    x = tuple((v + 1) / s for v in m)
     if not in_alcove(rs, x):
-        raise AssertionError(f"admissible {_text(m.values)} maps to {_text(x.coords)}, outside the alcove")
+        raise AssertionError(f"admissible {_text(m)} maps to {_text(x)}, outside the alcove")
     return x
 
 
-def alcove_to_asymptotic(rs: RootSystem, x: AlcovePoint) -> AsymptoticData:
+def alcove_to_asymptotic(rs: RootSystem, x: Sequence[Rational]) -> Point:
     """Exact inverse of ``asymptotic_to_alcove``."""
+    x = _exact(rs, x, "alcove point")
     if not in_alcove(rs, x):
         raise ValueError("point outside the fundamental alcove")
     s = rs.coxeter_number
-    m = AsymptoticData(tuple(s * c - 1 for c in x.coords))
+    m = tuple(s * c - 1 for c in x)
     if not in_asymptotic_set(rs, m):
-        raise AssertionError(f"alcove point {_text(x.coords)} maps to inadmissible {_text(m.values)}")
+        raise AssertionError(f"alcove point {_text(x)} maps to inadmissible {_text(m)}")
     return m
 
 
-def dpw_exponents(rs: RootSystem, m: AsymptoticData) -> DpwExponents:
-    """Exponents of the holomorphic one-form attached to admissible data.
+def dpw_exponents(rs: RootSystem, m: Sequence[Rational]) -> Point:
+    """Exponents (k_0, k_1, ..., k_l) of the holomorphic one-form attached to admissible data.
 
     k_j = (alpha_j(m) + 1)/s - 1 for j >= 1 and, by the same rule on
     the affine face, k_0 = (-psi(m) + 1)/s - 1.  All components are
     >= -1 exactly when m is admissible.
     """
+    m = _exact(rs, m, "asymptotic data")
     if not in_asymptotic_set(rs, m):
         raise ValueError("asymptotic data outside the admissible set")
     s = rs.coxeter_number
-    k0 = (-psi_value(rs, m.values) + 1) / s - 1
-    rest = tuple((v + 1) / s - 1 for v in m.values)
-    out = DpwExponents((k0,) + rest)
-    for j, kj in enumerate(out.k):
+    k = ((-psi_value(rs, m) + 1) / s - 1,) + tuple((v + 1) / s - 1 for v in m)
+    for j, kj in enumerate(k):
         if kj < -1:
-            raise AssertionError(f"exponent k_{j} = {kj} < -1 for {_text(m.values)}")
-    return out
+            raise AssertionError(f"exponent k_{j} = {kj} < -1 for {_text(m)}")
+    return k
 
 
-def sigma_fixed(rs: RootSystem, m: AsymptoticData) -> bool:
+def sigma_fixed(rs: RootSystem, m: Sequence[Rational]) -> bool:
     """Invariance of the value vector under the diagram involution.
 
     Automatically true for every type whose involution is the identity;
     only A_n, odd D_n and E6 impose a real condition.
     """
-    return _sigma_moved(rs, m) is None
+    return _sigma_moved(rs, _exact(rs, m, "asymptotic data")) is None
 
 
-def _sigma_moved(rs: RootSystem, m: AsymptoticData) -> Optional[tuple[int, int]]:
+def _sigma_moved(rs: RootSystem, m: Point) -> Optional[tuple[int, int]]:
     """The first (j, sigma(j)) whose values differ, sigma the diagram involution, or None."""
     perm = diagram_involution(rs)
-    return next(
-        ((j, perm[j - 1]) for j in range(1, rs.rank + 1) if m.values[perm[j - 1] - 1] != m.values[j - 1]),
-        None,
-    )
+    return next(((j, perm[j - 1]) for j in range(1, rs.rank + 1) if m[perm[j - 1] - 1] != m[j - 1]), None)
 
 
 def _text(values: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-@dataclass
-class DistinguishedSolution:
-    """The full dictionary entry at m = -h_0 for one minuscule weight."""
+def distinguished_solution(rs: RootSystem, i: int) -> tuple[Point, Point, Point]:
+    """The m = -h_0 dictionary entry of weight i: (m, alcove origin, exponents (0, -1, ..., -1)).
 
-    m: AsymptoticData
-    alcove: AlcovePoint
-    dpw: DpwExponents
-    operator: PolyMatrix
-
-
-def distinguished_solution(rs: RootSystem, i: int) -> DistinguishedSolution:
-    """Assemble the m = -h_0 dictionary entry: origin, exponents (0, -1, ..., -1), A(q).
-
-    m, the alcove point and the exponents come from the per-root-system
-    memo ``_toda_data``; A(q) is the orbit's shared ``quantum_operator``.
+    The triple depends on the root system alone and comes from the
+    per-root-system memo ``_toda_data``; i only has to be minuscule.
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
-    m, alcove, dpw = _toda_data(rs)
-    return DistinguishedSolution(m=m, alcove=alcove, dpw=dpw, operator=quantum_operator(orbit(rs, i)))
+    return _toda_data(rs)
 
 
 @lru_cache(maxsize=None)
-def _toda_data(rs: RootSystem) -> tuple[AsymptoticData, AlcovePoint, DpwExponents]:
+def _toda_data(rs: RootSystem) -> tuple[Point, Point, Point]:
     """-h_0, its alcove point and its exponents, once per root system.
 
     Raises AssertionError, naming the moved value, when -h_0 is not
@@ -192,8 +165,8 @@ def _toda_data(rs: RootSystem) -> tuple[AsymptoticData, AlcovePoint, DpwExponent
     if moved:
         j, k = moved
         raise AssertionError(
-            f"-h_0 = {_text(m.values)} is not fixed by the diagram involution: "
-            f"alpha_{j}(m) = {m.values[j - 1]} moves onto alpha_{k}(m) = {m.values[k - 1]}"
+            f"-h_0 = {_text(m)} is not fixed by the diagram involution: "
+            f"alpha_{j}(m) = {m[j - 1]} moves onto alpha_{k}(m) = {m[k - 1]}"
         )
     return m, asymptotic_to_alcove(rs, m), dpw_exponents(rs, m)
 
@@ -203,7 +176,7 @@ def dubrovin_form(orb: Orbit) -> dict[str, str]:
 
     lambda is a formal loop symbol in the emitted text and is never
     specialized; the variable change back to the similarity coordinate
-    is recorded alongside.  The text is the same for every orbit, and
-    A(q) itself is ``DistinguishedSolution.operator``.
+    is recorded alongside.  The text is the same for every orbit; A(q)
+    itself is the document's "matrix".
     """
     return {"connection_form": "(1/lambda) A(q) dq/q", "variable_change": "t = s z^(1/s), q = z"}

@@ -244,7 +244,7 @@ def test_checks_survive_python_optimize_flag():
         "import minflag.ttstar as t\n"
         "t.in_asymptotic_set = lambda rs, m: True\n"
         "try:\n"
-        "    t.dpw_exponents(orb.rs, t.asymptotic_data([-5, 0, 0]))\n"
+        "    t.dpw_exponents(orb.rs, [-5, 0, 0])\n"
         "except AssertionError:\n"
         "    print('dpw check raised')\n"
         "import minflag.satake as s\n"
@@ -684,8 +684,16 @@ SATAKE_JSON_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SATAKE_JSON_SHA256))
-def test_satake_json_documents_are_pinned(monkeypatch, kind):
+# sha256 of the three `satake` text outputs: pass (n=3, k=2), half-wedge
+# (D4) and the same cycle failure
+SATAKE_TEXT_SHA256 = {
+    "pass": "8ed9dbff5c3e1da3085a47558ef8e3a1fc1a65d101502cffa6f5fe94d37a7cd7",
+    "half-wedge": "7e52649fca63277afc82d3f76fdca28791d7c0ff62dc0db017c9d30ddfb82ba5",
+    "failure": "a96232eb635d7019c5e63d66c2b7299b28fb6d8b6f8f5482773ebd982cb54a8b",
+}
+
+
+def _satake_output(monkeypatch, kind: str, fmt: str) -> tuple[int, str]:
     if kind == "failure":
         def broken(n, k):
             raise satake.SignSimilarityError(
@@ -693,10 +701,27 @@ def test_satake_json_documents_are_pinned(monkeypatch, kind):
             )
 
         monkeypatch.setattr(satake, "satake_similarity", broken)
-    args = {"family": "D", "rank": 5} if kind == "half-wedge" else {"n": 3, "k": 2}
+    if kind == "half-wedge":
+        args = {"family": "D", "rank": 5 if fmt == "json" else 4}
+    else:
+        args = {"n": 3, "k": 2}
     buf = io.StringIO()
-    assert cmd_satake(**args, fmt="json", out=buf) == (1 if kind == "failure" else 0)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SATAKE_JSON_SHA256[kind]
+    rc = cmd_satake(**args, fmt=fmt, out=buf)
+    return rc, buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(SATAKE_JSON_SHA256))
+def test_satake_json_documents_are_pinned(monkeypatch, kind):
+    rc, text = _satake_output(monkeypatch, kind, "json")
+    assert rc == (1 if kind == "failure" else 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == SATAKE_JSON_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(SATAKE_TEXT_SHA256))
+def test_satake_text_outputs_are_pinned(monkeypatch, kind):
+    rc, text = _satake_output(monkeypatch, kind, "text")
+    assert rc == (1 if kind == "failure" else 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == SATAKE_TEXT_SHA256[kind]
 
 
 # sha256 of json.dumps(list(signs)) for every Satake pair the benchmark

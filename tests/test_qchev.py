@@ -417,6 +417,23 @@ def test_oracle_survivor_check_names_the_class(monkeypatch):
     )
 
 
+def test_oracle_survivor_check_counts_the_candidates_the_oracle_read(fresh_memos):
+    # the top class of A2/w1 discards alpha_1 + alpha_2 (length jump 2); a
+    # transport row that loses it changes no product term, only the count
+    orb = orbit_of("A", 2, 1)
+    rows = qchev._oracle_table(orb)
+    top = orb.index_of[orb.highest_weight.pairings]
+    rows[top] = tuple(e for e in rows[top] if e[0].coeffs != (1, 1))
+    assert len(rows[top]) == orb.dim_complex - 1
+    main, survivors = oracle_checks(orb, quantum_operator(orb))
+    assert main and not survivors
+    assert survivors.detail == (
+        "unexpected survivor counts at (1,0): "
+        "OracleSurvivorStats(candidates=1, classical=1, quantum=0, discarded=0)"
+    )
+    assert oracle_survivors(orb, orb.highest_weight).candidates == 1
+
+
 def test_divisor_complement_is_computed_once_per_orbit():
     orb = orbit_of("E", 6, 1)
     divisor_complement.cache_clear()
@@ -424,8 +441,9 @@ def test_divisor_complement_is_computed_once_per_orbit():
     oracle_checks(orb, quantum_operator(orb))
     coxeter_check(orb)
     info = divisor_complement.cache_info()
-    # one call for the candidate count, one for the oracle's transport table, one for the Coxeter row
-    assert (info.misses, info.hits) == (1, 2)
+    # one call for the oracle's transport table, one for the Coxeter row; the
+    # candidate counts are the lengths of the table's rows
+    assert (info.misses, info.hits) == (1, 1)
     assert isinstance(divisor_complement(orb), tuple)
 
 

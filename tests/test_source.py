@@ -192,3 +192,24 @@ def test_qchev_checks_are_handed_the_operator_they_check():
     assert set(checks) == set(_OPERATOR_CHECKS)
     assert all("operator" in [a.arg for a in fn.args.args] for fn in checks.values())
     assert not found, f"qchev checks that can build their own A(q): {found}"
+
+
+def test_ttstar_reads_no_orbit_and_no_a_q():
+    # the dictionary entry depends on the root system alone; the ttstar
+    # document reads A(q) from minrep.quantum_operator as amatrix does
+    path = os.path.join(SRC, "ttstar.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `from .minrep import x`, `from . import minrep` and `import minflag.minrep` alike
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any(n.split(".")[-1] == "minrep" for n in names):
+                found.append(f"ttstar.py:{node.lineno} imports minrep")
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in ("orbit", "quantum_operator"):
+                found.append(f"ttstar.py:{node.lineno} calls {name}")
+    assert not found, f"ttstar builds what the emitter reads: {found}"

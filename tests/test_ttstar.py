@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -9,10 +10,9 @@ import minflag.ttstar as ttstar
 from minflag.minrep import quantum_operator
 from minflag.qchev import quantum_product_matrix
 from minflag.rootsys import build, minuscule_weights
+from minflag.cli import emit_payload
 from minflag.ttstar import (
-    alcove_point,
     alcove_to_asymptotic,
-    asymptotic_data,
     asymptotic_to_alcove,
     distinguished_solution,
     dpw_exponents,
@@ -34,18 +34,18 @@ def test_minus_h0_sits_on_the_boundary():
         assert in_asymptotic_set(rs, m)
         # the affine value saturates nothing: alpha_0(-h0) = s - 1 > -1,
         # while every simple face is tight at -1
-        assert -psi_value(rs, m.values) == rs.coxeter_number - 1
+        assert -psi_value(rs, m) == rs.coxeter_number - 1
 
 
 def test_zero_is_interior():
     for lt in TYPES:
         rs = build(lt)
-        assert in_asymptotic_set(rs, asymptotic_data([0] * rs.rank))
+        assert in_asymptotic_set(rs, [0] * rs.rank)
 
 
 def test_single_face_violation():
     rs = rs_of("A", 3)
-    bad = asymptotic_data([-2, 0, 0])
+    bad = [-2, 0, 0]
     assert not in_asymptotic_set(rs, bad)
     with pytest.raises(ValueError):
         asymptotic_to_alcove(rs, bad)
@@ -54,8 +54,8 @@ def test_single_face_violation():
 def test_affine_face_violation():
     rs = rs_of("A", 2)
     # psi(m) = m_1 + m_2 > 1 breaks only the affine condition
-    bad = asymptotic_data([1, 1])
-    assert all(v >= -1 for v in bad.values)
+    bad = [1, 1]
+    assert all(v >= -1 for v in bad)
     assert not in_asymptotic_set(rs, bad)
 
 
@@ -63,23 +63,22 @@ def test_minus_h0_maps_to_the_origin():
     for lt in TYPES:
         rs = build(lt)
         x = asymptotic_to_alcove(rs, minus_h0(rs))
-        assert all(c == 0 for c in x.coords)
+        assert all(c == 0 for c in x)
 
 
 def test_zero_maps_to_the_barycentric_point():
     for lt in TYPES:
         rs = build(lt)
         s = rs.coxeter_number
-        x = asymptotic_to_alcove(rs, asymptotic_data([0] * rs.rank))
-        assert all(c == Fraction(1, s) for c in x.coords)
-        assert psi_value(rs, x.coords) == Fraction(s - 1, s)
+        x = asymptotic_to_alcove(rs, [0] * rs.rank)
+        assert all(c == Fraction(1, s) for c in x)
+        assert psi_value(rs, x) == Fraction(s - 1, s)
 
 
 def test_wall_maps_to_wall():
     rs = rs_of("A", 3)
-    m = asymptotic_data([-1, 0, 2])
-    x = asymptotic_to_alcove(rs, m)
-    assert x.coords[0] == 0
+    x = asymptotic_to_alcove(rs, [-1, 0, 2])
+    assert x[0] == 0
 
 
 def test_round_trip_on_seeded_random_points():
@@ -87,7 +86,7 @@ def test_round_trip_on_seeded_random_points():
     for lt in TYPES:
         rs = build(lt)
         for _ in range(25):
-            x = alcove_point(random_alcove_coords(rs, rng))
+            x = random_alcove_coords(rs, rng)
             assert in_alcove(rs, x)
             m = alcove_to_asymptotic(rs, x)
             assert asymptotic_to_alcove(rs, m) == x
@@ -99,7 +98,7 @@ def test_round_trip_property(data):
     lt = data.draw(st.sampled_from(TYPES))
     rs = build(lt)
     seed = data.draw(st.integers(0, 10**6))
-    x = alcove_point(random_alcove_coords(rs, random.Random(seed)))
+    x = random_alcove_coords(rs, random.Random(seed))
     m = alcove_to_asymptotic(rs, x)
     assert asymptotic_to_alcove(rs, m) == x
     assert alcove_to_asymptotic(rs, asymptotic_to_alcove(rs, m)) == m
@@ -108,25 +107,25 @@ def test_round_trip_property(data):
 def test_alcove_rejects_outside_points():
     rs = rs_of("A", 2)
     with pytest.raises(ValueError):
-        alcove_to_asymptotic(rs, alcove_point([-Fraction(1, 2), 0]))
+        alcove_to_asymptotic(rs, [-Fraction(1, 2), 0])
     with pytest.raises(ValueError):
-        alcove_to_asymptotic(rs, alcove_point([1, 1]))  # psi value 2 > 1
+        alcove_to_asymptotic(rs, [1, 1])  # psi value 2 > 1
 
 
 def test_dpw_exponents_at_minus_h0():
     for lt in TYPES:
         rs = build(lt)
         k = dpw_exponents(rs, minus_h0(rs))
-        assert k.k[0] == 0
-        assert all(v == -1 for v in k.k[1:])
+        assert k[0] == 0
+        assert all(v == -1 for v in k[1:])
 
 
 def test_dpw_exponents_at_zero():
     for lt in TYPES:
         rs = build(lt)
         s = rs.coxeter_number
-        k = dpw_exponents(rs, asymptotic_data([0] * rs.rank))
-        assert all(v == Fraction(1, s) - 1 for v in k.k)
+        k = dpw_exponents(rs, [0] * rs.rank)
+        assert all(v == Fraction(1, s) - 1 for v in k)
 
 
 def test_dpw_exponents_admissible_on_random_data():
@@ -134,25 +133,25 @@ def test_dpw_exponents_admissible_on_random_data():
     for lt in TYPES:
         rs = build(lt)
         for _ in range(10):
-            x = alcove_point(random_alcove_coords(rs, rng))
+            x = random_alcove_coords(rs, rng)
             m = alcove_to_asymptotic(rs, x)
             k = dpw_exponents(rs, m)
-            assert all(v >= -1 for v in k.k)
+            assert all(v >= -1 for v in k)
 
 
 def test_dpw_rejects_inadmissible_data():
     rs = rs_of("B", 2)
     with pytest.raises(ValueError):
-        dpw_exponents(rs, asymptotic_data([-3, 0]))
+        dpw_exponents(rs, [-3, 0])
 
 
 def test_sigma_fixed_cases():
     assert sigma_fixed(rs_of("A", 3), minus_h0(rs_of("A", 3)))
-    assert not sigma_fixed(rs_of("A", 3), asymptotic_data([0, -1, 1]))
-    assert sigma_fixed(rs_of("A", 3), asymptotic_data([1, -1, 1]))
+    assert not sigma_fixed(rs_of("A", 3), [0, -1, 1])
+    assert sigma_fixed(rs_of("A", 3), [1, -1, 1])
     # trivial involution: every vector is fixed
     rs = rs_of("B", 4)
-    assert sigma_fixed(rs, asymptotic_data([3, 1, -1, 7]))
+    assert sigma_fixed(rs, [3, 1, -1, 7])
 
 
 def test_sigma_fixed_commutes_with_the_alcove_map():
@@ -160,35 +159,29 @@ def test_sigma_fixed_commutes_with_the_alcove_map():
     for lt in TYPES:
         rs = build(lt)
         for _ in range(10):
-            x = alcove_point(random_alcove_coords(rs, rng))
+            x = random_alcove_coords(rs, rng)
             m = alcove_to_asymptotic(rs, x)
             fixed_m = sigma_fixed(rs, m)
-            fixed_x = sigma_fixed(rs, asymptotic_data(x.coords))
+            fixed_x = sigma_fixed(rs, x)
             assert fixed_m == fixed_x
 
 
 def test_distinguished_solution_a1():
-    sol = distinguished_solution(rs_of("A", 1), 1)
-    assert sol.m.values == (Fraction(-1),)
-    assert sol.dpw.k == (Fraction(0), Fraction(-1))
-    assert sol.operator.entry(1, 0) == 1
-    assert sol.alcove.coords == (Fraction(0),)
+    m, alcove, dpw = distinguished_solution(rs_of("A", 1), 1)
+    assert m == (Fraction(-1),)
+    assert dpw == (Fraction(0), Fraction(-1))
+    assert alcove == (Fraction(0),)
 
 
 def test_distinguished_solution_e7():
-    sol = distinguished_solution(rs_of("E", 7), 1)
-    assert sol.operator.n == 56
-    assert sol.dpw.k == (Fraction(0),) + (Fraction(-1),) * 7
+    _m, _alcove, dpw = distinguished_solution(rs_of("E", 7), 1)
+    assert dpw == (Fraction(0),) + (Fraction(-1),) * 7
 
 
 def test_distinguished_solution_shared_across_e6_weights():
     rs = rs_of("E", 6)
-    s1 = distinguished_solution(rs, 1)
-    s6 = distinguished_solution(rs, 6)
-    assert s1.m == s6.m
-    assert s1.alcove == s6.alcove
-    assert s1.dpw == s6.dpw
-    assert s1.operator.n == s6.operator.n == 27
+    # the entry depends on the root system alone: both weights read one memoized triple
+    assert distinguished_solution(rs, 1) is distinguished_solution(rs, 6)
 
 
 def test_distinguished_solution_rejects_non_minuscule():
@@ -197,8 +190,11 @@ def test_distinguished_solution_rejects_non_minuscule():
 
 
 def test_distinguished_solution_operator_is_the_divisor_product():
-    sol = distinguished_solution(rs_of("D", 4), 1)
-    assert sol.operator == quantum_operator(orbit_of("D", 4, 1)) == quantum_product_matrix(orbit_of("D", 4, 1))
+    # the entry holds no A(q): the ttstar document reads the orbit's one quantum_operator
+    orb = orbit_of("D", 4, 1)
+    matrix = emit_payload(orb, "ttstar")["matrix"]
+    assert matrix is quantum_operator(orb)
+    assert matrix == quantum_product_matrix(orb)
 
 
 def test_dubrovin_form_descriptor():
@@ -209,7 +205,58 @@ def test_dubrovin_form_descriptor():
 
 def test_distinguished_solution_holds_only_the_dictionary_entry():
     sol = distinguished_solution(rs_of("A", 2), 1)
-    assert list(vars(sol)) == ["m", "alcove", "dpw", "operator"]
+    assert sol == ((-1, -1), (0, 0), (0, -1, -1))
+    assert all(type(part) is tuple for part in sol)
+    assert {type(v) for part in sol for v in part} == {Fraction}
+
+
+
+# the public functions that take coordinates; minus_h0, distinguished_solution
+# and dubrovin_form take a root system, a weight index or an orbit alone
+COORDINATE_FUNCTIONS = {
+    "psi_value": psi_value,
+    "in_asymptotic_set": in_asymptotic_set,
+    "in_alcove": in_alcove,
+    "asymptotic_to_alcove": asymptotic_to_alcove,
+    "alcove_to_asymptotic": alcove_to_asymptotic,
+    "dpw_exponents": dpw_exponents,
+    "sigma_fixed": sigma_fixed,
+}
+
+
+def test_coordinate_functions_are_every_public_function_but_three():
+    public = {
+        name for name, f in vars(ttstar).items()
+        if inspect.isfunction(f) and f.__module__ == ttstar.__name__ and not name.startswith("_")
+    }
+    assert public == set(COORDINATE_FUNCTIONS) | {"minus_h0", "distinguished_solution", "dubrovin_form"}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_FUNCTIONS))
+@pytest.mark.parametrize("bad", [0.5, 0.0, True, "1"], ids=["0.5", "0.0", "True", "str"])
+def test_coordinates_must_be_exact(name, bad):
+    # Fraction would take a float, a bool or a numeric string silently, so
+    # 0.1 would become 3602879701896397/36028797018963968 and 0.5 a float point
+    rs = rs_of("A", 2)
+    with pytest.raises(TypeError, match=f"coordinates must be int or Fraction, not {type(bad).__name__}$"):
+        COORDINATE_FUNCTIONS[name](rs, [Fraction(0), bad])
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_FUNCTIONS))
+def test_a_wrong_length_is_a_wrong_rank(name):
+    with pytest.raises(ValueError, match="has the wrong rank"):
+        COORDINATE_FUNCTIONS[name](rs_of("A", 2), [0, 0, 0])
+
+
+def test_exact_input_gives_exact_tuples():
+    rs = rs_of("A", 2)
+    x = asymptotic_to_alcove(rs, (Fraction(1, 2), Fraction(1, 10)))
+    assert x == (Fraction(1, 2), Fraction(11, 30))
+    assert type(x) is tuple and {type(c) for c in x} == {Fraction}
+    # int input comes back as Fraction too, also where the value is whole
+    for out in (alcove_to_asymptotic(rs, (0, 0)), dpw_exponents(rs, [0, 0]), minus_h0(rs)):
+        assert type(out) is tuple and {type(v) for v in out} == {Fraction}
+    assert type(psi_value(rs, [1, 1])) is Fraction
 
 
 # -- the internal checks raise with their witness (they must survive python -O) --
@@ -219,26 +266,26 @@ def test_asymptotic_to_alcove_check_names_the_point(monkeypatch, fresh_memos):
     rs = rs_of("A", 2)
     monkeypatch.setattr(ttstar, "in_alcove", lambda rs, x: False)
     with pytest.raises(AssertionError, match=r"admissible \(0, 1\) maps to \(1/3, 2/3\), outside the alcove"):
-        asymptotic_to_alcove(rs, asymptotic_data([0, 1]))
+        asymptotic_to_alcove(rs, [0, 1])
 
 
 def test_alcove_to_asymptotic_check_names_the_data(monkeypatch, fresh_memos):
     rs = rs_of("A", 2)
     monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: False)
     with pytest.raises(AssertionError, match=r"alcove point \(0, 1/3\) maps to inadmissible \(-1, 0\)"):
-        alcove_to_asymptotic(rs, alcove_point([0, Fraction(1, 3)]))
+        alcove_to_asymptotic(rs, [0, Fraction(1, 3)])
 
 
 def test_dpw_exponents_check_names_the_exponent(monkeypatch, fresh_memos):
     rs = rs_of("A", 3)
     monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: True)
     with pytest.raises(AssertionError, match=r"exponent k_1 = -2 < -1 for \(-5, 0, 0\)"):
-        dpw_exponents(rs, asymptotic_data([-5, 0, 0]))
+        dpw_exponents(rs, [-5, 0, 0])
 
 
 def test_distinguished_solution_check_names_the_moved_value(monkeypatch, fresh_memos):
     rs = rs_of("A", 3)
-    monkeypatch.setattr(ttstar, "minus_h0", lambda rs: asymptotic_data([-1, 0, 0]))
+    monkeypatch.setattr(ttstar, "minus_h0", lambda rs: (-1, 0, 0))
     with pytest.raises(AssertionError, match=r"alpha_1\(m\) = -1 moves onto alpha_3\(m\) = 0"):
         distinguished_solution(rs, 1)
 
@@ -248,7 +295,6 @@ def test_toda_data_is_computed_once_per_root_system(fresh_memos):
     for rank in (5, 6):
         rs = rs_of("D", rank)
         for i in minuscule_weights(rs):
-            sol = distinguished_solution(rs, i)
-            assert (sol.m, sol.alcove, sol.dpw) == (minus_h0(rs), alcove_point([0] * rank), dpw_exponents(rs, minus_h0(rs)))
+            assert distinguished_solution(rs, i) == (minus_h0(rs), (0,) * rank, dpw_exponents(rs, minus_h0(rs)))
     info = ttstar._toda_data.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
