@@ -320,7 +320,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
             doc["m"] = [str(v) for v in m]
             doc["alcove"] = [str(c) for c in alcove]
             doc["dpw_k"] = [str(k) for k in dpw]
-            doc["sigma_fixed"] = ttstar.sigma_fixed(orb.rs, m)
+            doc["sigma_fixed"] = True  # distinguished_solution returns only a sigma-fixed m
             doc.update(ttstar.dubrovin_form(orb))
         doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
         doc["matrix"] = minrep.quantum_operator(orb)

@@ -123,10 +123,6 @@ class Poly:
         """Substitute q -> c*q."""
         return Poly({e: v * c**e for e, v in self._c.items()})
 
-    def sign_against(self, other: "Poly") -> int:
-        """1 if other equals self, -1 if other is exactly -self, else 0."""
-        return _sign_ratio(self._c, other._c)
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -161,18 +157,6 @@ class Poly:
         return out
 
     __repr__ = __str__
-
-
-def _sign_ratio(a: Mapping[int, int], b: Mapping[int, int]) -> int:
-    """Equality up to sign of two polynomials given as {exponent: nonzero coefficient}.
-
-    1 if b equals a, -1 if b is exactly -a, else 0.
-    """
-    if a == b:
-        return 1
-    if len(a) == len(b) and all(b.get(e) == -v for e, v in a.items()):
-        return -1
-    return 0
 
 
 ZERO = Poly()

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import Optional, Sequence
 
 from .minrep import Check, Poly, PolyMatrix, entry_witness
 from .rootsys import RootSystem, RootVec, Weight, pair
@@ -57,30 +56,37 @@ class QProductTerm:
     coefficient: int
 
 
-@lru_cache(maxsize=None)
 def divisor_complement(orb: Orbit) -> tuple[RootVec, ...]:
     """Positive roots outside the parabolic: those pairing to 1 with lambda_i.
 
-    Their number equals the complex dimension of the flag manifold.
-    Computed once per orbit.
+    Their number must equal the complex dimension of the flag manifold;
+    AssertionError otherwise.  The roots come from ``_complement``,
+    keyed by the orbit's own top weight: the one filter over the
+    positive roots, run once per root system and top weight, whose
+    tuple ``n_alpha``'s root sum reads too.
     """
-    rs = orb.rs
-    lam = orb.highest_weight
-    out = tuple(alpha for alpha in rs.positive_roots if pair(rs, lam, alpha) == 1)
+    out = _complement(orb.rs, orb.highest_weight.pairings)
     if len(out) != orb.dim_complex:
         raise AssertionError(f"{len(out)} complement roots for orbit dimension {orb.dim_complex}")
     return out
 
 
+@lru_cache(maxsize=None)
+def _complement(rs: RootSystem, top: tuple[int, ...]) -> tuple[RootVec, ...]:
+    """The positive roots pairing to 1 with the weight of pairings top, once per (root system, top)."""
+    lam = Weight(top)
+    return tuple(alpha for alpha in rs.positive_roots if pair(rs, lam, alpha) == 1)
+
+
 def chevalley_closed(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     """Closed-form divisor product on the class of the weight mu, classical terms first.
 
-    Raises ValueError if mu is not in the orbit, and AssertionError
-    naming mu, the root and the target if a target is not.
+    Raises ValueError if mu is not in the orbit (``Orbit.element``, the
+    one membership test and its one text), and AssertionError naming
+    mu, the root and the target if a target is not.
     """
     rs = orb.rs
-    if mu.pairings not in orb.index_of:
-        raise ValueError(f"{mu} is not a Schubert class of this orbit")
+    orb.element(mu)
     terms = []
     for j, m in enumerate(mu.pairings, 1):
         if m == 1:
@@ -233,14 +239,9 @@ def n_alpha(rs: RootSystem, i: int, alpha: RootVec) -> int:
 
 @lru_cache(maxsize=None)
 def _complement_sum(rs: RootSystem, i: int) -> Weight:
-    """The sum of the positive roots pairing to 1 with lambda_i, as a weight."""
-    lam = rs.fundamental_weight(i)
-    total = [0] * rs.rank
-    for gamma in rs.positive_roots:
-        if pair(rs, lam, gamma) == 1:
-            for k, c in enumerate(gamma.coeffs):
-                total[k] += c
-    return rs.root_to_weight(RootVec(tuple(total)))
+    """The sum of the divisor complement of lambda_i (``_complement``), as a weight."""
+    columns = zip(*(gamma.coeffs for gamma in _complement(rs, rs.fundamental_weight(i).pairings)))
+    return rs.root_to_weight(RootVec(tuple(map(sum, columns))))
 
 
 def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
@@ -281,10 +282,12 @@ def oracle_checks(orb: Orbit, operator: PolyMatrix) -> tuple[Check, Check]:
     """(main theorem, oracle survivors) from one oracle pass.
 
     Main theorem: the operator, A(q) or a corrupted copy, equals both
-    product routes entrywise.  Survivors: every class sees the whole
-    complement and keeps at most one q-term.  The oracle raises AssertionError on a
-    broken classification and ValueError on a foreign target; either
-    fails both checks.
+    product routes entrywise; a failure names the first differing route,
+    closed form before oracle, and its first differing entry in row
+    order (``entry_witness``).  Survivors: every class sees the whole
+    complement and keeps at most one q-term.  The oracle raises
+    AssertionError on a broken classification and ValueError on a
+    foreign target; either fails both checks.
     """
     closed = quantum_product_matrix(orb)
     try:
@@ -292,8 +295,12 @@ def oracle_checks(orb: Orbit, operator: PolyMatrix) -> tuple[Check, Check]:
     except (AssertionError, ValueError) as exc:
         failed = Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
         return failed, failed
-    mismatch = first_mismatch(orb, operator, (("closed-form product", closed), ("oracle product", oracle)))
-    main_theorem = Check(mismatch is None, mismatch or "three routes entrywise equal")
+    main_theorem = Check(True, "three routes entrywise equal")
+    for name, route in (("closed-form product", closed), ("oracle product", oracle)):
+        witness = entry_witness(orb, operator, route)
+        if witness:
+            main_theorem = Check(False, f"operator vs {name} {witness}")
+            break
     for el, stats in zip(orb.elements, survivors):
         if stats.candidates != orb.dim_complex or stats.quantum > 1:
             return main_theorem, Check(False, f"unexpected survivor counts at {el.weight}: {stats}")
@@ -319,22 +326,6 @@ def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix
             entry = coeffs.setdefault((orb.index_of[t.target.pairings], src), {})
             entry[t.q_power] = entry.get(t.q_power, 0) + t.coefficient
     return PolyMatrix(orb.size, {key: Poly(c) for key, c in coeffs.items()})
-
-
-def first_mismatch(
-    orb: Orbit, operator: PolyMatrix, routes: Sequence[tuple[str, PolyMatrix]]
-) -> Optional[str]:
-    """The first entry where a route differs from the operator, or None.
-
-    Routes are compared in the order given and entries row by row; the
-    witness names the route, the (target, source) weights and both
-    values.
-    """
-    for name, other in routes:
-        witness = entry_witness(orb, operator, other)
-        if witness:
-            return f"operator vs {name} {witness}"
-    return None
 
 
 def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:

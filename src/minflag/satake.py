@@ -11,10 +11,11 @@ Two private kernels do the work on integer entries {(row, col):
 {exponent: coefficient}}: ``_wedge`` accumulates the Leibniz action
 straight into the positions a subset map gives, with the parity twist
 folded into its terms, and ``_match_signs`` compares two matrices up to
-sign, accepting two equal ones with every sign +1 before any
-propagation.  ``satake_similarity`` runs them end to end, building no
-matrix but the two A(q); ``wedge_matrix``, ``wedge_weight_alignment``
-and ``sign_similarity`` are PolyMatrix views of the same kernels.
+sign, entry by entry through ``_sign_ratio``, accepting two equal ones
+with every sign +1 before any propagation.  ``satake_similarity`` runs
+them end to end, building no matrix but the two A(q); ``wedge_matrix``,
+``wedge_weight_alignment`` and ``sign_similarity`` are PolyMatrix views
+of the same kernels.
 
 Type D: the endomorphism algebra of a spinor-variety quantum cohomology
 matches the even half-wedge of the quadric side at the level of total
@@ -29,7 +30,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from .minrep import Poly, PolyMatrix, _coefficients, _sign_ratio, quantum_operator
+from .minrep import Poly, PolyMatrix, _coefficients, quantum_operator
 from .rootsys import LieType, build
 from .weylorbit import Orbit, orbit
 
@@ -164,6 +165,18 @@ def _match_signs(n: int, a: _Entries, b: _Entries) -> tuple[int, ...]:
     return d
 
 
+def _sign_ratio(a: Mapping[int, int], b: Mapping[int, int]) -> int:
+    """Equality up to sign of two polynomials given as {exponent: nonzero coefficient}.
+
+    1 if b equals a, -1 if b is exactly -a, else 0.
+    """
+    if a == b:
+        return 1
+    if len(a) == len(b) and all(b.get(e) == -v for e, v in a.items()):
+        return -1
+    return 0
+
+
 def _propagate_signs(n: int, ratio: dict[tuple[int, int], int]) -> tuple[int, ...]:
     """Signs d with d[i] d[j] = ratio on every edge met, +1 at the root of each component.
 
@@ -281,23 +294,20 @@ class HalfWedgeReport:
 def half_wedge_dims(n: int) -> HalfWedgeReport:
     """Check the even half-wedge dimension identity for D_n, n >= 3.
 
-    Odd n = 2m+1: sum of binom(4m+2, 2i) for i <= m equals the squared
-    spinor dimension.  Even n = 2m: same sum for i < m plus half the
-    middle binomial.  The two sides are cross-checked against the
-    actual orbit sizes of the quadric and spinor weights.
+    The sum of binom(2n, 2i) over 2i < n, plus half the middle binomial
+    binom(2n, n) when n is even, equals the squared spinor dimension.
+    The two sides are cross-checked against the actual orbit sizes of
+    the quadric and spinor weights.
     """
     if n < 3:
         raise ValueError("half-wedge identities need rank at least 3")
     two_n = 2 * n
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        wedge_total = sum(comb(two_n, 2 * i) for i in range(m + 1))
-    else:
-        m = n // 2
-        half_mid = comb(two_n, 2 * m)
+    wedge_total = sum(comb(two_n, 2 * i) for i in range((n + 1) // 2))
+    if n % 2 == 0:
+        half_mid = comb(two_n, n)
         if half_mid % 2:
-            raise AssertionError(f"middle binomial C({two_n}, {2 * m}) = {half_mid} is odd")
-        wedge_total = sum(comb(two_n, 2 * i) for i in range(m)) + half_mid // 2
+            raise AssertionError(f"middle binomial C({two_n}, {n}) = {half_mid} is odd")
+        wedge_total += half_mid // 2
     endo_total = (2 ** (n - 1)) ** 2
 
     rs = build(LieType("D", n))

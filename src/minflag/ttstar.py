@@ -147,6 +147,8 @@ def distinguished_solution(rs: RootSystem, i: int) -> tuple[Point, Point, Point]
 
     The triple depends on the root system alone and comes from the
     per-root-system memo ``_toda_data``; i only has to be minuscule.
+    It returns only an m that ``_toda_data`` has proved fixed by the
+    diagram involution, and raises AssertionError otherwise.
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")

@@ -79,6 +79,7 @@ class Orbit:
         return pos
 
     def element(self, mu: Weight) -> OrbitElement:
+        """mu's element: the package's one membership test, a ValueError for a foreign weight."""
         pos = self.index_of.get(mu.pairings)
         if pos is None:
             raise ValueError(f"{mu} is not a weight of the orbit ({self.rs}, w{self.weight_index})")
@@ -133,10 +134,10 @@ def length(orb: Orbit, mu: Weight) -> int:
     adjugate and determinant of the Cartan matrix; every coordinate must
     divide exactly and come out nonnegative, and their sum is the
     length.  This deliberately does not consult the BFS words or the
-    stored lengths, so it can act as an oracle against them.
+    stored lengths, so it can act as an oracle against them.  A weight
+    outside the orbit raises ``Orbit.element``'s ValueError.
     """
-    if mu.pairings not in orb.index_of:
-        raise ValueError(f"{mu} is not in the orbit")
+    orb.element(mu)
     rs = orb.rs
     det = rs.cartan_det
     diff = [a - b for a, b in zip(orb.highest_weight.pairings, mu.pairings)]
@@ -169,21 +170,17 @@ def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
 def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:
     """Apply the reflections of a stored word (outermost last) to a root.
 
-    Each step is a lookup in ``rs.reflection_table``, which returns the
-    interned root; only a non-root falls back to ``simple_reflect_root``.
-    A reflected root is a root, so either every step hits the table or
-    none does; the result is checked with ``is_root`` only when the last
-    step missed or the word is empty.  Raises AssertionError naming the
-    word when the result is not a root.
+    alpha must be a root: anything else raises AssertionError naming the
+    word and alpha before any reflection.  Each step is then a lookup in
+    ``rs.reflection_table``, which maps a root to the interned reflected
+    root, so every step stays on a root.
     """
+    if not rs.is_root(alpha):
+        raise AssertionError(f"word {word} cannot act on {alpha}, which is not a root of {rs}")
     table = rs.reflection_table
-    beta, got = alpha, None
     for j in word:
-        got = table[j - 1].get(beta.coeffs)
-        beta = rs.simple_reflect_root(beta, j) if got is None else got
-    if got is None and not rs.is_root(beta):
-        raise AssertionError(f"word {word} takes {alpha} to {beta}, which is not a root of {rs}")
-    return beta
+        alpha = table[j - 1][alpha.coeffs]
+    return alpha
 
 
 def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
@@ -192,9 +189,9 @@ def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
     theta is the diagram involution, so in pairing coordinates the dual
     of m is k -> -m[theta(k)].  Validated downstream by the length
     complementarity and the Frobenius symmetry of the quantum operator.
+    A weight outside the orbit raises ``Orbit.element``'s ValueError.
     """
-    if mu.pairings not in orb.index_of:
-        raise ValueError(f"{mu} is not in the orbit")
+    orb.element(mu)
     perm = diagram_involution(orb.rs)
     dual = Weight(tuple(-mu.pairings[perm[k] - 1] for k in range(orb.rs.rank)))
     if dual.pairings not in orb.index_of:

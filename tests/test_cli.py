@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflag import cli, minrep, qchev, satake, weylorbit
+from minflag import cli, minrep, qchev, satake, ttstar, weylorbit
 from minflag.cli import (
     ConfigError,
     SweepConfig,
@@ -379,6 +379,16 @@ def test_emit_ttstar_d4():
     assert set(doc["alcove"]) == {"0"}
     assert doc["sigma_fixed"] is True
     assert "lambda" in doc["connection_form"]
+
+
+def test_ttstar_emit_of_a_moved_minus_h0_raises_and_writes_nothing(monkeypatch, fresh_memos):
+    # the document writes "sigma_fixed": true because distinguished_solution
+    # returns only after _toda_data has proved -h_0 fixed
+    monkeypatch.setattr(ttstar, "_sigma_moved", lambda rs, m: (1, 3))
+    out = io.StringIO()
+    with pytest.raises(AssertionError, match=r"alpha_1\(m\) = -1 moves onto alpha_3\(m\) = -1$"):
+        cmd_emit("A", 3, 1, "ttstar", "json", out=out)
+    assert out.getvalue() == ""
 
 
 def test_emit_qtable_keys_follow_canonical_order():

@@ -11,7 +11,6 @@ from minflag.qchev import (
     _complement_sum,
     coxeter_check,
     divisor_complement,
-    first_mismatch,
     frobenius_check,
     fw_oracle_matrix,
     fw_oracle_pass,
@@ -23,7 +22,7 @@ from minflag.qchev import (
     trichotomy_check,
 )
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
-from minflag.weylorbit import Orbit, OrbitElement, apply_word, orbit
+from minflag.weylorbit import Orbit, OrbitElement, apply_word, length, orbit, poincare_dual
 
 
 def _terms_as_set(terms, orb):
@@ -210,12 +209,9 @@ def test_main_theorem_reports_first_mismatch():
     # puncture the operator at (target (-1,1), source (1,0)): the first
     # differing entry in row order names both weights and both values
     op = quantum_operator(orb).with_entry(1, 0, 0)
-    closed = quantum_product_matrix(orb)
-    assert op != closed
-    assert first_mismatch(orb, op, [("closed-form product", closed)]) == (
-        "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
-    )
-    assert first_mismatch(orb, quantum_operator(orb), [("closed-form product", closed)]) is None
+    assert op != quantum_product_matrix(orb)
+    assert oracle_checks(orb, op)[0].detail == "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
+    assert oracle_checks(orb, quantum_operator(orb))[0].detail == "three routes entrywise equal"
 
 
 # -- frobenius, grading, trichotomy -------------------------------------------------
@@ -436,14 +432,15 @@ def test_oracle_survivor_check_counts_the_candidates_the_oracle_read(fresh_memos
 
 def test_divisor_complement_is_computed_once_per_orbit():
     orb = orbit_of("E", 6, 1)
-    divisor_complement.cache_clear()
+    qchev._complement.cache_clear()
+    _complement_sum.cache_clear()
     qchev._oracle_table.cache_clear()
     oracle_checks(orb, quantum_operator(orb))
     coxeter_check(orb)
-    info = divisor_complement.cache_info()
-    # one call for the oracle's transport table, one for the Coxeter row; the
-    # candidate counts are the lengths of the table's rows
-    assert (info.misses, info.hits) == (1, 1)
+    info = qchev._complement.cache_info()
+    # one filter for the oracle's transport table; the Coxeter row's
+    # divisor_complement and n_alpha's root sum read it back
+    assert (info.misses, info.hits) == (1, 2)
     assert isinstance(divisor_complement(orb), tuple)
 
 
@@ -634,6 +631,16 @@ def test_oracle_rejects_foreign_class():
     orb = orbit_of("A", 2, 1)
     with pytest.raises(ValueError, match=r"\(5,5\) is not a weight of the orbit"):
         chevalley_fw_oracle(orb, Weight((5, 5)))
+
+
+def test_a_foreign_weight_raises_one_value_error_everywhere():
+    # Orbit.element is the one membership test: every reader of a class
+    # rejects a weight outside the orbit with its text
+    orb = orbit_of("A", 2, 1)
+    for call in (orb.element, lambda mu: length(orb, mu), lambda mu: poincare_dual(orb, mu),
+                 lambda mu: chevalley_closed(orb, mu), lambda mu: chevalley_fw_oracle(orb, mu)):
+        with pytest.raises(ValueError, match=r"^\(5,5\) is not a weight of the orbit \(A2, w1\)$"):
+            call(Weight((5, 5)))
 
 
 def test_oracle_on_a_truncated_orbit_names_the_class_root_and_foreign_target():

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+from helpers import MEMOS
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "minflag")
 
 
@@ -213,3 +215,36 @@ def test_ttstar_reads_no_orbit_and_no_a_q():
             if name in ("orbit", "quantum_operator"):
                 found.append(f"ttstar.py:{node.lineno} calls {name}")
     assert not found, f"ttstar builds what the emitter reads: {found}"
+
+
+# memos whose result depends on their arguments alone, kept for the whole run;
+# every other memo is in helpers.MEMOS, which ``fresh_memos`` clears
+_WHOLE_RUN_MEMOS = {
+    "rootsys.build", "rootsys.RootSystem.reflection_table", "weylorbit.orbit",
+    "qchev._complement", "qchev._complement_sum",
+}
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in {"lru_cache", "cache", "cached_property"}
+
+
+def test_every_memo_is_cleared_between_tests_or_kept_for_the_run():
+    # a memo missing from both lists could carry a result made under one
+    # test's monkeypatch into the next test
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        owner = {id(f): c.name + "." for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        found |= {
+            f"{os.path.basename(path)[:-3]}.{owner.get(id(fn), '')}{fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_memo, fn.decorator_list))
+        }
+    cleared = {f"{m.__module__.removeprefix('minflag.')}.{m.__qualname__}" for m in MEMOS}
+    assert not cleared & _WHOLE_RUN_MEMOS
+    assert found == cleared | _WHOLE_RUN_MEMOS
