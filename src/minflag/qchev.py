@@ -27,14 +27,16 @@ complement.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
-``oracle_checks`` runs the oracle once over the orbit and checks that
-the three routes agree entrywise as integer polynomials in q, and that
-its survivors classify as the closed form predicts.  Frobenius symmetry
-with respect to the Poincare pairing and q-grading homogeneity give two
-further cross-checks that detect single-entry corruption.  These three
-checks are handed the operator they check, A(q) or a corrupted copy of
-it, and never build A(q) themselves.  Every check returns a
-``minrep.Check`` whose detail names the witness of a failure.
+``main_theorem_check`` checks that the three routes agree entrywise as
+integer polynomials in q, and ``survivor_check`` that the oracle's
+survivors classify as the closed form predicts; both read one oracle
+pass per orbit, ``_oracle_outcome``.  Frobenius symmetry with respect
+to the Poincare pairing and q-grading homogeneity give two further
+cross-checks that detect single-entry corruption.  The main-theorem,
+Frobenius and grading checks are handed the operator they check, A(q)
+or a corrupted copy of it, and never build A(q) themselves.  Every
+check returns one ``minrep.Check`` whose detail names the witness of a
+failure; ``cli.ROWS`` runs each as one row of ``verify``.
 """
 from __future__ import annotations
 
@@ -278,33 +280,51 @@ def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
     return _columns_matrix(orb, columns), stats
 
 
-def oracle_checks(orb: Orbit, operator: PolyMatrix) -> tuple[Check, Check]:
-    """(main theorem, oracle survivors) from one oracle pass.
+@lru_cache(maxsize=1)
+def _oracle_outcome(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]] | Check:
+    """``fw_oracle_pass(orb)``, or the failed Check its AssertionError or ValueError makes.
 
-    Main theorem: the operator, A(q) or a corrupted copy, equals both
-    product routes entrywise; a failure names the first differing route,
-    closed form before oracle, and its first differing entry in row
-    order (``entry_witness``).  Survivors: every class sees the whole
-    complement and keeps at most one q-term.  The oracle raises
-    AssertionError on a broken classification and ValueError on a
-    foreign target; either fails both checks.
+    The main-theorem and survivor rows both read this memo, so the
+    oracle runs once per orbit, also when it raises.  Only the most
+    recent orbit's outcome is kept.
+    """
+    try:
+        return fw_oracle_pass(orb)
+    except (AssertionError, ValueError) as exc:
+        return Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
+
+
+def main_theorem_check(orb: Orbit, operator: PolyMatrix) -> Check:
+    """The operator, A(q) or a corrupted copy, equals both product routes entrywise.
+
+    A failure names the first differing route, closed form before
+    oracle, and its first differing entry in row order
+    (``entry_witness``); a raising oracle fails the row with its text.
     """
     closed = quantum_product_matrix(orb)
-    try:
-        oracle, survivors = fw_oracle_pass(orb)
-    except (AssertionError, ValueError) as exc:
-        failed = Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
-        return failed, failed
-    main_theorem = Check(True, "three routes entrywise equal")
-    for name, route in (("closed-form product", closed), ("oracle product", oracle)):
+    outcome = _oracle_outcome(orb)
+    if isinstance(outcome, Check):
+        return outcome
+    for name, route in (("closed-form product", closed), ("oracle product", outcome[0])):
         witness = entry_witness(orb, operator, route)
         if witness:
-            main_theorem = Check(False, f"operator vs {name} {witness}")
-            break
-    for el, stats in zip(orb.elements, survivors):
+            return Check(False, f"operator vs {name} {witness}")
+    return Check(True, "three routes entrywise equal")
+
+
+def survivor_check(orb: Orbit) -> Check:
+    """Every class sees the whole complement and keeps at most one q-term.
+
+    Reads the oracle pass of ``_oracle_outcome``; a raising oracle fails
+    the row with its text.
+    """
+    outcome = _oracle_outcome(orb)
+    if isinstance(outcome, Check):
+        return outcome
+    for el, stats in zip(orb.elements, outcome[1]):
         if stats.candidates != orb.dim_complex or stats.quantum > 1:
-            return main_theorem, Check(False, f"unexpected survivor counts at {el.weight}: {stats}")
-    return main_theorem, Check(True, "classification holds")
+            return Check(False, f"unexpected survivor counts at {el.weight}: {stats}")
+    return Check(True, "classification holds")
 
 
 def fw_oracle_matrix(orb: Orbit) -> PolyMatrix:

@@ -123,15 +123,6 @@ def dpw_exponents(rs: RootSystem, m: Sequence[Rational]) -> Point:
     return k
 
 
-def sigma_fixed(rs: RootSystem, m: Sequence[Rational]) -> bool:
-    """Invariance of the value vector under the diagram involution.
-
-    Automatically true for every type whose involution is the identity;
-    only A_n, odd D_n and E6 impose a real condition.
-    """
-    return _sigma_moved(rs, _exact(rs, m, "asymptotic data")) is None
-
-
 def _sigma_moved(rs: RootSystem, m: Point) -> Optional[tuple[int, int]]:
     """The first (j, sigma(j)) whose values differ, sigma the diagram involution, or None."""
     perm = diagram_involution(rs)

@@ -9,7 +9,7 @@ import minflag.minrep as minrep
 from minflag import qchev, ttstar, weylorbit
 from minflag.cli import SweepConfig, sweep_cases
 from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
-from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, minuscule_weights
+from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, diagram_involution, minuscule_weights
 from minflag.satake import wedge_subsets
 from minflag.weylorbit import Orbit, OrbitElement, orbit, poincare_dual
 
@@ -17,7 +17,7 @@ SWEEP = sweep_cases(SweepConfig())
 
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
-    qchev._oracle_table, qchev._lengths, minrep.quantum_operator, minrep._psi_map,
+    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, minrep.quantum_operator, minrep._psi_map,
     weylorbit.crystal_edges, ttstar._toda_data,
 )
 
@@ -108,6 +108,14 @@ def reference_orbit_elements(rs: RootSystem, i: int) -> list[OrbitElement]:
         current = nxt
         depth += 1
     return elements
+
+
+def reference_sigma_fixed(rs: RootSystem, m: Sequence) -> bool:
+    """m equals m permuted by the diagram involution.
+
+    The test-only reference ``ttstar._sigma_moved`` is compared against.
+    """
+    return tuple(m) == tuple(m[k - 1] for k in diagram_involution(rs))
 
 
 def random_alcove_coords(rs: RootSystem, rng: random.Random) -> tuple[Fraction, ...]:

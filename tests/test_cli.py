@@ -845,6 +845,17 @@ def test_large_verify_output_is_pinned():
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LARGE_VERIFY_SHA256
 
 
+@pytest.mark.parametrize("args,sha256,rc", [
+    ((), DEFAULT_VERIFY_SHA256, 0),
+    (("--max-rank-A", "8", "--max-rank-B", "7", "--max-rank-C", "7", "--max-rank-D", "8"), LARGE_VERIFY_SHA256, 0),
+    (("--self-test-corrupt",), CORRUPT_VERIFY_SHA256, 1),
+], ids=["default", "large", "self-test-corrupt"])
+def test_verify_output_is_pinned_under_python_optimize_flag(args, sha256, rc):
+    proc = _run_optimized("-m", "minflag.cli", "verify", *args)
+    assert proc.returncode == rc, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
 def test_verify_non_integer_rank_in_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("max-rank-A=three\n")

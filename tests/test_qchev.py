@@ -15,10 +15,11 @@ from minflag.qchev import (
     fw_oracle_matrix,
     fw_oracle_pass,
     grading_check,
+    main_theorem_check,
     n_alpha,
-    oracle_checks,
     oracle_survivors,
     quantum_product_matrix,
+    survivor_check,
     trichotomy_check,
 )
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
@@ -193,14 +194,14 @@ def test_quantum_product_matrix_a1():
 @pytest.mark.parametrize("case", [("A", 1, 1), ("E", 7, 1), ("B", 5, 5)])
 def test_main_theorem_explicit_cases(case):
     orb = orbit_of(*case)
-    report = oracle_checks(orb, quantum_operator(orb))[0]
+    report = main_theorem_check(orb, quantum_operator(orb))
     assert report.ok, report.detail
 
 
 def test_main_theorem_full_sweep():
     for lt, i in SWEEP:
         orb = orbit(build(lt), i)
-        report = oracle_checks(orb, quantum_operator(orb))[0]
+        report = main_theorem_check(orb, quantum_operator(orb))
         assert report.ok, (lt, i, report.detail)
 
 
@@ -210,8 +211,8 @@ def test_main_theorem_reports_first_mismatch():
     # differing entry in row order names both weights and both values
     op = quantum_operator(orb).with_entry(1, 0, 0)
     assert op != quantum_product_matrix(orb)
-    assert oracle_checks(orb, op)[0].detail == "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
-    assert oracle_checks(orb, quantum_operator(orb))[0].detail == "three routes entrywise equal"
+    assert main_theorem_check(orb, op).detail == "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
+    assert main_theorem_check(orb, quantum_operator(orb)).detail == "three routes entrywise equal"
 
 
 # -- frobenius, grading, trichotomy -------------------------------------------------
@@ -372,30 +373,30 @@ def test_coxeter_check_wrong_n_alpha_names_the_root(monkeypatch):
 
 def test_oracle_checks_pass_and_corrupted_operator():
     orb = orbit_of("A", 2, 1)
-    main, survivors = oracle_checks(orb, quantum_operator(orb))
+    main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
     assert (main, survivors) == (
         qchev.Check(True, "three routes entrywise equal"),
         qchev.Check(True, "classification holds"),
     )
-    main, survivors = oracle_checks(orb, quantum_operator(orb).with_entry(1, 0, 0))
+    main, survivors = main_theorem_check(orb, quantum_operator(orb).with_entry(1, 0, 0)), survivor_check(orb)
     assert main.detail == "operator vs closed-form product at ((-1,1), (1,0)): 0 != 1"
     assert survivors
 
 
 @pytest.mark.parametrize("exc_type", [AssertionError, ValueError])
-def test_raising_oracle_fails_both_checks(monkeypatch, exc_type):
+def test_raising_oracle_fails_both_checks(monkeypatch, exc_type, fresh_memos):
     def broken(orb, mu):
         raise exc_type("surviving classical root must be simple")
 
     monkeypatch.setattr(qchev, "chevalley_fw_oracle", broken)
     orb = orbit_of("A", 2, 1)
-    main, survivors = oracle_checks(orb, quantum_operator(orb))
+    main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
     want = f"oracle route failed: {exc_type.__name__}: surviving classical root must be simple"
     assert not main and not survivors
     assert main.detail == survivors.detail == want
 
 
-def test_oracle_survivor_check_names_the_class(monkeypatch):
+def test_oracle_survivor_check_names_the_class(monkeypatch, fresh_memos):
     orb = orbit_of("A", 2, 1)
     real = qchev.fw_oracle_pass
 
@@ -405,7 +406,7 @@ def test_oracle_survivor_check_names_the_class(monkeypatch):
         return matrix, stats
 
     monkeypatch.setattr(qchev, "fw_oracle_pass", two_quantum_terms)
-    main, survivors = oracle_checks(orb, quantum_operator(orb))
+    main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
     assert main and not survivors
     assert survivors.detail == (
         "unexpected survivor counts at (0,-1): "
@@ -421,7 +422,7 @@ def test_oracle_survivor_check_counts_the_candidates_the_oracle_read(fresh_memos
     top = orb.index_of[orb.highest_weight.pairings]
     rows[top] = tuple(e for e in rows[top] if e[0].coeffs != (1, 1))
     assert len(rows[top]) == orb.dim_complex - 1
-    main, survivors = oracle_checks(orb, quantum_operator(orb))
+    main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
     assert main and not survivors
     assert survivors.detail == (
         "unexpected survivor counts at (1,0): "
@@ -435,7 +436,8 @@ def test_divisor_complement_is_computed_once_per_orbit():
     qchev._complement.cache_clear()
     _complement_sum.cache_clear()
     qchev._oracle_table.cache_clear()
-    oracle_checks(orb, quantum_operator(orb))
+    qchev._oracle_outcome.cache_clear()
+    main_theorem_check(orb, quantum_operator(orb))
     coxeter_check(orb)
     info = qchev._complement.cache_info()
     # one filter for the oracle's transport table; the Coxeter row's
@@ -485,7 +487,7 @@ def test_oracle_needs_no_stored_words_or_lengths():
             orb.rs, orb.weight_index,
             [OrbitElement(el.weight, (), orb.dim_complex) for el in orb.elements],
         )
-        main, survivors = oracle_checks(blank, quantum_operator(orb))
+        main, survivors = main_theorem_check(blank, quantum_operator(orb)), survivor_check(blank)
         assert main.ok and survivors.ok, (orb, main.detail, survivors.detail)
         assert fw_oracle_matrix(blank) == fw_oracle_matrix(orb)
 
@@ -558,7 +560,7 @@ def test_oracle_grading_and_trichotomy_share_one_length_list(monkeypatch, fresh_
     for orb in (orbit_of("E", 6, 1), orbit_of("D", 5, 5)):
         calls.clear()
         a = quantum_operator(orb)
-        main, survivors = oracle_checks(orb, a)
+        main, survivors = main_theorem_check(orb, a), survivor_check(orb)
         assert main and survivors and grading_check(orb, a) and trichotomy_check(orb)
         assert calls == [el.weight for el in orb.elements]
     assert qchev._lengths.cache_info().currsize == 1
@@ -656,7 +658,7 @@ def test_oracle_on_a_flipped_orbit_names_the_stranded_dominant_weight():
     # check passes; raising any other weight ends at the true top weight
     orb = orbit_of("A", 3, 2)
     flipped = Orbit(orb.rs, orb.weight_index, tuple(reversed(orb.elements)))
-    main, survivors = oracle_checks(flipped, quantum_operator(orb))
+    main, survivors = main_theorem_check(flipped, quantum_operator(orb)), survivor_check(flipped)
     want = ("oracle route failed: AssertionError: (0,1,0) has no raising simple root "
             "but is not the top weight (0,-1,0)")
     assert main.detail == survivors.detail == want

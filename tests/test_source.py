@@ -167,7 +167,7 @@ def test_each_module_imports_on_its_own_and_the_root_binds_no_name():
     assert json.loads(proc.stdout) == {"imported": modules, "root": []}
 
 
-_OPERATOR_CHECKS = ("oracle_checks", "frobenius_check", "grading_check")
+_OPERATOR_CHECKS = ("main_theorem_check", "frobenius_check", "grading_check")
 
 
 def test_qchev_checks_are_handed_the_operator_they_check():
@@ -194,6 +194,27 @@ def test_qchev_checks_are_handed_the_operator_they_check():
     assert set(checks) == set(_OPERATOR_CHECKS)
     assert all("operator" in [a.arg for a in fn.args.args] for fn in checks.values())
     assert not found, f"qchev checks that can build their own A(q): {found}"
+
+
+def test_every_check_of_qchev_and_minrep_is_a_verify_row():
+    # a library check that returns a Check but is missing from cli.ROWS
+    # would run in no verify sweep and in no mutation census
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    rows = [n.value for n in tree.body
+            if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["ROWS"]]
+    assert len(rows) == 1
+    named = {n.id if isinstance(n, ast.Name) else n.attr
+             for n in ast.walk(rows[0]) if isinstance(n, (ast.Name, ast.Attribute))}
+    checks = []
+    for name in ("qchev.py", "minrep.py"):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        checks += [(name, fn) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and getattr(fn.returns, "id", None) == "Check"]
+    assert len(checks) >= 7
+    missing = [f"{name}:{fn.lineno} {fn.name}" for name, fn in checks if fn.name not in named]
+    assert not missing, f"Check-returning functions outside cli.ROWS: {missing}"
 
 
 def test_ttstar_reads_no_orbit_and_no_a_q():

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SWEEP, orbit_of, random_alcove_coords, rs_of
+from helpers import SWEEP, orbit_of, random_alcove_coords, reference_sigma_fixed, rs_of
 import minflag.ttstar as ttstar
 from minflag.minrep import quantum_operator
 from minflag.qchev import quantum_product_matrix
-from minflag.rootsys import build, minuscule_weights
+from minflag.rootsys import build, diagram_involution, minuscule_weights
 from minflag.cli import emit_payload
 from minflag.ttstar import (
     alcove_to_asymptotic,
@@ -21,7 +21,6 @@ from minflag.ttstar import (
     in_asymptotic_set,
     minus_h0,
     psi_value,
-    sigma_fixed,
 )
 
 TYPES = sorted({lt for lt, _i in SWEEP})
@@ -145,13 +144,51 @@ def test_dpw_rejects_inadmissible_data():
         dpw_exponents(rs, [-3, 0])
 
 
-def test_sigma_fixed_cases():
-    assert sigma_fixed(rs_of("A", 3), minus_h0(rs_of("A", 3)))
-    assert not sigma_fixed(rs_of("A", 3), [0, -1, 1])
-    assert sigma_fixed(rs_of("A", 3), [1, -1, 1])
+def _assert_sigma_moved_matches_the_reference(rs, m):
+    # None exactly for a fixed m; otherwise the first j whose value sigma moves
+    moved = ttstar._sigma_moved(rs, m)
+    if reference_sigma_fixed(rs, m):
+        assert moved is None, (rs, m)
+        return
+    perm = diagram_involution(rs)
+    j, k = moved
+    assert k == perm[j - 1] and m[k - 1] != m[j - 1], (rs, m, moved)
+    assert all(m[perm[i - 1] - 1] == m[i - 1] for i in range(1, j)), (rs, m, moved)
+
+
+SIGMA_CASES = [
+    (("A", 3), minus_h0(rs_of("A", 3)), None),
+    (("A", 3), (0, -1, 1), (1, 3)),
+    (("A", 3), (1, -1, 1), None),
     # trivial involution: every vector is fixed
-    rs = rs_of("B", 4)
-    assert sigma_fixed(rs, [3, 1, -1, 7])
+    (("B", 4), (3, 1, -1, 7), None),
+]
+
+
+def test_sigma_fixed_cases():
+    for family_rank, m, moved in SIGMA_CASES:
+        rs = rs_of(*family_rank)
+        assert ttstar._sigma_moved(rs, m) == moved
+        _assert_sigma_moved_matches_the_reference(rs, m)
+
+
+def test_sigma_moved_matches_the_reference_on_random_points():
+    rng = random.Random(7)
+    fixed = moved = 0
+    for lt in TYPES:
+        rs = build(lt)
+        perm = diagram_involution(rs)
+        for n in range(20):
+            m = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rs.rank)]
+            if n % 2:
+                # every other point is made sigma-fixed: each value copied from min(j, sigma(j))
+                m = [m[min(j, perm[j] - 1)] for j in range(rs.rank)]
+            _assert_sigma_moved_matches_the_reference(rs, m)
+            if reference_sigma_fixed(rs, m):
+                fixed += 1
+            else:
+                moved += 1
+    assert fixed and moved
 
 
 def test_sigma_fixed_commutes_with_the_alcove_map():
@@ -161,9 +198,8 @@ def test_sigma_fixed_commutes_with_the_alcove_map():
         for _ in range(10):
             x = random_alcove_coords(rs, rng)
             m = alcove_to_asymptotic(rs, x)
-            fixed_m = sigma_fixed(rs, m)
-            fixed_x = sigma_fixed(rs, x)
-            assert fixed_m == fixed_x
+            _assert_sigma_moved_matches_the_reference(rs, m)
+            assert (ttstar._sigma_moved(rs, m) is None) == (ttstar._sigma_moved(rs, x) is None)
 
 
 def test_distinguished_solution_a1():
@@ -220,7 +256,6 @@ COORDINATE_FUNCTIONS = {
     "asymptotic_to_alcove": asymptotic_to_alcove,
     "alcove_to_asymptotic": alcove_to_asymptotic,
     "dpw_exponents": dpw_exponents,
-    "sigma_fixed": sigma_fixed,
 }
 
 
