@@ -1,0 +1,100 @@
+"""The bracket relations of minuscule generators, read off their index maps.
+
+In the canonical basis of a minuscule representation every root-vector
+generator moves each basis vector to at most one other, so ``minrep``
+builds each kind of generator as index maps {source: (target,
+coefficient)}.  ``first_failure`` checks on such maps
+
+    [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
+    [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
+    [E+(j), E_psi] = 0 since psi + alpha_j is never a root,
+
+the l(3l + 1) relations of ``minrep.verify_rep_relations``, in one pass
+over the basis.  It builds no matrix and reads no orbit, only the maps
+and the Cartan matrix, so any maps can be handed to it.
+"""
+from __future__ import annotations
+
+from collections import defaultdict
+from operator import add, sub
+
+# the text of each kind of relation, indexed by kind and formatted only when one fails
+_RELATION_TEXT = (
+    "[E+({j}), E-({j})] != H({j})",
+    "[H({j}), E-({k})] != -a[{j}][{k}] E-({k})",
+    "[H({j}), E+({k})] != a[{j}][{k}] E+({k})",
+    "[E+({j}), E-({k})] != 0",
+    "[E+({j}), E_psi] != 0",
+)
+
+
+def _by_source(n: int, maps: list) -> list:
+    """The entries of every map at once, by source: position c -> [(map index, target, coefficient)]."""
+    out = [[] for _ in range(n)]
+    for i, m in enumerate(maps):
+        for c, (t, v) in m.items():
+            out[c].append((i, t, v))
+    return out
+
+
+def _commute_column(acc: defaultdict, kind: int, xs: list, ys: list, c: int) -> None:
+    """Add column c of [X(j), Y(k)] = X(j) Y(k) - Y(k) X(j), for every j and k, to acc at (kind, j, k, row)."""
+    for k, t, b in ys[c]:
+        for j, r, a in xs[t]:
+            acc[kind, j, k, r] += a * b
+    for j, t, a in xs[c]:
+        for k, r, b in ys[t]:
+            acc[kind, j, k, r] -= a * b
+
+
+def first_failure(C: list, n: int, low: list, high: list, cartan: list, psi: dict) -> tuple | None:
+    """The first failing relation as (text, row, column, found, expected), or None when all hold.
+
+    C is the Cartan matrix, n the dimension, and low, high and cartan
+    the maps of E-(1..l), E+(1..l) and H(1..l), psi the map of E_psi.
+    Each list of maps is regrouped by source once.  One pass over the
+    basis then builds, per column c, the entries of every bracket minus
+    its right-hand side in one small dict: column c of [X, Y] is
+    X(Y(c)) - Y(X(c)) for all E+(j) against all E-(k) and E_psi at once.
+    H(j) is read as a diagonal vector h per basis vector, so on each edge
+    c -> t of E-(k) or E+(k) one tuple comparison tests h(t) against h(c)
+    -+ column k of C for all j; an H entry that moves a vector enters
+    through the column pass instead, so the check is exact for any maps.
+    The first failing relation is the first in the order: for each j,
+    [E+(j), E-(j)]; then for each k, [E+(j), E-(k)], [H(j), E-(k)] and
+    [H(j), E+(k)]; then [E+(j), E_psi].  Its entry is its first wrong one
+    in row order.
+    """
+    l = len(C)
+    lows, highs, hs, psis = (_by_source(n, maps) for maps in (low, high, cartan, [{}] * l + [psi]))
+    h = [tuple(v if t == c else 0 for t, v in (m.get(c, (c, 0)) for m in cartan)) for c in range(n)]
+    moved = [[e for e in col if e[1] != c] for c, col in enumerate(hs)]
+    columns = list(zip(*C))
+    first = (l,)
+    for c in range(n):
+        # (kind, j, k, row) -> entry (row, c) of the bracket minus its right-hand side
+        acc = defaultdict(int)
+        _commute_column(acc, 3, highs, lows, c)
+        _commute_column(acc, 4, highs, psis, c)
+        for j, t, v in hs[c]:
+            acc[3, j, j, t] -= v
+        # an edge c -> t of E-(k) or E+(k) must step h by -+ column k of C
+        for kind, ys, step in ((1, lows, sub), (2, highs, add)):
+            for k, t, b in ys[c]:
+                if b and h[t] != tuple(map(step, h[c], columns[k])):
+                    for j in range(l):
+                        acc[kind, j, k, t] += b * (h[t][j] - step(h[c][j], columns[k][j]))
+            _commute_column(acc, kind, moved, ys, c)
+        # [E+(j), E-(j)] is kind 0; a failure's place (j, k, kind % 3, row,
+        # column) sorts in walk order, with k = -1 for kind 0 and k = l for E_psi
+        for (kind, j, k, r), v in acc.items():
+            if v:
+                kind = 0 if kind == 3 and j == k else kind
+                first = min(first, (j, k if kind else -1, kind % 3, r, c, v, kind))
+    if first == (l,):
+        return None
+    j, k, _, r, c, v, kind = first
+    m, a = ((cartan[j], 1), (low[k], -C[j][k]), (high[k], C[j][k]))[kind] if kind < 3 else ({}, 0)
+    t, x = m.get(c, (r, 0))
+    want = a * x if t == r else 0
+    return _RELATION_TEXT[kind].format(j=j + 1, k=k + 1), r, c, v + want, want

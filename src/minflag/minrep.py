@@ -10,14 +10,16 @@ contributes the single q-weighted block of
     A(q) = sum_j E-(j) + q * E_psi.
 
 Each kind of generator is built once per orbit as index maps {source:
-(target, coefficient)}.  A(q) is summed from them and the bracket
-relations compose them; ``lowering_matrix``, ``raising_matrix``,
+(target, coefficient)}.  A(q) is summed from them, and the
+``brackets`` kernel reads the bracket relations off their edges in one
+pass over the basis; ``lowering_matrix``, ``raising_matrix``,
 ``cartan_action`` and ``psi_raising_matrix`` are PolyMatrix views.
-A(q) and the E_psi map keep the latest orbit's result, so every caller
-on one orbit reads the same object and none may change it.  Matrices
-live over Poly, integer polynomials in one formal variable q with
-``int`` coefficients.  PolyMatrix is a sparse container with no
-mutators, not an algebra: nothing here multiplies or adds matrices.
+A(q), the E-(j) and E+(j) maps and the E_psi map keep the latest
+orbit's result, so every caller on one orbit reads the same object and
+none may change it.  Matrices live over Poly, integer polynomials in
+one formal variable q with ``int`` coefficients.  PolyMatrix is a
+sparse container with no mutators, not an algebra: nothing here
+multiplies or adds matrices.
 The characteristic polynomial is the one place q takes integer values:
 a sparse integer Berkowitz kernel runs on A(1), and the q-grading of
 A(q) lifts its coefficients back exactly (other matrices are
@@ -30,6 +32,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
+from . import brackets
 from .rootsys import coroot
 from .weylorbit import Orbit
 
@@ -381,8 +384,14 @@ def _raising_maps(orb: Orbit) -> list[_IndexMap]:
     return _simple_root_maps(orb, -1)
 
 
+@lru_cache(maxsize=2)
 def _simple_root_maps(orb: Orbit, pairing: int) -> list[_IndexMap]:
-    """Per j: mu -> (mu - pairing * alpha_j, 1) wherever (mu, alpha_j^vee) = pairing: 1 lowers, -1 raises."""
+    """Per j: mu -> (mu - pairing * alpha_j, 1) wherever (mu, alpha_j^vee) = pairing: 1 lowers, -1 raises.
+
+    Only the latest orbit's maps are kept, one entry per sign, shared by
+    A(q), the bracket relations and the public views: callers read them
+    and never change them.
+    """
     sign = "-" if pairing == 1 else "+"
     maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
     for pos, el in enumerate(orb.elements):
@@ -407,7 +416,8 @@ def _psi_map(orb: Orbit) -> _IndexMap:
     """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1; psi^vee is read once.
 
     Only the latest orbit's map is kept, shared by A(q), the bracket
-    relations and the crystal emitter: callers read it and never change it.
+    relations (which bracket it with every E+(j) in their column pass)
+    and the crystal emitter: callers read it and never change it.
     """
     psi = coroot(orb.rs, orb.rs.highest_root)
     return {pos: (orb.neighbour(el.weight, "+", "psi"), 1)
@@ -472,50 +482,14 @@ class Check:
 def entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[str]:
     """'at (target, source): got != want' for the first differing entry, or None.
 
-    Entries are compared in row order.
+    Entries are compared in row order; a missing entry reads 0.
     """
-    return _first_difference(orb, got._e, want._e)
-
-
-def _first_difference(
-    orb: Orbit, got: Mapping[tuple[int, int], PolyLike], want: Mapping[tuple[int, int], PolyLike]
-) -> Optional[str]:
-    """``entry_witness`` on two maps of nonzero entries; a missing entry reads 0."""
-    if got == want:
+    got_e, want_e = got._e, want._e
+    if got_e == want_e:
         return None
-    i, j = next(k for k in sorted(got.keys() | want.keys()) if got.get(k, 0) != want.get(k, 0))
+    i, j = next(k for k in sorted(got_e.keys() | want_e.keys()) if got_e.get(k, 0) != want_e.get(k, 0))
     w = orb.elements
-    return f"at ({w[i].weight}, {w[j].weight}): {got.get((i, j), 0)} != {want.get((i, j), 0)}"
-
-
-def _bracket(x: _IndexMap, y: _IndexMap) -> dict[tuple[int, int], int]:
-    """The nonzero entries of [X, Y]: column c is X(Y(c)) - Y(X(c))."""
-    out: dict[tuple[int, int], int] = {}
-    for c, (t, b) in y.items():
-        hit = x.get(t)
-        if hit is not None:
-            out[hit[0], c] = hit[1] * b
-    for c, (t, b) in x.items():
-        hit = y.get(t)
-        if hit is not None:
-            key = (hit[0], c)
-            out[key] = out.get(key, 0) - hit[1] * b
-    return {k: v for k, v in out.items() if v}
-
-
-def _entries(cols: _IndexMap, scale: int) -> dict[tuple[int, int], int]:
-    """The nonzero entries of scale * M for M given by its index map; a stored 0 is dropped."""
-    return {(t, c): scale * v for c, (t, v) in cols.items() if v} if scale else {}
-
-
-# the text of each kind of relation, formatted only when one fails
-_RELATION_TEXT = (
-    "[E+({j}), E-({j})] != H({j})",
-    "[E+({j}), E-({k})] != 0",
-    "[H({j}), E-({k})] != -a[{j}][{k}] E-({k})",
-    "[H({j}), E+({k})] != a[{j}][{k}] E+({k})",
-    "[E+({j}), E_psi] != 0",
-)
+    return f"at ({w[i].weight}, {w[j].weight}): {got_e.get((i, j), 0)} != {want_e.get((i, j), 0)}"
 
 
 def verify_rep_relations(orb: Orbit) -> Check:
@@ -525,36 +499,16 @@ def verify_rep_relations(orb: Orbit) -> Check:
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
     [E+(j), E_psi] = 0 since psi + alpha_j is never a root.
 
-    Every generator moves each basis vector to at most one other, so
-    each kind is built once as index maps source -> (target,
-    coefficient), the maps A(q) is summed from.  Column c of [X, Y] is
-    then at most two terms, X(Y(c)) - Y(X(c)), and no matrix is formed.
-    The relations are walked by (j, k) over the map lists, and a
-    relation's text is formatted only when it fails.  The check stops at
-    the first failing relation and names its first wrong entry in row
+    The relations are read off the index maps A(q) is summed from, in
+    one pass over the basis (``brackets.first_failure``).  The check
+    names the first failing relation and its first wrong entry in row
     order.  A generator whose target is not in the orbit raises
     AssertionError from its map builder, naming the weight, the root and
     the target.
     """
-    C = orb.rs.cartan_data.cartan
-    low, high, cartan = _lowering_maps(orb), _raising_maps(orb), _cartan_maps(orb)
-    psi = _psi_map(orb)
-    n = len(C)
-
-    def relations():
-        # (kind, j, k, x, y, the entries [x, y] must have), kind indexing _RELATION_TEXT
-        for j in range(n):
-            yield 0, j, j, high[j], low[j], _entries(cartan[j], 1)
-            for k in range(n):
-                a = C[j][k]
-                if k != j:
-                    yield 1, j, k, high[j], low[k], {}
-                yield 2, j, k, cartan[j], low[k], _entries(low[k], -a)
-                yield 3, j, k, cartan[j], high[k], _entries(high[k], a)
-            yield 4, j, j, high[j], psi, {}
-
-    for checks, (kind, j, k, x, y, want) in enumerate(relations(), 1):
-        witness = _first_difference(orb, _bracket(x, y), want)
-        if witness:
-            return Check(False, f"{_RELATION_TEXT[kind].format(j=j + 1, k=k + 1)} {witness}")
-    return Check(True, f"{checks} brackets")
+    failure = brackets.first_failure(orb.rs.cartan_data.cartan, orb.size, _lowering_maps(orb), _raising_maps(orb),
+                                     _cartan_maps(orb), _psi_map(orb))
+    if failure is None:
+        return Check(True, f"{orb.rs.rank * (3 * orb.rs.rank + 1)} brackets")
+    text, r, c, got, want = failure
+    return Check(False, f"{text} at ({orb.elements[r].weight}, {orb.elements[c].weight}): {got} != {want}")

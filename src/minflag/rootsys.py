@@ -353,19 +353,6 @@ class RootSystem:
         c = alpha.coeffs
         return Weight(tuple(sum(map(mul, row, c)) for row in self.cartan_data.cartan))
 
-    def simple_reflect_root(self, beta: RootVec, j: int) -> RootVec:
-        """s_j acting in root coordinates: beta - (beta, alpha_j^vee) alpha_j.
-
-        The Cartan-row reference the tests check ``reflection_table``
-        against; the package itself reflects through the table.
-        """
-        p = sum(map(mul, self.cartan_data.cartan[j - 1], beta.coeffs))
-        if p == 0:
-            return beta
-        out = list(beta.coeffs)
-        out[j - 1] -= p
-        return RootVec(tuple(out))
-
     @cached_property
     def reflection_table(self) -> tuple[dict[tuple[int, ...], RootVec], ...]:
         """s_j on the roots: entry j - 1 maps the coefficients of every root

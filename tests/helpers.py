@@ -18,7 +18,7 @@ SWEEP = sweep_cases(SweepConfig())
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
     qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, minrep.quantum_operator, minrep._psi_map,
-    weylorbit.crystal_edges, ttstar._toda_data,
+    minrep._simple_root_maps, weylorbit.crystal_edges, ttstar._toda_data,
 )
 
 
@@ -54,6 +54,21 @@ def apply_word_to_weight(rs: RootSystem, word: Sequence[int], mu: Weight) -> Wei
     return w
 
 
+def simple_reflect_root(rs: RootSystem, beta: RootVec, j: int) -> RootVec:
+    """s_j acting in root coordinates: beta - (beta, alpha_j^vee) alpha_j.
+
+    The test-only reference ``RootSystem.reflection_table`` and the
+    reflection closure are checked against: the pairing is a dot product
+    with row j of the Cartan matrix, and a new RootVec is built.
+    """
+    p = sum(a * c for a, c in zip(rs.cartan_data.cartan[j - 1], beta.coeffs))
+    if p == 0:
+        return beta
+    out = list(beta.coeffs)
+    out[j - 1] -= p
+    return RootVec(tuple(out))
+
+
 def reference_positive_roots(rs: RootSystem) -> tuple[tuple[RootVec, ...], dict[tuple[int, ...], tuple[int, ...]]]:
     """The positive roots and their coroots by a reflection closure over RootVec objects.
 
@@ -71,7 +86,7 @@ def reference_positive_roots(rs: RootSystem) -> tuple[tuple[RootVec, ...], dict[
     while queue:
         beta = queue.pop()
         for j in range(1, n + 1):
-            gamma = rs.simple_reflect_root(beta, j)
+            gamma = simple_reflect_root(rs, beta, j)
             if gamma.is_positive and gamma.coeffs not in coroot:
                 co = list(coroot[beta.coeffs])
                 co[j - 1] -= sum(c * x for c, x in zip(columns[j - 1], co))

@@ -480,6 +480,24 @@ def test_rep_relations_build_no_poly_matrix(monkeypatch):
     assert built == []
 
 
+def test_lowering_maps_are_built_once_per_orbit(monkeypatch, fresh_memos):
+    # A(q) then the bracket row, or the l public views, step along each
+    # lowering edge once: the maps are a latest-orbit memo, one per sign
+    orb = orbit_of("E", 6, 1)
+    edges = sum(len(m) for m in minrep._lowering_maps(orb))
+    steps = []
+    real = Orbit.neighbour
+    monkeypatch.setattr(Orbit, "neighbour",
+                        lambda self, mu, sign, root: steps.append(sign) or real(self, mu, sign, root))
+    for use in (lambda: quantum_operator(orb) and verify_rep_relations(orb),
+                lambda: [lowering_matrix(orb, j) for j in range(1, orb.rs.rank + 1)]):
+        minrep._simple_root_maps.cache_clear()
+        steps.clear()
+        assert use()
+        assert steps.count("-") == edges
+    assert minrep._simple_root_maps.cache_info().misses == 1
+
+
 GENERATOR_MAPS = ("_lowering_maps", "_raising_maps", "_cartan_maps", "_psi_map")
 
 
@@ -497,7 +515,8 @@ def _patch_one_generator(monkeypatch, name, j, mutated):
 
 
 def _single_entry_mutations(orb):
-    """(map builder, index, mutated map): each entry dropped, or its coefficient set to a stored 0, 2 or -1."""
+    """(map builder, index, mutated map): each entry dropped, its coefficient set to a stored 0, 2 or -1,
+    or its target moved to the next basis vector."""
     for name in GENERATOR_MAPS:
         built = getattr(minrep, name)(orb)
         for j, m in [(None, built)] if name == "_psi_map" else enumerate(built, 1):
@@ -510,6 +529,7 @@ def _single_entry_mutations(orb):
                         else:
                             mutated[c] = (t, value)
                         yield name, j, mutated
+                yield name, j, {**m, c: ((t + 1) % orb.size, v)}
 
 
 def test_rep_relations_match_the_product_form_on_the_sweep():
@@ -543,6 +563,19 @@ def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_
             _patch_one_generator(mp, "_lowering_maps", 2, m)
             checks.append(verify_rep_relations(orb))
     assert checks[0] == checks[1] == Check(False, "[E+(2), E-(2)] != H(2) at ((0,1,0), (0,1,0)): 0 != 1")
+
+
+def test_rep_relations_read_an_h_entry_that_moves_a_vector(monkeypatch, fresh_memos):
+    # on A1/w1, H(1) = [E+(1), E-(1)] moves (-1) to (1), so the sl2 relation
+    # holds; [H(1), E-(1)] first goes wrong at an entry that only the moved
+    # H entry reaches, before the diagonal part's entry in row order
+    maps = {"_lowering_maps": [{1: (1, 1)}], "_raising_maps": [{1: (0, -1)}],
+            "_cartan_maps": [{1: (0, -1)}], "_psi_map": {1: (0, -1)}}
+    for name, m in maps.items():
+        monkeypatch.setattr(minrep, name, lambda orb, m=m: m)
+    orb = orbit_of("A", 1, 1)
+    want = Check(False, "[H(1), E-(1)] != -a[1][1] E-(1) at ((1), (-1)): -1 != 0")
+    assert verify_rep_relations(orb) == reference_rep_relations(orb) == want
 
 
 def test_entry_witness_names_the_first_differing_entry():

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from minflag import qchev, rootsys
-from helpers import SWEEP, identity, matmul, orbit_of, pairing_matrix, sweep_orbits, transpose
+from helpers import SWEEP, identity, matmul, orbit_of, pairing_matrix, simple_reflect_root, sweep_orbits, transpose
 from minflag.minrep import Poly, quantum_operator
 from minflag.qchev import (
     chevalley_closed,
@@ -598,14 +598,17 @@ def test_oracle_pass_makes_one_single_letter_apply_word_call_per_transported_roo
 
 
 def test_reflection_table_equals_simple_reflect_root():
-    for rs in {orb.rs for orb in _transport_cases()}:
+    # s_j beta = beta - p_j alpha_j is read off root_pairings; the reference
+    # reflects through a Cartan row
+    extra = {build(LieType(*t)) for t in (("E", 8), ("F", 4), ("G", 2), ("B", 5))}
+    for rs in {orb.rs for orb in _transport_cases()} | extra:
         table = rs.reflection_table
         roots = list(rs.positive_roots) + [-r for r in rs.positive_roots]
         assert len(table) == rs.rank, rs
         for j in range(1, rs.rank + 1):
             assert set(table[j - 1]) == {r.coeffs for r in roots}, (rs, j)
             for beta in roots:
-                assert table[j - 1][beta.coeffs] == rs.simple_reflect_root(beta, j), (rs, j, beta)
+                assert table[j - 1][beta.coeffs] == simple_reflect_root(rs, beta, j), (rs, j, beta)
 
 
 def test_reflection_table_is_built_on_first_use_not_by_build():
@@ -616,17 +619,6 @@ def test_reflection_table_is_built_on_first_use_not_by_build():
     # interned: every value is the one RootVec of its root
     values = [beta for step in rs.reflection_table for beta in step.values()]
     assert len({id(beta) for beta in values}) == len({beta.coeffs for beta in values}) == 2 * len(rs.positive_roots)
-
-
-@pytest.mark.parametrize("lie_type", [LieType("E", 8), LieType("F", 4), LieType("G", 2), LieType("B", 5)], ids=str)
-def test_reflection_table_is_filled_without_simple_reflect_root(monkeypatch, lie_type):
-    # s_j beta = beta - p_j alpha_j is read off root_pairings; no reflection is computed
-    calls = []
-    real = RootSystem.simple_reflect_root
-    monkeypatch.setattr(RootSystem, "simple_reflect_root", lambda self, beta, j: calls.append(j) or real(self, beta, j))
-    rs = RootSystem(lie_type)
-    assert len(rs.reflection_table) == rs.rank
-    assert calls == []
 
 
 def test_oracle_rejects_foreign_class():

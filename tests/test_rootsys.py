@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_positive_roots
+from helpers import reference_positive_roots, simple_reflect_root
 from minflag import rootsys
 from minflag.rootsys import (
     CartanData,
@@ -119,7 +119,7 @@ def test_roots_closed_under_simple_reflections(fam, rank):
     for r in rs.positive_roots:
         assert all(c >= 0 for c in r.coeffs)
         for j in range(1, rank + 1):
-            assert rs.is_root(rs.simple_reflect_root(r, j))
+            assert rs.is_root(simple_reflect_root(rs, r, j))
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
