@@ -816,6 +816,12 @@ def test_default_verify_output_is_pinned():
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DEFAULT_VERIFY_SHA256
 
 
+def test_default_verify_output_is_pinned_under_python_optimize_flag():
+    proc = _run_optimized("-m", "minflag.cli", "verify")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEFAULT_VERIFY_SHA256
+
+
 # sha256 of the `verify --self-test-corrupt` stdout on the default sweep
 CORRUPT_VERIFY_SHA256 = "7e9d39a1813804bd723f587816e2fa30438ce13c2e8945af76e52e443256e0b1"
 

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import helpers
 from minflag import qchev, rootsys
 from helpers import SWEEP, identity, matmul, orbit_of, pairing_matrix, simple_reflect_root, sweep_orbits, transpose
 from minflag.minrep import Poly, quantum_operator
@@ -619,6 +620,23 @@ def test_reflection_table_is_built_on_first_use_not_by_build():
     # interned: every value is the one RootVec of its root
     values = [beta for step in rs.reflection_table for beta in step.values()]
     assert len({id(beta) for beta in values}) == len({beta.coeffs for beta in values}) == 2 * len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("lie_type", [LieType("E", 8), LieType("F", 4), LieType("G", 2), LieType("B", 5)], ids=str)
+def test_reflection_table_is_filled_without_simple_reflect_root(monkeypatch, lie_type):
+    # s_j beta = beta - p_j alpha_j is read off root_pairings; no reflection
+    # is computed: the reference is never called, and the only RootVecs
+    # built while the table is filled are the negatives of Delta+
+    calls = []
+    real = helpers.simple_reflect_root
+    monkeypatch.setattr(helpers, "simple_reflect_root", lambda rs, beta, j: calls.append(j) or real(rs, beta, j))
+    rs = RootSystem(lie_type)
+    built = []
+    init = RootVec.__init__
+    monkeypatch.setattr(RootVec, "__init__", lambda self, coeffs: built.append(coeffs) or init(self, coeffs))
+    assert len(rs.reflection_table) == rs.rank
+    assert calls == []
+    assert sorted(built) == sorted(tuple(-c for c in r.coeffs) for r in rs.positive_roots)
 
 
 def test_oracle_rejects_foreign_class():
