@@ -246,8 +246,14 @@ def _complement_sum(rs: RootSystem, i: int) -> Weight:
     return rs.root_to_weight(RootVec(tuple(map(sum, columns))))
 
 
+@lru_cache(maxsize=1)
 def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
-    """Matrix of the divisor product, columns from the closed form."""
+    """Matrix of the divisor product, columns from the closed form.
+
+    Only the latest orbit's matrix is kept, so a caller that checks
+    several operators of one orbit, as the mutation census does, builds
+    the closed-form route once; the matrix has no mutators.
+    """
     return _columns_matrix(orb, [chevalley_closed(orb, el.weight) for el in orb.elements])
 
 

@@ -175,27 +175,15 @@ class RootSystem:
         self.lie_type = lie_type
         n = lie_type.rank
         edges, d = _diagram(lie_type)
-        adjacency = {k: set() for k in range(1, n + 1)}
+        rows = [[2 if j == k else 0 for j in range(n)] for k in range(n)]
         for a, b in edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-
-        rows = []
-        for k in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                if j == k:
-                    row.append(2)
-                elif j in adjacency[k]:
-                    # adjacent simple roots have (alpha_j, alpha_k) = -max(d_j, d_k)
-                    val = -max(d[j - 1], d[k - 1]) / d[k - 1]
-                    if val.denominator != 1:
-                        raise AssertionError(f"Cartan entry a[{k}][{j}] = {val} of {lie_type} is not an integer")
-                    row.append(int(val))
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        cartan = tuple(rows)
+            for k, j in ((a, b), (b, a)):
+                # adjacent simple roots have (alpha_j, alpha_k) = -max(d_j, d_k)
+                val = -max(d[j - 1], d[k - 1]) / d[k - 1]
+                if val.denominator != 1:
+                    raise AssertionError(f"Cartan entry a[{k}][{j}] = {val} of {lie_type} is not an integer")
+                rows[k - 1][j - 1] = int(val)
+        cartan = tuple(map(tuple, rows))
         self.cartan_data = CartanData(cartan, tuple(d))
         self._check_cartan()
 

@@ -20,7 +20,9 @@ of the same kernels.
 Type D: the endomorphism algebra of a spinor-variety quantum cohomology
 matches the even half-wedge of the quadric side at the level of total
 dimensions; ``half_wedge_dims`` checks those binomial identities
-together with the orbit sizes feeding both sides.
+together with the orbit sizes feeding both sides.  Both the type-A and
+the type-D check read their expected orbit sizes from
+``weylorbit.expected_orbit_size``.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from typing import Mapping, Optional
 
 from .minrep import Poly, PolyMatrix, _coefficients, quantum_operator
 from .rootsys import LieType, build
-from .weylorbit import Orbit, orbit
+from .weylorbit import Orbit, expected_orbit_size, orbit
 
 
 @dataclass(frozen=True)
@@ -231,16 +233,19 @@ def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
 
     A k-subset of lines sits at the orbit position of the sum of its
     line weights (``Orbit.index_of``), and the parity twist (-1)^(k-1)
-    is folded into the wedge's terms.
+    is folded into the wedge's terms.  The subset count and the orbit
+    size must both equal the Grassmannian size C(n+1, k) of
+    ``weylorbit.expected_orbit_size``.
     """
     rs = build(LieType("A", n))
     line = orbit(rs, 1)
     gr = orbit(rs, k)
     subsets = wedge_subsets(n + 1, k)
-    if not len(subsets) == gr.size == comb(n + 1, k):
+    size = expected_orbit_size(rs.lie_type, k)
+    if not len(subsets) == gr.size == size:
         raise AssertionError(
             f"{len(subsets)} {k}-subsets of {n + 1} lines, {gr.size} weights in the A{n}/w{k} orbit, "
-            f"binomial {comb(n + 1, k)}"
+            f"binomial {size}"
         )
     lines = [el.weight.pairings for el in line.elements]
     place = {s: gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets}
@@ -297,7 +302,9 @@ def half_wedge_dims(n: int) -> HalfWedgeReport:
     The sum of binom(2n, 2i) over 2i < n, plus half the middle binomial
     binom(2n, n) when n is even, equals the squared spinor dimension.
     The two sides are cross-checked against the actual orbit sizes of
-    the quadric and spinor weights.
+    the quadric and spinor weights.  The spinor dimension and both
+    expected orbit sizes, 2n and 2^(n-1), come from
+    ``weylorbit.expected_orbit_size``.
     """
     if n < 3:
         raise ValueError("half-wedge identities need rank at least 3")
@@ -308,14 +315,10 @@ def half_wedge_dims(n: int) -> HalfWedgeReport:
         if half_mid % 2:
             raise AssertionError(f"middle binomial C({two_n}, {n}) = {half_mid} is odd")
         wedge_total += half_mid // 2
-    endo_total = (2 ** (n - 1)) ** 2
-
     rs = build(LieType("D", n))
-    quadric = orbit(rs, 1).size
-    spinor = orbit(rs, n).size
-    ok = (
-        wedge_total == endo_total
-        and quadric == two_n
-        and spinor == 2 ** (n - 1)
-    )
+    quadric, spinor = orbit(rs, 1).size, orbit(rs, n).size
+    want_quadric = expected_orbit_size(rs.lie_type, 1)
+    want_spinor = expected_orbit_size(rs.lie_type, n)
+    endo_total = want_spinor**2
+    ok = wedge_total == endo_total and quadric == want_quadric and spinor == want_spinor
     return HalfWedgeReport(n, wedge_total, endo_total, quadric, spinor, ok)

@@ -16,15 +16,21 @@ writes them out, and the tests check the oracle's own transport against
 them.  The divisor-product oracle and ``length`` read none of them.
 ``crystal_edges`` keeps the latest orbit's edge list, which the crystal
 JSON and DOT emitters of one orbit share.
+
+``expected_orbit_size`` holds the closed-form orbit sizes |W/W_P|, the
+one table of them: the ``orbit-size`` row of ``verify`` checks the BFS
+count against it, and the Satake checks read the Grassmannian, quadric
+and spinor sizes from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from operator import add, mul, sub
 from typing import Sequence, Union
 
-from .rootsys import RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
+from .rootsys import LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +93,30 @@ class Orbit:
 
     def __repr__(self) -> str:
         return f"Orbit({self.rs}, w{self.weight_index}, size={self.size})"
+
+
+def expected_orbit_size(lt: LieType, i: int) -> int:
+    """The closed-form size |W/W_P| of the orbit of lambda_i, an oracle against the BFS count.
+
+    C(n+1, i) for the Grassmannians, 2^n for the B_n spinor variety, 2n
+    for the projective space of C_n and the quadric of D_n, 2^(n-1) for
+    the D_n spinor varieties, 27 for the Cayley plane and 56 for the
+    Freudenthal variety.  Any other case raises ValueError.
+    """
+    n = lt.rank
+    if lt.family == "A":
+        return comb(n + 1, i)
+    if lt.family == "B" and i == n:
+        return 2**n
+    if lt.family in ("C", "D") and i == 1:
+        return 2 * n
+    if lt.family == "D" and i in (n - 1, n):
+        return 2 ** (n - 1)
+    if lt.family == "E" and n == 6 and i in (1, 6):
+        return 27
+    if lt.family == "E" and n == 7 and i == 1:
+        return 56
+    raise ValueError(f"no closed-form size for ({lt}, {i})")
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ SWEEP = sweep_cases(SweepConfig())
 
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
-    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, minrep.quantum_operator, minrep._psi_map,
-    minrep._simple_root_maps, weylorbit.crystal_edges, ttstar._toda_data,
+    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
+    minrep.quantum_operator, minrep._psi_map, minrep._simple_root_maps, weylorbit.crystal_edges, ttstar._toda_data,
 )
 
 

@@ -11,7 +11,7 @@ from math import comb
 import minflag.rootsys as rootsys
 import minflag.weylorbit as weylorbit
 from helpers import SWEEP, random_alcove_coords
-from minflag.cli import delete_detectable_edge, expected_orbit_size
+from minflag.cli import delete_detectable_edge
 from minflag.minrep import ONE, Q, ZERO, char_poly, quantum_operator, verify_rep_relations
 from minflag.qchev import (
     divisor_complement,
@@ -26,7 +26,7 @@ from minflag.qchev import (
 from minflag.rootsys import LieType, build
 from minflag.satake import SignSimilarityError, half_wedge_dims, satake_similarity, sign_similarity, wedge_weight_alignment
 from minflag.ttstar import alcove_to_asymptotic, asymptotic_to_alcove, dpw_exponents, minus_h0
-from minflag.weylorbit import orbit
+from minflag.weylorbit import expected_orbit_size, orbit
 
 EXPECTED_S = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
               "D": lambda n: 2 * n - 2, "E": lambda n: {6: 12, 7: 18}[n]}

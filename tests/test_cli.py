@@ -20,14 +20,13 @@ from minflag.cli import (
     cmd_satake,
     cmd_verify,
     emit_payload,
-    expected_orbit_size,
     json_text,
     main,
     sweep_cases,
 )
 from minflag.minrep import Poly, PolyMatrix
 from minflag.rootsys import LieType, build
-from minflag.weylorbit import Orbit, orbit
+from minflag.weylorbit import Orbit, expected_orbit_size, orbit
 from helpers import SWEEP, clear_memos
 
 
@@ -213,9 +212,9 @@ _SMALL_ARGS = ["--max-rank-A", "2", "--max-rank-B", "2", "--max-rank-C", "2", "-
                "--skip-exceptional"]
 
 
-def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+def _run_optimized(*args: str, flag: str = "-O") -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, flag, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_checks_survive_python_optimize_flag():
@@ -295,10 +294,23 @@ def test_verify_config_file(tmp_path):
     assert rc == 0
 
 
-def test_verify_bad_config_key(tmp_path):
+def test_verify_bad_config_key(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("max-rank-Z=3\n")
     assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: unknown sweep family 'Z'\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("max-rank-A 3", "bad config line 'max-rank-A 3'"),
+    ("include-exceptional=maybe", "include-exceptional must be true or false, got 'maybe'"),
+    ("colour=red", "unknown config key 'colour'"),
+], ids=["no-equals", "bad-bool", "unknown-key"])
+def test_verify_config_input_errors(tmp_path, capsys, line, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_verify_missing_config_file_is_config_error(tmp_path, capsys):
@@ -817,7 +829,8 @@ def test_default_verify_output_is_pinned():
 
 
 def test_default_verify_output_is_pinned_under_python_optimize_flag():
-    proc = _run_optimized("-m", "minflag.cli", "verify")
+    # -OO strips the docstrings too, which the -O pins below keep
+    proc = _run_optimized("-m", "minflag.cli", "verify", flag="-OO")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEFAULT_VERIFY_SHA256
 
@@ -909,3 +922,18 @@ def test_delete_detectable_edge_breaks_frobenius_symmetry():
         assert len(deleted.nonzero()) == len(operator.nonzero()) - 1
         # A1 has only self-dual entries; everywhere else Frobenius must trip
         assert bool(qchev.frobenius_check(orb, deleted)) == (lt == LieType("A", 1))
+
+
+def test_emit_rejects_an_unknown_target_and_format():
+    orb = orbit(build(LieType("A", 2)), 1)
+    with pytest.raises(ConfigError, match="^unknown emission target 'matrix'$"):
+        emit_payload(orb, "matrix")
+    with pytest.raises(ConfigError, match="^unsupported format 'xml'$"):
+        cmd_emit("A", 2, 1, "orbit", "xml", out=io.StringIO())
+
+
+def test_satake_rejects_an_unknown_format_and_a_family_other_than_d():
+    with pytest.raises(ConfigError, match="^unsupported format 'xml'$"):
+        cmd_satake(3, 2, fmt="xml", out=io.StringIO())
+    with pytest.raises(ConfigError, match="^dimension identities are only defined for family D$"):
+        cmd_satake(family="A", rank=4, out=io.StringIO())

@@ -584,3 +584,22 @@ def test_entry_witness_names_the_first_differing_entry():
     assert entry_witness(orb, a, a) is None
     b = a.with_entry(2, 0, Q).with_entry(2, 1, 0)
     assert entry_witness(orb, a, b) == "at ((0,-1), (1,0)): 0 != q"
+
+
+def test_poly_matrix_rejects_an_entry_outside_the_matrix():
+    with pytest.raises(ValueError, match=r"^entry \(2,0\) outside a 2x2 matrix$"):
+        PolyMatrix(2, {(2, 0): 1})
+
+
+def test_char_poly_rejects_a_grading_its_matrix_breaks(monkeypatch):
+    # A(1) of A2/w1 has characteristic polynomial x^3 - 1: its constant
+    # term sits at degree 3, which a q-degree of 2 cannot reach
+    monkeypatch.setattr(minrep, "_grading_degree", lambda m: 2)
+    with pytest.raises(AssertionError, match="^graded with deg q = 2, yet x\\^0 has coefficient -1 at q = 1$"):
+        char_poly(quantum_operator(orbit_of("A", 2, 1)))
+
+
+def test_interpolation_rejects_values_of_no_integer_polynomial():
+    # 0, 0, 1 at q = 0, 1, 2 is q(q - 1)/2
+    with pytest.raises(AssertionError, match="^divided difference of order 2 at q = 2 is not an integer$"):
+        minrep._interpolate([0, 0, 1])

@@ -672,3 +672,42 @@ def test_oracle_on_a_flipped_orbit_names_the_stranded_dominant_weight():
     want = ("oracle route failed: AssertionError: (0,1,0) has no raising simple root "
             "but is not the top weight (0,-1,0)")
     assert main.detail == survivors.detail == want
+
+
+# -- oracle guards ------------------------------------------------------------
+# A2/w1: classes (1,0), (-1,1), (0,-1) of lengths 0, 1, 2; s = 3, so a
+# q-term jumps by -2.  alpha_1 pairs to (2,-1), theta to (1,1).
+
+
+@pytest.mark.parametrize("k,entry,message", [
+    (0, (RootVec((-1, 0)), (2, -1), 1), "^surviving classical root must be simple$"),
+    (0, (RootVec((0, 1)), (2, -1), 1), r"^surviving simple root \(0,1\) must pair to 1 with \(1,0\)$"),
+    (2, (RootVec((-1, 0)), (-1, -1), -2), "^surviving quantum root must be the negated highest root$"),
+], ids=["classical-negative", "classical-unpaired", "quantum-not-theta"])
+def test_oracle_rejects_a_survivor_the_closed_form_forbids(k, entry, message, fresh_memos):
+    orb = orbit_of("A", 2, 1)
+    qchev._oracle_table(orb)[k] = (entry,)
+    with pytest.raises(AssertionError, match=message):
+        chevalley_fw_oracle(orb, orb.elements[k].weight)
+
+
+def test_oracle_rejects_a_length_jump_off_the_transported_height(monkeypatch, fresh_memos):
+    orb = orbit_of("A", 2, 1)
+    monkeypatch.setattr(qchev, "length", lambda o, mu: 0)
+    with pytest.raises(AssertionError, match="^length jump must equal the transported height$"):
+        chevalley_fw_oracle(orb, orb.highest_weight)
+
+
+def test_oracle_quantum_term_needs_highest_coroot_pairing_minus_one(monkeypatch, fresh_memos):
+    orb = orbit_of("A", 2, 1)
+    divisor_complement(orb)  # the complement filter reads pair before it is replaced
+    monkeypatch.setattr(qchev, "pair", lambda rs, mu, alpha: 0)
+    with pytest.raises(AssertionError, match=r"^quantum term at \(0,-1\) needs highest-coroot pairing -1$"):
+        chevalley_fw_oracle(orb, orb.elements[-1].weight)
+
+
+def test_coxeter_check_names_a_coxeter_number_off_its_table(monkeypatch):
+    monkeypatch.setitem(qchev._EXPECTED_COXETER, "A", lambda n: n + 2)
+    check = coxeter_check(orbit_of("A", 2, 1))
+    assert not check
+    assert check.detail == "s = 3, but A2 has Coxeter number 4"

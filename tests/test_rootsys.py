@@ -445,3 +445,16 @@ def test_non_dominant_highest_root_weight_is_rejected(monkeypatch):
         AssertionError, match=r"^the highest root \(1,1,1\) of A3 has the non-dominant weight \(-1,0,-1\)$"
     ):
         RootSystem(LieType("A", 3))
+
+
+def test_simple_root_and_fundamental_weight_reject_index_zero():
+    rs = build(LieType("A", 2))
+    with pytest.raises(ValueError, match="^simple root index 0 out of range$"):
+        rs.simple_root(0)
+    with pytest.raises(ValueError, match="^fundamental weight index 0 out of range$"):
+        rs.fundamental_weight(0)
+
+
+def test_half_norm_rejects_a_non_root():
+    with pytest.raises(ValueError, match=r"^\(2,0\) is not a root of A2$"):
+        build(LieType("A", 2)).half_norm(RootVec((2, 0)))

@@ -3,13 +3,14 @@ import pytest
 from math import comb
 
 from helpers import SWEEP, apply_word_to_weight, orbit_of, reference_orbit_elements, sweep_orbits
-from minflag.cli import SweepConfig, expected_orbit_size, sweep_cases
+from minflag.cli import SweepConfig, sweep_cases
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import (
     Orbit,
     OrbitElement,
     apply_word,
     crystal_edges,
+    expected_orbit_size,
     length,
     orbit,
     poincare_dual,
@@ -247,3 +248,8 @@ def test_orbit_bfs_check_names_a_lowering_that_goes_back():
     rs.simple_root_weights = (Weight((0, 0)),) + rs.simple_root_weights[1:]
     with pytest.raises(AssertionError, match=r"lowering \(1,0\) by alpha_1 gives \(1,0\), already met"):
         orbit.__wrapped__(rs, 1)
+
+
+def test_expected_orbit_size_has_no_closed_form_off_the_minuscule_cases():
+    with pytest.raises(ValueError, match=r"^no closed-form size for \(B3, 1\)$"):
+        expected_orbit_size(LieType("B", 3), 1)
