@@ -289,14 +289,10 @@ def emit_payload(orb: Orbit, what: str) -> dict:
     elif what == "qtable":
         table = {}
         for el in orb.elements:
-            terms = qchev.chevalley_closed(orb, el.weight)
+            # every divisor-product coefficient is (lambda_i, alpha^vee) = 1
             table[_weight_key(el.weight)] = [
-                {
-                    "target": _weight_json(t.target),
-                    "q_power": t.q_power,
-                    "coefficient": str(t.coefficient),
-                }
-                for t in terms
+                {"target": _weight_json(orb.elements[t].weight), "q_power": q_power, "coefficient": "1"}
+                for q_power, t in qchev.chevalley_closed(orb, el.weight)
             ]
         doc["table"] = table
     elif what in ("amatrix", "ttstar"):
@@ -330,13 +326,9 @@ def cmd_emit(
     family: str, rank: int, weight: int, what: str, fmt: str, out: TextIO = sys.stdout
 ) -> int:
     try:
-        lt = LieType(family, rank)
+        orb = orbit(build(LieType(family, rank)), weight)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rs = build(lt)
-    if weight not in minuscule_weights(rs):
-        raise ConfigError(f"fundamental weight {weight} of {lt} is not minuscule")
-    orb = orbit(rs, weight)
     if fmt == "dot":
         if what != "crystal":
             raise ConfigError("dot output is only available for the crystal graph")

@@ -42,8 +42,8 @@ PolyLike = Union["Poly", int]
 class Poly:
     """Sparse polynomial in q: a map from exponent to nonzero integer.
 
-    Every coefficient must be an ``int``; a bool, float or Fraction
-    raises TypeError, so a coefficient always prints as a decimal integer.
+    Every exponent and coefficient must be an ``int``; a bool, float or
+    Fraction raises TypeError, so both always print as decimal integers.
     """
 
     __slots__ = ("_c",)
@@ -52,6 +52,8 @@ class Poly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(e) is not int:
+                    raise TypeError(f"exponents must be int, not {type(e).__name__}")
                 if type(v) is not int:
                     raise TypeError(f"coefficients must be int, not {type(v).__name__}")
                 if v:
@@ -506,7 +508,7 @@ def verify_rep_relations(orb: Orbit) -> Check:
     AssertionError from its map builder, naming the weight, the root and
     the target.
     """
-    failure = brackets.first_failure(orb.rs.cartan_data.cartan, orb.size, _lowering_maps(orb), _raising_maps(orb),
+    failure = brackets.first_failure(orb.rs.cartan, orb.size, _lowering_maps(orb), _raising_maps(orb),
                                      _cartan_maps(orb), _psi_map(orb))
     if failure is None:
         return Check(True, f"{orb.rs.rank * (3 * orb.rs.rank + 1)} brackets")

@@ -17,13 +17,16 @@ entries, by canonical index.  Its lengths come from ``_lengths``, the
 one per-orbit list of ``length`` values, which the grading and
 trichotomy checks read too, so ``length`` runs once per element.  A
 candidate target is a pairing tuple looked up in ``Orbit.index_of``,
-and only survivors become terms.  Along the way the oracle asserts the
+and only survivors are kept.  Along the way the oracle asserts the
 structural facts that make the closed form work: every surviving
 classical reflection transports to a simple root, and every surviving
-quantum one to the negative of the highest root.  It sets every
-coefficient to 1 rather than checking it: the coefficient is
-(lambda_i, alpha^vee), which is 1 by the definition of the divisor
-complement.
+quantum one to the negative of the highest root.
+
+Both routes return a product as a list of (q_power, position) pairs,
+position indexing ``orb.elements``: one column of A(q), in the
+canonical positions every check reads.  No pair carries a
+coefficient: each is (lambda_i, alpha^vee), which is 1 by the
+definition of the divisor complement.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
@@ -49,15 +52,6 @@ from .rootsys import RootSystem, RootVec, Weight, pair
 from .weylorbit import Orbit, apply_word, length, poincare_dual
 
 
-@dataclass(frozen=True)
-class QProductTerm:
-    """One term of a divisor product: coefficient * q^q_power * the class of target."""
-
-    target: Weight
-    q_power: int
-    coefficient: int
-
-
 def divisor_complement(orb: Orbit) -> tuple[RootVec, ...]:
     """Positive roots outside the parabolic: those pairing to 1 with lambda_i.
 
@@ -80,25 +74,24 @@ def _complement(rs: RootSystem, top: tuple[int, ...]) -> tuple[RootVec, ...]:
     return tuple(alpha for alpha in rs.positive_roots if pair(rs, lam, alpha) == 1)
 
 
-def chevalley_closed(orb: Orbit, mu: Weight) -> list[QProductTerm]:
-    """Closed-form divisor product on the class of the weight mu, classical terms first.
+def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
+    """Closed-form divisor product on the class of the weight mu, as (q_power, position) pairs.
 
+    The classical pairs (0, position of mu - alpha_j) come first, in j
+    order, then the one quantum pair (1, position of mu + psi) if any.
     Raises ValueError if mu is not in the orbit (``Orbit.element``, the
     one membership test and its one text), and AssertionError naming
     mu, the root and the target if a target is not.
     """
     rs = orb.rs
     orb.element(mu)
-    terms = []
-    for j, m in enumerate(mu.pairings, 1):
-        if m == 1:
-            terms.append(QProductTerm(orb.elements[orb.neighbour(mu, "-", j)].weight, 0, 1))
+    terms = [(0, orb.neighbour(mu, "-", j)) for j, m in enumerate(mu.pairings, 1) if m == 1]
     if pair(rs, mu, rs.highest_root) == -1:
-        terms.append(QProductTerm(orb.elements[orb.neighbour(mu, "+", "psi")].weight, 1, 1))
+        terms.append((1, orb.neighbour(mu, "+", "psi")))
     return terms
 
 
-def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
+def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
     """Divisor product on the class of mu, summed over the whole divisor complement.
 
     Each candidate root alpha is transported to beta = u(alpha), u the
@@ -108,7 +101,8 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
     lengths from ``_lengths``.  Keep a classical term iff the independent
     length jumps by +1 and a q-term iff it jumps by -(s-1); everything
     else is discarded.  Candidates are pairing tuples looked up in
-    ``Orbit.index_of``; only survivors become terms.  Raises
+    ``Orbit.index_of``; the survivors are returned as sorted
+    (q_power, position) pairs, classical first.  Raises
     AssertionError if a surviving term violates the simple-root /
     highest-root classification, and ValueError naming mu, beta and the
     target if a target is not in the orbit.
@@ -145,7 +139,7 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[QProductTerm]:
                 raise AssertionError(f"quantum term at {mu} needs highest-coroot pairing -1")
             kept.append((1, t))
     kept.sort()
-    return [QProductTerm(orb.elements[t].weight, q_power, 1) for q_power, t in kept]
+    return kept
 
 
 # (root, its pairings, its height): one interned entry per transported root
@@ -267,9 +261,9 @@ class OracleSurvivorStats:
     discarded: int
 
 
-def _survivor_stats(n_cand: int, terms: list[QProductTerm]) -> OracleSurvivorStats:
-    classical = sum(1 for t in terms if t.q_power == 0)
-    quantum = sum(1 for t in terms if t.q_power == 1)
+def _survivor_stats(n_cand: int, terms: list[tuple[int, int]]) -> OracleSurvivorStats:
+    classical = sum(1 for q_power, _ in terms if q_power == 0)
+    quantum = sum(1 for q_power, _ in terms if q_power == 1)
     return OracleSurvivorStats(n_cand, classical, quantum, n_cand - classical - quantum)
 
 
@@ -344,13 +338,16 @@ def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
     return _survivor_stats(len(_oracle_table(orb)[orb.index_of[mu.pairings]]), terms)
 
 
-def _columns_matrix(orb: Orbit, columns: list[list[QProductTerm]]) -> PolyMatrix:
-    """The matrix whose column k holds the terms of the k-th class's product."""
+def _columns_matrix(orb: Orbit, columns: list[list[tuple[int, int]]]) -> PolyMatrix:
+    """The matrix whose column k holds the (q_power, position) pairs of the k-th class's product.
+
+    Each pair adds 1 to the q^q_power coefficient at (position, k).
+    """
     coeffs: dict[tuple[int, int], dict[int, int]] = {}
     for src, terms in enumerate(columns):
-        for t in terms:
-            entry = coeffs.setdefault((orb.index_of[t.target.pairings], src), {})
-            entry[t.q_power] = entry.get(t.q_power, 0) + t.coefficient
+        for q_power, t in terms:
+            entry = coeffs.setdefault((t, src), {})
+            entry[q_power] = entry.get(q_power, 0) + 1
     return PolyMatrix(orb.size, {key: Poly(c) for key, c in coeffs.items()})
 
 

@@ -115,14 +115,6 @@ class Weight:
         return "(" + ",".join(str(a) for a in self.pairings) + ")"
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Cartan matrix rows a[k][j] = (alpha_j, alpha_k^vee) with symmetrizers d_j."""
-
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizers: tuple[Fraction, ...]
-
-
 def _diagram(lie_type: LieType) -> tuple[list[tuple[int, int]], list[Fraction]]:
     """Edge list (1-based node pairs) and symmetrizers for the Dynkin diagram.
 
@@ -160,15 +152,17 @@ class RootSystem:
     """Root system of a simple Lie type, precomputed and immutable.
 
     Attributes follow the coordinate conventions of the module
-    docstring.  The coroots and the pairing tuples C . beta are carried
-    along the reflection closure that generates the positive roots, and
-    both are kept for every root of +-Delta+: ``root_pairings`` maps a
-    root's coefficients to its pairings.  ``cartan_det`` and
-    ``cartan_adjugate`` are the integer determinant and adjugate of the
-    Cartan matrix, both from one fraction-free elimination.  The one lazy
-    attribute is ``reflection_table``, filled on first use.  Two instances
-    compare equal iff they have the same LieType; everything else is
-    determined by it.
+    docstring: ``cartan`` holds the Cartan matrix rows a[k][j] =
+    (alpha_j, alpha_k^vee) and ``symmetrizers`` the d_j.  The coroots
+    and the pairing tuples C . beta are carried along the reflection
+    closure that generates the positive roots, and both are kept for
+    every root of +-Delta+: ``root_pairings`` maps a root's coefficients
+    to its pairings.  ``cartan_det`` and ``cartan_adjugate`` are the
+    integer determinant and adjugate of the Cartan matrix, both from one
+    fraction-free elimination.  The one lazy attribute is
+    ``reflection_table``, filled on first use.  Two instances compare
+    equal iff they have the same LieType; everything else is determined
+    by it.
     """
 
     def __init__(self, lie_type: LieType):
@@ -183,8 +177,8 @@ class RootSystem:
                 if val.denominator != 1:
                     raise AssertionError(f"Cartan entry a[{k}][{j}] = {val} of {lie_type} is not an integer")
                 rows[k - 1][j - 1] = int(val)
-        cartan = tuple(map(tuple, rows))
-        self.cartan_data = CartanData(cartan, tuple(d))
+        cartan = self.cartan = tuple(map(tuple, rows))
+        self.symmetrizers = tuple(d)
         self._check_cartan()
 
         self.positive_roots = self._close_positive_roots()
@@ -225,8 +219,7 @@ class RootSystem:
     # -- construction helpers -------------------------------------------------
 
     def _check_cartan(self) -> None:
-        C = self.cartan_data.cartan
-        d = self.cartan_data.symmetrizers
+        C, d = self.cartan, self.symmetrizers
         n = self.lie_type.rank
         # d_j scaled by their common denominator: symmetrizability on integers
         den = lcm(*(x.denominator for x in d))
@@ -258,7 +251,7 @@ class RootSystem:
         are made once, at the end, in (height, coeffs) order.
         """
         n = self.lie_type.rank
-        columns = tuple(zip(*self.cartan_data.cartan))
+        columns = tuple(zip(*self.cartan))
         simple = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
         coroot = self._coroot = {c: c for c in simple}
         pairings = self.root_pairings = {c: columns[k] for k, c in enumerate(simple)}
@@ -298,7 +291,7 @@ class RootSystem:
             perm[n - 2], perm[n - 1] = n, n - 1
         elif fam == "E" and n == 6:
             perm = [6, 2, 5, 4, 3, 1]
-        C = self.cartan_data.cartan
+        C = self.cartan
         for k in range(n):
             for j in range(n):
                 if C[perm[k] - 1][perm[j] - 1] != C[k][j]:
@@ -334,12 +327,12 @@ class RootSystem:
         if not self.is_root(alpha):
             raise ValueError(f"{alpha} is not a root of {self}")
         j = next(j for j, c in enumerate(alpha.coeffs) if c)
-        return alpha.coeffs[j] * self.cartan_data.symmetrizers[j] / self._coroot[alpha.coeffs][j]
+        return alpha.coeffs[j] * self.symmetrizers[j] / self._coroot[alpha.coeffs][j]
 
     def root_to_weight(self, alpha: RootVec) -> Weight:
         """The pairing coordinates of a root: cartan . coeffs."""
         c = alpha.coeffs
-        return Weight(tuple(sum(map(mul, row, c)) for row in self.cartan_data.cartan))
+        return Weight(tuple(sum(map(mul, row, c)) for row in self.cartan))
 
     @cached_property
     def reflection_table(self) -> tuple[dict[tuple[int, ...], RootVec], ...]:

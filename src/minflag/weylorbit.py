@@ -73,10 +73,14 @@ class Orbit:
         """The position of mu - root or mu + root, which must be in the orbit.
 
         sign is "-" or "+"; root is a simple-root index j or the name
-        "psi", the highest root.  Raises AssertionError naming mu, the
-        root and the target when the target is missing.
+        "psi", the highest root.  Raises ValueError naming an index
+        outside 1..rank, and AssertionError naming mu, the root and the
+        target when the target is missing.
         """
-        step = self.rs.highest_root_weight if root == "psi" else self.rs.simple_root_weights[root - 1]
+        rs = self.rs
+        if root != "psi" and not 0 < root <= len(rs.simple_root_weights):
+            raise ValueError(f"simple root index {root} out of range")
+        step = rs.highest_root_weight if root == "psi" else rs.simple_root_weights[root - 1]
         nu = tuple(map(sub if sign == "-" else add, mu.pairings, step.pairings))
         pos = self.index_of.get(nu)
         if pos is None:
@@ -104,7 +108,7 @@ def expected_orbit_size(lt: LieType, i: int) -> int:
     Freudenthal variety.  Any other case raises ValueError.
     """
     n = lt.rank
-    if lt.family == "A":
+    if lt.family == "A" and 1 <= i <= n:
         return comb(n + 1, i)
     if lt.family == "B" and i == n:
         return 2**n
@@ -201,14 +205,18 @@ def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:
     """Apply the reflections of a stored word (outermost last) to a root.
 
     alpha must be a root: anything else raises AssertionError naming the
-    word and alpha before any reflection.  Each step is then a lookup in
+    word and alpha before any reflection.  A letter outside 1..rank
+    raises ValueError naming it.  Each step is then a lookup in
     ``rs.reflection_table``, which maps a root to the interned reflected
     root, so every step stays on a root.
     """
     if not rs.is_root(alpha):
         raise AssertionError(f"word {word} cannot act on {alpha}, which is not a root of {rs}")
     table = rs.reflection_table
+    n = len(table)
     for j in word:
+        if not 0 < j <= n:
+            raise ValueError(f"simple root index {j} out of range")
         alpha = table[j - 1][alpha.coeffs]
     return alpha
 

@@ -61,7 +61,7 @@ def simple_reflect_root(rs: RootSystem, beta: RootVec, j: int) -> RootVec:
     reflection closure are checked against: the pairing is a dot product
     with row j of the Cartan matrix, and a new RootVec is built.
     """
-    p = sum(a * c for a, c in zip(rs.cartan_data.cartan[j - 1], beta.coeffs))
+    p = sum(a * c for a, c in zip(rs.cartan[j - 1], beta.coeffs))
     if p == 0:
         return beta
     out = list(beta.coeffs)
@@ -79,7 +79,7 @@ def reference_positive_roots(rs: RootSystem) -> tuple[tuple[RootVec, ...], dict[
     (height, coeffs) order and the coroot of each, keyed by coefficients.
     """
     n = rs.rank
-    columns = tuple(zip(*rs.cartan_data.cartan))
+    columns = tuple(zip(*rs.cartan))
     simple = [rs.simple_root(k) for k in range(1, n + 1)]
     coroot = {r.coeffs: r.coeffs for r in simple}
     queue = list(simple)
@@ -219,7 +219,7 @@ def reference_rep_relations(orb: Orbit) -> Check:
     constant, so the products run on integer entries.
     """
     n = orb.rs.rank
-    C = orb.rs.cartan_data.cartan
+    C = orb.rs.cartan
     low = {j: _constant_rows(minrep.lowering_matrix(orb, j)) for j in range(1, n + 1)}
     high = {j: _constant_rows(minrep.raising_matrix(orb, j)) for j in range(1, n + 1)}
     diag = {j: _constant_rows(minrep.cartan_action(orb, j)) for j in range(1, n + 1)}

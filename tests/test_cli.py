@@ -626,18 +626,20 @@ def test_every_emitted_document_matches_json_dumps(case):
         assert json_text(doc) == json.dumps(_densified(doc), indent=2), what
 
 
-def test_emit_rejects_non_minuscule_weight():
-    assert main(["emit", "--family", "A", "--rank", "3", "--weight", "0", "--what", "orbit"]) == 2
-    assert main(["emit", "--family", "E", "--rank", "7", "--weight", "2", "--what", "orbit"]) == 2
-    assert main(["emit", "--family", "G", "--rank", "2", "--weight", "1", "--what", "orbit"]) == 2
+def test_emit_rejects_non_minuscule_weight(capsys):
+    for family, rank, weight in (("A", 3, 0), ("E", 7, 2), ("G", 2, 1)):
+        assert main(["emit", "--family", family, "--rank", str(rank), "--weight", str(weight), "--what", "orbit"]) == 2
+        assert capsys.readouterr() == ("", f"config error: fundamental weight {weight} of {family}{rank} "
+                                           "is not minuscule\n")
 
 
 def test_emit_rejects_dot_for_non_crystal():
     assert main(["emit", "--family", "A", "--rank", "1", "--weight", "1", "--what", "amatrix", "--format", "dot"]) == 2
 
 
-def test_emit_rejects_bad_rank():
+def test_emit_rejects_bad_rank(capsys):
     assert main(["emit", "--family", "E", "--rank", "9", "--weight", "1", "--what", "orbit"]) == 2
+    assert capsys.readouterr() == ("", "config error: rank 9 invalid for family E\n")
 
 
 def test_satake_command_pairs():

@@ -115,6 +115,14 @@ def test_poly_rejects_a_coefficient_that_is_not_an_int(bad):
     assert ONE != bad  # comparing with a non-int is False, not an error
 
 
+@pytest.mark.parametrize("bad", [True, 0.5, Fraction(1)], ids=["True", "0.5", "Fraction"])
+def test_poly_rejects_an_exponent_that_is_not_an_int(bad):
+    # a bool or float exponent would be written as "True" or "0.5"
+    for make in (lambda: Poly({bad: 3}), lambda: Poly.term(3, bad)):
+        with pytest.raises(TypeError, match="^exponents must be int, not "):
+            make()
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=polys, b=polys, c=polys)
 def test_poly_ring_laws(a, b, c):

@@ -27,41 +27,34 @@ from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import Orbit, OrbitElement, apply_word, length, orbit, poincare_dual
 
 
-def _terms_as_set(terms, orb):
-    return {(orb.index_of[t.target.pairings], t.q_power, t.coefficient) for t in terms}
-
-
 # -- closed form -------------------------------------------------------------
+# Both routes return (q_power, position) pairs, position indexing
+# orb.elements; every coefficient is 1.
 
 
 def test_projective_plane_top_class_product():
     # the divisor times the point class of the projective plane is q times
-    # the identity class: x * x^2 = q
+    # the identity class (1,0), at position 0: x * x^2 = q
     orb = orbit_of("A", 2, 1)
     lowest = orb.elements[-1].weight
-    terms = chevalley_closed(orb, lowest)
-    assert [(t.target, t.q_power, t.coefficient) for t in terms] == [
-        (Weight((1, 0)), 1, 1)
-    ]
+    assert orb.elements[0].weight == Weight((1, 0))
+    assert chevalley_closed(orb, lowest) == [(1, 0)]
 
 
 def test_gr24_divisor_squared_has_two_classical_terms():
+    # u = (1,-1,1) lowers by alpha_1 to (-1,0,1) and by alpha_3 to (1,0,-1),
+    # the two length-2 classes at positions 2 and 3, in j order
     orb = orbit_of("A", 3, 2)
     u = orb.elements[1].weight  # the unique length-1 class
-    terms = chevalley_closed(orb, u)
-    assert all(t.q_power == 0 and t.coefficient == 1 for t in terms)
-    assert {t.target for t in terms} == {
-        orb.elements[2].weight,
-        orb.elements[3].weight,
-    }
+    assert [orb.elements[t].weight for t in (2, 3)] == [Weight((-1, 0, 1)), Weight((1, 0, -1))]
+    assert chevalley_closed(orb, u) == [(0, 2), (0, 3)]
 
 
 def test_divisor_times_identity_is_the_divisor_class():
     for orb in sweep_orbits():
-        terms = chevalley_closed(orb, orb.highest_weight)
         i = orb.weight_index
         expected = orb.highest_weight - orb.rs.simple_root_weights[i - 1]
-        assert [(t.target, t.q_power) for t in terms] == [(expected, 0)]
+        assert chevalley_closed(orb, orb.highest_weight) == [(0, orb.index_of[expected.pairings])]
 
 
 def test_closed_form_rejects_foreign_weight():
@@ -76,30 +69,26 @@ def test_closed_form_rejects_foreign_weight():
 def test_oracle_projective_plane_quantum_term():
     orb = orbit_of("A", 2, 1)
     lowest = orb.elements[-1].weight
-    terms = chevalley_fw_oracle(orb, lowest)
-    assert _terms_as_set(terms, orb) == {(0, 1, 1)}
+    assert chevalley_fw_oracle(orb, lowest) == [(1, 0)]
 
 
 def test_oracle_equals_closed_form_on_gr24():
+    # the oracle sorts its pairs; the closed form lists them in j order
     orb = orbit_of("A", 3, 2)
     for el in orb.elements:
-        assert _terms_as_set(chevalley_fw_oracle(orb, el.weight), orb) == _terms_as_set(
-            chevalley_closed(orb, el.weight), orb
-        )
+        assert chevalley_fw_oracle(orb, el.weight) == sorted(chevalley_closed(orb, el.weight))
 
 
 def test_oracle_terms_come_classical_first_in_canonical_order():
     for orb in sweep_orbits():
         for el in orb.elements:
             terms = chevalley_fw_oracle(orb, el.weight)
-            keys = [(t.q_power, orb.index_of[t.target.pairings]) for t in terms]
-            assert keys == sorted(set(keys)), (orb, el)
+            assert terms == sorted(set(terms)), (orb, el)
 
 
 def test_oracle_top_class_of_gr24():
     orb = orbit_of("A", 3, 2)
-    terms = chevalley_fw_oracle(orb, orb.elements[-1].weight)
-    assert _terms_as_set(terms, orb) == {(1, 1, 1)}
+    assert chevalley_fw_oracle(orb, orb.elements[-1].weight) == [(1, 1)]
 
 
 def test_oracle_discard_counts_e6_identity():
@@ -135,12 +124,9 @@ def test_oracle_pass_matches_per_class_routes():
 
 def test_columns_matrix_sums_repeated_terms_and_drops_cancelled_ones():
     orb = orbit_of("A", 2, 1)
-    w = [el.weight for el in orb.elements]
-    m = qchev._columns_matrix(orb, [
-        [qchev.QProductTerm(w[1], 0, 1), qchev.QProductTerm(w[1], 1, 2), qchev.QProductTerm(w[1], 0, 1)],
-        [qchev.QProductTerm(w[2], 0, 1), qchev.QProductTerm(w[2], 0, -1)],
-        [],
-    ])
+    # every pair adds 1, so a repeated pair sums; a class with no pairs
+    # leaves its column empty
+    m = qchev._columns_matrix(orb, [[(0, 1), (1, 1), (1, 1), (0, 1)], [], []])
     assert m.nonzero() == [(1, 0, Poly({0: 2, 1: 2}))]
 
 

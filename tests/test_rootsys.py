@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_positive_roots, simple_reflect_root
 from minflag import rootsys
 from minflag.rootsys import (
-    CartanData,
     LieType,
     RootSystem,
     RootVec,
@@ -93,8 +92,7 @@ def test_positive_root_count_table(fam, rank):
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_cartan_invariants(fam, rank):
     rs = build(LieType(fam, rank))
-    C = rs.cartan_data.cartan
-    d = rs.cartan_data.symmetrizers
+    C, d = rs.cartan, rs.symmetrizers
     for k in range(rank):
         assert C[k][k] == 2
         for j in range(rank):
@@ -158,7 +156,7 @@ PAIR_KERNEL_TYPES = (
 
 def _fraction_pair(rs, mu, alpha):
     """(mu, alpha^vee) = sum_j c_j d_j m_j / d_alpha, in exact rationals."""
-    d = rs.cartan_data.symmetrizers
+    d = rs.symmetrizers
     total = sum(
         (Fraction(c) * d[j] * mu.pairings[j] for j, c in enumerate(alpha.coeffs)), Fraction(0)
     )
@@ -192,7 +190,7 @@ REFERENCE_TYPES = (
 @pytest.mark.parametrize("fam,rank", REFERENCE_TYPES)
 def test_cartan_adjugate_inverts_cartan(fam, rank):
     rs = build(LieType(fam, rank))
-    C, adj, det = rs.cartan_data.cartan, rs.cartan_adjugate, rs.cartan_det
+    C, adj, det = rs.cartan, rs.cartan_adjugate, rs.cartan_det
     assert det > 0
     for i in range(rank):
         for j in range(rank):
@@ -257,7 +255,7 @@ def test_diagram_involution_is_cartan_automorphism(fam, rank):
     rs = build(LieType(fam, rank))
     perm = diagram_involution(rs)
     assert sorted(perm) == list(range(1, rank + 1))
-    C = rs.cartan_data.cartan
+    C = rs.cartan
     for k in range(rank):
         assert perm[perm[k] - 1] == k + 1
         for j in range(rank):
@@ -273,9 +271,9 @@ def test_invalid_type_rejected(fam, rank):
 
 
 def test_symmetrizer_values():
-    assert build(LieType("G", 2)).cartan_data.symmetrizers == (Fraction(1, 3), Fraction(1))
-    assert build(LieType("B", 3)).cartan_data.symmetrizers == (1, 1, Fraction(1, 2))
-    assert build(LieType("C", 3)).cartan_data.symmetrizers == (Fraction(1, 2), Fraction(1, 2), 1)
+    assert build(LieType("G", 2)).symmetrizers == (Fraction(1, 3), Fraction(1))
+    assert build(LieType("B", 3)).symmetrizers == (1, 1, Fraction(1, 2))
+    assert build(LieType("C", 3)).symmetrizers == (Fraction(1, 2), Fraction(1, 2), 1)
 
 
 HALF_NORM_TYPES = (
@@ -289,7 +287,7 @@ HALF_NORM_TYPES = (
 
 def _double_sum_half_norm(rs, alpha):
     """(alpha, alpha)/2 = 1/2 sum_{j,k} c_j c_k d_k a[k][j], independent of the stored coroots."""
-    C, d, c = rs.cartan_data.cartan, rs.cartan_data.symmetrizers, alpha.coeffs
+    C, d, c = rs.cartan, rs.symmetrizers, alpha.coeffs
     n = rs.rank
     return sum((c[j] * c[k] * d[k] * C[k][j] for j in range(n) for k in range(n)), Fraction(0)) / 2
 
@@ -297,7 +295,7 @@ def _double_sum_half_norm(rs, alpha):
 @pytest.mark.parametrize("fam,rank", HALF_NORM_TYPES)
 def test_half_norm_matches_the_double_sum(fam, rank):
     rs = build(LieType(fam, rank))
-    d = rs.cartan_data.symmetrizers
+    d = rs.symmetrizers
     for alpha in list(rs.positive_roots) + [-r for r in rs.positive_roots]:
         want = _double_sum_half_norm(rs, alpha)
         assert rs.half_norm(alpha) == want, alpha
@@ -309,7 +307,7 @@ def test_coroots_match_the_rational_formula(fam, rank):
     # alpha^vee = sum_j c_j (d_j / d_alpha) alpha_j^vee, with d_alpha from
     # the double sum; (lambda_j, alpha^vee) reads coordinate j of alpha^vee
     rs = build(LieType(fam, rank))
-    d = rs.cartan_data.symmetrizers
+    d = rs.symmetrizers
     weights = [rs.fundamental_weight(j) for j in range(1, rank + 1)]
     for alpha in list(rs.positive_roots) + [-r for r in rs.positive_roots]:
         d_alpha = _double_sum_half_norm(rs, alpha)
@@ -324,7 +322,7 @@ def _tampered(lie_type, cartan, symmetrizers):
     """A bare RootSystem carrying the given Cartan data, for the construction checks."""
     rs = object.__new__(RootSystem)
     rs.lie_type = lie_type
-    rs.cartan_data = CartanData(cartan, symmetrizers)
+    rs.cartan, rs.symmetrizers = cartan, symmetrizers
     return rs
 
 
@@ -370,7 +368,7 @@ def test_non_symmetrizable_cartan_with_fractional_symmetrizers_names_the_pair():
 
 def test_involution_that_is_no_automorphism_names_the_entry():
     # node reversal, the A3 involution, is no symmetry of the B3 diagram
-    b3 = build(LieType("B", 3)).cartan_data
+    b3 = build(LieType("B", 3))
     rs = _tampered(LieType("A", 3), b3.cartan, b3.symmetrizers)
     with pytest.raises(
         AssertionError,

@@ -214,6 +214,14 @@ def test_apply_word_checks_is_root_once_before_its_loop(monkeypatch):
     assert checked == [RootVec((2, 0))]
 
 
+@pytest.mark.parametrize("letter", [0, -1, 4])
+def test_apply_word_rejects_a_letter_out_of_range(letter):
+    # 0 and -1 would apply s_3 and s_2 from the end, 4 is past A3's rank
+    rs = build(LieType("A", 3))
+    with pytest.raises(ValueError, match=rf"^simple root index {letter} out of range$"):
+        apply_word(rs, (1, letter), rs.simple_root(3))
+
+
 def test_neighbour_steps_by_the_named_root():
     for orb in sweep_orbits():
         rs = orb.rs
@@ -226,6 +234,14 @@ def test_neighbour_steps_by_the_named_root():
                     assert orb.elements[orb.neighbour(mu, "+", j)].weight == mu + alpha_w, (orb, mu, j)
             if pair(rs, mu, rs.highest_root) == -1:
                 assert orb.elements[orb.neighbour(mu, "+", "psi")].weight == mu + rs.highest_root_weight, (orb, mu)
+
+
+@pytest.mark.parametrize("root", [0, -1, 4])
+def test_neighbour_rejects_a_simple_root_index_out_of_range(root):
+    # 0 and -1 would index the last simple roots from the end, 4 past A3's rank
+    orb = orbit_of("A", 3, 2)
+    with pytest.raises(ValueError, match=rf"^simple root index {root} out of range$"):
+        orb.neighbour(orb.highest_weight, "-", root)
 
 
 def test_crystal_edges_rejects_a_truncated_orbit():
@@ -253,3 +269,9 @@ def test_orbit_bfs_check_names_a_lowering_that_goes_back():
 def test_expected_orbit_size_has_no_closed_form_off_the_minuscule_cases():
     with pytest.raises(ValueError, match=r"^no closed-form size for \(B3, 1\)$"):
         expected_orbit_size(LieType("B", 3), 1)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1, 7])
+def test_expected_orbit_size_of_family_a_needs_an_index_from_1_to_n(i):
+    with pytest.raises(ValueError, match=rf"^no closed-form size for \(A3, {i}\)$"):
+        expected_orbit_size(LieType("A", 3), i)
