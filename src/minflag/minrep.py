@@ -56,9 +56,9 @@ class Poly:
                     raise TypeError(f"exponents must be int, not {type(e).__name__}")
                 if type(v) is not int:
                     raise TypeError(f"coefficients must be int, not {type(v).__name__}")
+                if e < 0:
+                    raise ValueError("negative exponents not supported")
                 if v:
-                    if e < 0:
-                        raise ValueError("negative exponents not supported")
                     c[e] = v
         self._c = c
 
@@ -246,7 +246,11 @@ def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
     return tuple(_interpolate([v[k] for v in values]) for k in range(n + 1))
 
 
-def _coefficients(m: PolyMatrix) -> dict[tuple[int, int], dict[int, int]]:
+# a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
+_Entries = dict[tuple[int, int], dict[int, int]]
+
+
+def _coefficients(m: PolyMatrix) -> _Entries:
     """The stored (nonzero) entries of M as {(row, col): {exponent: coefficient}}, unsorted.
 
     The inner dicts are M's own, shared and not copied: read them only.
@@ -481,17 +485,17 @@ class Check:
         return self.ok
 
 
-def entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[str]:
+def entry_witness(orb: Orbit, got: _Entries, want: _Entries) -> Optional[str]:
     """'at (target, source): got != want' for the first differing entry, or None.
 
-    Entries are compared in row order; a missing entry reads 0.
+    Both are nonzero entries (``_coefficients``), compared in row order;
+    only the differing pair is printed, and a missing entry reads 0.
     """
-    got_e, want_e = got._e, want._e
-    if got_e == want_e:
+    if got == want:
         return None
-    i, j = next(k for k in sorted(got_e.keys() | want_e.keys()) if got_e.get(k, 0) != want_e.get(k, 0))
+    i, j = next(k for k in sorted(got.keys() | want.keys()) if got.get(k, {}) != want.get(k, {}))
     w = orb.elements
-    return f"at ({w[i].weight}, {w[j].weight}): {got_e.get((i, j), 0)} != {want_e.get((i, j), 0)}"
+    return f"at ({w[i].weight}, {w[j].weight}): {Poly(got.get((i, j)))} != {Poly(want.get((i, j)))}"
 
 
 def verify_rep_relations(orb: Orbit) -> Check:

@@ -23,32 +23,33 @@ classical reflection transports to a simple root, and every surviving
 quantum one to the negative of the highest root.
 
 Both routes return a product as a list of (q_power, position) pairs,
-position indexing ``orb.elements``: one column of A(q), in the
-canonical positions every check reads.  No pair carries a
-coefficient: each is (lambda_i, alpha^vee), which is 1 by the
-definition of the divisor complement.
+position indexing ``orb.elements``: one column of A(q).  No pair
+carries a coefficient: each is (lambda_i, alpha^vee) = 1.  The checks
+sum the columns into integer entries {(row, col): {q_power: coeff}},
+the ``minrep._coefficients`` form; ``_closed_entries`` keeps the closed
+route's for the latest orbit.  ``quantum_product_matrix``,
+``fw_oracle_pass`` and ``fw_oracle_matrix`` are PolyMatrix views.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
-``main_theorem_check`` checks that the three routes agree entrywise as
-integer polynomials in q, and ``survivor_check`` that the oracle's
-survivors classify as the closed form predicts; both read one oracle
-pass per orbit, ``_oracle_outcome``.  Frobenius symmetry with respect
-to the Poincare pairing and q-grading homogeneity give two further
-cross-checks that detect single-entry corruption.  The main-theorem,
-Frobenius and grading checks are handed the operator they check, A(q)
-or a corrupted copy of it, and never build A(q) themselves.  Every
-check returns one ``minrep.Check`` whose detail names the witness of a
-failure; ``cli.ROWS`` runs each as one row of ``verify``.
+``main_theorem_check`` compares the operator's integer entries with
+each route's in one ``==``, and ``survivor_check`` checks that the
+oracle's survivors classify as the closed form predicts; both read one
+oracle pass per orbit, ``_oracle_outcome``.  Frobenius symmetry and
+q-grading homogeneity each accept in one pass over the integer entries.
+These three checks are handed the operator they check, A(q) or a
+corrupted copy, and never build A(q).  Every check returns one
+``minrep.Check`` whose detail names a failure's witness, the first in
+row order, printed as Poly; ``cli.ROWS`` runs each as a ``verify`` row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 
-from .minrep import Check, Poly, PolyMatrix, entry_witness
-from .rootsys import RootSystem, RootVec, Weight, pair
+from .minrep import Check, Poly, PolyMatrix, _coefficients, _Entries, entry_witness
+from .rootsys import RootSystem, RootVec, Weight, coroot, pair
 from .weylorbit import Orbit, apply_word, length, poincare_dual
 
 
@@ -227,28 +228,30 @@ def n_alpha(rs: RootSystem, i: int, alpha: RootVec) -> int:
     Defined for alpha in the divisor complement of lambda_i; equals the
     Coxeter number for every such alpha.
     """
-    lam = rs.fundamental_weight(i)
-    if not (rs.is_root(alpha) and alpha.is_positive and pair(rs, lam, alpha) == 1):
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"fundamental weight index {i} out of range")
+    # (lambda_i, alpha^vee) is coroot coefficient i of alpha
+    if not (rs.is_root(alpha) and alpha.is_positive and coroot(rs, alpha)[i - 1] == 1):
         raise ValueError(f"{alpha} is not in the divisor complement of weight {i}")
-    return pair(rs, _complement_sum(rs, i), alpha)
+    return sum(map(mul, coroot(rs, alpha), _complement_sum(rs, i)))
 
 
 @lru_cache(maxsize=None)
-def _complement_sum(rs: RootSystem, i: int) -> Weight:
-    """The sum of the divisor complement of lambda_i (``_complement``), as a weight."""
+def _complement_sum(rs: RootSystem, i: int) -> tuple[int, ...]:
+    """The pairings of the sum of the divisor complement of lambda_i (``_complement``)."""
     columns = zip(*(gamma.coeffs for gamma in _complement(rs, rs.fundamental_weight(i).pairings)))
-    return rs.root_to_weight(RootVec(tuple(map(sum, columns))))
+    return rs.root_to_weight(RootVec(tuple(map(sum, columns)))).pairings
 
 
 @lru_cache(maxsize=1)
-def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
-    """Matrix of the divisor product, columns from the closed form.
+def _closed_entries(orb: Orbit) -> _Entries:
+    """The closed route's entries, read-only: kept for the latest orbit, so the census runs the route once per orbit."""
+    return _column_entries([chevalley_closed(orb, el.weight) for el in orb.elements])
 
-    Only the latest orbit's matrix is kept, so a caller that checks
-    several operators of one orbit, as the mutation census does, builds
-    the closed-form route once; the matrix has no mutators.
-    """
-    return _columns_matrix(orb, [chevalley_closed(orb, el.weight) for el in orb.elements])
+
+def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
+    """Matrix of the divisor product, columns from the closed form: a PolyMatrix view."""
+    return _entries_matrix(orb, _closed_entries(orb))
 
 
 @dataclass
@@ -267,8 +270,8 @@ def _survivor_stats(n_cand: int, terms: list[tuple[int, int]]) -> OracleSurvivor
     return OracleSurvivorStats(n_cand, classical, quantum, n_cand - classical - quantum)
 
 
-def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
-    """One oracle run over every class: the matrix and the survivor counts.
+def _oracle_entries(orb: Orbit) -> tuple[_Entries, list[OracleSurvivorStats]]:
+    """One oracle run over every class: the matrix as entries and the survivor counts.
 
     Calls ``chevalley_fw_oracle`` once per class; the k-th survivor
     count belongs to the k-th orbit element, in canonical order, and its
@@ -277,19 +280,25 @@ def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
     """
     columns = [chevalley_fw_oracle(orb, el.weight) for el in orb.elements]
     stats = [_survivor_stats(len(row), terms) for row, terms in zip(_oracle_table(orb), columns)]
-    return _columns_matrix(orb, columns), stats
+    return _column_entries(columns), stats
+
+
+def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
+    """``_oracle_entries`` with the matrix as a PolyMatrix view."""
+    entries, stats = _oracle_entries(orb)
+    return _entries_matrix(orb, entries), stats
 
 
 @lru_cache(maxsize=1)
-def _oracle_outcome(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]] | Check:
-    """``fw_oracle_pass(orb)``, or the failed Check its AssertionError or ValueError makes.
+def _oracle_outcome(orb: Orbit) -> tuple[_Entries, list[OracleSurvivorStats]] | Check:
+    """``_oracle_entries(orb)``, or the failed Check its AssertionError or ValueError makes.
 
     The main-theorem and survivor rows both read this memo, so the
     oracle runs once per orbit, also when it raises.  Only the most
     recent orbit's outcome is kept.
     """
     try:
-        return fw_oracle_pass(orb)
+        return _oracle_entries(orb)
     except (AssertionError, ValueError) as exc:
         return Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
 
@@ -297,16 +306,18 @@ def _oracle_outcome(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]] 
 def main_theorem_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """The operator, A(q) or a corrupted copy, equals both product routes entrywise.
 
-    A failure names the first differing route, closed form before
-    oracle, and its first differing entry in row order
-    (``entry_witness``); a raising oracle fails the row with its text.
+    Integer entries are compared in one ``==`` per route.  A failure
+    names the first differing route, closed form before oracle, and its
+    first differing entry in row order (``entry_witness``); a raising
+    oracle fails the row with its text.
     """
-    closed = quantum_product_matrix(orb)
+    closed = _closed_entries(orb)
     outcome = _oracle_outcome(orb)
     if isinstance(outcome, Check):
         return outcome
+    got = _coefficients(operator)
     for name, route in (("closed-form product", closed), ("oracle product", outcome[0])):
-        witness = entry_witness(orb, operator, route)
+        witness = entry_witness(orb, got, route)
         if witness:
             return Check(False, f"operator vs {name} {witness}")
     return Check(True, "three routes entrywise equal")
@@ -338,43 +349,56 @@ def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
     return _survivor_stats(len(_oracle_table(orb)[orb.index_of[mu.pairings]]), terms)
 
 
-def _columns_matrix(orb: Orbit, columns: list[list[tuple[int, int]]]) -> PolyMatrix:
-    """The matrix whose column k holds the (q_power, position) pairs of the k-th class's product.
+def _column_entries(columns: list[list[tuple[int, int]]]) -> _Entries:
+    """The entries of the matrix whose column k holds the (q_power, position) pairs of the k-th class's product.
 
     Each pair adds 1 to the q^q_power coefficient at (position, k).
     """
-    coeffs: dict[tuple[int, int], dict[int, int]] = {}
+    coeffs: _Entries = {}
     for src, terms in enumerate(columns):
         for q_power, t in terms:
             entry = coeffs.setdefault((t, src), {})
             entry[q_power] = entry.get(q_power, 0) + 1
-    return PolyMatrix(orb.size, {key: Poly(c) for key, c in coeffs.items()})
+    return coeffs
+
+
+def _entries_matrix(orb: Orbit, entries: _Entries) -> PolyMatrix:
+    """The PolyMatrix view of a route's entries."""
+    return PolyMatrix(orb.size, {key: Poly(c) for key, c in entries.items()})
 
 
 def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """A^T G = G A for the operator A, G the Poincare pairing.
 
     Entrywise: A at (mu, nu) equals A at (nu*, mu*), * the Poincare dual.
+    Only a failed integer pass walks ``nonzero()`` for the witness.
     """
     w = [el.weight for el in orb.elements]
     dual = [orb.index_of[poincare_dual(orb, mu).pairings] for mu in w]
-    for i, j, p in operator.nonzero():
-        if operator.entry(dual[j], dual[i]) != p:
-            return Check(False, f"A at ({w[i]}, {w[j]}) is {p} but at its dual entry "
-                                f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
+    entries = _coefficients(operator)
+    if not all(entries.get((dual[j], dual[i])) == c for (i, j), c in entries.items()):
+        for i, j, p in operator.nonzero():
+            if operator.entry(dual[j], dual[i]) != p:
+                return Check(False, f"A at ({w[i]}, {w[j]}) is {p} but at its dual entry "
+                                    f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
     return Check(True, "A^T G = G A")
 
 
 def grading_check(orb: Orbit, operator: PolyMatrix) -> Check:
-    """Every entry of the operator is homogeneous: length(target) = length(source) + 1 - p*s."""
+    """Every entry of the operator is homogeneous: length(target) = length(source) + 1 - p*s.
+
+    Only a failed integer pass walks ``nonzero()`` for the witness.
+    """
     s = orb.rs.coxeter_number
     lengths = _lengths(orb)
-    for i, j, p in operator.nonzero():
-        for exp, _coeff in p.items():
-            if lengths[i] != lengths[j] + 1 - exp * s:
-                w = orb.elements
-                return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
-                                    f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
+    entries = _coefficients(operator)
+    if not all(lengths[i] == lengths[j] + 1 - exp * s for (i, j), c in entries.items() for exp in c):
+        for i, j, p in operator.nonzero():
+            for exp, _coeff in p.items():
+                if lengths[i] != lengths[j] + 1 - exp * s:
+                    w = orb.elements
+                    return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
+                                        f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
     return Check(True, "deg q = s homogeneity")
 
 

@@ -61,6 +61,8 @@ class LieType:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
+            raise TypeError(f"rank must be an int, not {self.rank!r}")
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} invalid for family {self.family}")
@@ -340,15 +342,22 @@ class RootSystem:
         in +-Delta+ to the interned root s_j(beta).
 
         s_j beta = beta - p alpha_j with p = (beta, alpha_j^vee), entry j of
-        ``root_pairings``, so no reflection is computed.  Built on first
-        use, never by ``build``: only ``weylorbit.apply_word`` reads it.
+        ``root_pairings``, so no reflection is computed.  Each table starts
+        as a copy of the identity map, and only the roots with p != 0 are
+        filled in.  Built on first use, never by ``build``: only
+        ``weylorbit.apply_word`` reads it.
         """
         roots = {r.coeffs: r for r in self.positive_roots + tuple(-r for r in self.positive_roots)}
         pairings = self.root_pairings
-        return tuple(
-            {c: roots[c[:j] + (c[j] - pairings[c][j],) + c[j + 1:]] for c in roots}
-            for j in range(self.rank)
-        )
+        tables = []
+        for j in range(self.rank):
+            table = dict(roots)
+            for c, pc in pairings.items():
+                p = pc[j]
+                if p:
+                    table[c] = roots[c[:j] + (c[j] - p,) + c[j + 1:]]
+            tables.append(table)
+        return tuple(tables)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.lie_type == other.lie_type

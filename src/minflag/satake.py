@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from .minrep import Poly, PolyMatrix, _coefficients, quantum_operator
+from .minrep import Poly, PolyMatrix, _coefficients, _Entries, quantum_operator
 from .rootsys import LieType, build
 from .weylorbit import Orbit, expected_orbit_size, orbit
 
@@ -65,10 +65,6 @@ class SignSimilarityError(ValueError):
 def wedge_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of range(n) in lexicographic order."""
     return list(combinations(range(n), k))
-
-
-# a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
-_Entries = dict[tuple[int, int], dict[int, int]]
 
 
 def _wedge(m: _Entries, place: Mapping[tuple[int, ...], int], twist: int) -> _Entries:

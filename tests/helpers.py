@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import minflag.minrep as minrep
 from minflag import qchev, ttstar, weylorbit
@@ -17,7 +17,7 @@ SWEEP = sweep_cases(SweepConfig())
 
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
-    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
+    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev._closed_entries,
     minrep.quantum_operator, minrep._psi_map, minrep._simple_root_maps, weylorbit.crystal_edges, ttstar._toda_data,
 )
 
@@ -209,6 +209,56 @@ def reference_quantum_operator(orb: Orbit) -> PolyMatrix:
     return linear_combination(orb.size, [(Q, minrep.psi_raising_matrix(orb))] + terms)
 
 
+def reference_operator_rows(orb: Orbit) -> dict[str, Callable[[PolyMatrix], Check]]:
+    """The main-theorem, frobenius and grading rows on PolyMatrix entries, by row name.
+
+    The test-only references the integer-entry rows of ``qchev`` are
+    compared against.  The routes are the PolyMatrix views
+    ``quantum_product_matrix`` and ``fw_oracle_matrix``, built once here
+    for every operator checked on the orbit; each row compares Poly
+    entries and walks the operator's ``nonzero()`` in row order.
+    """
+    w = orb.elements
+    closed = qchev.quantum_product_matrix(orb)
+    try:
+        routes = [("closed-form product", closed), ("oracle product", qchev.fw_oracle_matrix(orb))]
+    except (AssertionError, ValueError) as exc:
+        failed = Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
+        routes = []
+    dual = [orb.index_of[poincare_dual(orb, el.weight).pairings] for el in w]
+    lengths = qchev._lengths(orb)
+    s = orb.rs.coxeter_number
+
+    def main_theorem(operator: PolyMatrix) -> Check:
+        if not routes:
+            return failed
+        for name, route in routes:
+            keys = sorted({(i, j) for m in (operator, route) for i, j, _p in m.nonzero()})
+            diff = next(((i, j) for i, j in keys if operator.entry(i, j) != route.entry(i, j)), None)
+            if diff:
+                i, j = diff
+                return Check(False, f"operator vs {name} at ({w[i].weight}, {w[j].weight}): "
+                                    f"{operator.entry(i, j)} != {route.entry(i, j)}")
+        return Check(True, "three routes entrywise equal")
+
+    def frobenius(operator: PolyMatrix) -> Check:
+        for i, j, p in operator.nonzero():
+            if operator.entry(dual[j], dual[i]) != p:
+                return Check(False, f"A at ({w[i].weight}, {w[j].weight}) is {p} but at its dual entry "
+                                    f"({w[dual[j]].weight}, {w[dual[i]].weight}) is {operator.entry(dual[j], dual[i])}")
+        return Check(True, "A^T G = G A")
+
+    def grading(operator: PolyMatrix) -> Check:
+        for i, j, p in operator.nonzero():
+            for exp, _coeff in p.items():
+                if lengths[i] != lengths[j] + 1 - exp * s:
+                    return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
+                                        f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
+        return Check(True, "deg q = s homogeneity")
+
+    return {"main-theorem": main_theorem, "frobenius": frobenius, "grading": grading}
+
+
 def reference_rep_relations(orb: Orbit) -> Check:
     """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
 
@@ -243,9 +293,14 @@ def reference_rep_relations(orb: Orbit) -> Check:
     for checks, (failure, x, y, want) in enumerate(relations(), 1):
         got = _int_commutator(x, y)
         if got != want:
-            witness = entry_witness(orb, PolyMatrix(orb.size, got), PolyMatrix(orb.size, want))
+            witness = entry_witness(orb, _as_entries(got), _as_entries(want))
             return Check(False, f"{failure} {witness}")
     return Check(True, f"{checks} brackets")
+
+
+def _as_entries(m: dict[tuple[int, int], int]) -> dict[tuple[int, int], dict[int, int]]:
+    """Integer entries as the constant polynomial entries ``entry_witness`` reads."""
+    return {key: {0: v} for key, v in m.items()}
 
 
 def _constant_rows(m: PolyMatrix) -> dict[int, dict[int, int]]:

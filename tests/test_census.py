@@ -2,10 +2,12 @@
 
 Every nonzero entry of A(q) on the default sweep is mutated three ways,
 one entry at a time, and every row of ``cli.ROWS`` runs on each mutant.
+The rows handed the operator must also return the very Check, witness
+text included, of their PolyMatrix references in ``helpers``.
 """
 from collections import Counter
 
-from helpers import sweep_orbits
+from helpers import reference_operator_rows, sweep_orbits
 from minflag.cli import ROWS
 from minflag.minrep import Poly, quantum_operator
 
@@ -33,17 +35,21 @@ def test_mutation_census(fresh_memos):
     entries = 0
     for orb in sweep_orbits():
         a = quantum_operator(orb)
+        reference = reference_operator_rows(orb)
         nonzero = a.nonzero()
         entries += len(nonzero)
         for kind, mutate in MUTATIONS.items():
             for i, j, p in nonzero:
                 mutant = a.with_entry(i, j, mutate(p))
                 for name, row in ROWS:
-                    if not row(orb, mutant):
+                    check = row(orb, mutant)
+                    if not check:
                         caught[kind, name] += 1
+                    if name in reference:
+                        assert check == reference[name](mutant), (orb.rs, orb.weight_index, kind, i, j, name)
     assert entries == 918
     assert dict(caught) == CENSUS
     names = {name for name, _row in ROWS}
-    assert OPERATOR_ROWS <= names
+    assert OPERATOR_ROWS <= names and set(reference) == OPERATOR_ROWS
     assert all(sum(caught[kind, name] for kind in MUTATIONS) for name in OPERATOR_ROWS)
     assert not any(caught[kind, name] for kind in MUTATIONS for name in names - OPERATOR_ROWS)

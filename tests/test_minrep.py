@@ -24,6 +24,7 @@ from minflag.minrep import (
     PolyMatrix,
     Q,
     ZERO,
+    _coefficients,
     cartan_action,
     char_poly,
     entry_witness,
@@ -101,8 +102,10 @@ def test_equal_polys_and_ints_hash_alike():
 
 
 def test_poly_rejects_negative_exponents():
-    with pytest.raises(ValueError):
-        Poly({-1: 1})
+    # a zero coefficient is dropped, but its exponent is checked first
+    for coeffs in ({-1: 1}, {-1: 0}, {0: 1, -2: 0}):
+        with pytest.raises(ValueError, match="^negative exponents not supported$"):
+            Poly(coeffs)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.5, 0.0, Fraction(1, 2)], ids=["True", "False", "2.5", "0.0", "Fraction"])
@@ -589,9 +592,9 @@ def test_rep_relations_read_an_h_entry_that_moves_a_vector(monkeypatch, fresh_me
 def test_entry_witness_names_the_first_differing_entry():
     orb = orbit_of("A", 2, 1)
     a = quantum_operator(orb)
-    assert entry_witness(orb, a, a) is None
+    assert entry_witness(orb, _coefficients(a), _coefficients(a)) is None
     b = a.with_entry(2, 0, Q).with_entry(2, 1, 0)
-    assert entry_witness(orb, a, b) == "at ((0,-1), (1,0)): 0 != q"
+    assert entry_witness(orb, _coefficients(a), _coefficients(b)) == "at ((0,-1), (1,0)): 0 != q"
 
 
 def test_poly_matrix_rejects_an_entry_outside_the_matrix():

@@ -126,7 +126,7 @@ def test_columns_matrix_sums_repeated_terms_and_drops_cancelled_ones():
     orb = orbit_of("A", 2, 1)
     # every pair adds 1, so a repeated pair sums; a class with no pairs
     # leaves its column empty
-    m = qchev._columns_matrix(orb, [[(0, 1), (1, 1), (1, 1), (0, 1)], [], []])
+    m = qchev._entries_matrix(orb, qchev._column_entries([[(0, 1), (1, 1), (1, 1), (0, 1)], [], []]))
     assert m.nonzero() == [(1, 0, Poly({0: 2, 1: 2}))]
 
 
@@ -385,14 +385,14 @@ def test_raising_oracle_fails_both_checks(monkeypatch, exc_type, fresh_memos):
 
 def test_oracle_survivor_check_names_the_class(monkeypatch, fresh_memos):
     orb = orbit_of("A", 2, 1)
-    real = qchev.fw_oracle_pass
+    real = qchev._oracle_entries
 
     def two_quantum_terms(orb):
-        matrix, stats = real(orb)
+        entries, stats = real(orb)
         stats[-1] = qchev.OracleSurvivorStats(stats[-1].candidates, 0, 2, stats[-1].candidates - 2)
-        return matrix, stats
+        return entries, stats
 
-    monkeypatch.setattr(qchev, "fw_oracle_pass", two_quantum_terms)
+    monkeypatch.setattr(qchev, "_oracle_entries", two_quantum_terms)
     main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
     assert main and not survivors
     assert survivors.detail == (

@@ -270,6 +270,13 @@ def test_invalid_type_rejected(fam, rank):
         LieType(fam, rank)
 
 
+@pytest.mark.parametrize("rank", [True, 2.0], ids=["True", "2.0"])
+def test_lie_type_rejects_a_rank_that_is_not_an_int(rank):
+    # a bool or float rank would print as "ATrue" or "A2.0" and fail late in build
+    with pytest.raises(TypeError, match=f"^rank must be an int, not {rank!r}$"):
+        LieType("A", rank)
+
+
 def test_symmetrizer_values():
     assert build(LieType("G", 2)).symmetrizers == (Fraction(1, 3), Fraction(1))
     assert build(LieType("B", 3)).symmetrizers == (1, 1, Fraction(1, 2))
