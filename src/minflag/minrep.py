@@ -485,7 +485,7 @@ class Check:
         return self.ok
 
 
-def entry_witness(orb: Orbit, got: _Entries, want: _Entries) -> Optional[str]:
+def _entry_witness(orb: Orbit, got: _Entries, want: _Entries) -> Optional[str]:
     """'at (target, source): got != want' for the first differing entry, or None.
 
     Both are nonzero entries (``_coefficients``), compared in row order;

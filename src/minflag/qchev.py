@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .minrep import Check, Poly, PolyMatrix, _coefficients, _Entries, entry_witness
+from .minrep import Check, Poly, PolyMatrix, _coefficients, _entry_witness, _Entries
 from .rootsys import RootSystem, RootVec, Weight, coroot, pair
 from .weylorbit import Orbit, apply_word, length, poincare_dual
 
@@ -228,12 +228,12 @@ def n_alpha(rs: RootSystem, i: int, alpha: RootVec) -> int:
     Defined for alpha in the divisor complement of lambda_i; equals the
     Coxeter number for every such alpha.
     """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"fundamental weight index {i} out of range")
+    total = _complement_sum(rs, i)  # rs.fundamental_weight(i) checks the range of i
     # (lambda_i, alpha^vee) is coroot coefficient i of alpha
-    if not (rs.is_root(alpha) and alpha.is_positive and coroot(rs, alpha)[i - 1] == 1):
+    co = coroot(rs, alpha) if rs.is_root(alpha) and alpha.is_positive else None
+    if co is None or co[i - 1] != 1:
         raise ValueError(f"{alpha} is not in the divisor complement of weight {i}")
-    return sum(map(mul, coroot(rs, alpha), _complement_sum(rs, i)))
+    return sum(map(mul, co, total))
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +308,7 @@ def main_theorem_check(orb: Orbit, operator: PolyMatrix) -> Check:
 
     Integer entries are compared in one ``==`` per route.  A failure
     names the first differing route, closed form before oracle, and its
-    first differing entry in row order (``entry_witness``); a raising
+    first differing entry in row order (``_entry_witness``); a raising
     oracle fails the row with its text.
     """
     closed = _closed_entries(orb)
@@ -317,7 +317,7 @@ def main_theorem_check(orb: Orbit, operator: PolyMatrix) -> Check:
         return outcome
     got = _coefficients(operator)
     for name, route in (("closed-form product", closed), ("oracle product", outcome[0])):
-        witness = entry_witness(orb, got, route)
+        witness = _entry_witness(orb, got, route)
         if witness:
             return Check(False, f"operator vs {name} {witness}")
     return Check(True, "three routes entrywise equal")
@@ -371,34 +371,34 @@ def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """A^T G = G A for the operator A, G the Poincare pairing.
 
     Entrywise: A at (mu, nu) equals A at (nu*, mu*), * the Poincare dual.
-    Only a failed integer pass walks ``nonzero()`` for the witness.
+    One pass over the integer entries; a failure names the first in row order.
     """
     w = [el.weight for el in orb.elements]
     dual = [orb.index_of[poincare_dual(orb, mu).pairings] for mu in w]
     entries = _coefficients(operator)
-    if not all(entries.get((dual[j], dual[i])) == c for (i, j), c in entries.items()):
-        for i, j, p in operator.nonzero():
-            if operator.entry(dual[j], dual[i]) != p:
-                return Check(False, f"A at ({w[i]}, {w[j]}) is {p} but at its dual entry "
-                                    f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
+    bad = [(i, j) for (i, j), c in entries.items() if entries.get((dual[j], dual[i])) != c]
+    if bad:
+        i, j = min(bad)
+        return Check(False, f"A at ({w[i]}, {w[j]}) is {operator.entry(i, j)} but at its dual entry "
+                            f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
     return Check(True, "A^T G = G A")
 
 
 def grading_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """Every entry of the operator is homogeneous: length(target) = length(source) + 1 - p*s.
 
-    Only a failed integer pass walks ``nonzero()`` for the witness.
+    One pass over the integer entries; a failure names the first entry in
+    row order and its lowest failing exponent.
     """
     s = orb.rs.coxeter_number
     lengths = _lengths(orb)
-    entries = _coefficients(operator)
-    if not all(lengths[i] == lengths[j] + 1 - exp * s for (i, j), c in entries.items() for exp in c):
-        for i, j, p in operator.nonzero():
-            for exp, _coeff in p.items():
-                if lengths[i] != lengths[j] + 1 - exp * s:
-                    w = orb.elements
-                    return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
-                                        f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
+    bad = [(i, j, exp) for (i, j), c in _coefficients(operator).items() for exp in c
+           if lengths[i] != lengths[j] + 1 - exp * s]
+    if bad:
+        i, j, exp = min(bad)
+        w = orb.elements
+        return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
+                            f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
     return Check(True, "deg q = s homogeneity")
 
 

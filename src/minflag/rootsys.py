@@ -342,22 +342,16 @@ class RootSystem:
         in +-Delta+ to the interned root s_j(beta).
 
         s_j beta = beta - p alpha_j with p = (beta, alpha_j^vee), entry j of
-        ``root_pairings``, so no reflection is computed.  Each table starts
-        as a copy of the identity map, and only the roots with p != 0 are
-        filled in.  Built on first use, never by ``build``: only
-        ``weylorbit.apply_word`` reads it.
+        ``root_pairings``, so no reflection is computed.  Each table is the
+        identity map with the roots of p != 0 overwritten.  Built on first
+        use, never by ``build``: only ``weylorbit.apply_word`` reads it.
         """
         roots = {r.coeffs: r for r in self.positive_roots + tuple(-r for r in self.positive_roots)}
         pairings = self.root_pairings
-        tables = []
-        for j in range(self.rank):
-            table = dict(roots)
-            for c, pc in pairings.items():
-                p = pc[j]
-                if p:
-                    table[c] = roots[c[:j] + (c[j] - p,) + c[j + 1:]]
-            tables.append(table)
-        return tuple(tables)
+        return tuple(
+            {**roots, **{c: roots[c[:j] + (c[j] - pc[j],) + c[j + 1:]] for c, pc in pairings.items() if pc[j]}}
+            for j in range(self.rank)
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.lie_type == other.lie_type

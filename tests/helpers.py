@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import minflag.minrep as minrep
 from minflag import qchev, ttstar, weylorbit
 from minflag.cli import SweepConfig, sweep_cases
-from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, entry_witness
+from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, _entry_witness
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, diagram_involution, minuscule_weights
 from minflag.satake import wedge_subsets
 from minflag.weylorbit import Orbit, OrbitElement, orbit, poincare_dual
@@ -293,13 +293,13 @@ def reference_rep_relations(orb: Orbit) -> Check:
     for checks, (failure, x, y, want) in enumerate(relations(), 1):
         got = _int_commutator(x, y)
         if got != want:
-            witness = entry_witness(orb, _as_entries(got), _as_entries(want))
+            witness = _entry_witness(orb, _as_entries(got), _as_entries(want))
             return Check(False, f"{failure} {witness}")
     return Check(True, f"{checks} brackets")
 
 
 def _as_entries(m: dict[tuple[int, int], int]) -> dict[tuple[int, int], dict[int, int]]:
-    """Integer entries as the constant polynomial entries ``entry_witness`` reads."""
+    """Integer entries as the constant polynomial entries ``_entry_witness`` reads."""
     return {key: {0: v} for key, v in m.items()}
 
 

@@ -25,9 +25,9 @@ from minflag.minrep import (
     Q,
     ZERO,
     _coefficients,
+    _entry_witness,
     cartan_action,
     char_poly,
-    entry_witness,
     lowering_matrix,
     psi_raising_matrix,
     quantum_operator,
@@ -592,9 +592,9 @@ def test_rep_relations_read_an_h_entry_that_moves_a_vector(monkeypatch, fresh_me
 def test_entry_witness_names_the_first_differing_entry():
     orb = orbit_of("A", 2, 1)
     a = quantum_operator(orb)
-    assert entry_witness(orb, _coefficients(a), _coefficients(a)) is None
+    assert _entry_witness(orb, _coefficients(a), _coefficients(a)) is None
     b = a.with_entry(2, 0, Q).with_entry(2, 1, 0)
-    assert entry_witness(orb, _coefficients(a), _coefficients(b)) == "at ((0,-1), (1,0)): 0 != q"
+    assert _entry_witness(orb, _coefficients(a), _coefficients(b)) == "at ((0,-1), (1,0)): 0 != q"
 
 
 def test_poly_matrix_rejects_an_entry_outside_the_matrix():

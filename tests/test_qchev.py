@@ -282,6 +282,18 @@ def test_grading_moved_q_power_names_the_entry():
     assert check.detail == "q^2 at ((1,0), (0,-1)): length 0 != 2 + 1 - 2*3"
 
 
+def test_grading_names_the_first_failing_entry_and_its_lowest_exponent():
+    # two failing entries, the first with two failing exponents: the witness
+    # is the first entry in row order at its lowest failing exponent
+    orb = orbit_of("A", 2, 1)
+    a = quantum_operator(orb)
+    (i, j, _p), (k, l, _r) = a.nonzero()[0], a.nonzero()[-1]
+    mutated = a.with_entry(k, l, Poly({2: 1})).with_entry(i, j, Poly({3: 1, 2: 1}))
+    check = grading_check(orb, mutated)
+    assert check == helpers.reference_operator_rows(orb)["grading"](mutated)
+    assert check.detail == "q^2 at ((1,0), (0,-1)): length 0 != 2 + 1 - 2*3"
+
+
 def test_trichotomy_tampered_orbit_names_weight_and_root():
     check = trichotomy_check(_truncated(orbit_of("A", 2, 1)))
     assert not check
