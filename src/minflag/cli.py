@@ -37,7 +37,7 @@ from typing import Optional, Sequence, TextIO
 from . import minrep, qchev, satake, ttstar
 from .minrep import Check, PolyMatrix
 from .rootsys import FAMILIES, LieType, Weight, build, minuscule_weights
-from .weylorbit import Orbit, crystal_edges, expected_orbit_size, orbit, poincare_dual
+from .weylorbit import Orbit, crystal_edges, dual_positions, expected_orbit_size, orbit
 
 _MIN_SWEEP_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -117,13 +117,11 @@ ROWS = (
 
 
 def delete_detectable_edge(orb: Orbit, operator: PolyMatrix) -> PolyMatrix:
-    """Delete the first edge whose Poincare-dual partner is another entry, else the first."""
-    for (i, j, p) in operator.nonzero():
-        di = orb.index_of[poincare_dual(orb, orb.elements[j].weight).pairings]
-        dj = orb.index_of[poincare_dual(orb, orb.elements[i].weight).pairings]
-        if (di, dj) != (i, j):
-            return operator.with_entry(i, j, 0)
-    return operator.with_entry(*operator.nonzero()[0][:2], 0)
+    """Delete the first edge in row order whose Poincare-dual partner is another entry, else the first."""
+    dual = dual_positions(orb)
+    keys = sorted(operator.entries)
+    i, j = next(((i, j) for i, j in keys if (dual[j], dual[i]) != (i, j)), keys[0])
+    return operator.with_entry(i, j, 0)
 
 
 def cmd_verify(config: SweepConfig, corrupt: bool = False, out: TextIO = sys.stdout) -> int:
@@ -160,8 +158,9 @@ def json_text(doc: dict) -> str:
     Values are dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
     and ``None``; a PolyMatrix at any depth is written as its dense n x n
     array of [exponent, coefficient-string] pair lists, zero entries as
-    ``[]`` (``_matrix_text``).  Anything else, a non-``str`` key included,
-    raises ``TypeError``.
+    ``[]``, straight from its integer entries (``_matrix_text`` reads
+    ``PolyMatrix.entries`` and makes no Poly).  Anything else, a
+    non-``str`` key included, raises ``TypeError``.
     """
     return _value_text(doc, "")
 
@@ -220,8 +219,8 @@ def _matrix_text(m: PolyMatrix, pad: str) -> str:
     zero = cell_pad + "[]"
     rows = [[zero] * m.n for _ in range(m.n)]
     texts: dict[tuple[tuple[int, int], ...], str] = {}
-    for i, j, p in m.nonzero():
-        key = p.items()
+    for (i, j), coeffs in m.entries.items():
+        key = tuple(sorted(coeffs.items()))
         text = texts.get(key)
         if text is None:
             pairs = ",\n".join(f'{pair_pad}[\n{item_pad}{e},\n{item_pad}"{c}"\n{pair_pad}]' for e, c in key)
@@ -378,6 +377,8 @@ def cmd_satake(
     else:
         if n is None or k is None:
             raise ConfigError("either --n and --k, or --family D --rank N, are required")
+        if rank is not None:
+            raise ConfigError("--rank only combines with --family D")
         if not 1 <= k <= n:
             raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
         doc = {"kind": "wedge-similarity", "n": n, "k": k}

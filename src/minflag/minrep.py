@@ -10,16 +10,21 @@ contributes the single q-weighted block of
     A(q) = sum_j E-(j) + q * E_psi.
 
 Each kind of generator is built once per orbit as index maps {source:
-(target, coefficient)}.  A(q) is summed from them, and the
+(target, coefficient)}.  A(q) sums their integer coefficients, and the
 ``brackets`` kernel reads the bracket relations off their edges in one
 pass over the basis; ``lowering_matrix``, ``raising_matrix``,
 ``cartan_action`` and ``psi_raising_matrix`` are PolyMatrix views.
 A(q), the E-(j) and E+(j) maps and the E_psi map keep the latest
 orbit's result, so every caller on one orbit reads the same object and
-none may change it.  Matrices live over Poly, integer polynomials in
-one formal variable q with ``int`` coefficients.  PolyMatrix is a
-sparse container with no mutators, not an algebra: nothing here
-multiplies or adds matrices.
+none may change it.  A PolyMatrix has one form, its nonzero entries as
+integer coefficients {(row, col): {q_power: coeff}}
+(``PolyMatrix.entries``), which every check, kernel and writer reads.
+A Poly, an integer polynomial in one formal variable q with ``int``
+coefficients, is built only for a caller that reads one entry
+(``entry``, ``nonzero``); every entry form passes ``_checked``, the
+validator ``Poly`` uses.  PolyMatrix is a sparse container with no
+mutators, not an algebra: nothing here adds or multiplies matrices or
+Polys.
 The characteristic polynomial is the one place q takes integer values:
 a sparse integer Berkowitz kernel runs on A(1), and the q-grading of
 A(q) lifts its coefficients back exactly (other matrices are
@@ -38,6 +43,28 @@ from .weylorbit import Orbit
 
 PolyLike = Union["Poly", int]
 
+# a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
+_Entries = dict[tuple[int, int], dict[int, int]]
+
+
+def _checked(coeffs: Mapping[int, int]) -> dict[int, int]:
+    """coeffs without its zero terms, each exponent and coefficient checked: the one validator.
+
+    Every exponent and coefficient must be an ``int`` (TypeError) and
+    every exponent nonnegative (ValueError), zero terms included.
+    """
+    c = {}
+    for e, v in coeffs.items():
+        if type(e) is not int:
+            raise TypeError(f"exponents must be int, not {type(e).__name__}")
+        if type(v) is not int:
+            raise TypeError(f"coefficients must be int, not {type(v).__name__}")
+        if e < 0:
+            raise ValueError("negative exponents not supported")
+        if v:
+            c[e] = v
+    return c
+
 
 class Poly:
     """Sparse polynomial in q: a map from exponent to nonzero integer.
@@ -49,18 +76,14 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Optional[Mapping[int, int]] = None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if type(e) is not int:
-                    raise TypeError(f"exponents must be int, not {type(e).__name__}")
-                if type(v) is not int:
-                    raise TypeError(f"coefficients must be int, not {type(v).__name__}")
-                if e < 0:
-                    raise ValueError("negative exponents not supported")
-                if v:
-                    c[e] = v
-        self._c = c
+        self._c = _checked(coeffs) if coeffs else {}
+
+    @classmethod
+    def _of(cls, c: dict[int, int]) -> "Poly":
+        """The Poly of an already checked {exponent: nonzero coefficient} dict, shared, not copied."""
+        p = cls.__new__(cls)
+        p._c = c
+        return p
 
     @classmethod
     def const(cls, v: int) -> "Poly":
@@ -172,39 +195,44 @@ Q = Poly.term(1, 1)
 class PolyMatrix:
     """Square matrix over Poly, stored sparsely: a container, not an algebra.
 
-    Only its nonzero entries are kept; ``nonzero`` lists them in row
-    order, and ``with_entry`` returns a changed copy.  It has no
-    mutators, so the memoized A(q) is safe to share.
+    ``entries`` holds its nonzero entries as integer coefficients
+    {(row, col): {q_power: coeff}}, the form every check reads; it is
+    shared, not copied, so read it and never change it.  ``entry`` and
+    ``nonzero`` (in row order) wrap the stored dicts as Poly, and
+    ``with_entry`` returns a changed copy.  It has no mutators, so the
+    memoized A(q) is safe to share.
     """
 
     __slots__ = ("n", "_e")
 
-    def __init__(self, n: int, entries: Optional[Mapping[tuple[int, int], PolyLike]] = None):
+    def __init__(self, n: int, entries: Optional[Mapping[tuple[int, int], Union[PolyLike, dict[int, int]]]] = None):
         self.n = n
-        e: dict[tuple[int, int], Poly] = {}
+        e: _Entries = {}
         if entries:
             for (i, j), v in entries.items():
-                if not 0 <= i < n or not 0 <= j < n:
+                if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"entry ({i},{j}) outside a {n}x{n} matrix")
-                p = v if isinstance(v, Poly) else Poly.const(v)
-                if p:
-                    e[(i, j)] = p
+                # a Poly's coefficients were checked when it was made
+                c = _checked(v) if isinstance(v, dict) else v._c if isinstance(v, Poly) else _checked({0: v})
+                if c:
+                    e[(i, j)] = c
         self._e = e
 
+    @property
+    def entries(self) -> _Entries:
+        """The nonzero entries {(row, col): {q_power: coeff}}, shared: read them, never change them."""
+        return self._e
+
     def entry(self, i: int, j: int) -> Poly:
-        return self._e.get((i, j), ZERO)
+        return Poly._of(self._e[(i, j)]) if (i, j) in self._e else ZERO
 
     def nonzero(self) -> list[tuple[int, int, Poly]]:
-        return [(i, j, p) for (i, j), p in sorted(self._e.items())]
+        return [(i, j, Poly._of(c)) for (i, j), c in sorted(self._e.items())]
 
-    def with_entry(self, i: int, j: int, value: PolyLike) -> "PolyMatrix":
-        e = dict(self._e)
-        p = value if isinstance(value, Poly) else Poly.const(value)
-        if p:
-            e[(i, j)] = p
-        else:
-            e.pop((i, j), None)
-        return PolyMatrix(self.n, e)
+    def with_entry(self, i: int, j: int, value: Union[PolyLike, dict[int, int]]) -> "PolyMatrix":
+        new = PolyMatrix(self.n, {(i, j): value})  # checks the position and the value alone
+        new._e = {**self._e, **new._e} if new._e else {k: c for k, c in self._e.items() if k != (i, j)}
+        return new
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -240,27 +268,15 @@ def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
                 out.append(ZERO)
         return tuple(out)
     row_degree = [0] * n
-    for (i, _j), p in m._e.items():
-        row_degree[i] = max(row_degree[i], p.degree)
+    for (i, _j), c in m.entries.items():
+        row_degree[i] = max(row_degree[i], max(c))
     values = [_berkowitz_int(n, _at(m, x)) for x in range(sum(row_degree) + 1)]
     return tuple(_interpolate([v[k] for v in values]) for k in range(n + 1))
 
 
-# a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
-_Entries = dict[tuple[int, int], dict[int, int]]
-
-
-def _coefficients(m: PolyMatrix) -> _Entries:
-    """The stored (nonzero) entries of M as {(row, col): {exponent: coefficient}}, unsorted.
-
-    The inner dicts are M's own, shared and not copied: read them only.
-    """
-    return {k: p._c for k, p in m._e.items()}
-
-
 def _at(m: PolyMatrix, x: int) -> dict[tuple[int, int], int]:
     """The stored (nonzero) entries of M, evaluated at q = x."""
-    return {k: sum(v * x**e for e, v in p._c.items()) for k, p in m._e.items()}
+    return {k: sum(v * x**e for e, v in c.items()) for k, c in m.entries.items()}
 
 
 def _grading_degree(m: PolyMatrix) -> Optional[int]:
@@ -275,10 +291,10 @@ def _grading_degree(m: PolyMatrix) -> Optional[int]:
     serves, so 1 is returned.
     """
     adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(m.n)]
-    for (i, j), p in m._e.items():
-        if len(p._c) != 1:
+    for (i, j), c in m.entries.items():
+        if len(c) != 1:
             return None
-        (e,) = p._c
+        (e,) = c
         adjacent[j].append((i, 1, -e))
         adjacent[i].append((j, -1, e))
     degree: list[Optional[tuple[int, int]]] = [None] * m.n
@@ -462,15 +478,16 @@ def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
 def quantum_operator(orb: Orbit) -> PolyMatrix:
     """A(q) = sum_j E-(j) + q E_psi, summed from the generators' index maps; coinciding entries add.
 
-    Only the latest orbit's A(q) is kept: consecutive calls on one orbit
-    return the same PolyMatrix.
+    The map coefficients add as integers per q-power; a sum of 0 leaves
+    no term.  Only the latest orbit's A(q) is kept: consecutive calls on
+    one orbit return the same PolyMatrix.
     """
-    entries: dict[tuple[int, int], Poly] = {}
-    for term, maps in ((ONE, _lowering_maps(orb)), (Q, [_psi_map(orb)])):
+    entries: _Entries = {}
+    for q_power, maps in ((0, _lowering_maps(orb)), (1, [_psi_map(orb)])):
         for m in maps:
             for c, (t, v) in m.items():
-                p = term if v == 1 else v * term
-                entries[t, c] = entries[t, c] + p if (t, c) in entries else p
+                coeffs = entries.setdefault((t, c), {})
+                coeffs[q_power] = coeffs.get(q_power, 0) + v
     return PolyMatrix(orb.size, entries)
 
 
@@ -485,17 +502,18 @@ class Check:
         return self.ok
 
 
-def _entry_witness(orb: Orbit, got: _Entries, want: _Entries) -> Optional[str]:
+def _entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[str]:
     """'at (target, source): got != want' for the first differing entry, or None.
 
-    Both are nonzero entries (``_coefficients``), compared in row order;
-    only the differing pair is printed, and a missing entry reads 0.
+    The matrices are compared in one ``==``, then entry by entry in row
+    order; only the differing pair is printed, and a missing entry reads 0.
     """
     if got == want:
         return None
-    i, j = next(k for k in sorted(got.keys() | want.keys()) if got.get(k, {}) != want.get(k, {}))
+    a, b = got.entries, want.entries
+    i, j = next(k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k))
     w = orb.elements
-    return f"at ({w[i].weight}, {w[j].weight}): {Poly(got.get((i, j)))} != {Poly(want.get((i, j)))}"
+    return f"at ({w[i].weight}, {w[j].weight}): {got.entry(i, j)} != {want.entry(i, j)}"
 
 
 def verify_rep_relations(orb: Orbit) -> Check:

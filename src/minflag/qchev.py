@@ -24,19 +24,20 @@ quantum one to the negative of the highest root.
 
 Both routes return a product as a list of (q_power, position) pairs,
 position indexing ``orb.elements``: one column of A(q).  No pair
-carries a coefficient: each is (lambda_i, alpha^vee) = 1.  The checks
-sum the columns into integer entries {(row, col): {q_power: coeff}},
-the ``minrep._coefficients`` form; ``_closed_entries`` keeps the closed
-route's for the latest orbit.  ``quantum_product_matrix``,
-``fw_oracle_pass`` and ``fw_oracle_matrix`` are PolyMatrix views.
+carries a coefficient: each is (lambda_i, alpha^vee) = 1.
+``_columns_matrix`` sums the columns into a PolyMatrix: the closed
+route's is ``quantum_product_matrix``, kept for the latest orbit, and
+the oracle's comes from ``fw_oracle_pass`` with its survivor counts.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
-``main_theorem_check`` compares the operator's integer entries with
-each route's in one ``==``, and ``survivor_check`` checks that the
-oracle's survivors classify as the closed form predicts; both read one
-oracle pass per orbit, ``_oracle_outcome``.  Frobenius symmetry and
-q-grading homogeneity each accept in one pass over the integer entries.
+``main_theorem_check`` compares the operator with each route's matrix
+in one ``==``, and ``survivor_check`` checks that the oracle's
+survivors classify as the closed form predicts; both read one oracle
+pass per orbit, ``_oracle_outcome``.  Frobenius symmetry and q-grading
+homogeneity each accept in one pass over the operator's integer
+entries (``PolyMatrix.entries``); the Frobenius row reads the orbit's
+Poincare-dual positions from ``weylorbit.dual_positions``.
 These three checks are handed the operator they check, A(q) or a
 corrupted copy, and never build A(q).  Every check returns one
 ``minrep.Check`` whose detail names a failure's witness, the first in
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .minrep import Check, Poly, PolyMatrix, _coefficients, _entry_witness, _Entries
+from .minrep import Check, PolyMatrix, _entry_witness, _Entries
 from .rootsys import RootSystem, RootVec, Weight, coroot, pair
-from .weylorbit import Orbit, apply_word, length, poincare_dual
+from .weylorbit import Orbit, apply_word, dual_positions, length
 
 
 def divisor_complement(orb: Orbit) -> tuple[RootVec, ...]:
@@ -244,14 +245,13 @@ def _complement_sum(rs: RootSystem, i: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1)
-def _closed_entries(orb: Orbit) -> _Entries:
-    """The closed route's entries, read-only: kept for the latest orbit, so the census runs the route once per orbit."""
-    return _column_entries([chevalley_closed(orb, el.weight) for el in orb.elements])
-
-
 def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
-    """Matrix of the divisor product, columns from the closed form: a PolyMatrix view."""
-    return _entries_matrix(orb, _closed_entries(orb))
+    """Matrix of the divisor product, columns from the closed form.
+
+    Only the latest orbit's matrix is kept, so the census runs the route
+    once per orbit; callers read it and never change it.
+    """
+    return _columns_matrix(orb, [chevalley_closed(orb, el.weight) for el in orb.elements])
 
 
 @dataclass
@@ -270,8 +270,8 @@ def _survivor_stats(n_cand: int, terms: list[tuple[int, int]]) -> OracleSurvivor
     return OracleSurvivorStats(n_cand, classical, quantum, n_cand - classical - quantum)
 
 
-def _oracle_entries(orb: Orbit) -> tuple[_Entries, list[OracleSurvivorStats]]:
-    """One oracle run over every class: the matrix as entries and the survivor counts.
+def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
+    """One oracle run over every class: the matrix and the survivor counts.
 
     Calls ``chevalley_fw_oracle`` once per class; the k-th survivor
     count belongs to the k-th orbit element, in canonical order, and its
@@ -280,25 +280,19 @@ def _oracle_entries(orb: Orbit) -> tuple[_Entries, list[OracleSurvivorStats]]:
     """
     columns = [chevalley_fw_oracle(orb, el.weight) for el in orb.elements]
     stats = [_survivor_stats(len(row), terms) for row, terms in zip(_oracle_table(orb), columns)]
-    return _column_entries(columns), stats
-
-
-def fw_oracle_pass(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]]:
-    """``_oracle_entries`` with the matrix as a PolyMatrix view."""
-    entries, stats = _oracle_entries(orb)
-    return _entries_matrix(orb, entries), stats
+    return _columns_matrix(orb, columns), stats
 
 
 @lru_cache(maxsize=1)
-def _oracle_outcome(orb: Orbit) -> tuple[_Entries, list[OracleSurvivorStats]] | Check:
-    """``_oracle_entries(orb)``, or the failed Check its AssertionError or ValueError makes.
+def _oracle_outcome(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]] | Check:
+    """``fw_oracle_pass(orb)``, or the failed Check its AssertionError or ValueError makes.
 
     The main-theorem and survivor rows both read this memo, so the
     oracle runs once per orbit, also when it raises.  Only the most
     recent orbit's outcome is kept.
     """
     try:
-        return _oracle_entries(orb)
+        return fw_oracle_pass(orb)
     except (AssertionError, ValueError) as exc:
         return Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
 
@@ -306,18 +300,17 @@ def _oracle_outcome(orb: Orbit) -> tuple[_Entries, list[OracleSurvivorStats]] | 
 def main_theorem_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """The operator, A(q) or a corrupted copy, equals both product routes entrywise.
 
-    Integer entries are compared in one ``==`` per route.  A failure
-    names the first differing route, closed form before oracle, and its
-    first differing entry in row order (``_entry_witness``); a raising
-    oracle fails the row with its text.
+    The matrices are compared in one ``==`` per route.  A failure names
+    the first differing route, closed form before oracle, and its first
+    differing entry in row order (``_entry_witness``); a raising oracle
+    fails the row with its text.
     """
-    closed = _closed_entries(orb)
+    closed = quantum_product_matrix(orb)
     outcome = _oracle_outcome(orb)
     if isinstance(outcome, Check):
         return outcome
-    got = _coefficients(operator)
     for name, route in (("closed-form product", closed), ("oracle product", outcome[0])):
-        witness = _entry_witness(orb, got, route)
+        witness = _entry_witness(orb, operator, route)
         if witness:
             return Check(False, f"operator vs {name} {witness}")
     return Check(True, "three routes entrywise equal")
@@ -349,8 +342,8 @@ def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
     return _survivor_stats(len(_oracle_table(orb)[orb.index_of[mu.pairings]]), terms)
 
 
-def _column_entries(columns: list[list[tuple[int, int]]]) -> _Entries:
-    """The entries of the matrix whose column k holds the (q_power, position) pairs of the k-th class's product.
+def _columns_matrix(orb: Orbit, columns: list[list[tuple[int, int]]]) -> PolyMatrix:
+    """The matrix whose column k holds the (q_power, position) pairs of the k-th class's product.
 
     Each pair adds 1 to the q^q_power coefficient at (position, k).
     """
@@ -359,12 +352,7 @@ def _column_entries(columns: list[list[tuple[int, int]]]) -> _Entries:
         for q_power, t in terms:
             entry = coeffs.setdefault((t, src), {})
             entry[q_power] = entry.get(q_power, 0) + 1
-    return coeffs
-
-
-def _entries_matrix(orb: Orbit, entries: _Entries) -> PolyMatrix:
-    """The PolyMatrix view of a route's entries."""
-    return PolyMatrix(orb.size, {key: Poly(c) for key, c in entries.items()})
+    return PolyMatrix(orb.size, coeffs)
 
 
 def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
@@ -373,12 +361,11 @@ def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
     Entrywise: A at (mu, nu) equals A at (nu*, mu*), * the Poincare dual.
     One pass over the integer entries; a failure names the first in row order.
     """
-    w = [el.weight for el in orb.elements]
-    dual = [orb.index_of[poincare_dual(orb, mu).pairings] for mu in w]
-    entries = _coefficients(operator)
+    dual, entries = dual_positions(orb), operator.entries
     bad = [(i, j) for (i, j), c in entries.items() if entries.get((dual[j], dual[i])) != c]
     if bad:
         i, j = min(bad)
+        w = [el.weight for el in orb.elements]
         return Check(False, f"A at ({w[i]}, {w[j]}) is {operator.entry(i, j)} but at its dual entry "
                             f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
     return Check(True, "A^T G = G A")
@@ -392,7 +379,7 @@ def grading_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """
     s = orb.rs.coxeter_number
     lengths = _lengths(orb)
-    bad = [(i, j, exp) for (i, j), c in _coefficients(operator).items() for exp in c
+    bad = [(i, j, exp) for (i, j), c in operator.entries.items() for exp in c
            if lengths[i] != lengths[j] + 1 - exp * s]
     if bad:
         i, j, exp = min(bad)

@@ -7,15 +7,17 @@ to the Grassmannian quantum operator by a diagonal sign matrix.
 support graph and then verifies it globally, so a single wrong sign is
 caught with an explicit inconsistent cycle.
 
-Two private kernels do the work on integer entries {(row, col):
-{exponent: coefficient}}: ``_wedge`` accumulates the Leibniz action
-straight into the positions a subset map gives, with the parity twist
-folded into its terms, and ``_match_signs`` compares two matrices up to
-sign, entry by entry through ``_sign_ratio``, accepting two equal ones
-with every sign +1 before any propagation.  ``satake_similarity`` runs
-them end to end, building no matrix but the two A(q); ``wedge_matrix``,
-``wedge_weight_alignment`` and ``sign_similarity`` are PolyMatrix views
-of the same kernels.
+Two private kernels do the work on a matrix's integer entries
+{(row, col): {exponent: coefficient}}, the form ``PolyMatrix.entries``
+holds: ``_wedge`` accumulates the Leibniz action straight into the
+positions a subset map gives, with the parity twist folded into its
+terms, and ``_match_signs`` compares two matrices up to sign, entry by
+entry through ``_sign_ratio``, accepting two equal ones with every sign
++1 before any propagation.  ``satake_similarity`` runs them end to end,
+building no matrix but the two A(q); ``wedge_matrix``,
+``wedge_weight_alignment`` and ``sign_similarity`` hand the same
+kernels a PolyMatrix's entries, or wrap their entries in one, with no
+conversion either way.
 
 Type D: the endomorphism algebra of a spinor-variety quantum cohomology
 matches the even half-wedge of the quadric side at the level of total
@@ -32,7 +34,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from .minrep import Poly, PolyMatrix, _coefficients, _Entries, quantum_operator
+from .minrep import Poly, PolyMatrix, _Entries, quantum_operator
 from .rootsys import LieType, build
 from .weylorbit import Orbit, expected_orbit_size, orbit
 
@@ -45,7 +47,8 @@ class SignDiagonal:
 
     def conjugate(self, m: PolyMatrix) -> PolyMatrix:
         d = self.signs
-        return PolyMatrix(m.n, {(i, j): p * (d[i] * d[j]) for (i, j, p) in m.nonzero()})
+        return PolyMatrix(m.n, {(i, j): {e: v * d[i] * d[j] for e, v in c.items()}
+                                for (i, j), c in m.entries.items()})
 
 
 class SignSimilarityError(ValueError):
@@ -114,8 +117,7 @@ def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge degree k={k} must satisfy 1 <= k <= {n - 1}")
     subsets = wedge_subsets(n, k)
-    acc = _wedge(_coefficients(m), {s: p for p, s in enumerate(subsets)}, 1)
-    return PolyMatrix(len(subsets), {key: Poly(coeffs) for key, coeffs in acc.items()})
+    return PolyMatrix(len(subsets), _wedge(m.entries, {s: p for p, s in enumerate(subsets)}, 1))
 
 
 def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
@@ -129,7 +131,7 @@ def sign_similarity(a: PolyMatrix, b: PolyMatrix) -> SignDiagonal:
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    return SignDiagonal(_match_signs(a.n, _coefficients(a), _coefficients(b)))
+    return SignDiagonal(_match_signs(a.n, a.entries, b.entries))
 
 
 def _match_signs(n: int, a: _Entries, b: _Entries) -> tuple[int, ...]:
@@ -245,7 +247,7 @@ def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
         )
     lines = [el.weight.pairings for el in line.elements]
     place = {s: gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets}
-    return gr, _wedge(_coefficients(quantum_operator(line)), place, (-1) ** (k - 1))
+    return gr, _wedge(quantum_operator(line).entries, place, (-1) ** (k - 1))
 
 
 def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
@@ -264,7 +266,7 @@ def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
     ``sign_similarity`` to discover.
     """
     gr, wedge = _aligned_wedge(n, k)
-    return PolyMatrix(gr.size, {key: Poly(coeffs) for key, coeffs in wedge.items()}), quantum_operator(gr)
+    return PolyMatrix(gr.size, wedge), quantum_operator(gr)
 
 
 def satake_similarity(n: int, k: int) -> SignDiagonal:
@@ -277,7 +279,7 @@ def satake_similarity(n: int, k: int) -> SignDiagonal:
     without sign propagation.
     """
     gr, wedge = _aligned_wedge(n, k)
-    return SignDiagonal(_match_signs(gr.size, wedge, _coefficients(quantum_operator(gr))))
+    return SignDiagonal(_match_signs(gr.size, wedge, quantum_operator(gr).entries))
 
 
 @dataclass

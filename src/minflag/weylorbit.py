@@ -15,7 +15,9 @@ element is unique.  Two things read the words: the ``orbit`` emitter
 writes them out, and the tests check the oracle's own transport against
 them.  The divisor-product oracle and ``length`` read none of them.
 ``crystal_edges`` keeps the latest orbit's edge list, which the crystal
-JSON and DOT emitters of one orbit share.
+JSON and DOT emitters of one orbit share, and ``dual_positions`` the
+latest orbit's Poincare-dual positions, which the Frobenius row and the
+``verify --self-test-corrupt`` mutation share.
 
 ``expected_orbit_size`` holds the closed-form orbit sizes |W/W_P|, the
 one table of them: the ``orbit-size`` row of ``verify`` checks the BFS
@@ -235,3 +237,14 @@ def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
     if dual.pairings not in orb.index_of:
         raise AssertionError(f"the dual {dual} of {mu} is not in the orbit")
     return dual
+
+
+@lru_cache(maxsize=1)
+def dual_positions(orb: Orbit) -> tuple[int, ...]:
+    """The position of each element's ``poincare_dual``, by canonical index.
+
+    Only the latest orbit's tuple is kept, so ``poincare_dual`` runs
+    once per element however often the Frobenius row and the mutation
+    helper of one orbit read it.
+    """
+    return tuple(orb.index_of[poincare_dual(orb, el.weight).pairings] for el in orb.elements)

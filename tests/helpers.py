@@ -17,8 +17,9 @@ SWEEP = sweep_cases(SweepConfig())
 
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
-    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev._closed_entries,
-    minrep.quantum_operator, minrep._psi_map, minrep._simple_root_maps, weylorbit.crystal_edges, ttstar._toda_data,
+    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
+    minrep.quantum_operator, minrep._psi_map, minrep._simple_root_maps, weylorbit.crystal_edges,
+    weylorbit.dual_positions, ttstar._toda_data,
 )
 
 
@@ -213,7 +214,7 @@ def reference_operator_rows(orb: Orbit) -> dict[str, Callable[[PolyMatrix], Chec
     """The main-theorem, frobenius and grading rows on PolyMatrix entries, by row name.
 
     The test-only references the integer-entry rows of ``qchev`` are
-    compared against.  The routes are the PolyMatrix views
+    compared against.  The routes are the matrices of
     ``quantum_product_matrix`` and ``fw_oracle_matrix``, built once here
     for every operator checked on the orbit; each row compares Poly
     entries and walks the operator's ``nonzero()`` in row order.
@@ -293,14 +294,9 @@ def reference_rep_relations(orb: Orbit) -> Check:
     for checks, (failure, x, y, want) in enumerate(relations(), 1):
         got = _int_commutator(x, y)
         if got != want:
-            witness = _entry_witness(orb, _as_entries(got), _as_entries(want))
+            witness = _entry_witness(orb, PolyMatrix(orb.size, got), PolyMatrix(orb.size, want))
             return Check(False, f"{failure} {witness}")
     return Check(True, f"{checks} brackets")
-
-
-def _as_entries(m: dict[tuple[int, int], int]) -> dict[tuple[int, int], dict[int, int]]:
-    """Integer entries as the constant polynomial entries ``_entry_witness`` reads."""
-    return {key: {0: v} for key, v in m.items()}
 
 
 def _constant_rows(m: PolyMatrix) -> dict[int, dict[int, int]]:

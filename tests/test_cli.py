@@ -814,6 +814,10 @@ def test_satake_command_argument_errors():
         cmd_satake(3, 2, family="D", rank=4, out=io.StringIO())
     assert main(["satake", "--family", "D", "--rank", "2"]) == 2
     assert main(["satake"]) == 2
+    # --rank beside --n/--k would be ignored, as --n/--k beside --family would be
+    assert main(["satake", "--n", "3", "--k", "2", "--rank", "5"]) == 2
+    with pytest.raises(ConfigError, match="^--rank only combines with --family D$"):
+        cmd_satake(3, 2, rank=5, out=io.StringIO())
 
 
 def test_main_verify_small():

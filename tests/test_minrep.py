@@ -24,7 +24,6 @@ from minflag.minrep import (
     PolyMatrix,
     Q,
     ZERO,
-    _coefficients,
     _entry_witness,
     cartan_action,
     char_poly,
@@ -104,15 +103,17 @@ def test_equal_polys_and_ints_hash_alike():
 def test_poly_rejects_negative_exponents():
     # a zero coefficient is dropped, but its exponent is checked first
     for coeffs in ({-1: 1}, {-1: 0}, {0: 1, -2: 0}):
-        with pytest.raises(ValueError, match="^negative exponents not supported$"):
-            Poly(coeffs)
+        for make in (Poly, lambda c: PolyMatrix(1, {(0, 0): c}), lambda c: PolyMatrix(1).with_entry(0, 0, c)):
+            with pytest.raises(ValueError, match="^negative exponents not supported$"):
+                make(coeffs)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.5, 0.0, Fraction(1, 2)], ids=["True", "False", "2.5", "0.0", "Fraction"])
 def test_poly_rejects_a_coefficient_that_is_not_an_int(bad):
     # a bool or float would be written as "True" or "2.5", not as a decimal integer
     for make in (lambda: Poly({0: bad}), lambda: Poly.const(bad), lambda: Poly.term(bad, 1),
-                 lambda: PolyMatrix(1, {(0, 0): bad}), lambda: PolyMatrix(1).with_entry(0, 0, bad)):
+                 lambda: PolyMatrix(1, {(0, 0): bad}), lambda: PolyMatrix(1).with_entry(0, 0, bad),
+                 lambda: PolyMatrix(1, {(0, 0): {0: bad}})):
         with pytest.raises(TypeError, match="coefficients must be int"):
             make()
     assert ONE != bad  # comparing with a non-int is False, not an error
@@ -121,9 +122,22 @@ def test_poly_rejects_a_coefficient_that_is_not_an_int(bad):
 @pytest.mark.parametrize("bad", [True, 0.5, Fraction(1)], ids=["True", "0.5", "Fraction"])
 def test_poly_rejects_an_exponent_that_is_not_an_int(bad):
     # a bool or float exponent would be written as "True" or "0.5"
-    for make in (lambda: Poly({bad: 3}), lambda: Poly.term(3, bad)):
+    for make in (lambda: Poly({bad: 3}), lambda: Poly.term(3, bad), lambda: PolyMatrix(1, {(0, 0): {bad: 3}})):
         with pytest.raises(TypeError, match="^exponents must be int, not "):
             make()
+
+
+def test_poly_matrix_stores_integer_entries_and_wraps_them_on_read():
+    # a Poly, an int and a {q_power: coeff} dict give one stored form; zero terms leave no entry
+    m = PolyMatrix(2, {(0, 0): Poly({0: 1, 2: 0}), (0, 1): 3, (1, 0): {1: -2, 0: 0}, (1, 1): {0: 0}})
+    assert m.entries == {(0, 0): {0: 1}, (0, 1): {0: 3}, (1, 0): {1: -2}}
+    assert PolyMatrix(2, {(0, 1): {0: 0}}) == PolyMatrix(2)
+    assert m.with_entry(0, 1, {}).with_entry(0, 0, 0).with_entry(1, 0, ZERO) == PolyMatrix(2)
+    assert m.entry(1, 0) == Poly({1: -2}) and m.entry(1, 1) is ZERO
+    assert m.nonzero() == [(0, 0, ONE), (0, 1, Poly.const(3)), (1, 0, Poly({1: -2}))]
+    # the entries are shared, not copied: A(q)'s memo hands out one dict
+    orb = orbit_of("A", 2, 1)
+    assert quantum_operator(orb).entries is quantum_operator(orb).entries
 
 
 @settings(max_examples=100, deadline=None)
@@ -592,9 +606,9 @@ def test_rep_relations_read_an_h_entry_that_moves_a_vector(monkeypatch, fresh_me
 def test_entry_witness_names_the_first_differing_entry():
     orb = orbit_of("A", 2, 1)
     a = quantum_operator(orb)
-    assert _entry_witness(orb, _coefficients(a), _coefficients(a)) is None
+    assert _entry_witness(orb, a, a) is None
     b = a.with_entry(2, 0, Q).with_entry(2, 1, 0)
-    assert _entry_witness(orb, _coefficients(a), _coefficients(b)) == "at ((0,-1), (1,0)): 0 != q"
+    assert _entry_witness(orb, a, b) == "at ((0,-1), (1,0)): 0 != q"
 
 
 def test_poly_matrix_rejects_an_entry_outside_the_matrix():

@@ -3,8 +3,9 @@ import sys
 import pytest
 
 import helpers
-from minflag import qchev, rootsys
+from minflag import qchev, rootsys, weylorbit
 from helpers import SWEEP, identity, matmul, orbit_of, pairing_matrix, simple_reflect_root, sweep_orbits, transpose
+from minflag.cli import delete_detectable_edge
 from minflag.minrep import Poly, quantum_operator
 from minflag.qchev import (
     chevalley_closed,
@@ -126,7 +127,7 @@ def test_columns_matrix_sums_repeated_terms_and_drops_cancelled_ones():
     orb = orbit_of("A", 2, 1)
     # every pair adds 1, so a repeated pair sums; a class with no pairs
     # leaves its column empty
-    m = qchev._entries_matrix(orb, qchev._column_entries([[(0, 1), (1, 1), (1, 1), (0, 1)], [], []]))
+    m = qchev._columns_matrix(orb, [[(0, 1), (1, 1), (1, 1), (0, 1)], [], []])
     assert m.nonzero() == [(1, 0, Poly({0: 2, 1: 2}))]
 
 
@@ -222,6 +223,24 @@ def test_frobenius_detects_deleted_edge():
     orb = orbit_of("A", 2, 1)
     mutated = quantum_operator(orb).with_entry(1, 0, 0)
     assert not frobenius_check(orb, mutated)
+
+
+def test_the_frobenius_row_and_the_deleted_edge_find_each_dual_once_per_orbit(monkeypatch, fresh_memos):
+    # the dual positions are one latest-orbit memo, weylorbit.dual_positions,
+    # so poincare_dual runs once per element however many mutants are checked
+    real = weylorbit.poincare_dual
+    calls = []
+    monkeypatch.setattr(weylorbit, "poincare_dual", lambda orb, mu: calls.append(mu) or real(orb, mu))
+    orb = orbit_of("D", 5, 5)
+    a = quantum_operator(orb)
+    mutants = [(i, j, a.with_entry(i, j, 0)) for i, j, _p in a.nonzero()[:6]]
+    outcomes = [bool(frobenius_check(orb, m)) for _i, _j, m in mutants]
+    assert frobenius_check(orb, a)
+    assert delete_detectable_edge(orb, a) != a
+    assert len(calls) == orb.size
+    dual = [orb.index_of[real(orb, el.weight).pairings] for el in orb.elements]
+    assert outcomes == [(dual[j], dual[i]) == (i, j) for i, j, _m in mutants]
+    assert not all(outcomes)
 
 
 def test_grading_a1_by_hand():
@@ -397,14 +416,14 @@ def test_raising_oracle_fails_both_checks(monkeypatch, exc_type, fresh_memos):
 
 def test_oracle_survivor_check_names_the_class(monkeypatch, fresh_memos):
     orb = orbit_of("A", 2, 1)
-    real = qchev._oracle_entries
+    real = qchev.fw_oracle_pass
 
     def two_quantum_terms(orb):
-        entries, stats = real(orb)
+        matrix, stats = real(orb)
         stats[-1] = qchev.OracleSurvivorStats(stats[-1].candidates, 0, 2, stats[-1].candidates - 2)
-        return entries, stats
+        return matrix, stats
 
-    monkeypatch.setattr(qchev, "_oracle_entries", two_quantum_terms)
+    monkeypatch.setattr(qchev, "fw_oracle_pass", two_quantum_terms)
     main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
     assert main and not survivors
     assert survivors.detail == (

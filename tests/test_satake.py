@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from collections import Counter
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import minflag.minrep as minrep
 import minflag.satake as satake
 from helpers import commutator, dense_rows, orbit_of, reference_wedge_matrix
+from minflag.cli import SweepConfig, cmd_verify
 from minflag.minrep import Poly, PolyMatrix, lowering_matrix, quantum_operator, raising_matrix
 from minflag.satake import (
     SignDiagonal,
@@ -214,7 +216,8 @@ def test_satake_pairs_are_equal_after_alignment_and_never_propagate_signs(monkey
 
 def test_satake_similarity_builds_only_the_two_operators(monkeypatch, fresh_memos):
     # the wedge and the sign match run on integer entries: the two A(q) are
-    # the only matrices, no Poly is made, nothing is sorted through nonzero()
+    # the only matrices, no Poly is made, nothing is sorted through nonzero();
+    # a Poly is made by Poly.__init__ or, over stored entries, by Poly._of
     counts = Counter()
 
     def counted(cls, name):
@@ -226,15 +229,21 @@ def test_satake_similarity_builds_only_the_two_operators(monkeypatch, fresh_memo
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    for cls, name in ((PolyMatrix, "__init__"), (PolyMatrix, "nonzero"), (Poly, "__init__"), (Poly, "q_scaled")):
+    for cls, name in ((PolyMatrix, "__init__"), (PolyMatrix, "nonzero"), (Poly, "__init__"), (Poly, "_of"),
+                      (Poly, "q_scaled")):
         counted(cls, name)
     for n, k in [(3, 2), (6, 3), (9, 5)]:
         counts.clear()
         satake_similarity(n, k)
         assert counts == {"PolyMatrix.__init__": 2}
     counts.clear()
-    wedge_weight_alignment(3, 2)  # the PolyMatrix view builds the aligned wedge too
-    assert counts["PolyMatrix.__init__"] == 3 and counts["Poly.__init__"] > 0
+    wedge_weight_alignment(3, 2)  # the PolyMatrix view wraps the aligned wedge's entries, making no Poly
+    assert counts == {"PolyMatrix.__init__": 3}
+    # the verify rows read the same integer entries: a passing sweep makes no Poly either
+    counts.clear()
+    assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
+    assert counts["PolyMatrix.__init__"] > 0
+    assert not {"Poly.__init__", "Poly._of", "Poly.q_scaled", "PolyMatrix.nonzero"} & set(counts)
 
 
 def test_sign_similarity_flipped_sign_gives_cycle_witness():

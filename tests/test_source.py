@@ -91,6 +91,21 @@ def test_only_weylorbit_maps_orbit_weights_to_positions():
 
 
 
+def test_only_poly_and_poly_matrix_read_their_stored_coefficients():
+    # a PolyMatrix holds one form, its integer entries, which everything else
+    # reads through ``entries``: reaching into ``_c`` or ``_e`` would bring
+    # back a bridge between two forms
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name in ("Poly", "PolyMatrix")
+                  for n in ast.walk(c)}
+        found += [f"{os.path.basename(path)}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in ("_c", "_e") and id(n) not in inside]
+    assert not found, f"stored coefficients read outside Poly and PolyMatrix: {found}"
+
+
 _GENERATOR_NAMES = {"lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix", "PolyMatrix"}
 
 

@@ -10,6 +10,7 @@ from minflag.weylorbit import (
     OrbitElement,
     apply_word,
     crystal_edges,
+    dual_positions,
     expected_orbit_size,
     length,
     orbit,
@@ -160,10 +161,13 @@ def test_poincare_dual_a2_chain():
 
 def test_poincare_dual_involution_and_complementarity():
     for orb in sweep_orbits():
+        positions = dual_positions(orb)
         for el in orb.elements:
             dual = poincare_dual(orb, el.weight)
             assert poincare_dual(orb, dual) == el.weight
             assert length(orb, dual) + el.length == orb.dim_complex
+            assert orb.elements[positions[orb.index_of[el.weight.pairings]]].weight == dual
+        assert dual_positions(orb) is positions  # the latest orbit's tuple is kept
 
 
 def test_pairings_with_simple_coroots_in_range():
