@@ -121,7 +121,7 @@ def delete_detectable_edge(orb: Orbit, operator: PolyMatrix) -> PolyMatrix:
     dual = dual_positions(orb)
     keys = sorted(operator.entries)
     i, j = next(((i, j) for i, j in keys if (dual[j], dual[i]) != (i, j)), keys[0])
-    return operator.with_entry(i, j, 0)
+    return operator.with_entry(i, j, {})
 
 
 def cmd_verify(config: SweepConfig, corrupt: bool = False, out: TextIO = sys.stdout) -> int:
@@ -159,8 +159,8 @@ def json_text(doc: dict) -> str:
     and ``None``; a PolyMatrix at any depth is written as its dense n x n
     array of [exponent, coefficient-string] pair lists, zero entries as
     ``[]``, straight from its integer entries (``_matrix_text`` reads
-    ``PolyMatrix.entries`` and makes no Poly).  Anything else, a
-    non-``str`` key included, raises ``TypeError``.
+    ``PolyMatrix.entries``).  Anything else, a non-``str`` key included,
+    raises ``TypeError``.
     """
     return _value_text(doc, "")
 

@@ -12,19 +12,17 @@ contributes the single q-weighted block of
 Each kind of generator is built once per orbit as index maps {source:
 (target, coefficient)}.  A(q) sums their integer coefficients, and the
 ``brackets`` kernel reads the bracket relations off their edges in one
-pass over the basis; ``lowering_matrix``, ``raising_matrix``,
-``cartan_action`` and ``psi_raising_matrix`` are PolyMatrix views.
-A(q), the E-(j) and E+(j) maps and the E_psi map keep the latest
-orbit's result, so every caller on one orbit reads the same object and
-none may change it.  A PolyMatrix has one form, its nonzero entries as
-integer coefficients {(row, col): {q_power: coeff}}
-(``PolyMatrix.entries``), which every check, kernel and writer reads.
-A Poly, an integer polynomial in one formal variable q with ``int``
-coefficients, is built only for a caller that reads one entry
-(``entry``, ``nonzero``); every entry form passes ``_checked``, the
-validator ``Poly`` uses.  PolyMatrix is a sparse container with no
-mutators, not an algebra: nothing here adds or multiplies matrices or
-Polys.
+pass over the basis; ``lowering_matrix`` and ``psi_raising_matrix`` are
+PolyMatrix views.  A(q), the E-(j) and E+(j) maps and the E_psi map
+keep the latest orbit's result, so every caller on one orbit reads the
+same object and none may change it.
+A polynomial in q has one form, a dict {q_power: coefficient} with
+``int`` keys and nonzero ``int`` values; ``_checked`` validates it and
+``poly_text`` prints it.  A PolyMatrix holds its nonzero entries in that
+form, {(row, col): {q_power: coeff}} (``PolyMatrix.entries``), which
+every check, kernel and writer reads.  PolyMatrix is a sparse container
+with no mutators, not an algebra: nothing here adds or multiplies
+matrices or polynomials.
 The characteristic polynomial is the one place q takes integer values:
 a sparse integer Berkowitz kernel runs on A(1), and the q-grading of
 A(q) lifts its coefficients back exactly (other matrices are
@@ -35,13 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from . import brackets
 from .rootsys import coroot
 from .weylorbit import Orbit
-
-PolyLike = Union["Poly", int]
 
 # a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
 _Entries = dict[tuple[int, int], dict[int, int]]
@@ -66,154 +62,48 @@ def _checked(coeffs: Mapping[int, int]) -> dict[int, int]:
     return c
 
 
-class Poly:
-    """Sparse polynomial in q: a map from exponent to nonzero integer.
-
-    Every exponent and coefficient must be an ``int``; a bool, float or
-    Fraction raises TypeError, so both always print as decimal integers.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Optional[Mapping[int, int]] = None):
-        self._c = _checked(coeffs) if coeffs else {}
-
-    @classmethod
-    def _of(cls, c: dict[int, int]) -> "Poly":
-        """The Poly of an already checked {exponent: nonzero coefficient} dict, shared, not copied."""
-        p = cls.__new__(cls)
-        p._c = c
-        return p
-
-    @classmethod
-    def const(cls, v: int) -> "Poly":
-        return cls({0: v})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int) -> "Poly":
-        return cls({exp: coeff})
-
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._c.items()))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return max(self._c) if self._c else -1
-
-    def _coerce(self, other: PolyLike) -> Optional["Poly"]:
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, int):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, other: PolyLike) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            c[e] = c.get(e, 0) + v
-        return Poly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other: PolyLike) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: PolyLike) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other: PolyLike) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return Poly(c)
-
-    __rmul__ = __mul__
-
-    def q_scaled(self, c: int) -> "Poly":
-        """Substitute q -> c*q."""
-        return Poly({e: v * c**e for e, v in self._c.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is int:
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        # a constant equals its integer (ZERO equals 0), so it hashes as one
-        if self._c.keys() <= {0}:
-            return hash(self._c.get(0, 0))
-        return hash(self.items())
-
-    def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in sorted(self._c.items(), reverse=True):
-            if e == 0:
-                mon = str(abs(v))
-            else:
-                base = "q" if e == 1 else f"q^{e}"
-                mon = base if abs(v) == 1 else f"{abs(v)}*{base}"
-            parts.append(("-" if v < 0 else "+", mon))
-        sign0, mon0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + mon0
-        for sign, mon in parts[1:]:
-            out += f" {sign} {mon}"
-        return out
-
-    __repr__ = __str__
-
-
-ZERO = Poly()
-ONE = Poly.const(1)
-Q = Poly.term(1, 1)
+def poly_text(coeffs: Mapping[int, int]) -> str:
+    """A {q_power: nonzero coefficient} dict as text, highest power first: "3*q^2 - q + 1", "0" when empty."""
+    if not coeffs:
+        return "0"
+    out = ""
+    for e, v in sorted(coeffs.items(), reverse=True):
+        base = "q" if e == 1 else f"q^{e}"
+        mon = str(abs(v)) if e == 0 else base if abs(v) == 1 else f"{abs(v)}*{base}"
+        sign = "-" if v < 0 else "+"
+        out += f" {sign} {mon}" if out else f"-{mon}" if v < 0 else mon
+    return out
 
 
 class PolyMatrix:
-    """Square matrix over Poly, stored sparsely: a container, not an algebra.
+    """Square matrix over Z[q], stored sparsely: a container, not an algebra.
 
     ``entries`` holds its nonzero entries as integer coefficients
-    {(row, col): {q_power: coeff}}, the form every check reads; it is
-    shared, not copied, so read it and never change it.  ``entry`` and
-    ``nonzero`` (in row order) wrap the stored dicts as Poly, and
-    ``with_entry`` returns a changed copy.  It has no mutators, so the
-    memoized A(q) is safe to share.
+    {(row, col): {q_power: coeff}}, the one form every check reads; it is
+    shared, not copied, so read it and never change it.  ``with_entry``
+    returns a changed copy.  It has no mutators, so the memoized A(q) is
+    safe to share.
     """
 
     __slots__ = ("n", "_e")
 
-    def __init__(self, n: int, entries: Optional[Mapping[tuple[int, int], Union[PolyLike, dict[int, int]]]] = None):
+    def __init__(self, n: int, entries: Optional[Mapping[tuple[int, int], dict[int, int]]] = None):
+        if type(n) is not int:
+            raise TypeError(f"matrix size must be int, not {type(n).__name__}")
+        if n < 0:
+            raise ValueError(f"matrix size must be nonnegative, not {n}")
         self.n = n
         e: _Entries = {}
         if entries:
             for (i, j), v in entries.items():
+                if type(i) is not int or type(j) is not int:
+                    bad = i if type(i) is not int else j
+                    raise TypeError(f"entry positions must be int, not {type(bad).__name__}")
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"entry ({i},{j}) outside a {n}x{n} matrix")
-                # a Poly's coefficients were checked when it was made
-                c = _checked(v) if isinstance(v, dict) else v._c if isinstance(v, Poly) else _checked({0: v})
+                if not isinstance(v, dict):
+                    raise TypeError(f"entries must be dict, not {type(v).__name__}")
+                c = _checked(v)
                 if c:
                     e[(i, j)] = c
         self._e = e
@@ -223,14 +113,8 @@ class PolyMatrix:
         """The nonzero entries {(row, col): {q_power: coeff}}, shared: read them, never change them."""
         return self._e
 
-    def entry(self, i: int, j: int) -> Poly:
-        return Poly._of(self._e[(i, j)]) if (i, j) in self._e else ZERO
-
-    def nonzero(self) -> list[tuple[int, int, Poly]]:
-        return [(i, j, Poly._of(c)) for (i, j), c in sorted(self._e.items())]
-
-    def with_entry(self, i: int, j: int, value: Union[PolyLike, dict[int, int]]) -> "PolyMatrix":
-        new = PolyMatrix(self.n, {(i, j): value})  # checks the position and the value alone
+    def with_entry(self, i: int, j: int, coeffs: dict[int, int]) -> "PolyMatrix":
+        new = PolyMatrix(self.n, {(i, j): coeffs})  # checks the position and the value alone
         new._e = {**self._e, **new._e} if new._e else {k: c for k, c in self._e.items() if k != (i, j)}
         return new
 
@@ -243,14 +127,14 @@ class PolyMatrix:
         return f"PolyMatrix(n={self.n}, nnz={len(self._e)})"
 
 
-def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
+def char_poly(m: PolyMatrix) -> tuple[dict[int, int], ...]:
     """Coefficients of det(x I - M), leading first: c with det(xI - M) = sum c[k] x^(n-k).
 
-    Everything runs through one sparse, division-free integer Berkowitz
+    Each c[k] is a {q_power: coefficient} dict, {} for zero.  Everything runs through one sparse, division-free integer Berkowitz
     kernel.  When M is homogeneous with deg x = 1 and deg q = s (A(q) is,
     with s the Coxeter number), every term of c[k] has q-degree k/s, so
     the kernel runs once, on M at q = 1, and its a_k lifts to
-    c[k] = a_k q^(k/s), or to 0 when s does not divide k.  Any other M is
+    c[k] = a_k q^(k/s), or to {} when s does not divide k.  Any other M is
     evaluated at q = 0..D, D the sum over rows of the largest entry
     degree, and each coefficient is interpolated exactly.
     """
@@ -261,11 +145,11 @@ def char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
         out = []
         for k, ak in enumerate(a):
             if k % s == 0:
-                out.append(Poly({k // s: ak}))
+                out.append({k // s: ak} if ak else {})
             elif ak:
                 raise AssertionError(f"graded with deg q = {s}, yet x^{n - k} has coefficient {ak} at q = 1")
             else:
-                out.append(ZERO)
+                out.append({})
         return tuple(out)
     row_degree = [0] * n
     for (i, _j), c in m.entries.items():
@@ -367,7 +251,7 @@ def _berkowitz_int(n: int, entries: Mapping[tuple[int, int], int]) -> list[int]:
     return coeffs
 
 
-def _interpolate(values: list[int]) -> Poly:
+def _interpolate(values: list[int]) -> dict[int, int]:
     """The integer polynomial taking values[x] at q = x, by Newton differences.
 
     Every division must be exact; a remainder means the values did not
@@ -387,7 +271,7 @@ def _interpolate(values: list[int]) -> Poly:
             shifted[e] -= x * c
         shifted[0] += newton[x]
         coeffs = shifted
-    return Poly(dict(enumerate(coeffs)))
+    return {e: c for e, c in enumerate(coeffs) if c}
 
 
 # -- canonical-basis generators ----------------------------------------------
@@ -451,22 +335,12 @@ def _matrix(orb: Orbit, build: Callable, j: Optional[int] = None) -> PolyMatrix:
     if j is not None and not 1 <= j <= orb.rs.rank:
         raise ValueError(f"simple root index {j} out of range")
     m = build(orb) if j is None else build(orb)[j - 1]
-    return PolyMatrix(orb.size, {(t, c): v for c, (t, v) in m.items()})
+    return PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in m.items()})
 
 
 def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     """E-(j): entry (target, source) = 1 for each crystal edge labelled j."""
     return _matrix(orb, _lowering_maps, j)
-
-
-def raising_matrix(orb: Orbit, j: int) -> PolyMatrix:
-    """E+(j): entry (mu + alpha_j, mu) = 1 exactly when (mu, alpha_j^vee) = -1."""
-    return _matrix(orb, _raising_maps, j)
-
-
-def cartan_action(orb: Orbit, j: int) -> PolyMatrix:
-    """H(j): diagonal of coroot pairings, entries in {-1, 0, 1}."""
-    return _matrix(orb, _cartan_maps, j)
 
 
 def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
@@ -513,7 +387,7 @@ def _entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[st
     a, b = got.entries, want.entries
     i, j = next(k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k))
     w = orb.elements
-    return f"at ({w[i].weight}, {w[j].weight}): {got.entry(i, j)} != {want.entry(i, j)}"
+    return f"at ({w[i].weight}, {w[j].weight}): {poly_text(a.get((i, j), {}))} != {poly_text(b.get((i, j), {}))}"
 
 
 def verify_rep_relations(orb: Orbit) -> Check:

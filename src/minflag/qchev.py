@@ -41,7 +41,8 @@ Poincare-dual positions from ``weylorbit.dual_positions``.
 These three checks are handed the operator they check, A(q) or a
 corrupted copy, and never build A(q).  Every check returns one
 ``minrep.Check`` whose detail names a failure's witness, the first in
-row order, printed as Poly; ``cli.ROWS`` runs each as a ``verify`` row.
+row order, printed by ``minrep.poly_text``; ``cli.ROWS`` runs each as a
+``verify`` row.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .minrep import Check, PolyMatrix, _entry_witness, _Entries
+from .minrep import Check, PolyMatrix, _entry_witness, _Entries, poly_text
 from .rootsys import RootSystem, RootVec, Weight, coroot, pair
 from .weylorbit import Orbit, apply_word, dual_positions, length
 
@@ -366,8 +367,8 @@ def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
     if bad:
         i, j = min(bad)
         w = [el.weight for el in orb.elements]
-        return Check(False, f"A at ({w[i]}, {w[j]}) is {operator.entry(i, j)} but at its dual entry "
-                            f"({w[dual[j]]}, {w[dual[i]]}) is {operator.entry(dual[j], dual[i])}")
+        return Check(False, f"A at ({w[i]}, {w[j]}) is {poly_text(entries[(i, j)])} but at its dual entry "
+                            f"({w[dual[j]]}, {w[dual[i]]}) is {poly_text(entries.get((dual[j], dual[i]), {}))}")
     return Check(True, "A^T G = G A")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import add, mul, sub
+from operator import mul, sub
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -100,9 +100,6 @@ class Weight:
     """
 
     pairings: tuple[int, ...]
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(map(add, self.pairings, other.pairings)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(map(sub, self.pairings, other.pairings)))

@@ -34,7 +34,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from .minrep import Poly, PolyMatrix, _Entries, quantum_operator
+from .minrep import PolyMatrix, _Entries, poly_text, quantum_operator
 from .rootsys import LieType, build
 from .weylorbit import Orbit, expected_orbit_size, orbit
 
@@ -141,8 +141,8 @@ def _match_signs(n: int, a: _Entries, b: _Entries) -> tuple[int, ...]:
     answer propagation would give: every ratio is +1 and every component
     is rooted at +1.  Otherwise entries are compared in (row, col) order,
     which fixes the order in which signs propagate and so every witness.
-    A Poly is built only to name an entry pair that does not agree up to
-    sign.
+    An entry pair that does not agree up to sign is named through
+    ``minrep.poly_text``.
     """
     if a == b:
         return (1,) * n
@@ -154,7 +154,7 @@ def _match_signs(n: int, a: _Entries, b: _Entries) -> tuple[int, ...]:
         eps = _sign_ratio(a[key], b[key])
         if not eps:
             raise SignSimilarityError(
-                "support", f"entries at {key} do not agree up to sign: {Poly(a[key])} vs {Poly(b[key])}"
+                "support", f"entries at {key} do not agree up to sign: {poly_text(a[key])} vs {poly_text(b[key])}"
             )
         ratio[key] = eps
 

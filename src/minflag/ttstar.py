@@ -47,7 +47,7 @@ def _exact(rs: RootSystem, values: Sequence[Rational], what: str) -> Point:
     """values as a tuple of Fraction, one per simple root: the one way in.
 
     Each coordinate must be an ``int`` or a ``Fraction``; a float, bool
-    or str raises TypeError naming its type, as a ``Poly`` coefficient
+    or str raises TypeError naming its type, as a PolyMatrix coefficient
     does.  A length other than the rank raises ValueError naming what.
     """
     values = tuple(values)

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import minflag.minrep as minrep
 from minflag import qchev, ttstar, weylorbit
 from minflag.cli import SweepConfig, sweep_cases
-from minflag.minrep import ONE, Q, ZERO, Check, Poly, PolyLike, PolyMatrix, _entry_witness
+from minflag.minrep import Check, PolyMatrix, _entry_witness, poly_text
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, diagram_involution, minuscule_weights
 from minflag.satake import wedge_subsets
 from minflag.weylorbit import Orbit, OrbitElement, orbit, poincare_dual
@@ -147,40 +147,57 @@ def random_alcove_coords(rs: RootSystem, rng: random.Random) -> tuple[Fraction, 
     return tuple(Fraction(aj, den) for aj in a)
 
 
-# -- matrix algebra over nonzero(): PolyMatrix itself is only a container ---------
+# -- polynomial and matrix algebra on {q_power: coefficient} dicts: PolyMatrix is only a container --
 
 
-def dense_rows(m: PolyMatrix) -> list[list[Poly]]:
-    return [[m.entry(i, j) for j in range(m.n)] for i in range(m.n)]
+def padd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a + b, zero terms dropped."""
+    c = dict(a)
+    for e, v in b.items():
+        c[e] = c.get(e, 0) + v
+    return {e: v for e, v in c.items() if v}
+
+
+def pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a * b, zero terms dropped."""
+    c: dict[int, int] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in c.items() if v}
+
+
+def dense_rows(m: PolyMatrix) -> list[list[dict[int, int]]]:
+    return [[m.entries.get((i, j), {}) for j in range(m.n)] for i in range(m.n)]
 
 
 def transpose(m: PolyMatrix) -> PolyMatrix:
-    return PolyMatrix(m.n, {(j, i): p for i, j, p in m.nonzero()})
+    return PolyMatrix(m.n, {(j, i): c for (i, j), c in m.entries.items()})
 
 
 def identity(n: int) -> PolyMatrix:
-    return PolyMatrix(n, {(i, i): 1 for i in range(n)})
+    return PolyMatrix(n, {(i, i): {0: 1} for i in range(n)})
 
 
-def linear_combination(n: int, terms: list[tuple[PolyLike, PolyMatrix]]) -> PolyMatrix:
+def linear_combination(n: int, terms: list[tuple[dict[int, int], PolyMatrix]]) -> PolyMatrix:
     """sum c M over the (c, M) of terms, each M n x n."""
-    acc: dict[tuple[int, int], Poly] = {}
+    acc: dict[tuple[int, int], dict[int, int]] = {}
     for c, m in terms:
         assert m.n == n
-        for i, j, p in m.nonzero():
-            acc[(i, j)] = acc.get((i, j), ZERO) + p * c
+        for key, p in m.entries.items():
+            acc[key] = padd(acc.get(key, {}), pmul(p, c))
     return PolyMatrix(n, acc)
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     assert a.n == b.n
-    cols_b: dict[int, list[tuple[int, Poly]]] = {}
-    for k, j, p in b.nonzero():
+    cols_b: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for (k, j), p in b.entries.items():
         cols_b.setdefault(k, []).append((j, p))
-    acc: dict[tuple[int, int], Poly] = {}
-    for i, k, pa in a.nonzero():
+    acc: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, k), pa in a.entries.items():
         for j, pb in cols_b.get(k, ()):
-            acc[(i, j)] = acc.get((i, j), ZERO) + pa * pb
+            acc[(i, j)] = padd(acc.get((i, j), {}), pmul(pa, pb))
     return PolyMatrix(a.n, acc)
 
 
@@ -192,12 +209,12 @@ def pairing_matrix(orb: Orbit) -> PolyMatrix:
     """
     entries = {}
     for pos, el in enumerate(orb.elements):
-        entries[(pos, orb.index_of[poincare_dual(orb, el.weight).pairings])] = 1
+        entries[(pos, orb.index_of[poincare_dual(orb, el.weight).pairings])] = {0: 1}
     return PolyMatrix(orb.size, entries)
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return linear_combination(a.n, [(ONE, matmul(a, b)), (-ONE, matmul(b, a))])
+    return linear_combination(a.n, [({0: 1}, matmul(a, b)), ({0: -1}, matmul(b, a))])
 
 
 def reference_quantum_operator(orb: Orbit) -> PolyMatrix:
@@ -206,8 +223,8 @@ def reference_quantum_operator(orb: Orbit) -> PolyMatrix:
     The test-only reference the one-pass ``minrep.quantum_operator`` is
     compared against.
     """
-    terms = [(ONE, minrep.lowering_matrix(orb, j)) for j in range(1, orb.rs.rank + 1)]
-    return linear_combination(orb.size, [(Q, minrep.psi_raising_matrix(orb))] + terms)
+    terms = [({0: 1}, minrep.lowering_matrix(orb, j)) for j in range(1, orb.rs.rank + 1)]
+    return linear_combination(orb.size, [({1: 1}, minrep.psi_raising_matrix(orb))] + terms)
 
 
 def reference_operator_rows(orb: Orbit) -> dict[str, Callable[[PolyMatrix], Check]]:
@@ -216,8 +233,8 @@ def reference_operator_rows(orb: Orbit) -> dict[str, Callable[[PolyMatrix], Chec
     The test-only references the integer-entry rows of ``qchev`` are
     compared against.  The routes are the matrices of
     ``quantum_product_matrix`` and ``fw_oracle_matrix``, built once here
-    for every operator checked on the orbit; each row compares Poly
-    entries and walks the operator's ``nonzero()`` in row order.
+    for every operator checked on the orbit; each row walks the
+    operator's entries in row order, one entry at a time.
     """
     w = orb.elements
     closed = qchev.quantum_product_matrix(orb)
@@ -234,24 +251,25 @@ def reference_operator_rows(orb: Orbit) -> dict[str, Callable[[PolyMatrix], Chec
         if not routes:
             return failed
         for name, route in routes:
-            keys = sorted({(i, j) for m in (operator, route) for i, j, _p in m.nonzero()})
-            diff = next(((i, j) for i, j in keys if operator.entry(i, j) != route.entry(i, j)), None)
+            a, b = operator.entries, route.entries
+            diff = next((key for key in sorted(a.keys() | b.keys()) if a.get(key, {}) != b.get(key, {})), None)
             if diff:
                 i, j = diff
                 return Check(False, f"operator vs {name} at ({w[i].weight}, {w[j].weight}): "
-                                    f"{operator.entry(i, j)} != {route.entry(i, j)}")
+                                    f"{poly_text(a.get(diff, {}))} != {poly_text(b.get(diff, {}))}")
         return Check(True, "three routes entrywise equal")
 
     def frobenius(operator: PolyMatrix) -> Check:
-        for i, j, p in operator.nonzero():
-            if operator.entry(dual[j], dual[i]) != p:
-                return Check(False, f"A at ({w[i].weight}, {w[j].weight}) is {p} but at its dual entry "
-                                    f"({w[dual[j]].weight}, {w[dual[i]].weight}) is {operator.entry(dual[j], dual[i])}")
+        for (i, j), p in sorted(operator.entries.items()):
+            partner = operator.entries.get((dual[j], dual[i]), {})
+            if partner != p:
+                return Check(False, f"A at ({w[i].weight}, {w[j].weight}) is {poly_text(p)} but at its dual entry "
+                                    f"({w[dual[j]].weight}, {w[dual[i]].weight}) is {poly_text(partner)}")
         return Check(True, "A^T G = G A")
 
     def grading(operator: PolyMatrix) -> Check:
-        for i, j, p in operator.nonzero():
-            for exp, _coeff in p.items():
+        for (i, j), p in sorted(operator.entries.items()):
+            for exp in sorted(p):
                 if lengths[i] != lengths[j] + 1 - exp * s:
                     return Check(False, f"q^{exp} at ({w[i].weight}, {w[j].weight}): "
                                         f"length {lengths[i]} != {lengths[j]} + 1 - {exp}*{s}")
@@ -264,17 +282,17 @@ def reference_rep_relations(orb: Orbit) -> Check:
     """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
 
     The test-only reference the index-map check is compared against.  It
-    reads the generators through the public ``minrep`` builders, which
-    view the private map builders, so a test that replaces a map builder
-    there changes both checks alike.  Every generator entry is a
-    constant, so the products run on integer entries.
+    reads the generators from the same private map builders, through the
+    module, so a test that replaces a map builder there changes both
+    checks alike.  Every generator entry is a constant, so the products
+    run on integer entries.
     """
     n = orb.rs.rank
     C = orb.rs.cartan
-    low = {j: _constant_rows(minrep.lowering_matrix(orb, j)) for j in range(1, n + 1)}
-    high = {j: _constant_rows(minrep.raising_matrix(orb, j)) for j in range(1, n + 1)}
-    diag = {j: _constant_rows(minrep.cartan_action(orb, j)) for j in range(1, n + 1)}
-    psi_m = _constant_rows(minrep.psi_raising_matrix(orb))
+    low = dict(enumerate(map(_map_rows, minrep._lowering_maps(orb)), 1))
+    high = dict(enumerate(map(_map_rows, minrep._raising_maps(orb)), 1))
+    diag = dict(enumerate(map(_map_rows, minrep._cartan_maps(orb)), 1))
+    psi_m = _map_rows(minrep._psi_map(orb))
 
     def entries(c: int, m: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
         """The nonzero entries of c M."""
@@ -294,17 +312,17 @@ def reference_rep_relations(orb: Orbit) -> Check:
     for checks, (failure, x, y, want) in enumerate(relations(), 1):
         got = _int_commutator(x, y)
         if got != want:
-            witness = _entry_witness(orb, PolyMatrix(orb.size, got), PolyMatrix(orb.size, want))
-            return Check(False, f"{failure} {witness}")
+            got_m, want_m = (PolyMatrix(orb.size, {key: {0: v} for key, v in e.items()}) for e in (got, want))
+            return Check(False, f"{failure} {_entry_witness(orb, got_m, want_m)}")
     return Check(True, f"{checks} brackets")
 
 
-def _constant_rows(m: PolyMatrix) -> dict[int, dict[int, int]]:
-    """The nonzero entries of a matrix of constants, as integers by row: {i: {j: m_ij}}."""
+def _map_rows(m: dict[int, tuple[int, int]]) -> dict[int, dict[int, int]]:
+    """A generator's index map {source: (target, coefficient)} as its nonzero entries by row: {target: {source: v}}."""
     rows: dict[int, dict[int, int]] = {}
-    for i, j, p in m.nonzero():
-        assert p.degree == 0, (i, j, p)
-        rows.setdefault(i, {})[j] = p.coeff(0)
+    for c, (t, v) in m.items():
+        if v:
+            rows.setdefault(t, {})[c] = v
     return rows
 
 
@@ -320,10 +338,10 @@ def _int_commutator(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]) 
 
 
 def reference_wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
-    """``satake.wedge_matrix`` summed term by term as Poly values.
+    """``satake.wedge_matrix`` summed term by term, one polynomial at a time.
 
     The test-only reference the integer accumulation is compared
-    against: every Leibniz term is added as a Poly and the target
+    against: every Leibniz term is added through ``padd`` and the target
     subset is found by sorting.
     """
     n = m.n
@@ -331,9 +349,9 @@ def reference_wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError(f"wedge degree k={k} must satisfy 1 <= k <= {n - 1}")
     subsets = wedge_subsets(n, k)
     index = {s: p for p, s in enumerate(subsets)}
-    entries: dict[tuple[int, int], Poly] = {}
-    cols: dict[int, list[tuple[int, Poly]]] = {}
-    for (r, c, p) in m.nonzero():
+    entries: dict[tuple[int, int], dict[int, int]] = {}
+    cols: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for (r, c), p in sorted(m.entries.items()):
         cols.setdefault(c, []).append((r, p))
     for src_pos, s in enumerate(subsets):
         members = set(s)
@@ -348,13 +366,12 @@ def reference_wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
                     tgt = tuple(sorted(rest + (r,)))
                     sign = (-1) ** (t_idx + tgt.index(r))
                 key = (index[tgt], src_pos)
-                term = p if sign == 1 else p * (-1)
-                entries[key] = entries.get(key, Poly()) + term
+                entries[key] = padd(entries.get(key, {}), pmul(p, {0: sign}))
     return PolyMatrix(len(subsets), entries)
 
 
-def reference_char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
-    """det(xI - M) by the Berkowitz method run directly over Poly entries.
+def reference_char_poly(m: PolyMatrix) -> tuple[dict[int, int], ...]:
+    """det(xI - M) by the Berkowitz method run directly over polynomial entries.
 
     The test-only reference ``minrep.char_poly`` is compared against:
     slow, but it shares no code with the graded integer kernel.
@@ -362,30 +379,37 @@ def reference_char_poly(m: PolyMatrix) -> tuple[Poly, ...]:
     return tuple(_berkowitz(dense_rows(m)))
 
 
-def _berkowitz(rows: list[list[Poly]]) -> list[Poly]:
+def _berkowitz(rows: list[list[dict[int, int]]]) -> list[dict[int, int]]:
     n = len(rows)
+    one, minus_one = {0: 1}, {0: -1}
     if n == 0:
-        return [ONE]
+        return [one]
     if n == 1:
-        return [ONE, -rows[0][0]]
+        return [one, pmul(minus_one, rows[0][0])]
     a = rows[0][0]
     r_vec = rows[0][1:]
     c_vec = [rows[k][0] for k in range(1, n)]
     sub = [row[1:] for row in rows[1:]]
 
-    items = [ONE, -a]
+    def dot(u: list[dict[int, int]], v: list[dict[int, int]]) -> dict[int, int]:
+        acc: dict[int, int] = {}
+        for x, y in zip(u, v):
+            acc = padd(acc, pmul(x, y))
+        return acc
+
+    items = [one, pmul(minus_one, a)]
     v = r_vec
     for _ in range(n - 1):
-        items.append(-sum((vi * ci for vi, ci in zip(v, c_vec)), ZERO))
-        v = [sum((vi * sub[k][j] for k, vi in enumerate(v)), ZERO) for j in range(n - 1)]
+        items.append(pmul(minus_one, dot(v, c_vec)))
+        v = [dot(v, [row[j] for row in sub]) for j in range(n - 1)]
 
     prev = _berkowitz(sub)
     out = []
     for r in range(n + 1):
-        acc = ZERO
+        acc: dict[int, int] = {}
         for c in range(n):
             k = r - c
             if 0 <= k <= n:
-                acc = acc + items[k] * prev[c]
+                acc = padd(acc, pmul(items[k], prev[c]))
         out.append(acc)
     return out

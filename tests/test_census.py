@@ -9,12 +9,12 @@ from collections import Counter
 
 from helpers import reference_operator_rows, sweep_orbits
 from minflag.cli import ROWS
-from minflag.minrep import Poly, quantum_operator
+from minflag.minrep import quantum_operator
 
 MUTATIONS = {
-    "delete": lambda p: 0,
-    "flip": lambda p: -p,
-    "move": lambda p: Poly({1 - e: c for e, c in p.items()}),  # q^e <-> q^(1-e)
+    "delete": lambda p: {},
+    "flip": lambda p: {e: -c for e, c in p.items()},
+    "move": lambda p: {1 - e: c for e, c in p.items()},  # q^e <-> q^(1-e)
 }
 
 # (mutation, row) -> mutants caught, out of 918 per mutation; the 42
@@ -36,10 +36,10 @@ def test_mutation_census(fresh_memos):
     for orb in sweep_orbits():
         a = quantum_operator(orb)
         reference = reference_operator_rows(orb)
-        nonzero = a.nonzero()
+        nonzero = sorted(a.entries.items())
         entries += len(nonzero)
         for kind, mutate in MUTATIONS.items():
-            for i, j, p in nonzero:
+            for (i, j), p in nonzero:
                 mutant = a.with_entry(i, j, mutate(p))
                 for name, row in ROWS:
                     check = row(orb, mutant)

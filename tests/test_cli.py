@@ -24,7 +24,7 @@ from minflag.cli import (
     main,
     sweep_cases,
 )
-from minflag.minrep import Poly, PolyMatrix
+from minflag.minrep import PolyMatrix
 from minflag.rootsys import LieType, build
 from minflag.weylorbit import Orbit, expected_orbit_size, orbit
 from helpers import SWEEP, clear_memos
@@ -148,7 +148,7 @@ def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(mo
 
 def test_verify_calls_no_public_generator_builder(monkeypatch):
     calls = []
-    for name in ("lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix"):
+    for name in ("lowering_matrix", "psi_raising_matrix"):
         monkeypatch.setattr(minrep, name, lambda *args, name=name: calls.append(name))
     assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
     assert calls == []
@@ -474,21 +474,21 @@ def test_emitted_orbit_and_crystal_bytes_are_pinned(case):
 
 
 def test_crystal_emit_reads_the_psi_map_and_formats_each_key_once(monkeypatch):
-    # the psi edges come from minrep._psi_map, with no PolyMatrix sorted
-    # through nonzero(); DOT formats each weight's key once per element
+    # the psi edges come from minrep._psi_map, with no PolyMatrix built;
+    # DOT formats each weight's key once per element
     calls = Counter()
-    real_key, real_nonzero = cli._weight_key, PolyMatrix.nonzero
+    real_key, real_init = cli._weight_key, PolyMatrix.__init__
 
     def key(w):
         calls["key"] += 1
         return real_key(w)
 
-    def nonzero(m):
-        calls["nonzero"] += 1
-        return real_nonzero(m)
+    def init(m, *args):
+        calls["PolyMatrix"] += 1
+        real_init(m, *args)
 
     monkeypatch.setattr(cli, "_weight_key", key)
-    monkeypatch.setattr(PolyMatrix, "nonzero", nonzero)
+    monkeypatch.setattr(PolyMatrix, "__init__", init)
     monkeypatch.setattr(minrep, "psi_raising_matrix", lambda orb: calls.update(["psi_raising_matrix"]))
     for family, rank, weight in [("E", 7, 1), ("D", 8, 8), ("A", 9, 5)]:
         orb = orbit(build(LieType(family, rank)), weight)
@@ -547,7 +547,7 @@ def test_crystal_json_then_dot_computes_the_edges_once(fresh_memos):
 
 
 _coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))
-_entries = st.dictionaries(st.integers(0, 6), _coeffs, max_size=4).map(Poly)
+_entries = st.dictionaries(st.integers(0, 6), _coeffs, max_size=4)
 
 
 @st.composite
@@ -562,7 +562,8 @@ def _poly_matrices(draw):
 def _densified(v):
     """v with every PolyMatrix replaced by its dense array of [exponent, coefficient-string] lists."""
     if isinstance(v, PolyMatrix):
-        return [[[[e, str(c)] for e, c in v.entry(i, j).items()] for j in range(v.n)] for i in range(v.n)]
+        return [[[[e, str(c)] for e, c in sorted(v.entries.get((i, j), {}).items())] for j in range(v.n)]
+                for i in range(v.n)]
     if isinstance(v, dict):
         return {k: _densified(x) for k, x in v.items()}
     if isinstance(v, list):
@@ -611,7 +612,7 @@ def test_writer_rejects_what_is_not_plain_json(bad):
     with pytest.raises(TypeError):
         json_text(bad)
     with pytest.raises(TypeError):
-        json_text({"basis": [[1, 2], {"deep": [bad]}], "matrix": PolyMatrix(1, {(0, 0): 1})})
+        json_text({"basis": [[1, 2], {"deep": [bad]}], "matrix": PolyMatrix(1, {(0, 0): {0: 1}})})
 
 
 _JSON_TARGETS = ["orbit", "crystal", "amatrix", "qtable", "ttstar"]
@@ -925,7 +926,7 @@ def test_delete_detectable_edge_breaks_frobenius_symmetry():
         orb = orbit(build(lt), i)
         operator = minrep.quantum_operator(orb)
         deleted = delete_detectable_edge(orb, operator)
-        assert len(deleted.nonzero()) == len(operator.nonzero()) - 1
+        assert len(deleted.entries) == len(operator.entries) - 1
         # A1 has only self-dual entries; everywhere else Frobenius must trip
         assert bool(qchev.frobenius_check(orb, deleted)) == (lt == LieType("A", 1))
 

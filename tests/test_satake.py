@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 from collections import Counter
 from math import comb
@@ -9,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
 import minflag.satake as satake
-from helpers import commutator, dense_rows, orbit_of, reference_wedge_matrix
-from minflag.cli import SweepConfig, cmd_verify
-from minflag.minrep import Poly, PolyMatrix, lowering_matrix, quantum_operator, raising_matrix
+from helpers import commutator, dense_rows, orbit_of, pmul, reference_wedge_matrix
+from minflag.minrep import PolyMatrix, lowering_matrix, poly_text, quantum_operator
 from minflag.satake import (
     SignDiagonal,
     SignSimilarityError,
@@ -42,13 +40,13 @@ def test_wedge_rejects_out_of_range_degree():
 def test_wedge_a3_k2_entries_and_size():
     w = wedge_matrix(quantum_operator(orbit_of("A", 3, 1)), 2)
     assert w.n == 6
-    entries = {str(p) for _i, _j, p in w.nonzero()}
+    entries = {poly_text(p) for p in w.entries.values()}
     assert entries <= {"1", "-1", "q", "-q"}
     assert "q" in entries or "-q" in entries
 
 
 # small coefficients, so that diagonal sums often cancel
-_wedge_entries = st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=3).map(Poly)
+_wedge_entries = st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=3)
 
 
 @st.composite
@@ -64,22 +62,22 @@ def test_wedge_matches_the_poly_reference_for_every_degree(m):
     for k in range(1, m.n):
         w = wedge_matrix(m, k)
         assert w == reference_wedge_matrix(m, k)
-        assert all(p for _i, _j, p in w.nonzero())
+        assert all(w.entries.values())
 
 
 def test_wedge_drops_diagonal_terms_that_cancel():
     # the diagonal entry of {0, 1} is m00 + m11 = (1 + 2q) + (-1 - 2q) = 0
     m = PolyMatrix(3, {
-        (0, 0): Poly({0: 1, 1: 2}), (1, 1): Poly({0: -1, 1: -2}), (2, 2): Poly({0: 3, 2: 1}),
-        (1, 0): Poly({1: 5}), (2, 0): Poly({0: 7}),
+        (0, 0): {0: 1, 1: 2}, (1, 1): {0: -1, 1: -2}, (2, 2): {0: 3, 2: 1},
+        (1, 0): {1: 5}, (2, 0): {0: 7},
     })
     w = wedge_matrix(m, 2)
     assert w == reference_wedge_matrix(m, 2)
-    assert (0, 0) not in {(i, j) for i, j, _p in w.nonzero()}
-    assert w.entry(1, 1) == Poly({0: 4, 1: 2, 2: 1})  # m00 + m22, three exponents
-    assert w.entry(2, 2) == Poly({0: 2, 1: -2, 2: 1})  # m11 + m22
-    assert w.entry(2, 1) == Poly({1: 5})  # e0 ^ e2 -> e1 ^ e2 keeps its order
-    assert w.entry(2, 0) == Poly({0: -7})  # e0 ^ e1 -> e2 ^ e1 = -e1 ^ e2
+    assert (0, 0) not in w.entries
+    assert w.entries[(1, 1)] == {0: 4, 1: 2, 2: 1}  # m00 + m22, three exponents
+    assert w.entries[(2, 2)] == {0: 2, 1: -2, 2: 1}  # m11 + m22
+    assert w.entries[(2, 1)] == {1: 5}  # e0 ^ e2 -> e1 ^ e2 keeps its order
+    assert w.entries[(2, 0)] == {0: -7}  # e0 ^ e1 -> e2 ^ e1 = -e1 ^ e2
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -133,7 +131,8 @@ def test_aligned_wedge_matches_the_permuted_and_twisted_poly_reference(n):
         ref = reference_wedge_matrix(quantum_operator(line), k)
         perm = [gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in wedge_subsets(n + 1, k)]
         twist = (-1) ** (k - 1)
-        want = PolyMatrix(ref.n, {(perm[i], perm[j]): p.q_scaled(twist) for i, j, p in ref.nonzero()})
+        want = PolyMatrix(ref.n, {(perm[i], perm[j]): {e: v * twist**e for e, v in p.items()}
+                                  for (i, j), p in ref.entries.items()})
         aligned, grassmannian = wedge_weight_alignment(n, k)
         assert aligned == want
         assert grassmannian == quantum_operator(gr)
@@ -216,8 +215,7 @@ def test_satake_pairs_are_equal_after_alignment_and_never_propagate_signs(monkey
 
 def test_satake_similarity_builds_only_the_two_operators(monkeypatch, fresh_memos):
     # the wedge and the sign match run on integer entries: the two A(q) are
-    # the only matrices, no Poly is made, nothing is sorted through nonzero();
-    # a Poly is made by Poly.__init__ or, over stored entries, by Poly._of
+    # the only matrices, and no other PolyMatrix is made along the way
     counts = Counter()
 
     def counted(cls, name):
@@ -229,28 +227,21 @@ def test_satake_similarity_builds_only_the_two_operators(monkeypatch, fresh_memo
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    for cls, name in ((PolyMatrix, "__init__"), (PolyMatrix, "nonzero"), (Poly, "__init__"), (Poly, "_of"),
-                      (Poly, "q_scaled")):
-        counted(cls, name)
+    counted(PolyMatrix, "__init__")
     for n, k in [(3, 2), (6, 3), (9, 5)]:
         counts.clear()
         satake_similarity(n, k)
         assert counts == {"PolyMatrix.__init__": 2}
     counts.clear()
-    wedge_weight_alignment(3, 2)  # the PolyMatrix view wraps the aligned wedge's entries, making no Poly
+    wedge_weight_alignment(3, 2)  # one PolyMatrix view wraps the aligned wedge's entries
     assert counts == {"PolyMatrix.__init__": 3}
-    # the verify rows read the same integer entries: a passing sweep makes no Poly either
-    counts.clear()
-    assert cmd_verify(SweepConfig(), out=io.StringIO()) == 0
-    assert counts["PolyMatrix.__init__"] > 0
-    assert not {"Poly.__init__", "Poly._of", "Poly.q_scaled", "PolyMatrix.nonzero"} & set(counts)
 
 
 def test_sign_similarity_flipped_sign_gives_cycle_witness():
     aligned, grassmannian = wedge_weight_alignment(3, 2)
     witnessed = False
-    for (i, j, p) in grassmannian.nonzero():
-        mutated = grassmannian.with_entry(i, j, p * -1)
+    for (i, j), p in sorted(grassmannian.entries.items()):
+        mutated = grassmannian.with_entry(i, j, pmul(p, {0: -1}))
         try:
             sign_similarity(aligned, mutated)
         except SignSimilarityError as exc:
@@ -265,36 +256,36 @@ def test_sign_similarity_flipped_sign_gives_cycle_witness():
 def test_sign_similarity_support_mismatch():
     aligned, grassmannian = wedge_weight_alignment(3, 2)
     with pytest.raises(SignSimilarityError) as err:
-        sign_similarity(aligned, grassmannian.with_entry(0, 0, 1))
+        sign_similarity(aligned, grassmannian.with_entry(0, 0, {0: 1}))
     assert err.value.kind == "support"
 
 
 def test_sign_similarity_support_witness_names_the_entry():
     aligned, grassmannian = wedge_weight_alignment(3, 2)
     with pytest.raises(SignSimilarityError) as err:
-        sign_similarity(aligned, grassmannian.with_entry(0, 0, 1))
+        sign_similarity(aligned, grassmannian.with_entry(0, 0, {0: 1}))
     assert str(err.value) == "supports differ at entry (0, 0)"
     assert err.value.cycle is None
 
 
-Q1 = Poly({0: 1, 1: 1})  # 1 + q
+Q1 = {0: 1, 1: 1}  # 1 + q
 
 
 def test_sign_similarity_matches_a_negated_multi_term_entry():
     a = PolyMatrix(2, {(0, 1): Q1, (1, 1): Q1})
-    b = PolyMatrix(2, {(0, 1): -Q1, (1, 1): Q1})
+    b = PolyMatrix(2, {(0, 1): {0: -1, 1: -1}, (1, 1): Q1})
     assert sign_similarity(a, b).signs == (1, -1)
 
 
 @pytest.mark.parametrize("p,q,text", [
-    (Q1, Poly({0: 1, 1: -1}), "q + 1 vs -q + 1"),
-    (Q1, Poly({0: -1, 1: 1}), "q + 1 vs q - 1"),
-    (Q1, Poly({0: 1}), "q + 1 vs 1"),
-    (Poly({0: 2}), Poly({0: 1}), "2 vs 1"),
+    (Q1, {0: 1, 1: -1}, "q + 1 vs -q + 1"),
+    (Q1, {0: -1, 1: 1}, "q + 1 vs q - 1"),
+    (Q1, {0: 1}, "q + 1 vs 1"),
+    ({0: 2}, {0: 1}, "2 vs 1"),
 ])
 def test_sign_similarity_entry_witness_names_both_entries(p, q, text):
-    a = PolyMatrix(2, {(0, 0): 1, (0, 1): p})
-    b = PolyMatrix(2, {(0, 0): 1, (0, 1): q})
+    a = PolyMatrix(2, {(0, 0): {0: 1}, (0, 1): p})
+    b = PolyMatrix(2, {(0, 0): {0: 1}, (0, 1): q})
     with pytest.raises(SignSimilarityError) as err:
         sign_similarity(a, b)
     assert err.value.kind == "support"
@@ -313,7 +304,7 @@ def test_wedge_respects_brackets():
     # sl2 triples of the 4-dimensional representation at k = 2
     orb = orbit_of("A", 3, 1)
     for j in (1, 2, 3):
-        x = raising_matrix(orb, j)
+        x = minrep._matrix(orb, minrep._raising_maps, j)
         y = lowering_matrix(orb, j)
         assert wedge_matrix(commutator(x, y), 2) == commutator(
             wedge_matrix(x, 2), wedge_matrix(y, 2)
@@ -346,7 +337,7 @@ def test_half_wedge_rejects_small_rank():
 
 def test_sign_similarity_check_names_the_entry_its_signs_miss(monkeypatch):
     a = lowering_matrix(orbit_of("A", 2, 1), 1)
-    b = a.with_entry(1, 0, -1)
+    b = a.with_entry(1, 0, {0: -1})
     assert sign_similarity(a, b).signs == (1, -1, 1)
     monkeypatch.setattr(satake, "_propagate_signs", lambda n, ratio: (1,) * n)
     with pytest.raises(AssertionError, match=r"d\[1\] d\[0\] = 1, but entry \(1, 0\) has sign ratio -1"):

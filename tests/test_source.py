@@ -91,22 +91,39 @@ def test_only_weylorbit_maps_orbit_weights_to_positions():
 
 
 
-def test_only_poly_and_poly_matrix_read_their_stored_coefficients():
+def test_only_poly_matrix_reads_its_stored_entries():
     # a PolyMatrix holds one form, its integer entries, which everything else
-    # reads through ``entries``: reaching into ``_c`` or ``_e`` would bring
-    # back a bridge between two forms
+    # reads through ``entries``: reaching into ``_e`` would bring back a
+    # bridge between two forms
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
-        inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name in ("Poly", "PolyMatrix")
+        inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "PolyMatrix"
                   for n in ast.walk(c)}
         found += [f"{os.path.basename(path)}:{n.lineno}" for n in ast.walk(tree)
-                  if isinstance(n, ast.Attribute) and n.attr in ("_c", "_e") and id(n) not in inside]
-    assert not found, f"stored coefficients read outside Poly and PolyMatrix: {found}"
+                  if isinstance(n, ast.Attribute) and n.attr == "_e" and id(n) not in inside]
+    assert not found, f"stored entries read outside PolyMatrix: {found}"
 
 
-_GENERATOR_NAMES = {"lowering_matrix", "raising_matrix", "cartan_action", "psi_raising_matrix", "PolyMatrix"}
+def test_no_class_in_the_package_adds_or_multiplies():
+    # a polynomial is a {q_power: coefficient} dict and a PolyMatrix is a
+    # container: a class with ring operators would bring back a second form
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                # a method, or a name bound in the class body (``__radd__ = __add__``)
+                name = (node.name if isinstance(node, ast.FunctionDef)
+                        else node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) else None)
+                if name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                    found.append(f"{os.path.basename(path)}:{node.lineno} {cls.name}.{name}")
+    assert not found, f"ring operators in the package: {found}"
+
+
+_GENERATOR_NAMES = {"lowering_matrix", "psi_raising_matrix", "PolyMatrix"}
 
 
 def test_rep_relations_and_a_q_read_the_index_maps():
