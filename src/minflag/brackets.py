@@ -2,16 +2,18 @@
 
 In the canonical basis of a minuscule representation every root-vector
 generator moves each basis vector to at most one other, so ``minrep``
-builds each kind of generator as index maps {source: (target,
-coefficient)}.  ``first_failure`` checks on such maps
+builds E-(j), E+(j) and E_psi as index maps {source: (target,
+coefficient)}, and each Cartan element H(j) scales basis vector mu by
+its pairing (mu, alpha_j^vee), so the weights state H.  ``first_failure``
+checks on these maps and weights
 
     [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
     [E+(j), E_psi] = 0 since psi + alpha_j is never a root,
 
 the l(3l + 1) relations of ``minrep.verify_rep_relations``, in one pass
-over the basis.  It builds no matrix and reads no orbit, only the maps
-and the Cartan matrix, so any maps can be handed to it.
+over the basis.  It builds no matrix and reads no orbit, only the maps,
+the pairings and the Cartan matrix, so any maps can be handed to it.
 """
 from __future__ import annotations
 
@@ -47,44 +49,40 @@ def _commute_column(acc: defaultdict, kind: int, xs: list, ys: list, c: int) -> 
             acc[kind, j, k, r] -= a * b
 
 
-def first_failure(C: list, n: int, low: list, high: list, cartan: list, psi: dict) -> tuple | None:
+def first_failure(C: list, h: list, low: list, high: list, psi: dict) -> tuple | None:
     """The first failing relation as (text, row, column, found, expected), or None when all hold.
 
-    C is the Cartan matrix, n the dimension, and low, high and cartan
-    the maps of E-(1..l), E+(1..l) and H(1..l), psi the map of E_psi.
-    Each list of maps is regrouped by source once.  One pass over the
-    basis then builds, per column c, the entries of every bracket minus
-    its right-hand side in one small dict: column c of [X, Y] is
-    X(Y(c)) - Y(X(c)) for all E+(j) against all E-(k) and E_psi at once.
-    H(j) is read as a diagonal vector h per basis vector, so on each edge
-    c -> t of E-(k) or E+(k) one tuple comparison tests h(t) against h(c)
-    -+ column k of C for all j; an H entry that moves a vector enters
-    through the column pass instead, so the check is exact for any maps.
+    C is the Cartan matrix, h the pairing tuple of each basis vector (H(j)
+    multiplies vector c by h[c][j]), and low, high and psi the maps of
+    E-(1..l), E+(1..l) and E_psi.  Each list of maps is regrouped by
+    source once.  One pass over the basis then builds, per column c, the
+    entries of every bracket minus its right-hand side in one small dict:
+    column c of [X, Y] is X(Y(c)) - Y(X(c)) for all E+(j) against all
+    E-(k) and E_psi at once.  On each edge c -> t of E-(k) or E+(k) one
+    tuple comparison tests h[t] against h[c] -+ column k of C for all j.
     The first failing relation is the first in the order: for each j,
     [E+(j), E-(j)]; then for each k, [E+(j), E-(k)], [H(j), E-(k)] and
     [H(j), E+(k)]; then [E+(j), E_psi].  Its entry is its first wrong one
     in row order.
     """
     l = len(C)
-    lows, highs, hs, psis = (_by_source(n, maps) for maps in (low, high, cartan, [{}] * l + [psi]))
-    h = [tuple(v if t == c else 0 for t, v in (m.get(c, (c, 0)) for m in cartan)) for c in range(n)]
-    moved = [[e for e in col if e[1] != c] for c, col in enumerate(hs)]
+    lows, highs, psis = (_by_source(len(h), maps) for maps in (low, high, [{}] * l + [psi]))
     columns = list(zip(*C))
     first = (l,)
-    for c in range(n):
+    for c, hc in enumerate(h):
         # (kind, j, k, row) -> entry (row, c) of the bracket minus its right-hand side
         acc = defaultdict(int)
         _commute_column(acc, 3, highs, lows, c)
         _commute_column(acc, 4, highs, psis, c)
-        for j, t, v in hs[c]:
-            acc[3, j, j, t] -= v
+        for j, v in enumerate(hc):
+            if v:
+                acc[3, j, j, c] -= v
         # an edge c -> t of E-(k) or E+(k) must step h by -+ column k of C
         for kind, ys, step in ((1, lows, sub), (2, highs, add)):
             for k, t, b in ys[c]:
-                if b and h[t] != tuple(map(step, h[c], columns[k])):
+                if b and h[t] != tuple(map(step, hc, columns[k])):
                     for j in range(l):
-                        acc[kind, j, k, t] += b * (h[t][j] - step(h[c][j], columns[k][j]))
-            _commute_column(acc, kind, moved, ys, c)
+                        acc[kind, j, k, t] += b * (h[t][j] - step(hc[j], columns[k][j]))
         # [E+(j), E-(j)] is kind 0; a failure's place (j, k, kind % 3, row,
         # column) sorts in walk order, with k = -1 for kind 0 and k = l for E_psi
         for (kind, j, k, r), v in acc.items():
@@ -94,7 +92,11 @@ def first_failure(C: list, n: int, low: list, high: list, cartan: list, psi: dic
     if first == (l,):
         return None
     j, k, _, r, c, v, kind = first
-    m, a = ((cartan[j], 1), (low[k], -C[j][k]), (high[k], C[j][k]))[kind] if kind < 3 else ({}, 0)
-    t, x = m.get(c, (r, 0))
-    want = a * x if t == r else 0
+    if kind == 0:
+        want = h[c][j] if r == c else 0
+    elif kind < 3:
+        # a kind 1 or 2 entry sits on an edge c -> r of map k
+        want = (-C[j][k] if kind == 1 else C[j][k]) * (low, high)[kind - 1][k][c][1]
+    else:
+        want = 0
     return _RELATION_TEXT[kind].format(j=j + 1, k=k + 1), r, c, v + want, want

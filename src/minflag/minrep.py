@@ -9,13 +9,15 @@ contributes the single q-weighted block of
 
     A(q) = sum_j E-(j) + q * E_psi.
 
-Each kind of generator is built once per orbit as index maps {source:
-(target, coefficient)}.  A(q) sums their integer coefficients, and the
-``brackets`` kernel reads the bracket relations off their edges in one
-pass over the basis; ``lowering_matrix`` and ``psi_raising_matrix`` are
-PolyMatrix views.  A(q), the E-(j) and E+(j) maps and the E_psi map
-keep the latest orbit's result, so every caller on one orbit reads the
-same object and none may change it.
+E-(j), E+(j) and E_psi are each built once per orbit as index maps
+{source: (target, coefficient)}, each by its own builder, so a wrong
+entry in one is not mirrored into another; H(j) needs no map, since the
+weights' pairings state it.  A(q) sums the maps' integer coefficients,
+and the ``brackets`` kernel reads the bracket relations off their edges
+and the pairings in one pass over the basis; ``lowering_matrix`` and
+``psi_raising_matrix`` are PolyMatrix views.  A(q), the E-(j) and E+(j)
+maps and the E_psi map keep the latest orbit's result, so every caller
+on one orbit reads the same object and none may change it.
 A polynomial in q has one form, a dict {q_power: coefficient} with
 ``int`` keys and nonzero ``int`` values; ``_checked`` validates it and
 ``poly_text`` prints it.  A PolyMatrix holds its nonzero entries in that
@@ -307,16 +309,6 @@ def _simple_root_maps(orb: Orbit, pairing: int) -> list[_IndexMap]:
     return maps
 
 
-def _cartan_maps(orb: Orbit) -> list[_IndexMap]:
-    """H(1..l) in one pass: mu -> (mu, (mu, alpha_j^vee)) wherever the pairing is nonzero."""
-    maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
-    for pos, el in enumerate(orb.elements):
-        for j, m in enumerate(el.weight.pairings):
-            if m:
-                maps[j][pos] = (pos, m)
-    return maps
-
-
 @lru_cache(maxsize=1)
 def _psi_map(orb: Orbit) -> _IndexMap:
     """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1; psi^vee is read once.
@@ -397,15 +389,15 @@ def verify_rep_relations(orb: Orbit) -> Check:
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
     [E+(j), E_psi] = 0 since psi + alpha_j is never a root.
 
-    The relations are read off the index maps A(q) is summed from, in
-    one pass over the basis (``brackets.first_failure``).  The check
-    names the first failing relation and its first wrong entry in row
-    order.  A generator whose target is not in the orbit raises
-    AssertionError from its map builder, naming the weight, the root and
-    the target.
+    The relations are read off the index maps A(q) is summed from and
+    the weights' pairings, which state H(j), in one pass over the basis
+    (``brackets.first_failure``).  The check names the first failing
+    relation and its first wrong entry in row order.  A generator whose
+    target is not in the orbit raises AssertionError from its map
+    builder, naming the weight, the root and the target.
     """
-    failure = brackets.first_failure(orb.rs.cartan, orb.size, _lowering_maps(orb), _raising_maps(orb),
-                                     _cartan_maps(orb), _psi_map(orb))
+    failure = brackets.first_failure(orb.rs.cartan, [el.weight.pairings for el in orb.elements],
+                                     _lowering_maps(orb), _raising_maps(orb), _psi_map(orb))
     if failure is None:
         return Check(True, f"{orb.rs.rank * (3 * orb.rs.rank + 1)} brackets")
     text, r, c, got, want = failure

@@ -2,12 +2,13 @@
 
 Coordinate conventions, fixed package-wide:
 
-* The invariant form is normalized so that long roots have squared
-  length 2.  The symmetrizers d_j = (alpha_j, alpha_j)/2 are then 1 on
-  long roots and 1/2 (types B, C, F) or 1/3 (type G) on short ones.
-  Under this normalization every pair of adjacent simple roots has
-  inner product -1, so the Cartan matrix is determined by the Dynkin
-  diagram together with the d_j.
+* The invariant form is normalized so that short roots have squared
+  length 2.  The symmetrizers d_j = (alpha_j, alpha_j)/2 are then the
+  minimal integers: 1 on short roots and on every root of a
+  simply-laced type, 2 on long ones (types B, C, F) and 3 on the long
+  root of G2.  Adjacent simple roots have inner product -max(d_j, d_k),
+  so a[k][j] = -max(d_j, d_k) / d_k, and the Cartan matrix is
+  determined by the Dynkin diagram together with the d_j.
 * A root is an integer coefficient vector in the simple-root basis
   (RootVec).  A weight is an integer vector of pairings against the
   simple coroots (Weight).  The Cartan matrix is the single bridge
@@ -17,9 +18,9 @@ Coordinate conventions, fixed package-wide:
 * Simple-root and fundamental-weight indices are 1-based in the public
   API, matching the usual Dynkin-diagram labels.
 
-All arithmetic is exact, and construction and the hot paths use
-integers only; Fraction appears only in the symmetrizers d_j, where
-the Cartan entries are read off the diagram, and in ``half_norm``.
+All arithmetic is exact and runs on integers only: each Cartan entry
+is one exact integer division of the diagram's symmetrizers, and the
+symmetrizability check compares d_k a[k][j] with d_j a[j][k] directly.
 Every root stores its coroot in the simple-coroot basis and its pairing
 tuple C . coeffs.  Both follow the roots through the reflection
 closure, which runs on integer tuples, so the coroots are integral by
@@ -32,9 +33,7 @@ exact integer division per coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import mul, sub
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -114,37 +113,32 @@ class Weight:
         return "(" + ",".join(str(a) for a in self.pairings) + ")"
 
 
-def _diagram(lie_type: LieType) -> tuple[list[tuple[int, int]], list[Fraction]]:
-    """Edge list (1-based node pairs) and symmetrizers for the Dynkin diagram.
+def _diagram(lie_type: LieType) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edge list (1-based node pairs) and integer symmetrizers d_j of the Dynkin diagram.
 
     The E-series labels put the minuscule node of E7 at position 1; E6
     keeps the two cominuscule ends at 1 and 6 with the branch node
     labelled 2 as usual.
     """
     fam, n = lie_type.family, lie_type.rank
-    one = Fraction(1)
-    path = [(i, i + 1) for i in range(1, n)]
-    if fam == "A":
-        return path, [one] * n
+    edges = [(i, i + 1) for i in range(1, n)]
     if fam == "B":
-        return path, [one] * (n - 1) + [Fraction(1, 2)]
+        return edges, [2] * (n - 1) + [1]
     if fam == "C":
-        return path, [Fraction(1, 2)] * (n - 1) + [one]
+        return edges, [1] * (n - 1) + [2]
+    if fam == "F":
+        return edges, [2, 2, 1, 1]
+    if fam == "G":
+        # alpha_1 short, alpha_2 long
+        return edges, [1, 3]
     if fam == "D":
         edges = [(i, i + 1) for i in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
-        return edges, [one] * n
-    if fam == "E":
-        if n == 6:
-            edges = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
-        elif n == 7:
-            edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
-        else:
-            edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
-        return edges, [one] * n
-    if fam == "F":
-        return path, [one, one, Fraction(1, 2), Fraction(1, 2)]
-    # G2: alpha_1 short, alpha_2 long
-    return [(1, 2)], [Fraction(1, 3), one]
+    elif fam == "E":
+        edges = {6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
+                 7: [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
+                 8: [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]}[n]
+    # A, D and E are simply laced: every root has d = 1
+    return edges, [1] * n
 
 
 class RootSystem:
@@ -152,11 +146,11 @@ class RootSystem:
 
     Attributes follow the coordinate conventions of the module
     docstring: ``cartan`` holds the Cartan matrix rows a[k][j] =
-    (alpha_j, alpha_k^vee) and ``symmetrizers`` the d_j.  The coroots
-    and the pairing tuples C . beta are carried along the reflection
-    closure that generates the positive roots, and both are kept for
-    every root of +-Delta+: ``root_pairings`` maps a root's coefficients
-    to its pairings.  ``cartan_det`` and ``cartan_adjugate`` are the
+    (alpha_j, alpha_k^vee) and ``symmetrizers`` the integer d_j.  The
+    coroots and the pairing tuples C . beta are carried along the
+    reflection closure that generates the positive roots, and both are
+    kept for every root of +-Delta+: ``root_pairings`` maps a root's
+    coefficients to its pairings.  ``cartan_det`` and ``cartan_adjugate`` are the
     integer determinant and adjugate of the Cartan matrix, both from one
     fraction-free elimination.  The one lazy attribute is
     ``reflection_table``, filled on first use.  Two instances compare
@@ -172,10 +166,11 @@ class RootSystem:
         for a, b in edges:
             for k, j in ((a, b), (b, a)):
                 # adjacent simple roots have (alpha_j, alpha_k) = -max(d_j, d_k)
-                val = -max(d[j - 1], d[k - 1]) / d[k - 1]
-                if val.denominator != 1:
-                    raise AssertionError(f"Cartan entry a[{k}][{j}] = {val} of {lie_type} is not an integer")
-                rows[k - 1][j - 1] = int(val)
+                top = -max(d[j - 1], d[k - 1])
+                rows[k - 1][j - 1], rest = divmod(top, d[k - 1])
+                if rest:
+                    raise AssertionError(f"Cartan entry a[{k}][{j}] = {top}/{d[k - 1]} of {lie_type} "
+                                         "is not an integer")
         cartan = self.cartan = tuple(map(tuple, rows))
         self.symmetrizers = tuple(d)
         self._check_cartan()
@@ -220,16 +215,13 @@ class RootSystem:
     def _check_cartan(self) -> None:
         C, d = self.cartan, self.symmetrizers
         n = self.lie_type.rank
-        # d_j scaled by their common denominator: symmetrizability on integers
-        den = lcm(*(x.denominator for x in d))
-        scaled = [x.numerator * (den // x.denominator) for x in d]
         for k in range(n):
             if C[k][k] != 2:
                 raise AssertionError(f"Cartan diagonal entry a[{k + 1}][{k + 1}] = {C[k][k]}, not 2")
             for j in range(n):
                 if j != k and C[k][j] not in (0, -1, -2, -3):
                     raise AssertionError(f"Cartan entry a[{k + 1}][{j + 1}] = {C[k][j]} is not 0, -1, -2 or -3")
-                if scaled[k] * C[k][j] != scaled[j] * C[j][k]:
+                if d[k] * C[k][j] != d[j] * C[j][k]:
                     raise AssertionError(
                         f"Cartan matrix not symmetrizable at ({k + 1}, {j + 1}): "
                         f"d_{k + 1} a[{k + 1}][{j + 1}] = {d[k] * C[k][j]} but "
@@ -306,27 +298,16 @@ class RootSystem:
     def rank(self) -> int:
         return self.lie_type.rank
 
-    def simple_root(self, j: int) -> RootVec:
-        n = self.rank
-        if not 1 <= j <= n:
-            raise ValueError(f"simple root index {j} out of range")
-        return RootVec(tuple(1 if k == j - 1 else 0 for k in range(n)))
-
     def fundamental_weight(self, i: int) -> Weight:
         n = self.rank
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise TypeError(f"fundamental weight index must be an int, not {i!r}")
         if not 1 <= i <= n:
             raise ValueError(f"fundamental weight index {i} out of range")
         return Weight(tuple(1 if k == i - 1 else 0 for k in range(n)))
 
     def is_root(self, alpha: RootVec) -> bool:
         return alpha.coeffs in self._coroot
-
-    def half_norm(self, alpha: RootVec) -> Fraction:
-        """d_alpha = (alpha, alpha)/2 = c_j d_j / (alpha^vee)_j at any nonzero c_j."""
-        if not self.is_root(alpha):
-            raise ValueError(f"{alpha} is not a root of {self}")
-        j = next(j for j, c in enumerate(alpha.coeffs) if c)
-        return alpha.coeffs[j] * self.symmetrizers[j] / self._coroot[alpha.coeffs][j]
 
     def root_to_weight(self, alpha: RootVec) -> Weight:
         """The pairing coordinates of a root: cartan . coeffs."""

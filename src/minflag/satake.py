@@ -14,10 +14,9 @@ positions a subset map gives, with the parity twist folded into its
 terms, and ``_match_signs`` compares two matrices up to sign, entry by
 entry through ``_sign_ratio``, accepting two equal ones with every sign
 +1 before any propagation.  ``satake_similarity`` runs them end to end,
-building no matrix but the two A(q); ``wedge_matrix``,
-``wedge_weight_alignment`` and ``sign_similarity`` hand the same
-kernels a PolyMatrix's entries, or wrap their entries in one, with no
-conversion either way.
+building no matrix but the two A(q); ``wedge_matrix`` and
+``sign_similarity`` hand the same kernels a PolyMatrix's entries, or
+wrap their entries in one, with no conversion either way.
 
 Type D: the endomorphism algebra of a spinor-variety quantum cohomology
 matches the even half-wedge of the quadric side at the level of total
@@ -41,14 +40,9 @@ from .weylorbit import Orbit, expected_orbit_size, orbit
 
 @dataclass(frozen=True)
 class SignDiagonal:
-    """A diagonal +-1 change of basis; conjugating by it is an involution."""
+    """A diagonal +-1 change of basis, D = diag(signs), with D a D = b for the matched pair."""
 
     signs: tuple[int, ...]
-
-    def conjugate(self, m: PolyMatrix) -> PolyMatrix:
-        d = self.signs
-        return PolyMatrix(m.n, {(i, j): {e: v * d[i] * d[j] for e, v in c.items()}
-                                for (i, j), c in m.entries.items()})
 
 
 class SignSimilarityError(ValueError):
@@ -230,8 +224,12 @@ def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
     """The Grassmannian orbit of A_n/w_k and the twisted line-operator wedge in its positions.
 
     A k-subset of lines sits at the orbit position of the sum of its
-    line weights (``Orbit.index_of``), and the parity twist (-1)^(k-1)
-    is folded into the wedge's terms.  The subset count and the orbit
+    line weights (``Orbit.index_of``); since all weights are distinct
+    this is a bijection.  The parity twist q -> (-1)^(k-1) q is folded
+    into the wedge's terms: the wedge of the k lowest line classes
+    reaches the top class through k-1 reorderings, so the q-block of the
+    wedge carries that global sign, and only a genuine diagonal sign
+    freedom is left for the sign match.  The subset count and the orbit
     size must both equal the Grassmannian size C(n+1, k) of
     ``weylorbit.expected_orbit_size``.
     """
@@ -250,33 +248,15 @@ def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
     return gr, _wedge(quantum_operator(line).entries, place, (-1) ** (k - 1))
 
 
-def wedge_weight_alignment(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
-    """The aligned wedge operator and the Grassmannian operator for (A_n, k).
-
-    Basis vectors of the wedge power are matched to Grassmannian orbit
-    weights by summing the line weights of their members; since all
-    weights are distinct this is a bijection, and the wedge is
-    accumulated straight into the orbit's canonical order.
-
-    The quantum parameters of the two sides correspond through the
-    parity twist q -> (-1)^(k-1) q: the wedge of the k lowest line
-    classes reaches the top class through k-1 reorderings, so the
-    q-block of the wedge operator carries that global sign.  The twist
-    is applied here, leaving only a genuine diagonal sign freedom for
-    ``sign_similarity`` to discover.
-    """
-    gr, wedge = _aligned_wedge(n, k)
-    return PolyMatrix(gr.size, wedge), quantum_operator(gr)
-
-
 def satake_similarity(n: int, k: int) -> SignDiagonal:
     """Full type-A check: wedge the line operator into Grassmannian positions, sign-match.
 
-    ``sign_similarity(*wedge_weight_alignment(n, k))`` on integer
-    entries: the two A(q) are the only matrices built.  Once the parity
-    twist is folded in, the aligned wedge equals the Grassmannian A(q)
-    for every 1 <= k <= n <= 9 checked, so the equality accept answers
-    without sign propagation.
+    ``_aligned_wedge`` against the Grassmannian A(q), matched by the
+    kernel of ``sign_similarity`` on integer entries: the two A(q) are
+    the only matrices built.  Once the parity twist is folded in, the
+    aligned wedge equals the Grassmannian A(q) for every
+    1 <= k <= n <= 9 checked, so the equality accept answers without
+    sign propagation.
     """
     gr, wedge = _aligned_wedge(n, k)
     return SignDiagonal(_match_signs(gr.size, wedge, quantum_operator(gr).entries))

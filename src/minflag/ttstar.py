@@ -138,11 +138,14 @@ def distinguished_solution(rs: RootSystem, i: int) -> tuple[Point, Point, Point]
 
     The triple depends on the root system alone and comes from the
     per-root-system memo ``_toda_data``; i only has to be minuscule.
-    It returns only an m that ``_toda_data`` has proved fixed by the
-    diagram involution, and raises AssertionError otherwise.
+    A bool or float index equal to a minuscule one raises
+    ``RootSystem.fundamental_weight``'s TypeError.  It returns only an m
+    that ``_toda_data`` has proved fixed by the diagram involution, and
+    raises AssertionError otherwise.
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
+    rs.fundamental_weight(i)
     return _toda_data(rs)
 
 

@@ -75,12 +75,14 @@ class Orbit:
         """The position of mu - root or mu + root, which must be in the orbit.
 
         sign is "-" or "+"; root is a simple-root index j or the name
-        "psi", the highest root.  Raises ValueError naming an index
-        outside 1..rank, and AssertionError naming mu, the root and the
-        target when the target is missing.
+        "psi", the highest root.  Raises ValueError naming any other sign
+        or an index outside 1..rank (a bool included), and AssertionError
+        naming mu, the root and the target when the target is missing.
         """
         rs = self.rs
-        if root != "psi" and not 0 < root <= len(rs.simple_root_weights):
+        if sign not in ("-", "+"):
+            raise ValueError(f"sign must be '-' or '+', not {sign!r}")
+        if root != "psi" and (isinstance(root, bool) or not 0 < root <= len(rs.simple_root_weights)):
             raise ValueError(f"simple root index {root} out of range")
         step = rs.highest_root_weight if root == "psi" else rs.simple_root_weights[root - 1]
         nu = tuple(map(sub if sign == "-" else add, mu.pairings, step.pairings))
@@ -125,7 +127,7 @@ def expected_orbit_size(lt: LieType, i: int) -> int:
     raise ValueError(f"no closed-form size for ({lt}, {i})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def orbit(rs: RootSystem, i: int) -> Orbit:
     """BFS enumeration of the orbit of the i-th fundamental weight.
 
@@ -133,7 +135,10 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     simple reflections tried in index order.  The frontier, the seen set
     and the per-level sort run on pairing tuples, which sort as their
     Weights do; each element gets one Weight and one OrbitElement, made
-    as its level is recorded.
+    as its level is recorded.  The memo is typed, and
+    ``RootSystem.fundamental_weight`` raises TypeError for an index that
+    is not an int, so a bool or float index equal to a minuscule one
+    neither shares its entry nor makes an orbit.
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")

@@ -10,7 +10,7 @@ from minflag import qchev, ttstar, weylorbit
 from minflag.cli import SweepConfig, sweep_cases
 from minflag.minrep import Check, PolyMatrix, _entry_witness, poly_text
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, diagram_involution, minuscule_weights
-from minflag.satake import wedge_subsets
+from minflag.satake import _aligned_wedge, wedge_subsets
 from minflag.weylorbit import Orbit, OrbitElement, orbit, poincare_dual
 
 SWEEP = sweep_cases(SweepConfig())
@@ -34,6 +34,17 @@ def rs_of(family: str, rank: int) -> RootSystem:
 
 def orbit_of(family: str, rank: int, i: int) -> Orbit:
     return orbit(rs_of(family, rank), i)
+
+
+def simple_root(rs: RootSystem, j: int) -> RootVec:
+    """alpha_j as a RootVec: coefficient 1 at j (1-based), 0 elsewhere."""
+    return RootVec(tuple(int(k == j) for k in range(1, rs.rank + 1)))
+
+
+def aligned_pair(n: int, k: int) -> tuple[PolyMatrix, PolyMatrix]:
+    """The line operator's wedge aligned to the A_n/w_k orbit, as a PolyMatrix, and that orbit's A(q)."""
+    gr, wedge = _aligned_wedge(n, k)
+    return PolyMatrix(gr.size, wedge), minrep.quantum_operator(gr)
 
 
 def sweep_orbits():
@@ -81,7 +92,7 @@ def reference_positive_roots(rs: RootSystem) -> tuple[tuple[RootVec, ...], dict[
     """
     n = rs.rank
     columns = tuple(zip(*rs.cartan))
-    simple = [rs.simple_root(k) for k in range(1, n + 1)]
+    simple = [simple_root(rs, k) for k in range(1, n + 1)]
     coroot = {r.coeffs: r.coeffs for r in simple}
     queue = list(simple)
     while queue:
@@ -282,16 +293,19 @@ def reference_rep_relations(orb: Orbit) -> Check:
     """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
 
     The test-only reference the index-map check is compared against.  It
-    reads the generators from the same private map builders, through the
-    module, so a test that replaces a map builder there changes both
-    checks alike.  Every generator entry is a constant, so the products
-    run on integer entries.
+    reads E-(j), E+(j) and E_psi from the same private map builders,
+    through the module, so a test that replaces a map builder there
+    changes both checks alike, and H(j) from the weights: the diagonal
+    of basis vector mu is its pairing (mu, alpha_j^vee).  Every
+    generator entry is a constant, so the products run on integer
+    entries.
     """
     n = orb.rs.rank
     C = orb.rs.cartan
     low = dict(enumerate(map(_map_rows, minrep._lowering_maps(orb)), 1))
     high = dict(enumerate(map(_map_rows, minrep._raising_maps(orb)), 1))
-    diag = dict(enumerate(map(_map_rows, minrep._cartan_maps(orb)), 1))
+    pairings = [el.weight.pairings for el in orb.elements]
+    diag = {j: {c: {c: p[j - 1]} for c, p in enumerate(pairings) if p[j - 1]} for j in range(1, n + 1)}
     psi_m = _map_rows(minrep._psi_map(orb))
 
     def entries(c: int, m: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:

@@ -10,7 +10,7 @@ from math import comb
 
 import minflag.rootsys as rootsys
 import minflag.weylorbit as weylorbit
-from helpers import SWEEP, random_alcove_coords
+from helpers import SWEEP, aligned_pair, random_alcove_coords
 from minflag.cli import delete_detectable_edge
 from minflag.minrep import char_poly, quantum_operator, verify_rep_relations
 from minflag.qchev import (
@@ -24,7 +24,7 @@ from minflag.qchev import (
     trichotomy_check,
 )
 from minflag.rootsys import LieType, build
-from minflag.satake import SignSimilarityError, half_wedge_dims, satake_similarity, sign_similarity, wedge_weight_alignment
+from minflag.satake import SignSimilarityError, half_wedge_dims, satake_similarity, sign_similarity
 from minflag.ttstar import alcove_to_asymptotic, asymptotic_to_alcove, dpw_exponents, minus_h0
 from minflag.weylorbit import expected_orbit_size, orbit
 
@@ -156,7 +156,7 @@ def test_criterion_9_invariants_and_mutation_detection():
     assert not grading_check(orb, operator.with_entry(r, c, {e + 1: v for e, v in p.items()}))
 
     # flipped sign: the sign-similarity propagation must produce a witness
-    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    aligned, grassmannian = aligned_pair(3, 2)
     caught = False
     for (r, c), p in sorted(grassmannian.entries.items()):
         try:

@@ -47,8 +47,8 @@ def _raising(orb, j):
 
 
 def _cartan(orb, j):
-    """H(j) as a PolyMatrix, straight from its index map."""
-    return minrep._matrix(orb, minrep._cartan_maps, j)
+    """H(j) as a PolyMatrix: diagonal, basis vector mu scaled by its pairing (mu, alpha_j^vee)."""
+    return PolyMatrix(orb.size, {(c, c): {0: el.weight.pairings[j - 1]} for c, el in enumerate(orb.elements)})
 
 
 Q = {1: 1}  # q itself
@@ -195,15 +195,15 @@ def test_raising_kills_highest_weight_vector():
 
 
 def test_cartan_action_a1():
-    assert minrep._cartan_maps(orbit_of("A", 1, 1)) == [{0: (0, 1), 1: (1, -1)}]
+    # H(1) is read off the weights: (1) and (-1) in canonical order
+    assert [el.weight.pairings for el in orbit_of("A", 1, 1).elements] == [(1,), (-1,)]
     assert _cartan(orbit_of("A", 1, 1), 1) == _m([[1, 0], [0, -1]])
 
 
 def test_cartan_action_traceless_on_a2():
     orb = orbit_of("A", 2, 1)
-    for h in minrep._cartan_maps(orb):
-        assert all(t == c for c, (t, _v) in h.items())  # diagonal
-        assert sum(v for _t, v in h.values()) == 0
+    for j in range(orb.rs.rank):
+        assert sum(el.weight.pairings[j] for el in orb.elements) == 0
 
 
 def test_generator_entries_are_zero_or_one():
@@ -212,11 +212,10 @@ def test_generator_entries_are_zero_or_one():
         for m in mats:
             assert all(p == {0: 1} for p in m.entries.values())
         assert all(v == 1 for m in minrep._raising_maps(orb) for _t, v in m.values())
-        assert {v for m in minrep._cartan_maps(orb) for _t, v in m.values()} <= {-1, 1}
+        assert {p for el in orb.elements for p in el.weight.pairings} <= {-1, 0, 1}
 
 
-@pytest.mark.parametrize("build", [lowering_matrix, _raising, _cartan],
-                         ids=["lowering_matrix", "raising_matrix", "cartan_action"])
+@pytest.mark.parametrize("build", [lowering_matrix, _raising], ids=["lowering_matrix", "raising_matrix"])
 def test_generator_builders_reject_an_out_of_range_index(build):
     orb = orbit_of("A", 2, 1)
     for j in (0, 3):
@@ -226,7 +225,7 @@ def test_generator_builders_reject_an_out_of_range_index(build):
 
 def test_public_builders_are_views_of_the_index_maps():
     for orb in sweep_orbits():
-        for maps in (minrep._lowering_maps(orb), minrep._raising_maps(orb), minrep._cartan_maps(orb)):
+        for maps in (minrep._lowering_maps(orb), minrep._raising_maps(orb)):
             assert len(maps) == orb.rs.rank
         for j, m in enumerate(minrep._lowering_maps(orb), 1):
             assert lowering_matrix(orb, j) == PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in m.items()})
@@ -482,12 +481,12 @@ def test_check_is_truthy_exactly_when_it_passed():
 
 
 def test_rep_relations_broken_bracket_names_the_entry(monkeypatch):
-    real = minrep._cartan_maps
-    monkeypatch.setattr(minrep, "_cartan_maps",
+    real = minrep._raising_maps
+    monkeypatch.setattr(minrep, "_raising_maps",
                         lambda orb: [{c: (t, 2 * v) for c, (t, v) in m.items()} for m in real(orb)])
     check = verify_rep_relations(orbit_of("A", 1, 1))
     assert not check
-    assert check.detail == "[E+(1), E-(1)] != H(1) at ((1), (1)): 1 != 2"
+    assert check.detail == "[E+(1), E-(1)] != H(1) at ((1), (1)): 2 != 1"
 
 
 def test_rep_relations_build_no_poly_matrix(monkeypatch):
@@ -522,7 +521,7 @@ def test_lowering_maps_are_built_once_per_orbit(monkeypatch, fresh_memos):
     assert minrep._simple_root_maps.cache_info().misses == 1
 
 
-GENERATOR_MAPS = ("_lowering_maps", "_raising_maps", "_cartan_maps", "_psi_map")
+GENERATOR_MAPS = ("_lowering_maps", "_raising_maps", "_psi_map")
 
 
 def _patch_one_generator(monkeypatch, name, j, mutated):
@@ -589,17 +588,23 @@ def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_
     assert checks[0] == checks[1] == Check(False, "[E+(2), E-(2)] != H(2) at ((0,1,0), (0,1,0)): 0 != 1")
 
 
-def test_rep_relations_read_an_h_entry_that_moves_a_vector(monkeypatch, fresh_memos):
-    # on A1/w1, H(1) = [E+(1), E-(1)] moves (-1) to (1), so the sl2 relation
-    # holds; [H(1), E-(1)] first goes wrong at an entry that only the moved
-    # H entry reaches, before the diagonal part's entry in row order
-    maps = {"_lowering_maps": [{1: (1, 1)}], "_raising_maps": [{1: (0, -1)}],
-            "_cartan_maps": [{1: (0, -1)}], "_psi_map": {1: (0, -1)}}
-    for name, m in maps.items():
-        monkeypatch.setattr(minrep, name, lambda orb, m=m: m)
-    orb = orbit_of("A", 1, 1)
-    want = Check(False, "[H(1), E-(1)] != -a[1][1] E-(1) at ((1), (-1)): -1 != 0")
-    assert verify_rep_relations(orb) == reference_rep_relations(orb) == want
+@pytest.mark.parametrize("name,j,change,detail", [
+    ("_raising_maps", 1, lambda m: {**m, 1: (0, -1)}, "[E+(1), E-(1)] != H(1) at ((1,0), (1,0)): -1 != 1"),
+    ("_raising_maps", 1, lambda m: {**m, 2: (0, 1)}, "[E+(1), E-(1)] != H(1) at ((-1,1), (0,-1)): -1 != 0"),
+    ("_raising_maps", 2, lambda m: {**m, 0: (1, 1)},
+     "[H(1), E+(2)] != a[1][2] E+(2) at ((-1,1), (1,0)): -2 != -1"),
+    ("_psi_map", None, lambda m: {**m, 1: (0, 1)}, "[E+(2), E_psi] != 0 at ((1,0), (0,-1)): -1 != 0"),
+], ids=["H-diagonal", "H-off-diagonal", "H-step", "E_psi"])
+def test_rep_relations_name_the_exact_entry_of_each_kind_of_failure(monkeypatch, fresh_memos, name, j, change, detail):
+    # one entry of A2/w1's E+(1), E+(2) or E_psi changed: the sign of an edge,
+    # an edge from (0,-1) that E-(1) never enters (so the sl2 diagonal still
+    # holds), an edge breaking the weight step, or an extra E_psi edge.  No
+    # single E+ entry can make [E+(j), E_psi] the first failure: any change
+    # breaks [E+(j), E-(j)] or an [H, E+] step, which come earlier in the walk
+    orb = orbit_of("A", 2, 1)
+    built = getattr(minrep, name)(orb)
+    _patch_one_generator(monkeypatch, name, j, change(built if j is None else built[j - 1]))
+    assert verify_rep_relations(orb) == Check(False, detail)
 
 
 def test_entry_witness_names_the_first_differing_entry():

@@ -12,6 +12,7 @@ from helpers import (
     padd,
     pairing_matrix,
     simple_reflect_root,
+    simple_root,
     sweep_orbits,
     transpose,
 )
@@ -175,7 +176,7 @@ def test_n_alpha_sums_the_complement_once_per_weight():
 def test_n_alpha_rejects_parabolic_and_foreign_roots():
     rs = build(LieType("A", 3))
     with pytest.raises(ValueError):
-        n_alpha(rs, 1, rs.simple_root(2))  # pairs to 0 with lambda_1
+        n_alpha(rs, 1, simple_root(rs, 2))  # pairs to 0 with lambda_1
     with pytest.raises(ValueError):
         n_alpha(rs, 1, RootVec((2, 0, 0)))
 
@@ -354,7 +355,7 @@ def test_trichotomy_calls_reflect_zero_times():
         assert calls == []
         # the hook does see a call of reflect
         orb = orbs[0]
-        rootsys.reflect(orb.rs, orb.elements[0].weight, orb.rs.simple_root(1))
+        rootsys.reflect(orb.rs, orb.elements[0].weight, simple_root(orb.rs, 1))
     finally:
         sys.setprofile(None)
     assert len(calls) == 1
@@ -641,7 +642,7 @@ def test_reflection_table_equals_simple_reflect_root():
 def test_reflection_table_is_built_on_first_use_not_by_build():
     rs = RootSystem(LieType("D", 5))
     assert "reflection_table" not in vars(rs)
-    apply_word(rs, (1,), rs.simple_root(2))
+    apply_word(rs, (1,), simple_root(rs, 2))
     assert "reflection_table" in vars(rs)
     # interned: every value is the one RootVec of its root
     values = [beta for step in rs.reflection_table for beta in step.values()]

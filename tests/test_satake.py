@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
 import minflag.satake as satake
-from helpers import commutator, dense_rows, orbit_of, pmul, reference_wedge_matrix
+from helpers import aligned_pair, commutator, dense_rows, matmul, orbit_of, pmul, reference_wedge_matrix
 from minflag.minrep import PolyMatrix, lowering_matrix, poly_text, quantum_operator
 from minflag.satake import (
     SignDiagonal,
@@ -18,7 +18,6 @@ from minflag.satake import (
     sign_similarity,
     wedge_matrix,
     wedge_subsets,
-    wedge_weight_alignment,
 )
 from minflag.weylorbit import Orbit
 
@@ -92,19 +91,25 @@ def test_sign_similarity_identity_case():
     assert sign_similarity(m, m).signs == (1,) * 6
 
 
+def _conjugated(d: SignDiagonal, m: PolyMatrix) -> PolyMatrix:
+    """D m D for D = diag(d.signs), as a product of matrices."""
+    diag = PolyMatrix(m.n, {(i, i): {0: s} for i, s in enumerate(d.signs)})
+    return matmul(matmul(diag, m), diag)
+
+
 def test_sign_similarity_recovers_a_planted_diagonal():
     m = quantum_operator(orbit_of("A", 3, 2))
     planted = SignDiagonal((1, -1, 1, -1, -1, 1))
-    twisted = planted.conjugate(m)
+    twisted = _conjugated(planted, m)
     found = sign_similarity(twisted, m)
-    assert found.conjugate(twisted) == m
+    assert _conjugated(found, twisted) == m
 
 
 def test_satake_a3_k2():
     diag = satake_similarity(3, 2)
-    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    aligned, grassmannian = aligned_pair(3, 2)
     # conjugating by the discovered diagonal gives entrywise equality
-    assert diag.conjugate(aligned) == grassmannian
+    assert _conjugated(diag, aligned) == grassmannian
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3)])
@@ -116,7 +121,7 @@ def test_satake_pairs(n, k):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_satake_similarity_matches_the_polymatrix_route(n):
     for k in range(1, n + 1):
-        assert satake_similarity(n, k).signs == sign_similarity(*wedge_weight_alignment(n, k)).signs
+        assert satake_similarity(n, k).signs == sign_similarity(*aligned_pair(n, k)).signs
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -133,7 +138,7 @@ def test_aligned_wedge_matches_the_permuted_and_twisted_poly_reference(n):
         twist = (-1) ** (k - 1)
         want = PolyMatrix(ref.n, {(perm[i], perm[j]): {e: v * twist**e for e, v in p.items()}
                                   for (i, j), p in ref.entries.items()})
-        aligned, grassmannian = wedge_weight_alignment(n, k)
+        aligned, grassmannian = aligned_pair(n, k)
         assert aligned == want
         assert grassmannian == quantum_operator(gr)
 
@@ -181,7 +186,7 @@ def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_m
             monkeypatch.setattr(minrep, "_lowering_maps", low)
             monkeypatch.setattr(minrep, "_psi_map", psi)
             got = _outcome(lambda: satake_similarity(n, k))
-            assert got == _outcome(lambda: sign_similarity(*wedge_weight_alignment(n, k)))
+            assert got == _outcome(lambda: sign_similarity(*aligned_pair(n, k)))
             outcomes.append(got)
             seen[got[0] if got[0] != "support" else got[1].split(" at ")[0]] += 1
     assert seen["cycle"] and seen["supports differ"] and seen["entries"]
@@ -192,8 +197,8 @@ def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_m
 def test_satake_similarity_check_names_the_entry_its_signs_miss(monkeypatch):
     # equal sides are accepted before propagation, so the check is reached
     # through the Grassmannian side conjugated by a sign on basis vector 5
-    aligned, grassmannian = wedge_weight_alignment(3, 2)
-    flipped = SignDiagonal((1, 1, 1, 1, 1, -1)).conjugate(grassmannian)
+    aligned, grassmannian = aligned_pair(3, 2)
+    flipped = _conjugated(SignDiagonal((1, 1, 1, 1, 1, -1)), grassmannian)
     assert sign_similarity(aligned, flipped).signs == (1, 1, 1, 1, 1, -1)
     monkeypatch.setattr(satake, "_propagate_signs", lambda n, ratio: (-1,) + (1,) * (n - 1))
     assert satake_similarity(3, 2).signs == (1,) * 6
@@ -233,12 +238,12 @@ def test_satake_similarity_builds_only_the_two_operators(monkeypatch, fresh_memo
         satake_similarity(n, k)
         assert counts == {"PolyMatrix.__init__": 2}
     counts.clear()
-    wedge_weight_alignment(3, 2)  # one PolyMatrix view wraps the aligned wedge's entries
+    aligned_pair(3, 2)  # one PolyMatrix wraps the aligned wedge's entries
     assert counts == {"PolyMatrix.__init__": 3}
 
 
 def test_sign_similarity_flipped_sign_gives_cycle_witness():
-    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    aligned, grassmannian = aligned_pair(3, 2)
     witnessed = False
     for (i, j), p in sorted(grassmannian.entries.items()):
         mutated = grassmannian.with_entry(i, j, pmul(p, {0: -1}))
@@ -254,14 +259,14 @@ def test_sign_similarity_flipped_sign_gives_cycle_witness():
 
 
 def test_sign_similarity_support_mismatch():
-    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    aligned, grassmannian = aligned_pair(3, 2)
     with pytest.raises(SignSimilarityError) as err:
         sign_similarity(aligned, grassmannian.with_entry(0, 0, {0: 1}))
     assert err.value.kind == "support"
 
 
 def test_sign_similarity_support_witness_names_the_entry():
-    aligned, grassmannian = wedge_weight_alignment(3, 2)
+    aligned, grassmannian = aligned_pair(3, 2)
     with pytest.raises(SignSimilarityError) as err:
         sign_similarity(aligned, grassmannian.with_entry(0, 0, {0: 1}))
     assert str(err.value) == "supports differ at entry (0, 0)"
@@ -353,7 +358,7 @@ def test_wedge_alignment_check_names_the_three_counts(monkeypatch):
 
     monkeypatch.setattr(satake, "orbit", short_grassmannian)
     with pytest.raises(AssertionError, match=r"6 2-subsets of 4 lines, 5 weights in the A3/w2 orbit, binomial 6"):
-        wedge_weight_alignment(3, 2)
+        satake._aligned_wedge(3, 2)
 
 
 def test_half_wedge_check_names_the_odd_middle_binomial(monkeypatch):

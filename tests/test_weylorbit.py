@@ -1,9 +1,13 @@
 import copy
+import io
+import json
+import re
 import pytest
+from functools import partial
 from math import comb
 
-from helpers import SWEEP, apply_word_to_weight, orbit_of, reference_orbit_elements, sweep_orbits
-from minflag.cli import SweepConfig, sweep_cases
+from helpers import SWEEP, apply_word_to_weight, orbit_of, reference_orbit_elements, simple_root, sweep_orbits
+from minflag.cli import SweepConfig, cmd_emit, sweep_cases
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import (
     Orbit,
@@ -16,6 +20,7 @@ from minflag.weylorbit import (
     orbit,
     poincare_dual,
 )
+from minflag.ttstar import distinguished_solution
 
 # every minuscule orbit of the rank-10 sweep
 RANK10_SWEEP = sweep_cases(SweepConfig(max_rank={"A": 10, "B": 9, "C": 9, "D": 10}))
@@ -134,7 +139,7 @@ def test_crystal_graph_graded_and_single_source_sink():
 
 def test_apply_word_examples():
     rs = build(LieType("A", 2))
-    a1, a2 = rs.simple_root(1), rs.simple_root(2)
+    a1, a2 = simple_root(rs, 1), simple_root(rs, 2)
     assert apply_word(rs, (), a1) == a1
     assert apply_word(rs, (1,), a1) == -a1
     assert apply_word(rs, (1,), a2) == RootVec((1, 1))
@@ -209,9 +214,9 @@ def test_apply_word_checks_is_root_once_before_its_loop(monkeypatch):
     checked = []
     real = RootSystem.is_root
     monkeypatch.setattr(RootSystem, "is_root", lambda self, alpha: checked.append(alpha) or real(self, alpha))
-    assert apply_word(rs, (1, 2, 1), rs.simple_root(1)) == RootVec((0, -1))
+    assert apply_word(rs, (1, 2, 1), simple_root(rs, 1)) == RootVec((0, -1))
     assert apply_word(rs, (2,), rs.highest_root) == RootVec((1, 0))
-    assert checked == [rs.simple_root(1), rs.highest_root]
+    assert checked == [simple_root(rs, 1), rs.highest_root]
     checked.clear()
     with pytest.raises(AssertionError, match=r"^word \(1, 2\) cannot act on \(2,0\)"):
         apply_word(rs, (1, 2), RootVec((2, 0)))
@@ -223,7 +228,7 @@ def test_apply_word_rejects_a_letter_out_of_range(letter):
     # 0 and -1 would apply s_3 and s_2 from the end, 4 is past A3's rank
     rs = build(LieType("A", 3))
     with pytest.raises(ValueError, match=rf"^simple root index {letter} out of range$"):
-        apply_word(rs, (1, letter), rs.simple_root(3))
+        apply_word(rs, (1, letter), simple_root(rs, 3))
 
 
 def test_neighbour_steps_by_the_named_root():
@@ -240,12 +245,46 @@ def test_neighbour_steps_by_the_named_root():
                 assert orb.elements[orb.neighbour(mu, "+", "psi")].weight - rs.highest_root_weight == mu, (orb, mu)
 
 
-@pytest.mark.parametrize("root", [0, -1, 4])
+@pytest.mark.parametrize("root", [0, -1, 4, True])
 def test_neighbour_rejects_a_simple_root_index_out_of_range(root):
-    # 0 and -1 would index the last simple roots from the end, 4 past A3's rank
+    # 0 and -1 would index the last simple roots from the end, 4 past A3's
+    # rank, and True would pass as 1 and print as alpha_True
     orb = orbit_of("A", 3, 2)
     with pytest.raises(ValueError, match=rf"^simple root index {root} out of range$"):
         orb.neighbour(orb.highest_weight, "-", root)
+
+
+@pytest.mark.parametrize("sign,root", [("x", 2), ("", 2), (None, "psi")], ids=["x", "empty", "None"])
+def test_neighbour_rejects_a_sign_other_than_minus_or_plus(sign, root):
+    # any sign but "-" used to raise: from A3/w2's lowest weight (0,-1,0),
+    # + alpha_2 and + psi are in the orbit, so these returned a position
+    orb = orbit_of("A", 3, 2)
+    lowest = orb.elements[-1].weight
+    assert lowest == Weight((0, -1, 0))
+    message = "sign must be '-' or '+', not " + repr(sign)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        orb.neighbour(lowest, sign, root)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["True", "1.0"])
+@pytest.mark.parametrize("entry", ["fundamental_weight", "orbit", "distinguished_solution"])
+@pytest.mark.parametrize("first", ["int-first", "bad-first"])
+def test_a_bool_or_float_weight_index_raises_and_leaves_the_orbit_memo_to_ints(first, entry, bad):
+    # True == 1.0 == 1 with one hash: an untyped memo answered orbit(rs, True)
+    # with the int's orbit, or kept an Orbit(A3, wTrue) for the next int call
+    rs = build(LieType("A", 3))
+    if first == "int-first":
+        orbit(rs, 1)
+    else:
+        orbit.cache_clear()
+    call = {"fundamental_weight": rs.fundamental_weight, "orbit": partial(orbit, rs),
+            "distinguished_solution": partial(distinguished_solution, rs)}[entry]
+    with pytest.raises(TypeError, match=f"^fundamental weight index must be an int, not {bad!r}$"):
+        call(bad)
+    assert type(orbit(rs, 1).weight_index) is int
+    out = io.StringIO()
+    assert cmd_emit("A", 3, 1, "orbit", "json", out) == 0
+    assert type(json.loads(out.getvalue())["weight_index"]) is int
 
 
 def test_crystal_edges_rejects_a_truncated_orbit():
