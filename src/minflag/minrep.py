@@ -305,7 +305,7 @@ def _simple_root_maps(orb: Orbit, pairing: int) -> list[_IndexMap]:
     for pos, el in enumerate(orb.elements):
         for j, m in enumerate(el.weight.pairings, 1):
             if m == pairing:
-                maps[j - 1][pos] = (orb.neighbour(el.weight, sign, j), 1)
+                maps[j - 1][pos] = (orb.neighbour(pos, sign, j), 1)
     return maps
 
 
@@ -318,7 +318,7 @@ def _psi_map(orb: Orbit) -> _IndexMap:
     and the crystal emitter: callers read it and never change it.
     """
     psi = coroot(orb.rs, orb.rs.highest_root)
-    return {pos: (orb.neighbour(el.weight, "+", "psi"), 1)
+    return {pos: (orb.neighbour(pos, "+", "psi"), 1)
             for pos, el in enumerate(orb.elements) if sum(map(mul, psi, el.weight.pairings)) == -1}
 
 

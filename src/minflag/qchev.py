@@ -12,15 +12,16 @@ representative, which transports the candidate roots, is found from the
 weights alone: a class is its raised neighbour reflected by one simple
 root.  The oracle reads neither the stored BFS words nor the stored
 lengths.  It keeps one table for the current orbit, ``_oracle_table``:
-each class's transported roots as interned (root, pairings, height)
-entries, by canonical index.  Its lengths come from ``_lengths``, the
+each class's transported roots as (root, key, height) entries, by
+canonical index, each read from ``_root_entries``, one interned entry
+per root of the root system.  Its lengths come from ``_lengths``, the
 one per-orbit list of ``length`` values, which the grading and
 trichotomy checks read too, so ``length`` runs once per element.  A
-candidate target is a pairing tuple looked up in ``Orbit.index_of``,
-and only survivors are kept.  Along the way the oracle asserts the
-structural facts that make the closed form work: every surviving
-classical reflection transports to a simple root, and every surviving
-quantum one to the negative of the highest root.
+candidate target is the class's weight key minus the root's, looked up
+in ``Orbit.index_of``, and only survivors are kept.  Along the way the
+oracle asserts the structural facts that make the closed form work:
+every surviving classical reflection transports to a simple root, and
+every surviving quantum one to the negative of the highest root.
 
 Both routes return a product as a list of (q_power, position) pairs,
 position indexing ``orb.elements``: one column of A(q).  No pair
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .minrep import Check, PolyMatrix, _entry_witness, _Entries, poly_text
 from .rootsys import RootSystem, RootVec, Weight, coroot, pair
@@ -82,15 +83,15 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
 
     The classical pairs (0, position of mu - alpha_j) come first, in j
     order, then the one quantum pair (1, position of mu + psi) if any.
-    Raises ValueError if mu is not in the orbit (``Orbit.element``, the
+    Raises ValueError if mu is not in the orbit (``Orbit.position``, the
     one membership test and its one text), and AssertionError naming
     mu, the root and the target if a target is not.
     """
     rs = orb.rs
-    orb.element(mu)
-    terms = [(0, orb.neighbour(mu, "-", j)) for j, m in enumerate(mu.pairings, 1) if m == 1]
+    pos = orb.position(mu)
+    terms = [(0, orb.neighbour(pos, "-", j)) for j, m in enumerate(mu.pairings, 1) if m == 1]
     if pair(rs, mu, rs.highest_root) == -1:
-        terms.append((1, orb.neighbour(mu, "+", "psi")))
+        terms.append((1, orb.neighbour(pos, "+", "psi")))
     return terms
 
 
@@ -103,28 +104,26 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
     alone (``_oracle_table``), never from the stored BFS words, and the
     lengths from ``_lengths``.  Keep a classical term iff the independent
     length jumps by +1 and a q-term iff it jumps by -(s-1); everything
-    else is discarded.  Candidates are pairing tuples looked up in
-    ``Orbit.index_of``; the survivors are returned as sorted
-    (q_power, position) pairs, classical first.  Raises
-    AssertionError if a surviving term violates the simple-root /
+    else is discarded.  A candidate is mu's weight key minus beta's,
+    looked up in ``Orbit.index_of``: exact, since mu is confirmed an
+    orbit weight (``Orbit.position``) and beta is a root.  The survivors
+    are returned as sorted (q_power, position) pairs, classical first.
+    Raises AssertionError if a surviving term violates the simple-root /
     highest-root classification, and ValueError naming mu, beta and the
-    target if a target is not in the orbit.
+    target if mu or a target is not in the orbit.
     """
     rs = orb.rs
     rows, lengths = _oracle_table(orb), _lengths(orb)
     index = orb.index_of
-    k = index.get(mu.pairings)
-    if k is None:
-        orb.element(mu)  # raises ValueError naming the foreign class
+    k = orb.position(mu)
     quantum_jump = 1 - rs.coxeter_number
-    mp = mu.pairings
+    mp, mkey = mu.pairings, orb.keys[k]
     base_len = lengths[k]
     kept = []
-    for beta, beta_pairings, height in rows[k]:
-        target = tuple(map(sub, mp, beta_pairings))
-        t = index.get(target)
+    for beta, beta_key, height in rows[k]:
+        t = index.get(mkey - beta_key)
         if t is None:
-            raise ValueError(f"{mu} - {beta} = {Weight(target)} is not in the orbit")
+            raise ValueError(f"{mu} - {beta} = {mu - rs.root_to_weight(beta)} is not in the orbit")
         jump = lengths[t] - base_len
         if jump != height:
             raise AssertionError("length jump must equal the transported height")
@@ -145,8 +144,20 @@ def chevalley_fw_oracle(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
     return kept
 
 
-# (root, its pairings, its height): one interned entry per transported root
-_Entry = tuple[RootVec, tuple[int, ...], int]
+# (root, its weight key, its height): one interned entry per root
+_Entry = tuple[RootVec, int, int]
+
+
+@lru_cache(maxsize=None)
+def _root_entries(rs: RootSystem) -> dict[tuple[int, ...], _Entry]:
+    """Every root's oracle entry by its coefficients, built once per root system.
+
+    The roots are the reflection table's own RootVecs (each s_j permutes
+    the roots, so the values of s_1's table are all of them), the ones
+    ``apply_word`` returns.
+    """
+    pairings = rs.root_pairings
+    return {r.coeffs: (r, Weight(pairings[r.coeffs]).key, r.height) for r in rs.reflection_table[0].values()}
 
 
 @lru_cache(maxsize=1)
@@ -157,23 +168,14 @@ def _oracle_table(orb: Orbit) -> list[tuple[_Entry, ...]]:
     Any other mu has a first simple root alpha_j with pairing -1, and
     nu = mu + alpha_j has u_mu = s_j u_nu, so mu's transported
     complement is s_j applied to nu's, entry by entry: one single-letter
-    ``apply_word`` call per (class, root).  Each entry is interned by
-    the root's coefficients, with its pairings from ``rs.root_pairings``.
-    Only the most recent orbit's table is kept.
+    ``apply_word`` call per (class, root), whose root's entry is read
+    from ``_root_entries``.  Only the most recent orbit's table is kept.
     """
     rs = orb.rs
     top = orb.highest_weight
     raise_by = [a.pairings for a in rs.simple_root_weights]
-    pairings = rs.root_pairings
-    interned: dict[tuple[int, ...], _Entry] = {}
-
-    def entry(beta: RootVec) -> _Entry:
-        got = interned.get(beta.coeffs)
-        if got is None:
-            got = interned[beta.coeffs] = (beta, pairings[beta.coeffs], beta.height)
-        return got
-
-    transport = {top.pairings: tuple(entry(alpha) for alpha in divisor_complement(orb))}
+    entries = _root_entries(rs)
+    transport = {top.pairings: tuple(entries[alpha.coeffs] for alpha in divisor_complement(orb))}
     for el in orb.elements:
         chain = []
         mu = el.weight.pairings
@@ -184,7 +186,8 @@ def _oracle_table(orb: Orbit) -> list[tuple[_Entry, ...]]:
             chain.append((mu, j))
             mu = tuple(map(add, mu, raise_by[j - 1]))
         for lowered, j in reversed(chain):
-            transport[lowered] = tuple(entry(apply_word(rs, (j,), beta)) for beta, _, _ in transport[mu])
+            word = (j,)
+            transport[lowered] = tuple(entries[apply_word(rs, word, beta).coeffs] for beta, _, _ in transport[mu])
             mu = lowered
     return [transport[el.weight.pairings] for el in orb.elements]
 
@@ -340,7 +343,7 @@ def fw_oracle_matrix(orb: Orbit) -> PolyMatrix:
 def oracle_survivors(orb: Orbit, mu: Weight) -> OracleSurvivorStats:
     """Candidate bookkeeping for the class of mu: how many of the roots the oracle read survive each way."""
     terms = chevalley_fw_oracle(orb, mu)
-    return _survivor_stats(len(_oracle_table(orb)[orb.index_of[mu.pairings]]), terms)
+    return _survivor_stats(len(_oracle_table(orb)[orb.position(mu)]), terms)
 
 
 def _columns_matrix(orb: Orbit, columns: list[list[tuple[int, int]]]) -> PolyMatrix:
@@ -396,29 +399,27 @@ def trichotomy_check(orb: Orbit) -> Check:
     Pairing 1 with the length of the lowered weight one higher, pairing
     0 (the reflection fixes the weight by definition, so nothing is
     measured), or pairing -1 with the length of the raised weight one
-    lower; lengths measured by the independent oracle.  Neighbours are
-    pairing tuples looked up in ``Orbit.index_of``.  A failure names the
-    weight, the simple root and what went wrong.
+    lower; lengths measured by the independent oracle.  A neighbour is
+    the weight's key minus pairing times alpha_j's, looked up in
+    ``Orbit.index_of``.  A failure names the weight, the simple root and
+    what went wrong.
     """
     rs = orb.rs
     lengths = _lengths(orb)
-    alphas = [a.pairings for a in rs.simple_root_weights]
+    alpha_keys = rs.simple_root_keys
 
     def fail(why: str) -> Check:
         return Check(False, f"at {el.weight}, alpha_{j}: pairing {m}, {why}")
 
-    for el, base in zip(orb.elements, lengths):
-        mp = el.weight.pairings
-        for j in range(1, rs.rank + 1):
-            m = mp[j - 1]
+    for el, key, base in zip(orb.elements, orb.keys, lengths):
+        for j, m in enumerate(el.weight.pairings, 1):
             if m == 0:
                 continue  # s_j fixes a weight of pairing 0 by definition: nothing to measure
             if m not in (1, -1):
                 return fail("outside -1, 0, 1")
-            nu = tuple(map(sub if m == 1 else add, mp, alphas[j - 1]))
-            k = orb.index_of.get(nu)
-            if k is None:
-                return fail(f"but {Weight(nu)} is not in the orbit")
-            if lengths[k] != base + m:
-                return fail(f"but {Weight(nu)} has length {lengths[k]}, not {base + m}")
+            k = orb.index_of.get(key - m * alpha_keys[j - 1])
+            if k is None or lengths[k] != base + m:
+                nu = el.weight - rs.simple_root_weights[j - 1].scaled(m)
+                return fail(f"but {nu} is not in the orbit" if k is None
+                            else f"but {nu} has length {lengths[k]}, not {base + m}")
     return Check(True, "pairing/length cases")

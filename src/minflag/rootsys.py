@@ -29,14 +29,28 @@ coroot pairing is then an integer dot product.  One fraction-free
 elimination gives the integer determinant and adjugate of the Cartan
 matrix: the root coordinates of a weight w are (adj . w) / det, one
 exact integer division per coordinate.
+
+A weight's key, sum_k p_k 16^k over its pairings p, is computed once,
+when the Weight is made, and is linear:
+key(mu - beta) = key(mu) - key(beta).  With signed base-16 digits it is
+injective on vectors whose pairings all lie in -7..7.  Every root's
+pairings lie in -3..3, asserted once per root system, and
+``weylorbit.Orbit`` holds its weights to -4..4, so an orbit weight plus
+or minus a root is found in an orbit by one addition and one lookup of
+its key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul, sub
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+
+KEY_BASE = 16
+# the largest pairing of a root, and of an orbit weight: their sum stays below KEY_BASE / 2
+ROOT_BOUND = 3
+ORBIT_BOUND = KEY_BASE // 2 - 1 - ROOT_BOUND
 
 # (min rank, max rank or None) per family
 _RANK_RANGE = {
@@ -93,12 +107,21 @@ class RootVec:
 
 @dataclass(frozen=True, order=True, slots=True)
 class Weight:
-    """A weight, as integer pairings against the simple coroots.
+    """A weight, as integer pairings against the simple coroots, and its key.
 
-    Slotted: every memoized orbit keeps one per element.
+    key = sum_k pairings[k] * KEY_BASE^k, by Horner once per Weight: it
+    takes no part in equality, order or the text.  Slotted: every
+    memoized orbit keeps one per element.
     """
 
     pairings: tuple[int, ...]
+    key: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = 0
+        for p in reversed(self.pairings):
+            key = key * KEY_BASE + p
+        object.__setattr__(self, "key", key)
 
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(map(sub, self.pairings, other.pairings)))
@@ -155,7 +178,10 @@ class RootSystem:
     fraction-free elimination.  The one lazy attribute is
     ``reflection_table``, filled on first use.  Two instances compare
     equal iff they have the same LieType; everything else is determined
-    by it.
+    by it.  ``simple_root_keys`` and ``highest_root_key`` are the keys
+    of the simple roots' and the highest root's Weights, the steps of
+    the orbit look-ups; every root pairing is asserted to lie in
+    -ROOT_BOUND..ROOT_BOUND, which keeps them exact.
     """
 
     def __init__(self, lie_type: LieType):
@@ -178,6 +204,9 @@ class RootSystem:
         self.positive_roots = self._close_positive_roots()
         pairings = self.root_pairings
         for r in self.positive_roots:
+            if max(map(abs, pairings[r.coeffs])) > ROOT_BOUND:
+                raise AssertionError(f"the root {r} of {lie_type} has the pairings {Weight(pairings[r.coeffs])}, "
+                                     f"outside -{ROOT_BOUND}..{ROOT_BOUND}: weight keys would not be exact")
             co = self._coroot[r.coeffs]
             p = sum(map(mul, co, pairings[r.coeffs]))
             if p != 2:
@@ -205,6 +234,8 @@ class RootSystem:
         if any(p < 0 for p in self.highest_root_weight.pairings):
             raise AssertionError(f"the highest root {self.highest_root} of {lie_type} has the "
                                  f"non-dominant weight {self.highest_root_weight}")
+        self.simple_root_keys = tuple(w.key for w in self.simple_root_weights)
+        self.highest_root_key = self.highest_root_weight.key
 
         self.cartan_det, self.cartan_adjugate = _adjugate(cartan)
         self._minuscule = self._find_minuscule()

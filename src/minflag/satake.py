@@ -224,8 +224,9 @@ def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
     """The Grassmannian orbit of A_n/w_k and the twisted line-operator wedge in its positions.
 
     A k-subset of lines sits at the orbit position of the sum of its
-    line weights (``Orbit.index_of``); since all weights are distinct
-    this is a bijection.  The parity twist q -> (-1)^(k-1) q is folded
+    line weights, whose key is the sum of the lines' keys
+    (``Orbit.index_of``); since all weights are distinct this is a
+    bijection.  The parity twist q -> (-1)^(k-1) q is folded
     into the wedge's terms: the wedge of the k lowest line classes
     reaches the top class through k-1 reorderings, so the q-block of the
     wedge carries that global sign, and only a genuine diagonal sign
@@ -243,8 +244,8 @@ def _aligned_wedge(n: int, k: int) -> tuple[Orbit, _Entries]:
             f"{len(subsets)} {k}-subsets of {n + 1} lines, {gr.size} weights in the A{n}/w{k} orbit, "
             f"binomial {size}"
         )
-    lines = [el.weight.pairings for el in line.elements]
-    place = {s: gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in subsets}
+    lines = line.keys
+    place = {s: gr.index_of[sum(lines[p] for p in s)] for s in subsets}
     return gr, _wedge(quantum_operator(line).entries, place, (-1) ** (k - 1))
 
 

@@ -32,7 +32,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Sequence, Union
 
-from .rootsys import LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
+from .rootsys import ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,18 +52,33 @@ class OrbitElement:
 class Orbit:
     """The W-orbit of a minuscule fundamental weight, canonically ordered.
 
-    ``index_of`` maps each element's pairing tuple to its position: the
-    one weight-to-position map of the package.  ``neighbour(mu, sign,
-    root)`` steps from mu to mu - alpha_j, mu + alpha_j or mu + psi and
-    returns the target's position.  Immutable after construction; safe
-    to share and memoized by ``orbit``.
+    ``keys`` holds each element's ``Weight.key`` and ``index_of`` maps
+    each key to its position: the one weight-to-position map of the
+    package.  Every pairing of every element must lie in
+    -ORBIT_BOUND..ORBIT_BOUND, so an element's key plus or minus a
+    root's names the target weight exactly; ``position`` confirms a key
+    hit on a caller's weight by its pairings.  ``neighbour(pos, sign,
+    root)`` steps from the element at pos to mu - alpha_j, mu + alpha_j
+    or mu + psi and returns the target's position.  Immutable after
+    construction; safe to share and memoized by ``orbit``.
     """
 
     def __init__(self, rs: RootSystem, weight_index: int, elements: Sequence[OrbitElement]):
         self.rs = rs
         self.weight_index = weight_index
         self.elements = tuple(elements)
-        self.index_of = {el.weight.pairings: pos for pos, el in enumerate(self.elements)}
+        index: dict[int, int] = {}
+        for pos, el in enumerate(self.elements):
+            w = el.weight.pairings
+            if min(w) < -ORBIT_BOUND or max(w) > ORBIT_BOUND:
+                raise AssertionError(f"the orbit weight {el.weight} has a pairing outside "
+                                     f"-{ORBIT_BOUND}..{ORBIT_BOUND}: its key would not be exact")
+            first = index.setdefault(el.weight.key, pos)
+            if first != pos:
+                raise AssertionError(f"the orbit weight {el.weight} at position {pos} has the key of "
+                                     f"{self.elements[first].weight} at position {first}")
+        self.keys = tuple(index)
+        self.index_of = index
         self.dim_complex = self.elements[-1].length
         self.size = len(self.elements)
 
@@ -71,33 +86,46 @@ class Orbit:
     def highest_weight(self) -> Weight:
         return self.elements[0].weight
 
-    def neighbour(self, mu: Weight, sign: str, root: Union[int, str]) -> int:
-        """The position of mu - root or mu + root, which must be in the orbit.
+    def neighbour(self, pos: int, sign: str, root: Union[int, str]) -> int:
+        """The position of mu - root or mu + root, mu the element at pos; the target must be in the orbit.
 
         sign is "-" or "+"; root is a simple-root index j or the name
-        "psi", the highest root.  Raises ValueError naming any other sign
-        or an index outside 1..rank (a bool included), and AssertionError
-        naming mu, the root and the target when the target is missing.
+        "psi", the highest root.  Raises ValueError naming a position
+        outside 0..size-1 or a root index outside 1..rank (a bool, for
+        either) or any other sign, and AssertionError naming mu, the root
+        and the target when the target is missing.
         """
         rs = self.rs
+        if isinstance(pos, bool) or not 0 <= pos < self.size:
+            raise ValueError(f"position {pos} out of range for {self}")
         if sign not in ("-", "+"):
             raise ValueError(f"sign must be '-' or '+', not {sign!r}")
-        if root != "psi" and (isinstance(root, bool) or not 0 < root <= len(rs.simple_root_weights)):
+        if root != "psi" and (isinstance(root, bool) or not 0 < root <= len(rs.simple_root_keys)):
             raise ValueError(f"simple root index {root} out of range")
-        step = rs.highest_root_weight if root == "psi" else rs.simple_root_weights[root - 1]
-        nu = tuple(map(sub if sign == "-" else add, mu.pairings, step.pairings))
-        pos = self.index_of.get(nu)
-        if pos is None:
+        step = rs.highest_root_key if root == "psi" else rs.simple_root_keys[root - 1]
+        t = self.index_of.get(self.keys[pos] - step if sign == "-" else self.keys[pos] + step)
+        if t is None:
+            mu = self.elements[pos].weight
+            w = rs.highest_root_weight if root == "psi" else rs.simple_root_weights[root - 1]
+            nu = Weight(tuple(map(sub if sign == "-" else add, mu.pairings, w.pairings)))
             name = f"alpha_{root}" if isinstance(root, int) else root
-            raise AssertionError(f"{mu} {sign} {name} = {Weight(nu)} is not in the orbit")
+            raise AssertionError(f"{mu} {sign} {name} = {nu} is not in the orbit")
+        return t
+
+    def position(self, mu: Weight) -> int:
+        """mu's position: the package's one membership test, a ValueError for a foreign weight.
+
+        A key hit is confirmed by the pairings: outside -7..7 two weights
+        can share a key.
+        """
+        pos = self.index_of.get(mu.key)
+        if pos is None or self.elements[pos].weight.pairings != mu.pairings:
+            raise ValueError(f"{mu} is not a weight of the orbit ({self.rs}, w{self.weight_index})")
         return pos
 
     def element(self, mu: Weight) -> OrbitElement:
-        """mu's element: the package's one membership test, a ValueError for a foreign weight."""
-        pos = self.index_of.get(mu.pairings)
-        if pos is None:
-            raise ValueError(f"{mu} is not a weight of the orbit ({self.rs}, w{self.weight_index})")
-        return self.elements[pos]
+        """mu's element, by ``position``."""
+        return self.elements[self.position(mu)]
 
     def __repr__(self) -> str:
         return f"Orbit({self.rs}, w{self.weight_index}, size={self.size})"
@@ -109,8 +137,11 @@ def expected_orbit_size(lt: LieType, i: int) -> int:
     C(n+1, i) for the Grassmannians, 2^n for the B_n spinor variety, 2n
     for the projective space of C_n and the quadric of D_n, 2^(n-1) for
     the D_n spinor varieties, 27 for the Cayley plane and 56 for the
-    Freudenthal variety.  Any other case raises ValueError.
+    Freudenthal variety.  Any other case raises ValueError, and an index
+    that is not an int, a bool included, TypeError.
     """
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise TypeError(f"fundamental weight index must be an int, not {i!r}")
     n = lt.rank
     if lt.family == "A" and 1 <= i <= n:
         return comb(n + 1, i)
@@ -132,10 +163,12 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     """BFS enumeration of the orbit of the i-th fundamental weight.
 
     Each element records the first reduced word the BFS reaches it by,
-    simple reflections tried in index order.  The frontier, the seen set
-    and the per-level sort run on pairing tuples, which sort as their
-    Weights do; each element gets one Weight and one OrbitElement, made
-    as its level is recorded.  The memo is typed, and
+    simple reflections tried in index order.  The frontier and the seen
+    set are keyed by ``Weight.key``, a step down being one subtraction of
+    the simple root's key; each level is sorted by pairing tuple, which
+    sorts as its Weights do.  A weight's pairing tuple is made once, when
+    the BFS first reaches it, and its Weight and OrbitElement as its
+    level is recorded.  The memo is typed, and
     ``RootSystem.fundamental_weight`` raises TypeError for an index that
     is not an int, so a bool or float index equal to a minuscule one
     neither shares its entry nor makes an orbit.
@@ -143,26 +176,29 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
     alpha_w = [a.pairings for a in rs.simple_root_weights]
-    current: dict[tuple[int, ...], tuple[int, ...]] = {rs.fundamental_weight(i).pairings: ()}
-    seen: set[tuple[int, ...]] = set()
+    alpha_k = [a.key for a in rs.simple_root_weights]
+    top = rs.fundamental_weight(i)
+    # key -> (pairings, word, key): a level sorts by its unique pairings
+    current: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {top.key: (top.pairings, (), top.key)}
+    seen: set[int] = set()
     elements: list[OrbitElement] = []
     depth = 0
     while current:
-        level = sorted(current)
-        elements.extend(OrbitElement(Weight(w), current[w], depth) for w in level)
+        level = sorted(current.values())
+        elements.extend(OrbitElement(Weight(w), word, depth) for w, word, _ in level)
         seen.update(current)
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for w in level:
+        nxt: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        for w, word, key in level:
             for j, m in enumerate(w, 1):
                 if m == 1:
-                    nu = tuple(map(sub, w, alpha_w[j - 1]))
+                    nu = key - alpha_k[j - 1]
                     if nu in seen:
                         raise AssertionError(
-                            f"lowering {Weight(w)} by alpha_{j} gives {Weight(nu)}, already met: "
-                            "lowering must increase length"
+                            f"lowering {Weight(w)} by alpha_{j} gives {Weight(tuple(map(sub, w, alpha_w[j - 1])))}, "
+                            "already met: lowering must increase length"
                         )
                     if nu not in nxt:
-                        nxt[nu] = current[w] + (j,)
+                        nxt[nu] = (tuple(map(sub, w, alpha_w[j - 1])), word + (j,), nu)
         current = nxt
         depth += 1
     return Orbit(rs, i, elements)
@@ -201,10 +237,10 @@ def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
     return the same list, which callers must not mutate.
     """
     edges = []
-    for el in orb.elements:
+    for pos, el in enumerate(orb.elements):
         for j, m in enumerate(el.weight.pairings, 1):
             if m == 1:
-                edges.append((el.weight, j, orb.elements[orb.neighbour(el.weight, "-", j)].weight))
+                edges.append((el.weight, j, orb.elements[orb.neighbour(pos, "-", j)].weight))
     return edges
 
 
@@ -239,7 +275,7 @@ def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
     orb.element(mu)
     perm = diagram_involution(orb.rs)
     dual = Weight(tuple(-mu.pairings[perm[k] - 1] for k in range(orb.rs.rank)))
-    if dual.pairings not in orb.index_of:
+    if dual.key not in orb.index_of:
         raise AssertionError(f"the dual {dual} of {mu} is not in the orbit")
     return dual
 
@@ -252,4 +288,4 @@ def dual_positions(orb: Orbit) -> tuple[int, ...]:
     once per element however often the Frobenius row and the mutation
     helper of one orbit read it.
     """
-    return tuple(orb.index_of[poincare_dual(orb, el.weight).pairings] for el in orb.elements)
+    return tuple(orb.position(poincare_dual(orb, el.weight)) for el in orb.elements)

@@ -17,7 +17,7 @@ SWEEP = sweep_cases(SweepConfig())
 
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
-    qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
+    qchev._root_entries, qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
     minrep.quantum_operator, minrep._psi_map, minrep._simple_root_maps, weylorbit.crystal_edges,
     weylorbit.dual_positions, ttstar._toda_data,
 )
@@ -34,6 +34,11 @@ def rs_of(family: str, rank: int) -> RootSystem:
 
 def orbit_of(family: str, rank: int, i: int) -> Orbit:
     return orbit(rs_of(family, rank), i)
+
+
+def position_of(orb: Orbit, pairings: Sequence[int]) -> int:
+    """The position of the orbit weight with these pairings: ``Orbit.index_of`` read by its integer key."""
+    return orb.index_of[Weight(tuple(pairings)).key]
 
 
 def simple_root(rs: RootSystem, j: int) -> RootVec:
@@ -220,7 +225,7 @@ def pairing_matrix(orb: Orbit) -> PolyMatrix:
     """
     entries = {}
     for pos, el in enumerate(orb.elements):
-        entries[(pos, orb.index_of[poincare_dual(orb, el.weight).pairings])] = {0: 1}
+        entries[(pos, position_of(orb, poincare_dual(orb, el.weight).pairings))] = {0: 1}
     return PolyMatrix(orb.size, entries)
 
 
@@ -254,7 +259,7 @@ def reference_operator_rows(orb: Orbit) -> dict[str, Callable[[PolyMatrix], Chec
     except (AssertionError, ValueError) as exc:
         failed = Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
         routes = []
-    dual = [orb.index_of[poincare_dual(orb, el.weight).pairings] for el in w]
+    dual = [position_of(orb, poincare_dual(orb, el.weight).pairings) for el in w]
     lengths = qchev._lengths(orb)
     s = orb.rs.coxeter_number
 

@@ -66,7 +66,7 @@ def test_divisor_times_identity_is_the_divisor_class():
     for orb in sweep_orbits():
         i = orb.weight_index
         expected = orb.highest_weight - orb.rs.simple_root_weights[i - 1]
-        assert chevalley_closed(orb, orb.highest_weight) == [(0, orb.index_of[expected.pairings])]
+        assert chevalley_closed(orb, orb.highest_weight) == [(0, helpers.position_of(orb, expected.pairings))]
 
 
 def test_closed_form_rejects_foreign_weight():
@@ -249,7 +249,7 @@ def test_the_frobenius_row_and_the_deleted_edge_find_each_dual_once_per_orbit(mo
     assert frobenius_check(orb, a)
     assert delete_detectable_edge(orb, a) != a
     assert len(calls) == orb.size
-    dual = [orb.index_of[real(orb, el.weight).pairings] for el in orb.elements]
+    dual = [helpers.position_of(orb, real(orb, el.weight).pairings) for el in orb.elements]
     assert outcomes == [(dual[j], dual[i]) == (i, j) for i, j, _m in mutants]
     assert not all(outcomes)
 
@@ -447,7 +447,7 @@ def test_oracle_survivor_check_counts_the_candidates_the_oracle_read(fresh_memos
     # transport row that loses it changes no product term, only the count
     orb = orbit_of("A", 2, 1)
     rows = qchev._oracle_table(orb)
-    top = orb.index_of[orb.highest_weight.pairings]
+    top = helpers.position_of(orb, orb.highest_weight.pairings)
     rows[top] = tuple(e for e in rows[top] if e[0].coeffs != (1, 1))
     assert len(rows[top]) == orb.dim_complex - 1
     main, survivors = main_theorem_check(orb, quantum_operator(orb)), survivor_check(orb)
@@ -534,18 +534,19 @@ def test_transport_table_equals_the_stored_words():
         rs = orb.rs
         rows, lengths = qchev._oracle_table(orb), qchev._lengths(orb)
         complement = divisor_complement(orb)
-        assert orb.index_of == {el.weight.pairings: k for k, el in enumerate(orb.elements)}, orb
+        assert orb.index_of == {el.weight.key: k for k, el in enumerate(orb.elements)}, orb
+        assert orb.keys == tuple(orb.index_of), orb
         assert len(rows) == len(lengths) == orb.size, orb
         for el, row, got_length in zip(orb.elements, rows, lengths):
             assert [beta for beta, _, _ in row] == [apply_word(rs, el.word, a) for a in complement], (orb, el)
-            assert all(w == rs.root_to_weight(beta).pairings for beta, w, _ in row), (orb, el)
+            assert all(key == rs.root_to_weight(beta).key for beta, key, _ in row), (orb, el)
             assert all(h == beta.height for beta, _, h in row), (orb, el)
             assert got_length == el.length, (orb, el)
 
 
 def test_transport_table_holds_one_entry_per_root():
     # the transported roots are interned by their coefficients: every row
-    # points at one shared (root, pairings, height) entry per root, whose
+    # points at one shared (root, key, height) entry per root, whose
     # root is the reflection table's own RootVec
     orb = orbit_of("B", 8, 8)
     rows = qchev._oracle_table(orb)
@@ -553,6 +554,7 @@ def test_transport_table_holds_one_entry_per_root():
     assert len(entries) == orb.size * orb.dim_complex
     roots = {e[0].coeffs for e in entries}
     assert len({id(e) for e in entries}) == len({id(e[0]) for e in entries}) == len(roots)
+    assert {id(e[0]) for e in entries} <= {id(r) for r in orb.rs.reflection_table[0].values()}
     assert len(roots) <= 2 * len(orb.rs.positive_roots)
 
 
@@ -673,13 +675,36 @@ def test_oracle_rejects_foreign_class():
 
 
 def test_a_foreign_weight_raises_one_value_error_everywhere():
-    # Orbit.element is the one membership test: every reader of a class
+    # Orbit.position is the one membership test: every reader of a class
     # rejects a weight outside the orbit with its text
     orb = orbit_of("A", 2, 1)
     for call in (orb.element, lambda mu: length(orb, mu), lambda mu: poincare_dual(orb, mu),
                  lambda mu: chevalley_closed(orb, mu), lambda mu: chevalley_fw_oracle(orb, mu)):
         with pytest.raises(ValueError, match=r"^\(5,5\) is not a weight of the orbit \(A2, w1\)$"):
             call(Weight((5, 5)))
+
+
+COLLIDING_ENTRY_POINTS = {
+    "position": lambda orb, mu: orb.position(mu),
+    "element": lambda orb, mu: orb.element(mu),
+    "length": length,
+    "poincare_dual": poincare_dual,
+    "chevalley_closed": chevalley_closed,
+    "chevalley_fw_oracle": chevalley_fw_oracle,
+    "oracle_survivors": oracle_survivors,
+}
+
+
+@pytest.mark.parametrize("entry", COLLIDING_ENTRY_POINTS)
+def test_a_foreign_weight_with_an_orbit_weights_key_is_rejected(entry, fresh_memos):
+    # (17,-1) has pairing 17, outside -7..7, where the key stops being
+    # injective: 17 - 16 = 1 is the key of the top weight (1,0) of A2/w1,
+    # so a key hit alone would take it for (1,0)
+    orb = orbit_of("A", 2, 1)
+    foreign = Weight((17, -1))
+    assert foreign.key == orb.highest_weight.key
+    with pytest.raises(ValueError, match=r"^\(17,-1\) is not a weight of the orbit \(A2, w1\)$"):
+        COLLIDING_ENTRY_POINTS[entry](orb, foreign)
 
 
 def test_oracle_on_a_truncated_orbit_names_the_class_root_and_foreign_target():
@@ -707,9 +732,9 @@ def test_oracle_on_a_flipped_orbit_names_the_stranded_dominant_weight():
 
 
 @pytest.mark.parametrize("k,entry,message", [
-    (0, (RootVec((-1, 0)), (2, -1), 1), "^surviving classical root must be simple$"),
-    (0, (RootVec((0, 1)), (2, -1), 1), r"^surviving simple root \(0,1\) must pair to 1 with \(1,0\)$"),
-    (2, (RootVec((-1, 0)), (-1, -1), -2), "^surviving quantum root must be the negated highest root$"),
+    (0, (RootVec((-1, 0)), Weight((2, -1)).key, 1), "^surviving classical root must be simple$"),
+    (0, (RootVec((0, 1)), Weight((2, -1)).key, 1), r"^surviving simple root \(0,1\) must pair to 1 with \(1,0\)$"),
+    (2, (RootVec((-1, 0)), Weight((-1, -1)).key, -2), "^surviving quantum root must be the negated highest root$"),
 ], ids=["classical-negative", "classical-unpaired", "quantum-not-theta"])
 def test_oracle_rejects_a_survivor_the_closed_form_forbids(k, entry, message, fresh_memos):
     orb = orbit_of("A", 2, 1)

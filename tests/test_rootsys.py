@@ -457,6 +457,39 @@ def test_root_count_must_match_rank_times_coxeter_number(monkeypatch):
         RootSystem(LieType("A", 3))
 
 
+def test_root_pairing_outside_the_key_bound_names_the_root(monkeypatch):
+    # a root pairing of 4 would let an orbit weight minus the root reach
+    # pairing -5 and beyond, where two weights could share a key
+    real = RootSystem._close_positive_roots
+
+    def tampered(self):
+        roots = real(self)
+        self.root_pairings[(0, 1, 0)] = (-1, 4, -1)
+        return roots
+
+    monkeypatch.setattr(RootSystem, "_close_positive_roots", tampered)
+    with pytest.raises(AssertionError, match=r"^the root \(0,1,0\) of A3 has the pairings \(-1,4,-1\), "
+                                             "outside -3..3: weight keys would not be exact$"):
+        RootSystem(LieType("A", 3))
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_root_pairings_and_keys_stay_inside_the_key_bound(fam, rank):
+    rs = build(LieType(fam, rank))
+    assert max(abs(p) for pairings in rs.root_pairings.values() for p in pairings) <= 3
+    assert rs.simple_root_keys == tuple(w.key for w in rs.simple_root_weights)
+    assert rs.highest_root_key == rs.root_to_weight(rs.highest_root).key
+
+
+def test_weight_key_is_the_base_16_value_of_the_pairings_and_linear():
+    mu, nu = Weight((1, -2, 3)), Weight((-1, 0, 7))
+    assert mu.key == 1 - 2 * 16 + 3 * 16**2
+    assert (mu - nu).key == mu.key - nu.key and (-mu).key == -mu.key and mu.scaled(3).key == 3 * mu.key
+    # the key takes no part in equality, order, hashing or the text
+    assert repr(mu) == "Weight(pairings=(1, -2, 3))" and str(mu) == "(1,-2,3)"
+    assert Weight((1, -2, 3)) == mu and hash(Weight((1, -2, 3))) == hash(mu) and nu < mu
+
+
 def test_non_dominant_highest_root_weight_is_rejected(monkeypatch):
     real = RootSystem.root_to_weight
     monkeypatch.setattr(RootSystem, "root_to_weight", lambda self, alpha: -real(self, alpha))

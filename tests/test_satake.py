@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
 import minflag.satake as satake
-from helpers import aligned_pair, commutator, dense_rows, matmul, orbit_of, pmul, reference_wedge_matrix
+from helpers import (aligned_pair, commutator, dense_rows, matmul, orbit_of, pmul, position_of,
+                     reference_wedge_matrix)
 from minflag.minrep import PolyMatrix, lowering_matrix, poly_text, quantum_operator
 from minflag.satake import (
     SignDiagonal,
@@ -134,7 +135,7 @@ def test_aligned_wedge_matches_the_permuted_and_twisted_poly_reference(n):
     for k in range(1, n + 1):
         gr = orbit_of("A", n, k)
         ref = reference_wedge_matrix(quantum_operator(line), k)
-        perm = [gr.index_of[tuple(map(sum, zip(*(lines[p] for p in s))))] for s in wedge_subsets(n + 1, k)]
+        perm = [position_of(gr, map(sum, zip(*(lines[p] for p in s)))) for s in wedge_subsets(n + 1, k)]
         twist = (-1) ** (k - 1)
         want = PolyMatrix(ref.n, {(perm[i], perm[j]): {e: v * twist**e for e, v in p.items()}
                                   for (i, j), p in ref.entries.items()})

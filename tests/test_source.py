@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from helpers import MEMOS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "minflag")
@@ -69,9 +71,55 @@ def _enumerates_elements(gen: ast.comprehension) -> bool:
     )
 
 
+def _bare_keys(node: ast.AST) -> bool:
+    """True if node reads ``<x>.keys`` other than as a call (``d.keys()``)."""
+    called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return any(isinstance(n, ast.Attribute) and n.attr == "keys" and id(n) not in called for n in ast.walk(node))
+
+
+def _is_weight_key(key: ast.expr, names: set[str]) -> bool:
+    """True for ``<x>.key``, ``<x>.keys`` or ``<x>.keys[...]``, or a name in names."""
+    if isinstance(key, ast.Subscript):
+        key = key.value
+    return (isinstance(key, ast.Attribute) and key.attr in ("key", "keys")) or (
+        isinstance(key, ast.Name) and key.id in names
+    )
+
+
+def _weight_position_maps(tree: ast.AST) -> list[int]:
+    """Lines that build a map keyed by orbit weights or by weight keys.
+
+    A comprehension keyed by ``<x>.weight`` or ``<x>.weight.pairings``
+    over ``enumerate(<x>.elements)``; a comprehension, dict display or
+    item assignment keyed by a weight key (``<x>.key``, ``<x>.keys[i]``,
+    or a name a comprehension binds from ``<x>.keys``); or a ``dict(...)``
+    call that reads ``<x>.keys``.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp):
+            names = {n.id for g in node.generators if _bare_keys(g.iter)
+                     for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+            if _is_weight_key(node.key, names) or (
+                _keys_by_weight(node.key) and any(_enumerates_elements(g) for g in node.generators)
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Dict) and any(k is not None and _is_weight_key(k, set()) for k in node.keys):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Subscript) and _is_weight_key(t.slice, set()) for t in node.targets
+        ):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+              and any(_bare_keys(a) for a in node.args)):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_only_weylorbit_maps_orbit_weights_to_positions():
     # Orbit.index_of is the one weight -> position map: a module that
-    # builds its own from an orbit's elements duplicates it
+    # builds its own from an orbit's elements, or a dict keyed by weight
+    # keys, duplicates it
     files = sorted(glob.glob(os.path.join(SRC, "*.py")))
     assert files
     found = []
@@ -81,14 +129,27 @@ def test_only_weylorbit_maps_orbit_weights_to_positions():
             continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.DictComp)
-                and _keys_by_weight(node.key)
-                and any(_enumerates_elements(g) for g in node.generators)
-            ):
-                found.append(f"{name}:{node.lineno}")
+        found += [f"{name}:{line}" for line in _weight_position_maps(tree)]
     assert not found, f"weight -> position maps outside Orbit.index_of: {found}"
+
+
+@pytest.mark.parametrize("code,flagged", [
+    ("{el.weight.pairings: k for k, el in enumerate(orb.elements)}", True),
+    ("{el.weight: k for k, el in enumerate(orb.elements)}", True),
+    ("{el.weight.key: k for k, el in enumerate(orb.elements)}", True),
+    ("{key: k for k, key in enumerate(orb.keys)}", True),
+    ("{orb.keys[k]: k for k in range(orb.size)}", True),
+    ("dict(zip(orb.keys, range(orb.size)))", True),
+    ("{top.key: 0}", True),
+    ("place[mu.key] = 0", True),
+    ("{s: gr.index_of[sum(lines[p] for p in s)] for s in subsets}", False),
+    ("{r.coeffs: (r, Weight(p[r.coeffs]).key, r.height) for r in roots}", False),
+    ("{k: v for k, v in zip(d.keys(), d.values())}", False),
+    ("{el.weight.pairings: label(el.weight) for el in orb.elements}", False),
+], ids=["pairings", "weight", "key", "enumerated-keys", "indexed-keys", "dict-zip", "display", "item",
+        "key-sum-value", "key-in-value", "dict-keys-call", "labels"])
+def test_the_weight_map_guard_flags_each_form(code, flagged):
+    assert bool(_weight_position_maps(ast.parse(code))) == flagged
 
 
 

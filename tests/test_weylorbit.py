@@ -6,7 +6,8 @@ import pytest
 from functools import partial
 from math import comb
 
-from helpers import SWEEP, apply_word_to_weight, orbit_of, reference_orbit_elements, simple_root, sweep_orbits
+from helpers import (SWEEP, apply_word_to_weight, orbit_of, position_of, reference_orbit_elements, simple_root,
+                     sweep_orbits)
 from minflag.cli import SweepConfig, cmd_emit, sweep_cases
 from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
 from minflag.weylorbit import (
@@ -171,7 +172,7 @@ def test_poincare_dual_involution_and_complementarity():
             dual = poincare_dual(orb, el.weight)
             assert poincare_dual(orb, dual) == el.weight
             assert length(orb, dual) + el.length == orb.dim_complex
-            assert orb.elements[positions[orb.index_of[el.weight.pairings]]].weight == dual
+            assert orb.elements[positions[position_of(orb, el.weight.pairings)]].weight == dual
         assert dual_positions(orb) is positions  # the latest orbit's tuple is kept
 
 
@@ -234,15 +235,15 @@ def test_apply_word_rejects_a_letter_out_of_range(letter):
 def test_neighbour_steps_by_the_named_root():
     for orb in sweep_orbits():
         rs = orb.rs
-        for el in orb.elements:
+        for pos, el in enumerate(orb.elements):
             mu = el.weight
             for j, (alpha_w, m) in enumerate(zip(rs.simple_root_weights, mu.pairings), 1):
                 if m == 1:
-                    assert orb.elements[orb.neighbour(mu, "-", j)].weight == mu - alpha_w, (orb, mu, j)
+                    assert orb.elements[orb.neighbour(pos, "-", j)].weight == mu - alpha_w, (orb, mu, j)
                 if m == -1:
-                    assert orb.elements[orb.neighbour(mu, "+", j)].weight - alpha_w == mu, (orb, mu, j)
+                    assert orb.elements[orb.neighbour(pos, "+", j)].weight - alpha_w == mu, (orb, mu, j)
             if pair(rs, mu, rs.highest_root) == -1:
-                assert orb.elements[orb.neighbour(mu, "+", "psi")].weight - rs.highest_root_weight == mu, (orb, mu)
+                assert orb.elements[orb.neighbour(pos, "+", "psi")].weight - rs.highest_root_weight == mu, (orb, mu)
 
 
 @pytest.mark.parametrize("root", [0, -1, 4, True])
@@ -251,7 +252,15 @@ def test_neighbour_rejects_a_simple_root_index_out_of_range(root):
     # rank, and True would pass as 1 and print as alpha_True
     orb = orbit_of("A", 3, 2)
     with pytest.raises(ValueError, match=rf"^simple root index {root} out of range$"):
-        orb.neighbour(orb.highest_weight, "-", root)
+        orb.neighbour(0, "-", root)
+
+
+@pytest.mark.parametrize("pos", [-1, 6, True])
+def test_neighbour_rejects_a_position_outside_the_orbit(pos):
+    # -1 would step from the last element, and True from position 1
+    orb = orbit_of("A", 3, 2)
+    with pytest.raises(ValueError, match=rf"^position {pos} out of range for Orbit\(A3, w2, size=6\)$"):
+        orb.neighbour(pos, "-", 2)
 
 
 @pytest.mark.parametrize("sign,root", [("x", 2), ("", 2), (None, "psi")], ids=["x", "empty", "None"])
@@ -259,11 +268,10 @@ def test_neighbour_rejects_a_sign_other_than_minus_or_plus(sign, root):
     # any sign but "-" used to raise: from A3/w2's lowest weight (0,-1,0),
     # + alpha_2 and + psi are in the orbit, so these returned a position
     orb = orbit_of("A", 3, 2)
-    lowest = orb.elements[-1].weight
-    assert lowest == Weight((0, -1, 0))
+    assert orb.elements[-1].weight == Weight((0, -1, 0))
     message = "sign must be '-' or '+', not " + repr(sign)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        orb.neighbour(lowest, sign, root)
+        orb.neighbour(orb.size - 1, sign, root)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["True", "1.0"])
@@ -312,6 +320,40 @@ def test_orbit_bfs_check_names_a_lowering_that_goes_back():
 def test_expected_orbit_size_has_no_closed_form_off_the_minuscule_cases():
     with pytest.raises(ValueError, match=r"^no closed-form size for \(B3, 1\)$"):
         expected_orbit_size(LieType("B", 3), 1)
+
+
+@pytest.mark.parametrize("lt", [LieType("A", 3), LieType("D", 4)], ids=str)
+@pytest.mark.parametrize("i", [True])
+def test_expected_orbit_size_rejects_a_bool_index(i, lt):
+    # True == 1 passed 1 <= i <= n, so A3 answered 4 and D4 answered 8
+    with pytest.raises(TypeError, match="^fundamental weight index must be an int, not True$"):
+        expected_orbit_size(lt, i)
+
+
+@pytest.mark.parametrize("pairings", [(5, -1), (0, -5)], ids=["5", "-5"])
+def test_orbit_rejects_a_weight_whose_key_would_not_be_exact(pairings):
+    # an orbit weight plus or minus a root (pairings up to 3) must stay
+    # inside -7..7, where the key names one weight
+    rs = build(LieType("A", 2))
+    with pytest.raises(AssertionError, match=rf"^the orbit weight \({pairings[0]},{pairings[1]}\) has a pairing "
+                                             r"outside -4..4: its key would not be exact$"):
+        Orbit(rs, 1, [OrbitElement(Weight(pairings), (), 0)])
+
+
+def test_orbit_rejects_two_elements_with_one_key():
+    orb = orbit_of("A", 2, 1)
+    with pytest.raises(AssertionError, match=r"^the orbit weight \(1,0\) at position 2 has the key of "
+                                             r"\(1,0\) at position 0$"):
+        Orbit(orb.rs, 1, orb.elements[:2] + orb.elements[:1])
+
+
+def test_orbit_keys_index_the_elements_and_steps_add_root_keys():
+    for orb in sweep_orbits():
+        assert orb.keys == tuple(el.weight.key for el in orb.elements), orb
+        assert orb.index_of == {key: pos for pos, key in enumerate(orb.keys)}, orb
+        assert [orb.position(el.weight) for el in orb.elements] == list(range(orb.size)), orb
+        for lowered, j, target in crystal_edges(orb):
+            assert lowered.key - orb.rs.simple_root_keys[j - 1] == target.key, (orb, lowered, j)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1, 7])
