@@ -3,7 +3,8 @@
 The package builds root systems for all simple types with exact
 integer coroot pairings, enumerates minuscule Weyl orbits as graded coset
 representatives, constructs the canonical-basis operator
-A(q) = sum_j E-(j) + q E_psi over integer polynomials in q, computes
+A(q) = sum_{j=0..l} q^[j=0] E-(j) over integer polynomials in q, node 0
+the affine root alpha_0 = -theta (E-(0) = E_psi), computes
 quantum multiplication by the Schubert divisor class through three
 independent routes, checks the type-A wedge (Satake) similarity and the
 D-family half-wedge dimension identities, and realizes the exact

@@ -2,14 +2,15 @@
 
 In the canonical basis of a minuscule representation every root-vector
 generator moves each basis vector to at most one other, so ``minrep``
-builds E-(j), E+(j) and E_psi as index maps {source: (target,
-coefficient)}, and each Cartan element H(j) scales basis vector mu by
-its pairing (mu, alpha_j^vee), so the weights state H.  ``first_failure``
-checks on these maps and weights
+builds E-(0..l) and E+(1..l) as index maps {source: (target,
+coefficient)}, E-(0) = E_psi lowering by the affine root alpha_0 =
+-theta, and each Cartan element H(j) scales basis vector mu by its
+pairing (mu, alpha_j^vee), so the weights state H.  ``first_failure``
+checks on these maps and weights, for j, k = 1..l,
 
     [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
-    [E+(j), E_psi] = 0 since psi + alpha_j is never a root,
+    [E+(j), E_psi] = 0 since theta + alpha_j is never a root,
 
 the l(3l + 1) relations of ``minrep.verify_rep_relations``, in one pass
 over the basis.  It builds no matrix and reads no orbit, only the maps,
@@ -54,7 +55,7 @@ def first_failure(C: list, h: list, low: list, high: list, psi: dict) -> tuple |
 
     C is the Cartan matrix, h the pairing tuple of each basis vector (H(j)
     multiplies vector c by h[c][j]), and low, high and psi the maps of
-    E-(1..l), E+(1..l) and E_psi.  Each list of maps is regrouped by
+    E-(1..l), E+(1..l) and E_psi = E-(0).  Each list of maps is regrouped by
     source once.  One pass over the basis then builds, per column c, the
     entries of every bracket minus its right-hand side in one small dict:
     column c of [X, Y] is X(Y(c)) - Y(X(c)) for all E+(j) against all

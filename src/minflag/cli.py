@@ -255,9 +255,9 @@ def _header(orb: Orbit) -> dict:
 
 
 def _psi_edges(orb: Orbit) -> list[tuple[Weight, Weight]]:
-    """The E_psi edges (source, target), in (target, source) order."""
-    w = orb.elements
-    return [(w[c].weight, w[t].weight) for t, c in sorted((t, c) for c, (t, _v) in minrep._psi_map(orb).items())]
+    """The E_psi = E-(0) edges (source, target), in (target, source) order."""
+    w, psi = orb.elements, minrep._lowering_maps(orb)[0]
+    return [(w[c].weight, w[t].weight) for t, c in sorted((t, c) for c, (t, _v) in psi.items())]
 
 
 def emit_payload(orb: Orbit, what: str) -> dict:
@@ -301,7 +301,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
             doc["alcove"] = [str(c) for c in alcove]
             doc["dpw_k"] = [str(k) for k in dpw]
             doc["sigma_fixed"] = True  # distinguished_solution returns only a sigma-fixed m
-            doc.update(ttstar.dubrovin_form(orb))
+            doc.update(ttstar.dubrovin_form())
         doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
         doc["matrix"] = minrep.quantum_operator(orb)
     else:

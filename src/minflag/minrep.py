@@ -3,21 +3,24 @@
 Every weight of a minuscule representation has multiplicity one, so in
 the canonical basis every root-vector generator moves each basis vector
 to at most one other: lowering by a simple root follows the crystal
-edges with coefficient 1, raising is its transpose, the Cartan elements
-act diagonally by the coroot pairings, and raising by the highest root
-contributes the single q-weighted block of
+edges with coefficient 1, raising is its transpose, and the Cartan
+elements act diagonally by the coroot pairings.  The lowering
+generators are indexed by the nodes j = 0..l of the extended Dynkin
+diagram: node 0 is the affine simple root alpha_0 = -theta, so E-(0) =
+E_psi raises by the highest root theta, and it alone carries q in
 
-    A(q) = sum_j E-(j) + q * E_psi.
+    A(q) = sum_{j=0..l} q^[j=0] E-(j) = sum_{j=1..l} E-(j) + q * E_psi.
 
-E-(j), E+(j) and E_psi are each built once per orbit as index maps
-{source: (target, coefficient)}, each by its own builder, so a wrong
-entry in one is not mirrored into another; H(j) needs no map, since the
-weights' pairings state it.  A(q) sums the maps' integer coefficients,
-and the ``brackets`` kernel reads the bracket relations off their edges
-and the pairings in one pass over the basis; ``lowering_matrix`` and
-``psi_raising_matrix`` are PolyMatrix views.  A(q), the E-(j) and E+(j)
-maps and the E_psi map keep the latest orbit's result, so every caller
-on one orbit reads the same object and none may change it.
+E-(0..l) and E+(1..l) are built once per orbit as index maps {source:
+(target, coefficient)}, each family by its own builder, so a wrong
+entry in one is not mirrored into the other; nothing reads an E+(0),
+and H(j) needs no map, since the weights' pairings state it.  A(q) sums
+the lowering maps' integer coefficients, and the ``brackets`` kernel
+reads the bracket relations off the edges and the pairings in one pass
+over the basis; ``lowering_matrix`` is the PolyMatrix view of one
+lowering map, and ``psi_raising_matrix`` that of E-(0).  A(q) and the
+lowering maps keep the latest orbit's result, so every caller on one
+orbit reads the same object and none may change it.
 A polynomial in q has one form, a dict {q_power: coefficient} with
 ``int`` keys and nonzero ``int`` values; ``_checked`` validates it and
 ``poly_text`` prints it.  A PolyMatrix holds its nonzero entries in that
@@ -34,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import brackets
-from .rootsys import coroot
+from .rootsys import node_pairings
 from .weylorbit import Orbit
 
 # a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
@@ -282,78 +284,65 @@ def _interpolate(values: list[int]) -> dict[int, int]:
 _IndexMap = dict[int, tuple[int, int]]
 
 
+@lru_cache(maxsize=1)
 def _lowering_maps(orb: Orbit) -> list[_IndexMap]:
-    """E-(1..l) in one pass: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1."""
-    return _simple_root_maps(orb, 1)
+    """E-(0..l) in one pass, map j for node j: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1.
 
-
-def _raising_maps(orb: Orbit) -> list[_IndexMap]:
-    """E+(1..l) in one pass: mu -> (mu + alpha_j, 1) exactly when (mu, alpha_j^vee) = -1."""
-    return _simple_root_maps(orb, -1)
-
-
-@lru_cache(maxsize=2)
-def _simple_root_maps(orb: Orbit, pairing: int) -> list[_IndexMap]:
-    """Per j: mu -> (mu - pairing * alpha_j, 1) wherever (mu, alpha_j^vee) = pairing: 1 lowers, -1 raises.
-
-    Only the latest orbit's maps are kept, one entry per sign, shared by
-    A(q), the bracket relations and the public views: callers read them
-    and never change them.
+    Map 0 is E_psi, alpha_0 = -theta.  Only the latest orbit's maps are
+    kept, shared by A(q), the bracket relations, the public views and
+    the crystal emitter: callers read them and never change them.
     """
-    sign = "-" if pairing == 1 else "+"
-    maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
+    rs = orb.rs
+    maps: list[_IndexMap] = [{} for _ in rs.node_keys]
     for pos, el in enumerate(orb.elements):
-        for j, m in enumerate(el.weight.pairings, 1):
-            if m == pairing:
-                maps[j - 1][pos] = (orb.neighbour(pos, sign, j), 1)
+        for j, m in enumerate(node_pairings(rs, el.weight)):
+            if m == 1:
+                maps[j][pos] = (orb.neighbour(pos, "-", j), 1)
     return maps
 
 
-@lru_cache(maxsize=1)
-def _psi_map(orb: Orbit) -> _IndexMap:
-    """E_psi: mu -> (mu + psi, 1) exactly when (mu, psi^vee) = -1; psi^vee is read once.
+def _raising_maps(orb: Orbit) -> list[_IndexMap]:
+    """E+(1..l) in one pass, map j - 1 for node j: mu -> (mu + alpha_j, 1) exactly when (mu, alpha_j^vee) = -1.
 
-    Only the latest orbit's map is kept, shared by A(q), the bracket
-    relations (which bracket it with every E+(j) in their column pass)
-    and the crystal emitter: callers read it and never change it.
+    Only the bracket relations read them, once per orbit, so nothing is kept.
     """
-    psi = coroot(orb.rs, orb.rs.highest_root)
-    return {pos: (orb.neighbour(pos, "+", "psi"), 1)
-            for pos, el in enumerate(orb.elements) if sum(map(mul, psi, el.weight.pairings)) == -1}
-
-
-def _matrix(orb: Orbit, build: Callable, j: Optional[int] = None) -> PolyMatrix:
-    """Map j of ``build(orb)`` (its one map when j is None) as a PolyMatrix."""
-    if j is not None and not 1 <= j <= orb.rs.rank:
-        raise ValueError(f"simple root index {j} out of range")
-    m = build(orb) if j is None else build(orb)[j - 1]
-    return PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in m.items()})
+    maps: list[_IndexMap] = [{} for _ in range(orb.rs.rank)]
+    for pos, el in enumerate(orb.elements):
+        for j, m in enumerate(el.weight.pairings, 1):
+            if m == -1:
+                maps[j - 1][pos] = (orb.neighbour(pos, "+", j), 1)
+    return maps
 
 
 def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
-    """E-(j): entry (target, source) = 1 for each crystal edge labelled j."""
-    return _matrix(orb, _lowering_maps, j)
+    """E-(j) for a node j = 0..l: entry (mu - alpha_j, mu) = 1 for each edge; E-(0) is E_psi.
+
+    Anything but an int node, a bool included, raises ValueError.
+    """
+    if type(j) is not int or not 0 <= j <= orb.rs.rank:
+        raise ValueError(f"simple root index {j} out of range")
+    return PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in _lowering_maps(orb)[j].items()})
 
 
 def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
-    """E_psi: entry (mu + psi, mu) = 1 exactly when (mu, psi^vee) = -1."""
-    return _matrix(orb, _psi_map)
+    """E_psi = E-(0): entry (mu + theta, mu) = 1 exactly when (mu, theta^vee) = -1."""
+    return lowering_matrix(orb, 0)
 
 
 @lru_cache(maxsize=1)
 def quantum_operator(orb: Orbit) -> PolyMatrix:
-    """A(q) = sum_j E-(j) + q E_psi, summed from the generators' index maps; coinciding entries add.
+    """A(q) = sum_j q^[j=0] E-(j), summed from the lowering maps; coinciding entries add.
 
     The map coefficients add as integers per q-power; a sum of 0 leaves
     no term.  Only the latest orbit's A(q) is kept: consecutive calls on
     one orbit return the same PolyMatrix.
     """
     entries: _Entries = {}
-    for q_power, maps in ((0, _lowering_maps(orb)), (1, [_psi_map(orb)])):
-        for m in maps:
-            for c, (t, v) in m.items():
-                coeffs = entries.setdefault((t, c), {})
-                coeffs[q_power] = coeffs.get(q_power, 0) + v
+    for j, m in enumerate(_lowering_maps(orb)):
+        q_power = 1 if j == 0 else 0
+        for c, (t, v) in m.items():
+            coeffs = entries.setdefault((t, c), {})
+            coeffs[q_power] = coeffs.get(q_power, 0) + v
     return PolyMatrix(orb.size, entries)
 
 
@@ -387,17 +376,19 @@ def verify_rep_relations(orb: Orbit) -> Check:
 
     [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
     [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
-    [E+(j), E_psi] = 0 since psi + alpha_j is never a root.
+    [E+(j), E_psi] = 0 since theta + alpha_j is never a root,
 
-    The relations are read off the index maps A(q) is summed from and
-    the weights' pairings, which state H(j), in one pass over the basis
-    (``brackets.first_failure``).  The check names the first failing
-    relation and its first wrong entry in row order.  A generator whose
-    target is not in the orbit raises AssertionError from its map
-    builder, naming the weight, the root and the target.
+    for j, k = 1..l, with E_psi = E-(0).  The relations are read off the
+    index maps A(q) is summed from and the weights' pairings, which
+    state H(j), in one pass over the basis (``brackets.first_failure``).
+    The check names the first failing relation and its first wrong entry
+    in row order.  A generator whose target is not in the orbit raises
+    AssertionError from its map builder, naming the weight, the root and
+    the target.
     """
+    low = _lowering_maps(orb)
     failure = brackets.first_failure(orb.rs.cartan, [el.weight.pairings for el in orb.elements],
-                                     _lowering_maps(orb), _raising_maps(orb), _psi_map(orb))
+                                     low[1:], _raising_maps(orb), low[0])
     if failure is None:
         return Check(True, f"{orb.rs.rank * (3 * orb.rs.rank + 1)} brackets")
     text, r, c, got, want = failure

@@ -2,8 +2,8 @@
 
 Route 1, the closed form: lower by each simple root whose coroot
 pairing with the class's weight is 1, and add one q-weighted term
-raising by the highest root exactly when the highest-coroot pairing
-is -1.
+lowering by the affine root alpha_0 = -theta, that is raising by the
+highest root theta, exactly when the highest-coroot pairing is -1.
 
 Route 2, the oracle: the divisor product as a sum over all positive
 roots outside the parabolic, with candidate terms kept or discarded by
@@ -82,7 +82,8 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
     """Closed-form divisor product on the class of the weight mu, as (q_power, position) pairs.
 
     The classical pairs (0, position of mu - alpha_j) come first, in j
-    order, then the one quantum pair (1, position of mu + psi) if any.
+    order, then the one quantum pair (1, position of mu - alpha_0 =
+    mu + theta) if any.
     Raises ValueError if mu is not in the orbit (``Orbit.position``, the
     one membership test and its one text), and AssertionError naming
     mu, the root and the target if a target is not.
@@ -91,7 +92,7 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
     pos = orb.position(mu)
     terms = [(0, orb.neighbour(pos, "-", j)) for j, m in enumerate(mu.pairings, 1) if m == 1]
     if pair(rs, mu, rs.highest_root) == -1:
-        terms.append((1, orb.neighbour(pos, "+", "psi")))
+        terms.append((1, orb.neighbour(pos, "-", 0)))
     return terms
 
 
@@ -173,7 +174,7 @@ def _oracle_table(orb: Orbit) -> list[tuple[_Entry, ...]]:
     """
     rs = orb.rs
     top = orb.highest_weight
-    raise_by = [a.pairings for a in rs.simple_root_weights]
+    raise_by = [a.pairings for a in rs.node_weights]
     entries = _root_entries(rs)
     transport = {top.pairings: tuple(entries[alpha.coeffs] for alpha in divisor_complement(orb))}
     for el in orb.elements:
@@ -184,7 +185,7 @@ def _oracle_table(orb: Orbit) -> list[tuple[_Entry, ...]]:
             if j is None:
                 raise AssertionError(f"{Weight(mu)} has no raising simple root but is not the top weight {top}")
             chain.append((mu, j))
-            mu = tuple(map(add, mu, raise_by[j - 1]))
+            mu = tuple(map(add, mu, raise_by[j]))
         for lowered, j in reversed(chain):
             word = (j,)
             transport[lowered] = tuple(entries[apply_word(rs, word, beta).coeffs] for beta, _, _ in transport[mu])
@@ -406,7 +407,7 @@ def trichotomy_check(orb: Orbit) -> Check:
     """
     rs = orb.rs
     lengths = _lengths(orb)
-    alpha_keys = rs.simple_root_keys
+    alpha_keys = rs.node_keys
 
     def fail(why: str) -> Check:
         return Check(False, f"at {el.weight}, alpha_{j}: pairing {m}, {why}")
@@ -417,9 +418,9 @@ def trichotomy_check(orb: Orbit) -> Check:
                 continue  # s_j fixes a weight of pairing 0 by definition: nothing to measure
             if m not in (1, -1):
                 return fail("outside -1, 0, 1")
-            k = orb.index_of.get(key - m * alpha_keys[j - 1])
+            k = orb.index_of.get(key - m * alpha_keys[j])
             if k is None or lengths[k] != base + m:
-                nu = el.weight - rs.simple_root_weights[j - 1].scaled(m)
+                nu = el.weight - rs.node_weights[j].scaled(m)
                 return fail(f"but {nu} is not in the orbit" if k is None
                             else f"but {nu} has length {lengths[k]}, not {base + m}")
     return Check(True, "pairing/length cases")

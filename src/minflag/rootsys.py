@@ -16,7 +16,11 @@ Coordinate conventions, fixed package-wide:
   against simple coroot k, so root -> weight coordinates is the
   matrix-vector product cartan . coeffs.
 * Simple-root and fundamental-weight indices are 1-based in the public
-  API, matching the usual Dynkin-diagram labels.
+  API, matching the usual Dynkin-diagram labels.  Node 0 is the affine
+  simple root alpha_0 = -theta, theta the highest root, with coroot
+  alpha_0^vee = -theta^vee: the steps of an orbit are indexed by the
+  nodes 0..l of the extended diagram, and ``node_pairings`` gives
+  (mu, alpha_j^vee) for all of them.
 
 All arithmetic is exact and runs on integers only: each Cartan entry
 is one exact integer division of the diagram's symmetrizers, and the
@@ -178,10 +182,10 @@ class RootSystem:
     fraction-free elimination.  The one lazy attribute is
     ``reflection_table``, filled on first use.  Two instances compare
     equal iff they have the same LieType; everything else is determined
-    by it.  ``simple_root_keys`` and ``highest_root_key`` are the keys
-    of the simple roots' and the highest root's Weights, the steps of
-    the orbit look-ups; every root pairing is asserted to lie in
-    -ROOT_BOUND..ROOT_BOUND, which keeps them exact.
+    by it.  ``node_weights`` holds the Weight of alpha_j at index j for
+    the nodes j = 0..l, alpha_0 = -theta, and ``node_keys`` their keys,
+    the steps of the orbit look-ups; every root pairing is asserted to
+    lie in -ROOT_BOUND..ROOT_BOUND, which keeps them exact.
     """
 
     def __init__(self, lie_type: LieType):
@@ -227,15 +231,12 @@ class RootSystem:
             raise AssertionError(f"{lie_type} has {len(self.positive_roots)} positive roots, but rank {n} "
                                  f"times Coxeter number {self.coxeter_number} is {n * self.coxeter_number}")
 
-        self.simple_root_weights = tuple(
-            Weight(tuple(cartan[k][j] for k in range(n))) for j in range(n)
-        )
-        self.highest_root_weight = self.root_to_weight(self.highest_root)
-        if any(p < 0 for p in self.highest_root_weight.pairings):
+        theta = self.root_to_weight(self.highest_root)
+        if any(p < 0 for p in theta.pairings):
             raise AssertionError(f"the highest root {self.highest_root} of {lie_type} has the "
-                                 f"non-dominant weight {self.highest_root_weight}")
-        self.simple_root_keys = tuple(w.key for w in self.simple_root_weights)
-        self.highest_root_key = self.highest_root_weight.key
+                                 f"non-dominant weight {theta}")
+        self.node_weights = (-theta,) + tuple(Weight(column) for column in zip(*cartan))
+        self.node_keys = tuple(w.key for w in self.node_weights)
 
         self.cartan_det, self.cartan_adjugate = _adjugate(cartan)
         self._minuscule = self._find_minuscule()
@@ -431,6 +432,11 @@ def coroot(rs: RootSystem, alpha: RootVec) -> tuple[int, ...]:
     if co is None:
         raise ValueError(f"{alpha} is not a root of {rs}")
     return co
+
+
+def node_pairings(rs: RootSystem, mu: Weight):
+    """(mu, alpha_j^vee) for the nodes j = 0..l: (-(mu, theta^vee), mu_1, ..., mu_l), as alpha_0^vee = -theta^vee."""
+    return (-pair(rs, mu, rs.highest_root),) + mu.pairings
 
 
 def reflect(rs: RootSystem, mu: Weight, alpha: RootVec) -> Weight:

@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .rootsys import RootSystem, diagram_involution, minuscule_weights
-from .weylorbit import Orbit
 
 Rational = Union[Fraction, int]
 Point = tuple[Fraction, ...]
@@ -167,7 +166,7 @@ def _toda_data(rs: RootSystem) -> tuple[Point, Point, Point]:
     return m, asymptotic_to_alcove(rs, m), dpw_exponents(rs, m)
 
 
-def dubrovin_form(orb: Orbit) -> dict[str, str]:
+def dubrovin_form() -> dict[str, str]:
     """The flat connection form built from A(q), as two fields of the ``ttstar`` document.
 
     lambda is a formal loop symbol in the emitted text and is never

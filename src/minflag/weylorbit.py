@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, mul, sub
-from typing import Sequence, Union
+from typing import Sequence
 
 from .rootsys import ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
 
@@ -58,9 +58,10 @@ class Orbit:
     -ORBIT_BOUND..ORBIT_BOUND, so an element's key plus or minus a
     root's names the target weight exactly; ``position`` confirms a key
     hit on a caller's weight by its pairings.  ``neighbour(pos, sign,
-    root)`` steps from the element at pos to mu - alpha_j, mu + alpha_j
-    or mu + psi and returns the target's position.  Immutable after
-    construction; safe to share and memoized by ``orbit``.
+    j)`` steps from the element at pos to mu - alpha_j or mu + alpha_j
+    for a node j = 0..l of the extended diagram, alpha_0 = -theta, and
+    returns the target's position.  Immutable after construction; safe
+    to share and memoized by ``orbit``.
     """
 
     def __init__(self, rs: RootSystem, weight_index: int, elements: Sequence[OrbitElement]):
@@ -86,30 +87,29 @@ class Orbit:
     def highest_weight(self) -> Weight:
         return self.elements[0].weight
 
-    def neighbour(self, pos: int, sign: str, root: Union[int, str]) -> int:
-        """The position of mu - root or mu + root, mu the element at pos; the target must be in the orbit.
+    def neighbour(self, pos: int, sign: str, j: int) -> int:
+        """The position of mu - alpha_j or mu + alpha_j, mu the element at pos; the target must be in the orbit.
 
-        sign is "-" or "+"; root is a simple-root index j or the name
-        "psi", the highest root.  Raises ValueError naming a position
-        outside 0..size-1 or a root index outside 1..rank (a bool, for
-        either) or any other sign, and AssertionError naming mu, the root
-        and the target when the target is missing.
+        sign is "-" or "+"; j is a node 0..rank, node 0 the affine root
+        alpha_0 = -theta, so mu - alpha_0 = mu + theta.  Raises ValueError
+        naming a position outside 0..size-1 or a node outside 0..rank
+        (anything but an int, a bool included, for either) or any other
+        sign, and AssertionError naming mu, the root and the target when
+        the target is missing.
         """
         rs = self.rs
-        if isinstance(pos, bool) or not 0 <= pos < self.size:
+        if type(pos) is not int or not 0 <= pos < self.size:
             raise ValueError(f"position {pos} out of range for {self}")
         if sign not in ("-", "+"):
             raise ValueError(f"sign must be '-' or '+', not {sign!r}")
-        if root != "psi" and (isinstance(root, bool) or not 0 < root <= len(rs.simple_root_keys)):
-            raise ValueError(f"simple root index {root} out of range")
-        step = rs.highest_root_key if root == "psi" else rs.simple_root_keys[root - 1]
+        if type(j) is not int or not 0 <= j < len(rs.node_keys):
+            raise ValueError(f"simple root index {j} out of range")
+        step = rs.node_keys[j]
         t = self.index_of.get(self.keys[pos] - step if sign == "-" else self.keys[pos] + step)
         if t is None:
             mu = self.elements[pos].weight
-            w = rs.highest_root_weight if root == "psi" else rs.simple_root_weights[root - 1]
-            nu = Weight(tuple(map(sub if sign == "-" else add, mu.pairings, w.pairings)))
-            name = f"alpha_{root}" if isinstance(root, int) else root
-            raise AssertionError(f"{mu} {sign} {name} = {nu} is not in the orbit")
+            nu = Weight(tuple(map(sub if sign == "-" else add, mu.pairings, rs.node_weights[j].pairings)))
+            raise AssertionError(f"{mu} {sign} alpha_{j} = {nu} is not in the orbit")
         return t
 
     def position(self, mu: Weight) -> int:
@@ -175,8 +175,7 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     """
     if i not in minuscule_weights(rs):
         raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
-    alpha_w = [a.pairings for a in rs.simple_root_weights]
-    alpha_k = [a.key for a in rs.simple_root_weights]
+    alpha = rs.node_weights
     top = rs.fundamental_weight(i)
     # key -> (pairings, word, key): a level sorts by its unique pairings
     current: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {top.key: (top.pairings, (), top.key)}
@@ -191,14 +190,14 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
         for w, word, key in level:
             for j, m in enumerate(w, 1):
                 if m == 1:
-                    nu = key - alpha_k[j - 1]
+                    nu = key - alpha[j].key
                     if nu in seen:
                         raise AssertionError(
-                            f"lowering {Weight(w)} by alpha_{j} gives {Weight(tuple(map(sub, w, alpha_w[j - 1])))}, "
+                            f"lowering {Weight(w)} by alpha_{j} gives {Weight(tuple(map(sub, w, alpha[j].pairings)))}, "
                             "already met: lowering must increase length"
                         )
                     if nu not in nxt:
-                        nxt[nu] = (tuple(map(sub, w, alpha_w[j - 1])), word + (j,), nu)
+                        nxt[nu] = (tuple(map(sub, w, alpha[j].pairings)), word + (j,), nu)
         current = nxt
         depth += 1
     return Orbit(rs, i, elements)
@@ -248,17 +247,17 @@ def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:
     """Apply the reflections of a stored word (outermost last) to a root.
 
     alpha must be a root: anything else raises AssertionError naming the
-    word and alpha before any reflection.  A letter outside 1..rank
-    raises ValueError naming it.  Each step is then a lookup in
-    ``rs.reflection_table``, which maps a root to the interned reflected
-    root, so every step stays on a root.
+    word and alpha before any reflection.  A letter outside 1..rank, or
+    anything but an int (a bool included), raises ValueError naming it.
+    Each step is then a lookup in ``rs.reflection_table``, which maps a
+    root to the interned reflected root, so every step stays on a root.
     """
     if not rs.is_root(alpha):
         raise AssertionError(f"word {word} cannot act on {alpha}, which is not a root of {rs}")
     table = rs.reflection_table
     n = len(table)
     for j in word:
-        if not 0 < j <= n:
+        if type(j) is not int or not 0 < j <= n:
             raise ValueError(f"simple root index {j} out of range")
         alpha = table[j - 1][alpha.coeffs]
     return alpha

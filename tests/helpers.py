@@ -18,7 +18,7 @@ SWEEP = sweep_cases(SweepConfig())
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
     qchev._root_entries, qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
-    minrep.quantum_operator, minrep._psi_map, minrep._simple_root_maps, weylorbit.crystal_edges,
+    minrep.quantum_operator, minrep._lowering_maps, weylorbit.crystal_edges,
     weylorbit.dual_positions, ttstar._toda_data,
 )
 
@@ -67,7 +67,7 @@ def apply_word_to_weight(rs: RootSystem, word: Sequence[int], mu: Weight) -> Wei
     for j in word:
         p = w.pairings[j - 1]
         if p:
-            w = w - rs.simple_root_weights[j - 1].scaled(p)
+            w = w - rs.node_weights[j].scaled(p)
     return w
 
 
@@ -134,7 +134,7 @@ def reference_orbit_elements(rs: RootSystem, i: int) -> list[OrbitElement]:
         for w in level:
             for j in range(1, rs.rank + 1):
                 if w.pairings[j - 1] == 1:
-                    nu = w - rs.simple_root_weights[j - 1]
+                    nu = w - rs.node_weights[j]
                     assert nu not in seen, (w, j, nu)
                     nxt.setdefault(nu, current[w] + (j,))
         current = nxt
@@ -234,7 +234,7 @@ def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def reference_quantum_operator(orb: Orbit) -> PolyMatrix:
-    """A(q) = sum_j E-(j) + q E_psi, summed matrix by matrix.
+    """A(q) = sum_{j=1..l} E-(j) + q E_psi, summed matrix by matrix.
 
     The test-only reference the one-pass ``minrep.quantum_operator`` is
     compared against.
@@ -298,7 +298,7 @@ def reference_rep_relations(orb: Orbit) -> Check:
     """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
 
     The test-only reference the index-map check is compared against.  It
-    reads E-(j), E+(j) and E_psi from the same private map builders,
+    reads E-(j), E+(j) and E_psi = E-(0) from the same private map builders,
     through the module, so a test that replaces a map builder there
     changes both checks alike, and H(j) from the weights: the diagonal
     of basis vector mu is its pairing (mu, alpha_j^vee).  Every
@@ -307,11 +307,11 @@ def reference_rep_relations(orb: Orbit) -> Check:
     """
     n = orb.rs.rank
     C = orb.rs.cartan
-    low = dict(enumerate(map(_map_rows, minrep._lowering_maps(orb)), 1))
+    low = dict(enumerate(map(_map_rows, minrep._lowering_maps(orb))))
     high = dict(enumerate(map(_map_rows, minrep._raising_maps(orb)), 1))
     pairings = [el.weight.pairings for el in orb.elements]
     diag = {j: {c: {c: p[j - 1]} for c, p in enumerate(pairings) if p[j - 1]} for j in range(1, n + 1)}
-    psi_m = _map_rows(minrep._psi_map(orb))
+    psi_m = low[0]
 
     def entries(c: int, m: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
         """The nonzero entries of c M."""

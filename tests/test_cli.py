@@ -126,10 +126,10 @@ def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(mo
     def patched(orb):
         maps = real(orb)
         if (orb.rs.lie_type, orb.weight_index) == (LieType("A", 3), 2):
-            m = dict(maps[1])
+            m = dict(maps[2])
             first = next(iter(m))
             m[first] = (m[first][0], 0)
-            maps = maps[:1] + [m] + maps[2:]
+            maps = maps[:2] + [m] + maps[3:]
         return maps
 
     monkeypatch.setattr(minrep, "_lowering_maps", patched)
@@ -470,7 +470,7 @@ def test_emitted_orbit_and_crystal_bytes_are_pinned(case):
 
 
 def test_crystal_emit_reads_the_psi_map_and_formats_each_key_once(monkeypatch):
-    # the psi edges come from minrep._psi_map, with no PolyMatrix built;
+    # the psi edges come from E-(0) of minrep._lowering_maps, with no PolyMatrix built;
     # DOT formats each weight's key once per element
     calls = Counter()
     real_key, real_init = cli._weight_key, PolyMatrix.__init__
@@ -503,7 +503,7 @@ _EMIT_TARGETS = [
 
 
 def test_orbit_memos_keep_only_the_latest_orbit(fresh_memos):
-    memos = (minrep.quantum_operator, minrep._psi_map, weylorbit.crystal_edges)
+    memos = (minrep.quantum_operator, minrep._lowering_maps, weylorbit.crystal_edges)
     assert [memo.cache_info().maxsize for memo in memos] == [1, 1, 1]
     for case in [("E", 6, 1), ("D", 5, 5)]:
         for what, fmt in _EMIT_TARGETS:
@@ -537,7 +537,7 @@ def test_amatrix_then_ttstar_builds_a_q_once(fresh_memos):
 def test_crystal_json_then_dot_computes_the_edges_once(fresh_memos):
     _emit("E", 7, 1, "crystal", "json")
     _emit("E", 7, 1, "crystal", "dot")
-    for memo in (weylorbit.crystal_edges, minrep._psi_map):
+    for memo in (weylorbit.crystal_edges, minrep._lowering_maps):
         info = memo.cache_info()
         assert (info.misses, info.hits) == (1, 1), memo
 

@@ -43,7 +43,7 @@ def _m(rows):
 
 def _raising(orb, j):
     """E+(j) as a PolyMatrix, straight from its index map."""
-    return minrep._matrix(orb, minrep._raising_maps, j)
+    return PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in minrep._raising_maps(orb)[j - 1].items()})
 
 
 def _cartan(orb, j):
@@ -215,22 +215,53 @@ def test_generator_entries_are_zero_or_one():
         assert {p for el in orb.elements for p in el.weight.pairings} <= {-1, 0, 1}
 
 
-@pytest.mark.parametrize("build", [lowering_matrix, _raising], ids=["lowering_matrix", "raising_matrix"])
+@pytest.mark.parametrize("build", [lowering_matrix, lambda orb, j: orb.neighbour(orb.size - 1, "+", j)],
+                         ids=["lowering_matrix", "raising_matrix"])
 def test_generator_builders_reject_an_out_of_range_index(build):
+    # E-(j) is read for the nodes j = 0..l; E+(j) steps by Orbit.neighbour,
+    # which checks the same node range
     orb = orbit_of("A", 2, 1)
-    for j in (0, 3):
+    for j in (-1, 3):
         with pytest.raises(ValueError, match=f"simple root index {j} out of range"):
             build(orb, j)
 
 
+@pytest.mark.parametrize("j", [True, False, 1.0], ids=["True", "False", "1.0"])
+def test_lowering_matrix_rejects_a_node_that_is_not_an_int(j):
+    # True returned E-(1) and False would return E_psi; 1.0 failed on a list index
+    with pytest.raises(ValueError, match=f"^simple root index {j} out of range$"):
+        lowering_matrix(orbit_of("A", 3, 1), j)
+
+
 def test_public_builders_are_views_of_the_index_maps():
     for orb in sweep_orbits():
-        for maps in (minrep._lowering_maps(orb), minrep._raising_maps(orb)):
-            assert len(maps) == orb.rs.rank
-        for j, m in enumerate(minrep._lowering_maps(orb), 1):
+        low, high = minrep._lowering_maps(orb), minrep._raising_maps(orb)
+        assert (len(low), len(high)) == (orb.rs.rank + 1, orb.rs.rank)
+        for j, m in enumerate(low):
             assert lowering_matrix(orb, j) == PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in m.items()})
-        psi = minrep._psi_map(orb)
-        assert psi_raising_matrix(orb) == PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in psi.items()})
+        assert psi_raising_matrix(orb) == lowering_matrix(orb, 0)
+
+
+def test_every_lowering_edge_steps_by_its_node_weight_and_key():
+    # E-(j) for the nodes j = 0..l: an edge c -> t lowers by alpha_j, alpha_0 = -theta
+    for orb in sweep_orbits():
+        rs, w = orb.rs, orb.elements
+        for j, m in enumerate(minrep._lowering_maps(orb)):
+            for c, (t, v) in m.items():
+                assert v == 1 and w[c].weight - rs.node_weights[j] == w[t].weight, (orb, j, c)
+                assert orb.keys[c] - rs.node_keys[j] == orb.keys[t], (orb, j, c)
+
+
+def test_node_zero_map_is_the_brute_force_list_of_psi_edges():
+    # mu -> mu + theta exactly where (mu, theta^vee) = -1, found by pairing
+    # and Weight subtraction alone: no Orbit.neighbour, no key
+    for orb in sweep_orbits():
+        rs = orb.rs
+        alpha_0 = -rs.root_to_weight(rs.highest_root)
+        position = {el.weight: pos for pos, el in enumerate(orb.elements)}
+        brute = {pos: (position[el.weight - alpha_0], 1) for pos, el in enumerate(orb.elements)
+                 if pair(rs, el.weight, rs.highest_root) == -1}
+        assert minrep._lowering_maps(orb)[0] == brute, orb
 
 
 def test_psi_raising_a1():
@@ -246,7 +277,7 @@ def test_psi_raising_a2_single_edge_lowest_to_highest():
 def test_psi_raising_rejects_an_orbit_without_its_top():
     orb = orbit_of("A", 2, 1)
     topless = Orbit(orb.rs, orb.weight_index, orb.elements[1:])
-    with pytest.raises(AssertionError, match=r"\(0,-1\) \+ psi = \(1,0\) is not in the orbit"):
+    with pytest.raises(AssertionError, match=r"\(0,-1\) - alpha_0 = \(1,0\) is not in the orbit"):
         psi_raising_matrix(topless)
 
 
@@ -311,10 +342,11 @@ def test_one_pass_quantum_operator_equals_the_summed_generators(case):
 
 
 def test_quantum_operator_adds_coinciding_entries(monkeypatch, fresh_memos):
-    # with E_psi moved onto a lowering edge, that entry must become 1 + q
+    # with E_psi = E-(0) moved onto a lowering edge, that entry must become 1 + q
     orb = orbit_of("A", 2, 1)
     i, j = min(key for key, p in reference_quantum_operator(orb).entries.items() if p == {0: 1})
-    monkeypatch.setattr(minrep, "_psi_map", lambda orb: {j: (i, 1)})
+    real = minrep._lowering_maps
+    monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{j: (i, 1)}] + real(orb)[1:])
     a = quantum_operator(orb)
     assert a.entries[(i, j)] == {0: 1, 1: 1}
     assert len(a.entries) == 2  # the other lowering edge and the merged entry
@@ -323,8 +355,7 @@ def test_quantum_operator_adds_coinciding_entries(monkeypatch, fresh_memos):
 def test_quantum_operator_scales_its_terms_by_the_map_coefficients(monkeypatch, fresh_memos):
     # E-(1) with coefficient -1 on its edge cancels the q-free part of a coinciding E_psi entry
     orb = orbit_of("A", 2, 1)
-    monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{0: (1, -1)}, {1: (2, 2)}])
-    monkeypatch.setattr(minrep, "_psi_map", lambda orb: {0: (1, -1)})
+    monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{0: (1, -1)}, {0: (1, -1)}, {1: (2, 2)}])
     assert quantum_operator(orb) == _m([[0, 0, 0], [{0: -1, 1: -1}, 0, 0], [0, 2, 0]])
 
 
@@ -504,8 +535,8 @@ def test_rep_relations_build_no_poly_matrix(monkeypatch):
 
 
 def test_lowering_maps_are_built_once_per_orbit(monkeypatch, fresh_memos):
-    # A(q) then the bracket row, or the l public views, step along each
-    # lowering edge once: the maps are a latest-orbit memo, one per sign
+    # A(q) then the bracket row, or the l + 1 public views, step along each
+    # lowering edge once: the maps are a latest-orbit memo
     orb = orbit_of("E", 6, 1)
     edges = sum(len(m) for m in minrep._lowering_maps(orb))
     steps = []
@@ -513,26 +544,26 @@ def test_lowering_maps_are_built_once_per_orbit(monkeypatch, fresh_memos):
     monkeypatch.setattr(Orbit, "neighbour",
                         lambda self, mu, sign, root: steps.append(sign) or real(self, mu, sign, root))
     for use in (lambda: quantum_operator(orb) and verify_rep_relations(orb),
-                lambda: [lowering_matrix(orb, j) for j in range(1, orb.rs.rank + 1)]):
-        minrep._simple_root_maps.cache_clear()
+                lambda: [lowering_matrix(orb, j) for j in range(orb.rs.rank + 1)]):
+        minrep._lowering_maps.cache_clear()
         steps.clear()
         assert use()
         assert steps.count("-") == edges
-    assert minrep._simple_root_maps.cache_info().misses == 1
+    assert minrep._lowering_maps.cache_info().misses == 1
 
 
-GENERATOR_MAPS = ("_lowering_maps", "_raising_maps", "_psi_map")
+# each map builder by its first node: E-(0..l) and E+(1..l)
+GENERATOR_MAPS = {"_lowering_maps": 0, "_raising_maps": 1}
 
 
 def _patch_one_generator(monkeypatch, name, j, mutated):
-    """Make the minrep map builder ``name`` give ``mutated`` as map j (None for E_psi)."""
+    """Make the minrep map builder ``name`` give ``mutated`` as the map of node j."""
     real = getattr(minrep, name)
+    i = j - GENERATOR_MAPS[name]
 
     def patched(orb):
-        if j is None:
-            return mutated
         maps = real(orb)
-        return maps[:j - 1] + [mutated] + maps[j:]
+        return maps[:i] + [mutated] + maps[i + 1:]
 
     monkeypatch.setattr(minrep, name, patched)
 
@@ -540,9 +571,8 @@ def _patch_one_generator(monkeypatch, name, j, mutated):
 def _single_entry_mutations(orb):
     """(map builder, index, mutated map): each entry dropped, its coefficient set to a stored 0, 2 or -1,
     or its target moved to the next basis vector."""
-    for name in GENERATOR_MAPS:
-        built = getattr(minrep, name)(orb)
-        for j, m in [(None, built)] if name == "_psi_map" else enumerate(built, 1):
+    for name, first in GENERATOR_MAPS.items():
+        for j, m in enumerate(getattr(minrep, name)(orb), first):
             for c, (t, v) in m.items():
                 for value in (None, 0, 2, -1):
                     if v != value:
@@ -577,10 +607,10 @@ def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_
     # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
     # check fails as for the dropped entry, with a witness, not a bare error
     orb = orbit_of("A", 3, 2)
-    first = next(iter(minrep._lowering_maps(orb)[1]))
+    first = next(iter(minrep._lowering_maps(orb)[2]))
     checks = []
     for change in (lambda m: m.update({first: (m[first][0], 0)}), lambda m: m.pop(first)):
-        m = dict(minrep._lowering_maps(orb)[1])
+        m = dict(minrep._lowering_maps(orb)[2])
         change(m)
         with pytest.MonkeyPatch.context() as mp:
             _patch_one_generator(mp, "_lowering_maps", 2, m)
@@ -593,7 +623,7 @@ def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_
     ("_raising_maps", 1, lambda m: {**m, 2: (0, 1)}, "[E+(1), E-(1)] != H(1) at ((-1,1), (0,-1)): -1 != 0"),
     ("_raising_maps", 2, lambda m: {**m, 0: (1, 1)},
      "[H(1), E+(2)] != a[1][2] E+(2) at ((-1,1), (1,0)): -2 != -1"),
-    ("_psi_map", None, lambda m: {**m, 1: (0, 1)}, "[E+(2), E_psi] != 0 at ((1,0), (0,-1)): -1 != 0"),
+    ("_lowering_maps", 0, lambda m: {**m, 1: (0, 1)}, "[E+(2), E_psi] != 0 at ((1,0), (0,-1)): -1 != 0"),
 ], ids=["H-diagonal", "H-off-diagonal", "H-step", "E_psi"])
 def test_rep_relations_name_the_exact_entry_of_each_kind_of_failure(monkeypatch, fresh_memos, name, j, change, detail):
     # one entry of A2/w1's E+(1), E+(2) or E_psi changed: the sign of an edge,
@@ -603,7 +633,7 @@ def test_rep_relations_name_the_exact_entry_of_each_kind_of_failure(monkeypatch,
     # breaks [E+(j), E-(j)] or an [H, E+] step, which come earlier in the walk
     orb = orbit_of("A", 2, 1)
     built = getattr(minrep, name)(orb)
-    _patch_one_generator(monkeypatch, name, j, change(built if j is None else built[j - 1]))
+    _patch_one_generator(monkeypatch, name, j, change(built[j - GENERATOR_MAPS[name]]))
     assert verify_rep_relations(orb) == Check(False, detail)
 
 

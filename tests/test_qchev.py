@@ -65,7 +65,7 @@ def test_gr24_divisor_squared_has_two_classical_terms():
 def test_divisor_times_identity_is_the_divisor_class():
     for orb in sweep_orbits():
         i = orb.weight_index
-        expected = orb.highest_weight - orb.rs.simple_root_weights[i - 1]
+        expected = orb.highest_weight - orb.rs.node_weights[i]
         assert chevalley_closed(orb, orb.highest_weight) == [(0, helpers.position_of(orb, expected.pairings))]
 
 
@@ -482,7 +482,7 @@ def test_closed_form_on_a_truncated_orbit_names_the_missing_target():
 def test_closed_form_q_term_on_a_truncated_orbit_names_the_missing_target():
     orb = orbit_of("A", 2, 1)
     topless = Orbit(orb.rs, orb.weight_index, orb.elements[1:])
-    with pytest.raises(AssertionError, match=r"\(0,-1\) \+ psi = \(1,0\) is not in the orbit"):
+    with pytest.raises(AssertionError, match=r"\(0,-1\) - alpha_0 = \(1,0\) is not in the orbit"):
         chevalley_closed(topless, Weight((0, -1)))
 
 

@@ -170,7 +170,7 @@ def _fraction_pair(rs, mu, alpha):
 @pytest.mark.parametrize("fam,rank", PAIR_KERNEL_TYPES)
 def test_integer_pair_matches_fraction_formula(fam, rank):
     rs = build(LieType(fam, rank))
-    weights = [rs.fundamental_weight(i) for i in range(1, rank + 1)] + list(rs.simple_root_weights)
+    weights = [rs.fundamental_weight(i) for i in range(1, rank + 1)] + list(rs.node_weights)
     roots = list(rs.positive_roots) + [-r for r in rs.positive_roots]
     for alpha in roots:
         for mu in weights:
@@ -477,8 +477,8 @@ def test_root_pairing_outside_the_key_bound_names_the_root(monkeypatch):
 def test_root_pairings_and_keys_stay_inside_the_key_bound(fam, rank):
     rs = build(LieType(fam, rank))
     assert max(abs(p) for pairings in rs.root_pairings.values() for p in pairings) <= 3
-    assert rs.simple_root_keys == tuple(w.key for w in rs.simple_root_weights)
-    assert rs.highest_root_key == rs.root_to_weight(rs.highest_root).key
+    assert rs.node_keys == tuple(w.key for w in rs.node_weights)
+    assert rs.node_weights[0] == -rs.root_to_weight(rs.highest_root)
 
 
 def test_weight_key_is_the_base_16_value_of_the_pairings_and_linear():
@@ -505,3 +505,24 @@ def test_simple_root_and_fundamental_weight_reject_index_zero():
     rs = build(LieType("A", 2))
     with pytest.raises(ValueError, match="^fundamental weight index 0 out of range$"):
         rs.fundamental_weight(0)
+
+
+# A1-A8, B2-B8, C2-C8, D3-D8 and the exceptional types
+AFFINE_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", AFFINE_TYPES)
+def test_affine_node_closes_the_highest_root_relation(fam, rank):
+    # alpha_0 = -theta and theta = sum_j theta_j alpha_j, so the keys, being
+    # linear, satisfy key(alpha_0) + sum_j theta_j key(alpha_j) = 0
+    rs = build(LieType(fam, rank))
+    assert len(rs.node_keys) == rank + 1
+    keys = rs.node_keys
+    assert keys[0] + sum(t * k for t, k in zip(rs.highest_root.coeffs, keys[1:])) == 0
+    assert keys[0] == rs.node_weights[0].key == -rs.root_to_weight(rs.highest_root).key

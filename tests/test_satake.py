@@ -164,11 +164,13 @@ MUTATION_OUTCOMES_SHA256 = {
 
 @pytest.mark.parametrize("n,k", sorted(MUTATION_OUTCOMES_SHA256))
 def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_mutation(monkeypatch, fresh_memos, n, k):
-    # every entry of the Grassmannian's E-(j) and E_psi maps, negated, stored
-    # as 0 (a support mismatch) or doubled; the line operator stays intact
-    real_low, real_psi = minrep._lowering_maps, minrep._psi_map
+    # every entry of the Grassmannian's E-(j) and E_psi = E-(0) maps, negated,
+    # stored as 0 (a support mismatch) or doubled, E_psi's last; the line
+    # operator stays intact
+    real_low = minrep._lowering_maps
     gr = orbit_of("A", n, k)
-    sites = [(j, c) for j, m in enumerate(real_low(gr)) for c in m] + [(None, c) for c in real_psi(gr)]
+    low = real_low(gr)
+    sites = [(j, c) for j in [*range(1, len(low)), 0] for c in low[j]]
     seen, outcomes = Counter(), []
     for j, c in sites:
         for scale in (-1, 0, 2):
@@ -176,16 +178,11 @@ def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_m
                 t, v = m[c]
                 return {**m, c: (t, scale * v)}
 
-            def low(orb, j=j, changed=changed):
+            def mutated(orb, j=j, changed=changed):
                 maps = real_low(orb)
                 return [changed(m) if orb.weight_index == k and i == j else m for i, m in enumerate(maps)]
 
-            def psi(orb, j=j, changed=changed):
-                m = real_psi(orb)
-                return changed(m) if orb.weight_index == k and j is None else m
-
-            monkeypatch.setattr(minrep, "_lowering_maps", low)
-            monkeypatch.setattr(minrep, "_psi_map", psi)
+            monkeypatch.setattr(minrep, "_lowering_maps", mutated)
             got = _outcome(lambda: satake_similarity(n, k))
             assert got == _outcome(lambda: sign_similarity(*aligned_pair(n, k)))
             outcomes.append(got)
@@ -310,7 +307,7 @@ def test_wedge_respects_brackets():
     # sl2 triples of the 4-dimensional representation at k = 2
     orb = orbit_of("A", 3, 1)
     for j in (1, 2, 3):
-        x = minrep._matrix(orb, minrep._raising_maps, j)
+        x = PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in minrep._raising_maps(orb)[j - 1].items()})
         y = lowering_matrix(orb, j)
         assert wedge_matrix(commutator(x, y), 2) == commutator(
             wedge_matrix(x, 2), wedge_matrix(y, 2)

@@ -313,7 +313,8 @@ def test_every_check_of_qchev_and_minrep_is_a_verify_row():
 
 def test_ttstar_reads_no_orbit_and_no_a_q():
     # the dictionary entry depends on the root system alone; the ttstar
-    # document reads A(q) from minrep.quantum_operator as amatrix does
+    # document reads A(q) from minrep.quantum_operator as amatrix does,
+    # and no orbit is read, so neither module is imported
     path = os.path.join(SRC, "ttstar.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
@@ -322,8 +323,9 @@ def test_ttstar_reads_no_orbit_and_no_a_q():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             # `from .minrep import x`, `from . import minrep` and `import minflag.minrep` alike
             names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
-            if any(n.split(".")[-1] == "minrep" for n in names):
-                found.append(f"ttstar.py:{node.lineno} imports minrep")
+            for module in ("minrep", "weylorbit"):
+                if any(n.split(".")[-1] == module for n in names):
+                    found.append(f"ttstar.py:{node.lineno} imports {module}")
         elif isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None

@@ -234,9 +234,7 @@ def test_distinguished_solution_operator_is_the_divisor_product():
 
 
 def test_dubrovin_form_descriptor():
-    form = dubrovin_form(orbit_of("A", 1, 1))
-    assert form == {"connection_form": "(1/lambda) A(q) dq/q", "variable_change": "t = s z^(1/s), q = z"}
-    assert dubrovin_form(orbit_of("D", 4, 1)) == form
+    assert dubrovin_form() == {"connection_form": "(1/lambda) A(q) dq/q", "variable_change": "t = s z^(1/s), q = z"}
 
 
 def test_distinguished_solution_holds_only_the_dictionary_entry():
@@ -247,8 +245,8 @@ def test_distinguished_solution_holds_only_the_dictionary_entry():
 
 
 
-# the public functions that take coordinates; minus_h0, distinguished_solution
-# and dubrovin_form take a root system, a weight index or an orbit alone
+# the public functions that take coordinates; minus_h0 and distinguished_solution
+# take a root system (and a weight index) alone, and dubrovin_form takes nothing
 COORDINATE_FUNCTIONS = {
     "psi_value": psi_value,
     "in_asymptotic_set": in_asymptotic_set,

@@ -9,7 +9,7 @@ from math import comb
 from helpers import (SWEEP, apply_word_to_weight, orbit_of, position_of, reference_orbit_elements, simple_root,
                      sweep_orbits)
 from minflag.cli import SweepConfig, cmd_emit, sweep_cases
-from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, pair
+from minflag.rootsys import LieType, RootSystem, RootVec, Weight, build, node_pairings, pair
 from minflag.weylorbit import (
     Orbit,
     OrbitElement,
@@ -232,41 +232,49 @@ def test_apply_word_rejects_a_letter_out_of_range(letter):
         apply_word(rs, (1, letter), simple_root(rs, 3))
 
 
+@pytest.mark.parametrize("letter", [True, 1.0], ids=["True", "1.0"])
+def test_apply_word_rejects_a_letter_that_is_not_an_int(letter):
+    # True applied s_1, and 1.0 raised TypeError on a tuple index
+    rs = build(LieType("A", 3))
+    with pytest.raises(ValueError, match=rf"^simple root index {letter} out of range$"):
+        apply_word(rs, (letter,), simple_root(rs, 3))
+
+
 def test_neighbour_steps_by_the_named_root():
+    # node j = 0..l, alpha_0 = -theta: (mu, alpha_0^vee) = -(mu, theta^vee)
     for orb in sweep_orbits():
         rs = orb.rs
         for pos, el in enumerate(orb.elements):
             mu = el.weight
-            for j, (alpha_w, m) in enumerate(zip(rs.simple_root_weights, mu.pairings), 1):
+            for j, (alpha_w, m) in enumerate(zip(rs.node_weights, node_pairings(rs, mu))):
                 if m == 1:
                     assert orb.elements[orb.neighbour(pos, "-", j)].weight == mu - alpha_w, (orb, mu, j)
                 if m == -1:
                     assert orb.elements[orb.neighbour(pos, "+", j)].weight - alpha_w == mu, (orb, mu, j)
-            if pair(rs, mu, rs.highest_root) == -1:
-                assert orb.elements[orb.neighbour(pos, "+", "psi")].weight - rs.highest_root_weight == mu, (orb, mu)
 
 
-@pytest.mark.parametrize("root", [0, -1, 4, True])
+@pytest.mark.parametrize("root", [-1, 4, True, 1.0, "psi", "theta"])
 def test_neighbour_rejects_a_simple_root_index_out_of_range(root):
-    # 0 and -1 would index the last simple roots from the end, 4 past A3's
-    # rank, and True would pass as 1 and print as alpha_True
+    # -1 would index the last node from the end, 4 is past A3's rank, True
+    # would pass as 1 and print as alpha_True, and 1.0, "psi" and "theta"
+    # raised TypeError; node 0 is the affine root alpha_0
     orb = orbit_of("A", 3, 2)
     with pytest.raises(ValueError, match=rf"^simple root index {root} out of range$"):
         orb.neighbour(0, "-", root)
 
 
-@pytest.mark.parametrize("pos", [-1, 6, True])
+@pytest.mark.parametrize("pos", [-1, 6, True, 1.0])
 def test_neighbour_rejects_a_position_outside_the_orbit(pos):
-    # -1 would step from the last element, and True from position 1
+    # -1 would step from the last element, True from position 1, and 1.0 raised TypeError
     orb = orbit_of("A", 3, 2)
     with pytest.raises(ValueError, match=rf"^position {pos} out of range for Orbit\(A3, w2, size=6\)$"):
         orb.neighbour(pos, "-", 2)
 
 
-@pytest.mark.parametrize("sign,root", [("x", 2), ("", 2), (None, "psi")], ids=["x", "empty", "None"])
+@pytest.mark.parametrize("sign,root", [("x", 2), ("", 2), (None, 0)], ids=["x", "empty", "None"])
 def test_neighbour_rejects_a_sign_other_than_minus_or_plus(sign, root):
     # any sign but "-" used to raise: from A3/w2's lowest weight (0,-1,0),
-    # + alpha_2 and + psi are in the orbit, so these returned a position
+    # + alpha_2 and - alpha_0 are in the orbit, so these returned a position
     orb = orbit_of("A", 3, 2)
     assert orb.elements[-1].weight == Weight((0, -1, 0))
     message = "sign must be '-' or '+', not " + repr(sign)
@@ -312,7 +320,7 @@ def test_poincare_dual_rejects_a_truncated_orbit():
 def test_orbit_bfs_check_names_a_lowering_that_goes_back():
     # with alpha_1 tampered to the zero weight, lowering by it stays put
     rs = copy.copy(build(LieType("A", 2)))
-    rs.simple_root_weights = (Weight((0, 0)),) + rs.simple_root_weights[1:]
+    rs.node_weights = rs.node_weights[:1] + (Weight((0, 0)),) + rs.node_weights[2:]
     with pytest.raises(AssertionError, match=r"lowering \(1,0\) by alpha_1 gives \(1,0\), already met"):
         orbit.__wrapped__(rs, 1)
 
@@ -353,7 +361,7 @@ def test_orbit_keys_index_the_elements_and_steps_add_root_keys():
         assert orb.index_of == {key: pos for pos, key in enumerate(orb.keys)}, orb
         assert [orb.position(el.weight) for el in orb.elements] == list(range(orb.size)), orb
         for lowered, j, target in crystal_edges(orb):
-            assert lowered.key - orb.rs.simple_root_keys[j - 1] == target.key, (orb, lowered, j)
+            assert lowered.key - orb.rs.node_keys[j] == target.key, (orb, lowered, j)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1, 7])
