@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
-from . import minrep, qchev, satake, ttstar
+from . import minrep, qchev, satake, ttstar, weylorbit
 from .minrep import Check, PolyMatrix
 from .rootsys import FAMILIES, LieType, Weight, build, minuscule_weights
 from .weylorbit import Orbit, crystal_edges, dual_positions, expected_orbit_size, orbit
@@ -256,7 +256,7 @@ def _header(orb: Orbit) -> dict:
 
 def _psi_edges(orb: Orbit) -> list[tuple[Weight, Weight]]:
     """The E_psi = E-(0) edges (source, target), in (target, source) order."""
-    w, psi = orb.elements, minrep._lowering_maps(orb)[0]
+    w, psi = orb.elements, weylorbit.lowering_maps(orb)[0]
     return [(w[c].weight, w[t].weight) for t, c in sorted((t, c) for c, (t, _v) in psi.items())]
 
 

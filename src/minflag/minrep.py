@@ -11,16 +11,15 @@ E_psi raises by the highest root theta, and it alone carries q in
 
     A(q) = sum_{j=0..l} q^[j=0] E-(j) = sum_{j=1..l} E-(j) + q * E_psi.
 
-E-(0..l) and E+(1..l) are built once per orbit as index maps {source:
-(target, coefficient)}, each family by its own builder, so a wrong
-entry in one is not mirrored into the other; nothing reads an E+(0),
-and H(j) needs no map, since the weights' pairings state it.  A(q) sums
-the lowering maps' integer coefficients, and the ``brackets`` kernel
-reads the bracket relations off the edges and the pairings in one pass
-over the basis; ``lowering_matrix`` is the PolyMatrix view of one
-lowering map, and ``psi_raising_matrix`` that of E-(0).  A(q) and the
-lowering maps keep the latest orbit's result, so every caller on one
-orbit reads the same object and none may change it.
+E-(0..l) and E+(1..l) are index maps {source: (target, coefficient)},
+each family by its own builder, so a wrong entry in one is not mirrored
+into the other: E-(0..l) are ``weylorbit.lowering_maps``, read through
+the module, and E+(1..l) are built here; nothing reads an E+(0), and
+H(j) needs no map, since the weights' pairings state it.  A(q) sums the
+lowering maps' integer coefficients, and the ``brackets`` kernel reads
+the bracket relations off the edges and the pairings in one pass over
+the basis; ``lowering_matrix`` is the PolyMatrix view of one lowering
+map, and ``psi_raising_matrix`` that of E-(0).
 A polynomial in q has one form, a dict {q_power: coefficient} with
 ``int`` keys and nonzero ``int`` values; ``_checked`` validates it and
 ``poly_text`` prints it.  A PolyMatrix holds its nonzero entries in that
@@ -39,8 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from . import brackets
-from .rootsys import node_pairings
+from . import brackets, weylorbit
 from .weylorbit import Orbit
 
 # a matrix as its nonzero entries {(row, col): {exponent: coefficient}}
@@ -284,23 +282,6 @@ def _interpolate(values: list[int]) -> dict[int, int]:
 _IndexMap = dict[int, tuple[int, int]]
 
 
-@lru_cache(maxsize=1)
-def _lowering_maps(orb: Orbit) -> list[_IndexMap]:
-    """E-(0..l) in one pass, map j for node j: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1.
-
-    Map 0 is E_psi, alpha_0 = -theta.  Only the latest orbit's maps are
-    kept, shared by A(q), the bracket relations, the public views and
-    the crystal emitter: callers read them and never change them.
-    """
-    rs = orb.rs
-    maps: list[_IndexMap] = [{} for _ in rs.node_keys]
-    for pos, el in enumerate(orb.elements):
-        for j, m in enumerate(node_pairings(rs, el.weight)):
-            if m == 1:
-                maps[j][pos] = (orb.neighbour(pos, "-", j), 1)
-    return maps
-
-
 def _raising_maps(orb: Orbit) -> list[_IndexMap]:
     """E+(1..l) in one pass, map j - 1 for node j: mu -> (mu + alpha_j, 1) exactly when (mu, alpha_j^vee) = -1.
 
@@ -321,7 +302,7 @@ def lowering_matrix(orb: Orbit, j: int) -> PolyMatrix:
     """
     if type(j) is not int or not 0 <= j <= orb.rs.rank:
         raise ValueError(f"simple root index {j} out of range")
-    return PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in _lowering_maps(orb)[j].items()})
+    return PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in weylorbit.lowering_maps(orb)[j].items()})
 
 
 def psi_raising_matrix(orb: Orbit) -> PolyMatrix:
@@ -338,7 +319,7 @@ def quantum_operator(orb: Orbit) -> PolyMatrix:
     one orbit return the same PolyMatrix.
     """
     entries: _Entries = {}
-    for j, m in enumerate(_lowering_maps(orb)):
+    for j, m in enumerate(weylorbit.lowering_maps(orb)):
         q_power = 1 if j == 0 else 0
         for c, (t, v) in m.items():
             coeffs = entries.setdefault((t, c), {})
@@ -372,23 +353,17 @@ def _entry_witness(orb: Orbit, got: PolyMatrix, want: PolyMatrix) -> Optional[st
 
 
 def verify_rep_relations(orb: Orbit) -> Check:
-    """Check the sl2-triple and Serre-type brackets of all generators.
+    """Check the l(3l + 1) brackets of E-(0..l), E+(1..l) and H(1..l) that ``brackets`` lists.
 
-    [E+(j), E-(j)] = H(j); [E+(j), E-(k)] = 0 for j != k;
-    [H(j), E-(k)] = -a[j][k] E-(k); [H(j), E+(k)] = a[j][k] E+(k);
-    [E+(j), E_psi] = 0 since theta + alpha_j is never a root,
-
-    for j, k = 1..l, with E_psi = E-(0).  The relations are read off the
-    index maps A(q) is summed from and the weights' pairings, which
-    state H(j), in one pass over the basis (``brackets.first_failure``).
-    The check names the first failing relation and its first wrong entry
-    in row order.  A generator whose target is not in the orbit raises
-    AssertionError from its map builder, naming the weight, the root and
-    the target.
+    They are read off the index maps A(q) is summed from and the weights'
+    pairings, which state H(j), in one pass over the basis
+    (``brackets.first_failure``); the check names the first failing
+    relation and its first wrong entry in row order.  A generator whose
+    target is not in the orbit raises AssertionError from its map
+    builder, naming the weight, the root and the target.
     """
-    low = _lowering_maps(orb)
     failure = brackets.first_failure(orb.rs.cartan, [el.weight.pairings for el in orb.elements],
-                                     low[1:], _raising_maps(orb), low[0])
+                                     weylorbit.lowering_maps(orb), _raising_maps(orb))
     if failure is None:
         return Check(True, f"{orb.rs.rank * (3 * orb.rs.rank + 1)} brackets")
     text, r, c, got, want = failure

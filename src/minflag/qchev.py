@@ -40,7 +40,8 @@ homogeneity each accept in one pass over the operator's integer
 entries (``PolyMatrix.entries``); the Frobenius row reads the orbit's
 Poincare-dual positions from ``weylorbit.dual_positions``.
 These three checks are handed the operator they check, A(q) or a
-corrupted copy, and never build A(q).  Every check returns one
+corrupted copy, and never build A(q); ``_sized`` fails one of another
+size before any entry is read.  Every check returns one
 ``minrep.Check`` whose detail names a failure's witness, the first in
 row order, printed by ``minrep.poly_text``; ``cli.ROWS`` runs each as a
 ``verify`` row.
@@ -48,7 +49,7 @@ row order, printed by ``minrep.poly_text``; ``cli.ROWS`` runs each as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import add, mul
 
 from .minrep import Check, PolyMatrix, _entry_witness, _Entries, poly_text
@@ -302,6 +303,16 @@ def _oracle_outcome(orb: Orbit) -> tuple[PolyMatrix, list[OracleSurvivorStats]] 
         return Check(False, f"oracle route failed: {type(exc).__name__}: {exc}")
 
 
+def _sized(check):
+    """The check, failed before any entry is read for an operator whose size is not the orbit's."""
+    def checked(orb: Orbit, operator: PolyMatrix) -> Check:
+        if operator.n != orb.size:
+            return Check(False, f"operator of size {operator.n} for an orbit of size {orb.size}")
+        return check(orb, operator)
+    return wraps(check)(checked)
+
+
+@_sized
 def main_theorem_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """The operator, A(q) or a corrupted copy, equals both product routes entrywise.
 
@@ -360,6 +371,7 @@ def _columns_matrix(orb: Orbit, columns: list[list[tuple[int, int]]]) -> PolyMat
     return PolyMatrix(orb.size, coeffs)
 
 
+@_sized
 def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """A^T G = G A for the operator A, G the Poincare pairing.
 
@@ -376,6 +388,7 @@ def frobenius_check(orb: Orbit, operator: PolyMatrix) -> Check:
     return Check(True, "A^T G = G A")
 
 
+@_sized
 def grading_check(orb: Orbit, operator: PolyMatrix) -> Check:
     """Every entry of the operator is homogeneous: length(target) = length(source) + 1 - p*s.
 

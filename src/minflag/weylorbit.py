@@ -14,8 +14,8 @@ word is one of possibly many reduced words, but the represented group
 element is unique.  Two things read the words: the ``orbit`` emitter
 writes them out, and the tests check the oracle's own transport against
 them.  The divisor-product oracle and ``length`` read none of them.
-``crystal_edges`` keeps the latest orbit's edge list, which the crystal
-JSON and DOT emitters of one orbit share, and ``dual_positions`` the
+``lowering_maps`` keeps the latest orbit's E-(0..l), which the crystal
+emitters, A(q) and the bracket row share, and ``dual_positions`` the
 latest orbit's Poincare-dual positions, which the Frobenius row and the
 ``verify --self-test-corrupt`` mutation share.
 
@@ -32,7 +32,8 @@ from math import comb
 from operator import add, mul, sub
 from typing import Sequence
 
-from .rootsys import ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights
+from .rootsys import (ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights,
+                      node_pairings)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,18 +230,24 @@ def length(orb: Orbit, mu: Weight) -> int:
 
 
 @lru_cache(maxsize=1)
-def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
-    """All lowering edges (mu, j, mu - alpha_j), with (mu, alpha_j^vee) = 1.
+def lowering_maps(orb: Orbit) -> list[dict[int, tuple[int, int]]]:
+    """E-(0..l) in one pass, map j for node j: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1.
 
-    Only the latest orbit's list is kept: consecutive calls on one orbit
-    return the same list, which callers must not mutate.
+    Map 0 is E_psi, alpha_0 = -theta.  Only the latest orbit's maps are
+    kept, shared by every reader: read them, never change them.
     """
-    edges = []
+    maps: list[dict] = [{} for _ in orb.rs.node_keys]
     for pos, el in enumerate(orb.elements):
-        for j, m in enumerate(el.weight.pairings, 1):
+        for j, m in enumerate(node_pairings(orb.rs, el.weight)):
             if m == 1:
-                edges.append((el.weight, j, orb.elements[orb.neighbour(pos, "-", j)].weight))
-    return edges
+                maps[j][pos] = (orb.neighbour(pos, "-", j), 1)
+    return maps
+
+
+def crystal_edges(orb: Orbit) -> list[tuple[Weight, int, Weight]]:
+    """The lowering edges (mu, j, mu - alpha_j) of nodes 1..l by source position, then j: a new list per call."""
+    w, maps = orb.elements, lowering_maps(orb)[1:]
+    return [(w[c].weight, j, w[m[c][0]].weight) for c in range(orb.size) for j, m in enumerate(maps, 1) if c in m]
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], alpha: RootVec) -> RootVec:

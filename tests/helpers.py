@@ -18,8 +18,7 @@ SWEEP = sweep_cases(SweepConfig())
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
     qchev._root_entries, qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
-    minrep.quantum_operator, minrep._lowering_maps, weylorbit.crystal_edges,
-    weylorbit.dual_positions, ttstar._toda_data,
+    minrep.quantum_operator, weylorbit.lowering_maps, weylorbit.dual_positions, ttstar._toda_data,
 )
 
 
@@ -298,16 +297,17 @@ def reference_rep_relations(orb: Orbit) -> Check:
     """``minrep.verify_rep_relations`` in product form: every bracket as XY - YX.
 
     The test-only reference the index-map check is compared against.  It
-    reads E-(j), E+(j) and E_psi = E-(0) from the same private map builders,
-    through the module, so a test that replaces a map builder there
-    changes both checks alike, and H(j) from the weights: the diagonal
+    reads E-(j), E+(j) and E_psi = E-(0) from the same map builders,
+    ``weylorbit.lowering_maps`` and ``minrep._raising_maps``, through
+    their modules, so a test that replaces a map builder there changes
+    both checks alike, and H(j) from the weights: the diagonal
     of basis vector mu is its pairing (mu, alpha_j^vee).  Every
     generator entry is a constant, so the products run on integer
     entries.
     """
     n = orb.rs.rank
     C = orb.rs.cartan
-    low = dict(enumerate(map(_map_rows, minrep._lowering_maps(orb))))
+    low = dict(enumerate(map(_map_rows, weylorbit.lowering_maps(orb))))
     high = dict(enumerate(map(_map_rows, minrep._raising_maps(orb)), 1))
     pairings = [el.weight.pairings for el in orb.elements]
     diag = {j: {c: {c: p[j - 1]} for c, p in enumerate(pairings) if p[j - 1]} for j in range(1, n + 1)}

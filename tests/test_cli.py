@@ -121,7 +121,7 @@ def test_verify_generator_map_mutation_fails_only_its_row(monkeypatch, builder, 
 def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(monkeypatch, fresh_memos):
     # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
     # rep-relations row names the entry, and cmd_verify raises nothing
-    real = minrep._lowering_maps
+    real = weylorbit.lowering_maps
 
     def patched(orb):
         maps = real(orb)
@@ -132,7 +132,7 @@ def test_verify_stored_zero_generator_entry_fails_its_row_without_a_traceback(mo
             maps = maps[:2] + [m] + maps[3:]
         return maps
 
-    monkeypatch.setattr(minrep, "_lowering_maps", patched)
+    monkeypatch.setattr(weylorbit, "lowering_maps", patched)
     buf = io.StringIO()
     assert cmd_verify(SweepConfig(max_rank={"A": 3, "B": 2, "C": 2, "D": 3}, include_exceptional=False), out=buf) == 1
     rows = [l.split(None, 3) for l in buf.getvalue().splitlines() if l.startswith("A3/w2 ")]
@@ -470,7 +470,7 @@ def test_emitted_orbit_and_crystal_bytes_are_pinned(case):
 
 
 def test_crystal_emit_reads_the_psi_map_and_formats_each_key_once(monkeypatch):
-    # the psi edges come from E-(0) of minrep._lowering_maps, with no PolyMatrix built;
+    # the psi edges come from E-(0) of weylorbit.lowering_maps, with no PolyMatrix built;
     # DOT formats each weight's key once per element
     calls = Counter()
     real_key, real_init = cli._weight_key, PolyMatrix.__init__
@@ -503,12 +503,14 @@ _EMIT_TARGETS = [
 
 
 def test_orbit_memos_keep_only_the_latest_orbit(fresh_memos):
-    memos = (minrep.quantum_operator, minrep._lowering_maps, weylorbit.crystal_edges)
-    assert [memo.cache_info().maxsize for memo in memos] == [1, 1, 1]
-    for case in [("E", 6, 1), ("D", 5, 5)]:
+    # every target of one orbit reads the lowering maps built on its first read
+    memos = (minrep.quantum_operator, weylorbit.lowering_maps)
+    assert [memo.cache_info().maxsize for memo in memos] == [1, 1]
+    for n, case in enumerate([("E", 6, 1), ("D", 5, 5)], 1):
         for what, fmt in _EMIT_TARGETS:
             _emit(*case, what, fmt)
-    assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
+        assert weylorbit.lowering_maps.cache_info().misses == n
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
 
 
 def test_interleaved_emits_match_fresh_runs(fresh_memos):
@@ -535,11 +537,26 @@ def test_amatrix_then_ttstar_builds_a_q_once(fresh_memos):
 
 
 def test_crystal_json_then_dot_computes_the_edges_once(fresh_memos):
-    _emit("E", 7, 1, "crystal", "json")
-    _emit("E", 7, 1, "crystal", "dot")
-    for memo in (weylorbit.crystal_edges, minrep._lowering_maps):
-        info = memo.cache_info()
-        assert (info.misses, info.hits) == (1, 1), memo
+    # the crystal JSON reads the maps twice (edges and psi edges), the DOT
+    # twice and A(q) once; ttstar reads the A(q) amatrix built
+    for what, fmt in [("crystal", "json"), ("crystal", "dot"), ("amatrix", "json"), ("ttstar", "json")]:
+        _emit("E", 7, 1, what, fmt)
+    info = weylorbit.lowering_maps.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    orb = orbit(build(LieType("E", 7)), 1)
+    assert weylorbit.crystal_edges(orb) is not weylorbit.crystal_edges(orb)
+
+
+def test_crystal_and_a_q_emits_step_once_along_each_lowering_edge(monkeypatch, fresh_memos):
+    # crystal JSON, crystal DOT, amatrix and ttstar of E7/w1 step down each
+    # E-(0..l) edge once: 96 steps, where a second edge builder made 180
+    steps = Counter()
+    real = Orbit.neighbour
+    monkeypatch.setattr(Orbit, "neighbour", lambda self, pos, sign, j: steps.update(sign) or real(self, pos, sign, j))
+    for what, fmt in [("crystal", "json"), ("crystal", "dot"), ("amatrix", "json"), ("ttstar", "json")]:
+        _emit("E", 7, 1, what, fmt)
+    edges = sum(map(len, weylorbit.lowering_maps(orbit(build(LieType("E", 7)), 1))))
+    assert steps == {"-": edges} and edges == 96
 
 
 _coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))

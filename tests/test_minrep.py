@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
+import minflag.weylorbit as weylorbit
 from minflag.satake import _sign_ratio
 from helpers import (
     commutator,
@@ -235,7 +236,7 @@ def test_lowering_matrix_rejects_a_node_that_is_not_an_int(j):
 
 def test_public_builders_are_views_of_the_index_maps():
     for orb in sweep_orbits():
-        low, high = minrep._lowering_maps(orb), minrep._raising_maps(orb)
+        low, high = weylorbit.lowering_maps(orb), minrep._raising_maps(orb)
         assert (len(low), len(high)) == (orb.rs.rank + 1, orb.rs.rank)
         for j, m in enumerate(low):
             assert lowering_matrix(orb, j) == PolyMatrix(orb.size, {(t, c): {0: v} for c, (t, v) in m.items()})
@@ -246,7 +247,7 @@ def test_every_lowering_edge_steps_by_its_node_weight_and_key():
     # E-(j) for the nodes j = 0..l: an edge c -> t lowers by alpha_j, alpha_0 = -theta
     for orb in sweep_orbits():
         rs, w = orb.rs, orb.elements
-        for j, m in enumerate(minrep._lowering_maps(orb)):
+        for j, m in enumerate(weylorbit.lowering_maps(orb)):
             for c, (t, v) in m.items():
                 assert v == 1 and w[c].weight - rs.node_weights[j] == w[t].weight, (orb, j, c)
                 assert orb.keys[c] - rs.node_keys[j] == orb.keys[t], (orb, j, c)
@@ -261,7 +262,7 @@ def test_node_zero_map_is_the_brute_force_list_of_psi_edges():
         position = {el.weight: pos for pos, el in enumerate(orb.elements)}
         brute = {pos: (position[el.weight - alpha_0], 1) for pos, el in enumerate(orb.elements)
                  if pair(rs, el.weight, rs.highest_root) == -1}
-        assert minrep._lowering_maps(orb)[0] == brute, orb
+        assert weylorbit.lowering_maps(orb)[0] == brute, orb
 
 
 def test_psi_raising_a1():
@@ -345,8 +346,8 @@ def test_quantum_operator_adds_coinciding_entries(monkeypatch, fresh_memos):
     # with E_psi = E-(0) moved onto a lowering edge, that entry must become 1 + q
     orb = orbit_of("A", 2, 1)
     i, j = min(key for key, p in reference_quantum_operator(orb).entries.items() if p == {0: 1})
-    real = minrep._lowering_maps
-    monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{j: (i, 1)}] + real(orb)[1:])
+    real = weylorbit.lowering_maps
+    monkeypatch.setattr(weylorbit, "lowering_maps", lambda orb: [{j: (i, 1)}] + real(orb)[1:])
     a = quantum_operator(orb)
     assert a.entries[(i, j)] == {0: 1, 1: 1}
     assert len(a.entries) == 2  # the other lowering edge and the merged entry
@@ -355,7 +356,7 @@ def test_quantum_operator_adds_coinciding_entries(monkeypatch, fresh_memos):
 def test_quantum_operator_scales_its_terms_by_the_map_coefficients(monkeypatch, fresh_memos):
     # E-(1) with coefficient -1 on its edge cancels the q-free part of a coinciding E_psi entry
     orb = orbit_of("A", 2, 1)
-    monkeypatch.setattr(minrep, "_lowering_maps", lambda orb: [{0: (1, -1)}, {0: (1, -1)}, {1: (2, 2)}])
+    monkeypatch.setattr(weylorbit, "lowering_maps", lambda orb: [{0: (1, -1)}, {0: (1, -1)}, {1: (2, 2)}])
     assert quantum_operator(orb) == _m([[0, 0, 0], [{0: -1, 1: -1}, 0, 0], [0, 2, 0]])
 
 
@@ -538,41 +539,42 @@ def test_lowering_maps_are_built_once_per_orbit(monkeypatch, fresh_memos):
     # A(q) then the bracket row, or the l + 1 public views, step along each
     # lowering edge once: the maps are a latest-orbit memo
     orb = orbit_of("E", 6, 1)
-    edges = sum(len(m) for m in minrep._lowering_maps(orb))
+    edges = sum(len(m) for m in weylorbit.lowering_maps(orb))
     steps = []
     real = Orbit.neighbour
     monkeypatch.setattr(Orbit, "neighbour",
                         lambda self, mu, sign, root: steps.append(sign) or real(self, mu, sign, root))
     for use in (lambda: quantum_operator(orb) and verify_rep_relations(orb),
                 lambda: [lowering_matrix(orb, j) for j in range(orb.rs.rank + 1)]):
-        minrep._lowering_maps.cache_clear()
+        weylorbit.lowering_maps.cache_clear()
         steps.clear()
         assert use()
         assert steps.count("-") == edges
-    assert minrep._lowering_maps.cache_info().misses == 1
+    assert weylorbit.lowering_maps.cache_info().misses == 1
 
 
-# each map builder by its first node: E-(0..l) and E+(1..l)
-GENERATOR_MAPS = {"_lowering_maps": 0, "_raising_maps": 1}
+# each map builder by its module and first node: E-(0..l) and E+(1..l)
+GENERATOR_MAPS = {"lowering_maps": (weylorbit, 0), "_raising_maps": (minrep, 1)}
 
 
 def _patch_one_generator(monkeypatch, name, j, mutated):
-    """Make the minrep map builder ``name`` give ``mutated`` as the map of node j."""
-    real = getattr(minrep, name)
-    i = j - GENERATOR_MAPS[name]
+    """Make the map builder ``name`` give ``mutated`` as the map of node j."""
+    module, first = GENERATOR_MAPS[name]
+    real = getattr(module, name)
+    i = j - first
 
     def patched(orb):
         maps = real(orb)
         return maps[:i] + [mutated] + maps[i + 1:]
 
-    monkeypatch.setattr(minrep, name, patched)
+    monkeypatch.setattr(module, name, patched)
 
 
 def _single_entry_mutations(orb):
     """(map builder, index, mutated map): each entry dropped, its coefficient set to a stored 0, 2 or -1,
     or its target moved to the next basis vector."""
-    for name, first in GENERATOR_MAPS.items():
-        for j, m in enumerate(getattr(minrep, name)(orb), first):
+    for name, (module, first) in GENERATOR_MAPS.items():
+        for j, m in enumerate(getattr(module, name)(orb), first):
             for c, (t, v) in m.items():
                 for value in (None, 0, 2, -1):
                     if v != value:
@@ -607,13 +609,13 @@ def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_
     # E-(2) of A3/w2 with its first entry's coefficient stored as 0: the
     # check fails as for the dropped entry, with a witness, not a bare error
     orb = orbit_of("A", 3, 2)
-    first = next(iter(minrep._lowering_maps(orb)[2]))
+    first = next(iter(weylorbit.lowering_maps(orb)[2]))
     checks = []
     for change in (lambda m: m.update({first: (m[first][0], 0)}), lambda m: m.pop(first)):
-        m = dict(minrep._lowering_maps(orb)[2])
+        m = dict(weylorbit.lowering_maps(orb)[2])
         change(m)
         with pytest.MonkeyPatch.context() as mp:
-            _patch_one_generator(mp, "_lowering_maps", 2, m)
+            _patch_one_generator(mp, "lowering_maps", 2, m)
             checks.append(verify_rep_relations(orb))
     assert checks[0] == checks[1] == Check(False, "[E+(2), E-(2)] != H(2) at ((0,1,0), (0,1,0)): 0 != 1")
 
@@ -623,7 +625,7 @@ def test_rep_relations_read_a_stored_zero_as_a_dropped_entry(monkeypatch, fresh_
     ("_raising_maps", 1, lambda m: {**m, 2: (0, 1)}, "[E+(1), E-(1)] != H(1) at ((-1,1), (0,-1)): -1 != 0"),
     ("_raising_maps", 2, lambda m: {**m, 0: (1, 1)},
      "[H(1), E+(2)] != a[1][2] E+(2) at ((-1,1), (1,0)): -2 != -1"),
-    ("_lowering_maps", 0, lambda m: {**m, 1: (0, 1)}, "[E+(2), E_psi] != 0 at ((1,0), (0,-1)): -1 != 0"),
+    ("lowering_maps", 0, lambda m: {**m, 1: (0, 1)}, "[E+(2), E_psi] != 0 at ((1,0), (0,-1)): -1 != 0"),
 ], ids=["H-diagonal", "H-off-diagonal", "H-step", "E_psi"])
 def test_rep_relations_name_the_exact_entry_of_each_kind_of_failure(monkeypatch, fresh_memos, name, j, change, detail):
     # one entry of A2/w1's E+(1), E+(2) or E_psi changed: the sign of an edge,
@@ -632,8 +634,8 @@ def test_rep_relations_name_the_exact_entry_of_each_kind_of_failure(monkeypatch,
     # single E+ entry can make [E+(j), E_psi] the first failure: any change
     # breaks [E+(j), E-(j)] or an [H, E+] step, which come earlier in the walk
     orb = orbit_of("A", 2, 1)
-    built = getattr(minrep, name)(orb)
-    _patch_one_generator(monkeypatch, name, j, change(built[j - GENERATOR_MAPS[name]]))
+    module, first = GENERATOR_MAPS[name]
+    _patch_one_generator(monkeypatch, name, j, change(getattr(module, name)(orb)[j - first]))
     assert verify_rep_relations(orb) == Check(False, detail)
 
 

@@ -17,7 +17,7 @@ from helpers import (
     transpose,
 )
 from minflag.cli import delete_detectable_edge
-from minflag.minrep import quantum_operator
+from minflag.minrep import Check, PolyMatrix, quantum_operator
 from minflag.qchev import (
     chevalley_closed,
     chevalley_fw_oracle,
@@ -321,6 +321,23 @@ def test_grading_names_the_first_failing_entry_and_its_lowest_exponent():
     check = grading_check(orb, mutated)
     assert check == helpers.reference_operator_rows(orb)["grading"](mutated)
     assert check.detail == "q^2 at ((1,0), (0,-1)): length 0 != 2 + 1 - 2*3"
+
+
+def _resized(a, n, extra):
+    """A(q)'s entries that fit an n x n matrix, plus (3, 0) = 1 when extra, as an n x n PolyMatrix."""
+    entries = {k: p for k, p in a.entries.items() if max(k) < n}
+    return PolyMatrix(n, {**entries, (3, 0): {0: 1}} if extra else entries)
+
+
+@pytest.mark.parametrize("n,extra", [(4, False), (4, True), (2, False)], ids=["n4", "n4-extra-entry", "n2"])
+@pytest.mark.parametrize("check", [main_theorem_check, frobenius_check, grading_check], ids=lambda f: f.__name__)
+def test_operator_rows_fail_an_operator_of_another_size_naming_both_sizes(check, n, extra):
+    # A2/w1 has 3 elements: its A(q) as a 4x4 matrix raised StopIteration in
+    # the main-theorem row and passed the other two, an extra (3, 0) entry
+    # raised IndexError in all three, and the 2x2 corner passed grading
+    orb = orbit_of("A", 2, 1)
+    operator = _resized(quantum_operator(orb), n, extra)
+    assert check(orb, operator) == Check(False, f"operator of size {n} for an orbit of size 3")
 
 
 def test_trichotomy_tampered_orbit_names_weight_and_root():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minflag.minrep as minrep
+import minflag.weylorbit as weylorbit
 import minflag.satake as satake
 from helpers import (aligned_pair, commutator, dense_rows, matmul, orbit_of, pmul, position_of,
                      reference_wedge_matrix)
@@ -167,7 +168,7 @@ def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_m
     # every entry of the Grassmannian's E-(j) and E_psi = E-(0) maps, negated,
     # stored as 0 (a support mismatch) or doubled, E_psi's last; the line
     # operator stays intact
-    real_low = minrep._lowering_maps
+    real_low = weylorbit.lowering_maps
     gr = orbit_of("A", n, k)
     low = real_low(gr)
     sites = [(j, c) for j in [*range(1, len(low)), 0] for c in low[j]]
@@ -182,7 +183,7 @@ def test_satake_similarity_fails_as_the_polymatrix_route_on_every_single_entry_m
                 maps = real_low(orb)
                 return [changed(m) if orb.weight_index == k and i == j else m for i, m in enumerate(maps)]
 
-            monkeypatch.setattr(minrep, "_lowering_maps", mutated)
+            monkeypatch.setattr(weylorbit, "lowering_maps", mutated)
             got = _outcome(lambda: satake_similarity(n, k))
             assert got == _outcome(lambda: sign_similarity(*aligned_pair(n, k)))
             outcomes.append(got)

@@ -215,6 +215,22 @@ def test_rep_relations_and_a_q_read_the_index_maps():
     assert not found, f"generator matrices where the index maps serve: {found}"
 
 
+def test_only_the_lowering_maps_and_the_closed_route_step_down():
+    # weylorbit.lowering_maps is the one builder of E-(0..l), and the closed
+    # route keeps its own steps: a second caller of neighbour(..., "-", ...)
+    # would be a second lowering builder
+    callers = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for top in tree.body:
+            for n in ast.walk(top):
+                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "neighbour"
+                        and len(n.args) > 1 and isinstance(n.args[1], ast.Constant) and n.args[1].value == "-"):
+                    callers.add(f"{os.path.basename(path)[:-3]}.{top.name}")
+    assert callers == {"weylorbit.lowering_maps", "qchev.chevalley_closed"}
+
+
 def test_only_the_length_memo_calls_length_in_qchev():
     # the oracle, grading and trichotomy rows read one per-orbit length
     # list, qchev._lengths; a second caller would measure lengths again
