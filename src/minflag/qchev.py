@@ -27,8 +27,8 @@ Both routes return a product as a list of (q_power, position) pairs,
 position indexing ``orb.elements``: one column of A(q).  No pair
 carries a coefficient: each is (lambda_i, alpha^vee) = 1.
 ``_columns_matrix`` sums the columns into a PolyMatrix: the closed
-route's is ``quantum_product_matrix``, kept for the latest orbit, and
-the oracle's comes from ``fw_oracle_pass`` with its survivor counts.
+route's is ``quantum_product_matrix``, built anew per call, and the
+oracle's comes from ``fw_oracle_pass`` with its survivor counts.
 
 Route 3 lives in minrep: the canonical-basis operator A(q).
 
@@ -250,13 +250,8 @@ def _complement_sum(rs: RootSystem, i: int) -> tuple[int, ...]:
     return rs.root_to_weight(RootVec(tuple(map(sum, columns)))).pairings
 
 
-@lru_cache(maxsize=1)
 def quantum_product_matrix(orb: Orbit) -> PolyMatrix:
-    """Matrix of the divisor product, columns from the closed form.
-
-    Only the latest orbit's matrix is kept, so the census runs the route
-    once per orbit; callers read it and never change it.
-    """
+    """Matrix of the divisor product, columns from the closed form: a new matrix per call."""
     return _columns_matrix(orb, [chevalley_closed(orb, el.weight) for el in orb.elements])
 
 

@@ -180,12 +180,13 @@ class RootSystem:
     coefficients to its pairings.  ``cartan_det`` and ``cartan_adjugate`` are the
     integer determinant and adjugate of the Cartan matrix, both from one
     fraction-free elimination.  The one lazy attribute is
-    ``reflection_table``, filled on first use.  Two instances compare
-    equal iff they have the same LieType; everything else is determined
-    by it.  ``node_weights`` holds the Weight of alpha_j at index j for
-    the nodes j = 0..l, alpha_0 = -theta, and ``node_keys`` their keys,
-    the steps of the orbit look-ups; every root pairing is asserted to
-    lie in -ROOT_BOUND..ROOT_BOUND, which keeps them exact.
+    ``reflection_table``, filled on first use.  Instances compare by
+    identity: ``build`` makes the one instance per LieType that the
+    package's memos key on.  ``node_weights`` holds the Weight of
+    alpha_j at index j for the nodes j = 0..l, alpha_0 = -theta, and
+    ``node_keys`` their keys, the steps of the orbit look-ups; every
+    root pairing is asserted to lie in -ROOT_BOUND..ROOT_BOUND, which
+    keeps them exact.
     """
 
     def __init__(self, lie_type: LieType):
@@ -342,8 +343,10 @@ class RootSystem:
         return alpha.coeffs in self._coroot
 
     def root_to_weight(self, alpha: RootVec) -> Weight:
-        """The pairing coordinates of a root: cartan . coeffs."""
+        """The pairing coordinates of a root: cartan . coeffs; a ValueError for a vector of another rank."""
         c = alpha.coeffs
+        if len(c) != len(self.cartan):
+            raise ValueError(f"the root vector {alpha} has {len(c)} coefficients, but {self} has rank {self.rank}")
         return Weight(tuple(sum(map(mul, row, c)) for row in self.cartan))
 
     @cached_property
@@ -354,7 +357,8 @@ class RootSystem:
         s_j beta = beta - p alpha_j with p = (beta, alpha_j^vee), entry j of
         ``root_pairings``, so no reflection is computed.  Each table is the
         identity map with the roots of p != 0 overwritten.  Built on first
-        use, never by ``build``: only ``weylorbit.apply_word`` reads it.
+        use, never by ``build``: ``weylorbit.apply_word`` reads it, and
+        ``qchev._root_entries`` reads entry 0 for the interned roots.
         """
         roots = {r.coeffs: r for r in self.positive_roots + tuple(-r for r in self.positive_roots)}
         pairings = self.root_pairings
@@ -362,12 +366,6 @@ class RootSystem:
             {**roots, **{c: roots[c[:j] + (c[j] - pc[j],) + c[j + 1:]] for c, pc in pairings.items() if pc[j]}}
             for j in range(self.rank)
         )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootSystem) and self.lie_type == other.lie_type
-
-    def __hash__(self) -> int:
-        return hash(self.lie_type)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type})"
@@ -421,9 +419,13 @@ def pair(rs: RootSystem, mu: Weight, alpha: RootVec) -> int:
     """The coroot pairing (mu, alpha^vee), always an exact integer.
 
     The integer dot product of alpha's precomputed coroot coefficients
-    with the pairing vector of mu.
+    with the pairing vector of mu; a ValueError for a weight of another
+    rank, which the dot product would truncate.
     """
-    return sum(map(mul, coroot(rs, alpha), mu.pairings))
+    co = coroot(rs, alpha)
+    if len(mu.pairings) != len(co):
+        raise ValueError(f"the weight {mu} has {len(mu.pairings)} pairings, but {rs} has rank {len(co)}")
+    return sum(map(mul, co, mu.pairings))
 
 
 def coroot(rs: RootSystem, alpha: RootVec) -> tuple[int, ...]:

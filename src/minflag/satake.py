@@ -100,6 +100,12 @@ def _wedge(m: _Entries, place: Mapping[tuple[int, ...], int], twist: int) -> _En
     return {key: coeffs for key, coeffs in acc.items() if coeffs}
 
 
+def _require_int(value: int, what: str) -> None:
+    """A TypeError naming value, before any arithmetic, when it is not an int (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {value!r}")
+
+
 def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
     """Derivation (Leibniz) action of m on the k-th wedge power.
 
@@ -107,6 +113,7 @@ def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
     replacing one index and re-sorting contributes the usual
     transposition sign.  Terms that cancel leave no entry.
     """
+    _require_int(k, "wedge degree")
     n = m.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge degree k={k} must satisfy 1 <= k <= {n - 1}")
@@ -285,6 +292,7 @@ def half_wedge_dims(n: int) -> HalfWedgeReport:
     expected orbit sizes, 2n and 2^(n-1), come from
     ``weylorbit.expected_orbit_size``.
     """
+    _require_int(n, "rank")
     if n < 3:
         raise ValueError("half-wedge identities need rank at least 3")
     two_n = 2 * n

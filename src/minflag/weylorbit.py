@@ -61,17 +61,22 @@ class Orbit:
     hit on a caller's weight by its pairings.  ``neighbour(pos, sign,
     j)`` steps from the element at pos to mu - alpha_j or mu + alpha_j
     for a node j = 0..l of the extended diagram, alpha_0 = -theta, and
-    returns the target's position.  Immutable after construction; safe
-    to share and memoized by ``orbit``.
+    returns the target's position.  No elements, or an element of
+    another rank than rs, raise ValueError.  Immutable after
+    construction; safe to share and memoized by ``orbit``.
     """
 
     def __init__(self, rs: RootSystem, weight_index: int, elements: Sequence[OrbitElement]):
         self.rs = rs
         self.weight_index = weight_index
         self.elements = tuple(elements)
+        if not self.elements:
+            raise ValueError(f"an orbit of ({rs}, w{weight_index}) needs at least one element")
         index: dict[int, int] = {}
         for pos, el in enumerate(self.elements):
             w = el.weight.pairings
+            if len(w) != rs.rank:
+                raise ValueError(f"the orbit weight {el.weight} has {len(w)} pairings, but {rs} has rank {rs.rank}")
             if min(w) < -ORBIT_BOUND or max(w) > ORBIT_BOUND:
                 raise AssertionError(f"the orbit weight {el.weight} has a pairing outside "
                                      f"-{ORBIT_BOUND}..{ORBIT_BOUND}: its key would not be exact")
@@ -123,10 +128,6 @@ class Orbit:
         if pos is None or self.elements[pos].weight.pairings != mu.pairings:
             raise ValueError(f"{mu} is not a weight of the orbit ({self.rs}, w{self.weight_index})")
         return pos
-
-    def element(self, mu: Weight) -> OrbitElement:
-        """mu's element, by ``position``."""
-        return self.elements[self.position(mu)]
 
     def __repr__(self) -> str:
         return f"Orbit({self.rs}, w{self.weight_index}, size={self.size})"
@@ -212,9 +213,9 @@ def length(orb: Orbit, mu: Weight) -> int:
     divide exactly and come out nonnegative, and their sum is the
     length.  This deliberately does not consult the BFS words or the
     stored lengths, so it can act as an oracle against them.  A weight
-    outside the orbit raises ``Orbit.element``'s ValueError.
+    outside the orbit raises ``Orbit.position``'s ValueError.
     """
-    orb.element(mu)
+    orb.position(mu)
     rs = orb.rs
     det = rs.cartan_det
     diff = [a - b for a, b in zip(orb.highest_weight.pairings, mu.pairings)]
@@ -276,9 +277,9 @@ def poincare_dual(orb: Orbit, mu: Weight) -> Weight:
     theta is the diagram involution, so in pairing coordinates the dual
     of m is k -> -m[theta(k)].  Validated downstream by the length
     complementarity and the Frobenius symmetry of the quantum operator.
-    A weight outside the orbit raises ``Orbit.element``'s ValueError.
+    A weight outside the orbit raises ``Orbit.position``'s ValueError.
     """
-    orb.element(mu)
+    orb.position(mu)
     perm = diagram_involution(orb.rs)
     dual = Weight(tuple(-mu.pairings[perm[k] - 1] for k in range(orb.rs.rank)))
     if dual.key not in orb.index_of:

@@ -17,8 +17,8 @@ SWEEP = sweep_cases(SweepConfig())
 
 # every per-orbit and per-root-system memo of the package
 MEMOS = (
-    qchev._root_entries, qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, qchev.quantum_product_matrix,
-    minrep.quantum_operator, weylorbit.lowering_maps, weylorbit.dual_positions, ttstar._toda_data,
+    qchev._root_entries, qchev._oracle_table, qchev._lengths, qchev._oracle_outcome, minrep.quantum_operator,
+    weylorbit.lowering_maps, weylorbit.dual_positions, ttstar._toda_data,
 )
 
 

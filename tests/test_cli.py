@@ -99,6 +99,21 @@ def test_verify_runs_the_oracle_once_per_class(monkeypatch):
     assert calls == classes
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["default", "corrupt"])
+def test_verify_runs_each_route_once_per_class(monkeypatch, fresh_memos, corrupt):
+    # no memo keeps a route's matrix: the main-theorem row runs the closed
+    # route and the oracle pass the oracle once per class of every case
+    calls = {"chevalley_closed": [], "chevalley_fw_oracle": []}
+    for name, seen in calls.items():
+        real = getattr(qchev, name)
+        monkeypatch.setattr(qchev, name, lambda orb, mu, real=real, seen=seen: (
+            seen.append((orb.rs.lie_type, orb.weight_index, mu)) or real(orb, mu)))
+    assert cmd_verify(SweepConfig(), corrupt=corrupt, out=io.StringIO()) == int(corrupt)
+    classes = [(lt, i, el.weight) for lt, i in SWEEP for el in orbit(build(lt), i).elements]
+    assert len(classes) == 594
+    assert calls == {name: classes for name in calls}
+
+
 def _first_entry_dropped(m: dict) -> dict:
     return {c: x for c, x in m.items() if c != min(m)}
 
@@ -832,6 +847,9 @@ def test_satake_command_argument_errors():
     assert main(["satake", "--n", "3", "--k", "2", "--rank", "5"]) == 2
     with pytest.raises(ConfigError, match="^--rank only combines with --family D$"):
         cmd_satake(3, 2, rank=5, out=io.StringIO())
+    # a float rank is named before math.comb reads it
+    with pytest.raises(TypeError, match=r"^rank must be an int, not 4\.0$"):
+        cmd_satake(family="D", rank=4.0, out=io.StringIO())
 
 
 def test_main_verify_small():

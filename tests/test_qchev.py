@@ -695,7 +695,7 @@ def test_a_foreign_weight_raises_one_value_error_everywhere():
     # Orbit.position is the one membership test: every reader of a class
     # rejects a weight outside the orbit with its text
     orb = orbit_of("A", 2, 1)
-    for call in (orb.element, lambda mu: length(orb, mu), lambda mu: poincare_dual(orb, mu),
+    for call in (lambda mu: length(orb, mu), lambda mu: poincare_dual(orb, mu),
                  lambda mu: chevalley_closed(orb, mu), lambda mu: chevalley_fw_oracle(orb, mu)):
         with pytest.raises(ValueError, match=r"^\(5,5\) is not a weight of the orbit \(A2, w1\)$"):
             call(Weight((5, 5)))
@@ -703,7 +703,6 @@ def test_a_foreign_weight_raises_one_value_error_everywhere():
 
 COLLIDING_ENTRY_POINTS = {
     "position": lambda orb, mu: orb.position(mu),
-    "element": lambda orb, mu: orb.element(mu),
     "length": length,
     "poincare_dual": poincare_dual,
     "chevalley_closed": chevalley_closed,

@@ -15,9 +15,11 @@ from minflag.rootsys import (
     coroot,
     diagram_involution,
     minuscule_weights,
+    node_pairings,
     pair,
     reflect,
 )
+from minflag.weylorbit import orbit
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 7)]
@@ -526,3 +528,36 @@ def test_affine_node_closes_the_highest_root_relation(fam, rank):
     keys = rs.node_keys
     assert keys[0] + sum(t * k for t, k in zip(rs.highest_root.coeffs, keys[1:])) == 0
     assert keys[0] == rs.node_weights[0].key == -rs.root_to_weight(rs.highest_root).key
+
+
+# a weight of another rank: the dot product with a coroot would truncate it
+FOREIGN_RANK_WEIGHTS = {
+    "pair-short": (lambda rs: pair(rs, Weight((1, 0)), RootVec((1, 0, 0))), "(1,0)", 2),
+    "pair-long": (lambda rs: pair(rs, Weight((1, 0, 0, 5)), RootVec((1, 0, 0))), "(1,0,0,5)", 4),
+    "node_pairings": (lambda rs: node_pairings(rs, Weight((1, 0))), "(1,0)", 2),
+    "reflect": (lambda rs: reflect(rs, Weight((1, 0)), RootVec((1, 0, 0))), "(1,0)", 2),
+}
+
+
+@pytest.mark.parametrize("entry", FOREIGN_RANK_WEIGHTS)
+def test_a_weight_of_another_rank_names_itself_and_the_rank(entry):
+    call, text, size = FOREIGN_RANK_WEIGHTS[entry]
+    with pytest.raises(ValueError, match=rf"^the weight {re.escape(text)} has {size} pairings, but A3 has rank 3$"):
+        call(build(LieType("A", 3)))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0), (1, 0, 0, 0)], ids=str)
+def test_root_to_weight_names_a_vector_of_another_rank(coeffs):
+    text = rf"^the root vector {re.escape(str(RootVec(coeffs)))} has {len(coeffs)} coefficients, but A3 has rank 3$"
+    with pytest.raises(ValueError, match=text):
+        build(LieType("A", 3)).root_to_weight(RootVec(coeffs))
+
+
+def test_a_root_system_made_directly_is_a_memo_key_of_its_own():
+    # root systems compare by identity: one made directly is not build's,
+    # so the orbit memo hands it an orbit of its own
+    lt = LieType("A", 3)
+    other = RootSystem(lt)
+    assert other != build(lt)
+    assert orbit(other, 1).rs is other
+    assert orbit(build(lt), 1).rs is build(lt)

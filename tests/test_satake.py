@@ -38,6 +38,19 @@ def test_wedge_rejects_out_of_range_degree():
         wedge_matrix(m, 4)  # k = n + 1 collapses to the trace line
 
 
+@pytest.mark.parametrize("k", [True, 1.0], ids=repr)
+def test_wedge_rejects_a_degree_that_is_not_an_int(k):
+    m = quantum_operator(orbit_of("A", 3, 1))
+    with pytest.raises(TypeError, match=rf"^wedge degree must be an int, not {k!r}$"):
+        wedge_matrix(m, k)
+
+
+@pytest.mark.parametrize("n", [4.0, True], ids=repr)
+def test_half_wedge_dims_rejects_a_rank_that_is_not_an_int(n):
+    with pytest.raises(TypeError, match=rf"^rank must be an int, not {n!r}$"):
+        half_wedge_dims(n)
+
+
 def test_wedge_a3_k2_entries_and_size():
     w = wedge_matrix(quantum_operator(orbit_of("A", 3, 1)), 2)
     assert w.n == 6

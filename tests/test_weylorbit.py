@@ -355,6 +355,17 @@ def test_orbit_rejects_two_elements_with_one_key():
         Orbit(orb.rs, 1, orb.elements[:2] + orb.elements[:1])
 
 
+def test_orbit_rejects_an_element_of_another_rank():
+    rs = build(LieType("A", 3))
+    with pytest.raises(ValueError, match=r"^the orbit weight \(1,0\) has 2 pairings, but A3 has rank 3$"):
+        Orbit(rs, 1, orbit_of("A", 2, 1).elements)
+
+
+def test_orbit_rejects_an_empty_element_list():
+    with pytest.raises(ValueError, match=r"^an orbit of \(A3, w1\) needs at least one element$"):
+        Orbit(build(LieType("A", 3)), 1, [])
+
+
 def test_orbit_keys_index_the_elements_and_steps_add_root_keys():
     for orb in sweep_orbits():
         assert orb.keys == tuple(el.weight.key for el in orb.elements), orb
