@@ -321,13 +321,23 @@ def emit_dot(orb: Orbit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _input_orbit(family: str, rank: int, weight: int) -> Orbit:
+    """The orbit a command's input names, with the library's ValueError about that input as a ConfigError.
+
+    Only the input is wrapped: ``LieType`` holds the rank rules and
+    ``RootSystem.minuscule_weight`` the weight rules, and a ValueError
+    from a check run later still ends in a traceback.
+    """
+    try:
+        return orbit(build(LieType(family, rank)), weight)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_emit(
     family: str, rank: int, weight: int, what: str, fmt: str, out: TextIO = sys.stdout
 ) -> int:
-    try:
-        orb = orbit(build(LieType(family, rank)), weight)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    orb = _input_orbit(family, rank, weight)
     if fmt == "dot":
         if what != "crystal":
             raise ConfigError("dot output is only available for the crystal graph")
@@ -357,8 +367,9 @@ def cmd_satake(
             raise ConfigError("--n and --k do not combine with --family")
         if family != "D":
             raise ConfigError("dimension identities are only defined for family D")
-        if rank is None or rank < 3:
+        if rank is None:
             raise ConfigError("family D needs a rank of at least 3")
+        _input_orbit("D", rank, 1)  # the quadric orbit, which half_wedge_dims reads too
         rep = satake.half_wedge_dims(rank)
         doc = {
             "kind": "half-wedge-dims",
@@ -379,8 +390,7 @@ def cmd_satake(
             raise ConfigError("either --n and --k, or --family D --rank N, are required")
         if rank is not None:
             raise ConfigError("--rank only combines with --family D")
-        if not 1 <= k <= n:
-            raise ConfigError(f"need 1 <= k <= n, got n={n} k={k}")
+        _input_orbit("A", n, k)
         doc = {"kind": "wedge-similarity", "n": n, "k": k}
         try:
             signs = satake.satake_similarity(n, k).signs

@@ -243,9 +243,14 @@ def n_alpha(rs: RootSystem, i: int, alpha: RootVec) -> int:
     return sum(map(mul, co, total))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _complement_sum(rs: RootSystem, i: int) -> tuple[int, ...]:
-    """The pairings of the sum of the divisor complement of lambda_i (``_complement``)."""
+    """The pairings of the sum of the divisor complement of lambda_i (``_complement``).
+
+    The memo is typed, as ``weylorbit.orbit``'s is: a bool index equal
+    to an int one (True == 1) does not read the int's entry, so its own
+    call runs and ``fundamental_weight`` raises TypeError.
+    """
     columns = zip(*(gamma.coeffs for gamma in _complement(rs, rs.fundamental_weight(i).pairings)))
     return rs.root_to_weight(RootVec(tuple(map(sum, columns)))).pairings
 

@@ -56,6 +56,13 @@ KEY_BASE = 16
 ROOT_BOUND = 3
 ORBIT_BOUND = KEY_BASE // 2 - 1 - ROOT_BOUND
 
+
+def _require_int(value: int, what: str) -> None:
+    """A TypeError naming value, before any arithmetic, when it is not an int (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {value!r}")
+
+
 # (min rank, max rank or None) per family
 _RANK_RANGE = {
     "A": (1, None),
@@ -78,8 +85,7 @@ class LieType:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
-            raise TypeError(f"rank must be an int, not {self.rank!r}")
+        _require_int(self.rank, "rank")
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} invalid for family {self.family}")
@@ -128,6 +134,9 @@ class Weight:
         object.__setattr__(self, "key", key)
 
     def __sub__(self, other: "Weight") -> "Weight":
+        """The difference; a ValueError naming both weights when their ranks differ, which map would truncate."""
+        if len(self.pairings) != len(other.pairings):
+            raise ValueError(f"cannot subtract {other} from {self}: their ranks differ")
         return Weight(tuple(map(sub, self.pairings, other.pairings)))
 
     def __neg__(self) -> "Weight":
@@ -333,11 +342,21 @@ class RootSystem:
 
     def fundamental_weight(self, i: int) -> Weight:
         n = self.rank
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise TypeError(f"fundamental weight index must be an int, not {i!r}")
+        _require_int(i, "fundamental weight index")
         if not 1 <= i <= n:
             raise ValueError(f"fundamental weight index {i} out of range")
         return Weight(tuple(1 if k == i - 1 else 0 for k in range(n)))
+
+    def minuscule_weight(self, i: int) -> Weight:
+        """lambda_i for a minuscule index i, the one home of that rule.
+
+        A ValueError for an index that is not minuscule comes first;
+        a bool or float equal to a minuscule index then raises
+        ``fundamental_weight``'s TypeError.
+        """
+        if i not in self._minuscule:
+            raise ValueError(f"fundamental weight {i} of {self} is not minuscule")
+        return self.fundamental_weight(i)
 
     def is_root(self, alpha: RootVec) -> bool:
         return alpha.coeffs in self._coroot

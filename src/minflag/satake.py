@@ -34,7 +34,7 @@ from math import comb
 from typing import Mapping, Optional
 
 from .minrep import PolyMatrix, _Entries, poly_text, quantum_operator
-from .rootsys import LieType, build
+from .rootsys import LieType, _require_int, build
 from .weylorbit import Orbit, expected_orbit_size, orbit
 
 
@@ -98,12 +98,6 @@ def _wedge(m: _Entries, place: Mapping[tuple[int, ...], int], twist: int) -> _En
                     else:
                         del coeffs[e]
     return {key: coeffs for key, coeffs in acc.items() if coeffs}
-
-
-def _require_int(value: int, what: str) -> None:
-    """A TypeError naming value, before any arithmetic, when it is not an int (a bool included)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, not {value!r}")
 
 
 def wedge_matrix(m: PolyMatrix, k: int) -> PolyMatrix:
@@ -290,11 +284,11 @@ def half_wedge_dims(n: int) -> HalfWedgeReport:
     The two sides are cross-checked against the actual orbit sizes of
     the quadric and spinor weights.  The spinor dimension and both
     expected orbit sizes, 2n and 2^(n-1), come from
-    ``weylorbit.expected_orbit_size``.
+    ``weylorbit.expected_orbit_size``.  The root system is built
+    first, so ``LieType("D", n)``'s TypeError names an n that is not an
+    int and its ValueError an n below 3, before any arithmetic.
     """
-    _require_int(n, "rank")
-    if n < 3:
-        raise ValueError("half-wedge identities need rank at least 3")
+    rs = build(LieType("D", n))
     two_n = 2 * n
     wedge_total = sum(comb(two_n, 2 * i) for i in range((n + 1) // 2))
     if n % 2 == 0:
@@ -302,7 +296,6 @@ def half_wedge_dims(n: int) -> HalfWedgeReport:
         if half_mid % 2:
             raise AssertionError(f"middle binomial C({two_n}, {n}) = {half_mid} is odd")
         wedge_total += half_mid // 2
-    rs = build(LieType("D", n))
     quadric, spinor = orbit(rs, 1).size, orbit(rs, n).size
     want_quadric = expected_orbit_size(rs.lie_type, 1)
     want_spinor = expected_orbit_size(rs.lie_type, n)

@@ -7,14 +7,19 @@ values (alpha_1(m), ..., alpha_l(m)).  The admissible set is cut out by
 alpha_j(m) >= -1 together with the affine condition alpha_0(m) >= -1,
 where alpha_0 := -psi gives the face coming from the highest root.
 
-Three coordinate systems are in exact rational bijection:
+Three coordinate systems are in exact rational bijection, written on
+the nodes j = 0..l of the extended diagram:
 
-* asymptotic data m with alpha_j(m) >= -1 for j = 0..l,
-* fundamental-alcove points x via x_j = (alpha_j(m) + 1) / s, where the
+* asymptotic data m with alpha_j(m) >= -1, alpha_0(m) = -psi(m);
+* fundamental-alcove points x, x_j = (alpha_j(m) + 1) / s, where the
   constant 2 pi sqrt(-1) factor of the alcove embedding is documented
-  but never stored,
-* holomorphic exponents (k_0, ..., k_l) via alpha_j(m) = s(k_j + 1) - 1
-  and -psi(m) = s(k_0 + 1) - 1, all >= -1.
+  but never stored; the affine coordinate is x_0 = 1 - psi(x);
+* holomorphic exponents (k_0, ..., k_l) with k_j + 1 = x_j, so
+  k_0 = -psi(x).
+
+Hence k_j >= -1 for every j exactly when x lies in the alcove, which
+``asymptotic_to_alcove`` asserts: the admissible set has one home there,
+and ``dpw_exponents`` reads the exponents off its point.
 
 Each point is a plain tuple: the public functions take a sequence of
 ``int`` or ``Fraction`` coordinates and return tuples of ``Fraction``.
@@ -36,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .rootsys import RootSystem, diagram_involution, minuscule_weights
+from .rootsys import RootSystem, diagram_involution
 
 Rational = Union[Fraction, int]
 Point = tuple[Fraction, ...]
@@ -107,19 +112,13 @@ def alcove_to_asymptotic(rs: RootSystem, x: Sequence[Rational]) -> Point:
 def dpw_exponents(rs: RootSystem, m: Sequence[Rational]) -> Point:
     """Exponents (k_0, k_1, ..., k_l) of the holomorphic one-form attached to admissible data.
 
-    k_j = (alpha_j(m) + 1)/s - 1 for j >= 1 and, by the same rule on
-    the affine face, k_0 = (-psi(m) + 1)/s - 1.  All components are
-    >= -1 exactly when m is admissible.
+    k_j = x_j - 1 on the nodes, x = ``asymptotic_to_alcove(rs, m)``, so
+    k_0 = x_0 - 1 = -psi(x).  The admissibility test and the alcove
+    check are that function's: every k_j >= -1 exactly when x is in the
+    alcove.
     """
-    m = _exact(rs, m, "asymptotic data")
-    if not in_asymptotic_set(rs, m):
-        raise ValueError("asymptotic data outside the admissible set")
-    s = rs.coxeter_number
-    k = ((-psi_value(rs, m) + 1) / s - 1,) + tuple((v + 1) / s - 1 for v in m)
-    for j, kj in enumerate(k):
-        if kj < -1:
-            raise AssertionError(f"exponent k_{j} = {kj} < -1 for {_text(m)}")
-    return k
+    x = asymptotic_to_alcove(rs, m)
+    return (-psi_value(rs, x),) + tuple(c - 1 for c in x)
 
 
 def _sigma_moved(rs: RootSystem, m: Point) -> Optional[tuple[int, int]]:
@@ -136,15 +135,12 @@ def distinguished_solution(rs: RootSystem, i: int) -> tuple[Point, Point, Point]
     """The m = -h_0 dictionary entry of weight i: (m, alcove origin, exponents (0, -1, ..., -1)).
 
     The triple depends on the root system alone and comes from the
-    per-root-system memo ``_toda_data``; i only has to be minuscule.
-    A bool or float index equal to a minuscule one raises
-    ``RootSystem.fundamental_weight``'s TypeError.  It returns only an m
-    that ``_toda_data`` has proved fixed by the diagram involution, and
+    per-root-system memo ``_toda_data``; i only has to pass
+    ``RootSystem.minuscule_weight``.  It returns only an m that
+    ``_toda_data`` has proved fixed by the diagram involution, and
     raises AssertionError otherwise.
     """
-    if i not in minuscule_weights(rs):
-        raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
-    rs.fundamental_weight(i)
+    rs.minuscule_weight(i)
     return _toda_data(rs)
 
 
@@ -152,8 +148,9 @@ def distinguished_solution(rs: RootSystem, i: int) -> tuple[Point, Point, Point]
 def _toda_data(rs: RootSystem) -> tuple[Point, Point, Point]:
     """-h_0, its alcove point and its exponents, once per root system.
 
-    Raises AssertionError, naming the moved value, when -h_0 is not
-    fixed by the diagram involution.
+    The alcove map runs once: the point is read back off the exponents,
+    x_j = k_j + 1 for j = 1..l.  Raises AssertionError, naming the moved
+    value, when -h_0 is not fixed by the diagram involution.
     """
     m = minus_h0(rs)
     moved = _sigma_moved(rs, m)
@@ -163,7 +160,8 @@ def _toda_data(rs: RootSystem) -> tuple[Point, Point, Point]:
             f"-h_0 = {_text(m)} is not fixed by the diagram involution: "
             f"alpha_{j}(m) = {m[j - 1]} moves onto alpha_{k}(m) = {m[k - 1]}"
         )
-    return m, asymptotic_to_alcove(rs, m), dpw_exponents(rs, m)
+    exponents = dpw_exponents(rs, m)
+    return m, tuple(c + 1 for c in exponents[1:]), exponents
 
 
 def dubrovin_form() -> dict[str, str]:

@@ -32,7 +32,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Sequence
 
-from .rootsys import (ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, diagram_involution, minuscule_weights,
+from .rootsys import (ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, _require_int, diagram_involution,
                       node_pairings)
 
 
@@ -142,8 +142,7 @@ def expected_orbit_size(lt: LieType, i: int) -> int:
     Freudenthal variety.  Any other case raises ValueError, and an index
     that is not an int, a bool included, TypeError.
     """
-    if isinstance(i, bool) or not isinstance(i, int):
-        raise TypeError(f"fundamental weight index must be an int, not {i!r}")
+    _require_int(i, "fundamental weight index")
     n = lt.rank
     if lt.family == "A" and 1 <= i <= n:
         return comb(n + 1, i)
@@ -171,14 +170,13 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     sorts as its Weights do.  A weight's pairing tuple is made once, when
     the BFS first reaches it, and its Weight and OrbitElement as its
     level is recorded.  The memo is typed, and
-    ``RootSystem.fundamental_weight`` raises TypeError for an index that
-    is not an int, so a bool or float index equal to a minuscule one
-    neither shares its entry nor makes an orbit.
+    ``RootSystem.minuscule_weight`` raises ValueError for an index that
+    is not minuscule and TypeError for one that is not an int, so a bool
+    or float index equal to a minuscule one neither shares its entry nor
+    makes an orbit.
     """
-    if i not in minuscule_weights(rs):
-        raise ValueError(f"fundamental weight {i} of {rs} is not minuscule")
     alpha = rs.node_weights
-    top = rs.fundamental_weight(i)
+    top = rs.minuscule_weight(i)
     # key -> (pairings, word, key): a level sorts by its unique pairings
     current: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {top.key: (top.pairings, (), top.key)}
     seen: set[int] = set()

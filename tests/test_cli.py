@@ -847,9 +847,49 @@ def test_satake_command_argument_errors():
     assert main(["satake", "--n", "3", "--k", "2", "--rank", "5"]) == 2
     with pytest.raises(ConfigError, match="^--rank only combines with --family D$"):
         cmd_satake(3, 2, rank=5, out=io.StringIO())
-    # a float rank is named before math.comb reads it
-    with pytest.raises(TypeError, match=r"^rank must be an int, not 4\.0$"):
-        cmd_satake(family="D", rank=4.0, out=io.StringIO())
+    # LieType names a float or bool rank before math.comb reads it; a rank
+    # test of the CLI's own once called True a rank below 3
+    for rank in (4.0, True):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'rank must be an int, not {rank!r}')}$"):
+            cmd_satake(family="D", rank=rank, out=io.StringIO())
+
+
+# satake input errors come from the library: LieType's rank rules and
+# RootSystem.minuscule_weight's weight rule, worded as emit words them
+SATAKE_INPUT_ERRORS = {
+    "k-above-n": (["--n", "3", "--k", "5"], "fundamental weight 5 of A3 is not minuscule"),
+    "k-zero": (["--n", "3", "--k", "0"], "fundamental weight 0 of A3 is not minuscule"),
+    "n-zero": (["--n", "0", "--k", "1"], "rank 0 invalid for family A"),
+    "d-rank-2": (["--family", "D", "--rank", "2"], "rank 2 invalid for family D"),
+}
+
+
+@pytest.mark.parametrize("case", SATAKE_INPUT_ERRORS)
+def test_satake_input_errors_are_the_librarys(case, capsys):
+    args, message = SATAKE_INPUT_ERRORS[case]
+    assert main(["satake", *args]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_satake_and_emit_name_a_non_minuscule_weight_alike(capsys):
+    assert main(["satake", "--n", "3", "--k", "5"]) == 2
+    satake_err = capsys.readouterr()
+    assert main(["emit", "--family", "A", "--rank", "3", "--weight", "5", "--what", "orbit"]) == 2
+    assert capsys.readouterr() == satake_err
+
+
+@pytest.mark.parametrize("check", ["satake_similarity", "half_wedge_dims"])
+def test_value_error_inside_a_satake_check_is_not_a_config_error(monkeypatch, check):
+    # only the input is turned into a ConfigError: a ValueError the check
+    # itself raises is a bug, and ends in a traceback
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(satake, check, broken)
+    args = ["--n", "3", "--k", "2"] if check == "satake_similarity" else ["--family", "D", "--rank", "4"]
+    with pytest.raises(ValueError, match="^internal bug$") as info:
+        main(["satake", *args])
+    assert type(info.value) is ValueError
 
 
 def test_main_verify_small():

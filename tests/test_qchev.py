@@ -181,6 +181,20 @@ def test_n_alpha_rejects_parabolic_and_foreign_roots():
         n_alpha(rs, 1, RootVec((2, 0, 0)))
 
 
+@pytest.mark.parametrize("first", ["int-first", "bool-first"])
+def test_n_alpha_rejects_a_bool_index_whatever_the_memo_holds(first):
+    # True == 1 with one hash: an untyped memo answered n_alpha(rs, True, alpha)
+    # with the sum an int call had left in it
+    rs = build(LieType("A", 3))
+    alpha = RootVec((1, 0, 0))
+    _complement_sum.cache_clear()
+    if first == "int-first":
+        assert n_alpha(rs, 1, alpha) == 4
+    with pytest.raises(TypeError, match="^fundamental weight index must be an int, not True$"):
+        n_alpha(rs, True, alpha)
+    assert n_alpha(rs, 1, alpha) == 4
+
+
 # -- matrices and the main equality ------------------------------------------------
 
 

@@ -546,6 +546,14 @@ def test_a_weight_of_another_rank_names_itself_and_the_rank(entry):
         call(build(LieType("A", 3)))
 
 
+@pytest.mark.parametrize("a,b", [((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0))], ids=["shorter-first", "longer-first"])
+def test_weight_subtraction_names_both_weights_of_different_ranks(a, b):
+    # map would truncate to the shorter weight: (1,0) - (1,0,0) was (0,0)
+    text = f"cannot subtract {Weight(b)} from {Weight(a)}: their ranks differ"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        Weight(a) - Weight(b)
+
+
 @pytest.mark.parametrize("coeffs", [(1, 0), (1, 0, 0, 0)], ids=str)
 def test_root_to_weight_names_a_vector_of_another_rank(coeffs):
     text = rf"^the root vector {re.escape(str(RootVec(coeffs)))} has {len(coeffs)} coefficients, but A3 has rank 3$"

@@ -345,7 +345,7 @@ def test_half_wedge_dimension_identities(n, total):
 
 
 def test_half_wedge_rejects_small_rank():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rank 2 invalid for family D$"):
         half_wedge_dims(2)
 
 

@@ -350,6 +350,25 @@ def test_ttstar_reads_no_orbit_and_no_a_q():
     assert not found, f"ttstar builds what the emitter reads: {found}"
 
 
+def _raises_with(tree: ast.AST, text: str) -> list[int]:
+    """Lines of the raise statements whose exception's string literals hold text."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+                    for c in ast.walk(n.exc))]
+
+
+@pytest.mark.parametrize("text", ["must be an int, not", "is not minuscule"])
+def test_each_input_rule_is_raised_in_one_place(text):
+    # rootsys._require_int and RootSystem.minuscule_weight are the homes of
+    # these rules: a second raise would be a copy that can drift from them
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{line}" for line in _raises_with(tree, text)]
+    assert len(found) == 1, f"{text!r} raised from {found}"
+
+
 # memos whose result depends on their arguments alone, kept for the whole run;
 # every other memo is in helpers.MEMOS, which ``fresh_memos`` clears
 _WHOLE_RUN_MEMOS = {

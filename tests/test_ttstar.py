@@ -138,6 +138,18 @@ def test_dpw_exponents_admissible_on_random_data():
             assert all(v >= -1 for v in k)
 
 
+def test_dpw_exponents_are_the_alcove_point_minus_one():
+    # k_j + 1 = x_j on the nodes j = 0..l, x_0 = 1 - psi(x): the exponents
+    # are read off asymptotic_to_alcove's point
+    rng = random.Random(33)
+    for lt in TYPES:
+        rs = build(lt)
+        for _ in range(10):
+            m = alcove_to_asymptotic(rs, random_alcove_coords(rs, rng))
+            x = asymptotic_to_alcove(rs, m)
+            assert dpw_exponents(rs, m) == (-psi_value(rs, x),) + tuple(c - 1 for c in x), (lt, m)
+
+
 def test_dpw_rejects_inadmissible_data():
     rs = rs_of("B", 2)
     with pytest.raises(ValueError):
@@ -310,9 +322,10 @@ def test_alcove_to_asymptotic_check_names_the_data(monkeypatch, fresh_memos):
 
 
 def test_dpw_exponents_check_names_the_exponent(monkeypatch, fresh_memos):
+    # k_1 = x_1 - 1 = -2 < -1: the exponents' bound is the alcove check, which names x_1 = -1
     rs = rs_of("A", 3)
     monkeypatch.setattr(ttstar, "in_asymptotic_set", lambda rs, m: True)
-    with pytest.raises(AssertionError, match=r"exponent k_1 = -2 < -1 for \(-5, 0, 0\)"):
+    with pytest.raises(AssertionError, match=r"admissible \(-5, 0, 0\) maps to \(-1, 1/4, 1/4\), outside the alcove"):
         dpw_exponents(rs, [-5, 0, 0])
 
 
