@@ -156,25 +156,28 @@ def json_text(doc: dict) -> str:
     """The ``json.dumps(doc, indent=2)`` text of a plain document.
 
     Values are dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
-    and ``None``; a PolyMatrix at any depth is written as its dense n x n
-    array of [exponent, coefficient-string] pair lists, zero entries as
-    ``[]``, straight from its integer entries (``_matrix_text`` reads
-    ``PolyMatrix.entries``).  Anything else, a non-``str`` key included,
+    and ``None``.  A Weight is written as its pairings list, each
+    distinct (pairings, indent) text made once per call; a PolyMatrix as
+    its dense n x n array of [exponent, coefficient-string] pair lists,
+    zero entries as ``[]``.  Anything else, a non-``str`` key included,
     raises ``TypeError``.
     """
-    return _value_text(doc, "")
+    return _value_text(doc, "", {})
 
 
 _JUST_INT = {int}
 
 
-def _value_text(v: object, pad: str) -> str:
+def _value_text(v: object, pad: str, memo: dict) -> str:
     """The indent=2 JSON text of v, for a value whose line is indented by pad."""
     t = type(v)
     if t is str:
         return encode_basestring_ascii(v)
     if t is int:
         return int.__repr__(v)
+    if t is Weight:
+        k = v.pairings, pad
+        return memo.get(k) or memo.setdefault(k, _value_text([*v.pairings], pad, memo))
     inner = pad + "  "
     if t is dict:
         if not v:
@@ -183,7 +186,7 @@ def _value_text(v: object, pad: str) -> str:
         for key, x in v.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner)}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner, memo)}")
         body = ",\n".join(items)
         del items  # dropped before the braces go on, so the text is held at most twice
         return f"{{\n{body}\n{pad}}}"
@@ -193,7 +196,7 @@ def _value_text(v: object, pad: str) -> str:
         if {*map(type, v)} == _JUST_INT:
             body = f",\n{inner}".join(map(int.__repr__, v))
             return f"[\n{inner}{body}\n{pad}]"
-        body = ",\n".join(inner + _value_text(x, inner) for x in v)
+        body = ",\n".join(inner + _value_text(x, inner, memo) for x in v)
         return f"[\n{body}\n{pad}]"
     if v is True:
         return "true"
@@ -235,10 +238,6 @@ def _matrix_text(m: PolyMatrix, pad: str) -> str:
     return f"[\n{body}\n{pad}]"
 
 
-def _weight_json(w: Weight) -> list[int]:
-    return list(w.pairings)
-
-
 def _weight_key(w: Weight) -> str:
     return ",".join(map(str, w.pairings))
 
@@ -263,26 +262,27 @@ def _psi_edges(orb: Orbit) -> list[tuple[Weight, Weight]]:
 def emit_payload(orb: Orbit, what: str) -> dict:
     """The document of one emission target; ``json_text`` writes it.
 
-    Every value is plain JSON data except "matrix", which both
-    ``amatrix`` and ``ttstar`` read from ``minrep.quantum_operator(orb)``:
-    the PolyMatrix A(q) itself, the one object kept for the orbit; read
-    it, do not change it.  The rest of ``ttstar`` comes from the plain
-    tuples of ``ttstar.distinguished_solution``.
+    Every value is plain JSON data except the orbit's Weights and
+    "matrix", which ``amatrix`` and ``ttstar`` read from
+    ``minrep.quantum_operator(orb)``: the PolyMatrix A(q) itself, the one
+    object kept for the orbit; read it, do not change it.  The rest of
+    ``ttstar`` comes from the plain tuples of
+    ``ttstar.distinguished_solution``.
     """
     doc = _header(orb)
     if what == "orbit":
         doc["dim_complex"] = orb.dim_complex
         doc["elements"] = [
-            {"weight": _weight_json(el.weight), "length": el.length, "word": list(el.word)}
+            {"weight": el.weight, "length": el.length, "word": list(el.word)}
             for el in orb.elements
         ]
     elif what == "crystal":
         doc["edges"] = [
-            {"source": _weight_json(a), "label": j, "target": _weight_json(b)}
+            {"source": a, "label": j, "target": b}
             for a, j, b in crystal_edges(orb)
         ]
         doc["psi_edges"] = [
-            {"source": _weight_json(a), "target": _weight_json(b)}
+            {"source": a, "target": b}
             for a, b in _psi_edges(orb)
         ]
     elif what == "qtable":
@@ -290,7 +290,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
         for el in orb.elements:
             # every divisor-product coefficient is (lambda_i, alpha^vee) = 1
             table[_weight_key(el.weight)] = [
-                {"target": _weight_json(orb.elements[t].weight), "q_power": q_power, "coefficient": "1"}
+                {"target": orb.elements[t].weight, "q_power": q_power, "coefficient": "1"}
                 for q_power, t in qchev.chevalley_closed(orb, el.weight)
             ]
         doc["table"] = table
@@ -302,7 +302,7 @@ def emit_payload(orb: Orbit, what: str) -> dict:
             doc["dpw_k"] = [str(k) for k in dpw]
             doc["sigma_fixed"] = True  # distinguished_solution returns only a sigma-fixed m
             doc.update(ttstar.dubrovin_form())
-        doc["basis"] = [_weight_json(el.weight) for el in orb.elements]
+        doc["basis"] = [el.weight for el in orb.elements]
         doc["matrix"] = minrep.quantum_operator(orb)
     else:
         raise ConfigError(f"unknown emission target {what!r}")
@@ -368,7 +368,7 @@ def cmd_satake(
         if family != "D":
             raise ConfigError("dimension identities are only defined for family D")
         if rank is None:
-            raise ConfigError("family D needs a rank of at least 3")
+            raise ConfigError("family D needs --rank N")
         _input_orbit("D", rank, 1)  # the quadric orbit, which half_wedge_dims reads too
         rep = satake.half_wedge_dims(rank)
         doc = {

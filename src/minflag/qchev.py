@@ -84,16 +84,21 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
 
     The classical pairs (0, position of mu - alpha_j) come first, in j
     order, then the one quantum pair (1, position of mu - alpha_0 =
-    mu + theta) if any.
+    mu + theta) if any.  A target is mu's key minus alpha_j's, looked up
+    in ``Orbit.index_of``; only a miss calls ``Orbit.neighbour``.
     Raises ValueError if mu is not in the orbit (``Orbit.position``, the
-    one membership test and its one text), and AssertionError naming
-    mu, the root and the target if a target is not.
+    one membership test and its one text), and ``neighbour``'s
+    AssertionError naming mu, the root and the target if a target is not.
     """
     rs = orb.rs
     pos = orb.position(mu)
-    terms = [(0, orb.neighbour(pos, "-", j)) for j, m in enumerate(mu.pairings, 1) if m == 1]
+    steps = [(0, j) for j, m in enumerate(mu.pairings, 1) if m == 1]
     if pair(rs, mu, rs.highest_root) == -1:
-        terms.append((1, orb.neighbour(pos, "-", 0)))
+        steps.append((1, 0))
+    terms = []
+    for q_power, j in steps:
+        t = orb.index_of.get(orb.keys[pos] - rs.node_keys[j])
+        terms.append((q_power, orb.neighbour(pos, "-", j) if t is None else t))
     return terms
 
 

@@ -34,8 +34,9 @@ elimination gives the integer determinant and adjugate of the Cartan
 matrix: the root coordinates of a weight w are (adj . w) / det, one
 exact integer division per coordinate.
 
-A weight's key, sum_k p_k 16^k over its pairings p, is computed once,
-when the Weight is made, and is linear:
+A weight's key, sum_k p_k 16^k over its pairings p, is set once, when
+the Weight is made (the orbit BFS hands over the key it stepped to),
+and is linear:
 key(mu - beta) = key(mu) - key(beta).  With signed base-16 digits it is
 injective on vectors whose pairings all lie in -7..7.  Every root's
 pairings lie in -3..3, asserted once per root system, and
@@ -119,9 +120,9 @@ class RootVec:
 class Weight:
     """A weight, as integer pairings against the simple coroots, and its key.
 
-    key = sum_k pairings[k] * KEY_BASE^k, by Horner once per Weight: it
-    takes no part in equality, order or the text.  Slotted: every
-    memoized orbit keeps one per element.
+    key = sum_k pairings[k] * KEY_BASE^k, by Horner once per Weight, or
+    given by ``_keyed_weight``: it takes no part in equality, order or
+    the text.  Slotted: every memoized orbit keeps one per element.
     """
 
     pairings: tuple[int, ...]
@@ -147,6 +148,14 @@ class Weight:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(a) for a in self.pairings) + ")"
+
+
+def _keyed_weight(pairings: tuple[int, ...], key: int) -> Weight:
+    """The Weight of pairings with its key given, not computed: key must be their Horner sum."""
+    w = object.__new__(Weight)
+    object.__setattr__(w, "pairings", pairings)
+    object.__setattr__(w, "key", key)
+    return w
 
 
 def _diagram(lie_type: LieType) -> tuple[list[tuple[int, int]], list[int]]:

@@ -14,10 +14,12 @@ word is one of possibly many reduced words, but the represented group
 element is unique.  Two things read the words: the ``orbit`` emitter
 writes them out, and the tests check the oracle's own transport against
 them.  The divisor-product oracle and ``length`` read none of them.
-``lowering_maps`` keeps the latest orbit's E-(0..l), which the crystal
-emitters, A(q) and the bracket row share, and ``dual_positions`` the
-latest orbit's Poincare-dual positions, which the Frobenius row and the
-``verify --self-test-corrupt`` mutation share.
+Each element's Weight is made once, with the key the BFS stepped to.
+``lowering_maps`` keeps the latest orbit's E-(0..l), stepped by key,
+which the crystal emitters, A(q) and the bracket row share, and
+``dual_positions`` the latest orbit's Poincare-dual positions, which
+the Frobenius row and the ``verify --self-test-corrupt`` mutation
+share.
 
 ``expected_orbit_size`` holds the closed-form orbit sizes |W/W_P|, the
 one table of them: the ``orbit-size`` row of ``verify`` checks the BFS
@@ -32,8 +34,8 @@ from math import comb
 from operator import add, mul, sub
 from typing import Sequence
 
-from .rootsys import (ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, _require_int, diagram_involution,
-                      node_pairings)
+from .rootsys import (ORBIT_BOUND, LieType, RootSystem, RootVec, Weight, _keyed_weight, _require_int,
+                      diagram_involution, node_pairings)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +63,10 @@ class Orbit:
     hit on a caller's weight by its pairings.  ``neighbour(pos, sign,
     j)`` steps from the element at pos to mu - alpha_j or mu + alpha_j
     for a node j = 0..l of the extended diagram, alpha_0 = -theta, and
-    returns the target's position.  No elements, or an element of
-    another rank than rs, raise ValueError.  Immutable after
+    returns the target's position; it names a missing target.  No
+    elements, or an element of another rank than rs, raise ValueError.
+    Rank, bounds and keys are checked in bulk, and only a failure walks
+    the elements to name the first witness.  Immutable after
     construction; safe to share and memoized by ``orbit``.
     """
 
@@ -72,19 +76,23 @@ class Orbit:
         self.elements = tuple(elements)
         if not self.elements:
             raise ValueError(f"an orbit of ({rs}, w{weight_index}) needs at least one element")
-        index: dict[int, int] = {}
-        for pos, el in enumerate(self.elements):
-            w = el.weight.pairings
-            if len(w) != rs.rank:
-                raise ValueError(f"the orbit weight {el.weight} has {len(w)} pairings, but {rs} has rank {rs.rank}")
-            if min(w) < -ORBIT_BOUND or max(w) > ORBIT_BOUND:
-                raise AssertionError(f"the orbit weight {el.weight} has a pairing outside "
-                                     f"-{ORBIT_BOUND}..{ORBIT_BOUND}: its key would not be exact")
-            first = index.setdefault(el.weight.key, pos)
-            if first != pos:
-                raise AssertionError(f"the orbit weight {el.weight} at position {pos} has the key of "
-                                     f"{self.elements[first].weight} at position {first}")
-        self.keys = tuple(index)
+        pairings = [el.weight.pairings for el in self.elements]
+        self.keys = tuple(el.weight.key for el in self.elements)
+        index = dict(zip(self.keys, range(len(pairings))))
+        if (len(index) < len(pairings) or {*map(len, pairings)} != {rs.rank}
+                or min(map(min, pairings)) < -ORBIT_BOUND or max(map(max, pairings)) > ORBIT_BOUND):
+            index = {}  # the checks in bulk failed: walk the elements to name the first witness
+            for pos, el in enumerate(self.elements):
+                w = el.weight.pairings
+                if len(w) != rs.rank:
+                    raise ValueError(f"the orbit weight {el.weight} has {len(w)} pairings, but {rs} has rank {rs.rank}")
+                if min(w) < -ORBIT_BOUND or max(w) > ORBIT_BOUND:
+                    raise AssertionError(f"the orbit weight {el.weight} has a pairing outside "
+                                         f"-{ORBIT_BOUND}..{ORBIT_BOUND}: its key would not be exact")
+                first = index.setdefault(el.weight.key, pos)
+                if first != pos:
+                    raise AssertionError(f"the orbit weight {el.weight} at position {pos} has the key of "
+                                         f"{self.elements[first].weight} at position {first}")
         self.index_of = index
         self.dim_complex = self.elements[-1].length
         self.size = len(self.elements)
@@ -168,8 +176,9 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     set are keyed by ``Weight.key``, a step down being one subtraction of
     the simple root's key; each level is sorted by pairing tuple, which
     sorts as its Weights do.  A weight's pairing tuple is made once, when
-    the BFS first reaches it, and its Weight and OrbitElement as its
-    level is recorded.  The memo is typed, and
+    the BFS first reaches it, and its Weight, given the key the BFS holds
+    (exact by linearity), and OrbitElement as its level is recorded.
+    The memo is typed, and
     ``RootSystem.minuscule_weight`` raises ValueError for an index that
     is not minuscule and TypeError for one that is not an int, so a bool
     or float index equal to a minuscule one neither shares its entry nor
@@ -184,7 +193,7 @@ def orbit(rs: RootSystem, i: int) -> Orbit:
     depth = 0
     while current:
         level = sorted(current.values())
-        elements.extend(OrbitElement(Weight(w), word, depth) for w, word, _ in level)
+        elements.extend(OrbitElement(_keyed_weight(w, key), word, depth) for w, word, key in level)
         seen.update(current)
         nxt: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         for w, word, key in level:
@@ -232,14 +241,18 @@ def length(orb: Orbit, mu: Weight) -> int:
 def lowering_maps(orb: Orbit) -> list[dict[int, tuple[int, int]]]:
     """E-(0..l) in one pass, map j for node j: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1.
 
-    Map 0 is E_psi, alpha_0 = -theta.  Only the latest orbit's maps are
+    Map 0 is E_psi, alpha_0 = -theta.  A target is the source's key minus
+    alpha_j's, looked up in ``Orbit.index_of``; only a miss calls
+    ``Orbit.neighbour``, for its text.  Only the latest orbit's maps are
     kept, shared by every reader: read them, never change them.
     """
-    maps: list[dict] = [{} for _ in orb.rs.node_keys]
-    for pos, el in enumerate(orb.elements):
-        for j, m in enumerate(node_pairings(orb.rs, el.weight)):
+    rs, index = orb.rs, orb.index_of
+    maps: list[dict] = [{} for _ in rs.node_keys]
+    for pos, (el, key) in enumerate(zip(orb.elements, orb.keys)):
+        for j, m in enumerate(node_pairings(rs, el.weight)):
             if m == 1:
-                maps[j][pos] = (orb.neighbour(pos, "-", j), 1)
+                t = index.get(key - rs.node_keys[j])
+                maps[j][pos] = (orb.neighbour(pos, "-", j) if t is None else t, 1)
     return maps
 
 

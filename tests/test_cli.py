@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from minflag.cli import (
     sweep_cases,
 )
 from minflag.minrep import PolyMatrix
-from minflag.rootsys import LieType, build
+from minflag.rootsys import LieType, Weight, build
 from minflag.weylorbit import Orbit, expected_orbit_size, orbit
 from helpers import SWEEP, clear_memos, simple_root
 
@@ -563,15 +564,17 @@ def test_crystal_json_then_dot_computes_the_edges_once(fresh_memos):
 
 
 def test_crystal_and_a_q_emits_step_once_along_each_lowering_edge(monkeypatch, fresh_memos):
-    # crystal JSON, crystal DOT, amatrix and ttstar of E7/w1 step down each
-    # E-(0..l) edge once: 96 steps, where a second edge builder made 180
-    steps = Counter()
-    real = Orbit.neighbour
-    monkeypatch.setattr(Orbit, "neighbour", lambda self, pos, sign, j: steps.update(sign) or real(self, pos, sign, j))
+    # crystal JSON, crystal DOT, amatrix and ttstar of E7/w1 run the
+    # lowering_maps body once, which steps down the 96 E-(0..l) edges; a
+    # second edge builder made 180 steps
+    runs = []
+    body = weylorbit.lowering_maps.__wrapped__
+    memo = lru_cache(maxsize=1)(lambda orb: runs.append(orb) or body(orb))
+    monkeypatch.setattr(weylorbit, "lowering_maps", memo)
     for what, fmt in [("crystal", "json"), ("crystal", "dot"), ("amatrix", "json"), ("ttstar", "json")]:
         _emit("E", 7, 1, what, fmt)
-    edges = sum(map(len, weylorbit.lowering_maps(orbit(build(LieType("E", 7)), 1))))
-    assert steps == {"-": edges} and edges == 96
+    orb = orbit(build(LieType("E", 7)), 1)
+    assert runs == [orb] and sum(map(len, memo(orb))) == 96
 
 
 _coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200), st.integers(2**64, 2**80))
@@ -588,7 +591,12 @@ def _poly_matrices(draw):
 
 
 def _densified(v):
-    """v with every PolyMatrix replaced by its dense array of [exponent, coefficient-string] lists."""
+    """v with every PolyMatrix replaced by its dense array of [exponent, coefficient-string] lists.
+
+    A Weight becomes its pairings list.
+    """
+    if isinstance(v, Weight):
+        return list(v.pairings)
     if isinstance(v, PolyMatrix):
         return [[[[e, str(c)] for e, c in sorted(v.entries.get((i, j), {}).items())] for j in range(v.n)]
                 for i in range(v.n)]
@@ -602,7 +610,11 @@ def _densified(v):
 # quotes, backslashes, control and non-ASCII characters on top of arbitrary text
 _awkward = st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001F600')
 _texts = st.text(st.one_of(st.characters(), _awkward), max_size=8)
+# (16,0) and (0,1) share the key 16: the writer must tell them apart by their pairings
+_weights = st.one_of(st.lists(st.integers(-20, 20), max_size=4).map(lambda p: Weight(tuple(p))),
+                     st.sampled_from([Weight((16, 0)), Weight((0, 1))]))
 _leaves = st.one_of(
+    _weights,
     _texts,
     st.integers(),
     st.integers(2**64, 2**200),
@@ -633,6 +645,15 @@ def _matrix_documents(draw):
 def test_writer_matches_json_dumps_of_the_densified_document(doc, emitted):
     for d in (doc, emitted):
         assert json_text(d) == json.dumps(_densified(d), indent=2)
+
+
+def test_writer_writes_one_weight_at_two_depths_and_colliding_keys_apart():
+    w, a, b = Weight((1, -2, 3)), Weight((16, 0)), Weight((0, 1))
+    assert a.key == b.key
+    doc = {"w": w, "deep": [{"w": w, "pair": [a, b, a]}, w], "empty": Weight(()), "b": b}
+    text = json_text(doc)
+    assert text == json.dumps(_densified(doc), indent=2)
+    assert json.loads(text)["deep"][0]["pair"] == [[16, 0], [0, 1], [16, 0]]
 
 
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 3), (1, 2), {1: "one"}], ids=["float", "Fraction", "tuple", "int-key"])
@@ -852,6 +873,11 @@ def test_satake_command_argument_errors():
     for rank in (4.0, True):
         with pytest.raises(TypeError, match=f"^{re.escape(f'rank must be an int, not {rank!r}')}$"):
             cmd_satake(family="D", rank=rank, out=io.StringIO())
+
+
+def test_satake_family_d_without_a_rank_names_the_flag(capsys):
+    assert main(["satake", "--family", "D"]) == 2
+    assert capsys.readouterr() == ("", "config error: family D needs --rank N\n")
 
 
 # satake input errors come from the library: LieType's rank rules and

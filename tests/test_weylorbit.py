@@ -18,9 +18,11 @@ from minflag.weylorbit import (
     dual_positions,
     expected_orbit_size,
     length,
+    lowering_maps,
     orbit,
     poincare_dual,
 )
+from minflag.qchev import chevalley_closed
 from minflag.ttstar import distinguished_solution
 
 # every minuscule orbit of the rank-10 sweep
@@ -359,6 +361,59 @@ def test_orbit_rejects_an_element_of_another_rank():
     rs = build(LieType("A", 3))
     with pytest.raises(ValueError, match=r"^the orbit weight \(1,0\) has 2 pairings, but A3 has rank 3$"):
         Orbit(rs, 1, orbit_of("A", 2, 1).elements)
+
+
+# A3/w1 is (1,0,0), (-1,1,0), (0,-1,1), (0,0,-1); each list holds several
+# offending elements, and the first one, checked for rank, then bounds,
+# then its key, is named
+_A3 = [el.weight.pairings for el in orbit_of("A", 3, 1).elements]
+MIXED_FAULTS = {
+    "bound-before-rank": ([_A3[0], (5, 0, -1), _A3[1], (1, 0)], AssertionError,
+                          "the orbit weight (5,0,-1) has a pairing outside -4..4: its key would not be exact"),
+    "rank-before-key": ([_A3[0], _A3[1], (1, 0), _A3[0]], ValueError,
+                        "the orbit weight (1,0) has 2 pairings, but A3 has rank 3"),
+    "key-before-bound": ([_A3[0], _A3[1], _A3[1], (0, 0, -6)], AssertionError,
+                         "the orbit weight (-1,1,0) at position 2 has the key of (-1,1,0) at position 1"),
+    "rank-at-the-end": ([*_A3, (0, 0, -1, 0)], ValueError,
+                        "the orbit weight (0,0,-1,0) has 4 pairings, but A3 has rank 3"),
+    "bound-at-the-end": ([*_A3, (-5, 0, 0)], AssertionError,
+                         "the orbit weight (-5,0,0) has a pairing outside -4..4: its key would not be exact"),
+}
+
+
+@pytest.mark.parametrize("case", MIXED_FAULTS)
+def test_orbit_names_its_first_offending_element(case):
+    pairings, error, text = MIXED_FAULTS[case]
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        Orbit(build(LieType("A", 3)), 1, [OrbitElement(Weight(p), (), 0) for p in pairings])
+
+
+KEYED_CASES = SWEEP + [(LieType("D", 11), 11), (LieType("B", 8), 8), (LieType("A", 9), 5)]
+
+
+@pytest.mark.parametrize("lt,i", KEYED_CASES, ids=[f"{lt}w{i}" for lt, i in KEYED_CASES])
+def test_every_bfs_key_is_the_horner_key_of_its_pairings(lt, i):
+    # the BFS hands each Weight the key it stepped to; it must be the key
+    # Weight computes from the pairings
+    for el in orbit(build(lt), i).elements:
+        assert el.weight.key == Weight(el.weight.pairings).key, el
+
+
+@pytest.mark.parametrize("case", [("A", 2, 1), ("E", 6, 1), ("D", 5, 5)], ids=str)
+def test_key_stepped_edges_into_a_missing_element_name_it(case, fresh_memos):
+    # without an interior element, the first edge onto it misses in
+    # Orbit.index_of, and Orbit.neighbour names the source, root and target
+    orb = orbit_of(*case)
+    gone = orb.size // 2
+    lost = orb.elements[gone].weight
+    holed = Orbit(orb.rs, orb.weight_index, orb.elements[:gone] + orb.elements[gone + 1:])
+    mu, j = next((el.weight, j) for el in holed.elements for j, m in enumerate(node_pairings(orb.rs, el.weight))
+                 if m == 1 and el.weight - orb.rs.node_weights[j] == lost)
+    text = f"^{re.escape(f'{mu} - alpha_{j} = {lost} is not in the orbit')}$"
+    with pytest.raises(AssertionError, match=text):
+        lowering_maps(holed)
+    with pytest.raises(AssertionError, match=text):
+        chevalley_closed(holed, mu)
 
 
 def test_orbit_rejects_an_empty_element_list():
