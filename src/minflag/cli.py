@@ -15,9 +15,9 @@ Subcommands:
 
 Every JSON document the CLI prints comes from one writer, ``json_text``:
 byte for byte the text ``json.dumps(..., indent=2)`` makes of the
-document, with the dense A(q) array of ``amatrix`` and ``ttstar``
-written straight from the matrix's nonzero entries, each distinct entry
-formatted once.
+document, each Weight as its pairings list, and the dense A(q) array
+of ``amatrix`` and ``ttstar`` written from the matrix's nonzero
+entries, each distinct entry formatted once.
 
 JSON schema notes: polynomials are arrays of [exponent, coefficient]
 pairs with the coefficient as a decimal string (arbitrary precision
@@ -156,29 +156,30 @@ def json_text(doc: dict) -> str:
     """The ``json.dumps(doc, indent=2)`` text of a plain document.
 
     Values are dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
-    and ``None``.  A Weight is written as its pairings list, each
-    distinct (pairings, indent) text made once per call; a PolyMatrix as
-    its dense n x n array of [exponent, coefficient-string] pair lists,
+    and ``None``.  A Weight is written as its pairings list; a PolyMatrix
+    as its dense n x n array of [exponent, coefficient-string] pair lists,
     zero entries as ``[]``.  Anything else, a non-``str`` key included,
     raises ``TypeError``.
     """
-    return _value_text(doc, "", {})
+    return _value_text(doc, "")
 
 
 _JUST_INT = {int}
 
 
-def _value_text(v: object, pad: str, memo: dict) -> str:
+def _value_text(v: object, pad: str) -> str:
     """The indent=2 JSON text of v, for a value whose line is indented by pad."""
     t = type(v)
     if t is str:
         return encode_basestring_ascii(v)
     if t is int:
         return int.__repr__(v)
-    if t is Weight:
-        k = v.pairings, pad
-        return memo.get(k) or memo.setdefault(k, _value_text([*v.pairings], pad, memo))
     inner = pad + "  "
+    if t is Weight:  # int pairings
+        if not v.pairings:
+            return "[]"
+        body = f",\n{inner}".join(map(int.__repr__, v.pairings))
+        return f"[\n{inner}{body}\n{pad}]"
     if t is dict:
         if not v:
             return "{}"
@@ -186,7 +187,7 @@ def _value_text(v: object, pad: str, memo: dict) -> str:
         for key, x in v.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner, memo)}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner)}")
         body = ",\n".join(items)
         del items  # dropped before the braces go on, so the text is held at most twice
         return f"{{\n{body}\n{pad}}}"
@@ -196,7 +197,7 @@ def _value_text(v: object, pad: str, memo: dict) -> str:
         if {*map(type, v)} == _JUST_INT:
             body = f",\n{inner}".join(map(int.__repr__, v))
             return f"[\n{inner}{body}\n{pad}]"
-        body = ",\n".join(inner + _value_text(x, inner, memo) for x in v)
+        body = ",\n".join(inner + _value_text(x, inner) for x in v)
         return f"[\n{body}\n{pad}]"
     if v is True:
         return "true"

@@ -84,8 +84,8 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
 
     The classical pairs (0, position of mu - alpha_j) come first, in j
     order, then the one quantum pair (1, position of mu - alpha_0 =
-    mu + theta) if any.  A target is mu's key minus alpha_j's, looked up
-    in ``Orbit.index_of``; only a miss calls ``Orbit.neighbour``.
+    mu + theta) if any.  The targets come from ``Orbit.lowered``; only
+    a miss calls ``Orbit.neighbour``.
     Raises ValueError if mu is not in the orbit (``Orbit.position``, the
     one membership test and its one text), and ``neighbour``'s
     AssertionError naming mu, the root and the target if a target is not.
@@ -97,7 +97,7 @@ def chevalley_closed(orb: Orbit, mu: Weight) -> list[tuple[int, int]]:
         steps.append((1, 0))
     terms = []
     for q_power, j in steps:
-        t = orb.index_of.get(orb.keys[pos] - rs.node_keys[j])
+        t = orb.lowered(pos, j)
         terms.append((q_power, orb.neighbour(pos, "-", j) if t is None else t))
     return terms
 

@@ -15,11 +15,11 @@ element is unique.  Two things read the words: the ``orbit`` emitter
 writes them out, and the tests check the oracle's own transport against
 them.  The divisor-product oracle and ``length`` read none of them.
 Each element's Weight is made once, with the key the BFS stepped to.
-``lowering_maps`` keeps the latest orbit's E-(0..l), stepped by key,
-which the crystal emitters, A(q) and the bracket row share, and
-``dual_positions`` the latest orbit's Poincare-dual positions, which
-the Frobenius row and the ``verify --self-test-corrupt`` mutation
-share.
+``lowering_maps`` keeps the latest orbit's E-(0..l), stepped by key
+through ``Orbit.lowered``, which the crystal emitters, A(q) and the
+bracket row share, and ``dual_positions`` the latest orbit's
+Poincare-dual positions, which the Frobenius row and the
+``verify --self-test-corrupt`` mutation share.
 
 ``expected_orbit_size`` holds the closed-form orbit sizes |W/W_P|, the
 one table of them: the ``orbit-size`` row of ``verify`` checks the BFS
@@ -63,11 +63,12 @@ class Orbit:
     hit on a caller's weight by its pairings.  ``neighbour(pos, sign,
     j)`` steps from the element at pos to mu - alpha_j or mu + alpha_j
     for a node j = 0..l of the extended diagram, alpha_0 = -theta, and
-    returns the target's position; it names a missing target.  No
+    returns the target's position; it names a missing target.
+    ``lowered(pos, j)`` is the unchecked step down by key that the two
+    lowering builders take, a miss left to ``neighbour``.  No
     elements, or an element of another rank than rs, raise ValueError.
-    Rank, bounds and keys are checked in bulk, and only a failure walks
-    the elements to name the first witness.  Immutable after
-    construction; safe to share and memoized by ``orbit``.
+    Immutable after construction; safe to share and memoized by
+    ``orbit``.
     """
 
     def __init__(self, rs: RootSystem, weight_index: int, elements: Sequence[OrbitElement]):
@@ -76,23 +77,19 @@ class Orbit:
         self.elements = tuple(elements)
         if not self.elements:
             raise ValueError(f"an orbit of ({rs}, w{weight_index}) needs at least one element")
-        pairings = [el.weight.pairings for el in self.elements]
-        self.keys = tuple(el.weight.key for el in self.elements)
-        index = dict(zip(self.keys, range(len(pairings))))
-        if (len(index) < len(pairings) or {*map(len, pairings)} != {rs.rank}
-                or min(map(min, pairings)) < -ORBIT_BOUND or max(map(max, pairings)) > ORBIT_BOUND):
-            index = {}  # the checks in bulk failed: walk the elements to name the first witness
-            for pos, el in enumerate(self.elements):
-                w = el.weight.pairings
-                if len(w) != rs.rank:
-                    raise ValueError(f"the orbit weight {el.weight} has {len(w)} pairings, but {rs} has rank {rs.rank}")
-                if min(w) < -ORBIT_BOUND or max(w) > ORBIT_BOUND:
-                    raise AssertionError(f"the orbit weight {el.weight} has a pairing outside "
-                                         f"-{ORBIT_BOUND}..{ORBIT_BOUND}: its key would not be exact")
-                first = index.setdefault(el.weight.key, pos)
-                if first != pos:
-                    raise AssertionError(f"the orbit weight {el.weight} at position {pos} has the key of "
-                                         f"{self.elements[first].weight} at position {first}")
+        index: dict[int, int] = {}
+        for pos, el in enumerate(self.elements):
+            w = el.weight.pairings
+            if len(w) != rs.rank:
+                raise ValueError(f"the orbit weight {el.weight} has {len(w)} pairings, but {rs} has rank {rs.rank}")
+            if min(w) < -ORBIT_BOUND or max(w) > ORBIT_BOUND:
+                raise AssertionError(f"the orbit weight {el.weight} has a pairing outside "
+                                     f"-{ORBIT_BOUND}..{ORBIT_BOUND}: its key would not be exact")
+            first = index.setdefault(el.weight.key, pos)
+            if first != pos:
+                raise AssertionError(f"the orbit weight {el.weight} at position {pos} has the key of "
+                                     f"{self.elements[first].weight} at position {first}")
+        self.keys = tuple(index)
         self.index_of = index
         self.dim_complex = self.elements[-1].length
         self.size = len(self.elements)
@@ -125,6 +122,14 @@ class Orbit:
             nu = Weight(tuple(map(sub if sign == "-" else add, mu.pairings, rs.node_weights[j].pairings)))
             raise AssertionError(f"{mu} {sign} alpha_{j} = {nu} is not in the orbit")
         return t
+
+    def lowered(self, pos: int, j: int) -> int | None:
+        """The position of mu - alpha_j, mu the element at pos, or None if it is not in the orbit.
+
+        Unchecked: pos and j must be in range.  A caller hands a None to
+        ``neighbour(pos, "-", j)``, which names the missing target.
+        """
+        return self.index_of.get(self.keys[pos] - self.rs.node_keys[j])
 
     def position(self, mu: Weight) -> int:
         """mu's position: the package's one membership test, a ValueError for a foreign weight.
@@ -241,17 +246,16 @@ def length(orb: Orbit, mu: Weight) -> int:
 def lowering_maps(orb: Orbit) -> list[dict[int, tuple[int, int]]]:
     """E-(0..l) in one pass, map j for node j: mu -> (mu - alpha_j, 1) exactly when (mu, alpha_j^vee) = 1.
 
-    Map 0 is E_psi, alpha_0 = -theta.  A target is the source's key minus
-    alpha_j's, looked up in ``Orbit.index_of``; only a miss calls
-    ``Orbit.neighbour``, for its text.  Only the latest orbit's maps are
-    kept, shared by every reader: read them, never change them.
+    Map 0 is E_psi, alpha_0 = -theta.  Each source's targets come from
+    ``Orbit.lowered``; only a miss calls ``Orbit.neighbour``, for its
+    text.  Only the latest orbit's maps are kept, shared by every
+    reader: read them, never change them.
     """
-    rs, index = orb.rs, orb.index_of
-    maps: list[dict] = [{} for _ in rs.node_keys]
-    for pos, (el, key) in enumerate(zip(orb.elements, orb.keys)):
-        for j, m in enumerate(node_pairings(rs, el.weight)):
+    maps: list[dict] = [{} for _ in orb.rs.node_keys]
+    for pos, el in enumerate(orb.elements):
+        for j, m in enumerate(node_pairings(orb.rs, el.weight)):
             if m == 1:
-                t = index.get(key - rs.node_keys[j])
+                t = orb.lowered(pos, j)
                 maps[j][pos] = (orb.neighbour(pos, "-", j) if t is None else t, 1)
     return maps
 

@@ -409,11 +409,20 @@ def test_key_stepped_edges_into_a_missing_element_name_it(case, fresh_memos):
     holed = Orbit(orb.rs, orb.weight_index, orb.elements[:gone] + orb.elements[gone + 1:])
     mu, j = next((el.weight, j) for el in holed.elements for j, m in enumerate(node_pairings(orb.rs, el.weight))
                  if m == 1 and el.weight - orb.rs.node_weights[j] == lost)
+    assert holed.lowered(holed.position(mu), j) is None
     text = f"^{re.escape(f'{mu} - alpha_{j} = {lost} is not in the orbit')}$"
     with pytest.raises(AssertionError, match=text):
         lowering_maps(holed)
     with pytest.raises(AssertionError, match=text):
         chevalley_closed(holed, mu)
+
+
+def test_lowered_steps_down_as_neighbour_does():
+    for orb in sweep_orbits():
+        for pos, el in enumerate(orb.elements):
+            for j, m in enumerate(node_pairings(orb.rs, el.weight)):
+                if m == 1:
+                    assert orb.lowered(pos, j) == orb.neighbour(pos, "-", j), (orb, el, j)
 
 
 def test_orbit_rejects_an_empty_element_list():
