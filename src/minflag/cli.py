@@ -36,10 +36,10 @@ from typing import Optional, Sequence, TextIO
 
 from . import minrep, qchev, satake, ttstar, weylorbit
 from .minrep import Check, PolyMatrix
-from .rootsys import FAMILIES, LieType, Weight, build, minuscule_weights
+from .rootsys import _RANK_RANGE, FAMILIES, LieType, Weight, build, minuscule_weights
 from .weylorbit import Orbit, crystal_edges, dual_positions, expected_orbit_size, orbit
 
-_MIN_SWEEP_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+_SWEEP_FAMILIES = ("A", "B", "C", "D")
 
 
 @dataclass
@@ -52,17 +52,17 @@ class SweepConfig:
     include_exceptional: bool = True
 
     def validate(self) -> None:
+        """ConfigError for a family outside the sweep, a missing one, or a max rank ``LieType`` rejects."""
         for fam in self.max_rank:
-            if fam not in _MIN_SWEEP_RANK:
+            if fam not in _SWEEP_FAMILIES:
                 raise ConfigError(f"unknown sweep family {fam!r}")
-        for fam, lo in _MIN_SWEEP_RANK.items():
+        for fam in _SWEEP_FAMILIES:
             if fam not in self.max_rank:
                 raise ConfigError(f"max rank for {fam} is missing")
-            rank = self.max_rank[fam]
-            if not isinstance(rank, int) or isinstance(rank, bool):
-                raise ConfigError(f"max rank for {fam} must be an integer, got {rank!r}")
-            if rank < lo:
-                raise ConfigError(f"max rank for {fam} must be at least {lo}")
+            try:
+                LieType(fam, self.max_rank[fam])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"max rank for {fam}: {exc}") from exc
         if not isinstance(self.include_exceptional, bool):
             raise ConfigError(f"include_exceptional must be a bool, got {self.include_exceptional!r}")
 
@@ -71,15 +71,13 @@ class ConfigError(ValueError):
     pass
 
 
-def sweep_cases(config: Optional[SweepConfig] = None) -> list[tuple[LieType, int]]:
-    """All minuscule (type, weight index) pairs of the configured sweep."""
-    config = config or SweepConfig()
+def sweep_cases(config: SweepConfig) -> list[tuple[LieType, int]]:
+    """All minuscule (type, weight index) pairs of the configured sweep, each family from its least rank."""
     config.validate()
     cases: list[tuple[LieType, int]] = []
     types: list[LieType] = []
-    for fam in ("A", "B", "C", "D"):
-        lo = _MIN_SWEEP_RANK[fam]
-        for rank in range(lo, config.max_rank[fam] + 1):
+    for fam in _SWEEP_FAMILIES:
+        for rank in range(_RANK_RANGE[fam][0], config.max_rank[fam] + 1):
             types.append(LieType(fam, rank))
     if config.include_exceptional:
         types.append(LieType("E", 6))
@@ -414,7 +412,7 @@ def cmd_satake(
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
@@ -448,7 +446,7 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
                 config.include_exceptional = val.lower() == "true"
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    for fam in _MIN_SWEEP_RANK:
+    for fam in _SWEEP_FAMILIES:
         flag = getattr(args, f"max_rank_{fam}")
         if flag is not None:
             config.max_rank[fam] = flag
@@ -465,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the verification sweep")
-    for fam in ("A", "B", "C", "D"):
+    for fam in _SWEEP_FAMILIES:
         p_verify.add_argument(f"--max-rank-{fam}", type=int, default=None, dest=f"max_rank_{fam}")
     p_verify.add_argument("--skip-exceptional", action="store_true")
     p_verify.add_argument("--config", type=str, default=None, help="key=value config file")

@@ -115,8 +115,7 @@ class Orbit:
             raise ValueError(f"sign must be '-' or '+', not {sign!r}")
         if type(j) is not int or not 0 <= j < len(rs.node_keys):
             raise ValueError(f"simple root index {j} out of range")
-        step = rs.node_keys[j]
-        t = self.index_of.get(self.keys[pos] - step if sign == "-" else self.keys[pos] + step)
+        t = self.lowered(pos, j) if sign == "-" else self.index_of.get(self.keys[pos] + rs.node_keys[j])
         if t is None:
             mu = self.elements[pos].weight
             nu = Weight(tuple(map(sub if sign == "-" else add, mu.pairings, rs.node_weights[j].pairings)))

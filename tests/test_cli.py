@@ -331,8 +331,9 @@ def test_verify_missing_config_file_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: ") and "missing.cfg" in err
 
 
-def test_verify_rank_below_minimum_is_config_error():
+def test_verify_rank_below_minimum_is_config_error(capsys):
     assert main(["verify", "--max-rank-D", "2"]) == 2
+    assert capsys.readouterr().err == "config error: max rank for D: rank 2 invalid for family D\n"
 
 
 def test_sweep_config_without_a_family_is_config_error():
@@ -360,7 +361,7 @@ def test_sweep_config_with_a_non_bool_include_exceptional_is_config_error(flag):
 @pytest.mark.parametrize("rank", ["3", 2.5, None, True], ids=["str", "float", "None", "bool"])
 def test_sweep_config_with_a_non_integer_rank_is_config_error(rank):
     config = SweepConfig(max_rank={"A": rank, "B": 2, "C": 2, "D": 3})
-    with pytest.raises(ConfigError, match=rf"^max rank for A must be an integer, got {re.escape(repr(rank))}$"):
+    with pytest.raises(ConfigError, match=rf"^max rank for A: rank must be an int, not {re.escape(repr(rank))}$"):
         sweep_cases(config)
 
 
@@ -986,6 +987,35 @@ def test_verify_non_utf8_config_is_config_error(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "not UTF-8" in err
+
+
+def test_verify_config_file_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("max-rank-A=3\nmax-rank-B=2\nmax-rank-C=2\nmax-rank-D=3\ninclude-exceptional=false\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["verify", "--config", str(cfg)]) == 0
+
+
+WORKFLOW = os.path.join(os.path.dirname(SRC), ".github", "workflows", "tests.yml")
+
+
+def test_workflow_pins_each_output_once_with_the_tier1_hashes():
+    # the CI file states each pinned sha256 once, in one table of
+    # `<exit code> <sha256> <minflag arguments>` rows run under python -O;
+    # the rows that Tier-1 pins too carry the same hashes
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        text = fh.read()
+    hashes = Counter(re.findall(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])", text))
+    assert hashes and all(n == 1 for n in hashes.values()), [h for h, n in hashes.items() if n > 1]
+    rows = {args: (int(rc), sha) for rc, sha, args in re.findall(r"(?m)^ *([0-9]+) ([0-9a-f]{64}) (.+)$", text)}
+    assert len(rows) == len(hashes)
+    want = {"verify": (0, DEFAULT_VERIFY_SHA256), "verify --self-test-corrupt": (1, CORRUPT_VERIFY_SHA256)}
+    emit = "emit --family {} --rank {} --weight {} --what {}"
+    for case in [("E", 7, 1, "ttstar"), ("E", 7, 1, "qtable"), ("B", 8, 8, "amatrix")]:
+        want[emit.format(*case)] = (0, EMIT_SHA256[case])
+    for case in [("E", 7, 1, "orbit", "json"), ("E", 7, 1, "crystal", "json"), ("E", 7, 1, "crystal", "dot")]:
+        want[emit.format(*case) + (" --format dot" if case[4] == "dot" else "")] = (0, BFS_EMIT_SHA256[case])
+    assert {args: rows.get(args) for args in want} == want
 
 
 def test_value_error_inside_a_check_is_not_a_config_error(monkeypatch):

@@ -357,10 +357,10 @@ def _raises_with(tree: ast.AST, text: str) -> list[int]:
                     for c in ast.walk(n.exc))]
 
 
-@pytest.mark.parametrize("text", ["must be an int, not", "is not minuscule"])
+@pytest.mark.parametrize("text", ["must be an int, not", "is not minuscule", "invalid for family"])
 def test_each_input_rule_is_raised_in_one_place(text):
-    # rootsys._require_int and RootSystem.minuscule_weight are the homes of
-    # these rules: a second raise would be a copy that can drift from them
+    # rootsys._require_int, RootSystem.minuscule_weight and LieType are the
+    # homes of these rules: a second raise would be a copy that can drift from them
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
