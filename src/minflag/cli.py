@@ -6,7 +6,8 @@ Subcommands:
   configured sweep, runs every row of ``ROWS`` on it (one library
   check each, returning one ``minrep.Check``) and prints a pass/fail
   table.  Exit 0 iff everything passes, 1 on any failed check, 2 on a
-  configuration error.
+  configuration error; every command exits 141 (128 + SIGPIPE), with
+  nothing on stderr, when its reader closes stdout early.
 * ``emit``    writes one artifact (orbit, crystal graph, quantum
   operator, multiplication table, or Toda dictionary bundle) as JSON,
   or the crystal graph as DOT.
@@ -17,7 +18,12 @@ Every JSON document the CLI prints comes from one writer, ``json_text``:
 byte for byte the text ``json.dumps(..., indent=2)`` makes of the
 document, each Weight as its pairings list, and the dense A(q) array
 of ``amatrix`` and ``ttstar`` written from the matrix's nonzero
-entries, each distinct entry formatted once.
+entries, each distinct entry formatted once and the zero cells between
+them cut as runs from one row of zero-cell text.  Each ``json_text``
+call makes one ``%``-format per int-run shape (a Weight's pairings or a
+list of ints, by length and indent) and one per flat-record shape (the
+orbit, crystal and qtable records, by indent, keys, value kinds and
+lengths), each key's ``%`` escaped, and holds the text at most twice.
 
 JSON schema notes: polynomials are arrays of [exponent, coefficient]
 pairs with the coefficient as a decimal string (arbitrary precision
@@ -29,6 +35,7 @@ carries family, rank, weight_index, s and orbit_size.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -158,45 +165,53 @@ def json_text(doc: dict) -> str:
     as its dense n x n array of [exponent, coefficient-string] pair lists,
     zero entries as ``[]``.  Anything else, a non-``str`` key included,
     raises ``TypeError``.
+
+    Each call keeps its own ``%`` formats, made once per shape it meets:
+    one per int run (a Weight's pairings or a list of plain ints) of one
+    length and indent, and one per flat record (a dict whose values are
+    all ints, strs, Weights or int lists) of one indent, key tuple and
+    value kinds and lengths, each key's text with its ``%`` escaped.  A
+    matrix's zero cells are cut as runs from one row of zero-cell text.
+    The text is held at most twice.
     """
-    return _value_text(doc, "")
+    return _value_text(doc, "", {})
 
 
 _JUST_INT = {int}
 
 
-def _value_text(v: object, pad: str) -> str:
+def _value_text(v: object, pad: str, forms: dict) -> str:
     """The indent=2 JSON text of v, for a value whose line is indented by pad."""
     t = type(v)
-    if t is str:
-        return encode_basestring_ascii(v)
-    if t is int:
-        return int.__repr__(v)
-    inner = pad + "  "
-    if t is Weight:  # int pairings
-        if not v.pairings:
-            return "[]"
-        body = f",\n{inner}".join(map(int.__repr__, v.pairings))
-        return f"[\n{inner}{body}\n{pad}]"
     if t is dict:
         if not v:
             return "{}"
+        text = _record_text(v, pad, forms)
+        if text is not None:
+            return text
+        inner = pad + "  "
         items = []
         for key, x in v.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner)}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner, forms)}")
         body = ",\n".join(items)
         del items  # dropped before the braces go on, so the text is held at most twice
         return f"{{\n{body}\n{pad}}}"
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is Weight:
+        return _run_form(len(v.pairings), pad, forms) % v.pairings
     if t is list:
         if not v:
             return "[]"
         if {*map(type, v)} == _JUST_INT:
-            body = f",\n{inner}".join(map(int.__repr__, v))
-            return f"[\n{inner}{body}\n{pad}]"
-        body = ",\n".join(inner + _value_text(x, inner) for x in v)
-        return f"[\n{body}\n{pad}]"
+            return _run_form(len(v), pad, forms) % tuple(v)
+        inner = pad + "  "
+        body = f",\n{inner}".join([_value_text(x, inner, forms) for x in v])
+        return f"[\n{inner}{body}\n{pad}]"
     if v is True:
         return "true"
     if v is False:
@@ -208,33 +223,96 @@ def _value_text(v: object, pad: str) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
+def _run_form(length: int, pad: str, forms: dict) -> str:
+    """The %-format of a list of length ints, for a value whose line is indented by pad."""
+    form = forms.get((length, pad))
+    if form is None:
+        inner = pad + "  "
+        body = f",\n{inner}".join(["%d"] * length)
+        form = forms[length, pad] = f"[\n{inner}{body}\n{pad}]" if length else "[]"
+    return form
+
+
+def _record_text(d: dict, pad: str, forms: dict) -> Optional[str]:
+    """The indent=2 JSON text of a flat record d, or None when a value is of another kind.
+
+    Its shape is the indent, the key tuple, then each value's kind: the
+    length of a Weight or int list, -1 an int, -2 a str.
+    """
+    shape = [pad, tuple(d)]
+    args = []
+    for x in d.values():
+        t = type(x)
+        if t is Weight:
+            shape.append(len(x.pairings))
+            args += x.pairings
+        elif t is int:
+            shape.append(-1)
+            args.append(x)
+        elif t is str:
+            shape.append(-2)
+            args.append(encode_basestring_ascii(x))
+        elif t is list and {*map(type, x)} <= _JUST_INT:
+            shape.append(len(x))
+            args += x
+        else:
+            return None
+    shape = tuple(shape)
+    form = forms.get(shape)
+    if form is None:
+        if any(type(key) is not str for key in shape[1]):
+            return None  # the caller's recursion raises the key's TypeError
+        inner = pad + "  "
+        lines = []
+        for key, kind in zip(shape[1], shape[2:]):
+            value = "%d" if kind == -1 else "%s" if kind == -2 else _run_form(kind, inner, forms)
+            lines.append(f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: {value}")
+        body = ",\n".join(lines)
+        form = forms[shape] = f"{{\n{body}\n{pad}}}"
+    return form % tuple(args)
+
+
 def _matrix_text(m: PolyMatrix, pad: str) -> str:
     """The indent=2 JSON text of m's dense rows, for a value whose line is indented by pad.
 
     Each distinct entry is formatted once and its text reused in every
-    cell that holds it (A(q) has two: 1 and q).
+    cell that holds it (A(q) has two: 1 and q).  Every run of zero cells
+    is one slice of a row of zero-cell texts, and the matrix is joined
+    once: the text is held at most twice, as its parts and as itself.
     """
-    if not m.n:
+    n = m.n
+    if not n:
         return "[]"
     row_pad, cell_pad = pad + "  ", pad + "    "
     pair_pad, item_pad = cell_pad + "  ", cell_pad + "    "
-    zero = cell_pad + "[]"
-    rows = [[zero] * m.n for _ in range(m.n)]
+    # n zero cells, each after its ",\n"; the text between columns a and b
+    # of one row (a = -1 at the row's start, b = n at its end) is
+    # zeros[2 * (a < 0):w * (b - a - 1) + 2 * (b < n)]
+    zeros = f",\n{cell_pad}[]" * n
+    w = len(zeros) // n
+    next_row = f"\n{row_pad}],\n{row_pad}[\n"
+    parts = [f"[\n{row_pad}[\n"]
     texts: dict[tuple[tuple[int, int], ...], str] = {}
-    for (i, j), coeffs in m.entries.items():
-        key = tuple(sorted(coeffs.items()))
+    row, col = 0, -1  # the row being written and its last written column
+    entries = m.entries
+    for i, j in sorted(entries):
+        while row < i:
+            parts += zeros[2 * (col < 0):w * (n - col - 1)], next_row
+            row, col = row + 1, -1
+        coeffs = entries[i, j]
+        # a one-term entry, as every entry of A(q) is, needs no sort
+        key = tuple(sorted(coeffs.items()) if len(coeffs) > 1 else coeffs.items())
         text = texts.get(key)
         if text is None:
             pairs = ",\n".join(f'{pair_pad}[\n{item_pad}{e},\n{item_pad}"{c}"\n{pair_pad}]' for e, c in key)
             text = texts[key] = f"{cell_pad}[\n{pairs}\n{cell_pad}]"
-        rows[i][j] = text
-    # each row's cells give way to its text as it is made, and the row
-    # texts go before the brackets go on: the text is held at most twice
-    for i, cells in enumerate(rows):
-        rows[i] = f"{row_pad}[\n" + ",\n".join(cells) + f"\n{row_pad}]"
-    body = ",\n".join(rows)
-    del rows
-    return f"[\n{body}\n{pad}]"
+        parts += zeros[2 * (col < 0):w * (j - col - 1) + 2], text
+        col = j
+    while row < n - 1:
+        parts += zeros[2 * (col < 0):w * (n - col - 1)], next_row
+        row, col = row + 1, -1
+    parts += zeros[2 * (col < 0):w * (n - col - 1)], f"\n{row_pad}]\n{pad}]"
+    return "".join(parts)
 
 
 def _weight_key(w: Weight) -> str:
@@ -496,14 +574,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            config = _sweep_config(args)
-            return cmd_verify(config, corrupt=args.self_test_corrupt)
-        if args.command == "emit":
-            return cmd_emit(args.family, args.rank, args.weight, args.what, args.format)
-        return cmd_satake(args.n, args.k, args.family, args.rank, fmt=args.format)
+            rc = cmd_verify(_sweep_config(args), corrupt=args.self_test_corrupt)
+        elif args.command == "emit":
+            rc = cmd_emit(args.family, args.rank, args.weight, args.what, args.format)
+        else:
+            rc = cmd_satake(args.n, args.k, args.family, args.rank, fmt=args.format)
+        sys.stdout.flush()  # a stdout closed early shows here, not in the flush at exit
+        return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout, which is no failed check: fd 1 goes to
+        # the null device, so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

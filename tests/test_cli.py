@@ -299,6 +299,33 @@ def test_checks_survive_python_optimize_flag():
     assert "FAIL" in proc.stdout and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_stdout_closed_early_exits_141_and_writes_no_stderr(unbuffered):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               PYTHONUNBUFFERED=unbuffered)
+    cli_args = [sys.executable, "-m", "minflag.cli"]
+    # the 715 kB B8/w8 amatrix text outgrows the pipe's buffer (64 KiB on
+    # Linux by default): the write meets the closed pipe inside the command
+    proc = subprocess.Popen(
+        [*cli_args, "emit", "--family", "B", "--rank", "8", "--weight", "8", "--what", "amatrix"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "famil'
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    # a short text, into a pipe whose reader is gone before it is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([*cli_args, "verify", *_SMALL_ARGS], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_verify_config_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("max-rank-A=3\nmax-rank-B=2\nmax-rank-C=2\nmax-rank-D=3\ninclude-exceptional=false\n")
@@ -657,7 +684,66 @@ def test_writer_writes_one_weight_at_two_depths_and_colliding_keys_apart():
     assert json.loads(text)["deep"][0]["pair"] == [[16, 0], [0, 1], [16, 0]]
 
 
-@pytest.mark.parametrize("bad", [1.5, Fraction(1, 3), (1, 2), {1: "one"}], ids=["float", "Fraction", "tuple", "int-key"])
+_FORMAT_KEYS = ["%", "%d", "%s", "%%"]
+
+
+@st.composite
+def _records(draw):
+    """1-6 dicts on one key tuple, each key's values of one kind, maybe with one off-shape value mid-list.
+
+    The kinds are those the writer formats per record shape: ints, strs
+    holding a %, Weights of one rank (0 included) and int lists (empty
+    included).  The keys include the ones a %-format must escape.
+    """
+    keys = draw(st.lists(_texts, max_size=3, unique=True))
+    keys = draw(st.permutations(keys + [k for k in _FORMAT_KEYS if k not in keys]))
+    ranks = {}
+    values = {}
+    for k in keys:
+        kind = draw(st.sampled_from(["int", "str", "weight", "list"]))
+        if kind == "weight":
+            ranks[k] = r = draw(st.integers(0, 4))
+            values[k] = st.lists(st.integers(-20, 20), min_size=r, max_size=r).map(lambda p: Weight(tuple(p)))
+        else:
+            values[k] = {
+                "int": st.integers(-(2**200), 2**200),
+                "str": st.tuples(_texts, _texts).map("%".join),
+                "list": st.lists(st.integers(-(2**70), 2**70), max_size=4),
+            }[kind]
+    records = [{k: draw(values[k]) for k in keys} for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(keys))
+        odd = st.one_of(st.booleans(), st.none(), st.dictionaries(_texts, st.integers(), max_size=2),
+                        st.just(Weight((1,) * (ranks.get(k, 0) + 1))))
+        records[(len(records) - 1) // 2][k] = draw(odd)
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_records())
+def test_writer_formats_records_of_one_shape_as_json_dumps(records):
+    # the same records at two depths: a format is made per indent
+    doc = {"records": records, "deep": [{"records": records}]}
+    assert json_text(doc) == json.dumps(_densified(doc), indent=2)
+
+
+@pytest.mark.parametrize("m", [
+    PolyMatrix(1), PolyMatrix(1, {(0, 0): {1: 1}}), PolyMatrix(3),
+    PolyMatrix(3, {(1, 0): {0: 1}, (2, 2): {1: 1}}),  # empty first row
+    PolyMatrix(3, {(0, 1): {0: 1}, (1, 2): {1: 1}}),  # empty last row
+    PolyMatrix(4, {(1, 0): {0: 1}, (3, 0): {0: 1}}),  # column 0 only
+    PolyMatrix(4, {(0, 3): {0: 1}, (2, 3): {1: 1}}),  # column n - 1 only
+    PolyMatrix(3, {(1, j): {j: 1} for j in range(3)}),  # a full row
+    PolyMatrix(3, {(0, 1): {0: 1, 3: -5, 1: 2**70}, (2, 1): {3: -5, 0: 1, 1: 2**70}}),  # several terms
+], ids=["1x1-empty", "1x1-full", "3x3-empty", "empty-first-row", "empty-last-row", "column-0", "column-n-1",
+        "full-row", "several-terms"])
+def test_writer_cuts_every_zero_run_of_a_dense_matrix(m):
+    doc = {"matrix": m, "deep": [{"matrix": m, "after": 0}]}
+    assert json_text(doc) == json.dumps(_densified(doc), indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 3), (1, 2), {1: "one"}, [{"a": 1}, {"a": 1.5}], [{"a": 1}, {1: 2}]],
+                         ids=["float", "Fraction", "tuple", "int-key", "float-in-a-record", "int-key-in-a-record"])
 def test_writer_rejects_what_is_not_plain_json(bad):
     with pytest.raises(TypeError):
         json_text(bad)
