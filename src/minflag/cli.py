@@ -14,6 +14,9 @@ Subcommands:
 * ``satake``  runs the type-A wedge similarity for (n, k), printing the
   discovered sign vector, or the D-family half-wedge dimension check.
 
+Each command prints to its ``out`` argument, or to ``sys.stdout`` as it
+is when the command runs, so a redirect of ``sys.stdout`` catches it.
+
 Every JSON document the CLI prints comes from one writer, ``json_text``:
 byte for byte the text ``json.dumps(..., indent=2)`` makes of the
 document, each Weight as its pairings list, and the dense A(q) array
@@ -21,9 +24,9 @@ of ``amatrix`` and ``ttstar`` written from the matrix's nonzero
 entries, each distinct entry formatted once and the zero cells between
 them cut as runs from one row of zero-cell text.  Each ``json_text``
 call makes one ``%``-format per int-run shape (a Weight's pairings or a
-list of ints, by length and indent) and one per flat-record shape (the
-orbit, crystal and qtable records, by indent, keys, value kinds and
-lengths), each key's ``%`` escaped, and holds the text at most twice.
+list of ints, by length and indent) and one per dict shape (by indent,
+keys, value kinds and Weight lengths), each key's ``%`` escaped, and
+holds the text at most twice.
 
 JSON schema notes: polynomials are arrays of [exponent, coefficient]
 pairs with the coefficient as a decimal string (arbitrary precision
@@ -42,9 +45,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from . import minrep, qchev, satake, ttstar, weylorbit
-from .minrep import Check, PolyMatrix
+from .minrep import PolyMatrix
 from .rootsys import _RANK_RANGE, FAMILIES, LieType, Weight, build, minuscule_weights
-from .weylorbit import Orbit, crystal_edges, dual_positions, expected_orbit_size, orbit
+from .weylorbit import Orbit, crystal_edges, dual_positions, orbit
 
 _SWEEP_FAMILIES = ("A", "B", "C", "D")
 
@@ -99,18 +102,12 @@ def sweep_cases(config: SweepConfig) -> list[tuple[LieType, int]]:
 # -- verification sweep --------------------------------------------------------
 
 
-def _orbit_size_check(orb: Orbit) -> Check:
-    """The BFS orbit size equals the closed form of ``weylorbit.expected_orbit_size``."""
-    want = expected_orbit_size(orb.rs.lie_type, orb.weight_index)
-    return Check(orb.size == want, f"{orb.size} vs {want}")
-
-
 # The rows of ``verify`` in print order, as (name, check(orb, operator) -> Check).
 # Each entry looks its check up in the module at call time, so a replaced
 # module attribute, such as a test's monkeypatch or a tracer's wrapper, is
 # the one that runs.
 ROWS = (
-    ("orbit-size", lambda orb, a: _orbit_size_check(orb)),
+    ("orbit-size", lambda orb, a: qchev.orbit_size_check(orb)),
     ("rep-relations", lambda orb, a: minrep.verify_rep_relations(orb)),
     ("main-theorem", lambda orb, a: qchev.main_theorem_check(orb, a)),
     ("frobenius", lambda orb, a: qchev.frobenius_check(orb, a)),
@@ -129,7 +126,7 @@ def delete_detectable_edge(orb: Orbit, operator: PolyMatrix) -> PolyMatrix:
     return operator.with_entry(i, j, {})
 
 
-def cmd_verify(config: SweepConfig, corrupt: bool = False, out: TextIO = sys.stdout) -> int:
+def cmd_verify(config: SweepConfig, corrupt: bool = False, out: Optional[TextIO] = None) -> int:
     """Run every row of ``ROWS`` on each case's A(q), or on its corrupted copy."""
     cases = sweep_cases(config)
     failures = 0
@@ -168,11 +165,12 @@ def json_text(doc: dict) -> str:
 
     Each call keeps its own ``%`` formats, made once per shape it meets:
     one per int run (a Weight's pairings or a list of plain ints) of one
-    length and indent, and one per flat record (a dict whose values are
-    all ints, strs, Weights or int lists) of one indent, key tuple and
-    value kinds and lengths, each key's text with its ``%`` escaped.  A
-    matrix's zero cells are cut as runs from one row of zero-cell text.
-    The text is held at most twice.
+    length and indent, and one per dict shape: its indent, key tuple and
+    one kind per value (an int, a str, a Weight of one length inlined as
+    its int run, or any other value, written as its own text), each
+    key's text with its ``%`` escaped.  A matrix's zero cells are cut as
+    runs from one row of zero-cell text.  The text is held at most
+    twice.
     """
     return _value_text(doc, "", {})
 
@@ -184,20 +182,7 @@ def _value_text(v: object, pad: str, forms: dict) -> str:
     """The indent=2 JSON text of v, for a value whose line is indented by pad."""
     t = type(v)
     if t is dict:
-        if not v:
-            return "{}"
-        text = _record_text(v, pad, forms)
-        if text is not None:
-            return text
-        inner = pad + "  "
-        items = []
-        for key, x in v.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{inner}{encode_basestring_ascii(key)}: {_value_text(x, inner, forms)}")
-        body = ",\n".join(items)
-        del items  # dropped before the braces go on, so the text is held at most twice
-        return f"{{\n{body}\n{pad}}}"
+        return _dict_text(v, pad, forms) if v else "{}"
     if t is str:
         return encode_basestring_ascii(v)
     if t is int:
@@ -205,9 +190,7 @@ def _value_text(v: object, pad: str, forms: dict) -> str:
     if t is Weight:
         return _run_form(len(v.pairings), pad, forms) % v.pairings
     if t is list:
-        if not v:
-            return "[]"
-        if {*map(type, v)} == _JUST_INT:
+        if {*map(type, v)} <= _JUST_INT:
             return _run_form(len(v), pad, forms) % tuple(v)
         inner = pad + "  "
         body = f",\n{inner}".join([_value_text(x, inner, forms) for x in v])
@@ -233,12 +216,14 @@ def _run_form(length: int, pad: str, forms: dict) -> str:
     return form
 
 
-def _record_text(d: dict, pad: str, forms: dict) -> Optional[str]:
-    """The indent=2 JSON text of a flat record d, or None when a value is of another kind.
+def _dict_text(d: dict, pad: str, forms: dict) -> str:
+    """The indent=2 JSON text of a non-empty dict d, for a value whose line is indented by pad.
 
     Its shape is the indent, the key tuple, then each value's kind: the
-    length of a Weight or int list, -1 an int, -2 a str.
+    length of a Weight, inlined as its int run, -1 an int, -2 a str, -3
+    any other value, which goes in as its own text.
     """
+    inner = pad + "  "
     shape = [pad, tuple(d)]
     args = []
     for x in d.values():
@@ -252,20 +237,17 @@ def _record_text(d: dict, pad: str, forms: dict) -> Optional[str]:
         elif t is str:
             shape.append(-2)
             args.append(encode_basestring_ascii(x))
-        elif t is list and {*map(type, x)} <= _JUST_INT:
-            shape.append(len(x))
-            args += x
         else:
-            return None
+            shape.append(-3)
+            args.append(_value_text(x, inner, forms))
     shape = tuple(shape)
     form = forms.get(shape)
     if form is None:
-        if any(type(key) is not str for key in shape[1]):
-            return None  # the caller's recursion raises the key's TypeError
-        inner = pad + "  "
         lines = []
         for key, kind in zip(shape[1], shape[2:]):
-            value = "%d" if kind == -1 else "%s" if kind == -2 else _run_form(kind, inner, forms)
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = "%d" if kind == -1 else "%s" if kind < -1 else _run_form(kind, inner, forms)
             lines.append(f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: {value}")
         body = ",\n".join(lines)
         form = forms[shape] = f"{{\n{body}\n{pad}}}"
@@ -412,13 +394,13 @@ def _input_orbit(family: str, rank: int, weight: int) -> Orbit:
 
 
 def cmd_emit(
-    family: str, rank: int, weight: int, what: str, fmt: str, out: TextIO = sys.stdout
+    family: str, rank: int, weight: int, what: str, fmt: str, out: Optional[TextIO] = None
 ) -> int:
     orb = _input_orbit(family, rank, weight)
     if fmt == "dot":
         if what != "crystal":
             raise ConfigError("dot output is only available for the crystal graph")
-        out.write(emit_dot(orb))
+        print(emit_dot(orb), end="", file=out)
     elif fmt == "json":
         print(json_text(emit_payload(orb, what)), file=out)
     else:
@@ -435,7 +417,7 @@ def cmd_satake(
     family: Optional[str] = None,
     rank: Optional[int] = None,
     fmt: str = "text",
-    out: TextIO = sys.stdout,
+    out: Optional[TextIO] = None,
 ) -> int:
     if fmt not in ("text", "json"):
         raise ConfigError(f"unsupported format {fmt!r}")

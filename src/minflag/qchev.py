@@ -41,10 +41,11 @@ entries (``PolyMatrix.entries``); the Frobenius row reads the orbit's
 Poincare-dual positions from ``weylorbit.dual_positions``.
 These three checks are handed the operator they check, A(q) or a
 corrupted copy, and never build A(q); ``_sized`` fails one of another
-size before any entry is read.  Every check returns one
-``minrep.Check`` whose detail names a failure's witness, the first in
-row order, printed by ``minrep.poly_text``; ``cli.ROWS`` runs each as a
-``verify`` row.
+size before any entry is read.  ``orbit_size_check`` compares the BFS
+orbit size with ``weylorbit.expected_orbit_size``.  Every check returns
+one ``minrep.Check`` whose detail names a failure's witness, the first
+in row order, printed by ``minrep.poly_text``; ``cli.ROWS`` runs each as
+a ``verify`` row.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ from operator import add, mul
 
 from .minrep import Check, PolyMatrix, _entry_witness, _Entries, poly_text
 from .rootsys import RootSystem, RootVec, Weight, coroot, pair
-from .weylorbit import Orbit, apply_word, dual_positions, length
+from .weylorbit import Orbit, apply_word, dual_positions, expected_orbit_size, length
 
 
 def divisor_complement(orb: Orbit) -> tuple[RootVec, ...]:
@@ -219,6 +220,12 @@ _EXPECTED_COXETER = {
     "D": lambda n: 2 * n - 2,
     "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
 }
+
+
+def orbit_size_check(orb: Orbit) -> Check:
+    """The BFS orbit size equals the closed form of ``weylorbit.expected_orbit_size``."""
+    want = expected_orbit_size(orb.rs.lie_type, orb.weight_index)
+    return Check(orb.size == want, f"{orb.size} vs {want}")
 
 
 def coxeter_check(orb: Orbit) -> Check:

@@ -22,9 +22,9 @@ Poincare-dual positions, which the Frobenius row and the
 ``verify --self-test-corrupt`` mutation share.
 
 ``expected_orbit_size`` holds the closed-form orbit sizes |W/W_P|, the
-one table of them: the ``orbit-size`` row of ``verify`` checks the BFS
-count against it, and the Satake checks read the Grassmannian, quadric
-and spinor sizes from it.
+one table of them: ``qchev.orbit_size_check``, the ``orbit-size`` row of
+``verify``, checks the BFS count against it, and the Satake checks read
+the Grassmannian, quadric and spinor sizes from it.
 """
 from __future__ import annotations
 

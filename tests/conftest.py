@@ -1,7 +1,10 @@
 """Fixtures shared by the test modules."""
 import pytest
 
-from helpers import clear_memos
+# rewritten like the test modules, so the asserts in helpers run under python -O too
+pytest.register_assert_rewrite("helpers")
+
+from helpers import clear_memos  # noqa: E402  (after the registration above)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -689,11 +690,12 @@ _FORMAT_KEYS = ["%", "%d", "%s", "%%"]
 
 @st.composite
 def _records(draw):
-    """1-6 dicts on one key tuple, each key's values of one kind, maybe with one off-shape value mid-list.
+    """1-6 dicts on one key tuple, each key's values of one kind, maybe with one value of another kind mid-list.
 
-    The kinds are those the writer formats per record shape: ints, strs
-    holding a %, Weights of one rank (0 included) and int lists (empty
-    included).  The keys include the ones a %-format must escape.
+    The writer makes one format per dict shape, and these dicts share
+    one: ints, strs holding a %, Weights of one rank (0 included) and
+    int lists (empty included), each list written as its own text.  The
+    keys include the ones a %-format must escape.
     """
     keys = draw(st.lists(_texts, max_size=3, unique=True))
     keys = draw(st.permutations(keys + [k for k in _FORMAT_KEYS if k not in keys]))
@@ -725,6 +727,15 @@ def test_writer_formats_records_of_one_shape_as_json_dumps(records):
     # the same records at two depths: a format is made per indent
     doc = {"records": records, "deep": [{"records": records}]}
     assert json_text(doc) == json.dumps(_densified(doc), indent=2)
+
+
+def test_an_orbit_document_makes_one_element_record_format():
+    # every element record shares one shape, whatever its word's length
+    doc = emit_payload(orbit(build(LieType("E", 7)), 1), "orbit")
+    forms = {}
+    assert cli._value_text(doc, "", forms) == json_text(doc)
+    assert len({len(el["word"]) for el in doc["elements"]}) > 1
+    assert len([shape for shape in forms if ("weight", "length", "word") in shape]) == 1
 
 
 @pytest.mark.parametrize("m", [
@@ -777,6 +788,21 @@ def test_emit_rejects_dot_for_non_crystal():
 def test_emit_rejects_bad_rank(capsys):
     assert main(["emit", "--family", "E", "--rank", "9", "--weight", "1", "--what", "orbit"]) == 2
     assert capsys.readouterr() == ("", "config error: rank 9 invalid for family E\n")
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["emit", "--family", "A", "--rank", "1", "--weight", "1", "--what", "orbit"],
+     lambda out: cmd_emit("A", 1, 1, "orbit", "json", out=out)),
+    (["satake", "--n", "3", "--k", "2"], lambda out: cmd_satake(3, 2, out=out)),
+    (["verify", *_SMALL_ARGS], lambda out: cmd_verify(SMALL, out=out)),
+], ids=["emit", "satake", "verify"])
+def test_main_writes_to_stdout_as_redirected(argv, command):
+    # each command reads sys.stdout when it runs, not when cli is imported
+    got, want = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(got):
+        assert main(argv) == 0
+    assert command(want) == 0
+    assert got.getvalue() == want.getvalue() != ""
 
 
 def test_satake_command_pairs():
